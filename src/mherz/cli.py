@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import inspect
 import json
 import math
 import os
@@ -40,9 +41,10 @@ from typing import Callable
 from . import __version__
 from .errors import ConfigError, GridSizeError, MherzError
 from .grid import GridSpec, make_grid
-from .norms import ExponentParams, predicate_violations
+from .norms import ExponentParams
 from .operators import estimate_block_norm_constant
 from .verification import (
+    HYPOTHESES,
     InequalityReport,
     check_char_norms,
     check_cz_comm,
@@ -66,133 +68,45 @@ class SuiteDef:
     summary: str
     runner: Callable
     options: tuple[str, ...]
-    multi_params: bool = False
-    seeded: bool = True
-    required_options: tuple[str, ...] = ()
-
-    def validate_params(self, params, options: dict) -> list[str]:
-        out: list[str] = []
-        sets = params if isinstance(params, list) else [params]
-        if self.name == "char_norms":
-            for pr in sets:
-                if pr.lam > 0:
-                    out += predicate_violations(pr, "char")
-            return out
-        (pr,) = sets
-        if self.name == "norm_duality":
-            out += predicate_violations(pr, "ms_herz")
-        elif self.name == "maximal_bounds":
-            out += predicate_violations(pr, "ms_herz")
-            if options.get("space") == "block-upper":
-                out += predicate_violations(pr, "block")
-            if options.get("space", "morrey-herz") == "morrey-herz":
-                out += predicate_violations(pr, "char")
-        elif self.name in ("fefferman_stein", "john_nirenberg_bmo", "cz_comm"):
-            out += predicate_violations(pr, "ms_herz")
-            out += predicate_violations(pr, "char")
-        elif self.name == "extrapolation":
-            out += predicate_violations(pr, "ms_herz")
-            out += predicate_violations(pr, "char")
-            try:
-                block = extrapolation_block_params(pr, float(options["p0"]))
-            except (ValueError, KeyError) as exc:
-                out.append(str(exc))
-            else:
-                out += predicate_violations(block, "block")
-                out += predicate_violations(block, "ms_herz")
-        return out
+    required_options: tuple[str, ...]
+    multi_params: bool
+    seeded: bool
 
 
-def _run_extrapolation(grid, params, **kw):
-    return check_extrapolation(grid, kw.pop("op"), kw.pop("p0"), params, **kw)
-
-
-def _run_maximal_bounds(grid, params, **kw):
-    return check_maximal_bounds(grid, kw.pop("space"), params, **kw)
+def _suite(runner: Callable, summary: str) -> SuiteDef:
+    """Registry entry read off ``check_<name>(grid, params | param_sets, **options)``."""
+    options = dict(inspect.signature(runner).parameters)
+    del options["grid"]
+    multi = "param_sets" in options
+    del options["param_sets" if multi else "params"]
+    return SuiteDef(
+        name=runner.__name__.removeprefix("check_"),
+        summary=summary,
+        runner=runner,
+        options=tuple(options),
+        required_options=tuple(k for k, p in options.items() if p.default is p.empty),
+        multi_params=multi,
+        seeded="seed" in options,
+    )
 
 
 SUITES: dict[str, SuiteDef] = {
-    "char_norms": SuiteDef(
-        "char_norms",
-        "indicator Morrey-Herz norms vs exact closed forms",
-        check_char_norms,
-        options=("tol",),
-        multi_params=True,
-        seeded=False,
-    ),
-    "norm_duality": SuiteDef(
-        "norm_duality",
-        "pairing bounds and indicator norm products",
-        check_norm_duality,
-        options=("trials", "spread_cap", "drift_cap", "refine"),
-    ),
-    "maximal_bounds": SuiteDef(
-        "maximal_bounds",
-        "maximal operator norm ratios on herz / morrey-herz / block-upper",
-        _run_maximal_bounds,
-        options=(
-            "space",
-            "trials",
-            "variant",
-            "ratio_cap",
-            "constant_cap",
-            "drift_cap",
-            "refine",
-            "allow_out_of_hypothesis",
+    sdef.name: sdef
+    for sdef in (
+        _suite(check_char_norms, "indicator Morrey-Herz norms vs exact closed forms"),
+        _suite(check_norm_duality, "pairing bounds and indicator norm products"),
+        _suite(
+            check_maximal_bounds,
+            "maximal operator norm ratios on herz / morrey-herz / block-upper",
         ),
-        required_options=("space",),
-    ),
-    "fefferman_stein": SuiteDef(
-        "fefferman_stein",
-        "vector-valued maximal inequality ratios",
-        check_fefferman_stein,
-        options=(
-            "r_list",
-            "family_count",
-            "variant",
-            "ratio_cap",
-            "size_drift_cap",
-            "drift_cap",
-            "refine",
+        _suite(check_fefferman_stein, "vector-valued maximal inequality ratios"),
+        _suite(
+            check_extrapolation,
+            "weighted L^p0 hypothesis layer vs Morrey-Herz conclusion layer",
         ),
-    ),
-    "extrapolation": SuiteDef(
-        "extrapolation",
-        "weighted L^p0 hypothesis layer vs Morrey-Herz conclusion layer",
-        _run_extrapolation,
-        options=(
-            "op",
-            "p0",
-            "trials",
-            "variant",
-            "c",
-            "K",
-            "ratio_cap",
-            "drift_cap",
-            "refine",
-        ),
-        required_options=("op", "p0"),
-    ),
-    "john_nirenberg_bmo": SuiteDef(
-        "john_nirenberg_bmo",
-        "level-set decay fit and bmo norm equivalence",
-        check_john_nirenberg_bmo,
-        options=("gammas", "symbol", "r2_min", "equiv_cap", "drift_cap", "refine"),
-    ),
-    "cz_comm": SuiteDef(
-        "cz_comm",
-        "singular operator boundedness and commutator dichotomy",
-        check_cz_comm,
-        options=(
-            "kernel",
-            "dilations",
-            "tk_ratio_cap",
-            "comm_ratio_cap",
-            "growth_min",
-            "drift_cap",
-            "refine",
-        ),
-    ),
+        _suite(check_john_nirenberg_bmo, "level-set decay fit and bmo norm equivalence"),
+        _suite(check_cz_comm, "singular operator boundedness and commutator dichotomy"),
+    )
 }
 
 
@@ -227,7 +141,6 @@ class SuiteJob:
     sdef: SuiteDef
     params: ExponentParams | list[ExponentParams]
     options: dict
-    hypothesis_violations: list[str]
 
 
 @dataclass
@@ -301,7 +214,7 @@ def load_config(path: str | Path) -> RunConfig:
 
         options = dict(entry.get("options", {}))
         allow_oh = bool(options.get("allow_out_of_hypothesis", False))
-        bad_opts = set(options) - set(sdef.options) - {"seed"}
+        bad_opts = set(options) - set(sdef.options)
         if bad_opts:
             raise ConfigError(
                 f"{path_i}.options: unknown keys {sorted(bad_opts)}; "
@@ -311,14 +224,14 @@ def load_config(path: str | Path) -> RunConfig:
         if missing:
             raise ConfigError(f"{path_i}.options: missing required keys {missing}")
 
-        violations = sdef.validate_params(params, options)
+        violations = HYPOTHESES[name](params, options)
         if violations and not allow_oh:
             raise ConfigError(
                 f"{path_i}.params: exponent predicate violated: "
                 + "; ".join(violations)
                 + " (set options.allow_out_of_hypothesis to run anyway)"
             )
-        jobs.append(SuiteJob(idx, sdef, params, options, violations))
+        jobs.append(SuiteJob(idx, sdef, params, options))
 
     return RunConfig(
         grid=grid,
@@ -394,12 +307,10 @@ def load_report(path: str | Path) -> InequalityReport:
 
 def _execute_job(cfg: RunConfig, job: SuiteJob) -> InequalityReport:
     kwargs = dict(job.options)
-    kwargs.pop("allow_out_of_hypothesis", None)
-    if job.sdef.name == "maximal_bounds" and job.hypothesis_violations:
-        kwargs["allow_out_of_hypothesis"] = True
     if job.sdef.seeded:
         kwargs.setdefault("seed", cfg.seed + job.index)
-    return job.sdef.runner(cfg.grid, job.params, **kwargs)
+    kwargs["param_sets" if job.sdef.multi_params else "params"] = job.params
+    return job.sdef.runner(cfg.grid, **kwargs)
 
 
 def run(
@@ -421,7 +332,13 @@ def run(
         cfg.format = fmt
 
     if parallel:
-        workers = int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1))
+        raw = os.environ.get(WORKERS_ENV)
+        try:
+            workers = int(raw) if raw is not None else os.cpu_count() or 1
+        except ValueError:
+            raise ConfigError(
+                f"{WORKERS_ENV}: expected an integer worker count, got {raw!r}"
+            ) from None
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
             reports = list(pool.map(lambda j: _execute_job(cfg, j), cfg.jobs))
     else:

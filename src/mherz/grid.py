@@ -121,6 +121,27 @@ def make_grid(L_max: int, s: int) -> GridSpec:
     return GridSpec(int(L_max), int(s))
 
 
+# The one 2-D prefix-sum primitive.  Private: these are steps inside the
+# kernels, not layers of their own, so bench/tracer.py (which wraps every
+# public function) keeps one span per kernel call rather than one per box.
+
+
+def _prefix_table(a: np.ndarray) -> np.ndarray:
+    """Zero-padded 2-D prefix sums: ``P[i, j] == a[:i, :j].sum()``."""
+    P = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    P[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+    return P
+
+
+def _box_sum(P: np.ndarray, x0, x1, y0, y1):
+    """Sum over cells ``[x0, x1) x [y0, y1)`` from a :func:`_prefix_table`.
+
+    With slices ``x0 = np.s_[:-wx], x1 = np.s_[wx:]`` (and likewise for y)
+    this is the table of every ``wx x wy`` box sum, indexed by low corner.
+    """
+    return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
+
+
 @dataclass(frozen=True)
 class GridRectangle:
     """Axis-parallel rectangle in half-open cell indices."""
@@ -212,10 +233,7 @@ class GridFunction:
     def _prefix(self, key: str, table: Callable[[], np.ndarray]) -> np.ndarray:
         cache = object.__getattribute__(self, "_cache")
         if key not in cache:
-            n = self.spec.n_cells
-            P = np.zeros((n + 1, n + 1))
-            P[1:, 1:] = table().cumsum(axis=0).cumsum(axis=1)
-            cache[key] = P
+            cache[key] = _prefix_table(table())
         return cache[key]
 
     def prefix_sum(self) -> np.ndarray:
@@ -227,12 +245,7 @@ class GridFunction:
 
     def rect_cell_sum(self, rect: GridRectangle, absolute: bool = False) -> float:
         P = self.prefix_abs_sum() if absolute else self.prefix_sum()
-        return float(
-            P[rect.ix1, rect.iy1]
-            - P[rect.ix0, rect.iy1]
-            - P[rect.ix1, rect.iy0]
-            + P[rect.ix0, rect.iy0]
-        )
+        return float(_box_sum(P, rect.ix0, rect.ix1, rect.iy0, rect.iy1))
 
     # -- convenience -------------------------------------------------------
 

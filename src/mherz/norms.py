@@ -38,6 +38,8 @@ from .grid import (
     GridFunction,
     GridRectangle,
     GridSpec,
+    _box_sum,
+    _prefix_table,
     window_mask,
     window_support_violations,
 )
@@ -253,13 +255,7 @@ def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
                             m = max(m, float(blk.max()))
                 out[ii, jj] = m
         return out
-    powv = np.abs(f.values) ** p
-    P = np.zeros((spec.n_cells + 1, spec.n_cells + 1))
-    P[1:, 1:] = powv.cumsum(axis=0).cumsum(axis=1)
-
-    def block(x0, x1, y0, y1):
-        return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
-
+    P = _prefix_table(np.abs(f.values) ** p)
     h2 = spec.h * spec.h
     out = np.zeros((w, w))
     for ii, rx in enumerate(runs):
@@ -267,7 +263,7 @@ def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
             s = 0.0
             for x0, x1 in rx:
                 for y0, y1 in ry:
-                    s += block(x0, x1, y0, y1)
+                    s += _box_sum(P, x0, x1, y0, y1)
             # prefix cancellation can leave a zero-mass annulus at -1e-18
             out[ii, jj] = max(s, 0.0) ** (1.0 / p) * h2 ** (1.0 / p)
     return out

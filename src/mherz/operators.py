@@ -29,10 +29,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
+from scipy.ndimage import maximum_filter1d
 
 from .errors import CostGuardError, KernelError
-from .grid import GridFunction, GridRectangle, GridSpec, build_function, restrict_to_window
+from .grid import (
+    GridFunction,
+    GridRectangle,
+    GridSpec,
+    _box_sum,
+    _prefix_table,
+    build_function,
+    restrict_to_window,
+)
 from .norms import block_norm_bracket
 
 # -- maximal variants ----------------------------------------------------------
@@ -69,12 +77,6 @@ def trailing_window_max(a: np.ndarray, w: int, axis: int) -> np.ndarray:
     """out[x] = max(a[x-w+1 .. x]) along ``axis``, missing entries = -inf."""
     return maximum_filter1d(
         a, size=w, axis=axis, origin=(w - 1) // 2, mode="constant", cval=-np.inf
-    )
-
-
-def trailing_window_min(a: np.ndarray, w: int, axis: int) -> np.ndarray:
-    return minimum_filter1d(
-        a, size=w, axis=axis, origin=(w - 1) // 2, mode="constant", cval=np.inf
     )
 
 
@@ -115,15 +117,13 @@ def _maximal_exact(absv: np.ndarray) -> np.ndarray:
 
 def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     n = absv.shape[0]
-    P = np.zeros((n + 1, n + 1))
-    P[1:, 1:] = absv.cumsum(axis=0).cumsum(axis=1)
+    P = _prefix_table(absv)
     sides = [1 << a for a in range(n.bit_length())]
     out = np.full((n, n), -np.inf)
     for wx in sides:
         for wy in sides:
-            T = (
-                P[wx:, wy:] - P[:-wx, wy:] - P[wx:, :-wy] + P[:-wx, :-wy]
-            ) / float(wx * wy)
+            corners = (np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
+            T = _box_sum(P, *corners) / float(wx * wy)
             pad = np.full((n, n), -np.inf)
             pad[: n - wx + 1, : n - wy + 1] = T
             cov = trailing_window_max(trailing_window_max(pad, wx, 0), wy, 1)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import PredicateError
 from .grid import (
+    MAX_LEVEL_SUM,
     AnnulusIndex,
     DyadicRectangle,
     GridFunction,
@@ -55,7 +56,6 @@ from .norms import (
     morrey_herz_norm,
     pairing_l1,
     predicate_violations,
-    require_predicate,
 )
 from .operators import (
     DYADIC_SIDES,
@@ -146,6 +146,53 @@ def _grid_dict(spec: GridSpec) -> dict:
     return {"L_max": spec.L_max, "s": spec.s, "N": spec.n_cells}
 
 
+def _finish(
+    claim: str,
+    grid: GridSpec,
+    params: dict,
+    trials: list[TrialRecord],
+    summary: dict,
+    thresholds: dict,
+    gates: bool,
+    refine: bool = False,
+    stat: str = "",
+    base: float = 0.0,
+    fine: Callable[[GridSpec], float] | None = None,
+    violations: Sequence[str] = (),
+    notes: Sequence[str] = (),
+) -> InequalityReport:
+    """Shared tail of every suite: guarded refinement, drift gate, status.
+
+    With ``refine`` set, ``fine`` recomputes the statistic ``stat`` (base
+    value ``base``) on the grid one level finer, provided that grid passes
+    the size guard; its relative drift must stay within
+    ``thresholds["drift_cap"]`` on top of the suite's own ``gates``.
+    Violated hypotheses make the status "out-of-hypothesis" and lead the
+    notes.
+    """
+    refinement = None
+    if refine and grid.L_max + grid.s < MAX_LEVEL_SUM:
+        finer = GridSpec(grid.L_max, grid.s + 1)
+        value = fine(finer)
+        refinement = {
+            f"base_{stat}": base,
+            f"refined_{stat}": value,
+            "drift": _drift(base, value),
+            "refined_grid": _grid_dict(finer),
+        }
+        gates = gates and refinement["drift"] <= thresholds["drift_cap"]
+    return InequalityReport(
+        claim=claim,
+        params={"grid": _grid_dict(grid)} | params,
+        trials=trials,
+        summary=summary,
+        thresholds=thresholds,
+        refinement=refinement,
+        status="out-of-hypothesis" if violations else ("pass" if gates else "fail"),
+        notes=[*violations, *notes],
+    )
+
+
 # -- deterministic test objects -----------------------------------------------
 
 
@@ -211,6 +258,77 @@ def standard_objects(base: GridSpec, seed: int, n_random: int = 3) -> list[TestO
     return objs
 
 
+# -- suite hypotheses ------------------------------------------------------------
+#
+# Each suite's exponent hypotheses, as a function of its params block and
+# options returning the violated inequalities.  The suite raises
+# PredicateError from it; the CLI validates configs with the same function.
+
+
+def _violations(params: ExponentParams, *names: str) -> list[str]:
+    return [v for name in names for v in predicate_violations(params, name)]
+
+
+def _with_positive_lam(params: ExponentParams) -> ExponentParams:
+    return params if params.lam > 0 else params.with_lam(0.5)
+
+
+def _char_norms_hypotheses(param_sets: Sequence[ExponentParams], options: dict) -> list[str]:
+    out: list[str] = []
+    for pr in param_sets:
+        if pr.lam > 0:
+            out += predicate_violations(pr, "char")
+        elif not pr.alpha + min(pr.n, pr.m) / pr.p > 0:
+            # lam = 0 sets still take the closed form, which needs alpha + n/p > 0
+            out.append(f"alpha + n/p > 0 fails: alpha={pr.alpha}, p={pr.p}")
+    return out
+
+
+def _norm_duality_hypotheses(params: ExponentParams, options: dict) -> list[str]:
+    dual = _with_positive_lam(params).dual()
+    return _violations(params, "ms_herz") + [
+        f"dual exponents: {v}" for v in _violations(dual, "block")
+    ]
+
+
+def _maximal_bounds_hypotheses(params: ExponentParams, options: dict) -> list[str]:
+    space = options["space"]
+    extra = {"block-upper": ("block",), "morrey-herz": ("char",)}.get(space, ())
+    return _violations(params, "ms_herz", *extra)
+
+
+def _ms_herz_char_hypotheses(params: ExponentParams, options: dict) -> list[str]:
+    return _violations(params, "ms_herz", "char")
+
+
+def _extrapolation_hypotheses(params: ExponentParams, options: dict) -> list[str]:
+    out = _violations(params, "ms_herz", "char")
+    try:
+        block = extrapolation_block_params(params, float(options["p0"]))
+    except (TypeError, ValueError) as exc:
+        return out + [str(exc)]
+    return out + _violations(block, "block", "ms_herz")
+
+
+HYPOTHESES: dict[str, Callable[..., list[str]]] = {
+    "char_norms": _char_norms_hypotheses,
+    "norm_duality": _norm_duality_hypotheses,
+    "maximal_bounds": _maximal_bounds_hypotheses,
+    "fefferman_stein": _ms_herz_char_hypotheses,
+    "extrapolation": _extrapolation_hypotheses,
+    "john_nirenberg_bmo": _ms_herz_char_hypotheses,
+    "cz_comm": _ms_herz_char_hypotheses,
+}
+
+
+def _hypotheses(suite: str, params, allow: bool = False, **options) -> list[str]:
+    """Violated hypotheses of ``suite``; raises PredicateError unless ``allow``."""
+    violations = HYPOTHESES[suite](params, options)
+    if violations and not allow:
+        raise PredicateError(f"{suite}: " + "; ".join(violations))
+    return violations
+
+
 # -- suite: indicator closed forms -----------------------------------------------
 
 
@@ -225,9 +343,7 @@ def check_char_norms(
     equal 2**(alpha + n/p - lam), and that lam = 0 degenerates to the Herz
     closed form.
     """
-    for pr in param_sets:
-        if pr.lam > 0:
-            require_predicate(pr, "char")
+    _hypotheses("char_norms", param_sets)
     trials: list[TrialRecord] = []
     worst = 0.0
     for pset_id, pr in enumerate(param_sets):
@@ -264,15 +380,14 @@ def check_char_norms(
         worst = max(worst, rel)
         trials.append(TrialRecord(f"set{pset_id}:lam0-degenerate", g0, h0, extra={"rel_err": rel}))
 
-    status = "pass" if worst <= tol else "fail"
-    return InequalityReport(
-        claim="char-indicator-closed-form",
-        params={"grid": _grid_dict(grid), "param_sets": [asdict(p) for p in param_sets]},
-        trials=trials,
+    return _finish(
+        "char-indicator-closed-form",
+        grid,
+        {"param_sets": [asdict(p) for p in param_sets]},
+        trials,
         summary={"n_trials": len(trials), "worst_rel_err": worst},
         thresholds={"rel_tol": tol},
-        refinement=None,
-        status=status,
+        gates=worst <= tol,
     )
 
 
@@ -282,7 +397,7 @@ def check_char_norms(
 def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
     dual = params.dual()
     herz_vals, mk_vals, trials = [], [], []
-    lam_params = params if params.lam > 0 else params.with_lam(0.5)
+    lam_params = _with_positive_lam(params)
     block_params = lam_params.dual()
     for l1 in spec.window_range():
         for l2 in spec.window_range():
@@ -301,7 +416,12 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
                     extra={"mk_block_product_over_area": mkprod / area},
                 )
             )
-    return trials, np.array(herz_vals), np.array(mk_vals)
+    return trials, _spread(herz_vals), _spread(mk_vals)
+
+
+def _spread(values: list[float]) -> float:
+    a = np.array(values)
+    return float(a.max() / a.min())
 
 
 def check_norm_duality(
@@ -322,14 +442,9 @@ def check_norm_duality(
     block-upper analogue.  (iii) pairing against unit blocks never exceeds
     the Morrey-Herz norm (constant 1), and the achieved fraction is recorded.
     """
-    require_predicate(params, "ms_herz")
+    _hypotheses("norm_duality", params)
     notes: list[str] = []
-    all_trials: list[TrialRecord] = []
-
-    sweep_trials, herz_ratio, mk_ratio = _norm_product_sweep(grid, params)
-    all_trials += sweep_trials
-    spread = float(herz_ratio.max() / herz_ratio.min())
-    mk_spread = float(mk_ratio.max() / mk_ratio.min())
+    all_trials, spread, mk_spread = _norm_product_sweep(grid, params)
 
     dual = params.dual()
     pairing_worst = 0.0
@@ -344,7 +459,7 @@ def check_norm_duality(
         pairing_worst = max(pairing_worst, lhs / rhs)
         all_trials.append(TrialRecord(f"pairing-{k}", lhs, rhs))
 
-    lam_params = params if params.lam > 0 else params.with_lam(0.5)
+    lam_params = _with_positive_lam(params)
     sup_fraction = 0.0
     sup_excess = 0.0
     f_probe = objs[-1].build(grid)
@@ -365,29 +480,11 @@ def check_norm_duality(
         )
         notes.append(f"unit-block pairing achieves {sup_fraction:.3f} of the Morrey-Herz norm")
 
-    refinement = None
-    if refine:
-        fine = GridSpec(grid.L_max, grid.s + 1)
-        _, fine_ratio, _ = _norm_product_sweep(fine, params)
-        fine_spread = float(fine_ratio.max() / fine_ratio.min())
-        refinement = {
-            "base_spread": spread,
-            "refined_spread": fine_spread,
-            "drift": _drift(spread, fine_spread),
-            "refined_grid": _grid_dict(fine),
-        }
-
-    ok = (
-        spread <= spread_cap
-        and mk_spread <= spread_cap
-        and pairing_worst <= 1.0 + 1e-10
-        and sup_excess <= 1e-10
-        and (refinement is None or refinement["drift"] <= drift_cap)
-    )
-    return InequalityReport(
-        claim="dual-pairing-and-rectangle-norm-products",
-        params={"grid": _grid_dict(grid), "params": asdict(params), "seed": seed},
-        trials=all_trials,
+    return _finish(
+        "dual-pairing-and-rectangle-norm-products",
+        grid,
+        {"params": asdict(params), "seed": seed},
+        all_trials,
         summary={
             "herz_product_spread": spread,
             "mk_block_product_spread": mk_spread,
@@ -395,8 +492,14 @@ def check_norm_duality(
             "sup_pairing_fraction": sup_fraction,
         },
         thresholds={"spread_cap": spread_cap, "pairing_cap": 1.0, "drift_cap": drift_cap},
-        refinement=refinement,
-        status="pass" if ok else "fail",
+        gates=spread <= spread_cap
+        and mk_spread <= spread_cap
+        and pairing_worst <= 1.0 + 1e-10
+        and sup_excess <= 1e-10,
+        refine=refine,
+        stat="spread",
+        base=spread,
+        fine=lambda spec: _norm_product_sweep(spec, params)[1],
         notes=notes,
     )
 
@@ -428,12 +531,7 @@ def check_maximal_bounds(
     allow_out_of_hypothesis: bool = False,
 ) -> InequalityReport:
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
-    needed = ["ms_herz"] + (["block"] if space == "block-upper" else [])
-    if space == "morrey-herz":
-        needed.append("char")
-    violations = [v for name in needed for v in predicate_violations(params, name)]
-    if violations and not allow_out_of_hypothesis:
-        raise PredicateError("; ".join(violations))
+    violations = _hypotheses("maximal_bounds", params, allow_out_of_hypothesis, space=space)
 
     variant = as_variant(variant)
     objs = standard_objects(grid, seed, n_random=max(1, trials - 5))
@@ -453,43 +551,21 @@ def check_maximal_bounds(
     base_trials = run(grid)
     summary = _ratio_summary(base_trials)
     const_ratio = next((t.ratio for t in base_trials if t.trial == "constant"), None)
-
-    refinement = None
-    if refine and grid.L_max + grid.s + 1 <= 12:
-        fine = GridSpec(grid.L_max, grid.s + 1)
-        fine_summary = _ratio_summary(run(fine))
-        refinement = {
-            "base_max_ratio": summary["max_ratio"],
-            "refined_max_ratio": fine_summary["max_ratio"],
-            "drift": _drift(summary["max_ratio"], fine_summary["max_ratio"]),
-            "refined_grid": _grid_dict(fine),
-        }
-
-    ok = (
-        summary["max_ratio"] <= ratio_cap
-        and math.isfinite(summary["max_ratio"])
-        and (const_ratio is None or const_ratio <= constant_cap)
-        and (refinement is None or refinement["drift"] <= drift_cap)
-    )
-    status = "out-of-hypothesis" if violations else ("pass" if ok else "fail")
-    return InequalityReport(
-        claim=f"maximal-bounded-on-{space}",
-        params={
-            "grid": _grid_dict(grid),
-            "params": asdict(params),
-            "variant": variant.kind,
-            "seed": seed,
-        },
-        trials=base_trials,
+    return _finish(
+        f"maximal-bounded-on-{space}",
+        grid,
+        {"params": asdict(params), "variant": variant.kind, "seed": seed},
+        base_trials,
         summary=summary | {"constant_ratio": const_ratio},
-        thresholds={
-            "ratio_cap": ratio_cap,
-            "constant_cap": constant_cap,
-            "drift_cap": drift_cap,
-        },
-        refinement=refinement,
-        status=status,
-        notes=violations,
+        thresholds={"ratio_cap": ratio_cap, "constant_cap": constant_cap, "drift_cap": drift_cap},
+        gates=summary["max_ratio"] <= ratio_cap
+        and math.isfinite(summary["max_ratio"])
+        and (const_ratio is None or const_ratio <= constant_cap),
+        refine=refine,
+        stat="max_ratio",
+        base=summary["max_ratio"],
+        fine=lambda spec: _ratio_summary(run(spec))["max_ratio"],
+        violations=violations,
     )
 
 
@@ -509,8 +585,7 @@ def check_fefferman_stein(
     refine: bool = True,
 ) -> InequalityReport:
     """Vector-valued maximal inequality: r-sums before vs after the operator."""
-    require_predicate(params, "ms_herz")
-    require_predicate(params, "char")
+    _hypotheses("fefferman_stein", params)
     for r in r_list:
         if not (1.0 < r < math.inf):
             raise ValueError(f"r must be in (1, inf), got {r}")
@@ -552,42 +627,30 @@ def check_fefferman_stein(
         big = next(t.ratio for t in base_trials if t.extra == {"r": r, "size": 2 * family_count})
         size_drift = max(size_drift, _drift(small, big))
 
-    refinement = None
-    if refine and grid.L_max + grid.s + 1 <= 12:
-        fine = GridSpec(grid.L_max, grid.s + 1)
-        fine_summary = _ratio_summary(run(fine))
-        refinement = {
-            "base_max_ratio": summary["max_ratio"],
-            "refined_max_ratio": fine_summary["max_ratio"],
-            "drift": _drift(summary["max_ratio"], fine_summary["max_ratio"]),
-            "refined_grid": _grid_dict(fine),
-        }
-
-    ok = (
-        math.isfinite(summary["max_ratio"])
-        and summary["max_ratio"] <= ratio_cap
-        and size_drift <= size_drift_cap
-        and (refinement is None or refinement["drift"] <= drift_cap)
-    )
-    return InequalityReport(
-        claim="vector-valued-maximal",
-        params={
-            "grid": _grid_dict(grid),
+    return _finish(
+        "vector-valued-maximal",
+        grid,
+        {
             "params": asdict(params),
             "r_list": list(r_list),
             "family_count": family_count,
             "variant": variant.kind,
             "seed": seed,
         },
-        trials=base_trials,
+        base_trials,
         summary=summary | {"family_size_drift": size_drift},
         thresholds={
             "ratio_cap": ratio_cap,
             "size_drift_cap": size_drift_cap,
             "drift_cap": drift_cap,
         },
-        refinement=refinement,
-        status="pass" if ok else "fail",
+        gates=math.isfinite(summary["max_ratio"])
+        and summary["max_ratio"] <= ratio_cap
+        and size_drift <= size_drift_cap,
+        refine=refine,
+        stat="max_ratio",
+        base=summary["max_ratio"],
+        fine=lambda spec: _ratio_summary(run(spec))["max_ratio"],
     )
 
 
@@ -632,11 +695,8 @@ def check_extrapolation(
     """
     if op not in ("strong-maximal", "double-hilbert"):
         raise ValueError(f"unknown operator {op!r}; use strong-maximal or double-hilbert")
-    require_predicate(params, "char")
-    require_predicate(params, "ms_herz")
+    _hypotheses("extrapolation", params, p0=p0)
     block = extrapolation_block_params(params, p0)
-    require_predicate(block, "block")
-    require_predicate(block, "ms_herz")
     variant = as_variant(variant)
 
     def apply_op(f: GridFunction) -> GridFunction:
@@ -689,30 +749,15 @@ def check_extrapolation(
 
     base_trials = run(grid)
     summary = _ratio_summary(base_trials)
-    mk_max = max(t.extra["mk_ratio"] for t in base_trials)
 
-    refinement = None
-    if refine and grid.L_max + grid.s + 1 <= 12:
-        fine = GridSpec(grid.L_max, grid.s + 1)
-        fine_trials = run(fine)
-        fine_mk = max(t.extra["mk_ratio"] for t in fine_trials)
-        refinement = {
-            "base_mk_max_ratio": mk_max,
-            "refined_mk_max_ratio": fine_mk,
-            "drift": _drift(mk_max, fine_mk),
-            "refined_grid": _grid_dict(fine),
-        }
+    def mk_max_of(trials: list[TrialRecord]) -> float:
+        return max(t.extra["mk_ratio"] for t in trials)
 
-    ok = (
-        math.isfinite(summary["max_ratio"])
-        and summary["max_ratio"] <= ratio_cap
-        and mk_max <= ratio_cap
-        and (refinement is None or refinement["drift"] <= drift_cap)
-    )
-    return InequalityReport(
-        claim=f"extrapolation[{op}]",
-        params={
-            "grid": _grid_dict(grid),
+    mk_max = mk_max_of(base_trials)
+    return _finish(
+        f"extrapolation[{op}]",
+        grid,
+        {
             "params": asdict(params),
             "block_params": asdict(block),
             "p0": p0,
@@ -722,11 +767,16 @@ def check_extrapolation(
             "seed": seed,
             "n_weights_sampled": 1 + max(1, trials // 2),
         },
-        trials=base_trials,
+        base_trials,
         summary=summary | {"mk_max_ratio": mk_max},
         thresholds={"ratio_cap": ratio_cap, "drift_cap": drift_cap},
-        refinement=refinement,
-        status="pass" if ok else "fail",
+        gates=math.isfinite(summary["max_ratio"])
+        and summary["max_ratio"] <= ratio_cap
+        and mk_max <= ratio_cap,
+        refine=refine,
+        stat="mk_max_ratio",
+        base=mk_max,
+        fine=lambda spec: mk_max_of(run(spec)),
         notes=[
             "hypothesis layer samples finitely many generated weights; "
             "no exhaustiveness over the unit ball is claimed"
@@ -789,8 +839,7 @@ def check_john_nirenberg_bmo(
     [1/equiv_cap, equiv_cap] over a six-symbol test set, stably under
     refinement.
     """
-    require_predicate(params, "char")
-    require_predicate(params, "ms_herz")
+    _hypotheses("john_nirenberg_bmo", params)
     b = build_function(grid, builtin=symbol)
     if float(np.ptp(b.values)) == 0.0:
         raise ValueError("degenerate symbol: constant functions have no oscillation")
@@ -862,34 +911,16 @@ def check_john_nirenberg_bmo(
     trials += equiv_trials
     ratios = [t.ratio for t in equiv_trials]
     equiv_lo, equiv_hi = min(ratios), max(ratios)
-
-    refinement = None
-    if refine and grid.L_max + grid.s + 1 <= 12:
-        fine = GridSpec(grid.L_max, grid.s + 1)
-        fine_ratios = [t.ratio for t in equivalence(fine)]
-        refinement = {
-            "base_equiv_max": equiv_hi,
-            "refined_equiv_max": max(fine_ratios),
-            "drift": _drift(equiv_hi, max(fine_ratios)),
-            "refined_grid": _grid_dict(fine),
-        }
-
-    ok = (
-        decay_ok
-        and equiv_lo >= 1.0 / equiv_cap
-        and equiv_hi <= equiv_cap
-        and (refinement is None or refinement["drift"] <= drift_cap)
-    )
-    return InequalityReport(
-        claim="john-nirenberg-and-bmo-equivalence",
-        params={
-            "grid": _grid_dict(grid),
+    return _finish(
+        "john-nirenberg-and-bmo-equivalence",
+        grid,
+        {
             "params": asdict(params),
             "symbol": symbol,
             "gammas": [float(g) for g in gammas],
             "seed": seed,
         },
-        trials=trials,
+        trials,
         summary={
             "decay_slope": slope,
             "decay_r2": r2,
@@ -897,8 +928,11 @@ def check_john_nirenberg_bmo(
             "equiv_max_ratio": equiv_hi,
         },
         thresholds={"r2_min": r2_min, "equiv_cap": equiv_cap, "drift_cap": drift_cap},
-        refinement=refinement,
-        status="pass" if ok else "fail",
+        gates=decay_ok and equiv_lo >= 1.0 / equiv_cap and equiv_hi <= equiv_cap,
+        refine=refine,
+        stat="equiv_max",
+        base=equiv_hi,
+        fine=lambda spec: max(t.ratio for t in equivalence(spec)),
         notes=decay_notes,
     )
 
@@ -927,8 +961,7 @@ def check_cz_comm(
     exceed the smallest-dilation ratio by the declared growth factor: the
     empirical contrapositive of the necessity direction.
     """
-    require_predicate(params, "char")
-    require_predicate(params, "ms_herz")
+    _hypotheses("cz_comm", params)
     from .operators import commutator, get_kernel
 
     ker = get_kernel(kernel)
@@ -977,8 +1010,11 @@ def check_cz_comm(
                 )
         return out
 
+    def tk_max_of(trials: list[TrialRecord]) -> float:
+        return max(t.ratio for t in trials if t.trial.startswith("tk:"))
+
     base_trials = run(grid)
-    tk_max = max(t.ratio for t in base_trials if t.trial.startswith("tk:"))
+    tk_max = tk_max_of(base_trials)
     bmo_max = max(
         (t.ratio for t in base_trials if t.trial.startswith("comm:") and t.extra["expected"] == "bmo"),
         default=0.0,
@@ -998,36 +1034,16 @@ def check_cz_comm(
         return hi / lo if lo > 0 else math.inf
 
     growth_factor = growth(base_trials)
-
-    refinement = None
-    if refine and grid.L_max + grid.s + 1 <= 12:
-        fine = GridSpec(grid.L_max, grid.s + 1)
-        fine_trials = run(fine)
-        fine_tk = max(t.ratio for t in fine_trials if t.trial.startswith("tk:"))
-        refinement = {
-            "base_tk_max_ratio": tk_max,
-            "refined_tk_max_ratio": fine_tk,
-            "drift": _drift(tk_max, fine_tk),
-            "refined_grid": _grid_dict(fine),
-        }
-
-    ok = (
-        math.isfinite(tk_max)
-        and tk_max <= tk_ratio_cap
-        and bmo_max <= comm_ratio_cap
-        and growth_factor >= growth_min
-        and (refinement is None or refinement["drift"] <= drift_cap)
-    )
-    return InequalityReport(
-        claim="singular-integral-and-commutator",
-        params={
-            "grid": _grid_dict(grid),
+    return _finish(
+        "singular-integral-and-commutator",
+        grid,
+        {
             "params": asdict(params),
             "kernel": kernel,
             "dilations": list(dilations),
             "seed": seed,
         },
-        trials=base_trials,
+        base_trials,
         summary={
             "tk_max_ratio": tk_max,
             "bmo_comm_max_ratio": bmo_max,
@@ -1039,6 +1055,12 @@ def check_cz_comm(
             "growth_min": growth_min,
             "drift_cap": drift_cap,
         },
-        refinement=refinement,
-        status="pass" if ok else "fail",
+        gates=math.isfinite(tk_max)
+        and tk_max <= tk_ratio_cap
+        and bmo_max <= comm_ratio_cap
+        and growth_factor >= growth_min,
+        refine=refine,
+        stat="tk_max_ratio",
+        base=tk_max,
+        fine=lambda spec: tk_max_of(run(spec)),
     )

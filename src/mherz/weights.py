@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, _box_sum, _prefix_table
 from .norms import RectangleFamily, _family_rectangles
 from .operators import (
     DYADIC_SIDES,
@@ -75,17 +75,6 @@ def _forward_window_min(a: np.ndarray, w: int, axis: int) -> np.ndarray:
     )
 
 
-def _box_sums(P: np.ndarray, wx: int, wy: int) -> np.ndarray:
-    return P[wx:, wy:] - P[:-wx, wy:] - P[wx:, :-wy] + P[:-wx, :-wy]
-
-
-def _prefix(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    P = np.zeros((n + 1, n + 1))
-    P[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-    return P
-
-
 def ap_star_characteristic(
     w: WeightFunction,
     p: float,
@@ -115,13 +104,14 @@ def ap_star_characteristic(
         and family.stride == 1
     )
     if all_positions:
-        Pw = _prefix(w.values)
-        Pu = _prefix(u) if u is not None else None
+        Pw = _prefix_table(w.values)
+        Pu = _prefix_table(u) if u is not None else None
         best = 0.0
         for wx in family._sides(n):
             for wy in family._sides(n):
                 cells = float(wx * wy)
-                avg_w = _box_sums(Pw, wx, wy) / cells
+                corners = (np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
+                avg_w = _box_sum(Pw, *corners) / cells
                 if p == 1.0:
                     mins = _forward_window_min(
                         _forward_window_min(w.values, wx, 0), wy, 1
@@ -131,7 +121,7 @@ def ap_star_characteristic(
                     else:
                         table = avg_w / mins
                 else:
-                    avg_u = _box_sums(Pu, wx, wy) / cells
+                    avg_u = _box_sum(Pu, *corners) / cells
                     if raw:
                         table = (avg_w * cells * h2) * (
                             avg_u * cells * h2

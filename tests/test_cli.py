@@ -13,7 +13,7 @@ from mherz.cli import (
     main,
     run,
 )
-from mherz.errors import ConfigError
+from mherz.errors import ConfigError, PredicateError
 from mherz.grid import make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import check_char_norms
@@ -61,12 +61,14 @@ def test_unknown_suite_is_usage_error(tmp_path):
 
 
 def test_unknown_option_points_at_field(tmp_path):
-    cfg = minimal_config(
-        tmp_path,
-        suites=[{"name": "char_norms", "params": [PR_DICT], "options": {"bogus": 1}}],
-    )
-    with pytest.raises(ConfigError, match=r"suites\[0\].options"):
-        load_config(cfg)
+    # char_norms takes no seed: options are exactly the check_* keyword arguments
+    for options in ({"bogus": 1}, {"seed": 1}):
+        cfg = minimal_config(
+            tmp_path,
+            suites=[{"name": "char_norms", "params": [PR_DICT], "options": options}],
+        )
+        with pytest.raises(ConfigError, match=r"suites\[0\].options"):
+            load_config(cfg)
 
 
 def test_predicate_violation_is_named_inequality_error(tmp_path):
@@ -197,6 +199,87 @@ def test_parallel_flag(tmp_path, monkeypatch):
         ],
     )
     assert run(cfg, parallel=True) == 0
+
+
+def test_parallel_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MHERZ_WORKERS", "two")
+    cfg = minimal_config(tmp_path)
+    with pytest.raises(ConfigError, match="MHERZ_WORKERS"):
+        run(cfg, parallel=True)
+    assert main(["run", str(cfg), "--parallel"]) == 2
+    assert "MHERZ_WORKERS" in capsys.readouterr().err
+
+
+# per suite: (options, params block) pairs on both sides of the hypotheses
+HYPOTHESIS_CASES = {
+    "char_norms": [
+        ({}, [PR_DICT]),
+        ({}, [{"alpha": 0.0, "p": 2, "q": 2, "lam": 0.9}]),
+        ({}, [PR_DICT, {"alpha": -0.6, "p": 2, "q": 2, "lam": 0.0}]),
+    ],
+    "norm_duality": [
+        ({"trials": 4}, PR_DICT),
+        ({"trials": 4}, {"alpha": 0.75, "p": 2, "q": 2, "lam": 0.5}),
+        ({"trials": 4}, {"alpha": 0.1, "p": 3, "q": 2, "lam": 0.0}),
+    ],
+    "maximal_bounds": [
+        ({"space": "herz", "trials": 3}, PR_DICT),
+        ({"space": "herz", "trials": 3}, {"alpha": 0.75, "p": 2, "q": 2, "lam": 0.5}),
+        ({"space": "morrey-herz", "trials": 3}, {"alpha": 0.0, "p": 2, "q": 2, "lam": 0.9}),
+        ({"space": "block-upper", "trials": 3}, {"alpha": -0.25, "p": 2, "q": 2, "lam": 0.5}),
+        ({"space": "block-upper", "trials": 3}, PR_DICT),
+    ],
+    "fefferman_stein": [
+        ({"family_count": 1, "r_list": [2.0]}, PR_DICT),
+        ({"family_count": 1, "r_list": [2.0]}, {"alpha": 0.25, "p": 2, "q": 2, "lam": 0.0}),
+    ],
+    "extrapolation": [
+        ({"op": "strong-maximal", "p0": 2.0, "trials": 2, "K": 2},
+         {"alpha": 0.2, "p": 4, "q": 4, "lam": 0.2}),
+        ({"op": "strong-maximal", "p0": 2.0, "trials": 2, "K": 2}, PR_DICT),
+        ({"op": "strong-maximal", "p0": 2.0, "trials": 2, "K": 2},
+         {"alpha": 0.2, "p": 4, "q": 4, "lam": 0.0}),
+    ],
+    "john_nirenberg_bmo": [
+        ({}, PR_DICT),
+        ({}, {"alpha": 0.25, "p": 2, "q": 2, "lam": 0.0}),
+    ],
+    "cz_comm": [
+        ({"dilations": [1, 2, 4]}, PR_DICT),
+        ({"dilations": [1, 2, 4]}, {"alpha": 0.75, "p": 2, "q": 2, "lam": 0.5}),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTHESIS_CASES))
+def test_config_rejects_exactly_what_the_suite_refuses(tmp_path, name):
+    assert set(HYPOTHESIS_CASES) == set(SUITES)
+    sdef = SUITES[name]
+    outcomes = set()
+    for options, block in HYPOTHESIS_CASES[name]:
+        if "refine" in sdef.options:
+            options = {**options, "refine": False}
+        cfg = minimal_config(
+            tmp_path, suites=[{"name": name, "params": block, "options": options}]
+        )
+        try:
+            load_config(cfg)
+            rejected = False
+        except ConfigError as exc:
+            assert "exponent predicate violated" in str(exc)
+            rejected = True
+        if sdef.multi_params:
+            params = {"param_sets": [ExponentParams(**d) for d in block]}
+        else:
+            params = {"params": ExponentParams(**block)}
+        try:
+            sdef.runner(make_grid(2, 3), **params, **options)
+            refused = False
+        except PredicateError:
+            refused = True
+        assert rejected == refused, (options, block)
+        outcomes.add(refused)
+    assert outcomes == {False, True}
 
 
 def test_failing_cap_exits_nonzero(tmp_path):

@@ -15,12 +15,14 @@ from mherz.grid import (
     GridFunction,
     GridRectangle,
     annulus_restrict,
+    _box_sum,
     build_function,
     constant,
     dilate,
     indicator,
     integrate_over_rectangle,
     make_grid,
+    _prefix_table,
     restrict_to_window,
     window_mask,
     window_support_violations,
@@ -135,6 +137,12 @@ def test_prefix_sum_matches_direct_summation(seed, data):
     r = GridRectangle(ix0, ix1, iy0, iy1)
     direct = f.values[ix0:ix1, iy0:iy1].sum() * g.h**2
     assert integrate_over_rectangle(f, r) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+    # the raw-array helpers: one box, and the same box in the all-positions table
+    P = _prefix_table(f.values)
+    wx, wy = ix1 - ix0, iy1 - iy0
+    boxes = _box_sum(P, np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
+    for raw in (_box_sum(P, ix0, ix1, iy0, iy1), boxes[ix0, iy0]):
+        assert raw * g.h**2 == pytest.approx(direct, rel=1e-12, abs=1e-14)
     direct_abs = np.abs(f.values[ix0:ix1, iy0:iy1]).sum() * g.h**2
     assert integrate_over_rectangle(f, r, absolute=True) == pytest.approx(
         direct_abs, rel=1e-12, abs=1e-14

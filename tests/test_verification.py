@@ -146,7 +146,7 @@ def test_extrapolation_guards():
         check_extrapolation(G, "bogus-op", 2.0, PRX, refine=False)
     with pytest.raises(ValueError, match="0 < p0 < p"):
         extrapolation_block_params(PR, 2.0)  # p0 = p = 2
-    with pytest.raises(ValueError, match="0 < p0 < p"):
+    with pytest.raises(PredicateError, match="0 < p0 < p"):
         check_extrapolation(G, "strong-maximal", 2.0, PR, refine=False)
 
 
@@ -218,3 +218,27 @@ def test_reports_reproducible_bit_for_bit():
     assert a.to_dict() == b.to_dict()
     c = check_maximal_bounds(make_grid(2, 3), "herz", PR, trials=4, seed=10, refine=False)
     assert c.to_dict() != a.to_dict()
+
+
+def test_refinement_skipped_at_size_guard():
+    from mherz.grid import MAX_LEVEL_SUM
+    from mherz.verification import _finish
+
+    def fine(spec):
+        raise AssertionError(f"refined run attempted on {spec}")
+
+    top = make_grid(1, MAX_LEVEL_SUM - 1)
+    rep = _finish(
+        "claim", top, {}, [], {}, {"drift_cap": 0.1}, True,
+        refine=True, stat="max_ratio", base=1.0, fine=fine,
+    )
+    assert rep.refinement is None
+    assert rep.status == "pass"
+    below = make_grid(1, 2)
+    rep = _finish(
+        "claim", below, {}, [], {}, {"drift_cap": 0.1}, True,
+        refine=True, stat="max_ratio", base=1.0, fine=lambda spec: 2.0,
+    )
+    assert list(rep.refinement) == ["base_max_ratio", "refined_max_ratio", "drift", "refined_grid"]
+    assert rep.refinement["refined_grid"] == {"L_max": 1, "s": 3, "N": 16}
+    assert rep.status == "fail"  # drift 1.0 exceeds the cap
