@@ -250,11 +250,43 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+def _encode_non_finite(obj):
+    """``obj`` with every non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _encode_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode_non_finite(v) for v in obj]
+    return obj
+
+
+def _decode_non_finite(obj):
+    """Inverse of :func:`_encode_non_finite`."""
+    if isinstance(obj, str):
+        return _NON_FINITE.get(obj, obj)
+    if isinstance(obj, dict):
+        return {k: _decode_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_decode_non_finite(v) for v in obj]
+    return obj
+
+
+def _dumps(doc, **kwargs) -> str:
+    """Strict JSON (no ``Infinity``/``NaN`` tokens) with non-finite floats as strings."""
+    return json.dumps(_encode_non_finite(doc), allow_nan=False, **kwargs)
+
+
 def emit(report: InequalityReport, fmt: str, path: str | Path) -> Path:
     """Write one report; json nests the full record, csv flattens per trial.
 
     File contents are stable across runs byte for byte except the
-    generated_at line.
+    generated_at line.  JSON output is strict: non-finite floats are written
+    as the strings "inf", "-inf" and "nan", which :func:`load_report` reads
+    back as floats.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -265,13 +297,13 @@ def emit(report: InequalityReport, fmt: str, path: str | Path) -> Path:
             "version": __version__,
             "report": report.to_dict(),
         }
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(_dumps(doc, indent=2) + "\n")
     elif fmt == "csv":
         extra_keys = sorted({k for t in report.trials for k in t.extra})
         with path.open("w", newline="") as fh:
             fh.write(f"# generated_at={_timestamp()}\n")
             fh.write(f"# tool=mherz {__version__}\n")
-            fh.write(f"# params={json.dumps(report.params, sort_keys=True)}\n")
+            fh.write(f"# params={_dumps(report.params, sort_keys=True)}\n")
             fh.write(f"# status={report.status}\n")
             w = csv.writer(fh)
             w.writerow(["claim", "trial", "lhs", "rhs", "ratio", "note", *extra_keys])
@@ -298,7 +330,7 @@ def emit(report: InequalityReport, fmt: str, path: str | Path) -> Path:
 
 
 def load_report(path: str | Path) -> InequalityReport:
-    doc = json.loads(Path(path).read_text())
+    doc = _decode_non_finite(json.loads(Path(path).read_text()))
     return InequalityReport.from_dict(doc["report"])
 
 
@@ -367,7 +399,7 @@ def run(
     idx_path = cfg.out_dir / "summary_index.json"
     idx_path.parent.mkdir(parents=True, exist_ok=True)
     idx_path.write_text(
-        json.dumps(
+        _dumps(
             {"generated_at": _timestamp(), "version": __version__, "suites": index},
             indent=2,
         )

@@ -7,7 +7,9 @@ rectangle family containing each cell):
 * ``exact-grid``: every grid-aligned rectangle.  O(N^4) via per-row-range 1-D
   reductions; gated to small grids.
 * ``dyadic-sides``: rectangles with power-of-two side lengths at every
-  position, O(N^2 log^2 N) via prefix sums and sliding-window maxima.
+  position, O(N^2 log^2 N) via prefix sums and the doubling recurrence of
+  trailing-window maxima (each side pair costs one box-sum table and one
+  shifted elementwise max).
   Pointwise it is dominated by exact-grid, and dominates it up to the factor
   4 (any rectangle sits inside a dyadic-sided one of at most 4x the area at
   an admissible anchor).
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .errors import CostGuardError, KernelError
 from .grid import (
@@ -73,13 +74,6 @@ def as_variant(variant: MaximalVariant | str) -> MaximalVariant:
         raise ValueError(f"unknown maximal variant {variant!r}") from None
 
 
-def trailing_window_max(a: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """out[x] = max(a[x-w+1 .. x]) along ``axis``, missing entries = -inf."""
-    return maximum_filter1d(
-        a, size=w, axis=axis, origin=(w - 1) // 2, mode="constant", cval=-np.inf
-    )
-
-
 def interval_average_profile(v: np.ndarray) -> np.ndarray:
     """Per position, the max over subintervals containing it of the mean.
 
@@ -116,18 +110,27 @@ def _maximal_exact(absv: np.ndarray) -> np.ndarray:
 
 
 def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
+    """Max over sides ``(wx, wy)`` of the trailing ``wx x wy`` window max of
+    the box-average table ``T_{wx,wy}`` (indexed by low corner).
+
+    Windows are powers of two, so the trailing max of width ``2w`` is the
+    width-``w`` one of ``max(X, X shifted by w)``.  Walking the sides from
+    largest to smallest in Horner order, every side pair then costs one
+    shifted ``np.maximum`` and one fold of ``T``; ``max`` is exact, so the
+    result does not depend on this order.
+    """
     n = absv.shape[0]
     P = _prefix_table(absv)
-    sides = [1 << a for a in range(n.bit_length())]
+    sides = [1 << a for a in reversed(range(n.bit_length()))]
     out = np.full((n, n), -np.inf)
     for wx in sides:
+        np.maximum(out[wx:], out[:-wx], out=out[wx:])
+        R = np.full((n - wx + 1, n), -np.inf)  # anchored at low x corner
         for wy in sides:
-            corners = (np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
-            T = _box_sum(P, *corners) / float(wx * wy)
-            pad = np.full((n, n), -np.inf)
-            pad[: n - wx + 1, : n - wy + 1] = T
-            cov = trailing_window_max(trailing_window_max(pad, wx, 0), wy, 1)
-            np.maximum(out, cov, out=out)
+            np.maximum(R[:, wy:], R[:, :-wy], out=R[:, wy:])
+            T = _box_sum(P, np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:]) / float(wx * wy)
+            np.maximum(R[:, : n - wy + 1], T, out=R[:, : n - wy + 1])
+        np.maximum(out[: n - wx + 1], R, out=out[: n - wx + 1])
     return out
 
 

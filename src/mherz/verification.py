@@ -608,13 +608,15 @@ def check_fefferman_stein(
         return GridFunction(spec, acc ** (1.0 / r))
 
     def run(spec: GridSpec):
+        # the size-family_count family is the first half of the doubled one,
+        # so each member is built and maximised once per grid
+        fns = family(spec, 2 * family_count)
+        mfns = [strong_maximal(f, variant) for f in fns]
         out = []
         for r in r_list:
             for size in (family_count, 2 * family_count):
-                fns = family(spec, size)
-                rhs = morrey_herz_norm(restrict_to_window(r_sum(spec, fns, r)), params)
-                mfns = [strong_maximal(f, variant) for f in fns]
-                lhs = morrey_herz_norm(restrict_to_window(r_sum(spec, mfns, r)), params)
+                rhs = morrey_herz_norm(restrict_to_window(r_sum(spec, fns[:size], r)), params)
+                lhs = morrey_herz_norm(restrict_to_window(r_sum(spec, mfns[:size], r)), params)
                 out.append(TrialRecord(f"r={r},size={size}", lhs, rhs, extra={"r": r, "size": size}))
         return out
 

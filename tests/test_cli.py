@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -16,7 +17,7 @@ from mherz.cli import (
 from mherz.errors import ConfigError, PredicateError
 from mherz.grid import make_grid
 from mherz.norms import ExponentParams
-from mherz.verification import check_char_norms
+from mherz.verification import InequalityReport, TrialRecord, check_char_norms
 
 PR_DICT = {"alpha": 0.25, "p": 2, "q": 2, "lam": 0.5}
 
@@ -156,6 +157,44 @@ def test_json_round_trip(tmp_path):
     assert back.to_dict() == rep.to_dict()
     doc = json.loads(path.read_text())
     assert doc["version"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite constant {token} is not strict JSON")
+
+
+def test_non_finite_values_written_as_strict_json(tmp_path, monkeypatch):
+    import mherz.cli
+
+    rep = InequalityReport(
+        claim="synthetic",
+        params={"q": math.inf},
+        trials=[TrialRecord("t", 1.0, 0.0)],  # infinite ratio
+        summary={"max_ratio": math.inf, "floor": -math.inf, "spread": math.nan},
+        thresholds={"drift_cap": 0.25},
+        refinement={"base_max_ratio": 0.0, "refined_max_ratio": 1.0, "drift": math.inf},
+        status="fail",
+    )
+    path = emit(rep, "json", tmp_path / "r.json")
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)["report"]
+    assert doc["trials"][0]["ratio"] == "inf"
+    assert doc["refinement"]["drift"] == "inf"
+    assert doc["summary"] == {"max_ratio": "inf", "floor": "-inf", "spread": "nan"}
+    back = load_report(path)
+    assert back.trials == rep.trials
+    assert back.params == rep.params
+    assert back.refinement == rep.refinement
+    assert back.summary["floor"] == -math.inf and math.isnan(back.summary["spread"])
+
+    csv_path = emit(rep, "csv", tmp_path / "r.csv")
+    assert '# params={"q": "inf"}' in csv_path.read_text().splitlines()
+
+    # the summary index goes through the same encoder
+    monkeypatch.setattr(mherz.cli, "_execute_job", lambda cfg, job: rep)
+    assert run(minimal_config(tmp_path)) == 1
+    idx = (tmp_path / "reports" / "summary_index.json").read_text()
+    summary = json.loads(idx, parse_constant=_reject_constant)["suites"][0]["summary"]
+    assert summary["max_ratio"] == "inf"
 
 
 def test_outputs_byte_stable_modulo_timestamp(tmp_path):

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.ndimage import maximum_filter1d
 
 from mherz.errors import CostGuardError, KernelError
 from mherz.grid import (
     DyadicRectangle,
     GridFunction,
     GridRectangle,
+    _box_sum,
+    _prefix_table,
     build_function,
     constant,
     indicator,
@@ -23,6 +27,7 @@ from mherz.operators import (
     ITERATED_1D,
     MaximalVariant,
     SamplePlan,
+    _maximal_dyadic,
     as_variant,
     commutator,
     cz_apply,
@@ -35,7 +40,6 @@ from mherz.operators import (
     rubio_de_francia,
     rubio_from_iterates,
     strong_maximal,
-    trailing_window_max,
 )
 
 
@@ -53,6 +57,31 @@ def brute_force_maximal(values):
                         for iy1 in range(y + 1, n + 1):
                             best = max(best, a[ix0:ix1, iy0:iy1].mean())
             out[x, y] = best
+    return out
+
+
+def trailing_window_max(a: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """out[x] = max(a[x-w+1 .. x]) along ``axis``, missing entries = -inf."""
+    return maximum_filter1d(
+        a, size=w, axis=axis, origin=(w - 1) // 2, mode="constant", cval=-np.inf
+    )
+
+
+def filter_maximal_dyadic(absv):
+    """Oracle for ``_maximal_dyadic``: the direct formulation, with one padded
+    N x N table and two sliding max filters per side pair."""
+    n = absv.shape[0]
+    P = _prefix_table(absv)
+    sides = [1 << a for a in range(n.bit_length())]
+    out = np.full((n, n), -np.inf)
+    for wx in sides:
+        for wy in sides:
+            corners = (np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
+            T = _box_sum(P, *corners) / float(wx * wy)
+            pad = np.full((n, n), -np.inf)
+            pad[: n - wx + 1, : n - wy + 1] = T
+            cov = trailing_window_max(trailing_window_max(pad, wx, 0), wy, 1)
+            np.maximum(out, cov, out=out)
     return out
 
 
@@ -74,6 +103,41 @@ def test_trailing_window_max_oracle():
         got = trailing_window_max(a, w, axis=-1)
         want = np.array([a[max(0, x - w + 1) : x + 1].max() for x in range(n)])
         assert np.allclose(got, want)
+
+
+def _table(kind, n, rng):
+    if kind in ("zero", "spike"):
+        a = np.zeros((n, n))
+        if kind == "spike":
+            a[rng.integers(n), rng.integers(n)] = 1e300
+        return a
+    a = np.abs(rng.normal(size=(n, n)))
+    if kind == "sparse":
+        a *= rng.random((n, n)) < 0.05
+    return a
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "spike"])
+def test_dyadic_kernel_bit_identical_to_filter_oracle(kind):
+    rng = np.random.default_rng(0)
+    for n in range(1, 41):
+        a = _table(kind, n, rng)
+        assert np.array_equal(_maximal_dyadic(a), filter_maximal_dyadic(a)), n
+
+
+def test_dyadic_kernel_bit_identical_to_filter_oracle_n256():
+    a = np.abs(np.random.default_rng(256).normal(size=(256, 256)))
+    assert np.array_equal(_maximal_dyadic(a), filter_maximal_dyadic(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: hnp.arrays(float, (n, n), elements=st.floats(0.0, 1e300))
+    )
+)
+def test_dyadic_kernel_matches_oracle_on_arbitrary_tables(a):
+    assert np.array_equal(_maximal_dyadic(a), filter_maximal_dyadic(a))
 
 
 def test_interval_average_profile_oracle():

@@ -119,6 +119,58 @@ def test_fefferman_stein_single_function_reduces_to_scalar():
     assert t.ratio == pytest.approx(want, rel=1e-12)
 
 
+def test_fefferman_stein_maximises_each_member_once_per_grid(monkeypatch):
+    from collections import Counter
+
+    from mherz import verification
+    from mherz.grid import GridFunction, GridSpec, build_function, restrict_to_window
+    from mherz.norms import morrey_herz_norm
+    from mherz.operators import strong_maximal
+
+    grid, fc, seed, r_list = make_grid(2, 3), 2, 7, (1.5, 2.0, 3.0)
+    fine = GridSpec(grid.L_max, grid.s + 1)
+
+    def duplicate_call_trials(spec):
+        # the former loop: the family is rebuilt and re-maximised per (r, size)
+        def r_sum(fns, r):
+            acc = np.zeros((spec.n_cells, spec.n_cells))
+            for f in fns:
+                acc += np.abs(f.values) ** r
+            return restrict_to_window(GridFunction(spec, acc ** (1.0 / r)))
+
+        trials = []
+        for r in r_list:
+            for size in (fc, 2 * fc):
+                fns = []
+                for k in range(size):
+                    f = build_function(grid, builtin="noise", seed=[seed, 101 + k])
+                    if spec.s > grid.s:
+                        f = f.refine(spec.s - grid.s)
+                    fns.append(restrict_to_window(f))
+                rhs = morrey_herz_norm(r_sum(fns, r), PR)
+                lhs = morrey_herz_norm(r_sum([strong_maximal(f) for f in fns], r), PR)
+                trials.append(
+                    TrialRecord(f"r={r},size={size}", lhs, rhs, extra={"r": r, "size": size})
+                )
+        return trials
+
+    calls = Counter()
+
+    def counting(f, *args, **kwargs):
+        calls[f.spec.n_cells] += 1
+        return strong_maximal(f, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "strong_maximal", counting)
+    rep = check_fefferman_stein(grid, PR, r_list=r_list, family_count=fc, seed=seed)
+    monkeypatch.undo()
+
+    assert calls == {grid.n_cells: 2 * fc, fine.n_cells: 2 * fc}
+    assert rep.trials == duplicate_call_trials(grid)
+    assert rep.refinement["refined_max_ratio"] == verification._ratio_summary(
+        duplicate_call_trials(fine)
+    )["max_ratio"]
+
+
 def test_fefferman_stein_disjoint_indicator_family():
     # r-sum of disjointly supported indicators is itself an indicator sum;
     # the vector-valued ratio stays under the default cap
