@@ -23,6 +23,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,6 +117,29 @@ class GridSpec:
         return idx
 
 
+def _central_gap(spec: GridSpec) -> slice:
+    """The two central cells of an axis, which no window annulus covers."""
+    mid = spec.n_cells // 2
+    return slice(mid - 1, mid + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _segment_starts(spec: GridSpec) -> np.ndarray:
+    """Sorted starts of the ``2W + 1`` cell runs that tile one axis.
+
+    The window annuli (``W`` of them) contribute a left and a right run each,
+    and the central gap is the run in the middle: run ``W - 1 - k`` is the
+    left run of annulus ``window_low + k``, run ``W`` the gap and run
+    ``W + 1 + k`` the right run.  Private and cached: a step inside the
+    annulus tables, not a layer of its own (see :func:`_prefix_table`).
+    """
+    runs = [spec.annulus_runs(i) for i in spec.window_range()]
+    starts = [_central_gap(spec).start] + [run[0] for pair in runs for run in pair]
+    starts = np.array(sorted(starts))
+    starts.flags.writeable = False
+    return starts
+
+
 def make_grid(L_max: int, s: int) -> GridSpec:
     """Build a :class:`GridSpec`, enforcing the size guard."""
     return GridSpec(int(L_max), int(s))
@@ -140,6 +164,12 @@ def _box_sum(P: np.ndarray, x0, x1, y0, y1):
     this is the table of every ``wx x wy`` box sum, indexed by low corner.
     """
     return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        raise DataError(f"{bad} non-finite cell values")
 
 
 @dataclass(frozen=True)
@@ -216,9 +246,7 @@ class GridFunction:
         arr = np.asarray(values, dtype=float)
         if arr.shape != (n, n):
             raise DataError(f"expected a {n}x{n} value table, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            bad = int(np.count_nonzero(~np.isfinite(arr)))
-            raise DataError(f"{bad} non-finite cell values")
+        _require_finite(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "spec", spec)
@@ -309,11 +337,15 @@ def annulus_mask_1d(spec: GridSpec, i: int) -> np.ndarray:
 
 
 def window_mask(spec: GridSpec) -> np.ndarray:
-    """Boolean table of cells covered by the product annulus window."""
-    axis = np.zeros(spec.n_cells, dtype=bool)
-    for i in spec.window_range():
-        axis |= annulus_mask_1d(spec, i)
-    return axis[:, None] & axis[None, :]
+    """Boolean table of cells covered by the product annulus window (read-only).
+
+    The window annuli cover each axis but its central gap.
+    """
+    axis = np.ones(spec.n_cells, dtype=bool)
+    axis[_central_gap(spec)] = False
+    mask = axis[:, None] & axis[None, :]
+    mask.flags.writeable = False
+    return mask
 
 
 def annulus_restrict(f: GridFunction, annulus: AnnulusIndex) -> GridFunction:
@@ -334,6 +366,9 @@ def restrict_to_window(f: GridFunction) -> GridFunction:
 
 def window_support_violations(f: GridFunction) -> np.ndarray:
     """Cell indices (k x 2 array) where f is nonzero outside the window."""
+    gap = _central_gap(f.spec)  # off the window: two rows and two columns
+    if not (f.values[gap].any() or f.values[:, gap].any()):
+        return np.empty((0, 2), dtype=np.intp)
     off = (~window_mask(f.spec)) & (f.values != 0.0)
     return np.argwhere(off)
 

@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CostGuardError, PredicateError, SupportWindowError
-from .grid import (
+from .grid import (  # noqa: F401  (window_mask is re-exported)
     DyadicRectangle,
     GridFunction,
     GridRectangle,
     GridSpec,
-    _box_sum,
-    _prefix_table,
+    _require_finite,
+    _segment_starts,
     window_mask,
     window_support_violations,
 )
@@ -231,42 +231,69 @@ def _require_window_support(f: GridFunction) -> None:
         )
 
 
+def _clip_runs(spec: GridSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap of the cell range ``[lo, hi)`` with each axis run.
+
+    Returns the overlap cell count of every run of :func:`grid._segment_starts`
+    and the starts, relative to ``lo``, of the runs that overlap.
+    """
+    clipped = np.clip(_segment_starts(spec), lo, hi)
+    counts = np.diff(clipped, append=hi)
+    return counts, clipped[counts > 0] - lo
+
+
+def _segment_table(spec: GridSpec, a: np.ndarray, op, x0: int = 0, y0: int = 0) -> np.ndarray:
+    """``op``-reduction of ``a`` over every block of two axis runs.
+
+    ``a`` holds the cells of the rectangle with low corner ``(x0, y0)``; each
+    run is clipped to it, and blocks it misses are 0.  Shape ``(2W+1, 2W+1)``.
+    """
+    cx, sx = _clip_runs(spec, x0, x0 + a.shape[0])
+    cy, sy = _clip_runs(spec, y0, y0 + a.shape[1])
+    out = np.zeros((cx.size, cy.size))
+    out[np.ix_(cx > 0, cy > 0)] = op.reduceat(op.reduceat(a, sy, axis=1), sx, axis=0)
+    return out
+
+
+def _annulus_blocks(seg: np.ndarray, op) -> np.ndarray:
+    """W x W table: each annulus pair combines its four (left/right)^2 run blocks.
+
+    The central gap (run ``W``) belongs to no annulus and is dropped.
+    """
+    w = seg.shape[0] // 2
+    left, right = np.arange(w - 1, -1, -1), np.arange(w + 1, 2 * w + 1)
+    out = seg[np.ix_(left, left)]
+    for rows, cols in ((left, right), (right, left), (right, right)):
+        out = op(out, seg[np.ix_(rows, cols)])
+    return out
+
+
+def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
+    """Annulus L^p norms from the run-block sums of ``|f|^p``."""
+    sums = _annulus_blocks(seg, np.add)
+    # scalar powers: numpy's vectorised float64 power can differ from libm's
+    # in the last bit, and these tables (at most 11 x 11) must match the
+    # entrywise evaluation, e.g. of a masked indicator's integer cell counts
+    roots = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
+    return roots * (spec.h * spec.h) ** (1.0 / p)
+
+
 def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
     """W x W table of annulus L^p norms, indexed from the window floor.
 
     Entry ``[ii, jj]`` is the L^p norm of f restricted to the product annulus
-    ``(window_low + ii, window_low + jj)``.  Uses prefix sums of |f|^p, so the
-    whole table costs one grid pass.
+    ``(window_low + ii, window_low + jj)``.  The annulus runs and the central
+    gap tile each axis, so one segmented reduction of ``|f|^p`` per axis
+    (``np.add.reduceat``; ``np.maximum.reduceat`` for ``p = inf``) gives every
+    run-by-run block, and each annulus adds its four blocks.  Sums of
+    nonnegative terms cannot cancel: an annulus without mass is exactly 0,
+    and one whose sum overflows is ``+inf``.
     """
-    spec = f.spec
-    win = list(spec.window_range())
-    w = len(win)
-    runs = [spec.annulus_runs(i) for i in win]
+    a = np.abs(f.values)
     if math.isinf(p):
-        out = np.zeros((w, w))
-        a = np.abs(f.values)
-        for ii, rx in enumerate(runs):
-            for jj, ry in enumerate(runs):
-                m = 0.0
-                for x0, x1 in rx:
-                    for y0, y1 in ry:
-                        blk = a[x0:x1, y0:y1]
-                        if blk.size:
-                            m = max(m, float(blk.max()))
-                out[ii, jj] = m
-        return out
-    P = _prefix_table(np.abs(f.values) ** p)
-    h2 = spec.h * spec.h
-    out = np.zeros((w, w))
-    for ii, rx in enumerate(runs):
-        for jj, ry in enumerate(runs):
-            s = 0.0
-            for x0, x1 in rx:
-                for y0, y1 in ry:
-                    s += _box_sum(P, x0, x1, y0, y1)
-            # prefix cancellation can leave a zero-mass annulus at -1e-18
-            out[ii, jj] = max(s, 0.0) ** (1.0 / p) * h2 ** (1.0 / p)
-    return out
+        return _annulus_blocks(_segment_table(f.spec, a, np.maximum), np.maximum)
+    a **= p  # in place: one N x N buffer per call
+    return _lp_table(f.spec, _segment_table(f.spec, a, np.add), p)
 
 
 def _alpha_weights(spec: GridSpec, alpha: float) -> np.ndarray:
@@ -301,8 +328,13 @@ def morrey_herz_norm(
     comparison).
     """
     _require_window_support(f)
-    spec = f.spec
-    table = annulus_lp_table(f, params.p)
+    return _morrey_herz_from_table(f.spec, annulus_lp_table(f, params.p), params, truncation)
+
+
+def _morrey_herz_from_table(
+    spec: GridSpec, table: np.ndarray, params: ExponentParams, truncation: str
+) -> float:
+    """The Morrey-Herz norm from an :func:`annulus_lp_table`."""
     terms = _alpha_weights(spec, params.alpha) * table
     win = np.array(list(spec.window_range()), dtype=float)
     if truncation not in ("rectangular", "diagonal"):
@@ -600,26 +632,46 @@ def bmo_mk_norm(
     """
     require_predicate(params, "char")
     require_predicate(params, "ms_herz")
-    rects = _family_rectangles(f.spec, family)
-    mask = window_mask(f.spec)
+    spec = f.spec
+    rects = _family_rectangles(spec, family)
     best = 0.0
     notes: list[str] = []
-    n = f.spec.n_cells
     for r in rects:
-        mean = f.rect_cell_sum(r) / r.cells()
-        chi = np.zeros((n, n))
-        chi[r.ix0 : r.ix1, r.iy0 : r.iy1] = 1.0
-        chi *= mask
-        denom = morrey_herz_norm(f.with_values(chi), params, truncation)
+        denom = _morrey_herz_from_table(
+            spec, _window_indicator_table(spec, r, params.p), params, truncation
+        )
         if denom == 0.0:
             notes.append(f"skipped {r}: masked indicator has zero norm")
             continue
-        num_vals = np.zeros((n, n))
-        num_vals[r.ix0 : r.ix1, r.iy0 : r.iy1] = (
-            f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - mean
+        num = _morrey_herz_from_table(
+            spec, _window_oscillation_table(f, r, params.p), params, truncation
         )
-        num_vals *= mask
-        num = morrey_herz_norm(f.with_values(num_vals), params, truncation)
         if num / denom > best:
             best = num / denom
     return best, notes
+
+
+def _window_indicator_table(spec: GridSpec, rect: GridRectangle, p: float) -> np.ndarray:
+    """:func:`annulus_lp_table` of the window-masked indicator of ``rect``.
+
+    Each run block holds the product of the per-axis overlap counts in unit
+    cells, so the table is closed-form geometry (finite ``p``).
+    """
+    cx, _ = _clip_runs(spec, rect.ix0, rect.ix1)
+    cy, _ = _clip_runs(spec, rect.iy0, rect.iy1)
+    return _lp_table(spec, np.multiply.outer(cx, cy).astype(float), p)
+
+
+def _window_oscillation_table(f: GridFunction, rect: GridRectangle, p: float) -> np.ndarray:
+    """:func:`annulus_lp_table` of ``(f - f_R) chi_R`` masked to the window.
+
+    Reduces over ``rect`` only (finite ``p``); the runs are clipped to it and
+    the central gap is dropped, which is what the window mask does.
+    """
+    mean = f.rect_cell_sum(rect) / rect.cells()
+    osc = f.values[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] - mean
+    _require_finite(osc)
+    np.abs(osc, out=osc)
+    osc **= p
+    seg = _segment_table(f.spec, osc, np.add, rect.ix0, rect.iy0)
+    return _lp_table(f.spec, seg, p)

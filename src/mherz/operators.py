@@ -143,22 +143,32 @@ def _maximal_1d_lines(absv: np.ndarray, chunk: int = 32) -> np.ndarray:
     return out
 
 
+def _maximal_kernel(var: MaximalVariant, absv: np.ndarray) -> np.ndarray:
+    if var.kind == "exact-grid":
+        return _maximal_exact(absv)
+    if var.kind == "dyadic-sides":
+        return _maximal_dyadic(absv)
+    return _maximal_1d_lines(_maximal_1d_lines(absv).T).T
+
+
 def strong_maximal(f: GridFunction, variant: MaximalVariant | str = DYADIC_SIDES) -> GridFunction:
     """Discrete strong maximal function of f for the chosen rectangle family."""
     var = as_variant(variant)
     absv = np.abs(f.values)
     n = f.spec.n_cells
-    if var.kind == "exact-grid":
-        if n > var.exact_gate:
-            raise CostGuardError(
-                f"exact-grid maximal on N={n} exceeds gate {var.exact_gate}; "
-                f"pass MaximalVariant('exact-grid', exact_gate=...) to override"
-            )
-        out = _maximal_exact(absv)
-    elif var.kind == "dyadic-sides":
-        out = _maximal_dyadic(absv)
+    if var.kind == "exact-grid" and n > var.exact_gate:
+        raise CostGuardError(
+            f"exact-grid maximal on N={n} exceeds gate {var.exact_gate}; "
+            f"pass MaximalVariant('exact-grid', exact_gate=...) to override"
+        )
+    top = float(absv.max())
+    if math.isfinite(top * n * n):
+        out = _maximal_kernel(var, absv)
     else:
-        out = _maximal_1d_lines(_maximal_1d_lines(absv).T).T
+        # the kernels' prefix sums would overflow (and inf - inf is NaN):
+        # scale by an exact power of two that puts the max in [0.5, 1)
+        e = int(np.frexp(top)[1])
+        out = np.ldexp(_maximal_kernel(var, np.ldexp(absv, -e)), e)
     # the single-cell rectangle is in every family; evaluating it directly
     # makes M f >= |f| exact instead of up to prefix-sum cancellation noise
     np.maximum(out, absv, out=out)

@@ -23,6 +23,8 @@ from mherz.grid import (
     integrate_over_rectangle,
     make_grid,
     _prefix_table,
+    _segment_starts,
+    annulus_mask_1d,
     restrict_to_window,
     window_mask,
     window_support_violations,
@@ -217,6 +219,52 @@ def test_window_support_violations_reported():
     bad = window_support_violations(f)
     assert len(bad) > 0
     assert len(window_support_violations(restrict_to_window(f))) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 5))
+def test_window_support_violations_match_full_scan(L_max, s, seed, cross_cells):
+    g = make_grid(L_max, s)
+    n = g.n_cells
+    rng = np.random.default_rng(seed)
+    f = restrict_to_window(GridFunction(g, rng.normal(size=(n, n))))
+    vals = f.values.copy()
+    for _ in range(cross_cells):  # put mass on the central cross
+        k, along = rng.integers(n // 2 - 1, n // 2 + 1), rng.integers(n)
+        vals[(k, along) if rng.random() < 0.5 else (along, k)] = rng.normal()
+    f = f.with_values(vals)
+    want = np.argwhere(~window_mask(g) & (f.values != 0.0))
+    got = window_support_violations(f)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_window_mask_is_union_of_annuli_and_read_only():
+    for L_max, s in [(1, 0), (1, 1), (2, 3), (3, 5)]:
+        g = make_grid(L_max, s)
+        m = window_mask(g)
+        assert not m.flags.writeable
+        axis = np.zeros(g.n_cells, dtype=bool)
+        for i in g.window_range():
+            axis |= annulus_mask_1d(g, i)
+        assert np.array_equal(m, axis[:, None] & axis[None, :])
+    with pytest.raises(ValueError):
+        m[0, 0] = True
+
+
+def test_segment_starts_tile_the_axis():
+    for L_max, s in [(1, 0), (1, 1), (2, 2), (3, 5)]:
+        g = make_grid(L_max, s)
+        starts = _segment_starts(g)
+        w = len(list(g.window_range()))
+        assert starts.size == 2 * w + 1 and starts[0] == 0
+        assert (np.diff(starts) > 0).all()
+        mid = g.n_cells // 2
+        assert starts[w] == mid - 1  # the central gap: cells mid-1 and mid
+        for k, i in enumerate(g.window_range()):
+            (a0, a1), (b0, b1) = g.annulus_runs(i)
+            assert starts[w - 1 - k] == a0 and starts[w + 1 + k] == b0
+        assert not starts.flags.writeable
 
 
 def test_gridfunction_immutable():

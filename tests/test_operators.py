@@ -174,6 +174,19 @@ def test_maximal_of_constant():
         assert np.allclose(m, 3.0, atol=1e-12)
 
 
+def test_maximal_of_huge_finite_values():
+    # |f| * N**2 overflows, so the prefix sums inside the kernels would too
+    g = make_grid(2, 1)  # N = 8
+    f = constant(g, 1e308)
+    rng = np.random.default_rng(3)
+    mixed = f.with_values(rng.uniform(-1.0, 1.0, size=(8, 8)) * 1e308)
+    for variant in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D):
+        assert (strong_maximal(f, variant).values == 1e308).all()
+        m = strong_maximal(mixed, variant).values
+        assert np.isfinite(m).all()
+        assert (m >= np.abs(mixed.values)).all()
+
+
 def test_maximal_1d_slice_interval_average():
     # 1-D check: the maximal value of chi_[0,1] at x = 2 is 1/2 (interval [0,2])
     g = make_grid(3, 4)  # box [-4,4], h = 1/16
