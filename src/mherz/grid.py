@@ -24,6 +24,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -166,6 +167,12 @@ def _box_sum(P: np.ndarray, x0, x1, y0, y1):
     return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
 
 
+def _sum_exponent(top: float, count: int) -> int:
+    """0 if sums of ``count`` values of size at most ``top`` stay finite, else
+    the power of two that puts ``top`` in [0.5, 1); scaling by it is exact."""
+    return 0 if math.isfinite(top * count) else int(np.frexp(top)[1])
+
+
 def _require_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         bad = int(np.count_nonzero(~np.isfinite(values)))
@@ -236,7 +243,8 @@ class GridFunction:
 
     ``values[ix, iy]`` is the constant on cell ``(ix, iy)``; axis 0 is x.
     The value table is frozen at construction; prefix-sum tables for ``f``
-    and ``|f|`` are built lazily and reused.
+    and ``|f|`` are built lazily and reused (scaled by a power of two when
+    the cell sums would overflow, see :meth:`rect_mean`).
     """
 
     __slots__ = ("spec", "values", "_cache")
@@ -258,22 +266,39 @@ class GridFunction:
 
     # -- prefix tables -----------------------------------------------------
 
-    def _prefix(self, key: str, table: Callable[[], np.ndarray]) -> np.ndarray:
+    def _prefix(self, absolute: bool) -> tuple[np.ndarray, int]:
+        """Prefix table of ``f`` (or ``|f|``) scaled by ``2**-e``, and ``e``.
+
+        ``e`` is :func:`_sum_exponent` of ``max|f|`` over the ``N**2`` cells:
+        0, and the raw table, unless cell sums could overflow.  Computed once
+        per function and cached with the tables.
+        """
         cache = object.__getattribute__(self, "_cache")
+        if "exp" not in cache:
+            top = max(float(self.values.max()), -float(self.values.min()))
+            cache["exp"] = _sum_exponent(top, self.values.size)
+        key = "abs" if absolute else "sum"
         if key not in cache:
-            cache[key] = _prefix_table(table())
-        return cache[key]
+            e = cache["exp"]
+            vals = np.abs(self.values) if absolute else self.values
+            cache[key] = _prefix_table(np.ldexp(vals, -e) if e else vals)
+        return cache[key], cache["exp"]
 
-    def prefix_sum(self) -> np.ndarray:
-        """(N+1)x(N+1) table of raw cell sums of f (unscaled by h**2)."""
-        return self._prefix("sum", lambda: self.values)
-
-    def prefix_abs_sum(self) -> np.ndarray:
-        return self._prefix("abs", lambda: np.abs(self.values))
+    def _rect_scaled_sum(self, rect: GridRectangle, absolute: bool) -> tuple[float, int]:
+        P, e = self._prefix(absolute)
+        return float(_box_sum(P, rect.ix0, rect.ix1, rect.iy0, rect.iy1)), e
 
     def rect_cell_sum(self, rect: GridRectangle, absolute: bool = False) -> float:
-        P = self.prefix_abs_sum() if absolute else self.prefix_sum()
-        return float(_box_sum(P, rect.ix0, rect.ix1, rect.iy0, rect.iy1))
+        """Raw cell sum of f (or |f|) over ``rect`` (unscaled by h**2)."""
+        total, e = self._rect_scaled_sum(rect, absolute)
+        return float(np.ldexp(total, e)) if e else total
+
+    def rect_mean(self, rect: GridRectangle, absolute: bool = False) -> float:
+        """Mean cell value of f (or |f|) over ``rect``; finite even where the
+        cell sum overflows, since it is taken on the scaled table."""
+        total, e = self._rect_scaled_sum(rect, absolute)
+        mean = total / rect.cells()
+        return float(np.ldexp(mean, e)) if e else mean
 
     # -- convenience -------------------------------------------------------
 
@@ -322,7 +347,7 @@ def integrate_over_rectangle(
 
 def rect_average(f: GridFunction, rect: GridRectangle, absolute: bool = True) -> float:
     rect.check_within(f.spec)
-    return f.rect_cell_sum(rect, absolute=absolute) / rect.cells()
+    return f.rect_mean(rect, absolute=absolute)
 
 
 # -- annulus machinery -----------------------------------------------------

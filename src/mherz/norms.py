@@ -611,7 +611,7 @@ def bmo_norm(f: GridFunction, family) -> float:
     best = 0.0
     for r in rects:
         cells = r.cells()
-        mean = f.rect_cell_sum(r) / cells
+        mean = f.rect_mean(r)
         osc = float(np.abs(vals[r.ix0 : r.ix1, r.iy0 : r.iy1] - mean).sum()) / cells
         if osc > best:
             best = osc
@@ -668,7 +668,7 @@ def _window_oscillation_table(f: GridFunction, rect: GridRectangle, p: float) ->
     Reduces over ``rect`` only (finite ``p``); the runs are clipped to it and
     the central gap is dropped, which is what the window mask does.
     """
-    mean = f.rect_cell_sum(rect) / rect.cells()
+    mean = f.rect_mean(rect)
     osc = f.values[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] - mean
     _require_finite(osc)
     np.abs(osc, out=osc)

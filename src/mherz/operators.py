@@ -14,7 +14,9 @@ rectangle family containing each cell):
   4 (any rectangle sits inside a dyadic-sided one of at most 4x the area at
   an admissible anchor).
 * ``iterated-1d``: the 1-D maximal operator applied in y then in x; dominates
-  exact-grid pointwise.
+  exact-grid pointwise.  O(N^3) time and O(N^2) memory, with no chunking:
+  :func:`interval_average_profile` sweeps the interval starts one at a time
+  over all lines at once, holding one slab of interval means per start.
 
 The singular convolution evaluates at cell centers with exact per-cell
 antiderivatives of each axis kernel, which makes the principal value exact
@@ -39,6 +41,7 @@ from .grid import (
     GridSpec,
     _box_sum,
     _prefix_table,
+    _sum_exponent,
     build_function,
     restrict_to_window,
 )
@@ -77,20 +80,27 @@ def as_variant(variant: MaximalVariant | str) -> MaximalVariant:
 def interval_average_profile(v: np.ndarray) -> np.ndarray:
     """Per position, the max over subintervals containing it of the mean.
 
-    Operates on the last axis; leading axes are batch.  Vectorised staircase:
-    suffix-max over interval ends, prefix-max over interval starts, then the
-    diagonal picks out intervals straddling each position.
+    Operates on the last axis; leading axes are batch.  One sweep over
+    interval starts ``i``: the means of ``v[i:j+1]`` for every end ``j``,
+    suffix-maximised over ``j``, are folded into every position ``x >= i``,
+    so ``out[x] = max_{i<=x} max_{j>=x} mean(v[i:j+1])``.  O(n^2) work per
+    line and one ``n - i`` slab per line at a time; every mean is the float
+    expression ``(P[j+1] - P[i]) / (j+1-i)`` on the prefix sums ``P``, and
+    ``max`` is exact, so the result does not depend on the sweep order.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     P = np.zeros(v.shape[:-1] + (n + 1,))
     np.cumsum(v, axis=-1, out=P[..., 1:])
-    num = P[..., None, 1:] - P[..., :-1, None]  # [.., i0, j] = P[j+1] - P[i0]
-    den = np.arange(1, n + 1)[None, :] - np.arange(n)[:, None]
-    A = np.where(den > 0, num / np.maximum(den, 1), -np.inf)
-    B = np.flip(np.maximum.accumulate(np.flip(A, -1), -1), -1)
-    C = np.maximum.accumulate(B, axis=-2)
-    return np.ascontiguousarray(np.einsum("...ii->...i", C))
+    lengths = np.arange(1, n + 1, dtype=float)
+    out = np.full(v.shape, -np.inf)
+    for i in range(n):
+        a = P[..., i + 1 :] - P[..., i : i + 1]  # [.., j - i] = P[j+1] - P[i]
+        a /= lengths[: n - i]
+        rev = a[..., ::-1]
+        np.maximum.accumulate(rev, axis=-1, out=rev)  # suffix max over ends
+        np.maximum(out[..., i:], a, out=out[..., i:])
+    return out
 
 
 def _maximal_exact(absv: np.ndarray) -> np.ndarray:
@@ -134,21 +144,12 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _maximal_1d_lines(absv: np.ndarray, chunk: int = 32) -> np.ndarray:
-    """Apply the 1-D all-intervals maximal operator along the last axis."""
-    n = absv.shape[0]
-    out = np.empty_like(absv)
-    for k in range(0, n, chunk):
-        out[k : k + chunk] = interval_average_profile(absv[k : k + chunk])
-    return out
-
-
 def _maximal_kernel(var: MaximalVariant, absv: np.ndarray) -> np.ndarray:
     if var.kind == "exact-grid":
         return _maximal_exact(absv)
     if var.kind == "dyadic-sides":
         return _maximal_dyadic(absv)
-    return _maximal_1d_lines(_maximal_1d_lines(absv).T).T
+    return interval_average_profile(interval_average_profile(absv).T).T
 
 
 def strong_maximal(f: GridFunction, variant: MaximalVariant | str = DYADIC_SIDES) -> GridFunction:
@@ -161,13 +162,12 @@ def strong_maximal(f: GridFunction, variant: MaximalVariant | str = DYADIC_SIDES
             f"exact-grid maximal on N={n} exceeds gate {var.exact_gate}; "
             f"pass MaximalVariant('exact-grid', exact_gate=...) to override"
         )
-    top = float(absv.max())
-    if math.isfinite(top * n * n):
+    e = _sum_exponent(float(absv.max()), n * n)
+    if not e:
         out = _maximal_kernel(var, absv)
     else:
         # the kernels' prefix sums would overflow (and inf - inf is NaN):
-        # scale by an exact power of two that puts the max in [0.5, 1)
-        e = int(np.frexp(top)[1])
+        # run them on |f| scaled by the exact power of two 2**-e
         out = np.ldexp(_maximal_kernel(var, np.ldexp(absv, -e)), e)
     # the single-cell rectangle is in every family; evaluating it directly
     # makes M f >= |f| exact instead of up to prefix-sum cancellation noise
@@ -178,7 +178,7 @@ def strong_maximal(f: GridFunction, variant: MaximalVariant | str = DYADIC_SIDES
 def rect_average_P(f: GridFunction, rect: GridRectangle) -> GridFunction:
     """The averaging projection: (avg_R |f|) on R, zero elsewhere."""
     rect.check_within(f.spec)
-    avg = f.rect_cell_sum(rect, absolute=True) / rect.cells()
+    avg = f.rect_mean(rect, absolute=True)
     vals = np.zeros_like(f.values)
     vals[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] = avg
     return f.with_values(vals)

@@ -24,6 +24,7 @@ Conventions shared by all suites:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -310,6 +311,25 @@ def _extrapolation_hypotheses(params: ExponentParams, options: dict) -> list[str
     return out + _violations(block, "block", "ms_herz")
 
 
+def _cz_comm_hypotheses(params: ExponentParams, options: dict) -> list[str]:
+    out = _ms_herz_char_hypotheses(params, options)
+    if "dilations" not in options:  # the suite's default sweep
+        return out
+    dilations = options["dilations"]
+    if not (
+        isinstance(dilations, Sequence)
+        and len(dilations) > 0
+        and all(
+            isinstance(t, numbers.Integral) and not isinstance(t, bool) and t > 0
+            for t in dilations
+        )
+    ):
+        out.append(
+            f"options.dilations must be a non-empty list of positive integers, got {dilations!r}"
+        )
+    return out
+
+
 HYPOTHESES: dict[str, Callable[..., list[str]]] = {
     "char_norms": _char_norms_hypotheses,
     "norm_duality": _norm_duality_hypotheses,
@@ -317,7 +337,7 @@ HYPOTHESES: dict[str, Callable[..., list[str]]] = {
     "fefferman_stein": _ms_herz_char_hypotheses,
     "extrapolation": _extrapolation_hypotheses,
     "john_nirenberg_bmo": _ms_herz_char_hypotheses,
-    "cz_comm": _ms_herz_char_hypotheses,
+    "cz_comm": _cz_comm_hypotheses,
 }
 
 
@@ -852,7 +872,7 @@ def check_john_nirenberg_bmo(
 
     n = grid.n_cells
     box = GridRectangle(0, n, 0, n)
-    b_mean = b.rect_cell_sum(box) / box.cells()
+    b_mean = b.rect_mean(box)
     chi_box = restrict_to_window(constant(grid, 1.0))
     box_norm = morrey_herz_norm(chi_box, params)
 
@@ -963,7 +983,7 @@ def check_cz_comm(
     exceed the smallest-dilation ratio by the declared growth factor: the
     empirical contrapositive of the necessity direction.
     """
-    _hypotheses("cz_comm", params)
+    _hypotheses("cz_comm", params, dilations=dilations)
     from .operators import commutator, get_kernel
 
     ker = get_kernel(kernel)

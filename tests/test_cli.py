@@ -286,6 +286,11 @@ HYPOTHESIS_CASES = {
     "cz_comm": [
         ({"dilations": [1, 2, 4]}, PR_DICT),
         ({"dilations": [1, 2, 4]}, {"alpha": 0.75, "p": 2, "q": 2, "lam": 0.5}),
+        ({"dilations": []}, PR_DICT),
+        ({"dilations": [0, 2]}, PR_DICT),
+        ({"dilations": [1, -2]}, PR_DICT),
+        ({"dilations": [1, 2.5]}, PR_DICT),
+        ({"dilations": None}, PR_DICT),
     ],
 }
 
@@ -319,6 +324,23 @@ def test_config_rejects_exactly_what_the_suite_refuses(tmp_path, name):
         assert rejected == refused, (options, block)
         outcomes.add(refused)
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("dilations", [[], [0, 2], [4, -1], [1, 2.5]])
+def test_cz_comm_bad_dilations_refused_before_the_run(tmp_path, capsys, dilations):
+    # empty or non-positive dilations used to pass validation and crash
+    # mid-run at max() or log2(); the rule asks for positive integers
+    cfg = minimal_config(
+        tmp_path,
+        grid={"L_max": 2, "s": 2},
+        suites=[{"name": "cz_comm", "params": PR_DICT, "options": {"dilations": dilations}}],
+    )
+    with pytest.raises(ConfigError, match=r"suites\[0\]\.params: .*options\.dilations"):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "options.dilations must be a non-empty list of positive integers" in err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_failing_cap_exits_nonzero(tmp_path):

@@ -151,6 +151,26 @@ def test_prefix_sum_matches_direct_summation(seed, data):
     )
 
 
+def test_rect_mean_below_overflow_is_the_raw_prefix_table():
+    # inputs whose cell sums stay finite take the unscaled table, bit for bit
+    g = make_grid(2, 2)
+    n = g.n_cells
+    rng = np.random.default_rng(6)
+    spike = np.full((n, n), 1e-300)
+    spike[-1, -1] = 1e300  # a needless rescale by max|f| would flush the rest to 0
+    for scale in (1.0, 1e-300, 1e300, spike):
+        vals = rng.normal(size=(n, n)) * scale
+        f = GridFunction(g, vals)
+        for _ in range(50):
+            ix0, iy0 = (int(k) for k in rng.integers(0, n, size=2))
+            ix1, iy1 = int(rng.integers(ix0 + 1, n + 1)), int(rng.integers(iy0 + 1, n + 1))
+            r = GridRectangle(ix0, ix1, iy0, iy1)
+            for absolute, table in ((False, vals), (True, np.abs(vals))):
+                raw = float(_box_sum(_prefix_table(table), ix0, ix1, iy0, iy1))
+                assert f.rect_cell_sum(r, absolute) == raw
+                assert f.rect_mean(r, absolute) == raw / r.cells()
+
+
 def test_prefix_oracle_200_random_rectangles():
     g = make_grid(2, 3)
     n = g.n_cells

@@ -21,6 +21,7 @@ from mherz.grid import (
     constant,
     indicator,
     make_grid,
+    rect_average,
     restrict_to_window,
     window_mask,
 )
@@ -650,6 +651,28 @@ def test_annulus_table_overflow_is_inf_and_reports_stay_strict(tmp_path):
     doc = json.loads(path.read_text(), parse_constant=reject)["report"]
     assert doc["trials"][0]["lhs"] == "inf"
     assert doc["summary"]["max_ratio"] == "inf"
+
+
+def test_rect_means_of_huge_finite_values():
+    # |f| * N**2 overflows, so the (N+1)**2 prefix tables of f would too
+    g = make_grid(2, 1)  # N = 8
+    f = constant(g, 1e308)
+    box = GridRectangle(0, 8, 0, 8)
+    assert rect_average(f, box) == 1e308
+    assert f.rect_mean(box) == 1e308
+    assert bmo_norm(f, RectangleFamily("dyadic-centered")) == 0.0
+    assert bmo_norm(f, RectangleFamily("exact-grid")) == 0.0
+    value, _ = bmo_mk_norm(f, PR, RectangleFamily("dyadic-centered"))
+    assert value == 0.0
+    # signed values: the means stay finite and match exactly rounded sums
+    vals = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 8)) * 1e308
+    f = GridFunction(g, vals)
+    for r in (box, GridRectangle(1, 6, 2, 8)):
+        block = vals[r.ix0 : r.ix1, r.iy0 : r.iy1]
+        want = math.fsum((block / 64.0).ravel()) / r.cells() * 64.0
+        assert f.rect_mean(r) == pytest.approx(want, rel=1e-12)
+        want_abs = math.fsum((np.abs(block) / 64.0).ravel()) / r.cells() * 64.0
+        assert rect_average(f, r) == pytest.approx(want_abs, rel=1e-12)
 
 
 def _bmo_family(kind, spec, stride):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from mherz.operators import (
     MaximalVariant,
     SamplePlan,
     _maximal_dyadic,
+    _maximal_exact,
+    _maximal_kernel,
     as_variant,
     commutator,
     cz_apply,
@@ -85,6 +88,51 @@ def filter_maximal_dyadic(absv):
     return out
 
 
+def staircase_interval_average_profile(v: np.ndarray) -> np.ndarray:
+    """Oracle for ``interval_average_profile``: the full staircase, one
+    ``(n, n)`` table of all interval means per line."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1]
+    P = np.zeros(v.shape[:-1] + (n + 1,))
+    np.cumsum(v, axis=-1, out=P[..., 1:])
+    num = P[..., None, 1:] - P[..., :-1, None]  # [.., i0, j] = P[j+1] - P[i0]
+    den = np.arange(1, n + 1)[None, :] - np.arange(n)[:, None]
+    A = np.where(den > 0, num / np.maximum(den, 1), -np.inf)
+    B = np.flip(np.maximum.accumulate(np.flip(A, -1), -1), -1)
+    C = np.maximum.accumulate(B, axis=-2)
+    return np.ascontiguousarray(np.einsum("...ii->...i", C))
+
+
+def staircase_maximal_1d_lines(absv: np.ndarray, chunk: int = 32) -> np.ndarray:
+    """The former ``_maximal_1d_lines``: the staircase on ``chunk`` lines at
+    a time, along the last axis."""
+    n = absv.shape[0]
+    out = np.empty_like(absv)
+    for k in range(0, n, chunk):
+        out[k : k + chunk] = staircase_interval_average_profile(absv[k : k + chunk])
+    return out
+
+
+def staircase_iterated_1d(absv: np.ndarray) -> np.ndarray:
+    """Oracle for the ``iterated-1d`` kernel: chunked staircase lines."""
+    return staircase_maximal_1d_lines(staircase_maximal_1d_lines(absv).T).T
+
+
+def staircase_maximal_exact(absv: np.ndarray) -> np.ndarray:
+    """Oracle for ``_maximal_exact``: the same sweep over the staircase."""
+    n = absv.shape[0]
+    Py = np.zeros((n, n + 1))
+    np.cumsum(absv, axis=1, out=Py[:, 1:])
+    out = np.zeros((n, n))
+    heights = np.arange(1, n + 1, dtype=float)
+    for iy0 in range(n):
+        S = (Py[:, iy0 + 1 :] - Py[:, iy0 : iy0 + 1]).T
+        m = staircase_interval_average_profile(S) / heights[: n - iy0, None]
+        cover = np.flip(np.maximum.accumulate(np.flip(m, 0), 0), 0)
+        np.maximum(out[:, iy0:], cover.T, out=out[:, iy0:])
+    return out
+
+
 def test_variant_coercion():
     assert as_variant("exact-grid").kind == "exact-grid"
     assert as_variant(DYADIC_SIDES) is DYADIC_SIDES
@@ -138,6 +186,54 @@ def test_dyadic_kernel_bit_identical_to_filter_oracle_n256():
 )
 def test_dyadic_kernel_matches_oracle_on_arbitrary_tables(a):
     assert np.array_equal(_maximal_dyadic(a), filter_maximal_dyadic(a))
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "spike"])
+def test_interval_profile_bit_identical_to_staircase(kind):
+    rng = np.random.default_rng(1)
+    for n in range(1, 41):
+        a = _table(kind, n, rng)
+        for v in (a[0], a, np.stack([a, a[::-1]])):  # 1-D, 2-D and 3-D shapes
+            got = interval_average_profile(v)
+            assert got.shape == v.shape
+            assert np.array_equal(got, staircase_interval_average_profile(v)), (n, v.ndim)
+
+
+def test_iterated_1d_kernel_bit_identical_to_staircase_n256():
+    a = np.abs(np.random.default_rng(257).normal(size=(256, 256)))
+    assert np.array_equal(_maximal_kernel(ITERATED_1D, a), staircase_iterated_1d(a))
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "spike"])
+def test_exact_kernel_bit_identical_to_staircase_sweep(kind):
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3, 7, 16, 40):
+        a = _table(kind, n, rng)
+        assert np.array_equal(_maximal_exact(a), staircase_maximal_exact(a)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: hnp.arrays(float, (n, n), elements=st.floats(0.0, 1e300))
+    )
+)
+def test_iterated_1d_kernel_matches_staircase_on_arbitrary_tables(a):
+    assert np.array_equal(_maximal_kernel(ITERATED_1D, a), staircase_iterated_1d(a))
+
+
+def test_iterated_1d_memory_is_a_few_slabs():
+    # the staircase held (32, N, N) tables: about 132 N**2 doubles at N = 256
+    g = make_grid(5, 3)  # N = 256
+    n = g.n_cells
+    f = build_function(g, builtin="noise", seed=5)
+    tracemalloc.start()
+    try:
+        strong_maximal(f, ITERATED_1D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 8, peak / (8 * n * n)
 
 
 def test_interval_average_profile_oracle():
