@@ -16,7 +16,7 @@ A run config is a JSON file:
       ]
     }
 
-The whole config is validated (suite names, option keys, exponent
+The whole config is validated (suite names, option keys and values, exponent
 predicates) before any computation starts, so long sweeps cannot die late on
 a typo.  Every suite writes one report file plus a summary index; exit code 0
 means every executed suite passed (suites that ran with violated hypotheses
@@ -45,6 +45,7 @@ from .norms import ExponentParams
 from .operators import estimate_block_norm_constant
 from .verification import (
     HYPOTHESES,
+    OPTION_DOMAINS,
     InequalityReport,
     check_char_norms,
     check_cz_comm,
@@ -223,13 +224,22 @@ def load_config(path: str | Path) -> RunConfig:
         missing = [k for k in sdef.required_options if k not in options]
         if missing:
             raise ConfigError(f"{path_i}.options: missing required keys {missing}")
+        for key, value in options.items():
+            if key in OPTION_DOMAINS:
+                try:
+                    OPTION_DOMAINS[key](value)
+                except (ValueError, MherzError) as exc:
+                    raise ConfigError(f"{path_i}.options.{key}: {exc}") from None
 
         violations = HYPOTHESES[name](params, options)
         if violations and not allow_oh:
+            hint = ""
+            if "allow_out_of_hypothesis" in sdef.options:
+                hint = " (set options.allow_out_of_hypothesis to run anyway)"
             raise ConfigError(
                 f"{path_i}.params: exponent predicate violated: "
                 + "; ".join(violations)
-                + " (set options.allow_out_of_hypothesis to run anyway)"
+                + hint
             )
         jobs.append(SuiteJob(idx, sdef, params, options))
 

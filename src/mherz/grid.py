@@ -302,14 +302,8 @@ class GridFunction:
 
     # -- convenience -------------------------------------------------------
 
-    def value_at(self, x: float, y: float) -> float:
-        return float(self.values[self.spec.point_to_cell(x), self.spec.point_to_cell(y)])
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.spec, values)
-
-    def __abs__(self) -> "GridFunction":
-        return self.with_values(np.abs(self.values))
 
     def refine(self, extra_levels: int = 1) -> "GridFunction":
         """Same function represented at resolution s + extra_levels (exact)."""
@@ -343,11 +337,6 @@ def integrate_over_rectangle(
     """
     rect.check_within(f.spec)
     return f.rect_cell_sum(rect, absolute=absolute) * f.spec.h * f.spec.h
-
-
-def rect_average(f: GridFunction, rect: GridRectangle, absolute: bool = True) -> float:
-    rect.check_within(f.spec)
-    return f.rect_mean(rect, absolute=absolute)
 
 
 # -- annulus machinery -----------------------------------------------------

@@ -99,13 +99,6 @@ class ExponentParams:
         return ExponentParams(self.alpha, self.p, self.q, lam, self.n, self.m)
 
 
-def _violations_banach(pr: ExponentParams) -> list[str]:
-    out = []
-    if not (pr.p >= 1 and pr.q >= 1):
-        out.append(f"p, q >= 1 fails: p={pr.p}, q={pr.q}")
-    return out
-
-
 def _violations_ms_herz(pr: ExponentParams) -> list[str]:
     out = []
     if not (1 < pr.p < math.inf):
@@ -157,7 +150,6 @@ def _violations_block(pr: ExponentParams) -> list[str]:
 
 
 PREDICATES = {
-    "banach": _violations_banach,
     "ms_herz": _violations_ms_herz,
     "char": _violations_char,
     "block": _violations_block,
@@ -169,22 +161,6 @@ def predicate_violations(params: ExponentParams, name: str) -> list[str]:
         return PREDICATES[name](params)
     except KeyError:
         raise ValueError(f"unknown predicate {name!r}; known: {sorted(PREDICATES)}") from None
-
-
-def pred_banach(params: ExponentParams) -> bool:
-    return not _violations_banach(params)
-
-
-def pred_ms_herz(params: ExponentParams) -> bool:
-    return not _violations_ms_herz(params)
-
-
-def pred_char(params: ExponentParams) -> bool:
-    return not _violations_char(params)
-
-
-def pred_block(params: ExponentParams) -> bool:
-    return not _violations_block(params)
 
 
 def require_predicate(params: ExponentParams, name: str) -> None:
@@ -314,48 +290,22 @@ def herz_norm(f: GridFunction, params: ExponentParams) -> float:
     return float((terms**params.q).sum()) ** (1.0 / params.q)
 
 
-def morrey_herz_norm(
-    f: GridFunction,
-    params: ExponentParams,
-    truncation: str = "rectangular",
-) -> float:
+def morrey_herz_norm(f: GridFunction, params: ExponentParams) -> float:
     """Product Morrey-Herz norm; ``lam = 0`` reduces exactly to the Herz norm.
 
-    ``truncation`` selects how the inner sum is cut at level ``(L1, L2)``:
-    ``"rectangular"`` keeps annuli with ``i <= L1 and j <= L2`` (the
-    definition); ``"diagonal"`` keeps ``i + j <= L`` and scans a single level
-    (a variant appearing in indicator-norm computations, kept for
-    comparison).
+    The inner sum at level ``(L1, L2)`` keeps the annuli with ``i <= L1`` and
+    ``j <= L2`` (the rectangular truncation of the definition).
     """
     _require_window_support(f)
-    return _morrey_herz_from_table(f.spec, annulus_lp_table(f, params.p), params, truncation)
+    return _morrey_herz_from_table(f.spec, annulus_lp_table(f, params.p), params)
 
 
-def _morrey_herz_from_table(
-    spec: GridSpec, table: np.ndarray, params: ExponentParams, truncation: str
-) -> float:
+def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams) -> float:
     """The Morrey-Herz norm from an :func:`annulus_lp_table`."""
     terms = _alpha_weights(spec, params.alpha) * table
     win = np.array(list(spec.window_range()), dtype=float)
-    if truncation not in ("rectangular", "diagonal"):
-        raise ValueError(f"unknown truncation {truncation!r}")
-
-    if truncation == "diagonal":
-        lev = win[:, None] + win[None, :]
-        best = 0.0
-        levels = np.unique(lev)
-        for L in levels:
-            sel = terms[lev <= L]
-            if math.isinf(params.q):
-                inner = float(sel.max(initial=0.0))
-            else:
-                inner = float((sel**params.q).sum()) ** (1.0 / params.q)
-            best = max(best, 2.0 ** (-L * params.lam) * inner)
-        return best
-
     if math.isinf(params.q):
-        run = np.maximum.accumulate(np.maximum.accumulate(terms, axis=0), axis=1)
-        inner = run
+        inner = np.maximum.accumulate(np.maximum.accumulate(terms, axis=0), axis=1)
     else:
         csum = (terms**params.q).cumsum(axis=0).cumsum(axis=1)
         inner = csum ** (1.0 / params.q)
@@ -618,12 +568,7 @@ def bmo_norm(f: GridFunction, family) -> float:
     return best
 
 
-def bmo_mk_norm(
-    f: GridFunction,
-    params: ExponentParams,
-    family,
-    truncation: str = "rectangular",
-) -> tuple[float, list[str]]:
+def bmo_mk_norm(f: GridFunction, params: ExponentParams, family) -> tuple[float, list[str]]:
     """sup over R of ||(f - f_R) chi_R|| / ||chi_R|| in the Morrey-Herz norm.
 
     Both the numerator and the indicator are window-masked before taking the
@@ -637,15 +582,11 @@ def bmo_mk_norm(
     best = 0.0
     notes: list[str] = []
     for r in rects:
-        denom = _morrey_herz_from_table(
-            spec, _window_indicator_table(spec, r, params.p), params, truncation
-        )
+        denom = _morrey_herz_from_table(spec, _window_indicator_table(spec, r, params.p), params)
         if denom == 0.0:
             notes.append(f"skipped {r}: masked indicator has zero norm")
             continue
-        num = _morrey_herz_from_table(
-            spec, _window_oscillation_table(f, r, params.p), params, truncation
-        )
+        num = _morrey_herz_from_table(spec, _window_oscillation_table(f, r, params.p), params)
         if num / denom > best:
             best = num / denom
     return best, notes

@@ -1,5 +1,5 @@
-"""Operators on grid functions: strong maximal variants, rectangle averaging,
-Rubio de Francia iteration, and separable singular convolution.
+"""Operators on grid functions: strong maximal variants, Rubio de Francia
+iteration, and separable singular convolution.
 
 Strong maximal operator variants (all return the sup of |f|-averages over a
 rectangle family containing each cell):
@@ -37,7 +37,6 @@ import numpy as np
 from .errors import CostGuardError, KernelError
 from .grid import (
     GridFunction,
-    GridRectangle,
     GridSpec,
     _box_sum,
     _prefix_table,
@@ -54,16 +53,15 @@ from .norms import block_norm_bracket
 class MaximalVariant:
     kind: str
     exact_gate: int = 64  # largest N for the O(N^4) exact sweep
-    note: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ("exact-grid", "dyadic-sides", "iterated-1d"):
             raise ValueError(f"unknown maximal variant {self.kind!r}")
 
 
-EXACT_GRID = MaximalVariant("exact-grid", note="all grid rectangles, O(N^4)")
-DYADIC_SIDES = MaximalVariant("dyadic-sides", note="2^a x 2^b sides, O(N^2 log^2 N)")
-ITERATED_1D = MaximalVariant("iterated-1d", note="1-D maximal in y then x")
+EXACT_GRID = MaximalVariant("exact-grid")
+DYADIC_SIDES = MaximalVariant("dyadic-sides")
+ITERATED_1D = MaximalVariant("iterated-1d")
 
 _VARIANTS = {v.kind: v for v in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D)}
 
@@ -73,7 +71,7 @@ def as_variant(variant: MaximalVariant | str) -> MaximalVariant:
         return variant
     try:
         return _VARIANTS[variant]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown maximal variant {variant!r}") from None
 
 
@@ -175,15 +173,6 @@ def strong_maximal(f: GridFunction, variant: MaximalVariant | str = DYADIC_SIDES
     return f.with_values(out)
 
 
-def rect_average_P(f: GridFunction, rect: GridRectangle) -> GridFunction:
-    """The averaging projection: (avg_R |f|) on R, zero elsewhere."""
-    rect.check_within(f.spec)
-    avg = f.rect_mean(rect, absolute=True)
-    vals = np.zeros_like(f.values)
-    vals[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] = avg
-    return f.with_values(vals)
-
-
 # -- Rubio de Francia iteration --------------------------------------------------
 
 
@@ -201,23 +190,11 @@ def maximal_iterates(
     return tables
 
 
-@dataclass(frozen=True)
-class RubioResult:
-    """Truncated geometric-series majorant sum_{k<=K} M^k|h| / (2c)^k."""
-
-    fn: GridFunction
-    c: float
-    K: int
-    tail_factor: float  # 2**-K, the geometric share left beyond the truncation
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.fn.values
-
-
 def rubio_from_iterates(
     h: GridFunction, iterates: Sequence[np.ndarray], c: float, K: int
-) -> RubioResult:
+) -> GridFunction:
+    """The truncated majorant ``sum_{k<=K} M^k|h| / (2c)^k`` from
+    :func:`maximal_iterates` of order at least K."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
     if K < 1 or K + 1 > len(iterates):
@@ -228,7 +205,7 @@ def rubio_from_iterates(
     acc = iterates[0].copy()
     for k in range(1, K + 1):
         acc += iterates[k] / (2.0 * c) ** k
-    return RubioResult(h.with_values(acc), float(c), int(K), 2.0 ** (-K))
+    return h.with_values(acc)
 
 
 def rubio_de_francia(
@@ -236,7 +213,7 @@ def rubio_de_francia(
     c: float,
     K: int,
     variant: MaximalVariant | str = DYADIC_SIDES,
-) -> RubioResult:
+) -> GridFunction:
     """Apply the truncated majorant construction to |h|.
 
     The construction is applied to |h| so the k=0 term already dominates the
@@ -251,34 +228,28 @@ def estimate_block_norm_constant(
     spec: GridSpec,
     block_params,
     variant: MaximalVariant | str = DYADIC_SIDES,
-    probes: Sequence[GridFunction] | None = None,
-    iterations: int = 2,
 ) -> float:
     """Power-iteration style estimate of the maximal operator's block norm.
 
-    Ratio of certified block upper brackets before/after the maximal operator
-    on a probe set (outputs are window-masked before the bracket, matching the
-    truncation convention).  This is an estimate for choosing c, not a
-    certified operator norm.
+    Ratio of certified block upper brackets before/after two applications of
+    the maximal operator on three probes: the indicators of Q(0) x Q(0) and
+    of the mid-window square, and seeded noise (outputs are window-masked
+    before the bracket, matching the truncation convention).  This is an
+    estimate for choosing c, not a certified operator norm.
     """
-    if probes is None:
-        mid = (spec.window_low + spec.window_high) // 2
-        probes = [
-            restrict_to_window(
-                build_function(spec, builtin="indicator", l1=0, l2=0)
-            ),
-            restrict_to_window(
-                build_function(spec, builtin="indicator", l1=mid, l2=mid)
-            ),
-            restrict_to_window(build_function(spec, builtin="noise", seed=7)),
-        ]
+    mid = (spec.window_low + spec.window_high) // 2
+    probes = [
+        build_function(spec, builtin="indicator", l1=0, l2=0),
+        build_function(spec, builtin="indicator", l1=mid, l2=mid),
+        build_function(spec, builtin="noise", seed=7),
+    ]
     best = 0.0
     for g in probes:
-        cur = g
+        cur = restrict_to_window(g)
         prev = block_norm_bracket(cur, block_params).upper
         if prev == 0.0:
             continue
-        for _ in range(max(1, iterations)):
+        for _ in range(2):
             cur = restrict_to_window(strong_maximal(cur, variant))
             now = block_norm_bracket(cur, block_params).upper
             best = max(best, now / prev)
@@ -333,7 +304,7 @@ KERNELS = {"double-hilbert": DOUBLE_HILBERT}
 def get_kernel(name: str) -> SeparableKernel:
     try:
         return KERNELS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise KernelError(f"unknown kernel {name!r}; known: {sorted(KERNELS)}") from None
 
 

@@ -62,8 +62,10 @@ from .operators import (
     DYADIC_SIDES,
     MaximalVariant,
     as_variant,
+    commutator,
     cz_apply,
     estimate_block_norm_constant,
+    get_kernel,
     strong_maximal,
 )
 from .weights import generate_a1_weight, make_weight, weighted_lp_norm
@@ -218,25 +220,29 @@ def _center_level(spec: GridSpec) -> int:
     return min(max(0, spec.window_low), spec.window_high)
 
 
-def standard_objects(base: GridSpec, seed: int, n_random: int = 3) -> list[TestObject]:
-    """Window-supported trial functions: fixed adversarial ones plus noise.
+def _base_noise(
+    base: GridSpec, seed: Sequence[int], masked: bool
+) -> Callable[[GridSpec], GridFunction]:
+    """Builder of the noise realised on ``base`` and cell-split on finer grids,
+    so refinement runs see the same function; ``masked`` restricts it to the
+    window."""
 
-    Noise objects are realised at the base resolution and cell-split for any
-    finer grid, so refinement runs see the same function.
-    """
+    def build(spec: GridSpec) -> GridFunction:
+        if spec.s < base.s:
+            raise ValueError("test objects only refine, never coarsen")
+        f = build_function(base, builtin="noise", seed=seed)
+        if spec.s > base.s:
+            f = f.refine(spec.s - base.s)
+        return restrict_to_window(f) if masked else f
+
+    return build
+
+
+def standard_objects(base: GridSpec, seed: int, n_random: int = 3) -> list[TestObject]:
+    """Window-supported trial functions: fixed adversarial ones plus noise
+    (see :func:`_base_noise`)."""
     l0 = _center_level(base)
     lo, hi = base.window_low, base.window_high
-
-    def noise_factory(k: int) -> Callable[[GridSpec], GridFunction]:
-        def build(spec: GridSpec) -> GridFunction:
-            f = build_function(base, builtin="noise", seed=[seed, k])
-            if spec.s > base.s:
-                f = f.refine(spec.s - base.s)
-            elif spec.s < base.s:
-                raise ValueError("test objects only refine, never coarsen")
-            return restrict_to_window(f)
-
-        return build
 
     objs = [
         TestObject("constant", lambda spec: restrict_to_window(constant(spec, 1.0))),
@@ -255,8 +261,55 @@ def standard_objects(base: GridSpec, seed: int, n_random: int = 3) -> list[TestO
         ),
     ]
     for k in range(n_random):
-        objs.append(TestObject(f"noise-{k}", noise_factory(k)))
+        objs.append(TestObject(f"noise-{k}", _base_noise(base, [seed, k], masked=True)))
     return objs
+
+
+# -- option domains --------------------------------------------------------------
+#
+# The values a suite option may take, one check per option name.  Each raises
+# the suite's own error for a value outside its domain; the suites call it up
+# front, and the CLI refuses configs with the same function.
+
+SPACES: dict[str, Callable[[GridFunction, ExponentParams], float]] = {
+    "herz": herz_norm,
+    "morrey-herz": morrey_herz_norm,
+    "block-upper": lambda f, params: block_norm_bracket(f, params).upper,
+}
+
+EXTRAPOLATION_OPS = ("strong-maximal", "double-hilbert")
+
+
+def _space_norm(space) -> Callable[[GridFunction, ExponentParams], float]:
+    try:
+        return SPACES[space]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown space {space!r}") from None
+
+
+def _extrapolation_op(op) -> str:
+    if op not in EXTRAPOLATION_OPS:
+        raise ValueError(f"unknown operator {op!r}; use {' or '.join(EXTRAPOLATION_OPS)}")
+    return op
+
+
+def _r_list(r_list) -> Sequence[float]:
+    listlike = isinstance(r_list, (Sequence, np.ndarray)) and not isinstance(r_list, str)
+    if not listlike or len(r_list) == 0:
+        raise ValueError(f"r_list must be a non-empty list of exponents, got {r_list!r}")
+    for r in r_list:
+        if not (isinstance(r, numbers.Real) and 1.0 < r < math.inf):
+            raise ValueError(f"r must be in (1, inf), got {r}")
+    return r_list
+
+
+OPTION_DOMAINS: dict[str, Callable] = {
+    "space": _space_norm,
+    "variant": as_variant,
+    "op": _extrapolation_op,
+    "kernel": get_kernel,
+    "r_list": _r_list,
+}
 
 
 # -- suite hypotheses ------------------------------------------------------------
@@ -527,16 +580,6 @@ def check_norm_duality(
 # -- suite: maximal operator bounds -----------------------------------------------
 
 
-def _space_norm(space: str, f: GridFunction, params: ExponentParams) -> float:
-    if space == "herz":
-        return herz_norm(f, params)
-    if space == "morrey-herz":
-        return morrey_herz_norm(f, params)
-    if space == "block-upper":
-        return block_norm_bracket(f, params).upper
-    raise ValueError(f"unknown space {space!r}")
-
-
 def check_maximal_bounds(
     grid: GridSpec,
     space: str,
@@ -551,20 +594,20 @@ def check_maximal_bounds(
     allow_out_of_hypothesis: bool = False,
 ) -> InequalityReport:
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
-    violations = _hypotheses("maximal_bounds", params, allow_out_of_hypothesis, space=space)
-
+    norm = _space_norm(space)
     variant = as_variant(variant)
+    violations = _hypotheses("maximal_bounds", params, allow_out_of_hypothesis, space=space)
     objs = standard_objects(grid, seed, n_random=max(1, trials - 5))
 
     def run(spec: GridSpec):
         out = []
         for obj in objs:
             f = obj.build(spec)
-            rhs = _space_norm(space, f, params)
+            rhs = norm(f, params)
             if rhs == 0.0:
                 continue
             mf = restrict_to_window(strong_maximal(f, variant))
-            lhs = _space_norm(space, mf, params)
+            lhs = norm(mf, params)
             out.append(TrialRecord(obj.name, lhs, rhs))
         return out
 
@@ -605,21 +648,12 @@ def check_fefferman_stein(
     refine: bool = True,
 ) -> InequalityReport:
     """Vector-valued maximal inequality: r-sums before vs after the operator."""
-    _hypotheses("fefferman_stein", params)
-    for r in r_list:
-        if not (1.0 < r < math.inf):
-            raise ValueError(f"r must be in (1, inf), got {r}")
+    _r_list(r_list)
     variant = as_variant(variant)
-
-    def family(spec: GridSpec, size: int) -> list[GridFunction]:
-        base = GridSpec(grid.L_max, grid.s)
-        out = []
-        for k in range(size):
-            f = build_function(base, builtin="noise", seed=[seed, 101 + k])
-            if spec.s > base.s:
-                f = f.refine(spec.s - base.s)
-            out.append(restrict_to_window(f))
-        return out
+    _hypotheses("fefferman_stein", params)
+    # the size-family_count family is the first half of the doubled one,
+    # so each member is built and maximised once per grid
+    family = [_base_noise(grid, [seed, 101 + k], masked=True) for k in range(2 * family_count)]
 
     def r_sum(spec: GridSpec, fns: list[GridFunction], r: float) -> GridFunction:
         acc = np.zeros((spec.n_cells, spec.n_cells))
@@ -628,9 +662,7 @@ def check_fefferman_stein(
         return GridFunction(spec, acc ** (1.0 / r))
 
     def run(spec: GridSpec):
-        # the size-family_count family is the first half of the doubled one,
-        # so each member is built and maximised once per grid
-        fns = family(spec, 2 * family_count)
+        fns = [build(spec) for build in family]
         mfns = [strong_maximal(f, variant) for f in fns]
         out = []
         for r in r_list:
@@ -715,11 +747,10 @@ def check_extrapolation(
     demonstrated, not proved: finitely many weights are sampled and both
     layers must stay under the cap with stable refinement.
     """
-    if op not in ("strong-maximal", "double-hilbert"):
-        raise ValueError(f"unknown operator {op!r}; use strong-maximal or double-hilbert")
+    _extrapolation_op(op)
+    variant = as_variant(variant)
     _hypotheses("extrapolation", params, p0=p0)
     block = extrapolation_block_params(params, p0)
-    variant = as_variant(variant)
 
     def apply_op(f: GridFunction) -> GridFunction:
         if op == "strong-maximal":
@@ -820,13 +851,6 @@ def _default_bmo_family(spec: GridSpec) -> list[GridRectangle]:
 
 def _bmo_symbols(base: GridSpec, seed: int) -> list[TestObject]:
     l0 = _center_level(base)
-
-    def noise_build(spec: GridSpec) -> GridFunction:
-        f = build_function(base, builtin="noise", seed=[seed, 907])
-        if spec.s > base.s:
-            f = f.refine(spec.s - base.s)
-        return f
-
     return [
         TestObject("truncated-log", lambda spec: build_function(spec, builtin="truncated_log")),
         TestObject(
@@ -836,7 +860,7 @@ def _bmo_symbols(base: GridSpec, seed: int) -> list[TestObject]:
         TestObject("annulus-comb", _comb),
         TestObject("gaussian", lambda spec: build_function(spec, builtin="gaussian", sigma=0.7)),
         TestObject("power-0.3", lambda spec: build_function(spec, builtin="power", a=0.3, b=0.3)),
-        TestObject("noise", noise_build),
+        TestObject("noise", _base_noise(base, [seed, 907], masked=False)),
     ]
 
 
@@ -984,8 +1008,6 @@ def check_cz_comm(
     empirical contrapositive of the necessity direction.
     """
     _hypotheses("cz_comm", params, dilations=dilations)
-    from .operators import commutator, get_kernel
-
     ker = get_kernel(kernel)
     max_t = max(dilations)
     # base object small enough that every dilation stays inside the box

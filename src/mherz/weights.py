@@ -5,10 +5,7 @@ The characteristic is computed in the scale-invariant average form
     sup_R  avg_R(w) * (avg_R(w**(-1/(p-1))))**(p-1)        for p > 1,
     sup_R  avg_R(w) / essmin_R(w)                          for p = 1,
 
-over a rectangle family.  A raw, unnormalised variant (plain L^1 and
-L^(p'/p) norms of w and 1/w over R, no |R| factors) is kept behind
-``raw=True`` for comparison; it is not scale invariant and is never used by
-the verification suites.
+over a rectangle family.
 """
 
 from __future__ import annotations
@@ -20,13 +17,7 @@ import numpy as np
 
 from .grid import GridFunction, _box_sum, _prefix_table
 from .norms import RectangleFamily, _family_rectangles
-from .operators import (
-    DYADIC_SIDES,
-    MaximalVariant,
-    RubioResult,
-    as_variant,
-    rubio_de_francia,
-)
+from .operators import DYADIC_SIDES, MaximalVariant, as_variant, rubio_de_francia
 
 _TINY = np.finfo(float).tiny
 
@@ -67,20 +58,22 @@ def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
 
 
 def _forward_window_min(a: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """out[i] = min(a[i .. i+w-1]) along axis, +inf outside."""
-    from scipy.ndimage import minimum_filter1d
+    """Minima of the ``n - w + 1`` full windows ``a[i .. i+w-1]`` along axis.
 
-    return minimum_filter1d(
-        a, size=w, axis=axis, origin=-(w // 2), mode="constant", cval=np.inf
-    )
+    Doubling: after the loop ``a[i]`` is the minimum over ``k`` entries from
+    ``i``, ``k`` the largest power of two ``<= w``, and the windows of width
+    ``k`` at ``i`` and ``i + w - k`` cover the width-``w`` one.  ``min`` is
+    exact, so the order of the comparisons does not change the result.
+    """
+    a = np.moveaxis(a, axis, 0)
+    k = 1
+    while 2 * k <= w:
+        a = np.minimum(a[:-k], a[k:])
+        k *= 2
+    return np.moveaxis(np.minimum(a[: len(a) - (w - k)], a[w - k :]), 0, axis)
 
 
-def ap_star_characteristic(
-    w: WeightFunction,
-    p: float,
-    family,
-    raw: bool = False,
-) -> float:
+def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
     """Characteristic of w over a rectangle family (see module docstring).
 
     ``family`` is a :class:`~mherz.norms.RectangleFamily` or an explicit list
@@ -91,7 +84,6 @@ def ap_star_characteristic(
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     n = w.spec.n_cells
-    h2 = w.spec.h * w.spec.h
 
     if p == 1.0:
         u = None
@@ -113,21 +105,11 @@ def ap_star_characteristic(
                 corners = (np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
                 avg_w = _box_sum(Pw, *corners) / cells
                 if p == 1.0:
-                    mins = _forward_window_min(
-                        _forward_window_min(w.values, wx, 0), wy, 1
-                    )[: n - wx + 1, : n - wy + 1]
-                    if raw:
-                        table = (avg_w * cells * h2) / mins
-                    else:
-                        table = avg_w / mins
+                    mins = _forward_window_min(_forward_window_min(w.values, wx, 0), wy, 1)
+                    table = avg_w / mins
                 else:
                     avg_u = _box_sum(Pu, *corners) / cells
-                    if raw:
-                        table = (avg_w * cells * h2) * (
-                            avg_u * cells * h2
-                        ) ** (p - 1.0)
-                    else:
-                        table = avg_w * avg_u ** (p - 1.0)
+                    table = avg_w * avg_u ** (p - 1.0)
                 best = max(best, float(table.max()))
         return best
 
@@ -137,14 +119,10 @@ def ap_star_characteristic(
         sl = np.s_[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1]
         avg_w = float(w.values[sl].sum()) / cells
         if p == 1.0:
-            denom = float(w.values[sl].min())
-            val = (avg_w * cells * h2) / denom if raw else avg_w / denom
+            val = avg_w / float(w.values[sl].min())
         else:
             avg_u = float(u[sl].sum()) / cells
-            if raw:
-                val = (avg_w * cells * h2) * (avg_u * cells * h2) ** (p - 1.0)
-            else:
-                val = avg_w * avg_u ** (p - 1.0)
+            val = avg_w * avg_u ** (p - 1.0)
         best = max(best, val)
     return best
 
@@ -172,12 +150,12 @@ def generate_a1_weight(
         upper = block_norm_bracket(h, block_params).upper
         if upper > 0:
             scaled = h.with_values(h.values / upper)
-    res: RubioResult = rubio_de_francia(scaled, c, K, variant)
-    vals = np.maximum(res.values, _TINY)
+    majorant = rubio_de_francia(scaled, c, K, variant)
+    vals = np.maximum(majorant.values, _TINY)
     prov = {
         "c": float(c),
         "K": int(K),
-        "tail_factor": res.tail_factor,
+        "tail_factor": 2.0**-K,  # the geometric share left beyond the truncation
         "variant": as_variant(variant).kind,
         "h_block_upper": upper,
     }

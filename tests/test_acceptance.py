@@ -160,7 +160,7 @@ def test_criterion_04_rubio_truncation_identities():
             rk = rubio_from_iterates(h, iters, c, K)
             rk1 = rubio_from_iterates(h, iters, c, K + 1)
             worst_low = max(worst_low, float((np.abs(h.values) - rk.values).max()))
-            m = strong_maximal(rk.fn, DYADIC_SIDES).values
+            m = strong_maximal(rk, DYADIC_SIDES).values
             worst_comm = max(worst_comm, float((m - 2.0 * c * rk1.values).max()))
     ok = worst_low <= 0.0 and worst_comm <= 1e-10
     announce(

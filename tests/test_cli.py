@@ -343,6 +343,57 @@ def test_cz_comm_bad_dilations_refused_before_the_run(tmp_path, capsys, dilation
     assert not (tmp_path / "reports").exists()
 
 
+BAD_OPTION_VALUES = [
+    ("maximal_bounds", {"space": "bogus"}, "space"),
+    ("maximal_bounds", {"space": "bogus", "allow_out_of_hypothesis": True}, "space"),
+    ("maximal_bounds", {"space": "herz", "variant": "bogus"}, "variant"),
+    ("extrapolation", {"op": "bogus", "p0": 2.0}, "op"),
+    ("fefferman_stein", {"r_list": [1.0]}, "r_list"),
+    ("fefferman_stein", {"r_list": []}, "r_list"),
+    ("cz_comm", {"kernel": "nope"}, "kernel"),
+]
+
+
+@pytest.mark.parametrize("name, options, key", BAD_OPTION_VALUES)
+def test_bad_option_values_refused_before_the_run(tmp_path, capsys, name, options, key):
+    # each of these used to pass validation and die partway through the run,
+    # after the suites before it had finished but before any report was written
+    params = {"alpha": 0.2, "p": 4, "q": 4, "lam": 0.2} if name == "extrapolation" else PR_DICT
+    cfg = minimal_config(
+        tmp_path,
+        grid={"L_max": 2, "s": 2},
+        suites=[
+            {"name": "char_norms", "params": [PR_DICT]},
+            {"name": name, "params": params, "options": options},
+        ],
+    )
+    with pytest.raises(ConfigError, match=rf"suites\[1\]\.options\.{key}: "):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert f"suites[1].options.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_out_of_hypothesis_hint_only_where_the_option_exists(tmp_path):
+    bad = {"alpha": 0.75, "p": 2, "q": 2, "lam": 0.5}
+    hint = "set options.allow_out_of_hypothesis"
+    for name, options, hinted in (
+        ("maximal_bounds", {"space": "herz"}, True),
+        ("cz_comm", {}, False),
+    ):
+        cfg = minimal_config(tmp_path, suites=[{"name": name, "params": bad, "options": options}])
+        with pytest.raises(ConfigError, match="exponent predicate violated") as info:
+            load_config(cfg)
+        assert (hint in str(info.value)) == hinted, name
+
+
+def test_package_exports_resolve():
+    import mherz
+
+    missing = [name for name in mherz.__all__ if not hasattr(mherz, name)]
+    assert missing == []
+
+
 def test_failing_cap_exits_nonzero(tmp_path):
     # an absurd cap forces a fail status and a nonzero exit
     cfg = minimal_config(

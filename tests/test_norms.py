@@ -21,7 +21,6 @@ from mherz.grid import (
     constant,
     indicator,
     make_grid,
-    rect_average,
     restrict_to_window,
     window_mask,
 )
@@ -43,10 +42,7 @@ from mherz.norms import (
     lp_norm,
     morrey_herz_norm,
     pairing_l1,
-    pred_banach,
-    pred_block,
-    pred_char,
-    pred_ms_herz,
+    predicate_violations,
     require_predicate,
 )
 from mherz.verification import InequalityReport, TrialRecord
@@ -76,14 +72,14 @@ def test_conjugate_exponent():
 
 
 def test_predicates():
-    assert pred_banach(ExponentParams(0, 1, 1))
-    assert not pred_banach(ExponentParams(0, 0.5, 2))
-    assert pred_ms_herz(PR)
-    assert not pred_ms_herz(ExponentParams(0.6, 2, 2))  # alpha at/after 1 - 1/p
-    assert pred_char(PR)
-    assert not pred_char(ExponentParams(0.0, 2, 2, 0.9))
-    assert pred_block(ExponentParams(-0.25, 2, 2, 0.5))
-    assert not pred_block(PR)  # -alpha + n/p' = 0.25 < 0.5
+    assert predicate_violations(PR, "ms_herz") == []
+    assert predicate_violations(ExponentParams(0.6, 2, 2), "ms_herz")  # alpha at/after 1 - 1/p
+    assert predicate_violations(PR, "char") == []
+    assert predicate_violations(ExponentParams(0.0, 2, 2, 0.9), "char")
+    assert predicate_violations(ExponentParams(-0.25, 2, 2, 0.5), "block") == []
+    assert predicate_violations(PR, "block")  # -alpha + n/p' = 0.25 < 0.5
+    with pytest.raises(ValueError, match="unknown predicate"):
+        predicate_violations(PR, "banach")
 
 
 def test_predicate_error_names_inequality():
@@ -229,18 +225,6 @@ def test_morrey_monotone_in_absolute_value():
     f = masked_noise(G35, 10)
     g = f.with_values(f.values * rng.uniform(0, 1, size=f.values.shape))
     assert morrey_herz_norm(g, PR) <= morrey_herz_norm(f, PR) + 1e-12
-
-
-def test_morrey_diagonal_variant_dominates():
-    f = masked_noise(G35, 3)
-    rect = morrey_herz_norm(f, PR, truncation="rectangular")
-    diag = morrey_herz_norm(f, PR, truncation="diagonal")
-    assert diag > 0 and rect > 0
-    # every rectangular cut {i<=L1, j<=L2} sits inside the diagonal cut
-    # {i+j <= L1+L2} at the same prefactor, so the diagonal sup dominates
-    assert rect <= diag * (1 + 1e-12)
-    with pytest.raises(ValueError, match="truncation"):
-        morrey_herz_norm(f, PR, truncation="bogus")
 
 
 def test_diagonal_ratio_exact():
@@ -538,7 +522,7 @@ def masked_sum_annulus_lp_table(f, p):
     return (sums * spec.h * spec.h) ** (1.0 / p)
 
 
-def mask_bmo_mk_norm(f, params, family, truncation="rectangular", table=prefix_annulus_lp_table):
+def mask_bmo_mk_norm(f, params, family, table=prefix_annulus_lp_table):
     """Oracle: bmo_mk_norm with both functions built as window-masked N x N
     tables per rectangle, normed through ``table`` (by default the prefix-table
     annulus table it used)."""
@@ -549,9 +533,7 @@ def mask_bmo_mk_norm(f, params, family, truncation="rectangular", table=prefix_a
     n = f.spec.n_cells
 
     def norm(values):
-        return _morrey_herz_from_table(
-            f.spec, table(f.with_values(values), params.p), params, truncation
-        )
+        return _morrey_herz_from_table(f.spec, table(f.with_values(values), params.p), params)
 
     for r in rects:
         mean = f.rect_cell_sum(r) / r.cells()
@@ -658,7 +640,7 @@ def test_rect_means_of_huge_finite_values():
     g = make_grid(2, 1)  # N = 8
     f = constant(g, 1e308)
     box = GridRectangle(0, 8, 0, 8)
-    assert rect_average(f, box) == 1e308
+    assert f.rect_mean(box, absolute=True) == 1e308
     assert f.rect_mean(box) == 1e308
     assert bmo_norm(f, RectangleFamily("dyadic-centered")) == 0.0
     assert bmo_norm(f, RectangleFamily("exact-grid")) == 0.0
@@ -672,7 +654,7 @@ def test_rect_means_of_huge_finite_values():
         want = math.fsum((block / 64.0).ravel()) / r.cells() * 64.0
         assert f.rect_mean(r) == pytest.approx(want, rel=1e-12)
         want_abs = math.fsum((np.abs(block) / 64.0).ravel()) / r.cells() * 64.0
-        assert rect_average(f, r) == pytest.approx(want_abs, rel=1e-12)
+        assert f.rect_mean(r, absolute=True) == pytest.approx(want_abs, rel=1e-12)
 
 
 def _bmo_family(kind, spec, stride):
@@ -700,21 +682,20 @@ BMO_CASES = st.sampled_from(["dyadic-centered", "dyadic-sides", "exact-grid"]).f
     SEEDS,
     st.sampled_from([1.5, 2.0, 3.0]),
     st.sampled_from([1.0, 2.0]),
-    st.sampled_from(["rectangular", "diagonal"]),
 )
-@example(("dyadic-centered", make_grid(1, 6), 1), "sparse", 0, 3.0, 1.0, "rectangular")
-def test_bmo_mk_norm_matches_mask_oracle(case, kind, seed, p, q, truncation):
+@example(("dyadic-centered", make_grid(1, 6), 1), "sparse", 0, 3.0, 1.0)
+def test_bmo_mk_norm_matches_mask_oracle(case, kind, seed, p, q):
     family_kind, spec, stride = case
     f = GridFunction(spec, random_values(spec, kind, seed))
     params = ExponentParams(0.25, p, q, 0.5)
     fam = _bmo_family(family_kind, spec, stride)
-    got, notes = bmo_mk_norm(f, params, fam, truncation)
-    want, want_notes = mask_bmo_mk_norm(f, params, fam, truncation, masked_sum_annulus_lp_table)
+    got, notes = bmo_mk_norm(f, params, fam)
+    want, want_notes = mask_bmo_mk_norm(f, params, fam, masked_sum_annulus_lp_table)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
     # the prefix tables cancel on tiny-mass annuli (4.8e-11 relative seen on
     # sparse data at p = 3): the new value is never further from the direct
     # sums than the code it replaced
-    before, before_notes = mask_bmo_mk_norm(f, params, fam, truncation)
+    before, before_notes = mask_bmo_mk_norm(f, params, fam)
     assert abs(got - want) <= max(abs(before - want), 1e-12 * want)
     assert notes == want_notes == before_notes
     for r in _family_rectangles(spec, fam)[:12]:

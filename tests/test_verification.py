@@ -101,6 +101,14 @@ def test_fefferman_stein_r_guard():
         check_fefferman_stein(G, PR, r_list=(math.inf,), refine=False)
 
 
+def test_option_domain_guards_raise_before_any_trial():
+    # an empty r_list used to give a vacuous pass with n_trials 0
+    with pytest.raises(ValueError, match="r_list must be a non-empty list"):
+        check_fefferman_stein(G, PR, r_list=(), refine=False)
+    with pytest.raises(ValueError, match="unknown space"):
+        check_maximal_bounds(G, "bogus", PR, refine=False, allow_out_of_hypothesis=True)
+
+
 def test_fefferman_stein_single_function_reduces_to_scalar():
     rep = check_fefferman_stein(
         make_grid(2, 3), PR, r_list=(2.0,), family_count=1, refine=False, seed=5

@@ -1,8 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.ndimage import minimum_filter1d
 
+import mherz
 from mherz.grid import (
     DyadicRectangle,
     GridFunction,
@@ -16,6 +25,7 @@ from mherz.grid import (
 from mherz.norms import ExponentParams, RectangleFamily, lp_norm
 from mherz.operators import DYADIC_SIDES, strong_maximal, maximal_iterates, rubio_from_iterates
 from mherz.weights import (
+    _forward_window_min,
     ap_star_characteristic,
     generate_a1_weight,
     make_weight,
@@ -88,6 +98,82 @@ def test_characteristic_vectorized_matches_enumerated():
     assert got1 == pytest.approx(want1, rel=1e-12)
 
 
+def scipy_forward_window_min(a, w, axis):
+    """Oracle: the sliding-window minimum filter the doubling minimum replaced,
+    cut to the ``n - w + 1`` full windows."""
+    out = minimum_filter1d(a, size=w, axis=axis, origin=-(w // 2), mode="constant", cval=np.inf)
+    return np.take(out, np.arange(a.shape[axis] - w + 1), axis=axis)
+
+
+@pytest.mark.parametrize("kind", ["random", "integer"])
+def test_forward_window_min_matches_filter(kind):
+    rng = np.random.default_rng(11)
+    for n in range(1, 41):
+        for axis in (0, 1):
+            shape = (n, 5) if axis == 0 else (5, n)
+            if kind == "random":
+                a = rng.uniform(0.1, 10.0, size=shape)
+            else:  # ties between window minima
+                a = rng.integers(0, 4, size=shape).astype(float)
+            for w in range(1, n + 1):
+                got = _forward_window_min(a, w, axis)
+                assert np.array_equal(got, scipy_forward_window_min(a, w, axis)), (n, w, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False),
+    ),
+    st.data(),
+)
+def test_forward_window_min_matches_filter_property(a, data):
+    axis = data.draw(st.sampled_from([0, 1]))
+    w = data.draw(st.integers(1, a.shape[axis]))
+    assert np.array_equal(_forward_window_min(a, w, axis), scipy_forward_window_min(a, w, axis))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_exact_grid_characteristic_matches_enumerated(p):
+    # exact-grid widths are every integer, not only powers of two
+    g = make_grid(1, 3)  # N = 16
+    rng = np.random.default_rng(6)
+    w = make_weight(GridFunction(g, rng.uniform(0.25, 4.0, size=(16, 16))))
+    fam = RectangleFamily("exact-grid", stride=1)
+    fast = ap_star_characteristic(w, p, fam)
+    slow = ap_star_characteristic(w, p, fam.rectangles(g))
+    assert fast == pytest.approx(slow, rel=1e-12)
+
+
+def test_runtime_does_not_import_scipy():
+    src = Path(mherz.__file__).resolve().parent.parent
+    code = """
+import sys
+from mherz.grid import build_function, make_grid
+from mherz.norms import ExponentParams, RectangleFamily
+from mherz.verification import check_maximal_bounds
+from mherz.weights import ap_star_characteristic, make_weight
+
+g = make_grid(2, 3)
+w = make_weight(build_function(g, builtin="noise", seed=1, low=0.5, high=2.0))
+assert ap_star_characteristic(w, 1.0, RectangleFamily("dyadic-sides", stride=1)) >= 1.0
+pr = ExponentParams(0.25, 2, 2, 0.5)
+rep = check_maximal_bounds(g, "morrey-herz", pr, trials=3, refine=False)
+assert rep.status == "pass", rep.status
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_characteristic_monotone_in_p():
     rng = np.random.default_rng(2)
     w = make_weight(GridFunction(G, rng.uniform(0.5, 3.0, size=(32, 32))))
@@ -95,14 +181,6 @@ def test_characteristic_monotone_in_p():
     c2 = ap_star_characteristic(w, 2.0, FAM)
     c4 = ap_star_characteristic(w, 4.0, FAM)
     assert c1 + 1e-12 >= c2 >= c4 - 1e-12
-
-
-def test_raw_characteristic_not_scale_invariant():
-    w = make_weight(constant(G, 1.0))
-    raw = ap_star_characteristic(w, 2.0, FAM, raw=True)
-    std = ap_star_characteristic(w, 2.0, FAM)
-    assert std == pytest.approx(1.0)
-    assert raw != pytest.approx(1.0)  # carries |R| factors as printed
 
 
 def test_weighted_lp_reduces_to_lp():
@@ -177,7 +255,7 @@ def test_generated_weight_maximal_truncation_bound():
     iters = maximal_iterates(h, K + 1, DYADIC_SIDES)
     w = rubio_from_iterates(h, iters, c, K)
     nxt = rubio_from_iterates(h, iters, c, K + 1)
-    m = strong_maximal(w.fn, DYADIC_SIDES).values
+    m = strong_maximal(w, DYADIC_SIDES).values
     assert (m <= 2.0 * c * nxt.values + 1e-10).all()
 
 
