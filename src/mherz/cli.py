@@ -42,7 +42,7 @@ from . import __version__
 from .errors import ConfigError, GridSizeError, MherzError
 from .grid import GridSpec, make_grid
 from .norms import ExponentParams
-from .operators import estimate_block_norm_constant
+from .operators import as_variant, estimate_block_norm_constant
 from .verification import (
     HYPOTHESES,
     OPTION_DOMAINS,
@@ -55,6 +55,7 @@ from .verification import (
     check_maximal_bounds,
     check_norm_duality,
     extrapolation_block_params,
+    finest_grid,
 )
 
 WORKERS_ENV = "MHERZ_WORKERS"
@@ -69,7 +70,7 @@ class SuiteDef:
     summary: str
     runner: Callable
     options: tuple[str, ...]
-    required_options: tuple[str, ...]
+    defaults: dict  # option -> default; options without one are required
     multi_params: bool
     seeded: bool
 
@@ -85,7 +86,7 @@ def _suite(runner: Callable, summary: str) -> SuiteDef:
         summary=summary,
         runner=runner,
         options=tuple(options),
-        required_options=tuple(k for k, p in options.items() if p.default is p.empty),
+        defaults={k: p.default for k, p in options.items() if p.default is not p.empty},
         multi_params=multi,
         seeded="seed" in options,
     )
@@ -221,7 +222,7 @@ def load_config(path: str | Path) -> RunConfig:
                 f"{path_i}.options: unknown keys {sorted(bad_opts)}; "
                 f"allowed: {sorted(sdef.options)}"
             )
-        missing = [k for k in sdef.required_options if k not in options]
+        missing = [k for k in sdef.options if k not in sdef.defaults and k not in options]
         if missing:
             raise ConfigError(f"{path_i}.options: missing required keys {missing}")
         for key, value in options.items():
@@ -230,6 +231,12 @@ def load_config(path: str | Path) -> RunConfig:
                     OPTION_DOMAINS[key](value)
                 except (ValueError, MherzError) as exc:
                     raise ConfigError(f"{path_i}.options.{key}: {exc}") from None
+        if "variant" in options:
+            n_cells = finest_grid(grid, options.get("refine", sdef.defaults["refine"])).n_cells
+            try:
+                as_variant(options["variant"], n_cells)
+            except MherzError as exc:
+                raise ConfigError(f"{path_i}.options.variant: {exc}") from None
 
         violations = HYPOTHESES[name](params, options)
         if violations and not allow_oh:

@@ -5,7 +5,7 @@ Strong maximal operator variants (all return the sup of |f|-averages over a
 rectangle family containing each cell):
 
 * ``exact-grid``: every grid-aligned rectangle.  O(N^4) via per-row-range 1-D
-  reductions; gated to small grids.
+  reductions; refused beyond ``EXACT_GATE`` cells a side.
 * ``dyadic-sides``: rectangles with power-of-two side lengths at every
   position, O(N^2 log^2 N) via prefix sums and the doubling recurrence of
   trailing-window maxima (each side pair costs one box-sum table and one
@@ -49,10 +49,12 @@ from .norms import block_norm_bracket
 # -- maximal variants ----------------------------------------------------------
 
 
+EXACT_GATE = 64  # largest N for the O(N^4) exact-grid sweep
+
+
 @dataclass(frozen=True)
 class MaximalVariant:
     kind: str
-    exact_gate: int = 64  # largest N for the O(N^4) exact sweep
 
     def __post_init__(self) -> None:
         if self.kind not in ("exact-grid", "dyadic-sides", "iterated-1d"):
@@ -66,13 +68,17 @@ ITERATED_1D = MaximalVariant("iterated-1d")
 _VARIANTS = {v.kind: v for v in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D)}
 
 
-def as_variant(variant: MaximalVariant | str) -> MaximalVariant:
-    if isinstance(variant, MaximalVariant):
-        return variant
-    try:
-        return _VARIANTS[variant]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown maximal variant {variant!r}") from None
+def as_variant(variant: MaximalVariant | str, n_cells: int = 0) -> MaximalVariant:
+    """``variant`` as a MaximalVariant; exact-grid on more than ``EXACT_GATE``
+    cells a side raises CostGuardError."""
+    if not isinstance(variant, MaximalVariant):
+        try:
+            variant = _VARIANTS[variant]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown maximal variant {variant!r}") from None
+    if variant.kind == "exact-grid" and n_cells > EXACT_GATE:
+        raise CostGuardError(f"exact-grid maximal on N={n_cells} exceeds gate {EXACT_GATE}")
+    return variant
 
 
 def interval_average_profile(v: np.ndarray) -> np.ndarray:
@@ -152,14 +158,9 @@ def _maximal_kernel(var: MaximalVariant, absv: np.ndarray) -> np.ndarray:
 
 def strong_maximal(f: GridFunction, variant: MaximalVariant | str = DYADIC_SIDES) -> GridFunction:
     """Discrete strong maximal function of f for the chosen rectangle family."""
-    var = as_variant(variant)
-    absv = np.abs(f.values)
     n = f.spec.n_cells
-    if var.kind == "exact-grid" and n > var.exact_gate:
-        raise CostGuardError(
-            f"exact-grid maximal on N={n} exceeds gate {var.exact_gate}; "
-            f"pass MaximalVariant('exact-grid', exact_gate=...) to override"
-        )
+    var = as_variant(variant, n)
+    absv = np.abs(f.values)
     e = _sum_exponent(float(absv.max()), n * n)
     if not e:
         out = _maximal_kernel(var, absv)

@@ -59,13 +59,13 @@ from .norms import (
     predicate_violations,
 )
 from .operators import (
+    DOUBLE_HILBERT,
     DYADIC_SIDES,
     MaximalVariant,
     as_variant,
     commutator,
     cz_apply,
     estimate_block_norm_constant,
-    get_kernel,
     strong_maximal,
 )
 from .weights import generate_a1_weight, make_weight, weighted_lp_norm
@@ -149,6 +149,14 @@ def _grid_dict(spec: GridSpec) -> dict:
     return {"L_max": spec.L_max, "s": spec.s, "N": spec.n_cells}
 
 
+def finest_grid(grid: GridSpec, refine: bool) -> GridSpec:
+    """The finest grid a suite runs: one level finer when ``refine`` is set
+    and the size guard admits it."""
+    if refine and grid.L_max + grid.s < MAX_LEVEL_SUM:
+        return GridSpec(grid.L_max, grid.s + 1)
+    return grid
+
+
 def _finish(
     claim: str,
     grid: GridSpec,
@@ -169,13 +177,14 @@ def _finish(
     With ``refine`` set, ``fine`` recomputes the statistic ``stat`` (base
     value ``base``) on the grid one level finer, provided that grid passes
     the size guard; its relative drift must stay within
-    ``thresholds["drift_cap"]`` on top of the suite's own ``gates``.
-    Violated hypotheses make the status "out-of-hypothesis" and lead the
-    notes.
+    ``thresholds["drift_cap"]`` on top of the suite's own ``gates``.  The
+    report keeps a copy of ``thresholds``.  Violated hypotheses make the
+    status "out-of-hypothesis" and lead the notes.
     """
+    thresholds = dict(thresholds)
     refinement = None
-    if refine and grid.L_max + grid.s < MAX_LEVEL_SUM:
-        finer = GridSpec(grid.L_max, grid.s + 1)
+    finer = finest_grid(grid, refine)
+    if finer != grid:
         value = fine(finer)
         refinement = {
             f"base_{stat}": base,
@@ -303,12 +312,42 @@ def _r_list(r_list) -> Sequence[float]:
     return r_list
 
 
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _block_constant(c) -> float | None:
+    if c is None or (isinstance(c, numbers.Real) and not isinstance(c, bool) and 0 < c < math.inf):
+        return c
+    raise ValueError(f"c must be null or a finite number > 0, got {c!r}")
+
+
 OPTION_DOMAINS: dict[str, Callable] = {
     "space": _space_norm,
     "variant": as_variant,
     "op": _extrapolation_op,
-    "kernel": get_kernel,
     "r_list": _r_list,
+    "K": lambda K: _count("K", K),
+    "family_count": lambda count: _count("family_count", count),
+    "c": _block_constant,
+}
+
+
+# -- suite caps --------------------------------------------------------------------
+#
+# Each suite's caps, copied as they stand into every report's ``thresholds``;
+# the suites read their entry when called.
+
+THRESHOLDS: dict[str, dict[str, float]] = {
+    "char_norms": {"rel_tol": 1e-12},
+    "norm_duality": {"spread_cap": 16.0, "pairing_cap": 1.0, "drift_cap": 0.10},
+    "maximal_bounds": {"ratio_cap": 50.0, "constant_cap": 1.5, "drift_cap": 0.20},
+    "fefferman_stein": {"ratio_cap": 50.0, "size_drift_cap": 0.25, "drift_cap": 0.25},
+    "extrapolation": {"ratio_cap": 50.0, "drift_cap": 0.25},
+    "john_nirenberg_bmo": {"r2_min": 0.98, "equiv_cap": 10.0, "drift_cap": 0.20},
+    "cz_comm": {"tk_ratio_cap": 50.0, "comm_ratio_cap": 50.0, "growth_min": 2.0, "drift_cap": 0.25},
 }
 
 
@@ -364,25 +403,6 @@ def _extrapolation_hypotheses(params: ExponentParams, options: dict) -> list[str
     return out + _violations(block, "block", "ms_herz")
 
 
-def _cz_comm_hypotheses(params: ExponentParams, options: dict) -> list[str]:
-    out = _ms_herz_char_hypotheses(params, options)
-    if "dilations" not in options:  # the suite's default sweep
-        return out
-    dilations = options["dilations"]
-    if not (
-        isinstance(dilations, Sequence)
-        and len(dilations) > 0
-        and all(
-            isinstance(t, numbers.Integral) and not isinstance(t, bool) and t > 0
-            for t in dilations
-        )
-    ):
-        out.append(
-            f"options.dilations must be a non-empty list of positive integers, got {dilations!r}"
-        )
-    return out
-
-
 HYPOTHESES: dict[str, Callable[..., list[str]]] = {
     "char_norms": _char_norms_hypotheses,
     "norm_duality": _norm_duality_hypotheses,
@@ -390,7 +410,7 @@ HYPOTHESES: dict[str, Callable[..., list[str]]] = {
     "fefferman_stein": _ms_herz_char_hypotheses,
     "extrapolation": _extrapolation_hypotheses,
     "john_nirenberg_bmo": _ms_herz_char_hypotheses,
-    "cz_comm": _cz_comm_hypotheses,
+    "cz_comm": _ms_herz_char_hypotheses,
 }
 
 
@@ -408,7 +428,6 @@ def _hypotheses(suite: str, params, allow: bool = False, **options) -> list[str]
 def check_char_norms(
     grid: GridSpec,
     param_sets: Sequence[ExponentParams],
-    tol: float = 1e-12,
 ) -> InequalityReport:
     """Grid Morrey-Herz norms of centered indicators vs the exact closed form.
 
@@ -417,6 +436,7 @@ def check_char_norms(
     closed form.
     """
     _hypotheses("char_norms", param_sets)
+    caps = THRESHOLDS["char_norms"]
     trials: list[TrialRecord] = []
     worst = 0.0
     for pset_id, pr in enumerate(param_sets):
@@ -459,8 +479,8 @@ def check_char_norms(
         {"param_sets": [asdict(p) for p in param_sets]},
         trials,
         summary={"n_trials": len(trials), "worst_rel_err": worst},
-        thresholds={"rel_tol": tol},
-        gates=worst <= tol,
+        thresholds=caps,
+        gates=worst <= caps["rel_tol"],
     )
 
 
@@ -502,8 +522,6 @@ def check_norm_duality(
     params: ExponentParams,
     trials: int = 10,
     seed: int = 0,
-    spread_cap: float = 16.0,
-    drift_cap: float = 0.10,
     refine: bool = True,
 ) -> InequalityReport:
     """Pairing bound, indicator norm products, and the sup-pairing lower bound.
@@ -516,6 +534,7 @@ def check_norm_duality(
     the Morrey-Herz norm (constant 1), and the achieved fraction is recorded.
     """
     _hypotheses("norm_duality", params)
+    caps = THRESHOLDS["norm_duality"]
     notes: list[str] = []
     all_trials, spread, mk_spread = _norm_product_sweep(grid, params)
 
@@ -564,10 +583,10 @@ def check_norm_duality(
             "pairing_worst_ratio": pairing_worst,
             "sup_pairing_fraction": sup_fraction,
         },
-        thresholds={"spread_cap": spread_cap, "pairing_cap": 1.0, "drift_cap": drift_cap},
-        gates=spread <= spread_cap
-        and mk_spread <= spread_cap
-        and pairing_worst <= 1.0 + 1e-10
+        thresholds=caps,
+        gates=spread <= caps["spread_cap"]
+        and mk_spread <= caps["spread_cap"]
+        and pairing_worst <= caps["pairing_cap"] + 1e-10
         and sup_excess <= 1e-10,
         refine=refine,
         stat="spread",
@@ -587,16 +606,14 @@ def check_maximal_bounds(
     trials: int = 6,
     variant: MaximalVariant | str = DYADIC_SIDES,
     seed: int = 0,
-    ratio_cap: float = 50.0,
-    constant_cap: float = 1.5,
-    drift_cap: float = 0.20,
     refine: bool = True,
     allow_out_of_hypothesis: bool = False,
 ) -> InequalityReport:
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
     norm = _space_norm(space)
-    variant = as_variant(variant)
+    variant = as_variant(variant, finest_grid(grid, refine).n_cells)
     violations = _hypotheses("maximal_bounds", params, allow_out_of_hypothesis, space=space)
+    caps = THRESHOLDS["maximal_bounds"]
     objs = standard_objects(grid, seed, n_random=max(1, trials - 5))
 
     def run(spec: GridSpec):
@@ -620,10 +637,9 @@ def check_maximal_bounds(
         {"params": asdict(params), "variant": variant.kind, "seed": seed},
         base_trials,
         summary=summary | {"constant_ratio": const_ratio},
-        thresholds={"ratio_cap": ratio_cap, "constant_cap": constant_cap, "drift_cap": drift_cap},
-        gates=summary["max_ratio"] <= ratio_cap
-        and math.isfinite(summary["max_ratio"])
-        and (const_ratio is None or const_ratio <= constant_cap),
+        thresholds=caps,
+        gates=summary["max_ratio"] <= caps["ratio_cap"]
+        and (const_ratio is None or const_ratio <= caps["constant_cap"]),
         refine=refine,
         stat="max_ratio",
         base=summary["max_ratio"],
@@ -642,15 +658,14 @@ def check_fefferman_stein(
     family_count: int = 4,
     variant: MaximalVariant | str = DYADIC_SIDES,
     seed: int = 0,
-    ratio_cap: float = 50.0,
-    size_drift_cap: float = 0.25,
-    drift_cap: float = 0.25,
     refine: bool = True,
 ) -> InequalityReport:
     """Vector-valued maximal inequality: r-sums before vs after the operator."""
     _r_list(r_list)
-    variant = as_variant(variant)
+    _count("family_count", family_count)
+    variant = as_variant(variant, finest_grid(grid, refine).n_cells)
     _hypotheses("fefferman_stein", params)
+    caps = THRESHOLDS["fefferman_stein"]
     # the size-family_count family is the first half of the doubled one,
     # so each member is built and maximised once per grid
     family = [_base_noise(grid, [seed, 101 + k], masked=True) for k in range(2 * family_count)]
@@ -693,14 +708,8 @@ def check_fefferman_stein(
         },
         base_trials,
         summary=summary | {"family_size_drift": size_drift},
-        thresholds={
-            "ratio_cap": ratio_cap,
-            "size_drift_cap": size_drift_cap,
-            "drift_cap": drift_cap,
-        },
-        gates=math.isfinite(summary["max_ratio"])
-        and summary["max_ratio"] <= ratio_cap
-        and size_drift <= size_drift_cap,
+        thresholds=caps,
+        gates=summary["max_ratio"] <= caps["ratio_cap"] and size_drift <= caps["size_drift_cap"],
         refine=refine,
         stat="max_ratio",
         base=summary["max_ratio"],
@@ -735,8 +744,6 @@ def check_extrapolation(
     c: float | None = None,
     K: int = 6,
     seed: int = 0,
-    ratio_cap: float = 50.0,
-    drift_cap: float = 0.25,
     refine: bool = True,
 ) -> InequalityReport:
     """Weighted L^p0 hypothesis layer vs Morrey-Herz conclusion layer.
@@ -748,8 +755,11 @@ def check_extrapolation(
     layers must stay under the cap with stable refinement.
     """
     _extrapolation_op(op)
-    variant = as_variant(variant)
+    _count("K", K)
+    _block_constant(c)
+    variant = as_variant(variant, finest_grid(grid, refine).n_cells)
     _hypotheses("extrapolation", params, p0=p0)
+    caps = THRESHOLDS["extrapolation"]
     block = extrapolation_block_params(params, p0)
 
     def apply_op(f: GridFunction) -> GridFunction:
@@ -822,10 +832,8 @@ def check_extrapolation(
         },
         base_trials,
         summary=summary | {"mk_max_ratio": mk_max},
-        thresholds={"ratio_cap": ratio_cap, "drift_cap": drift_cap},
-        gates=math.isfinite(summary["max_ratio"])
-        and summary["max_ratio"] <= ratio_cap
-        and mk_max <= ratio_cap,
+        thresholds=caps,
+        gates=summary["max_ratio"] <= caps["ratio_cap"] and mk_max <= caps["ratio_cap"],
         refine=refine,
         stat="mk_max_ratio",
         base=mk_max,
@@ -868,27 +876,22 @@ def check_john_nirenberg_bmo(
     grid: GridSpec,
     params: ExponentParams,
     gammas: Sequence[float] | None = None,
-    symbol: str = "truncated_log",
-    r2_min: float = 0.98,
-    equiv_cap: float = 10.0,
-    drift_cap: float = 0.20,
     seed: int = 0,
     refine: bool = True,
 ) -> InequalityReport:
     """Level-set decay in the Morrey-Herz norm plus the two-norm equivalence.
 
-    For the (nonconstant) symbol, measures the Morrey-Herz norm of the masked
+    For the truncated log b, measures the Morrey-Herz norm of the masked
     level-set indicator {|b - b_R| > gamma} inside the box for a gamma grid
     and fits log-norm against gamma: slope < 0 and R^2 >= r2_min are
     asserted.  Separately, the ratio of the rectangle-normalised Morrey-Herz
     oscillation norm to the plain oscillation norm must sit in
     [1/equiv_cap, equiv_cap] over a six-symbol test set, stably under
-    refinement.
+    refinement.  The caps are ``THRESHOLDS["john_nirenberg_bmo"]``.
     """
     _hypotheses("john_nirenberg_bmo", params)
-    b = build_function(grid, builtin=symbol)
-    if float(np.ptp(b.values)) == 0.0:
-        raise ValueError("degenerate symbol: constant functions have no oscillation")
+    caps = THRESHOLDS["john_nirenberg_bmo"]
+    b = build_function(grid, builtin="truncated_log")
     if gammas is None:
         # start above the symbol's bounded lower-tail oscillation (~2 for the
         # truncated log on this box) so the fit sees the singular-tail decay
@@ -929,10 +932,10 @@ def check_john_nirenberg_bmo(
         ss_tot = float(((np.array(ys) - np.mean(ys)) ** 2).sum())
         slope = float(coef[1])
         r2 = 1.0 - (ss_res / ss_tot if ss_tot > 0 else 0.0)
-        decay_ok = slope < 0 and r2 >= r2_min
+        decay_ok = slope < 0 and r2 >= caps["r2_min"]
     else:
-        # bounded symbols empty their level sets beyond a small gamma; the
-        # exponential decay statement is then trivially satisfied
+        # gammas beyond the symbol's oscillation on the box leave the level
+        # sets empty; the exponential decay statement then holds trivially
         decay_ok = True
         decay_notes.append(
             f"only {len(xs)} nonempty level sets on the gamma grid; "
@@ -962,7 +965,7 @@ def check_john_nirenberg_bmo(
         grid,
         {
             "params": asdict(params),
-            "symbol": symbol,
+            "symbol": "truncated_log",
             "gammas": [float(g) for g in gammas],
             "seed": seed,
         },
@@ -973,8 +976,8 @@ def check_john_nirenberg_bmo(
             "equiv_min_ratio": equiv_lo,
             "equiv_max_ratio": equiv_hi,
         },
-        thresholds={"r2_min": r2_min, "equiv_cap": equiv_cap, "drift_cap": drift_cap},
-        gates=decay_ok and equiv_lo >= 1.0 / equiv_cap and equiv_hi <= equiv_cap,
+        thresholds=caps,
+        gates=decay_ok and equiv_lo >= 1.0 / caps["equiv_cap"] and equiv_hi <= caps["equiv_cap"],
         refine=refine,
         stat="equiv_max",
         base=equiv_hi,
@@ -985,33 +988,29 @@ def check_john_nirenberg_bmo(
 
 # -- suite: singular integral and commutator dichotomy ------------------------------------
 
+DILATIONS = (1, 2, 4, 8, 16)  # the commutator sweep f_t = f(./t), increasing
+
 
 def check_cz_comm(
     grid: GridSpec,
     params: ExponentParams,
-    kernel: str = "double-hilbert",
-    dilations: Sequence[int] = (1, 2, 4, 8, 16),
     seed: int = 0,
-    tk_ratio_cap: float = 50.0,
-    comm_ratio_cap: float = 50.0,
-    growth_min: float = 2.0,
-    drift_cap: float = 0.25,
     refine: bool = True,
 ) -> InequalityReport:
     """Operator boundedness plus the commutator dilation dichotomy.
 
-    (i) Morrey-Herz ratios of the singular operator stay under the cap.
-    (ii) For symbols with bounded mean oscillation, commutator ratios stay
-    under the cap across the dilation sweep f_t = f(./t).  (iii) For the
-    coordinate symbol b(x, y) = x the ratio at the largest dilation must
-    exceed the smallest-dilation ratio by the declared growth factor: the
-    empirical contrapositive of the necessity direction.
+    (i) Morrey-Herz ratios of the double Hilbert transform stay under the
+    cap.  (ii) For symbols with bounded mean oscillation, commutator ratios
+    stay under the cap across the dilation sweep f_t = f(./t), t in
+    ``DILATIONS``.  (iii) For the coordinate symbol b(x, y) = x the ratio at
+    the largest dilation must exceed the smallest-dilation ratio by the
+    declared growth factor: the empirical contrapositive of the necessity
+    direction.  The caps are ``THRESHOLDS["cz_comm"]``.
     """
-    _hypotheses("cz_comm", params, dilations=dilations)
-    ker = get_kernel(kernel)
-    max_t = max(dilations)
+    _hypotheses("cz_comm", params)
+    caps = THRESHOLDS["cz_comm"]
     # base object small enough that every dilation stays inside the box
-    shift = int(math.log2(max_t))
+    shift = int(math.log2(DILATIONS[-1]))
     l0 = max(grid.window_low, grid.window_high - shift - 1)
 
     symbols = [
@@ -1033,16 +1032,16 @@ def check_cz_comm(
             rhs = morrey_herz_norm(f, params)
             if rhs == 0.0:
                 continue
-            tf = restrict_to_window(cz_apply(f, ker))
+            tf = restrict_to_window(cz_apply(f, DOUBLE_HILBERT))
             out.append(TrialRecord(f"tk:{obj.name}", morrey_herz_norm(tf, params), rhs))
         # (ii)+(iii) commutator dilation sweep
         f0 = restrict_to_window(indicator(spec, DyadicRectangle(l0, l0)))
         for name, build, expected in symbols:
             bsym = build(spec)
-            for t in dilations:
+            for t in DILATIONS:
                 ft = dilate(f0, t) if t > 1 else f0
                 rhs = morrey_herz_norm(ft, params)
-                cm = restrict_to_window(commutator(bsym, ft, ker))
+                cm = restrict_to_window(commutator(bsym, ft, DOUBLE_HILBERT))
                 lhs = morrey_herz_norm(cm, params)
                 out.append(
                     TrialRecord(
@@ -1060,31 +1059,19 @@ def check_cz_comm(
     base_trials = run(grid)
     tk_max = tk_max_of(base_trials)
     bmo_max = max(
-        (t.ratio for t in base_trials if t.trial.startswith("comm:") and t.extra["expected"] == "bmo"),
-        default=0.0,
+        t.ratio for t in base_trials if t.trial.startswith("comm:") and t.extra["expected"] == "bmo"
     )
-
-    def growth(trials_list):
-        lo = next(
-            t.ratio
-            for t in trials_list
-            if t.trial == f"comm:coordinate-x:t={min(dilations)}"
-        )
-        hi = next(
-            t.ratio
-            for t in trials_list
-            if t.trial == f"comm:coordinate-x:t={max(dilations)}"
-        )
-        return hi / lo if lo > 0 else math.inf
-
-    growth_factor = growth(base_trials)
+    ratio_of = {t.trial: t.ratio for t in base_trials}
+    lo = ratio_of[f"comm:coordinate-x:t={DILATIONS[0]}"]
+    hi = ratio_of[f"comm:coordinate-x:t={DILATIONS[-1]}"]
+    growth_factor = hi / lo if lo > 0 else math.inf
     return _finish(
         "singular-integral-and-commutator",
         grid,
         {
             "params": asdict(params),
-            "kernel": kernel,
-            "dilations": list(dilations),
+            "kernel": DOUBLE_HILBERT.name,
+            "dilations": list(DILATIONS),
             "seed": seed,
         },
         base_trials,
@@ -1093,16 +1080,10 @@ def check_cz_comm(
             "bmo_comm_max_ratio": bmo_max,
             "non_bmo_growth_factor": growth_factor,
         },
-        thresholds={
-            "tk_ratio_cap": tk_ratio_cap,
-            "comm_ratio_cap": comm_ratio_cap,
-            "growth_min": growth_min,
-            "drift_cap": drift_cap,
-        },
-        gates=math.isfinite(tk_max)
-        and tk_max <= tk_ratio_cap
-        and bmo_max <= comm_ratio_cap
-        and growth_factor >= growth_min,
+        thresholds=caps,
+        gates=tk_max <= caps["tk_ratio_cap"]
+        and bmo_max <= caps["comm_ratio_cap"]
+        and growth_factor >= caps["growth_min"],
         refine=refine,
         stat="tk_max_ratio",
         base=tk_max,

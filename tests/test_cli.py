@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +18,15 @@ from mherz.cli import (
 from mherz.errors import ConfigError, PredicateError
 from mherz.grid import make_grid
 from mherz.norms import ExponentParams
-from mherz.verification import InequalityReport, TrialRecord, check_char_norms
+from mherz.verification import (
+    HYPOTHESES,
+    THRESHOLDS,
+    InequalityReport,
+    TrialRecord,
+    check_char_norms,
+)
 
+REPO = Path(__file__).resolve().parents[1]
 PR_DICT = {"alpha": 0.25, "p": 2, "q": 2, "lam": 0.5}
 
 
@@ -61,15 +69,27 @@ def test_unknown_suite_is_usage_error(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
-def test_unknown_option_points_at_field(tmp_path):
-    # char_norms takes no seed: options are exactly the check_* keyword arguments
-    for options in ({"bogus": 1}, {"seed": 1}):
+def test_unknown_option_points_at_field(tmp_path, capsys):
+    # char_norms takes no seed: options are exactly the check_* keyword
+    # arguments, so caps and single-value choices are not options
+    for name, options in (
+        ("char_norms", {"bogus": 1}),
+        ("char_norms", {"seed": 1}),
+        ("char_norms", {"tol": 1e-9}),
+        ("john_nirenberg_bmo", {"symbol": "bogus"}),
+        ("cz_comm", {"kernel": "double-hilbert"}),
+        ("cz_comm", {"dilations": []}),
+        ("maximal_bounds", {"space": "herz", "ratio_cap": 1e-9}),
+    ):
+        params = [PR_DICT] if name == "char_norms" else PR_DICT
         cfg = minimal_config(
-            tmp_path,
-            suites=[{"name": "char_norms", "params": [PR_DICT], "options": options}],
+            tmp_path, suites=[{"name": name, "params": params, "options": options}]
         )
-        with pytest.raises(ConfigError, match=r"suites\[0\].options"):
+        with pytest.raises(ConfigError, match=r"suites\[0\].options: unknown keys"):
             load_config(cfg)
+        assert main(["run", str(cfg)]) == 2
+        assert "unknown keys" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
 
 
 def test_predicate_violation_is_named_inequality_error(tmp_path):
@@ -284,13 +304,8 @@ HYPOTHESIS_CASES = {
         ({}, {"alpha": 0.25, "p": 2, "q": 2, "lam": 0.0}),
     ],
     "cz_comm": [
-        ({"dilations": [1, 2, 4]}, PR_DICT),
-        ({"dilations": [1, 2, 4]}, {"alpha": 0.75, "p": 2, "q": 2, "lam": 0.5}),
-        ({"dilations": []}, PR_DICT),
-        ({"dilations": [0, 2]}, PR_DICT),
-        ({"dilations": [1, -2]}, PR_DICT),
-        ({"dilations": [1, 2.5]}, PR_DICT),
-        ({"dilations": None}, PR_DICT),
+        ({}, PR_DICT),
+        ({}, {"alpha": 0.75, "p": 2, "q": 2, "lam": 0.5}),
     ],
 }
 
@@ -326,21 +341,19 @@ def test_config_rejects_exactly_what_the_suite_refuses(tmp_path, name):
     assert outcomes == {False, True}
 
 
-@pytest.mark.parametrize("dilations", [[], [0, 2], [4, -1], [1, 2.5]])
-def test_cz_comm_bad_dilations_refused_before_the_run(tmp_path, capsys, dilations):
-    # empty or non-positive dilations used to pass validation and crash
-    # mid-run at max() or log2(); the rule asks for positive integers
-    cfg = minimal_config(
-        tmp_path,
-        grid={"L_max": 2, "s": 2},
-        suites=[{"name": "cz_comm", "params": PR_DICT, "options": {"dilations": dilations}}],
-    )
-    with pytest.raises(ConfigError, match=r"suites\[0\]\.params: .*options\.dilations"):
-        load_config(cfg)
-    assert main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "options.dilations must be a non-empty list of positive integers" in err
-    assert not (tmp_path / "reports").exists()
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_reports_write_the_declared_thresholds(name):
+    assert set(THRESHOLDS) == set(HYPOTHESES) == set(SUITES)
+    options, block = HYPOTHESIS_CASES[name][0]
+    if SUITES[name].multi_params:
+        params = {"param_sets": [ExponentParams(**d) for d in block]}
+    else:
+        params = {"params": ExponentParams(**block)}
+    if "refine" in SUITES[name].options:
+        options = {**options, "refine": False}
+    rep = SUITES[name].runner(make_grid(2, 3), **params, **options)
+    assert list(rep.thresholds.items()) == list(THRESHOLDS[name].items())
+    assert rep.thresholds is not THRESHOLDS[name]
 
 
 BAD_OPTION_VALUES = [
@@ -350,7 +363,11 @@ BAD_OPTION_VALUES = [
     ("extrapolation", {"op": "bogus", "p0": 2.0}, "op"),
     ("fefferman_stein", {"r_list": [1.0]}, "r_list"),
     ("fefferman_stein", {"r_list": []}, "r_list"),
-    ("cz_comm", {"kernel": "nope"}, "kernel"),
+    ("fefferman_stein", {"family_count": 0}, "family_count"),
+    ("extrapolation", {"op": "strong-maximal", "p0": 2.0, "K": 0}, "K"),
+    ("extrapolation", {"op": "strong-maximal", "p0": 2.0, "K": 2.5}, "K"),
+    ("extrapolation", {"op": "strong-maximal", "p0": 2.0, "c": -1.0}, "c"),
+    ("extrapolation", {"op": "strong-maximal", "p0": 2.0, "c": 0}, "c"),
 ]
 
 
@@ -374,6 +391,31 @@ def test_bad_option_values_refused_before_the_run(tmp_path, capsys, name, option
     assert not (tmp_path / "reports").exists()
 
 
+def test_exact_grid_beyond_its_gate_refused_at_load_time(tmp_path, capsys):
+    # N=64 is at the gate, but the refinement would run exact-grid on N=128
+    options = {"space": "herz", "variant": "exact-grid"}
+    cfg = minimal_config(
+        tmp_path,
+        grid={"L_max": 3, "s": 3},
+        suites=[
+            {"name": "char_norms", "params": [PR_DICT]},
+            {"name": "maximal_bounds", "params": PR_DICT, "options": options},
+        ],
+    )
+    with pytest.raises(ConfigError, match=r"suites\[1\]\.options\.variant: .*N=128 .*gate 64"):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert "suites[1].options.variant" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+    body = json.loads(cfg.read_text())
+    body["suites"][1]["options"]["refine"] = False
+    cfg.write_text(json.dumps(body))
+    assert run(cfg) == 0
+    idx = json.loads((tmp_path / "reports" / "summary_index.json").read_text())
+    assert [s["status"] for s in idx["suites"]] == ["pass", "pass"]
+
+
 def test_out_of_hypothesis_hint_only_where_the_option_exists(tmp_path):
     bad = {"alpha": 0.75, "p": 2, "q": 2, "lam": 0.5}
     hint = "set options.allow_out_of_hypothesis"
@@ -394,19 +436,22 @@ def test_package_exports_resolve():
     assert missing == []
 
 
-def test_failing_cap_exits_nonzero(tmp_path):
+def test_failing_cap_exits_nonzero(tmp_path, monkeypatch):
     # an absurd cap forces a fail status and a nonzero exit
+    monkeypatch.setitem(THRESHOLDS["maximal_bounds"], "ratio_cap", 1e-9)
     cfg = minimal_config(
         tmp_path,
         suites=[
             {
                 "name": "maximal_bounds",
                 "params": PR_DICT,
-                "options": {"space": "herz", "ratio_cap": 1e-9, "refine": False, "trials": 3},
+                "options": {"space": "herz", "refine": False, "trials": 3},
             }
         ],
     )
     assert run(cfg) == 1
+    rep = load_report(tmp_path / "reports" / "00_maximal_bounds.json")
+    assert rep.thresholds["ratio_cap"] == 1e-9
 
 
 def test_list_suites_covers_registry(capsys):
@@ -438,3 +483,26 @@ def test_main_run_smoke(tmp_path):
     cfg = minimal_config(tmp_path)
     assert main(["run", str(cfg), "--out", str(tmp_path / "m"), "--format", "csv"]) == 0
     assert (tmp_path / "m" / "00_char_norms.csv").exists()
+
+
+def _summary_close(got, want, rtol, atol) -> bool:
+    if isinstance(want, dict):
+        return list(got) == list(want) and all(
+            _summary_close(got[k], want[k], rtol, atol) for k in want
+        )
+    if isinstance(want, float) and isinstance(got, float):
+        return math.isclose(got, want, rel_tol=rtol, abs_tol=atol)
+    return got == want
+
+
+def test_demo_config_matches_the_reference_summaries(tmp_path):
+    # the north-star run: all seven suites pass, with the summaries recorded
+    # in the benchmark reference for the demo config's seed
+    assert run(REPO / "configs" / "demo.json", out_dir=tmp_path) == 0
+    index = json.loads((tmp_path / "summary_index.json").read_text())["suites"]
+    assert [s["status"] for s in index] == ["pass"] * 7
+    ref = json.loads((REPO / "bench" / "reference" / "demo.json").read_text())
+    assert ref["seed"] == json.loads((REPO / "configs" / "demo.json").read_text())["seed"]
+    assert len(index) == len(ref["summaries"])
+    for entry, want in zip(index, ref["summaries"]):
+        assert _summary_close(entry["summary"], want, ref["rtol"], ref["atol"]), entry["suite"]

@@ -346,12 +346,15 @@ def test_variant_sandwich_random_grids():
         assert (me <= mi + 1e-10).all()
 
 
-def test_exact_grid_cost_gate():
+def test_exact_grid_cost_gate(monkeypatch):
+    from mherz import operators
+
     g = make_grid(3, 4)  # N = 128 > 64
     f = constant(g, 1.0)
     with pytest.raises(CostGuardError, match="gate"):
         strong_maximal(f, EXACT_GRID)
-    m = strong_maximal(f, MaximalVariant("exact-grid", exact_gate=128))
+    monkeypatch.setattr(operators, "EXACT_GATE", 128)
+    m = strong_maximal(f, EXACT_GRID)
     assert np.allclose(m.values, 1.0)
 
 

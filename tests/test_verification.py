@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mherz.errors import PredicateError
+from mherz.errors import CostGuardError, PredicateError
 from mherz.grid import make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
@@ -107,6 +107,22 @@ def test_option_domain_guards_raise_before_any_trial():
         check_fefferman_stein(G, PR, r_list=(), refine=False)
     with pytest.raises(ValueError, match="unknown space"):
         check_maximal_bounds(G, "bogus", PR, refine=False, allow_out_of_hypothesis=True)
+    # K = 0, c <= 0 and an empty family used to crash mid-run or pass vacuously
+    with pytest.raises(ValueError, match="family_count must be an integer >= 1"):
+        check_fefferman_stein(G, PR, family_count=0, refine=False)
+    with pytest.raises(ValueError, match="K must be an integer >= 1"):
+        check_extrapolation(G, "strong-maximal", 2.0, PRX, K=0, refine=False)
+    with pytest.raises(ValueError, match="c must be null or a finite number > 0"):
+        check_extrapolation(G, "strong-maximal", 2.0, PRX, c=-1.0, refine=False)
+    # exact-grid is refused when the refined grid (N=128) exceeds the gate
+    small = make_grid(3, 3)
+    for suite, args in (
+        (check_maximal_bounds, ("herz", PR)),
+        (check_fefferman_stein, (PR,)),
+        (check_extrapolation, ("strong-maximal", 2.0, PRX)),
+    ):
+        with pytest.raises(CostGuardError, match="N=128 exceeds gate 64"):
+            suite(small, *args, variant="exact-grid")
 
 
 def test_fefferman_stein_single_function_reduces_to_scalar():
@@ -235,11 +251,6 @@ def test_extrapolation_unit_weight_layer():
     assert t.ratio == pytest.approx(want, rel=1e-12)
 
 
-def test_john_nirenberg_constant_symbol_rejected():
-    with pytest.raises(ValueError, match="degenerate symbol"):
-        check_john_nirenberg_bmo(G, PR, symbol="constant", refine=False)
-
-
 def test_john_nirenberg_log_symbol_passes():
     rep = check_john_nirenberg_bmo(G, PR, refine=False)
     assert rep.passed
@@ -250,15 +261,16 @@ def test_john_nirenberg_log_symbol_passes():
 
 
 def test_john_nirenberg_bounded_symbol_trivial_decay():
-    # bounded indicator symbol: level sets empty beyond gamma ~ 1
+    # the truncated log is bounded on the grid: its level sets are empty
+    # for every gamma beyond its oscillation on the box
     rep = check_john_nirenberg_bmo(
         make_grid(2, 3),
         PR,
-        symbol="gaussian",
-        gammas=(2.0, 3.0, 4.0, 5.0),
+        gammas=(10.0, 20.0, 30.0, 40.0),
         refine=False,
     )
-    assert any("trivially" in n for n in rep.notes)
+    assert rep.summary["decay_slope"] is None
+    assert any("only 0 nonempty level sets" in n and "trivially" in n for n in rep.notes)
     assert rep.passed
 
 
