@@ -136,9 +136,7 @@ def _segment_starts(spec: GridSpec) -> np.ndarray:
     """
     runs = [spec.annulus_runs(i) for i in spec.window_range()]
     starts = [_central_gap(spec).start] + [run[0] for pair in runs for run in pair]
-    starts = np.array(sorted(starts))
-    starts.flags.writeable = False
-    return starts
+    return _read_only(np.array(sorted(starts)))
 
 
 def make_grid(L_max: int, s: int) -> GridSpec:
@@ -171,6 +169,12 @@ def _sum_exponent(top: float, count: int) -> int:
     """0 if sums of ``count`` values of size at most ``top`` stay finite, else
     the power of two that puts ``top`` in [0.5, 1); scaling by it is exact."""
     return 0 if math.isfinite(top * count) else int(np.frexp(top)[1])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` with writes turned off: the form of every cached or shared table."""
+    a.flags.writeable = False
+    return a
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -242,8 +246,9 @@ class GridFunction:
     """Piecewise-constant real function on a :class:`GridSpec`.
 
     ``values[ix, iy]`` is the constant on cell ``(ix, iy)``; axis 0 is x.
-    The value table is frozen at construction; prefix-sum tables for ``f``
-    and ``|f|`` are built lazily and reused (scaled by a power of two when
+    The value table is frozen at construction, so whatever is derived from
+    it is built once, on first use, and kept (see :meth:`memo`): here the
+    prefix-sum tables of ``f`` and ``|f|`` (scaled by a power of two when
     the cell sums would overflow, see :meth:`rect_mean`).
     """
 
@@ -264,6 +269,18 @@ class GridFunction:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GridFunction is immutable")
 
+    def memo(self, key, build: Callable[[], object]):
+        """``build()`` on the first call with ``key``, the stored result after.
+
+        The one cache of values derived from this function: its prefix
+        tables, and the annulus tables of :mod:`mherz.norms`.  Reuse is safe
+        because ``values`` is frozen; stored arrays are kept read-only.
+        """
+        cache = object.__getattribute__(self, "_cache")
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     # -- prefix tables -----------------------------------------------------
 
     def _prefix(self, absolute: bool) -> tuple[np.ndarray, int]:
@@ -273,16 +290,17 @@ class GridFunction:
         0, and the raw table, unless cell sums could overflow.  Computed once
         per function and cached with the tables.
         """
-        cache = object.__getattribute__(self, "_cache")
-        if "exp" not in cache:
-            top = max(float(self.values.max()), -float(self.values.min()))
-            cache["exp"] = _sum_exponent(top, self.values.size)
-        key = "abs" if absolute else "sum"
-        if key not in cache:
-            e = cache["exp"]
-            vals = np.abs(self.values) if absolute else self.values
-            cache[key] = _prefix_table(np.ldexp(vals, -e) if e else vals)
-        return cache[key], cache["exp"]
+        vals = self.values
+
+        def exponent() -> int:
+            return _sum_exponent(max(float(vals.max()), -float(vals.min())), vals.size)
+
+        def table() -> np.ndarray:
+            a = np.abs(vals) if absolute else vals
+            return _read_only(_prefix_table(np.ldexp(a, -e) if e else a))
+
+        e = self.memo("exp", exponent)
+        return self.memo("abs" if absolute else "sum", table), e
 
     def _rect_scaled_sum(self, rect: GridRectangle, absolute: bool) -> tuple[float, int]:
         P, e = self._prefix(absolute)
@@ -357,9 +375,7 @@ def window_mask(spec: GridSpec) -> np.ndarray:
     """
     axis = np.ones(spec.n_cells, dtype=bool)
     axis[_central_gap(spec)] = False
-    mask = axis[:, None] & axis[None, :]
-    mask.flags.writeable = False
-    return mask
+    return _read_only(axis[:, None] & axis[None, :])
 
 
 def annulus_restrict(f: GridFunction, annulus: AnnulusIndex) -> GridFunction:

@@ -27,6 +27,7 @@ central cross.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,7 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     GridFunction,
     GridRectangle,
     GridSpec,
+    _read_only,
     _require_finite,
     _segment_starts,
     window_mask,
@@ -197,7 +199,7 @@ def pairing_l1(f: GridFunction, g: GridFunction) -> float:
 
 
 def _require_window_support(f: GridFunction) -> None:
-    bad = window_support_violations(f)
+    bad = f.memo("window_support_violations", lambda: _read_only(window_support_violations(f)))
     if len(bad):
         head = ", ".join(f"({i},{j})" for i, j in bad[:4])
         raise SupportWindowError(
@@ -207,15 +209,18 @@ def _require_window_support(f: GridFunction) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1024)
 def _clip_runs(spec: GridSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Overlap of the cell range ``[lo, hi)`` with each axis run.
 
     Returns the overlap cell count of every run of :func:`grid._segment_starts`
-    and the starts, relative to ``lo``, of the runs that overlap.
+    and the starts, relative to ``lo``, of the runs that overlap.  Cached and
+    read-only, like the starts: a suite clips the same few ranges thousands
+    of times.
     """
     clipped = np.clip(_segment_starts(spec), lo, hi)
     counts = np.diff(clipped, append=hi)
-    return counts, clipped[counts > 0] - lo
+    return _read_only(counts), _read_only(clipped[counts > 0] - lo)
 
 
 def _segment_table(spec: GridSpec, a: np.ndarray, op, x0: int = 0, y0: int = 0) -> np.ndarray:
@@ -237,10 +242,10 @@ def _annulus_blocks(seg: np.ndarray, op) -> np.ndarray:
     The central gap (run ``W``) belongs to no annulus and is dropped.
     """
     w = seg.shape[0] // 2
-    left, right = np.arange(w - 1, -1, -1), np.arange(w + 1, 2 * w + 1)
-    out = seg[np.ix_(left, left)]
-    for rows, cols in ((left, right), (right, left), (right, right)):
-        out = op(out, seg[np.ix_(rows, cols)])
+    left, right = seg[:w][::-1], seg[w + 1 :]  # row runs, innermost first
+    out = left[:, :w][:, ::-1]
+    for block in (left[:, w + 1 :], right[:, :w][:, ::-1], right[:, w + 1 :]):
+        out = op(out, block)
     return out
 
 
@@ -258,12 +263,22 @@ def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
     """W x W table of annulus L^p norms, indexed from the window floor.
 
     Entry ``[ii, jj]`` is the L^p norm of f restricted to the product annulus
-    ``(window_low + ii, window_low + jj)``.  The annulus runs and the central
-    gap tile each axis, so one segmented reduction of ``|f|^p`` per axis
-    (``np.add.reduceat``; ``np.maximum.reduceat`` for ``p = inf``) gives every
-    run-by-run block, and each annulus adds its four blocks.  Sums of
-    nonnegative terms cannot cancel: an annulus without mass is exactly 0,
-    and one whose sum overflows is ``+inf``.
+    ``(window_low + ii, window_low + jj)``.  Built once per function and
+    ``float(p)`` (:meth:`GridFunction.memo`) and returned read-only: the
+    norms of one function share it.
+    """
+    return f.memo(("annulus_lp_table", float(p)), lambda: _read_only(_annulus_lp_table(f, p)))
+
+
+def _annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
+    """:func:`annulus_lp_table`, uncached.
+
+    The annulus runs and the central gap tile each axis, so one segmented
+    reduction of ``|f|^p`` per axis (``np.add.reduceat``;
+    ``np.maximum.reduceat`` for ``p = inf``) gives every run-by-run block,
+    and each annulus adds its four blocks.  Sums of nonnegative terms cannot
+    cancel: an annulus without mass is exactly 0, and one whose sum
+    overflows is ``+inf``.
     """
     a = np.abs(f.values)
     if math.isinf(p):
@@ -471,13 +486,14 @@ class NormBracket:
 def smallest_containing_dyadic(f: GridFunction) -> DyadicRectangle | None:
     """Smallest centered dyadic rectangle containing the support of f."""
     spec = f.spec
-    nz = np.nonzero(f.values)
-    if nz[0].size == 0:
+    rows = f.values.any(axis=1)
+    if not rows.any():
         return None
-    mid = spec.n_cells // 2
+    n = spec.n_cells
+    mid = n // 2
     ls = []
-    for ax in (0, 1):
-        lo, hi = int(nz[ax].min()), int(nz[ax].max())
+    for occupied in (rows, f.values.any(axis=0)):  # the support's projections
+        lo, hi = int(occupied.argmax()), n - 1 - int(occupied[::-1].argmax())
         radius_cells = max(mid - lo, hi + 1 - mid)
         ls.append((radius_cells - 1).bit_length() + 1 - spec.s)
     return DyadicRectangle(ls[0], ls[1])
@@ -581,8 +597,7 @@ def bmo_mk_norm(f: GridFunction, params: ExponentParams, family) -> tuple[float,
     rects = _family_rectangles(spec, family)
     best = 0.0
     notes: list[str] = []
-    for r in rects:
-        denom = _morrey_herz_from_table(spec, _window_indicator_table(spec, r, params.p), params)
+    for r, denom in zip(rects, _indicator_denominators(spec, tuple(rects), params)):
         if denom == 0.0:
             notes.append(f"skipped {r}: masked indicator has zero norm")
             continue
@@ -590,6 +605,21 @@ def bmo_mk_norm(f: GridFunction, params: ExponentParams, family) -> tuple[float,
         if num / denom > best:
             best = num / denom
     return best, notes
+
+
+@functools.lru_cache(maxsize=32)
+def _indicator_denominators(
+    spec: GridSpec, rects: tuple[GridRectangle, ...], params: ExponentParams
+) -> tuple[float, ...]:
+    """Morrey-Herz norms of the window-masked indicators of ``rects``.
+
+    These are the denominators of :func:`bmo_mk_norm`; they do not depend on
+    ``f``, so a family swept over several symbols computes them once.
+    """
+    return tuple(
+        _morrey_herz_from_table(spec, _window_indicator_table(spec, r, params.p), params)
+        for r in rects
+    )
 
 
 def _window_indicator_table(spec: GridSpec, rect: GridRectangle, p: float) -> np.ndarray:

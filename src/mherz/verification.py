@@ -225,6 +225,14 @@ def _comb(spec: GridSpec) -> GridFunction:
     return GridFunction(spec, vals)
 
 
+def _dyadic_indicators(spec: GridSpec):
+    """Each centered dyadic rectangle with its window-masked indicator."""
+    for l1 in spec.window_range():
+        for l2 in spec.window_range():
+            rect = DyadicRectangle(l1, l2)
+            yield rect, restrict_to_window(indicator(spec, rect))
+
+
 def _center_level(spec: GridSpec) -> int:
     return min(max(0, spec.window_low), spec.window_high)
 
@@ -318,6 +326,20 @@ def _count(name: str, value) -> int:
     return value
 
 
+def _gammas(gammas) -> Sequence[float] | None:
+    if gammas is None:
+        return gammas
+    listlike = isinstance(gammas, (Sequence, np.ndarray)) and not isinstance(gammas, str)
+    if not listlike or len(gammas) == 0 or not all(
+        isinstance(g, numbers.Real) and not isinstance(g, bool) and math.isfinite(g)
+        for g in gammas
+    ):
+        raise ValueError(
+            f"gammas must be null or a non-empty list of finite numbers, got {gammas!r}"
+        )
+    return gammas
+
+
 def _block_constant(c) -> float | None:
     if c is None or (isinstance(c, numbers.Real) and not isinstance(c, bool) and 0 < c < math.inf):
         return c
@@ -329,9 +351,11 @@ OPTION_DOMAINS: dict[str, Callable] = {
     "variant": as_variant,
     "op": _extrapolation_op,
     "r_list": _r_list,
+    "trials": lambda trials: _count("trials", trials),
     "K": lambda K: _count("K", K),
     "family_count": lambda count: _count("family_count", count),
     "c": _block_constant,
+    "gammas": _gammas,
 }
 
 
@@ -440,21 +464,19 @@ def check_char_norms(
     trials: list[TrialRecord] = []
     worst = 0.0
     for pset_id, pr in enumerate(param_sets):
-        for l1 in grid.window_range():
-            for l2 in grid.window_range():
-                chi = restrict_to_window(indicator(grid, DyadicRectangle(l1, l2)))
-                got = morrey_herz_norm(chi, pr)
-                want = char_rect_norm_closed_form(
-                    pr, l1, l2, "morrey-herz", window_floor=grid.window_low
+        for rect, chi in _dyadic_indicators(grid):
+            got = morrey_herz_norm(chi, pr)
+            want = char_rect_norm_closed_form(
+                pr, rect.l1, rect.l2, "morrey-herz", window_floor=grid.window_low
+            )
+            rel = abs(got - want) / want
+            worst = max(worst, rel)
+            trials.append(
+                TrialRecord(
+                    f"set{pset_id}:chi({rect.l1},{rect.l2})", got, want,
+                    extra={"rel_err": rel},
                 )
-                rel = abs(got - want) / want
-                worst = max(worst, rel)
-                trials.append(
-                    TrialRecord(
-                        f"set{pset_id}:chi({l1},{l2})", got, want,
-                        extra={"rel_err": rel},
-                    )
-                )
+            )
         # continuum diagonal scaling, checked away from float-pow noise
         target = 2.0 ** (pr.alpha + pr.n / pr.p - pr.lam)
         base_v = char_rect_norm_closed_form(pr, 0, 0, "morrey-herz")
@@ -487,29 +509,35 @@ def check_char_norms(
 # -- suite: duality and norm products ----------------------------------------------
 
 
+def _herz_product(chi: GridFunction, params: ExponentParams) -> float:
+    return herz_norm(chi, params) * herz_norm(chi, params.dual())
+
+
 def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
-    dual = params.dual()
     herz_vals, mk_vals, trials = [], [], []
     lam_params = _with_positive_lam(params)
     block_params = lam_params.dual()
-    for l1 in spec.window_range():
-        for l2 in spec.window_range():
-            chi = restrict_to_window(indicator(spec, DyadicRectangle(l1, l2)))
-            area = DyadicRectangle(l1, l2).measure()
-            hprod = herz_norm(chi, params) * herz_norm(chi, dual)
-            herz_vals.append(hprod / area)
-            mkprod = (
-                morrey_herz_norm(chi, lam_params)
-                * block_norm_bracket(chi, block_params).upper
+    for rect, chi in _dyadic_indicators(spec):
+        area = rect.measure()
+        hprod = _herz_product(chi, params)
+        herz_vals.append(hprod / area)
+        mkprod = morrey_herz_norm(chi, lam_params) * block_norm_bracket(chi, block_params).upper
+        mk_vals.append(mkprod / area)
+        trials.append(
+            TrialRecord(
+                f"chi({rect.l1},{rect.l2})", hprod, area,
+                extra={"mk_block_product_over_area": mkprod / area},
             )
-            mk_vals.append(mkprod / area)
-            trials.append(
-                TrialRecord(
-                    f"chi({l1},{l2})", hprod, area,
-                    extra={"mk_block_product_over_area": mkprod / area},
-                )
-            )
+        )
     return trials, _spread(herz_vals), _spread(mk_vals)
+
+
+def _herz_product_spread(spec: GridSpec, params: ExponentParams) -> float:
+    """The Herz spread of :func:`_norm_product_sweep` alone (what the
+    refinement gates), without the Morrey-Herz and block products."""
+    return _spread(
+        [_herz_product(chi, params) / rect.measure() for rect, chi in _dyadic_indicators(spec)]
+    )
 
 
 def _spread(values: list[float]) -> float:
@@ -533,6 +561,7 @@ def check_norm_duality(
     block-upper analogue.  (iii) pairing against unit blocks never exceeds
     the Morrey-Herz norm (constant 1), and the achieved fraction is recorded.
     """
+    _count("trials", trials)
     _hypotheses("norm_duality", params)
     caps = THRESHOLDS["norm_duality"]
     notes: list[str] = []
@@ -558,13 +587,12 @@ def check_norm_duality(
     mk = morrey_herz_norm(f_probe, lam_params)
     if mk > 0:
         best = 0.0
-        for l1 in grid.window_range():
-            for l2 in grid.window_range():
-                chi = restrict_to_window(indicator(grid, DyadicRectangle(l1, l2)))
-                denom = 2.0 ** ((l1 + l2) * lam_params.lam) * herz_norm(chi, lam_params.dual())
-                if denom == 0.0:
-                    continue
-                best = max(best, pairing_l1(f_probe, chi) / denom)
+        for rect, chi in _dyadic_indicators(grid):
+            level = rect.l1 + rect.l2
+            denom = 2.0 ** (level * lam_params.lam) * herz_norm(chi, lam_params.dual())
+            if denom == 0.0:
+                continue
+            best = max(best, pairing_l1(f_probe, chi) / denom)
         sup_fraction = best / mk
         sup_excess = max(0.0, sup_fraction - 1.0)
         all_trials.append(
@@ -591,7 +619,7 @@ def check_norm_duality(
         refine=refine,
         stat="spread",
         base=spread,
-        fine=lambda spec: _norm_product_sweep(spec, params)[1],
+        fine=lambda spec: _herz_product_spread(spec, params),
         notes=notes,
     )
 
@@ -611,6 +639,7 @@ def check_maximal_bounds(
 ) -> InequalityReport:
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
     norm = _space_norm(space)
+    _count("trials", trials)
     variant = as_variant(variant, finest_grid(grid, refine).n_cells)
     violations = _hypotheses("maximal_bounds", params, allow_out_of_hypothesis, space=space)
     caps = THRESHOLDS["maximal_bounds"]
@@ -755,6 +784,7 @@ def check_extrapolation(
     layers must stay under the cap with stable refinement.
     """
     _extrapolation_op(op)
+    _count("trials", trials)
     _count("K", K)
     _block_constant(c)
     variant = as_variant(variant, finest_grid(grid, refine).n_cells)
@@ -889,6 +919,7 @@ def check_john_nirenberg_bmo(
     [1/equiv_cap, equiv_cap] over a six-symbol test set, stably under
     refinement.  The caps are ``THRESHOLDS["john_nirenberg_bmo"]``.
     """
+    _gammas(gammas)
     _hypotheses("john_nirenberg_bmo", params)
     caps = THRESHOLDS["john_nirenberg_bmo"]
     b = build_function(grid, builtin="truncated_log")

@@ -368,6 +368,13 @@ BAD_OPTION_VALUES = [
     ("extrapolation", {"op": "strong-maximal", "p0": 2.0, "K": 2.5}, "K"),
     ("extrapolation", {"op": "strong-maximal", "p0": 2.0, "c": -1.0}, "c"),
     ("extrapolation", {"op": "strong-maximal", "p0": 2.0, "c": 0}, "c"),
+    ("norm_duality", {"trials": 0}, "trials"),
+    ("maximal_bounds", {"space": "herz", "trials": -3}, "trials"),
+    ("maximal_bounds", {"space": "herz", "trials": True}, "trials"),
+    ("extrapolation", {"op": "strong-maximal", "p0": 2.0, "trials": 1.5}, "trials"),
+    ("john_nirenberg_bmo", {"gammas": []}, "gammas"),
+    ("john_nirenberg_bmo", {"gammas": [2.0, "inf"]}, "gammas"),
+    ("john_nirenberg_bmo", {"gammas": 3.0}, "gammas"),
 ]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,11 +25,15 @@ from mherz.grid import (
     restrict_to_window,
     window_mask,
 )
+from mherz import norms
 from mherz.norms import (
     ExponentParams,
     NormBracket,
     RectangleFamily,
+    _annulus_lp_table,
+    _clip_runs,
     _family_rectangles,
+    _indicator_denominators,
     _morrey_herz_from_table,
     _window_indicator_table,
     _window_oscillation_table,
@@ -44,8 +49,9 @@ from mherz.norms import (
     pairing_l1,
     predicate_violations,
     require_predicate,
+    smallest_containing_dyadic,
 )
-from mherz.verification import InequalityReport, TrialRecord
+from mherz.verification import InequalityReport, TrialRecord, _norm_product_sweep
 
 G35 = make_grid(3, 5)
 PR = ExponentParams(0.25, 2, 2, 0.5)
@@ -733,3 +739,92 @@ def test_bmo_mk_norm_non_finite_oscillation_raises():
     with pytest.raises(DataError, match="non-finite cell values"):
         with np.errstate(over="ignore", invalid="ignore"):
             bmo_mk_norm(f, PR, [GridRectangle(0, 2, 0, 2)])
+
+
+# -- memoised geometry: each table built once, equal to a fresh build -------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grid(6), VALUE_KINDS, SEEDS, st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+def test_annulus_table_memo_matches_uncached(spec, kind, seed, p):
+    f = GridFunction(spec, random_values(spec, kind, seed))
+    got = annulus_lp_table(f, p)
+    assert np.array_equal(got, _annulus_lp_table(f, p))
+    assert not got.flags.writeable
+    assert annulus_lp_table(f, p) is got
+    # keyed by float(p): p = 2 and p = 3 are two entries, 2 and 2.0 one
+    two, three = annulus_lp_table(f, 2), annulus_lp_table(f, 3)
+    assert two is annulus_lp_table(f, 2.0) and two is not three
+    assert np.array_equal(two, _annulus_lp_table(f, 2.0))
+    assert np.array_equal(three, _annulus_lp_table(f, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grid(8), st.data())
+def test_clip_runs_cache_matches_uncached(spec, data):
+    n = spec.n_cells
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    got = _clip_runs(spec, lo, hi)
+    want = _clip_runs.__wrapped__(spec, lo, hi)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert not g.flags.writeable
+    assert _clip_runs(spec, lo, hi) is got
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grid(7), SEEDS, st.floats(0.0, 0.2))
+def test_smallest_containing_dyadic_matches_nonzero_bounds(spec, seed, density):
+    rng = np.random.default_rng(seed)
+    n = spec.n_cells
+    sparse = rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+    f = restrict_to_window(GridFunction(spec, sparse))
+    nz = np.nonzero(f.values)
+    host = smallest_containing_dyadic(f)
+    if nz[0].size == 0:
+        assert host is None
+        return
+    mid = n // 2
+    want = []
+    for ax in (0, 1):
+        radius = max(mid - int(nz[ax].min()), int(nz[ax].max()) + 1 - mid)
+        want.append((radius - 1).bit_length() + 1 - spec.s)
+    assert (host.l1, host.l2) == tuple(want)
+
+
+def test_norm_product_sweep_builds_one_table_per_indicator_and_p(monkeypatch):
+    built = []
+
+    def counting(f, p):
+        built.append((f, float(p)))  # holds f, so ids stay distinct
+        return _annulus_lp_table(f, p)
+
+    monkeypatch.setattr(norms, "_annulus_lp_table", counting)
+    spec = make_grid(2, 3)
+    # p = 3 makes the dual exponent 1.5: the Herz pair, the Morrey-Herz norm
+    # and the block bracket need five tables of each indicator, two distinct
+    _norm_product_sweep(spec, ExponentParams(0.25, 3, 2, 0.5))
+    counts = Counter((id(f), p) for f, p in built)
+    assert set(counts.values()) == {1}
+    assert {p for _, p in counts} == {3.0, 1.5}
+    assert len(counts) == 2 * len(spec.window_range()) ** 2
+
+
+def test_bmo_mk_norm_builds_family_denominators_once(monkeypatch):
+    built = []
+
+    def counting(spec, rect, p):
+        built.append(rect)
+        return _window_indicator_table(spec, rect, p)
+
+    monkeypatch.setattr(norms, "_window_indicator_table", counting)
+    _indicator_denominators.cache_clear()
+    spec = make_grid(2, 3)
+    rects = _family_rectangles(spec, RectangleFamily("dyadic-sides", min_side=4))
+    symbols = [masked_noise(spec, k) for k in range(3)]
+    values = [bmo_mk_norm(f, PR, rects) for f in symbols]
+    assert built == rects
+    _indicator_denominators.cache_clear()
+    assert [bmo_mk_norm(f, PR, rects) for f in symbols] == values
+    assert built == rects + rects

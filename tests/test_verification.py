@@ -114,6 +114,18 @@ def test_option_domain_guards_raise_before_any_trial():
         check_extrapolation(G, "strong-maximal", 2.0, PRX, K=0, refine=False)
     with pytest.raises(ValueError, match="c must be null or a finite number > 0"):
         check_extrapolation(G, "strong-maximal", 2.0, PRX, c=-1.0, refine=False)
+    # trials = 0 gave a pairing gate over no pairings; an empty gamma grid a
+    # decay claim checked on no gamma at all
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        check_norm_duality(G, PR, trials=0, refine=False)
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        check_maximal_bounds(G, "herz", PR, trials=-3, refine=False)
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        check_extrapolation(G, "strong-maximal", 2.0, PRX, trials=0, refine=False)
+    with pytest.raises(ValueError, match="gammas must be null or a non-empty list"):
+        check_john_nirenberg_bmo(G, PR, gammas=[], refine=False)
+    with pytest.raises(ValueError, match="gammas must be null or a non-empty list"):
+        check_john_nirenberg_bmo(G, PR, gammas=[2.0, math.nan], refine=False)
     # exact-grid is refused when the refined grid (N=128) exceeds the gate
     small = make_grid(3, 3)
     for suite, args in (
