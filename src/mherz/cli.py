@@ -17,10 +17,11 @@ A run config is a JSON file:
     }
 
 The whole config is validated (suite names, option keys and values, exponent
-predicates) before any computation starts, so long sweeps cannot die late on
-a typo.  Every suite writes one report file plus a summary index; exit code 0
-means every executed suite passed (suites that ran with violated hypotheses
-report "out-of-hypothesis" and only fail the run under --strict).
+predicates) before any computation starts, each job by the suite's own
+:func:`mherz.verification.admit`, so long sweeps cannot die late on a typo.
+Every suite writes one report file plus a summary index; exit code 0 means
+every executed suite passed (suites that ran with violated hypotheses report
+"out-of-hypothesis" and only fail the run under --strict).
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .errors import ConfigError, GridSizeError, MherzError
+from .errors import ConfigError, GridSizeError, MherzError, PredicateError
 from .grid import GridSpec, make_grid
 from .norms import ExponentParams
-from .operators import as_variant, estimate_block_norm_constant
+from .operators import estimate_block_norm_constant
 from .verification import (
-    HYPOTHESES,
     OPTION_DOMAINS,
     InequalityReport,
+    admit,
     check_char_norms,
     check_cz_comm,
     check_extrapolation,
@@ -55,7 +56,6 @@ from .verification import (
     check_maximal_bounds,
     check_norm_duality,
     extrapolation_block_params,
-    finest_grid,
 )
 
 WORKERS_ENV = "MHERZ_WORKERS"
@@ -72,7 +72,6 @@ class SuiteDef:
     options: tuple[str, ...]
     defaults: dict  # option -> default; options without one are required
     multi_params: bool
-    seeded: bool
 
 
 def _suite(runner: Callable, summary: str) -> SuiteDef:
@@ -88,7 +87,6 @@ def _suite(runner: Callable, summary: str) -> SuiteDef:
         options=tuple(options),
         defaults={k: p.default for k, p in options.items() if p.default is not p.empty},
         multi_params=multi,
-        seeded="seed" in options,
     )
 
 
@@ -148,7 +146,6 @@ class SuiteJob:
 @dataclass
 class RunConfig:
     grid: GridSpec
-    seed: int
     out_dir: Path
     format: str
     strict: bool
@@ -174,10 +171,21 @@ def load_config(path: str | Path) -> RunConfig:
     gdict = raw.get("grid")
     if not isinstance(gdict, dict) or not {"L_max", "s"} <= set(gdict):
         raise ConfigError("grid: expected an object with integer L_max and s")
+    for key in ("L_max", "s"):
+        if isinstance(gdict[key], bool) or not isinstance(gdict[key], int):
+            raise ConfigError(f"grid.{key}: expected an integer, got {gdict[key]!r}")
     try:
-        grid = make_grid(int(gdict["L_max"]), int(gdict["s"]))
-    except (GridSizeError, ValueError) as exc:
+        grid = make_grid(gdict["L_max"], gdict["s"])
+    except GridSizeError as exc:
         raise ConfigError(f"grid: {exc}") from None
+
+    seed, strict = raw.get("seed", 0), raw.get("strict", False)
+    try:
+        OPTION_DOMAINS["seed"](seed)  # the suites' default seeds are seed + index
+    except ValueError as exc:
+        raise ConfigError(f"seed: {exc}") from None
+    if not isinstance(strict, bool):
+        raise ConfigError(f"strict: expected true or false, got {strict!r}")
 
     fmt = raw.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -215,7 +223,6 @@ def load_config(path: str | Path) -> RunConfig:
             params = _params_from_dict(pblock, f"{path_i}.params")
 
         options = dict(entry.get("options", {}))
-        allow_oh = bool(options.get("allow_out_of_hypothesis", False))
         bad_opts = set(options) - set(sdef.options)
         if bad_opts:
             raise ConfigError(
@@ -225,37 +232,24 @@ def load_config(path: str | Path) -> RunConfig:
         missing = [k for k in sdef.options if k not in sdef.defaults and k not in options]
         if missing:
             raise ConfigError(f"{path_i}.options: missing required keys {missing}")
-        for key, value in options.items():
-            if key in OPTION_DOMAINS:
-                try:
-                    OPTION_DOMAINS[key](value)
-                except (ValueError, MherzError) as exc:
-                    raise ConfigError(f"{path_i}.options.{key}: {exc}") from None
-        if "variant" in options:
-            n_cells = finest_grid(grid, options.get("refine", sdef.defaults["refine"])).n_cells
-            try:
-                as_variant(options["variant"], n_cells)
-            except MherzError as exc:
-                raise ConfigError(f"{path_i}.options.variant: {exc}") from None
-
-        violations = HYPOTHESES[name](params, options)
-        if violations and not allow_oh:
-            hint = ""
-            if "allow_out_of_hypothesis" in sdef.options:
-                hint = " (set options.allow_out_of_hypothesis to run anyway)"
-            raise ConfigError(
-                f"{path_i}.params: exponent predicate violated: "
-                + "; ".join(violations)
-                + hint
-            )
+        defaults = sdef.defaults | ({"seed": seed + idx} if "seed" in sdef.options else {})
+        options = {k: options[k] if k in options else defaults[k] for k in sdef.options}
+        try:
+            admit(name, grid, params, options)
+        except PredicateError as exc:
+            allow = "allow_out_of_hypothesis" in options
+            hint = " (set options.allow_out_of_hypothesis to run anyway)" if allow else ""
+            raise ConfigError(f"{path_i}.params: exponent predicate violated: {exc}{hint}") from None
+        except (ValueError, MherzError) as exc:
+            where = "grid" if exc.field == "grid" else f"{path_i}.{exc.field}"
+            raise ConfigError(f"{where}: {exc}") from None
         jobs.append(SuiteJob(idx, sdef, params, options))
 
     return RunConfig(
         grid=grid,
-        seed=int(raw.get("seed", 0)),
         out_dir=Path(raw.get("out_dir", "reports")),
         format=fmt,
-        strict=bool(raw.get("strict", False)),
+        strict=strict,
         jobs=jobs,
     )
 
@@ -355,11 +349,8 @@ def load_report(path: str | Path) -> InequalityReport:
 
 
 def _execute_job(cfg: RunConfig, job: SuiteJob) -> InequalityReport:
-    kwargs = dict(job.options)
-    if job.sdef.seeded:
-        kwargs.setdefault("seed", cfg.seed + job.index)
-    kwargs["param_sets" if job.sdef.multi_params else "params"] = job.params
-    return job.sdef.runner(cfg.grid, **kwargs)
+    params = {"param_sets" if job.sdef.multi_params else "params": job.params}
+    return job.sdef.runner(cfg.grid, **params, **job.options)
 
 
 def run(
@@ -429,21 +420,17 @@ def run(
 def estimate_c(config_path: str | Path) -> int:
     """Print the estimated maximal-operator block norm for extrapolation jobs."""
     cfg = load_config(config_path)
-    found = False
-    for job in cfg.jobs:
-        if job.sdef.name != "extrapolation":
-            continue
-        found = True
-        block = extrapolation_block_params(job.params, float(job.options["p0"]))
-        variant = job.options.get("variant", "dyadic-sides")
-        est = estimate_block_norm_constant(cfg.grid, block, variant)
+    jobs = [job for job in cfg.jobs if job.sdef.name == "extrapolation"]
+    if not jobs:
+        print("no extrapolation suites in config; nothing to estimate", file=sys.stderr)
+        return 2
+    for job in jobs:
+        block = extrapolation_block_params(job.params, job.options["p0"])
+        est = estimate_block_norm_constant(cfg.grid, block, job.options["variant"])
         print(
             f"suites[{job.index}] extrapolation(op={job.options['op']}): "
             f"estimated block norm c ~= {est:.6g} (use c >= max(1, this))"
         )
-    if not found:
-        print("no extrapolation suites in config; nothing to estimate", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -39,7 +39,7 @@ class CostGuardError(MherzError):
 
 
 class KernelError(MherzError):
-    """Kernel without an exact antiderivative rule, or unknown kernel name."""
+    """Kernel whose antiderivative rule gives non-finite cell weights."""
 
 
 class ConfigError(MherzError):

@@ -233,14 +233,16 @@ def estimate_block_norm_constant(
     """Power-iteration style estimate of the maximal operator's block norm.
 
     Ratio of certified block upper brackets before/after two applications of
-    the maximal operator on three probes: the indicators of Q(0) x Q(0) and
-    of the mid-window square, and seeded noise (outputs are window-masked
+    the maximal operator on three probes: the indicators of Q(l) x Q(l) with
+    l = max(0, 1 - s), the first level from 0 up whose cube is cell-aligned,
+    and of the mid-window square, and seeded noise (outputs are window-masked
     before the bracket, matching the truncation convention).  This is an
     estimate for choosing c, not a certified operator norm.
     """
     mid = (spec.window_low + spec.window_high) // 2
+    low = max(0, 1 - spec.s)
     probes = [
-        build_function(spec, builtin="indicator", l1=0, l2=0),
+        build_function(spec, builtin="indicator", l1=low, l2=low),
         build_function(spec, builtin="indicator", l1=mid, l2=mid),
         build_function(spec, builtin="noise", seed=7),
     ]
@@ -299,16 +301,6 @@ def _hilbert_axis() -> AxisKernel:
 
 DOUBLE_HILBERT = SeparableKernel("double-hilbert", _hilbert_axis(), _hilbert_axis(), eta=1.0)
 
-KERNELS = {"double-hilbert": DOUBLE_HILBERT}
-
-
-def get_kernel(name: str) -> SeparableKernel:
-    try:
-        return KERNELS[name]
-    except (KeyError, TypeError):
-        raise KernelError(f"unknown kernel {name!r}; known: {sorted(KERNELS)}") from None
-
-
 def _axis_weights(spec: GridSpec, axis: AxisKernel) -> np.ndarray:
     """W[target, source] = integral of the axis kernel over the source cell.
 
@@ -326,21 +318,19 @@ def _axis_weights(spec: GridSpec, axis: AxisKernel) -> np.ndarray:
     return A[:, :-1] - A[:, 1:]
 
 
-def cz_apply(f: GridFunction, kernel: SeparableKernel | str = DOUBLE_HILBERT) -> GridFunction:
+def cz_apply(f: GridFunction, kernel: SeparableKernel = DOUBLE_HILBERT) -> GridFunction:
     """Convolution with a separable singular kernel, exact at cell centers."""
-    ker = get_kernel(kernel) if isinstance(kernel, str) else kernel
-    W1 = _axis_weights(f.spec, ker.axis1)
-    W2 = _axis_weights(f.spec, ker.axis2)
+    W1 = _axis_weights(f.spec, kernel.axis1)
+    W2 = _axis_weights(f.spec, kernel.axis2)
     return f.with_values(W1 @ f.values @ W2.T)
 
 
 def commutator(
-    b: GridFunction, f: GridFunction, kernel: SeparableKernel | str = DOUBLE_HILBERT
+    b: GridFunction, f: GridFunction, kernel: SeparableKernel = DOUBLE_HILBERT
 ) -> GridFunction:
     """b * T(f) - T(b * f) for the separable singular operator T."""
-    ker = get_kernel(kernel) if isinstance(kernel, str) else kernel
-    tf = cz_apply(f, ker)
-    tbf = cz_apply(f.with_values(b.values * f.values), ker)
+    tf = cz_apply(f, kernel)
+    tbf = cz_apply(f.with_values(b.values * f.values), kernel)
     return f.with_values(b.values * tf.values - tbf.values)
 
 
@@ -372,7 +362,7 @@ class KernelConditionReport:
 
 
 def kernel_condition_check(
-    kernel: SeparableKernel | str,
+    kernel: SeparableKernel,
     plan: SamplePlan | None = None,
     cancellation_tol: float = 1e-8,
 ) -> KernelConditionReport:
@@ -383,13 +373,12 @@ def kernel_condition_check(
     evaluated as ratios against their model envelopes over log-spaced
     samples, and the max ratio is reported as the empirical constant.
     """
-    ker = get_kernel(kernel) if isinstance(kernel, str) else kernel
     plan = plan or SamplePlan()
     radii = plan.radii()
     worst: dict = {}
 
     canc = 0.0
-    for axis in (ker.axis1, ker.axis2):
+    for axis in (kernel.axis1, kernel.axis2):
         for a in radii:
             for b in radii:
                 if b <= a:
@@ -402,10 +391,10 @@ def kernel_condition_check(
                     worst["cancellation"] = {"axis": axis.name, "a": float(a), "b": float(b)}
 
     xs = np.concatenate([radii, -radii])
-    K = ker.value(xs[:, None], xs[None, :])
-    size_ratio = np.abs(K) * np.abs(xs[:, None]) ** ker.axis1.degree * np.abs(
+    K = kernel.value(xs[:, None], xs[None, :])
+    size_ratio = np.abs(K) * np.abs(xs[:, None]) ** kernel.axis1.degree * np.abs(
         xs[None, :]
-    ) ** ker.axis2.degree
+    ) ** kernel.axis2.degree
     size_max = float(size_ratio.max())
     idx = np.unravel_index(np.argmax(size_ratio), size_ratio.shape)
     worst["size"] = {"x": float(xs[idx[0]]), "y": float(xs[idx[1]])}
@@ -416,14 +405,14 @@ def kernel_condition_check(
             for frac in plan.h_fractions:
                 hh = frac * abs(x)  # guarantees |x| > 2|h|
                 diff = abs(float(axis.value(np.array(x + hh)) - axis.value(np.array(x))))
-                envelope = (hh / abs(x)) ** ker.eta / abs(x) ** axis.degree
+                envelope = (hh / abs(x)) ** kernel.eta / abs(x) ** axis.degree
                 ratio = diff / envelope
                 if ratio > best:
                     best = ratio
                     worst["smoothness"] = {"axis": axis.name, "x": float(x), "h": float(hh)}
         return best
 
-    smooth_max = max(axis_smooth(ker.axis1), axis_smooth(ker.axis2))
+    smooth_max = max(axis_smooth(kernel.axis1), axis_smooth(kernel.axis2))
 
     mixed = 0.0
     sub = xs[:: max(1, len(xs) // 12)]
@@ -433,13 +422,13 @@ def kernel_condition_check(
                 hh, kk = frac * abs(x), frac * abs(y)
                 dd = abs(
                     float(
-                        (ker.value(x + hh, y + kk) - ker.value(x, y + kk))
-                        - (ker.value(x + hh, y) - ker.value(x, y))
+                        (kernel.value(x + hh, y + kk) - kernel.value(x, y + kk))
+                        - (kernel.value(x + hh, y) - kernel.value(x, y))
                     )
                 )
                 env = (
-                    ((hh / abs(x)) * (kk / abs(y))) ** ker.eta
-                    / (abs(x) ** ker.axis1.degree * abs(y) ** ker.axis2.degree)
+                    ((hh / abs(x)) * (kk / abs(y))) ** kernel.eta
+                    / (abs(x) ** kernel.axis1.degree * abs(y) ** kernel.axis2.degree)
                 )
                 mixed = max(mixed, dd / env)
 
@@ -447,8 +436,8 @@ def kernel_condition_check(
         math.isfinite(v) for v in (size_max, smooth_max, mixed)
     )
     return KernelConditionReport(
-        kernel=ker.name,
-        eta=ker.eta,
+        kernel=kernel.name,
+        eta=kernel.eta,
         cancellation_max=canc,
         size_ratio_max=size_max,
         smoothness_ratio_max=smooth_max,

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PredicateError
+from .errors import MherzError, PredicateError, RectangleError
 from .grid import (
     MAX_LEVEL_SUM,
     AnnulusIndex,
@@ -285,8 +285,8 @@ def standard_objects(base: GridSpec, seed: int, n_random: int = 3) -> list[TestO
 # -- option domains --------------------------------------------------------------
 #
 # The values a suite option may take, one check per option name.  Each raises
-# the suite's own error for a value outside its domain; the suites call it up
-# front, and the CLI refuses configs with the same function.
+# the suite's own error for a value outside its domain; :func:`admit` runs
+# them, for the suites and for the CLI alike.
 
 SPACES: dict[str, Callable[[GridFunction, ExponentParams], float]] = {
     "herz": herz_norm,
@@ -297,38 +297,46 @@ SPACES: dict[str, Callable[[GridFunction, ExponentParams], float]] = {
 EXTRAPOLATION_OPS = ("strong-maximal", "double-hilbert")
 
 
-def _space_norm(space) -> Callable[[GridFunction, ExponentParams], float]:
-    try:
-        return SPACES[space]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown space {space!r}") from None
+def _space(space) -> None:
+    if not (isinstance(space, str) and space in SPACES):
+        raise ValueError(f"unknown space {space!r}")
 
 
-def _extrapolation_op(op) -> str:
+def _extrapolation_op(op) -> None:
     if op not in EXTRAPOLATION_OPS:
         raise ValueError(f"unknown operator {op!r}; use {' or '.join(EXTRAPOLATION_OPS)}")
-    return op
 
 
-def _r_list(r_list) -> Sequence[float]:
+def _r_list(r_list) -> None:
     listlike = isinstance(r_list, (Sequence, np.ndarray)) and not isinstance(r_list, str)
     if not listlike or len(r_list) == 0:
         raise ValueError(f"r_list must be a non-empty list of exponents, got {r_list!r}")
     for r in r_list:
         if not (isinstance(r, numbers.Real) and 1.0 < r < math.inf):
             raise ValueError(f"r must be in (1, inf), got {r}")
-    return r_list
 
 
-def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
+def _integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _gammas(gammas) -> Sequence[float] | None:
+def _positive(name: str, value, nullable: bool = False) -> None:
+    if nullable and value is None:
+        return
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        null = "null or " if nullable else ""
+        raise ValueError(f"{name} must be {null}a finite number > 0, got {value!r}")
+
+
+def _flag(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _gammas(gammas) -> None:
     if gammas is None:
-        return gammas
+        return
     listlike = isinstance(gammas, (Sequence, np.ndarray)) and not isinstance(gammas, str)
     if not listlike or len(gammas) == 0 or not all(
         isinstance(g, numbers.Real) and not isinstance(g, bool) and math.isfinite(g)
@@ -337,25 +345,22 @@ def _gammas(gammas) -> Sequence[float] | None:
         raise ValueError(
             f"gammas must be null or a non-empty list of finite numbers, got {gammas!r}"
         )
-    return gammas
 
 
-def _block_constant(c) -> float | None:
-    if c is None or (isinstance(c, numbers.Real) and not isinstance(c, bool) and 0 < c < math.inf):
-        return c
-    raise ValueError(f"c must be null or a finite number > 0, got {c!r}")
-
-
-OPTION_DOMAINS: dict[str, Callable] = {
-    "space": _space_norm,
+OPTION_DOMAINS: dict[str, Callable[[object], None]] = {
+    "space": _space,
     "variant": as_variant,
     "op": _extrapolation_op,
+    "p0": lambda p0: _positive("p0", p0),
     "r_list": _r_list,
-    "trials": lambda trials: _count("trials", trials),
-    "K": lambda K: _count("K", K),
-    "family_count": lambda count: _count("family_count", count),
-    "c": _block_constant,
+    "trials": lambda trials: _integer("trials", trials, 1),
+    "K": lambda K: _integer("K", K, 1),
+    "family_count": lambda count: _integer("family_count", count, 1),
+    "c": lambda c: _positive("c", c, nullable=True),
     "gammas": _gammas,
+    "seed": lambda seed: _integer("seed", seed, 0),
+    "refine": lambda refine: _flag("refine", refine),
+    "allow_out_of_hypothesis": lambda allow: _flag("allow_out_of_hypothesis", allow),
 }
 
 
@@ -378,8 +383,8 @@ THRESHOLDS: dict[str, dict[str, float]] = {
 # -- suite hypotheses ------------------------------------------------------------
 #
 # Each suite's exponent hypotheses, as a function of its params block and
-# options returning the violated inequalities.  The suite raises
-# PredicateError from it; the CLI validates configs with the same function.
+# options returning the violated inequalities; :func:`admit` raises
+# PredicateError from it.
 
 
 def _violations(params: ExponentParams, *names: str) -> list[str]:
@@ -421,8 +426,8 @@ def _ms_herz_char_hypotheses(params: ExponentParams, options: dict) -> list[str]
 def _extrapolation_hypotheses(params: ExponentParams, options: dict) -> list[str]:
     out = _violations(params, "ms_herz", "char")
     try:
-        block = extrapolation_block_params(params, float(options["p0"]))
-    except (TypeError, ValueError) as exc:
+        block = extrapolation_block_params(params, options["p0"])
+    except ValueError as exc:
         return out + [str(exc)]
     return out + _violations(block, "block", "ms_herz")
 
@@ -438,11 +443,32 @@ HYPOTHESES: dict[str, Callable[..., list[str]]] = {
 }
 
 
-def _hypotheses(suite: str, params, allow: bool = False, **options) -> list[str]:
-    """Violated hypotheses of ``suite``; raises PredicateError unless ``allow``."""
-    violations = HYPOTHESES[suite](params, options)
-    if violations and not allow:
-        raise PredicateError(f"{suite}: " + "; ".join(violations))
+def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
+    """What ``check_<suite>`` accepts, decided once for the suite and the CLI.
+
+    ``options`` holds every option of the suite.  Checks the grid's window,
+    each option's ``OPTION_DOMAINS`` entry, the exact-grid gate on
+    :func:`finest_grid` and ``HYPOTHESES[suite]``, whose violations are
+    returned under ``allow_out_of_hypothesis``.  Every error raised names its
+    cause in ``field``: ``"grid"``, ``"options.<key>"`` or ``"params"``.
+    """
+    cause = "grid"
+    try:
+        if grid.window_low > grid.window_high:
+            raise RectangleError(f"annulus window [{grid.window_low}, {grid.window_high}] is empty")
+        for key, value in options.items():
+            cause = f"options.{key}"
+            OPTION_DOMAINS[key](value)
+        if "variant" in options:
+            cause = "options.variant"
+            as_variant(options["variant"], finest_grid(grid, options["refine"]).n_cells)
+        cause = "params"
+        violations = HYPOTHESES[suite](params, options)
+        if violations and not options.get("allow_out_of_hypothesis", False):
+            raise PredicateError(f"{suite}: " + "; ".join(violations))
+    except (ValueError, MherzError) as exc:
+        exc.field = cause
+        raise
     return violations
 
 
@@ -459,7 +485,7 @@ def check_char_norms(
     equal 2**(alpha + n/p - lam), and that lam = 0 degenerates to the Herz
     closed form.
     """
-    _hypotheses("char_norms", param_sets)
+    admit("char_norms", grid, param_sets, {})
     caps = THRESHOLDS["char_norms"]
     trials: list[TrialRecord] = []
     worst = 0.0
@@ -487,10 +513,10 @@ def check_char_norms(
             TrialRecord(f"set{pset_id}:diagonal-ratio", step_v / base_v, target,
                         extra={"rel_err": rel})
         )
-        # lam = 0 degenerates to the Herz closed form
-        pr0 = pr.with_lam(0.0)
-        g0 = char_rect_norm_closed_form(pr0, 0, 0, "morrey-herz", window_floor=grid.window_low)
-        h0 = char_rect_norm_closed_form(pr0, 0, 0, "herz", window_floor=grid.window_low)
+        # lam = 0 degenerates to the Herz closed form, checked at a window level
+        pr0, l0 = pr.with_lam(0.0), _center_level(grid)
+        g0 = char_rect_norm_closed_form(pr0, l0, l0, "morrey-herz", window_floor=grid.window_low)
+        h0 = char_rect_norm_closed_form(pr0, l0, l0, "herz", window_floor=grid.window_low)
         rel = abs(g0 - h0) / h0
         worst = max(worst, rel)
         trials.append(TrialRecord(f"set{pset_id}:lam0-degenerate", g0, h0, extra={"rel_err": rel}))
@@ -561,8 +587,7 @@ def check_norm_duality(
     block-upper analogue.  (iii) pairing against unit blocks never exceeds
     the Morrey-Herz norm (constant 1), and the achieved fraction is recorded.
     """
-    _count("trials", trials)
-    _hypotheses("norm_duality", params)
+    admit("norm_duality", grid, params, dict(trials=trials, seed=seed, refine=refine))
     caps = THRESHOLDS["norm_duality"]
     notes: list[str] = []
     all_trials, spread, mk_spread = _norm_product_sweep(grid, params)
@@ -638,10 +663,11 @@ def check_maximal_bounds(
     allow_out_of_hypothesis: bool = False,
 ) -> InequalityReport:
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
-    norm = _space_norm(space)
-    _count("trials", trials)
-    variant = as_variant(variant, finest_grid(grid, refine).n_cells)
-    violations = _hypotheses("maximal_bounds", params, allow_out_of_hypothesis, space=space)
+    violations = admit("maximal_bounds", grid, params, dict(
+        space=space, trials=trials, variant=variant, seed=seed, refine=refine,
+        allow_out_of_hypothesis=allow_out_of_hypothesis,
+    ))
+    norm = SPACES[space]
     caps = THRESHOLDS["maximal_bounds"]
     objs = standard_objects(grid, seed, n_random=max(1, trials - 5))
 
@@ -663,7 +689,7 @@ def check_maximal_bounds(
     return _finish(
         f"maximal-bounded-on-{space}",
         grid,
-        {"params": asdict(params), "variant": variant.kind, "seed": seed},
+        {"params": asdict(params), "variant": as_variant(variant).kind, "seed": seed},
         base_trials,
         summary=summary | {"constant_ratio": const_ratio},
         thresholds=caps,
@@ -690,10 +716,9 @@ def check_fefferman_stein(
     refine: bool = True,
 ) -> InequalityReport:
     """Vector-valued maximal inequality: r-sums before vs after the operator."""
-    _r_list(r_list)
-    _count("family_count", family_count)
-    variant = as_variant(variant, finest_grid(grid, refine).n_cells)
-    _hypotheses("fefferman_stein", params)
+    admit("fefferman_stein", grid, params, dict(
+        r_list=r_list, family_count=family_count, variant=variant, seed=seed, refine=refine,
+    ))
     caps = THRESHOLDS["fefferman_stein"]
     # the size-family_count family is the first half of the doubled one,
     # so each member is built and maximised once per grid
@@ -732,7 +757,7 @@ def check_fefferman_stein(
             "params": asdict(params),
             "r_list": list(r_list),
             "family_count": family_count,
-            "variant": variant.kind,
+            "variant": as_variant(variant).kind,
             "seed": seed,
         },
         base_trials,
@@ -783,19 +808,16 @@ def check_extrapolation(
     demonstrated, not proved: finitely many weights are sampled and both
     layers must stay under the cap with stable refinement.
     """
-    _extrapolation_op(op)
-    _count("trials", trials)
-    _count("K", K)
-    _block_constant(c)
-    variant = as_variant(variant, finest_grid(grid, refine).n_cells)
-    _hypotheses("extrapolation", params, p0=p0)
+    admit("extrapolation", grid, params, dict(
+        op=op, p0=p0, trials=trials, variant=variant, c=c, K=K, seed=seed, refine=refine,
+    ))
     caps = THRESHOLDS["extrapolation"]
     block = extrapolation_block_params(params, p0)
 
     def apply_op(f: GridFunction) -> GridFunction:
         if op == "strong-maximal":
             return strong_maximal(f, variant)
-        return cz_apply(f, "double-hilbert")
+        return cz_apply(f, DOUBLE_HILBERT)
 
     c_used = c
     if c_used is None:
@@ -856,7 +878,7 @@ def check_extrapolation(
             "p0": p0,
             "c": c_used,
             "K": K,
-            "variant": variant.kind,
+            "variant": as_variant(variant).kind,
             "seed": seed,
             "n_weights_sampled": 1 + max(1, trials // 2),
         },
@@ -919,8 +941,7 @@ def check_john_nirenberg_bmo(
     [1/equiv_cap, equiv_cap] over a six-symbol test set, stably under
     refinement.  The caps are ``THRESHOLDS["john_nirenberg_bmo"]``.
     """
-    _gammas(gammas)
-    _hypotheses("john_nirenberg_bmo", params)
+    admit("john_nirenberg_bmo", grid, params, dict(gammas=gammas, seed=seed, refine=refine))
     caps = THRESHOLDS["john_nirenberg_bmo"]
     b = build_function(grid, builtin="truncated_log")
     if gammas is None:
@@ -1038,7 +1059,7 @@ def check_cz_comm(
     declared growth factor: the empirical contrapositive of the necessity
     direction.  The caps are ``THRESHOLDS["cz_comm"]``.
     """
-    _hypotheses("cz_comm", params)
+    admit("cz_comm", grid, params, dict(seed=seed, refine=refine))
     caps = THRESHOLDS["cz_comm"]
     # base object small enough that every dilation stays inside the box
     shift = int(math.log2(DILATIONS[-1]))

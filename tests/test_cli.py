@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mherz import verification
 from mherz.cli import (
     SUITES,
     emit,
@@ -15,11 +16,12 @@ from mherz.cli import (
     main,
     run,
 )
-from mherz.errors import ConfigError, PredicateError
+from mherz.errors import ConfigError, MherzError, PredicateError
 from mherz.grid import make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
     HYPOTHESES,
+    OPTION_DOMAINS,
     THRESHOLDS,
     InequalityReport,
     TrialRecord,
@@ -133,6 +135,30 @@ def test_grid_guard_is_config_error(tmp_path):
     cfg = minimal_config(tmp_path, grid={"L_max": 13, "s": 0})
     with pytest.raises(ConfigError, match="size guard"):
         load_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"seed": "abc"}, "seed"),
+        ({"seed": -5}, "seed"),  # the first seeded suite would run on seed -5 + index
+        ({"seed": True}, "seed"),
+        ({"grid": {"L_max": 2.7, "s": 3}}, "grid.L_max"),
+        ({"grid": {"L_max": 2, "s": True}}, "grid.s"),
+        ({"strict": "no"}, "strict"),
+    ],
+)
+def test_top_level_fields_refused_by_name(tmp_path, capsys, overrides, field):
+    cfg = minimal_config(
+        tmp_path,
+        suites=[{"name": "cz_comm", "params": PR_DICT, "options": {"refine": False}}],
+        **overrides,
+    )
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_missing_required_option(tmp_path):
@@ -375,6 +401,15 @@ BAD_OPTION_VALUES = [
     ("john_nirenberg_bmo", {"gammas": []}, "gammas"),
     ("john_nirenberg_bmo", {"gammas": [2.0, "inf"]}, "gammas"),
     ("john_nirenberg_bmo", {"gammas": 3.0}, "gammas"),
+    ("extrapolation", {"op": "strong-maximal", "p0": "2"}, "p0"),
+    ("extrapolation", {"op": "strong-maximal", "p0": True}, "p0"),
+    ("extrapolation", {"op": "strong-maximal", "p0": None}, "p0"),
+    ("norm_duality", {"seed": "x"}, "seed"),
+    ("maximal_bounds", {"space": "herz", "seed": 1.5}, "seed"),
+    ("cz_comm", {"seed": -1}, "seed"),
+    ("john_nirenberg_bmo", {"refine": "no"}, "refine"),
+    ("maximal_bounds", {"space": "herz", "allow_out_of_hypothesis": "false"},
+     "allow_out_of_hypothesis"),
 ]
 
 
@@ -394,8 +429,56 @@ def test_bad_option_values_refused_before_the_run(tmp_path, capsys, name, option
     with pytest.raises(ConfigError, match=rf"suites\[1\]\.options\.{key}: "):
         load_config(cfg)
     assert main(["run", str(cfg)]) == 2
-    assert f"suites[1].options.{key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
+    # the suite called directly refuses the same options through the same
+    # admission, which tags the error with the option it blames, and the
+    # config error carries the suite's own message
+    with pytest.raises((ValueError, MherzError)) as info:
+        SUITES[name].runner(make_grid(2, 2), params=ExponentParams(**params), **options)
+    assert info.value.field == f"options.{key}"
+    assert f"suites[1].options.{key}: {info.value}" in err
+
+
+def test_every_option_has_one_domain():
+    assert set().union(*(sdef.options for sdef in SUITES.values())) == set(OPTION_DOMAINS)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_each_suite_admits_all_its_options_first(monkeypatch, name):
+    seen = []
+
+    def stop(suite, grid, params, options):
+        seen.append((suite, list(options)))
+        raise PredicateError("admission reached")
+
+    monkeypatch.setattr(verification, "admit", stop)
+    options, block = HYPOTHESIS_CASES[name][0]
+    if SUITES[name].multi_params:
+        params = {"param_sets": [ExponentParams(**d) for d in block]}
+    else:
+        params = {"params": ExponentParams(**block)}
+    with pytest.raises(PredicateError, match="admission reached"):
+        SUITES[name].runner(make_grid(2, 3), **params, **options)
+    assert seen == [(name, list(SUITES[name].options))]
+
+
+@pytest.mark.parametrize("L_max, s", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_tiny_grids_are_refused_or_run_to_a_status(tmp_path, name, L_max, s):
+    # every grid the size guard admits either runs to a status or is refused
+    # at load time; at (1, 0) no annulus is cell-aligned, so the window is empty
+    options, block = HYPOTHESIS_CASES[name][0]
+    cfg = minimal_config(
+        tmp_path,
+        grid={"L_max": L_max, "s": s},
+        suites=[{"name": name, "params": block, "options": options}],
+    )
+    if (L_max, s) == (1, 0):
+        with pytest.raises(ConfigError, match=r"^grid: annulus window \[2, 1\] is empty$"):
+            load_config(cfg)
+    else:
+        assert run(cfg) in (0, 1)
 
 
 def test_exact_grid_beyond_its_gate_refused_at_load_time(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import maximum_filter1d
 
-from mherz.errors import CostGuardError, KernelError
+from mherz.errors import CostGuardError
 from mherz.grid import (
     DyadicRectangle,
     GridFunction,
@@ -35,7 +35,6 @@ from mherz.operators import (
     commutator,
     cz_apply,
     estimate_block_norm_constant,
-    get_kernel,
     interval_average_profile,
     kernel_condition_check,
     maximal_iterates,
@@ -425,7 +424,7 @@ def test_estimate_block_norm_constant():
 def test_cz_closed_form_on_square():
     g = make_grid(3, 5)
     chi = build_function(g, builtin="indicator", bounds=(-1, 1, -1, 1))
-    t = cz_apply(chi, "double-hilbert")
+    t = cz_apply(chi, DOUBLE_HILBERT)
     centers = g.cell_centers()
     for ix in (8, 100, 170, 200, 251):
         for iy in (20, 90, 180, 210, 245):
@@ -465,14 +464,6 @@ def test_cz_principal_value_cell_weight_vanishes():
     assert t.values[3, 3] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_unknown_kernel_rejected():
-    g = make_grid(1, 1)
-    with pytest.raises(KernelError, match="unknown kernel"):
-        cz_apply(constant(g, 1.0), "triple-hilbert")
-    with pytest.raises(KernelError):
-        get_kernel("nope")
-
-
 def test_commutator_constant_symbol_vanishes():
     g = make_grid(2, 3)
     f = build_function(g, builtin="noise", seed=12)
@@ -504,7 +495,7 @@ def test_commutator_disjoint_supports_reduces_to_b_Tf():
 
 
 def test_kernel_conditions_double_hilbert():
-    rep = kernel_condition_check("double-hilbert")
+    rep = kernel_condition_check(DOUBLE_HILBERT)
     assert rep.passed
     assert rep.cancellation_max <= 1e-10
     assert rep.size_ratio_max == pytest.approx(1 / math.pi**2, rel=1e-12)
