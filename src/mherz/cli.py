@@ -32,6 +32,7 @@ import datetime
 import inspect
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -120,14 +121,22 @@ def _params_from_dict(d: dict, path: str) -> ExponentParams:
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"{path}: unknown exponent fields {sorted(unknown)}")
+    for key, value in d.items():
+        # an exponent may be a string: strict JSON has no infinity, so it is "inf"
+        integral = key in ("n", "m")
+        if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integral else (numbers.Real, str)
+        ):
+            kind = "an integer" if integral else "a number"
+            raise ConfigError(f"{path}.{key}: expected {kind}, got {value!r}")
     try:
         return ExponentParams(
             alpha=float(d["alpha"]),
             p=float(d["p"]),
             q=float(d["q"]),
             lam=float(d.get("lam", 0.0)),
-            n=int(d.get("n", 1)),
-            m=int(d.get("m", 1)),
+            n=d.get("n", 1),
+            m=d.get("m", 1),
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc.args[0]!r}") from None
@@ -187,6 +196,10 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(strict, bool):
         raise ConfigError(f"strict: expected true or false, got {strict!r}")
 
+    out_dir = raw.get("out_dir", "reports")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir: expected a path string, got {out_dir!r}")
+
     fmt = raw.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format: expected 'json' or 'csv', got {fmt!r}")
@@ -222,7 +235,9 @@ def load_config(path: str | Path) -> RunConfig:
         else:
             params = _params_from_dict(pblock, f"{path_i}.params")
 
-        options = dict(entry.get("options", {}))
+        options = entry.get("options", {})
+        if not isinstance(options, dict):
+            raise ConfigError(f"{path_i}.options: expected an object, got {options!r}")
         bad_opts = set(options) - set(sdef.options)
         if bad_opts:
             raise ConfigError(
@@ -247,7 +262,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     return RunConfig(
         grid=grid,
-        out_dir=Path(raw.get("out_dir", "reports")),
+        out_dir=Path(out_dir),
         format=fmt,
         strict=strict,
         jobs=jobs,

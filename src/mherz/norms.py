@@ -287,9 +287,12 @@ def _annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
     return _lp_table(f.spec, _segment_table(f.spec, a, np.add), p)
 
 
+@functools.lru_cache(maxsize=1024)
 def _alpha_weights(spec: GridSpec, alpha: float) -> np.ndarray:
+    """``2**((i + j) alpha)`` over the annulus window; cached and read-only,
+    since every norm call of a sweep asks for the same few exponents."""
     win = np.array(list(spec.window_range()), dtype=float)
-    return 2.0 ** ((win[:, None] + win[None, :]) * alpha)
+    return _read_only(2.0 ** ((win[:, None] + win[None, :]) * alpha))
 
 
 # -- Herz and Morrey-Herz ----------------------------------------------------

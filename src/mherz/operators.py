@@ -14,9 +14,10 @@ rectangle family containing each cell):
   4 (any rectangle sits inside a dyadic-sided one of at most 4x the area at
   an admissible anchor).
 * ``iterated-1d``: the 1-D maximal operator applied in y then in x; dominates
-  exact-grid pointwise.  O(N^3) time and O(N^2) memory, with no chunking:
-  :func:`interval_average_profile` sweeps the interval starts one at a time
-  over all lines at once, holding one slab of interval means per start.
+  exact-grid pointwise.  O(N^3) time and O(N^2) memory:
+  :func:`interval_average_profile` sweeps the interval lengths from N down to
+  1 over all lines at once, in two alternating N x N slabs.
+  ``exact-grid`` runs the same 1-D sweep on its row-range sums.
 
 The singular convolution evaluates at cell centers with exact per-cell
 antiderivatives of each axis kernel, which makes the principal value exact
@@ -85,26 +86,31 @@ def interval_average_profile(v: np.ndarray) -> np.ndarray:
     """Per position, the max over subintervals containing it of the mean.
 
     Operates on the last axis; leading axes are batch.  One sweep over
-    interval starts ``i``: the means of ``v[i:j+1]`` for every end ``j``,
-    suffix-maximised over ``j``, are folded into every position ``x >= i``,
-    so ``out[x] = max_{i<=x} max_{j>=x} mean(v[i:j+1])``.  O(n^2) work per
-    line and one ``n - i`` slab per line at a time; every mean is the float
-    expression ``(P[j+1] - P[i]) / (j+1-i)`` on the prefix sums ``P``, and
-    ``max`` is exact, so the result does not depend on the sweep order.
+    interval lengths ``L = n, n-1, ..., 1``: ``Q_L[i]``, the largest mean over
+    intervals containing ``[i, i+L-1]``, is the max of that interval's own
+    mean and ``Q_{L+1}[i-1]``, ``Q_{L+1}[i]`` (the two one-longer intervals
+    around it, where they exist), and the profile is ``Q_1``.  O(n^2) work
+    per line, two ``n``-row slabs of ``Q`` per line.  The profiled axis is
+    moved to the front, so every step is elementwise over contiguous batches
+    of lines.  Every mean is the float expression ``(P[j+1] - P[i]) /
+    (j+1-i)`` on the prefix sums ``P``, and ``max`` is exact, so the result
+    does not depend on the sweep order.
     """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1]
-    P = np.zeros(v.shape[:-1] + (n + 1,))
-    np.cumsum(v, axis=-1, out=P[..., 1:])
-    lengths = np.arange(1, n + 1, dtype=float)
-    out = np.full(v.shape, -np.inf)
-    for i in range(n):
-        a = P[..., i + 1 :] - P[..., i : i + 1]  # [.., j - i] = P[j+1] - P[i]
-        a /= lengths[: n - i]
-        rev = a[..., ::-1]
-        np.maximum.accumulate(rev, axis=-1, out=rev)  # suffix max over ends
-        np.maximum(out[..., i:], a, out=out[..., i:])
-    return out
+    v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    n = v.shape[0]
+    P = np.zeros((n + 1,) + v.shape[1:])
+    np.cumsum(v, axis=0, out=P[1:])
+    # two reused slabs: a fresh array per length costs more peak RSS at large n
+    slabs = (np.empty(v.shape), np.empty(v.shape))
+    q = P[:0]  # Q_{n+1}: no interval is longer than the line
+    for L in range(n, 0, -1):
+        m = slabs[L % 2][: n - L + 1]
+        np.subtract(P[L:], P[:-L], out=m)  # [i] = P[i+L] - P[i]
+        m /= float(L)
+        np.maximum(m[1:], q, out=m[1:])
+        np.maximum(m[:-1], q, out=m[:-1])
+        q = m
+    return np.moveaxis(q, 0, -1)
 
 
 def _maximal_exact(absv: np.ndarray) -> np.ndarray:

@@ -146,6 +146,7 @@ def test_grid_guard_is_config_error(tmp_path):
         ({"grid": {"L_max": 2.7, "s": 3}}, "grid.L_max"),
         ({"grid": {"L_max": 2, "s": True}}, "grid.s"),
         ({"strict": "no"}, "strict"),
+        ({"out_dir": 5}, "out_dir"),
     ],
 )
 def test_top_level_fields_refused_by_name(tmp_path, capsys, overrides, field):
@@ -154,6 +155,39 @@ def test_top_level_fields_refused_by_name(tmp_path, capsys, overrides, field):
         suites=[{"name": "cz_comm", "params": PR_DICT, "options": {"refine": False}}],
         **overrides,
     )
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def _cz(params=None, **fields):
+    return {"name": "cz_comm", "params": PR_DICT | (params or {}), **fields}
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        (_cz({"alpha": None}), "suites[0].params.alpha"),  # was a raw TypeError
+        (_cz({"alpha": [0.25]}), "suites[0].params.alpha"),
+        (_cz({"alpha": True}), "suites[0].params.alpha"),  # was read as 1.0
+        (_cz({"p": True}), "suites[0].params.p"),
+        (_cz({"q": False}), "suites[0].params.q"),
+        (_cz({"lam": True}), "suites[0].params.lam"),
+        (_cz({"n": 1.5}), "suites[0].params.n"),  # was read as 1
+        (_cz({"m": 1.5}), "suites[0].params.m"),
+        (_cz({"n": True}), "suites[0].params.n"),
+        (_cz({"alpha": "x"}), "suites[0].params"),
+        ({"name": "char_norms", "params": [PR_DICT | {"q": None}]}, "suites[0].params[0].q"),
+        (_cz(options="ab"), "suites[0].options"),  # was a raw ValueError
+        (_cz(options=[]), "suites[0].options"),  # was read as no options
+        (_cz(options=3), "suites[0].options"),
+        (_cz(options=None), "suites[0].options"),
+    ],
+)
+def test_suite_fields_refused_by_name(tmp_path, capsys, entry, field):
+    cfg = minimal_config(tmp_path, suites=[entry])
     with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
         load_config(cfg)
     assert main(["run", str(cfg)]) == 2

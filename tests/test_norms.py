@@ -30,6 +30,7 @@ from mherz.norms import (
     ExponentParams,
     NormBracket,
     RectangleFamily,
+    _alpha_weights,
     _annulus_lp_table,
     _clip_runs,
     _family_rectangles,
@@ -771,6 +772,15 @@ def test_clip_runs_cache_matches_uncached(spec, data):
         assert np.array_equal(g, w)
         assert not g.flags.writeable
     assert _clip_runs(spec, lo, hi) is got
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grid(8), st.floats(-4.0, 4.0))
+def test_alpha_weights_cache_matches_uncached(spec, alpha):
+    got = _alpha_weights(spec, alpha)
+    assert np.array_equal(got, _alpha_weights.__wrapped__(spec, alpha))
+    assert not got.flags.writeable
+    assert _alpha_weights(spec, alpha) is got
 
 
 @settings(max_examples=60, deadline=None)

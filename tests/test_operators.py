@@ -197,6 +197,29 @@ def test_interval_profile_bit_identical_to_staircase(kind):
             assert np.array_equal(got, staircase_interval_average_profile(v)), (n, v.ndim)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda ndim: hnp.arrays(
+            float,
+            hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=12),
+            elements=st.floats(0.0, 1e300),
+        )
+    ),
+    st.sampled_from(["plain", "T", "every-other"]),
+)
+def test_interval_profile_matches_staircase_on_arbitrary_views(a, view):
+    # the profile moves the profiled axis to the front, so strided and
+    # transposed inputs must give what the staircase gives on the same view
+    if view == "T":
+        a = a.T
+    elif view == "every-other":
+        a = a[..., ::2]
+    got = interval_average_profile(a)
+    assert got.shape == a.shape
+    assert np.array_equal(got, staircase_interval_average_profile(a))
+
+
 def test_iterated_1d_kernel_bit_identical_to_staircase_n256():
     a = np.abs(np.random.default_rng(257).normal(size=(256, 256)))
     assert np.array_equal(_maximal_kernel(ITERATED_1D, a), staircase_iterated_1d(a))
