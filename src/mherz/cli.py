@@ -33,9 +33,7 @@ import inspect
 import json
 import math
 import numbers
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -58,9 +56,6 @@ from .verification import (
     check_norm_duality,
     extrapolation_block_params,
 )
-
-WORKERS_ENV = "MHERZ_WORKERS"
-
 
 # -- suite registry -----------------------------------------------------------
 
@@ -180,6 +175,9 @@ def load_config(path: str | Path) -> RunConfig:
     gdict = raw.get("grid")
     if not isinstance(gdict, dict) or not {"L_max", "s"} <= set(gdict):
         raise ConfigError("grid: expected an object with integer L_max and s")
+    unknown = set(gdict) - {"L_max", "s"}
+    if unknown:
+        raise ConfigError(f"grid: unknown fields {sorted(unknown)}")
     for key in ("L_max", "s"):
         if isinstance(gdict[key], bool) or not isinstance(gdict[key], int):
             raise ConfigError(f"grid.{key}: expected an integer, got {gdict[key]!r}")
@@ -373,7 +371,6 @@ def run(
     strict: bool | None = None,
     out_dir: str | Path | None = None,
     fmt: str | None = None,
-    parallel: bool = False,
 ) -> int:
     """Execute all suites in a config; returns the process exit code."""
     cfg = load_config(config_path)
@@ -386,18 +383,7 @@ def run(
             raise ConfigError(f"format: expected 'json' or 'csv', got {fmt!r}")
         cfg.format = fmt
 
-    if parallel:
-        raw = os.environ.get(WORKERS_ENV)
-        try:
-            workers = int(raw) if raw is not None else os.cpu_count() or 1
-        except ValueError:
-            raise ConfigError(
-                f"{WORKERS_ENV}: expected an integer worker count, got {raw!r}"
-            ) from None
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            reports = list(pool.map(lambda j: _execute_job(cfg, j), cfg.jobs))
-    else:
-        reports = [_execute_job(cfg, job) for job in cfg.jobs]
+    reports = [_execute_job(cfg, job) for job in cfg.jobs]
 
     index = []
     ok = True
@@ -466,10 +452,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--strict", action="store_true", help="fail on out-of-hypothesis")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--format", choices=("json", "csv"), default=None)
-    p_run.add_argument(
-        "--parallel", action="store_true",
-        help=f"run suites concurrently ({WORKERS_ENV} sets the worker count)",
-    )
 
     sub.add_parser("list-suites", help="list available suites")
 
@@ -484,7 +466,6 @@ def main(argv: list[str] | None = None) -> int:
                 strict=args.strict or None,
                 out_dir=args.out,
                 fmt=args.format,
-                parallel=args.parallel,
             )
         if args.command == "list-suites":
             return list_suites()

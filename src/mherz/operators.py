@@ -1,8 +1,8 @@
 """Operators on grid functions: strong maximal variants, Rubio de Francia
-iteration, and separable singular convolution.
+iteration, and the double Hilbert transform.
 
-Strong maximal operator variants (all return the sup of |f|-averages over a
-rectangle family containing each cell):
+Strong maximal operator variants, named by plain strings (all return the
+sup of |f|-averages over a rectangle family containing each cell):
 
 * ``exact-grid``: every grid-aligned rectangle.  O(N^4) via per-row-range 1-D
   reductions; refused beyond ``EXACT_GATE`` cells a side.
@@ -19,19 +19,19 @@ rectangle family containing each cell):
   1 over all lines at once, in two alternating N x N slabs.
   ``exact-grid`` runs the same 1-D sweep on its row-range sums.
 
-The singular convolution evaluates at cell centers with exact per-cell
-antiderivatives of each axis kernel, which makes the principal value exact
-algebra for piecewise-constant inputs: the weight of a source cell [a, b) at
-target x is A(x - a) - A(x - b) with A an antiderivative of the axis kernel,
-finite even on the singular cell because centers never sit on cell edges.
-Separability turns the O(N^4) sum into two dense N x N matrix products.
+The double Hilbert transform, with kernel 1/(pi x) * 1/(pi y), evaluates at
+cell centers with the exact per-cell antiderivative A(u) = log|u| / pi of
+each axis factor, which makes the principal value exact algebra for
+piecewise-constant inputs: the weight of a source cell [a, b) at target x is
+A(x - a) - A(x - b), finite even on the singular cell because centers never
+sit on cell edges.  Both axes share one weight table W, and separability
+turns the O(N^4) sum into two dense N x N matrix products, W f W^T.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,32 +52,17 @@ from .norms import block_norm_bracket
 
 EXACT_GATE = 64  # largest N for the O(N^4) exact-grid sweep
 
-
-@dataclass(frozen=True)
-class MaximalVariant:
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact-grid", "dyadic-sides", "iterated-1d"):
-            raise ValueError(f"unknown maximal variant {self.kind!r}")
+EXACT_GRID = "exact-grid"
+DYADIC_SIDES = "dyadic-sides"
+ITERATED_1D = "iterated-1d"
 
 
-EXACT_GRID = MaximalVariant("exact-grid")
-DYADIC_SIDES = MaximalVariant("dyadic-sides")
-ITERATED_1D = MaximalVariant("iterated-1d")
-
-_VARIANTS = {v.kind: v for v in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D)}
-
-
-def as_variant(variant: MaximalVariant | str, n_cells: int = 0) -> MaximalVariant:
-    """``variant`` as a MaximalVariant; exact-grid on more than ``EXACT_GATE``
-    cells a side raises CostGuardError."""
-    if not isinstance(variant, MaximalVariant):
-        try:
-            variant = _VARIANTS[variant]
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown maximal variant {variant!r}") from None
-    if variant.kind == "exact-grid" and n_cells > EXACT_GATE:
+def as_variant(variant: str, n_cells: int = 0) -> str:
+    """``variant`` if it names a maximal variant; exact-grid on more than
+    ``EXACT_GATE`` cells a side raises CostGuardError."""
+    if not (isinstance(variant, str) and variant in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D)):
+        raise ValueError(f"unknown maximal variant {variant!r}")
+    if variant == EXACT_GRID and n_cells > EXACT_GATE:
         raise CostGuardError(f"exact-grid maximal on N={n_cells} exceeds gate {EXACT_GATE}")
     return variant
 
@@ -154,15 +139,15 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _maximal_kernel(var: MaximalVariant, absv: np.ndarray) -> np.ndarray:
-    if var.kind == "exact-grid":
+def _maximal_kernel(var: str, absv: np.ndarray) -> np.ndarray:
+    if var == EXACT_GRID:
         return _maximal_exact(absv)
-    if var.kind == "dyadic-sides":
+    if var == DYADIC_SIDES:
         return _maximal_dyadic(absv)
     return interval_average_profile(interval_average_profile(absv).T).T
 
 
-def strong_maximal(f: GridFunction, variant: MaximalVariant | str = DYADIC_SIDES) -> GridFunction:
+def strong_maximal(f: GridFunction, variant: str = DYADIC_SIDES) -> GridFunction:
     """Discrete strong maximal function of f for the chosen rectangle family."""
     n = f.spec.n_cells
     var = as_variant(variant, n)
@@ -184,7 +169,7 @@ def strong_maximal(f: GridFunction, variant: MaximalVariant | str = DYADIC_SIDES
 
 
 def maximal_iterates(
-    h: GridFunction, K: int, variant: MaximalVariant | str = DYADIC_SIDES
+    h: GridFunction, K: int, variant: str = DYADIC_SIDES
 ) -> list[np.ndarray]:
     """[|h|, M|h|, M^2|h|, ..., M^K|h|] as value tables (K+1 entries)."""
     if K < 0:
@@ -219,7 +204,7 @@ def rubio_de_francia(
     h: GridFunction,
     c: float,
     K: int,
-    variant: MaximalVariant | str = DYADIC_SIDES,
+    variant: str = DYADIC_SIDES,
 ) -> GridFunction:
     """Apply the truncated majorant construction to |h|.
 
@@ -234,7 +219,7 @@ def rubio_de_francia(
 def estimate_block_norm_constant(
     spec: GridSpec,
     block_params,
-    variant: MaximalVariant | str = DYADIC_SIDES,
+    variant: str = DYADIC_SIDES,
 ) -> float:
     """Power-iteration style estimate of the maximal operator's block norm.
 
@@ -268,187 +253,34 @@ def estimate_block_norm_constant(
     return best
 
 
-# -- separable singular kernels ---------------------------------------------------
+# -- double Hilbert transform -----------------------------------------------------
+
+DOUBLE_HILBERT = "double-hilbert"  # the kernel 1/(pi x) * 1/(pi y)
 
 
-@dataclass(frozen=True)
-class AxisKernel:
-    """One axis factor with an exact antiderivative rule."""
+def _axis_weights(spec: GridSpec) -> np.ndarray:
+    """W[target, source] = integral of 1/(pi (x - t)) over the source cell.
 
-    name: str
-    degree: int  # homogeneity degree is -degree (the axis dimension)
-    value: Callable[[np.ndarray], np.ndarray]
-    antiderivative: Callable[[np.ndarray], np.ndarray]
-    odd: bool = True
-
-
-@dataclass(frozen=True)
-class SeparableKernel:
-    name: str
-    axis1: AxisKernel
-    axis2: AxisKernel
-    eta: float = 1.0  # smoothness exponent used by the condition checks
-
-    def value(self, x, y):
-        return self.axis1.value(np.asarray(x, float)) * self.axis2.value(
-            np.asarray(y, float)
-        )
-
-
-def _hilbert_axis() -> AxisKernel:
-    return AxisKernel(
-        name="hilbert",
-        degree=1,
-        value=lambda u: 1.0 / (math.pi * u),
-        antiderivative=lambda u: np.log(np.abs(u)) / math.pi,
-        odd=True,
-    )
-
-
-DOUBLE_HILBERT = SeparableKernel("double-hilbert", _hilbert_axis(), _hilbert_axis(), eta=1.0)
-
-def _axis_weights(spec: GridSpec, axis: AxisKernel) -> np.ndarray:
-    """W[target, source] = integral of the axis kernel over the source cell.
-
-    Principal-value exact: over the cell holding the target center the two
-    antiderivative evaluations are at equal distances h/2, so for an odd
-    kernel the weight vanishes, exactly as the symmetric limit does.
+    With the antiderivative ``log|u| / pi``, principal-value exact: over the
+    cell holding the target center the two evaluations are at equal
+    distances h/2, so the weight vanishes, exactly as the symmetric limit does.
     """
     centers = spec.cell_centers()
     edges = spec.cell_edges()
-    A = axis.antiderivative(centers[:, None] - edges[None, :])
+    A = np.log(np.abs(centers[:, None] - edges[None, :])) / math.pi
     if not np.isfinite(A).all():
-        raise KernelError(
-            f"axis kernel {axis.name!r} produced non-finite antiderivative values"
-        )
+        raise KernelError("the Hilbert kernel produced non-finite antiderivative values")
     return A[:, :-1] - A[:, 1:]
 
 
-def cz_apply(f: GridFunction, kernel: SeparableKernel = DOUBLE_HILBERT) -> GridFunction:
-    """Convolution with a separable singular kernel, exact at cell centers."""
-    W1 = _axis_weights(f.spec, kernel.axis1)
-    W2 = _axis_weights(f.spec, kernel.axis2)
-    return f.with_values(W1 @ f.values @ W2.T)
+def cz_apply(f: GridFunction) -> GridFunction:
+    """The double Hilbert transform of f, exact at cell centers."""
+    W = _axis_weights(f.spec)
+    return f.with_values(W @ f.values @ W.T)
 
 
-def commutator(
-    b: GridFunction, f: GridFunction, kernel: SeparableKernel = DOUBLE_HILBERT
-) -> GridFunction:
-    """b * T(f) - T(b * f) for the separable singular operator T."""
-    tf = cz_apply(f, kernel)
-    tbf = cz_apply(f.with_values(b.values * f.values), kernel)
+def commutator(b: GridFunction, f: GridFunction) -> GridFunction:
+    """b * T(f) - T(b * f) for the double Hilbert transform T."""
+    tf = cz_apply(f)
+    tbf = cz_apply(f.with_values(b.values * f.values))
     return f.with_values(b.values * tf.values - tbf.values)
-
-
-# -- kernel condition report --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    r_min: float = 2.0**-6
-    r_max: float = 2.0**6
-    n_radii: int = 17
-    h_fractions: tuple[float, ...] = (0.25, 0.125, 0.0625)
-
-    def radii(self) -> np.ndarray:
-        return np.geomspace(self.r_min, self.r_max, self.n_radii)
-
-
-@dataclass(frozen=True)
-class KernelConditionReport:
-    kernel: str
-    eta: float
-    cancellation_max: float
-    size_ratio_max: float
-    smoothness_ratio_max: float
-    mixed_ratio_max: float
-    cancellation_tol: float
-    passed: bool
-    worst: dict = field(default_factory=dict)
-
-
-def kernel_condition_check(
-    kernel: SeparableKernel,
-    plan: SamplePlan | None = None,
-    cancellation_tol: float = 1e-8,
-) -> KernelConditionReport:
-    """Numerically audit the size, cancellation, and smoothness conditions.
-
-    Cancellation integrals use the exact antiderivatives over annuli (so for
-    odd kernels they vanish to rounding); the size and smoothness bounds are
-    evaluated as ratios against their model envelopes over log-spaced
-    samples, and the max ratio is reported as the empirical constant.
-    """
-    plan = plan or SamplePlan()
-    radii = plan.radii()
-    worst: dict = {}
-
-    canc = 0.0
-    for axis in (kernel.axis1, kernel.axis2):
-        for a in radii:
-            for b in radii:
-                if b <= a:
-                    continue
-                pos = axis.antiderivative(np.array(b)) - axis.antiderivative(np.array(a))
-                neg = axis.antiderivative(np.array(-a)) - axis.antiderivative(np.array(-b))
-                tot = abs(float(pos + neg))
-                if tot > canc:
-                    canc = tot
-                    worst["cancellation"] = {"axis": axis.name, "a": float(a), "b": float(b)}
-
-    xs = np.concatenate([radii, -radii])
-    K = kernel.value(xs[:, None], xs[None, :])
-    size_ratio = np.abs(K) * np.abs(xs[:, None]) ** kernel.axis1.degree * np.abs(
-        xs[None, :]
-    ) ** kernel.axis2.degree
-    size_max = float(size_ratio.max())
-    idx = np.unravel_index(np.argmax(size_ratio), size_ratio.shape)
-    worst["size"] = {"x": float(xs[idx[0]]), "y": float(xs[idx[1]])}
-
-    def axis_smooth(axis: AxisKernel) -> float:
-        best = 0.0
-        for x in xs:
-            for frac in plan.h_fractions:
-                hh = frac * abs(x)  # guarantees |x| > 2|h|
-                diff = abs(float(axis.value(np.array(x + hh)) - axis.value(np.array(x))))
-                envelope = (hh / abs(x)) ** kernel.eta / abs(x) ** axis.degree
-                ratio = diff / envelope
-                if ratio > best:
-                    best = ratio
-                    worst["smoothness"] = {"axis": axis.name, "x": float(x), "h": float(hh)}
-        return best
-
-    smooth_max = max(axis_smooth(kernel.axis1), axis_smooth(kernel.axis2))
-
-    mixed = 0.0
-    sub = xs[:: max(1, len(xs) // 12)]
-    for x in sub:
-        for y in sub:
-            for frac in plan.h_fractions:
-                hh, kk = frac * abs(x), frac * abs(y)
-                dd = abs(
-                    float(
-                        (kernel.value(x + hh, y + kk) - kernel.value(x, y + kk))
-                        - (kernel.value(x + hh, y) - kernel.value(x, y))
-                    )
-                )
-                env = (
-                    ((hh / abs(x)) * (kk / abs(y))) ** kernel.eta
-                    / (abs(x) ** kernel.axis1.degree * abs(y) ** kernel.axis2.degree)
-                )
-                mixed = max(mixed, dd / env)
-
-    passed = canc <= cancellation_tol and all(
-        math.isfinite(v) for v in (size_max, smooth_max, mixed)
-    )
-    return KernelConditionReport(
-        kernel=kernel.name,
-        eta=kernel.eta,
-        cancellation_max=canc,
-        size_ratio_max=size_max,
-        smoothness_ratio_max=smooth_max,
-        mixed_ratio_max=mixed,
-        cancellation_tol=cancellation_tol,
-        passed=passed,
-        worst=worst,
-    )

@@ -61,7 +61,6 @@ from .norms import (
 from .operators import (
     DOUBLE_HILBERT,
     DYADIC_SIDES,
-    MaximalVariant,
     as_variant,
     commutator,
     cz_apply,
@@ -294,7 +293,7 @@ SPACES: dict[str, Callable[[GridFunction, ExponentParams], float]] = {
     "block-upper": lambda f, params: block_norm_bracket(f, params).upper,
 }
 
-EXTRAPOLATION_OPS = ("strong-maximal", "double-hilbert")
+EXTRAPOLATION_OPS = ("strong-maximal", DOUBLE_HILBERT)
 
 
 def _space(space) -> None:
@@ -463,6 +462,8 @@ def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
             cause = "options.variant"
             as_variant(options["variant"], finest_grid(grid, options["refine"]).n_cells)
         cause = "params"
+        if isinstance(params, Sequence) and not params:
+            raise ValueError("expected at least one parameter set")
         violations = HYPOTHESES[suite](params, options)
         if violations and not options.get("allow_out_of_hypothesis", False):
             raise PredicateError(f"{suite}: " + "; ".join(violations))
@@ -657,7 +658,7 @@ def check_maximal_bounds(
     space: str,
     params: ExponentParams,
     trials: int = 6,
-    variant: MaximalVariant | str = DYADIC_SIDES,
+    variant: str = DYADIC_SIDES,
     seed: int = 0,
     refine: bool = True,
     allow_out_of_hypothesis: bool = False,
@@ -689,7 +690,7 @@ def check_maximal_bounds(
     return _finish(
         f"maximal-bounded-on-{space}",
         grid,
-        {"params": asdict(params), "variant": as_variant(variant).kind, "seed": seed},
+        {"params": asdict(params), "variant": variant, "seed": seed},
         base_trials,
         summary=summary | {"constant_ratio": const_ratio},
         thresholds=caps,
@@ -711,7 +712,7 @@ def check_fefferman_stein(
     params: ExponentParams,
     r_list: Sequence[float] = (1.5, 2.0, 3.0),
     family_count: int = 4,
-    variant: MaximalVariant | str = DYADIC_SIDES,
+    variant: str = DYADIC_SIDES,
     seed: int = 0,
     refine: bool = True,
 ) -> InequalityReport:
@@ -757,7 +758,7 @@ def check_fefferman_stein(
             "params": asdict(params),
             "r_list": list(r_list),
             "family_count": family_count,
-            "variant": as_variant(variant).kind,
+            "variant": variant,
             "seed": seed,
         },
         base_trials,
@@ -794,7 +795,7 @@ def check_extrapolation(
     p0: float,
     params: ExponentParams,
     trials: int = 4,
-    variant: MaximalVariant | str = DYADIC_SIDES,
+    variant: str = DYADIC_SIDES,
     c: float | None = None,
     K: int = 6,
     seed: int = 0,
@@ -817,7 +818,7 @@ def check_extrapolation(
     def apply_op(f: GridFunction) -> GridFunction:
         if op == "strong-maximal":
             return strong_maximal(f, variant)
-        return cz_apply(f, DOUBLE_HILBERT)
+        return cz_apply(f)
 
     c_used = c
     if c_used is None:
@@ -878,7 +879,7 @@ def check_extrapolation(
             "p0": p0,
             "c": c_used,
             "K": K,
-            "variant": as_variant(variant).kind,
+            "variant": variant,
             "seed": seed,
             "n_weights_sampled": 1 + max(1, trials // 2),
         },
@@ -1084,7 +1085,7 @@ def check_cz_comm(
             rhs = morrey_herz_norm(f, params)
             if rhs == 0.0:
                 continue
-            tf = restrict_to_window(cz_apply(f, DOUBLE_HILBERT))
+            tf = restrict_to_window(cz_apply(f))
             out.append(TrialRecord(f"tk:{obj.name}", morrey_herz_norm(tf, params), rhs))
         # (ii)+(iii) commutator dilation sweep
         f0 = restrict_to_window(indicator(spec, DyadicRectangle(l0, l0)))
@@ -1093,7 +1094,7 @@ def check_cz_comm(
             for t in DILATIONS:
                 ft = dilate(f0, t) if t > 1 else f0
                 rhs = morrey_herz_norm(ft, params)
-                cm = restrict_to_window(commutator(bsym, ft, DOUBLE_HILBERT))
+                cm = restrict_to_window(commutator(bsym, ft))
                 lhs = morrey_herz_norm(cm, params)
                 out.append(
                     TrialRecord(
@@ -1122,7 +1123,7 @@ def check_cz_comm(
         grid,
         {
             "params": asdict(params),
-            "kernel": DOUBLE_HILBERT.name,
+            "kernel": DOUBLE_HILBERT,
             "dilations": list(DILATIONS),
             "seed": seed,
         },

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import GridFunction, _box_sum, _prefix_table
 from .norms import RectangleFamily, _family_rectangles
-from .operators import DYADIC_SIDES, MaximalVariant, as_variant, rubio_de_francia
+from .operators import DYADIC_SIDES, rubio_de_francia
 
 _TINY = np.finfo(float).tiny
 
@@ -131,7 +131,7 @@ def generate_a1_weight(
     h: GridFunction,
     c: float,
     K: int,
-    variant: MaximalVariant | str = DYADIC_SIDES,
+    variant: str = DYADIC_SIDES,
     block_params=None,
 ) -> WeightFunction:
     """Weight from the truncated majorant series of |h|, floored at tiny.
@@ -156,7 +156,7 @@ def generate_a1_weight(
         "c": float(c),
         "K": int(K),
         "tail_factor": 2.0**-K,  # the geometric share left beyond the truncation
-        "variant": as_variant(variant).kind,
+        "variant": variant,
         "h_block_upper": upper,
     }
     return make_weight(h.with_values(vals), prov)

@@ -26,7 +26,6 @@ from mherz.norms import (
     morrey_herz_norm,
 )
 from mherz.operators import (
-    DOUBLE_HILBERT,
     DYADIC_SIDES,
     EXACT_GRID,
     ITERATED_1D,
@@ -199,7 +198,7 @@ def test_criterion_05_generated_weight_quality():
 def test_criterion_06_cz_exactness_and_speed():
     chi = build_function(G35, builtin="indicator", bounds=(-1, 1, -1, 1))
     t0 = time.perf_counter()
-    t = cz_apply(chi, DOUBLE_HILBERT)
+    t = cz_apply(chi)
     elapsed = time.perf_counter() - t0
     centers = G35.cell_centers()
     idx = np.linspace(170, 250, 5, dtype=int)  # centers in (1.3, 3.9), off boundary

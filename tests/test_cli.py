@@ -147,6 +147,7 @@ def test_grid_guard_is_config_error(tmp_path):
         ({"grid": {"L_max": 2, "s": True}}, "grid.s"),
         ({"strict": "no"}, "strict"),
         ({"out_dir": 5}, "out_dir"),
+        ({"grid": {"L_max": 2, "s": 2, "S": 5}}, "grid"),  # was run at s=2
     ],
 )
 def test_top_level_fields_refused_by_name(tmp_path, capsys, overrides, field):
@@ -184,6 +185,7 @@ def _cz(params=None, **fields):
         (_cz(options=[]), "suites[0].options"),  # was read as no options
         (_cz(options=3), "suites[0].options"),
         (_cz(options=None), "suites[0].options"),
+        ({"name": "char_norms", "params": []}, "suites[0].params"),  # was a vacuous pass
     ],
 )
 def test_suite_fields_refused_by_name(tmp_path, capsys, entry, field):
@@ -302,31 +304,6 @@ def test_john_nirenberg_csv_has_gamma_column(tmp_path):
     path = emit(rep, "csv", tmp_path / "jn.csv")
     header = next(l for l in path.read_text().splitlines() if not l.startswith("#"))
     assert "gamma" in header  # (gamma, norm) columns ready for a line fit
-
-
-def test_parallel_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("MHERZ_WORKERS", "2")
-    cfg = minimal_config(
-        tmp_path,
-        suites=[
-            {"name": "char_norms", "params": [PR_DICT]},
-            {
-                "name": "maximal_bounds",
-                "params": PR_DICT,
-                "options": {"space": "herz", "refine": False, "trials": 3},
-            },
-        ],
-    )
-    assert run(cfg, parallel=True) == 0
-
-
-def test_parallel_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MHERZ_WORKERS", "two")
-    cfg = minimal_config(tmp_path)
-    with pytest.raises(ConfigError, match="MHERZ_WORKERS"):
-        run(cfg, parallel=True)
-    assert main(["run", str(cfg), "--parallel"]) == 2
-    assert "MHERZ_WORKERS" in capsys.readouterr().err
 
 
 # per suite: (options, params block) pairs on both sides of the hypotheses

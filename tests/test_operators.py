@@ -22,12 +22,11 @@ from mherz.grid import (
 )
 from mherz.norms import ExponentParams
 from mherz.operators import (
-    DOUBLE_HILBERT,
     DYADIC_SIDES,
     EXACT_GRID,
+    EXACT_GATE,
     ITERATED_1D,
-    MaximalVariant,
-    SamplePlan,
+    _axis_weights,
     _maximal_dyadic,
     _maximal_exact,
     _maximal_kernel,
@@ -36,7 +35,6 @@ from mherz.operators import (
     cz_apply,
     estimate_block_norm_constant,
     interval_average_profile,
-    kernel_condition_check,
     maximal_iterates,
     rubio_de_francia,
     rubio_from_iterates,
@@ -132,12 +130,14 @@ def staircase_maximal_exact(absv: np.ndarray) -> np.ndarray:
 
 
 def test_variant_coercion():
-    assert as_variant("exact-grid").kind == "exact-grid"
-    assert as_variant(DYADIC_SIDES) is DYADIC_SIDES
-    with pytest.raises(ValueError):
-        as_variant("bogus")
-    with pytest.raises(ValueError):
-        MaximalVariant("bogus")
+    assert as_variant("exact-grid", EXACT_GATE) == "exact-grid"
+    assert as_variant(DYADIC_SIDES) == "dyadic-sides"
+    assert as_variant(ITERATED_1D, 1024) == "iterated-1d"
+    for bad in ("bogus", None, 1, ["dyadic-sides"]):
+        with pytest.raises(ValueError):
+            as_variant(bad)
+    with pytest.raises(CostGuardError):
+        as_variant(EXACT_GRID, EXACT_GATE + 1)
 
 
 def test_trailing_window_max_oracle():
@@ -447,7 +447,7 @@ def test_estimate_block_norm_constant():
 def test_cz_closed_form_on_square():
     g = make_grid(3, 5)
     chi = build_function(g, builtin="indicator", bounds=(-1, 1, -1, 1))
-    t = cz_apply(chi, DOUBLE_HILBERT)
+    t = cz_apply(chi)
     centers = g.cell_centers()
     for ix in (8, 100, 170, 200, 251):
         for iy in (20, 90, 180, 210, 245):
@@ -464,7 +464,7 @@ def test_cz_oddness():
     # odd kernel in each axis: T maps even-even functions to odd-odd ones
     g = make_grid(2, 3)
     f = build_function(g, builtin="gaussian", sigma=0.5)
-    t = cz_apply(f, DOUBLE_HILBERT).values
+    t = cz_apply(f).values
     assert np.allclose(t, -t[::-1, :], atol=1e-10)
     assert np.allclose(t, -t[:, ::-1], atol=1e-10)
 
@@ -514,20 +514,25 @@ def test_commutator_disjoint_supports_reduces_to_b_Tf():
     assert np.allclose(cm, want, atol=1e-12)
 
 
-# -- kernel condition checks ---------------------------------------------------------------
+# -- kernel conditions -------------------------------------------------------------------
 
 
-def test_kernel_conditions_double_hilbert():
-    rep = kernel_condition_check(DOUBLE_HILBERT)
-    assert rep.passed
-    assert rep.cancellation_max <= 1e-10
-    assert rep.size_ratio_max == pytest.approx(1 / math.pi**2, rel=1e-12)
-    assert math.isfinite(rep.smoothness_ratio_max)
-    assert math.isfinite(rep.mixed_ratio_max)
-    # mean-value bound for 1/(pi x): |K(x+h)-K(x)| <= (2/pi) |h| / x^2 at h <= x/2
-    assert rep.smoothness_ratio_max <= 2.0 / math.pi + 1e-9
-
-
-def test_kernel_conditions_custom_plan():
-    rep = kernel_condition_check(DOUBLE_HILBERT, SamplePlan(n_radii=5))
-    assert rep.passed
+def test_hilbert_kernel_conditions():
+    # the size, cancellation and smoothness conditions of 1/(pi u), per axis
+    r = np.geomspace(2.0**-6, 2.0**6, 17)
+    A = lambda u: np.log(np.abs(u)) / math.pi  # the antiderivative _axis_weights uses
+    a, b = np.meshgrid(r, r)
+    assert np.abs((A(b) - A(a)) + (A(-a) - A(-b))).max() <= 1e-10  # symmetric annuli
+    xs = np.concatenate([r, -r])
+    K = lambda u: 1.0 / (math.pi * u)
+    size = np.abs(np.outer(K(xs), K(xs)) * np.outer(xs, xs))
+    assert size.max() == pytest.approx(1 / math.pi**2, rel=1e-12)
+    # mean-value bound: |K(x+h)-K(x)| <= (2/pi) |h| / x^2 at h <= x/4
+    h = np.abs(xs)[:, None] * np.array([0.25, 0.125, 0.0625])
+    ratio = np.abs(K(xs[:, None] + h) - K(xs[:, None])) * xs[:, None] ** 2 / h
+    assert ratio.max() <= 2.0 / math.pi + 1e-9
+    for spec in (make_grid(2, 3), make_grid(3, 2)):
+        W = _axis_weights(spec)
+        assert np.array_equal(W, -W[::-1, ::-1])  # W[i, j] == -W[n-1-i, n-1-j]
+        i, k = len(W) // 2, np.arange(1, len(W) // 2)
+        assert np.abs(W[i, i + k] + W[i, i - k]).max() <= 1e-10  # annuli of cells

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mherz.errors import CostGuardError, PredicateError
-from mherz.grid import make_grid
+from mherz.grid import build_function, make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
     InequalityReport,
@@ -19,6 +19,7 @@ from mherz.verification import (
     extrapolation_block_params,
     standard_objects,
 )
+from mherz.weights import generate_a1_weight
 
 G = make_grid(3, 4)  # N = 128: big enough to be meaningful, fast enough for CI
 PR = ExponentParams(0.25, 2, 2, 0.5)
@@ -105,6 +106,10 @@ def test_option_domain_guards_raise_before_any_trial():
     # an empty r_list used to give a vacuous pass with n_trials 0
     with pytest.raises(ValueError, match="r_list must be a non-empty list"):
         check_fefferman_stein(G, PR, r_list=(), refine=False)
+    # so did an empty list of parameter sets
+    with pytest.raises(ValueError, match="at least one parameter set") as info:
+        check_char_norms(G, [])
+    assert info.value.field == "params"
     with pytest.raises(ValueError, match="unknown space"):
         check_maximal_bounds(G, "bogus", PR, refine=False, allow_out_of_hypothesis=True)
     # K = 0, c <= 0 and an empty family used to crash mid-run or pass vacuously
@@ -326,3 +331,18 @@ def test_refinement_skipped_at_size_guard():
     assert list(rep.refinement) == ["base_max_ratio", "refined_max_ratio", "drift", "refined_grid"]
     assert rep.refinement["refined_grid"] == {"L_max": 1, "s": 3, "N": 16}
     assert rep.status == "fail"  # drift 1.0 exceeds the cap
+
+
+def test_reports_name_variants_and_kernel_by_their_strings():
+    g = make_grid(2, 2)
+    h = build_function(g, builtin="noise", seed=5)
+    for variant in ("exact-grid", "dyadic-sides", "iterated-1d"):
+        rep = check_maximal_bounds(g, "herz", PR, trials=1, variant=variant, refine=False)
+        assert rep.params["variant"] == variant
+        assert generate_a1_weight(h, 1.0, 2, variant).provenance["variant"] == variant
+    rep = check_extrapolation(
+        g, "double-hilbert", 2.0, PRX, trials=1, variant="iterated-1d", refine=False
+    )
+    assert rep.claim == "extrapolation[double-hilbert]"
+    assert rep.params["variant"] == "iterated-1d"
+    assert check_cz_comm(g, PR, refine=False).params["kernel"] == "double-hilbert"
