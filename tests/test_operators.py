@@ -517,9 +517,9 @@ def test_commutator_disjoint_supports_reduces_to_b_Tf():
 # -- kernel conditions -------------------------------------------------------------------
 
 
-def test_hilbert_kernel_conditions():
+def _assert_hilbert_conditions(n_radii):
     # the size, cancellation and smoothness conditions of 1/(pi u), per axis
-    r = np.geomspace(2.0**-6, 2.0**6, 17)
+    r = np.geomspace(2.0**-6, 2.0**6, n_radii)
     A = lambda u: np.log(np.abs(u)) / math.pi  # the antiderivative _axis_weights uses
     a, b = np.meshgrid(r, r)
     assert np.abs((A(b) - A(a)) + (A(-a) - A(-b))).max() <= 1e-10  # symmetric annuli
@@ -531,8 +531,17 @@ def test_hilbert_kernel_conditions():
     h = np.abs(xs)[:, None] * np.array([0.25, 0.125, 0.0625])
     ratio = np.abs(K(xs[:, None] + h) - K(xs[:, None])) * xs[:, None] ** 2 / h
     assert ratio.max() <= 2.0 / math.pi + 1e-9
+
+
+def test_kernel_conditions_double_hilbert():
+    _assert_hilbert_conditions(17)
     for spec in (make_grid(2, 3), make_grid(3, 2)):
         W = _axis_weights(spec)
         assert np.array_equal(W, -W[::-1, ::-1])  # W[i, j] == -W[n-1-i, n-1-j]
         i, k = len(W) // 2, np.arange(1, len(W) // 2)
         assert np.abs(W[i, i + k] + W[i, i - k]).max() <= 1e-10  # annuli of cells
+
+
+def test_kernel_conditions_custom_plan():
+    # the same conditions on a coarser sample of radii
+    _assert_hilbert_conditions(5)
