@@ -25,11 +25,14 @@ each axis factor, which makes the principal value exact algebra for
 piecewise-constant inputs: the weight of a source cell [a, b) at target x is
 A(x - a) - A(x - b), finite even on the singular cell because centers never
 sit on cell edges.  Both axes share one weight table W, and separability
-turns the O(N^4) sum into two dense N x N matrix products, W f W^T.
+turns the O(N^4) sum into two dense N x N matrix products, W f W^T.  W
+depends on the grid alone, so it is built once per grid, cached and
+read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -41,6 +44,7 @@ from .grid import (
     GridSpec,
     _box_sum,
     _prefix_table,
+    _read_only,
     _sum_exponent,
     build_function,
     restrict_to_window,
@@ -258,19 +262,22 @@ def estimate_block_norm_constant(
 DOUBLE_HILBERT = "double-hilbert"  # the kernel 1/(pi x) * 1/(pi y)
 
 
+@functools.lru_cache(maxsize=4)
 def _axis_weights(spec: GridSpec) -> np.ndarray:
     """W[target, source] = integral of 1/(pi (x - t)) over the source cell.
 
     With the antiderivative ``log|u| / pi``, principal-value exact: over the
     cell holding the target center the two evaluations are at equal
     distances h/2, so the weight vanishes, exactly as the symmetric limit does.
+    Cached and read-only: a suite applies the transform dozens of times on
+    the same one or two grids.
     """
     centers = spec.cell_centers()
     edges = spec.cell_edges()
     A = np.log(np.abs(centers[:, None] - edges[None, :])) / math.pi
     if not np.isfinite(A).all():
         raise KernelError("the Hilbert kernel produced non-finite antiderivative values")
-    return A[:, :-1] - A[:, 1:]
+    return _read_only(A[:, :-1] - A[:, 1:])
 
 
 def cz_apply(f: GridFunction) -> GridFunction:

@@ -545,3 +545,15 @@ def test_kernel_conditions_double_hilbert():
 def test_kernel_conditions_custom_plan():
     # the same conditions on a coarser sample of radii
     _assert_hilbert_conditions(5)
+
+
+def test_axis_weights_cached_read_only():
+    for spec in (make_grid(1, 1), make_grid(2, 3), make_grid(3, 2), make_grid(3, 4)):
+        W = _axis_weights(spec)
+        assert np.array_equal(W, _axis_weights.__wrapped__(spec))
+        assert _axis_weights(spec) is W
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            W *= 2.0

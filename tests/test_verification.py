@@ -346,3 +346,80 @@ def test_reports_name_variants_and_kernel_by_their_strings():
     assert rep.claim == "extrapolation[double-hilbert]"
     assert rep.params["variant"] == "iterated-1d"
     assert check_cz_comm(g, PR, refine=False).params["kernel"] == "double-hilbert"
+
+
+@pytest.mark.parametrize("suite", ["strong-maximal", "double-hilbert", "cz_comm"])
+def test_trimmed_refinement_matches_full_run_on_finer_grid(monkeypatch, suite):
+    # the refinement computes only its gated statistic; the oracle is the
+    # untrimmed suite run on the finer grid, weights and commutator sweep
+    # included, with its objects realised on the base grid as the refinement's are
+    from collections import Counter
+
+    from mherz import verification
+
+    grid, finer = make_grid(2, 2), make_grid(2, 3)
+    if suite == "cz_comm":
+        stat, untrimmed = "tk_max_ratio", ("commutator",)
+
+        def check(g, **kw):
+            return check_cz_comm(g, PR, seed=3, **kw)
+    else:
+        stat, untrimmed = "mk_max_ratio", ("generate_a1_weight", "weighted_lp_norm")
+
+        def check(g, **kw):
+            return check_extrapolation(g, suite, 2.0, PRX, trials=4, seed=3, **kw)
+
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in untrimmed:
+        monkeypatch.setattr(verification, name, counted(name, getattr(verification, name)))
+
+    rep = check(grid)
+    refined_calls = Counter(calls)
+    calls.clear()
+    check(grid, refine=False)
+    assert refined_calls == calls and sum(calls.values()) > 0  # nothing extra at 2N
+    assert rep.refinement["refined_grid"]["N"] == finer.n_cells
+
+    calls.clear()
+    monkeypatch.setattr(
+        verification,
+        "standard_objects",
+        lambda base, seed, n_random=3: standard_objects(grid, seed, n_random),
+    )
+    # cz_comm places its commutator bump by the grid it is called on, which
+    # moves the comm: trials but not the gated tk: ones
+    extra = {} if suite == "cz_comm" else {"c": rep.params["c"]}
+    full = check(finer, refine=False, **extra)
+    assert set(calls) == set(untrimmed)  # the oracle ran the untrimmed layers
+    assert rep.refinement[f"refined_{stat}"] == full.summary[stat]
+
+
+def _comb_loop(spec):
+    # the former annulus-by-annulus sum, kept as the oracle of _comb
+    from mherz.grid import AnnulusIndex, annulus_restrict, constant
+
+    vals = np.zeros((spec.n_cells, spec.n_cells))
+    one = constant(spec, 1.0)
+    for i in spec.window_range():
+        for j in spec.window_range():
+            amp = (-1.0) ** (i + j) * 2.0 ** (-0.5 * (i + j))
+            vals += amp * annulus_restrict(one, AnnulusIndex(i, j)).values
+    return vals
+
+
+def test_comb_matches_annulus_loop_bit_for_bit():
+    from mherz.verification import _comb
+
+    for spec in [make_grid(L, s) for L in range(1, 6) for s in range(7) if L + s <= 8]:
+        if spec.window_low > spec.window_high:
+            continue  # no annulus: the suites refuse the grid
+        want = _comb_loop(spec).tobytes()
+        assert _comb(spec).values.tobytes() == want, spec
