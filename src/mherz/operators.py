@@ -8,8 +8,11 @@ sup of |f|-averages over a rectangle family containing each cell):
   reductions; refused beyond ``EXACT_GATE`` cells a side.
 * ``dyadic-sides``: rectangles with power-of-two side lengths at every
   position, O(N^2 log^2 N) via prefix sums and the doubling recurrence of
-  trailing-window maxima (each side pair costs one box-sum table and one
-  shifted elementwise max).
+  trailing-window maxima.  Side heights ``wy`` are the outer loop and widths
+  ``wx`` the inner one, so each side pair costs one in-place box-average
+  table and one shifted elementwise max, both on contiguous row blocks of
+  two N x N buffers allocated once per call; exact power-of-two scaling and
+  exact ``max`` keep every bit independent of that loop order.
   Pointwise it is dominated by exact-grid, and dominates it up to the factor
   4 (any rectangle sits inside a dyadic-sided one of at most 4x the area at
   an admissible anchor).
@@ -42,7 +45,6 @@ from .errors import CostGuardError, KernelError
 from .grid import (
     GridFunction,
     GridSpec,
-    _box_sum,
     _prefix_table,
     _read_only,
     _sum_exponent,
@@ -125,21 +127,39 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     Windows are powers of two, so the trailing max of width ``2w`` is the
     width-``w`` one of ``max(X, X shifted by w)``.  Walking the sides from
     largest to smallest in Horner order, every side pair then costs one
-    shifted ``np.maximum`` and one fold of ``T``; ``max`` is exact, so the
-    result does not depend on this order.
+    shifted ``np.maximum`` and one fold of ``T``.
+
+    ``wy`` is the outer loop and ``wx`` the inner one, so the inner steps
+    shift and fold whole rows: ``R`` (the running max for one ``wy``,
+    anchored at the low y corner) and ``T`` are C-ordered views of two flat
+    N**2 buffers allocated once per call, and ``R[wx:]``, ``R[:-wx]`` and
+    ``T`` are contiguous.  ``T`` is the ``grid._box_sum`` expression
+    ``((hi[wx:] - hi[:-wx]) - lo[wx:]) + lo[:-wx]`` evaluated in place, times
+    the exact power of two ``1 / (wx * wy)``, so every box average has the
+    same bits as ``_box_sum(...) / (wx * wy)``; ``max`` is exact, so the
+    result does not depend on the loop order either.
     """
     n = absv.shape[0]
     P = _prefix_table(absv)
     sides = [1 << a for a in reversed(range(n.bit_length()))]
     out = np.full((n, n), -np.inf)
-    for wx in sides:
-        np.maximum(out[wx:], out[:-wx], out=out[wx:])
-        R = np.full((n - wx + 1, n), -np.inf)  # anchored at low x corner
-        for wy in sides:
-            np.maximum(R[:, wy:], R[:, :-wy], out=R[:, wy:])
-            T = _box_sum(P, np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:]) / float(wx * wy)
-            np.maximum(R[:, : n - wy + 1], T, out=R[:, : n - wy + 1])
-        np.maximum(out[: n - wx + 1], R, out=out[: n - wx + 1])
+    r_buf, t_buf = np.empty(n * n), np.empty(n * n)
+    for wy in sides:
+        ny = n - wy + 1
+        np.maximum(out[:, wy:], out[:, :-wy], out=out[:, wy:])
+        hi, lo = P[:, wy:], P[:, :-wy]
+        R = r_buf[: n * ny].reshape(n, ny)
+        R.fill(-np.inf)
+        for wx in sides:
+            nx = n - wx + 1
+            np.maximum(R[wx:], R[:-wx], out=R[wx:])
+            T = t_buf[: nx * ny].reshape(nx, ny)
+            np.subtract(hi[wx:], hi[:-wx], out=T)
+            T -= lo[wx:]
+            T += lo[:-wx]
+            T *= 1.0 / (wx * wy)
+            np.maximum(R[:nx], T, out=R[:nx])
+        np.maximum(out[:, :ny], R, out=out[:, :ny])
     return out
 
 
@@ -228,19 +248,20 @@ def estimate_block_norm_constant(
     """Power-iteration style estimate of the maximal operator's block norm.
 
     Ratio of certified block upper brackets before/after two applications of
-    the maximal operator on three probes: the indicators of Q(l) x Q(l) with
-    l = max(0, 1 - s), the first level from 0 up whose cube is cell-aligned,
-    and of the mid-window square, and seeded noise (outputs are window-masked
-    before the bracket, matching the truncation convention).  This is an
-    estimate for choosing c, not a certified operator norm.
+    the maximal operator on two or three probes: the indicators of Q(l) x
+    Q(l) with l = max(0, 1 - s), the first level from 0 up whose cube is
+    cell-aligned, and of the mid-window square (one probe when the two
+    levels coincide: ``best`` is a max, so a repeat cannot change it), and
+    seeded noise (outputs are window-masked before the bracket, matching the
+    truncation convention).  This is an estimate for choosing c, not a
+    certified operator norm.
     """
     mid = (spec.window_low + spec.window_high) // 2
     low = max(0, 1 - spec.s)
     probes = [
-        build_function(spec, builtin="indicator", l1=low, l2=low),
-        build_function(spec, builtin="indicator", l1=mid, l2=mid),
-        build_function(spec, builtin="noise", seed=7),
+        build_function(spec, builtin="indicator", l1=l, l2=l) for l in dict.fromkeys((low, mid))
     ]
+    probes.append(build_function(spec, builtin="noise", seed=7))
     best = 0.0
     for g in probes:
         cur = restrict_to_window(g)

@@ -737,20 +737,28 @@ def check_fefferman_stein(
     # so each member is built and maximised once per grid
     family = [_base_noise(grid, [seed, 101 + k], masked=True) for k in range(2 * family_count)]
 
-    def r_sum(spec: GridSpec, fns: list[GridFunction], r: float) -> GridFunction:
+    sizes = (family_count, 2 * family_count)
+
+    def r_sum_norms(spec: GridSpec, fns: list[GridFunction], r: float) -> list[float]:
+        # the norm of (sum_{k<size} |f_k|**r)**(1/r) per size; the larger sum
+        # continues the smaller one's accumulator, so each |f_k|**r is built once
         acc = np.zeros((spec.n_cells, spec.n_cells))
-        for f in fns:
-            acc += np.abs(f.values) ** r
-        return GridFunction(spec, acc ** (1.0 / r))
+        norms = []
+        for lo, hi in zip((0,) + sizes, sizes):
+            for f in fns[lo:hi]:
+                acc += np.abs(f.values) ** r
+            total = GridFunction(spec, acc ** (1.0 / r))
+            norms.append(morrey_herz_norm(restrict_to_window(total), params))
+        return norms
 
     def run(spec: GridSpec):
         fns = [build(spec) for build in family]
         mfns = [strong_maximal(f, variant) for f in fns]
         out = []
         for r in r_list:
-            for size in (family_count, 2 * family_count):
-                rhs = morrey_herz_norm(restrict_to_window(r_sum(spec, fns[:size], r)), params)
-                lhs = morrey_herz_norm(restrict_to_window(r_sum(spec, mfns[:size], r)), params)
+            rhs_norms = r_sum_norms(spec, fns, r)
+            lhs_norms = r_sum_norms(spec, mfns, r)
+            for size, lhs, rhs in zip(sizes, lhs_norms, rhs_norms):
                 out.append(TrialRecord(f"r={r},size={size}", lhs, rhs, extra={"r": r, "size": size}))
         return out
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import maximum_filter1d
 
+from mherz import operators
 from mherz.errors import CostGuardError
 from mherz.grid import (
     DyadicRectangle,
@@ -19,8 +20,9 @@ from mherz.grid import (
     constant,
     indicator,
     make_grid,
+    restrict_to_window,
 )
-from mherz.norms import ExponentParams
+from mherz.norms import ExponentParams, block_norm_bracket
 from mherz.operators import (
     DYADIC_SIDES,
     EXACT_GRID,
@@ -257,6 +259,20 @@ def test_iterated_1d_memory_is_a_few_slabs():
     assert peak < 16 * n * n * 8, peak / (8 * n * n)
 
 
+def test_dyadic_sides_memory_is_a_few_slabs():
+    # prefix table, output and the two reused row-block buffers: about 6.3 N**2
+    g = make_grid(5, 3)  # N = 256
+    n = g.n_cells
+    f = build_function(g, builtin="noise", seed=5)
+    tracemalloc.start()
+    try:
+        strong_maximal(f, DYADIC_SIDES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * n * n * 8, peak / (8 * n * n)
+
+
 def test_interval_average_profile_oracle():
     rng = np.random.default_rng(1)
     for _ in range(30):
@@ -439,6 +455,48 @@ def test_estimate_block_norm_constant():
     g = make_grid(2, 3)
     est = estimate_block_norm_constant(g, ExponentParams(-0.25, 2, 2, 0.5))
     assert math.isfinite(est) and est > 0
+
+
+def three_probe_block_norm_constant(spec, block_params):
+    """Oracle for ``estimate_block_norm_constant``: every probe run, even
+    when the low-level and mid-window indicators coincide."""
+    mid = (spec.window_low + spec.window_high) // 2
+    low = max(0, 1 - spec.s)
+    probes = [
+        build_function(spec, builtin="indicator", l1=low, l2=low),
+        build_function(spec, builtin="indicator", l1=mid, l2=mid),
+        build_function(spec, builtin="noise", seed=7),
+    ]
+    best = 0.0
+    for g in probes:
+        cur = restrict_to_window(g)
+        prev = block_norm_bracket(cur, block_params).upper
+        if prev == 0.0:
+            continue
+        for _ in range(2):
+            cur = restrict_to_window(strong_maximal(cur))
+            now = block_norm_bracket(cur, block_params).upper
+            best = max(best, now / prev)
+            prev = now
+            if prev == 0.0:
+                break
+    return best
+
+
+def test_estimate_block_norm_constant_skips_the_repeated_probe(monkeypatch):
+    g = make_grid(3, 4)  # the low and mid-window levels are both 0
+    assert max(0, 1 - g.s) == (g.window_low + g.window_high) // 2
+    block = ExponentParams(-0.25, 2, 2, 0.5)
+    want = three_probe_block_norm_constant(g, block)
+    calls = []
+
+    def counted(f, variant=DYADIC_SIDES):
+        calls.append(variant)
+        return strong_maximal(f, variant)
+
+    monkeypatch.setattr(operators, "strong_maximal", counted)
+    assert estimate_block_norm_constant(g, block) == want
+    assert len(calls) == 4
 
 
 # -- singular convolution -----------------------------------------------------------------
