@@ -254,7 +254,8 @@ def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
     sums = _annulus_blocks(seg, np.add)
     # scalar powers: numpy's vectorised float64 power can differ from libm's
     # in the last bit, and these tables (at most 11 x 11) must match the
-    # entrywise evaluation, e.g. of a masked indicator's integer cell counts
+    # entrywise evaluation; the closed-form indicator tables that replace
+    # masked indicator arrays go through here with the same integer counts
     roots = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
     return roots * (spec.h * spec.h) ** (1.0 / p)
 
@@ -301,8 +302,12 @@ def _alpha_weights(spec: GridSpec, alpha: float) -> np.ndarray:
 def herz_norm(f: GridFunction, params: ExponentParams) -> float:
     """Product Herz norm of a window-supported function."""
     _require_window_support(f)
-    table = annulus_lp_table(f, params.p)
-    terms = _alpha_weights(f.spec, params.alpha) * table
+    return _herz_from_table(f.spec, annulus_lp_table(f, params.p), params)
+
+
+def _herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams) -> float:
+    """The Herz norm from an :func:`annulus_lp_table`."""
+    terms = _alpha_weights(spec, params.alpha) * table
     if math.isinf(params.q):
         return float(terms.max(initial=0.0))
     return float((terms**params.q).sum()) ** (1.0 / params.q)
@@ -502,6 +507,19 @@ def smallest_containing_dyadic(f: GridFunction) -> DyadicRectangle | None:
     return DyadicRectangle(ls[0], ls[1])
 
 
+def _block_upper_bounds(
+    spec: GridSpec, table: np.ndarray, host: DyadicRectangle, params: ExponentParams
+) -> tuple[float, float]:
+    """The two upper bounds of :func:`block_norm_bracket`, (a) and (b), from
+    an :func:`annulus_lp_table` and the support's host rectangle."""
+    herz = _herz_from_table(spec, table, params)
+    upper_single = 2.0 ** ((host.l1 + host.l2) * params.lam) * herz
+    win = np.array(list(spec.window_range()), dtype=float)
+    lev = win[:, None] + win[None, :]
+    upper_annuli = float((2.0 ** (lev * (params.lam + params.alpha)) * table).sum())
+    return upper_single, upper_annuli
+
+
 def block_norm_bracket(
     g: GridFunction,
     params: ExponentParams,
@@ -526,15 +544,12 @@ def block_norm_bracket(
     if host is None:
         return NormBracket(0.0, 0.0, ("zero function",))
 
-    upper_single = 2.0 ** ((host.l1 + host.l2) * params.lam) * herz_norm(g, params)
+    upper_single, upper_annuli = _block_upper_bounds(
+        g.spec, annulus_lp_table(g, params.p), host, params
+    )
     notes.append(
         f"upper (a): single block in rectangle ({host.l1},{host.l2}) = {upper_single:.6g}"
     )
-
-    table = annulus_lp_table(g, params.p)
-    win = np.array(list(g.spec.window_range()), dtype=float)
-    lev = win[:, None] + win[None, :]
-    upper_annuli = float((2.0 ** (lev * (params.lam + params.alpha)) * table).sum())
     notes.append(f"upper (b): annulus-wise l^1 decomposition = {upper_annuli:.6g}")
     upper = min(upper_single, upper_annuli)
 
@@ -580,8 +595,8 @@ def bmo_norm(f: GridFunction, family) -> float:
     best = 0.0
     for r in rects:
         cells = r.cells()
-        mean = f.rect_mean(r)
-        osc = float(np.abs(vals[r.ix0 : r.ix1, r.iy0 : r.iy1] - mean).sum()) / cells
+        dev = vals[r.ix0 : r.ix1, r.iy0 : r.iy1] - f.rect_mean(r)
+        osc = float(np.abs(dev, out=dev).sum()) / cells  # in place: one temporary
         if osc > best:
             best = osc
     return best
@@ -629,11 +644,29 @@ def _window_indicator_table(spec: GridSpec, rect: GridRectangle, p: float) -> np
     """:func:`annulus_lp_table` of the window-masked indicator of ``rect``.
 
     Each run block holds the product of the per-axis overlap counts in unit
-    cells, so the table is closed-form geometry (finite ``p``).
+    cells, so the table is closed-form geometry, O(W**2) with no N x N
+    array.  The block sums of 1.0 cells are these exact integer counts, so
+    the table has the same bits as the masked indicator's; for ``p = inf`` a
+    block's max is 1.0 where its count is positive.
     """
     cx, _ = _clip_runs(spec, rect.ix0, rect.ix1)
     cy, _ = _clip_runs(spec, rect.iy0, rect.iy1)
-    return _lp_table(spec, np.multiply.outer(cx, cy).astype(float), p)
+    counts = np.multiply.outer(cx, cy).astype(float)
+    if math.isinf(p):
+        return _annulus_blocks(np.minimum(counts, 1.0), np.maximum)
+    return _lp_table(spec, counts, p)
+
+
+def _dyadic_indicator_tables(spec: GridSpec, ps):
+    """Each centered dyadic rectangle with its window-masked indicator's
+    :func:`_window_indicator_table` at each exponent of ``ps``, keyed by
+    exponent: the indicator sweeps take their norms from these, so no
+    N x N indicator is built."""
+    for l1 in spec.window_range():
+        for l2 in spec.window_range():
+            rect = DyadicRectangle(l1, l2)
+            cells = rect.to_cells(spec)
+            yield rect, {p: _window_indicator_table(spec, cells, p) for p in set(ps)}
 
 
 def _window_oscillation_table(f: GridFunction, rect: GridRectangle, p: float) -> np.ndarray:

@@ -133,7 +133,10 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     shift and fold whole rows: ``R`` (the running max for one ``wy``,
     anchored at the low y corner) and ``T`` are C-ordered views of two flat
     N**2 buffers allocated once per call, and ``R[wx:]``, ``R[:-wx]`` and
-    ``T`` are contiguous.  ``T`` is the ``grid._box_sum`` expression
+    ``T`` are contiguous.  ``R`` ping-pongs between the buffers: the shifted
+    max goes into the other one (an in-place ``R[wx:]`` from the overlapping
+    ``R[:-wx]`` would make numpy copy its input first), and ``T`` is built
+    in the one just retired.  ``T`` is the ``grid._box_sum`` expression
     ``((hi[wx:] - hi[:-wx]) - lo[wx:]) + lo[:-wx]`` evaluated in place, times
     the exact power of two ``1 / (wx * wy)``, so every box average has the
     same bits as ``_box_sum(...) / (wx * wy)``; ``max`` is exact, so the
@@ -152,7 +155,10 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
         R.fill(-np.inf)
         for wx in sides:
             nx = n - wx + 1
-            np.maximum(R[wx:], R[:-wx], out=R[wx:])
+            S = t_buf[: n * ny].reshape(n, ny)
+            np.maximum(R[wx:], R[:-wx], out=S[wx:])
+            S[:wx] = R[:wx]
+            R, r_buf, t_buf = S, t_buf, r_buf
             T = t_buf[: nx * ny].reshape(nx, ny)
             np.subtract(hi[wx:], hi[:-wx], out=T)
             T -= lo[wx:]

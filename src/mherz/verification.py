@@ -48,6 +48,10 @@ from .grid import (
 from .norms import (
     ExponentParams,
     RectangleFamily,
+    _block_upper_bounds,
+    _dyadic_indicator_tables,
+    _herz_from_table,
+    _morrey_herz_from_table,
     block_norm_bracket,
     bmo_mk_norm,
     bmo_norm,
@@ -57,6 +61,7 @@ from .norms import (
     morrey_herz_norm,
     pairing_l1,
     predicate_violations,
+    require_predicate,
 )
 from .operators import (
     DOUBLE_HILBERT,
@@ -234,14 +239,6 @@ def _comb(spec: GridSpec) -> GridFunction:
     vals = amps[level[:, None], level[None, :]]
     vals[~inside[:, None] | ~inside[None, :]] = 0.0
     return GridFunction(spec, vals)
-
-
-def _dyadic_indicators(spec: GridSpec):
-    """Each centered dyadic rectangle with its window-masked indicator."""
-    for l1 in spec.window_range():
-        for l2 in spec.window_range():
-            rect = DyadicRectangle(l1, l2)
-            yield rect, restrict_to_window(indicator(spec, rect))
 
 
 def _center_level(spec: GridSpec) -> int:
@@ -503,8 +500,8 @@ def check_char_norms(
     trials: list[TrialRecord] = []
     worst = 0.0
     for pset_id, pr in enumerate(param_sets):
-        for rect, chi in _dyadic_indicators(grid):
-            got = morrey_herz_norm(chi, pr)
+        for rect, tables in _dyadic_indicator_tables(grid, [pr.p]):
+            got = _morrey_herz_from_table(grid, tables[pr.p], pr)
             want = char_rect_norm_closed_form(
                 pr, rect.l1, rect.l2, "morrey-herz", window_floor=grid.window_low
             )
@@ -548,19 +545,29 @@ def check_char_norms(
 # -- suite: duality and norm products ----------------------------------------------
 
 
-def _herz_product(chi: GridFunction, params: ExponentParams) -> float:
-    return herz_norm(chi, params) * herz_norm(chi, params.dual())
+def _herz_product(spec: GridSpec, tables: dict, params: ExponentParams) -> float:
+    dual = params.dual()
+    return _herz_from_table(spec, tables[params.p], params) * _herz_from_table(
+        spec, tables[dual.p], dual
+    )
 
 
 def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
+    """Herz and Morrey-Herz-times-block-upper products of every centered
+    dyadic indicator, from its closed-form annulus tables: the masked
+    indicator of ``(l1, l2)`` is its own smallest containing dyadic
+    rectangle, the host of the block bound."""
     herz_vals, mk_vals, trials = [], [], []
     lam_params = _with_positive_lam(params)
     block_params = lam_params.dual()
-    for rect, chi in _dyadic_indicators(spec):
+    require_predicate(block_params, "block")
+    ps = [params.p, block_params.p]  # the dual Herz and block exponents coincide
+    for rect, tables in _dyadic_indicator_tables(spec, ps):
         area = rect.measure()
-        hprod = _herz_product(chi, params)
+        hprod = _herz_product(spec, tables, params)
         herz_vals.append(hprod / area)
-        mkprod = morrey_herz_norm(chi, lam_params) * block_norm_bracket(chi, block_params).upper
+        block_upper = min(_block_upper_bounds(spec, tables[block_params.p], rect, block_params))
+        mkprod = _morrey_herz_from_table(spec, tables[lam_params.p], lam_params) * block_upper
         mk_vals.append(mkprod / area)
         trials.append(
             TrialRecord(
@@ -574,8 +581,12 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
 def _herz_product_spread(spec: GridSpec, params: ExponentParams) -> float:
     """The Herz spread of :func:`_norm_product_sweep` alone (what the
     refinement gates), without the Morrey-Herz and block products."""
+    ps = [params.p, params.dual().p]
     return _spread(
-        [_herz_product(chi, params) / rect.measure() for rect, chi in _dyadic_indicators(spec)]
+        [
+            _herz_product(spec, tables, params) / rect.measure()
+            for rect, tables in _dyadic_indicator_tables(spec, ps)
+        ]
     )
 
 
@@ -625,11 +636,14 @@ def check_norm_duality(
     mk = morrey_herz_norm(f_probe, lam_params)
     if mk > 0:
         best = 0.0
-        for rect, chi in _dyadic_indicators(grid):
+        lam_dual = lam_params.dual()
+        for rect, tables in _dyadic_indicator_tables(grid, [lam_dual.p]):
             level = rect.l1 + rect.l2
-            denom = 2.0 ** (level * lam_params.lam) * herz_norm(chi, lam_params.dual())
+            herz = _herz_from_table(grid, tables[lam_dual.p], lam_dual)
+            denom = 2.0 ** (level * lam_params.lam) * herz
             if denom == 0.0:
                 continue
+            chi = restrict_to_window(indicator(grid, rect))  # the pairing reads its values
             best = max(best, pairing_l1(f_probe, chi) / denom)
         sup_fraction = best / mk
         sup_excess = max(0.0, sup_fraction - 1.0)
@@ -1027,6 +1041,7 @@ def check_john_nirenberg_bmo(
             f = obj.build(spec)
             plain = bmo_norm(f, fam)
             mk, _ = bmo_mk_norm(f, params, fam)
+            del f  # free it and its prefix tables before the next symbol is built
             if plain == 0.0:
                 continue
             out.append(TrialRecord(f"equiv:{obj.name}", mk, plain))

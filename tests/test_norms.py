@@ -32,8 +32,10 @@ from mherz.norms import (
     RectangleFamily,
     _alpha_weights,
     _annulus_lp_table,
+    _block_upper_bounds,
     _clip_runs,
     _family_rectangles,
+    _herz_from_table,
     _indicator_denominators,
     _morrey_herz_from_table,
     _window_indicator_table,
@@ -52,7 +54,13 @@ from mherz.norms import (
     require_predicate,
     smallest_containing_dyadic,
 )
-from mherz.verification import InequalityReport, TrialRecord, _norm_product_sweep
+from mherz import verification
+from mherz.verification import (
+    InequalityReport,
+    TrialRecord,
+    _herz_product_spread,
+    _norm_product_sweep,
+)
 
 G35 = make_grid(3, 5)
 PR = ExponentParams(0.25, 2, 2, 0.5)
@@ -716,7 +724,7 @@ def test_bmo_mk_norm_matches_mask_oracle(case, kind, seed, p, q):
         )
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
 def test_bmo_denominators_bit_identical_to_masked_indicator_tables(p):
     # arbitrary rectangles give overlap counts that are not powers of two,
     # where a vectorised power and the scalar one can differ in the last bit
@@ -729,6 +737,42 @@ def test_bmo_denominators_bit_identical_to_masked_indicator_tables(p):
             chi = restrict_to_window(indicator(spec, r))
             want = prefix_annulus_lp_table(chi, p)
             assert np.array_equal(_window_indicator_table(spec, r, p), want)
+
+
+# the demo's two char_norms sets, norm_duality's dual and block exponents
+# (-alpha, p', q', lam) with its p = 2 and p = 3 sets, and a p = inf and a
+# q = inf set; block-upper is compared where the block predicate holds
+INDICATOR_ORACLE_SETS = [
+    ExponentParams(0.25, 2, 2, 0.5),
+    ExponentParams(0.0, 3, 1.5, 0.2),
+    ExponentParams(-0.25, 2, 2, 0.5),
+    ExponentParams(-0.25, 1.5, 2, 0.5),
+    ExponentParams(0.5, math.inf, 2, 0.25),
+    ExponentParams(-0.25, 2, math.inf, 0.5),
+]
+
+
+def test_indicator_norms_from_closed_form_tables_equal_masked_arrays():
+    blocks = 0
+    for L_max, s in ((1, 1), (1, 3), (2, 4), (4, 2), (3, 4)):
+        spec = make_grid(L_max, s)
+        for l1 in spec.window_range():
+            for l2 in spec.window_range():
+                rect = DyadicRectangle(l1, l2)
+                chi = masked_chi(spec, l1, l2)
+                host = smallest_containing_dyadic(chi)
+                assert (host.l1, host.l2) == (l1, l2)
+                for pr in INDICATOR_ORACLE_SETS:
+                    table = _window_indicator_table(spec, rect.to_cells(spec), pr.p)
+                    assert np.array_equal(table, annulus_lp_table(chi, pr.p))
+                    assert _herz_from_table(spec, table, pr) == herz_norm(chi, pr)
+                    assert _morrey_herz_from_table(spec, table, pr) == morrey_herz_norm(chi, pr)
+                    if predicate_violations(pr, "block"):
+                        continue
+                    upper = min(_block_upper_bounds(spec, table, rect, pr))
+                    assert upper == block_norm_bracket(chi, pr).upper
+                    blocks += 1
+    assert blocks > 0
 
 
 def test_bmo_mk_norm_non_finite_oscillation_raises():
@@ -806,19 +850,27 @@ def test_smallest_containing_dyadic_matches_nonzero_bounds(spec, seed, density):
 def test_norm_product_sweep_builds_one_table_per_indicator_and_p(monkeypatch):
     built = []
 
-    def counting(f, p):
-        built.append((f, float(p)))  # holds f, so ids stay distinct
-        return _annulus_lp_table(f, p)
+    def counting(spec, rect, p):
+        built.append((rect, float(p)))
+        return _window_indicator_table(spec, rect, p)
 
-    monkeypatch.setattr(norms, "_annulus_lp_table", counting)
+    def no_array(*args, **kwargs):
+        raise AssertionError("an indicator sweep built an N x N array")
+
+    monkeypatch.setattr(norms, "_window_indicator_table", counting)
+    monkeypatch.setattr(norms, "_annulus_lp_table", no_array)
+    monkeypatch.setattr(verification, "indicator", no_array)
     spec = make_grid(2, 3)
     # p = 3 makes the dual exponent 1.5: the Herz pair, the Morrey-Herz norm
-    # and the block bracket need five tables of each indicator, two distinct
-    _norm_product_sweep(spec, ExponentParams(0.25, 3, 2, 0.5))
-    counts = Counter((id(f), p) for f, p in built)
-    assert set(counts.values()) == {1}
-    assert {p for _, p in counts} == {3.0, 1.5}
-    assert len(counts) == 2 * len(spec.window_range()) ** 2
+    # and the block bound read five tables of each indicator, two distinct
+    params = ExponentParams(0.25, 3, 2, 0.5)
+    for sweep in (_norm_product_sweep, _herz_product_spread):
+        built.clear()
+        sweep(spec, params)
+        counts = Counter(built)
+        assert set(counts.values()) == {1}
+        assert {p for _, p in counts} == {3.0, 1.5}
+        assert len(counts) == 2 * len(spec.window_range()) ** 2
 
 
 def test_bmo_mk_norm_builds_family_denominators_once(monkeypatch):
