@@ -150,9 +150,14 @@ def make_grid(L_max: int, s: int) -> GridSpec:
 
 
 def _prefix_table(a: np.ndarray) -> np.ndarray:
-    """Zero-padded 2-D prefix sums: ``P[i, j] == a[:i, :j].sum()``."""
+    """Zero-padded 2-D prefix sums: ``P[i, j] == a[:i, :j].sum()``.
+
+    Both cumulative sums write into ``P``: no N x N temporary, and the same
+    additions in the same order as ``a.cumsum(axis=0).cumsum(axis=1)``.
+    """
     P = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-    P[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+    np.cumsum(a, axis=0, out=P[1:, 1:])
+    np.cumsum(P[1:, 1:], axis=1, out=P[1:, 1:])
     return P
 
 
@@ -255,12 +260,28 @@ class GridFunction:
     __slots__ = ("spec", "values", "_cache")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
+        self._hold(spec, np.asarray(values, dtype=float), copy=True)
+
+    @classmethod
+    def _adopt(cls, spec: GridSpec, values: np.ndarray) -> "GridFunction":
+        """A function that holds ``values`` itself rather than a copy.
+
+        For arrays the library has just built and keeps no other reference
+        to (a kernel's output, a refined table, a ``np.where``): the copy of
+        the public constructor would double their peak.  They are checked
+        and frozen all the same.
+        """
+        f = cls.__new__(cls)
+        f._hold(spec, np.ascontiguousarray(values, dtype=float), copy=False)
+        return f
+
+    def _hold(self, spec: GridSpec, arr: np.ndarray, copy: bool) -> None:
         n = spec.n_cells
-        arr = np.asarray(values, dtype=float)
         if arr.shape != (n, n):
             raise DataError(f"expected a {n}x{n} value table, got {arr.shape}")
         _require_finite(arr)
-        arr = arr.copy()
+        if copy:
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "values", arr)
@@ -326,8 +347,10 @@ class GridFunction:
     def refine(self, extra_levels: int = 1) -> "GridFunction":
         """Same function represented at resolution s + extra_levels (exact)."""
         fine = GridSpec(self.spec.L_max, self.spec.s + extra_levels)
-        k = 2**extra_levels
-        return GridFunction(fine, np.kron(self.values, np.ones((k, k))))
+        n, k = self.spec.n_cells, 2**extra_levels
+        # each cell as a k x k block: one copy out of a broadcast view
+        cells = np.broadcast_to(self.values[:, None, :, None], (n, k, n, k))
+        return GridFunction._adopt(fine, cells.reshape(n * k, n * k))
 
 
 def dilate(f: GridFunction, t: float) -> GridFunction:
@@ -391,7 +414,7 @@ def restrict_to_window(f: GridFunction) -> GridFunction:
     Annulus-decomposed norms reject functions with mass off the window; this
     is the documented projection for test objects such as centered indicators.
     """
-    return f.with_values(np.where(window_mask(f.spec), f.values, 0.0))
+    return GridFunction._adopt(f.spec, np.where(window_mask(f.spec), f.values, 0.0))
 
 
 def window_support_violations(f: GridFunction) -> np.ndarray:
@@ -481,7 +504,7 @@ def _builtin_noise(spec: GridSpec, *, seed, low=0.0, high=1.0):
     # seed may be an int or a sequence of ints (derived per-trial seeds)
     rng = np.random.default_rng(seed)
     n = spec.n_cells
-    return GridFunction(spec, rng.uniform(low, high, size=(n, n)))
+    return GridFunction._adopt(spec, rng.uniform(low, high, size=(n, n)))
 
 
 def _builtin_step(spec: GridSpec, *, l1=0, l2=0, inside=2.0, outside=1.0):

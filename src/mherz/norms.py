@@ -17,7 +17,15 @@ Implements, for piecewise-constant functions supported in the annulus window:
   window-truncated grid norm (finite geometric sums),
 * a certified two-sided bracket for the block-space norm, whose defining
   infimum over decompositions is not directly computable,
-* little-bmo style oscillation norms over rectangle families.
+* little-bmo style oscillation norms over rectangle families, from one
+  pass over each rectangle that serves both the plain and the Morrey-Herz
+  oscillation (:func:`_oscillation_sweep`).
+
+The table helpers (:func:`_annulus_blocks`, :func:`_lp_table`,
+:func:`_morrey_herz_from_table`) take leading batch axes, so a family's
+oscillation tables are combined as one stack; a single table is a batch of
+one.  Scalar powers that must match libm entry by entry are taken from a
+generator, never from a list of every entry.
 
 All annulus-decomposed norms require the input to vanish off the annulus
 window and raise :class:`~mherz.errors.SupportWindowError` otherwise; use
@@ -223,41 +231,56 @@ def _clip_runs(spec: GridSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray
     return _read_only(counts), _read_only(clipped[counts > 0] - lo)
 
 
-def _segment_table(spec: GridSpec, a: np.ndarray, op, x0: int = 0, y0: int = 0) -> np.ndarray:
+def _segment_table(
+    spec: GridSpec, a: np.ndarray, op, x0: int = 0, y0: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """``op``-reduction of ``a`` over every block of two axis runs.
 
     ``a`` holds the cells of the rectangle with low corner ``(x0, y0)``; each
-    run is clipped to it, and blocks it misses are 0.  Shape ``(2W+1, 2W+1)``.
+    run is clipped to it, and blocks it misses are 0.  Shape ``(2W+1, 2W+1)``;
+    ``out``, if given, is a zero table of that shape to write into (a row of
+    an oscillation sweep's stack).
     """
     cx, sx = _clip_runs(spec, x0, x0 + a.shape[0])
     cy, sy = _clip_runs(spec, y0, y0 + a.shape[1])
-    out = np.zeros((cx.size, cy.size))
-    out[np.ix_(cx > 0, cy > 0)] = op.reduceat(op.reduceat(a, sy, axis=1), sx, axis=0)
+    if out is None:
+        out = np.zeros((cx.size, cy.size))
+    # the runs that meet the rectangle are consecutive: from the first, sx.size of them
+    kx, ky = int((cx > 0).argmax()), int((cy > 0).argmax())
+    blocks = op.reduceat(op.reduceat(a, sy, axis=1), sx, axis=0)
+    out[kx : kx + sx.size, ky : ky + sy.size] = blocks
     return out
 
 
 def _annulus_blocks(seg: np.ndarray, op) -> np.ndarray:
     """W x W table: each annulus pair combines its four (left/right)^2 run blocks.
 
-    The central gap (run ``W``) belongs to no annulus and is dropped.
+    The central gap (run ``W``) belongs to no annulus and is dropped.  The run
+    blocks are the last two axes of ``seg``; leading axes are a batch of
+    tables, combined entrywise.
     """
-    w = seg.shape[0] // 2
-    left, right = seg[:w][::-1], seg[w + 1 :]  # row runs, innermost first
-    out = left[:, :w][:, ::-1]
-    for block in (left[:, w + 1 :], right[:, :w][:, ::-1], right[:, w + 1 :]):
+    w = seg.shape[-1] // 2
+    # row runs, innermost first
+    left, right = seg[..., :w, :][..., ::-1, :], seg[..., w + 1 :, :]
+    out = left[..., :w][..., ::-1]
+    for block in (left[..., w + 1 :], right[..., :w][..., ::-1], right[..., w + 1 :]):
         out = op(out, block)
     return out
 
 
 def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
-    """Annulus L^p norms from the run-block sums of ``|f|^p``."""
+    """Annulus L^p norms from the run-block sums of ``|f|^p`` (batched like
+    :func:`_annulus_blocks`)."""
     sums = _annulus_blocks(seg, np.add)
     # scalar powers: numpy's vectorised float64 power can differ from libm's
-    # in the last bit, and these tables (at most 11 x 11) must match the
-    # entrywise evaluation; the closed-form indicator tables that replace
-    # masked indicator arrays go through here with the same integer counts
-    roots = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
-    return roots * (spec.h * spec.h) ** (1.0 / p)
+    # in the last bit, and these tables must match the entrywise evaluation;
+    # the closed-form indicator tables that replace masked indicator arrays
+    # go through here with the same integer counts.  A generator, not a
+    # list: a sweep's stack has thousands of entries, and a list of Python
+    # floats would outlive the loop.
+    e = 1.0 / p
+    roots = np.fromiter((float(s) ** e for s in sums.flat), float, sums.size)
+    return roots.reshape(sums.shape) * (spec.h * spec.h) ** e
 
 
 def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
@@ -323,17 +346,24 @@ def morrey_herz_norm(f: GridFunction, params: ExponentParams) -> float:
     return _morrey_herz_from_table(f.spec, annulus_lp_table(f, params.p), params)
 
 
-def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams) -> float:
-    """The Morrey-Herz norm from an :func:`annulus_lp_table`."""
+def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams):
+    """The Morrey-Herz norm from an :func:`annulus_lp_table`.
+
+    The table's last two axes are the annuli; leading axes are a batch of
+    tables, whose norms come back as an array of the batch's shape (a float
+    for a single table).  Every step is entrywise, a cumulative sum along one
+    annulus axis or an exact max, so each norm has the bits it has alone.
+    """
     terms = _alpha_weights(spec, params.alpha) * table
     win = np.array(list(spec.window_range()), dtype=float)
     if math.isinf(params.q):
-        inner = np.maximum.accumulate(np.maximum.accumulate(terms, axis=0), axis=1)
+        inner = np.maximum.accumulate(np.maximum.accumulate(terms, axis=-2), axis=-1)
     else:
-        csum = (terms**params.q).cumsum(axis=0).cumsum(axis=1)
+        csum = (terms**params.q).cumsum(axis=-2).cumsum(axis=-1)
         inner = csum ** (1.0 / params.q)
     pref = 2.0 ** (-(win[:, None] + win[None, :]) * params.lam)
-    return float((pref * inner).max(initial=0.0))
+    best = (pref * inner).max(axis=(-2, -1), initial=0.0)
+    return float(best) if best.ndim == 0 else best
 
 
 # -- indicator closed forms ----------------------------------------------------
@@ -584,19 +614,29 @@ def _family_rectangles(spec: GridSpec, family) -> list[GridRectangle]:
 
 
 def bmo_norm(f: GridFunction, family) -> float:
-    """sup over the family of the mean oscillation (1/|R|) int_R |f - f_R|."""
+    """sup over the family of the mean oscillation (1/|R|) int_R |f - f_R|.
+
+    Kept per function and family (:meth:`GridFunction.memo`), where
+    :func:`bmo_mk_norm` also leaves it: the plain oscillation falls out of the
+    Morrey-Herz sweep's pass over each rectangle.
+    """
     rects = _family_rectangles(f.spec, family)
     total_cells = sum(r.cells() for r in rects)
     if total_cells > 2 * 10**8:
         raise CostGuardError(
             f"oscillation sweep visits {total_cells} cells; use a strided family"
         )
-    vals = f.values
+    return f.memo(
+        ("bmo_norm", tuple(rects)),
+        lambda: _oscillation_sup(rects, _oscillation_sweep(f, rects)[0]),
+    )
+
+
+def _oscillation_sup(rects: list[GridRectangle], sums: list[float]) -> float:
+    """The largest mean oscillation, from the ``|f - f_R|`` sums of a sweep."""
     best = 0.0
-    for r in rects:
-        cells = r.cells()
-        dev = vals[r.ix0 : r.ix1, r.iy0 : r.iy1] - f.rect_mean(r)
-        osc = float(np.abs(dev, out=dev).sum()) / cells  # in place: one temporary
+    for r, total in zip(rects, sums):
+        osc = total / r.cells()
         if osc > best:
             best = osc
     return best
@@ -608,21 +648,66 @@ def bmo_mk_norm(f: GridFunction, params: ExponentParams, family) -> tuple[float,
     Both the numerator and the indicator are window-masked before taking the
     norm (the truncation convention).  Rectangles whose masked indicator has
     zero norm are skipped and reported in the notes.  Returns (value, notes).
+
+    One :func:`_oscillation_sweep` over the family gives every numerator's
+    run-block table, and the annulus and Morrey-Herz tables are then taken
+    once, on the whole stack.  The sweep's ``|f - f_R|`` sums are the plain
+    oscillations: their sup is left in the memo that :func:`bmo_norm` reads.
     """
     require_predicate(params, "char")
     require_predicate(params, "ms_herz")
     spec = f.spec
     rects = _family_rectangles(spec, family)
+    denoms = _indicator_denominators(spec, tuple(rects), params)
+    sums, blocks = _oscillation_sweep(f, rects, params.p, [d != 0.0 for d in denoms])
+    f.memo(("bmo_norm", tuple(rects)), lambda: _oscillation_sup(rects, sums))
+    nums = _morrey_herz_from_table(spec, _lp_table(spec, blocks, params.p), params)
     best = 0.0
     notes: list[str] = []
-    for r, denom in zip(rects, _indicator_denominators(spec, tuple(rects), params)):
+    for r, num, denom in zip(rects, nums.tolist(), denoms):
         if denom == 0.0:
             notes.append(f"skipped {r}: masked indicator has zero norm")
             continue
-        num = _morrey_herz_from_table(spec, _window_oscillation_table(f, r, params.p), params)
         if num / denom > best:
             best = num / denom
     return best, notes
+
+
+def _oscillation_sweep(
+    f: GridFunction, rects: list[GridRectangle], p: float | None = None, rows=None
+) -> tuple[list[float], np.ndarray]:
+    """One pass over each rectangle ``R`` of ``rects``: ``dev = |f - f_R|`` on R.
+
+    Returns the sums of ``dev``, one per rectangle, and a stack of shape
+    ``(len(rects), 2W+1, 2W+1)`` whose row ``i`` holds the run-block sums
+    (:func:`_segment_table`) of ``dev**p`` where ``rows[i]`` is true, and 0
+    elsewhere (``rows=None``: the sums only).  Finite ``p`` only.  The window mask
+    needs no array: the runs are clipped to R and the central gap is dropped
+    by :func:`_annulus_blocks`.
+
+    A rectangle with a row raises :class:`~mherz.errors.DataError` if ``dev``
+    has a non-finite entry.  Its sum of non-negative terms is finite only if
+    every term is, so the full check runs only when the sum is not.
+    """
+    spec = f.spec
+    # the means first: their prefix table's build is the sweep's peak, and
+    # the stack need not be alive through it
+    means = [f.rect_mean(r) for r in rects]
+    runs = _segment_starts(spec).size
+    blocks = np.zeros((len(rects), runs, runs))
+    sums = []
+    for i, (r, mean) in enumerate(zip(rects, means)):
+        dev = f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - mean
+        np.abs(dev, out=dev)  # in place: one rectangle-sized temporary
+        total = float(dev.sum())
+        sums.append(total)
+        if rows is None or not rows[i]:
+            continue
+        if not math.isfinite(total):
+            _require_finite(dev)
+        dev **= p
+        _segment_table(spec, dev, np.add, r.ix0, r.iy0, out=blocks[i])
+    return sums, blocks
 
 
 @functools.lru_cache(maxsize=32)
@@ -670,15 +755,7 @@ def _dyadic_indicator_tables(spec: GridSpec, ps):
 
 
 def _window_oscillation_table(f: GridFunction, rect: GridRectangle, p: float) -> np.ndarray:
-    """:func:`annulus_lp_table` of ``(f - f_R) chi_R`` masked to the window.
-
-    Reduces over ``rect`` only (finite ``p``); the runs are clipped to it and
-    the central gap is dropped, which is what the window mask does.
-    """
-    mean = f.rect_mean(rect)
-    osc = f.values[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] - mean
-    _require_finite(osc)
-    np.abs(osc, out=osc)
-    osc **= p
-    seg = _segment_table(f.spec, osc, np.add, rect.ix0, rect.iy0)
-    return _lp_table(f.spec, seg, p)
+    """:func:`annulus_lp_table` of ``(f - f_R) chi_R`` masked to the window:
+    the :func:`_oscillation_sweep` of ``rect`` alone (finite ``p``)."""
+    _, blocks = _oscillation_sweep(f, [rect], p, [True])
+    return _lp_table(f.spec, blocks, p)[0]

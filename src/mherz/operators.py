@@ -192,7 +192,7 @@ def strong_maximal(f: GridFunction, variant: str = DYADIC_SIDES) -> GridFunction
     # the single-cell rectangle is in every family; evaluating it directly
     # makes M f >= |f| exact instead of up to prefix-sum cancellation noise
     np.maximum(out, absv, out=out)
-    return f.with_values(out)
+    return GridFunction._adopt(f.spec, out)
 
 
 # -- Rubio de Francia iteration --------------------------------------------------
@@ -310,11 +310,11 @@ def _axis_weights(spec: GridSpec) -> np.ndarray:
 def cz_apply(f: GridFunction) -> GridFunction:
     """The double Hilbert transform of f, exact at cell centers."""
     W = _axis_weights(f.spec)
-    return f.with_values(W @ f.values @ W.T)
+    return GridFunction._adopt(f.spec, W @ f.values @ W.T)
 
 
 def commutator(b: GridFunction, f: GridFunction) -> GridFunction:
     """b * T(f) - T(b * f) for the double Hilbert transform T."""
     tf = cz_apply(f)
-    tbf = cz_apply(f.with_values(b.values * f.values))
-    return f.with_values(b.values * tf.values - tbf.values)
+    tbf = cz_apply(GridFunction._adopt(f.spec, b.values * f.values))
+    return GridFunction._adopt(f.spec, b.values * tf.values - tbf.values)

@@ -748,33 +748,44 @@ def check_fefferman_stein(
     ))
     caps = THRESHOLDS["fefferman_stein"]
     # the size-family_count family is the first half of the doubled one,
-    # so each member is built and maximised once per grid
+    # so each member is maximised once per grid
     family = [_base_noise(grid, [seed, 101 + k], masked=True) for k in range(2 * family_count)]
 
     sizes = (family_count, 2 * family_count)
 
-    def r_sum_norms(spec: GridSpec, fns: list[GridFunction], r: float) -> list[float]:
-        # the norm of (sum_{k<size} |f_k|**r)**(1/r) per size; the larger sum
-        # continues the smaller one's accumulator, so each |f_k|**r is built once
-        acc = np.zeros((spec.n_cells, spec.n_cells))
-        norms = []
-        for lo, hi in zip((0,) + sizes, sizes):
-            for f in fns[lo:hi]:
-                acc += np.abs(f.values) ** r
-            total = GridFunction(spec, acc ** (1.0 / r))
-            norms.append(morrey_herz_norm(restrict_to_window(total), params))
+    def r_sum_norms(spec: GridSpec, members) -> dict:
+        # norms of (sum_{k<size} |g_k|**r)**(1/r), keyed (r index, size): one
+        # running sum per r takes the streamed members in order, so each sum
+        # has the bits of a sum over a list of them
+        n = spec.n_cells
+        sums = [np.zeros((n, n)) for _ in r_list]
+        norms = {}
+        k = 0  # not enumerate(): its reused result tuple keeps the last member alive
+        for g in members:
+            for r, acc in zip(r_list, sums):
+                acc += np.abs(g.values) ** r
+            del g  # before the next member is built
+            k += 1
+            if k in sizes:
+                for i, (r, acc) in enumerate(zip(r_list, sums)):
+                    total = restrict_to_window(GridFunction._adopt(spec, acc ** (1.0 / r)))
+                    norms[i, k] = morrey_herz_norm(total, params)
+                del total
         return norms
 
     def run(spec: GridSpec):
-        fns = [build(spec) for build in family]
-        mfns = [strong_maximal(f, variant) for f in fns]
-        out = []
-        for r in r_list:
-            rhs_norms = r_sum_norms(spec, fns, r)
-            lhs_norms = r_sum_norms(spec, mfns, r)
-            for size, lhs, rhs in zip(sizes, lhs_norms, rhs_norms):
-                out.append(TrialRecord(f"r={r},size={size}", lhs, rhs, extra={"r": r, "size": size}))
-        return out
+        # one member and its M f at a time; the f side rebuilds the members
+        # (cheap next to M f) once the M f side is done, so only one side's
+        # running sums are alive during the maximal-operator calls
+        lhs = r_sum_norms(spec, (strong_maximal(build(spec), variant) for build in family))
+        rhs = r_sum_norms(spec, (build(spec) for build in family))
+        return [
+            TrialRecord(
+                f"r={r},size={size}", lhs[i, size], rhs[i, size], extra={"r": r, "size": size}
+            )
+            for i, r in enumerate(r_list)
+            for size in sizes
+        ]
 
     base_trials = run(grid)
     summary = _ratio_summary(base_trials)
@@ -1039,8 +1050,9 @@ def check_john_nirenberg_bmo(
         out = []
         for obj in symbols:
             f = obj.build(spec)
-            plain = bmo_norm(f, fam)
+            # one sweep: bmo_mk_norm leaves the plain oscillation for bmo_norm
             mk, _ = bmo_mk_norm(f, params, fam)
+            plain = bmo_norm(f, fam)
             del f  # free it and its prefix tables before the next symbol is built
             if plain == 0.0:
                 continue
@@ -1050,7 +1062,13 @@ def check_john_nirenberg_bmo(
     equiv_trials = equivalence(grid)
     trials += equiv_trials
     ratios = [t.ratio for t in equiv_trials]
-    equiv_lo, equiv_hi = min(ratios), max(ratios)
+    equiv_lo, equiv_hi = (min(ratios), max(ratios)) if ratios else (None, None)
+    cap = caps["equiv_cap"]
+    equiv_ok = bool(ratios) and equiv_lo >= 1.0 / cap and equiv_hi <= cap
+    equiv_notes = [] if ratios else [
+        "every symbol has zero plain oscillation on the family, so no equivalence "
+        "ratio is defined: the equivalence gate fails and the refinement is skipped"
+    ]
     return _finish(
         "john-nirenberg-and-bmo-equivalence",
         grid,
@@ -1068,12 +1086,12 @@ def check_john_nirenberg_bmo(
             "equiv_max_ratio": equiv_hi,
         },
         thresholds=caps,
-        gates=decay_ok and equiv_lo >= 1.0 / caps["equiv_cap"] and equiv_hi <= caps["equiv_cap"],
-        refine=refine,
+        gates=decay_ok and equiv_ok,
+        refine=refine and bool(ratios),
         stat="equiv_max",
         base=equiv_hi,
-        fine=lambda spec: max(t.ratio for t in equivalence(spec)),
-        notes=decay_notes,
+        fine=lambda spec: max((t.ratio for t in equivalence(spec)), default=math.inf),
+        notes=decay_notes + equiv_notes,
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,25 @@ def test_prefix_sum_matches_direct_summation(seed, data):
     assert integrate_over_rectangle(f, r, absolute=True) == pytest.approx(
         direct_abs, rel=1e-12, abs=1e-14
     )
+
+
+def test_prefix_table_in_place_matches_chained_cumsums():
+    # the chained cumsums the table was built from are the oracle: same bits,
+    # and no N x N temporary beside the table (they held two)
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1), (3, 5), (64, 64), (256, 256)]:
+        for scale in (1.0, 1e150):
+            a = rng.normal(size=shape) * scale
+            want = np.zeros((shape[0] + 1, shape[1] + 1))
+            want[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+            assert np.array_equal(_prefix_table(a), want)
+    tracemalloc.start()
+    try:
+        P = _prefix_table(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * P.nbytes, peak / P.nbytes
 
 
 def test_rect_mean_below_overflow_is_the_raw_prefix_table():
@@ -307,6 +328,46 @@ def test_refine_preserves_function():
     assert integrate_over_rectangle(f2, box2) == pytest.approx(
         integrate_over_rectangle(f, box), rel=1e-12
     )
+
+
+def test_gridfunction_copies_the_callers_array():
+    g = make_grid(1, 1)
+    vals = np.zeros((4, 4))
+    f = GridFunction(g, vals)
+    vals[0, 0] = 5.0  # the caller still owns and may write its array
+    assert f.values[0, 0] == 0.0 and vals.flags.writeable
+
+
+def test_refine_adopts_its_fresh_table():
+    # copying the refined table (an np.kron) into the function made the traced
+    # peak twice the 2.0 MB result
+    f = build_function(make_grid(3, 5), builtin="noise", seed=3)
+    tracemalloc.start()
+    try:
+        fine = f.refine(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * fine.values.nbytes, peak / fine.values.nbytes
+    assert not fine.values.flags.writeable and fine.values.flags.c_contiguous
+    assert np.array_equal(fine.values, np.kron(f.values, np.ones((2, 2))))
+    g = build_function(make_grid(2, 1), builtin="noise", seed=4)
+    assert np.array_equal(g.refine(2).values, np.kron(g.values, np.ones((4, 4))))
+
+
+def test_adopted_arrays_are_checked_and_frozen():
+    g = make_grid(1, 1)
+    bad = np.zeros((4, 4))
+    bad[1, 2] = np.inf
+    with pytest.raises(DataError, match="1 non-finite"):
+        GridFunction._adopt(g, bad)
+    with pytest.raises(DataError, match="4x4"):
+        GridFunction._adopt(g, np.zeros((2, 2)))
+    f = GridFunction._adopt(g, np.ones((4, 4)))
+    with pytest.raises(ValueError):
+        f.values[0, 0] = 2.0
+    # a transposed view is stored C-ordered, as the public constructor stores it
+    assert GridFunction._adopt(g, np.arange(16.0).reshape(4, 4).T).values.flags.c_contiguous
 
 
 def test_dilate_power_of_two_exact():

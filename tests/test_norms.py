@@ -16,6 +16,7 @@ from mherz.grid import (
     GridRectangle,
     _box_sum,
     _prefix_table,
+    _require_finite,
     annulus_mask_1d,
     annulus_restrict,
     build_function,
@@ -37,7 +38,9 @@ from mherz.norms import (
     _family_rectangles,
     _herz_from_table,
     _indicator_denominators,
+    _lp_table,
     _morrey_herz_from_table,
+    _oscillation_sweep,
     _window_indicator_table,
     _window_oscillation_table,
     annulus_lp_table,
@@ -487,6 +490,17 @@ def test_bmo_mk_requires_predicates():
         bmo_mk_norm(constant(G35, 1.0), ExponentParams(0.0, 2, 2, 0.9), fam)
 
 
+def test_bmo_norm_cost_guard_precedes_the_shared_sweep():
+    g = make_grid(3, 4)  # N = 128: 12,300 full boxes visit just over 2 * 10**8 cells
+    f = build_function(g, builtin="noise", seed=3)
+    rects = [GridRectangle(0, 128, 0, 128)] * 12_300
+    with pytest.raises(CostGuardError, match="oscillation sweep visits"):
+        bmo_norm(f, rects)
+    f.memo(("bmo_norm", tuple(rects)), lambda: 0.0)  # as if bmo_mk_norm had swept it
+    with pytest.raises(CostGuardError, match="oscillation sweep visits"):
+        bmo_norm(f, rects)
+
+
 # -- segmented annulus tables against the code they replaced ---------------------------
 
 
@@ -784,6 +798,151 @@ def test_bmo_mk_norm_non_finite_oscillation_raises():
     with pytest.raises(DataError, match="non-finite cell values"):
         with np.errstate(over="ignore", invalid="ignore"):
             bmo_mk_norm(f, PR, [GridRectangle(0, 2, 0, 2)])
+
+
+# -- the one-pass oscillation sweep against the per-rectangle loops it replaced ----------
+
+
+def loop_lp_table(spec, seg, p):
+    """Oracle: one run-block table to annulus L^p norms, per entry in libm."""
+    w = seg.shape[0] // 2
+    left, right = seg[:w][::-1], seg[w + 1 :]
+    sums = left[:, :w][:, ::-1] + left[:, w + 1 :] + right[:, :w][:, ::-1] + right[:, w + 1 :]
+    roots = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
+    return roots * (spec.h * spec.h) ** (1.0 / p)
+
+
+def loop_morrey_herz(spec, table, params):
+    """Oracle: the Morrey-Herz norm of one annulus table."""
+    terms = _alpha_weights(spec, params.alpha) * table
+    win = np.array(list(spec.window_range()), dtype=float)
+    if math.isinf(params.q):
+        inner = np.maximum.accumulate(np.maximum.accumulate(terms, axis=0), axis=1)
+    else:
+        inner = ((terms**params.q).cumsum(axis=0).cumsum(axis=1)) ** (1.0 / params.q)
+    pref = 2.0 ** (-(win[:, None] + win[None, :]) * params.lam)
+    return float((pref * inner).max(initial=0.0))
+
+
+def loop_run_blocks(spec, a, r):
+    """Oracle: block sums of ``a`` (the cells of ``r``) over pairs of axis runs."""
+    cx, sx = _clip_runs(spec, r.ix0, r.ix1)
+    cy, sy = _clip_runs(spec, r.iy0, r.iy1)
+    seg = np.zeros((cx.size, cy.size))
+    seg[np.ix_(cx > 0, cy > 0)] = np.add.reduceat(np.add.reduceat(a, sy, axis=1), sx, axis=0)
+    return seg
+
+
+def loop_oscillation_table(f, r, p):
+    """Oracle: the annulus table of ``(f - f_R) chi_R`` masked to the window."""
+    osc = f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - f.rect_mean(r)
+    _require_finite(osc)
+    return loop_lp_table(f.spec, loop_run_blocks(f.spec, np.abs(osc) ** p, r), p)
+
+
+def loop_bmo_norm(f, family):
+    """Oracle: the plain oscillation sup, one slice and one mean per rectangle."""
+    best = 0.0
+    for r in _family_rectangles(f.spec, family):
+        dev = f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - f.rect_mean(r)
+        osc = float(np.abs(dev).sum()) / r.cells()
+        if osc > best:
+            best = osc
+    return best
+
+
+def loop_bmo_mk_norm(f, params, family):
+    """Oracle: bmo_mk_norm with one table and one Morrey-Herz norm per rectangle."""
+    spec = f.spec
+    best, notes = 0.0, []
+    for r in _family_rectangles(spec, family):
+        cx, cy = _clip_runs(spec, r.ix0, r.ix1)[0], _clip_runs(spec, r.iy0, r.iy1)[0]
+        counts = np.multiply.outer(cx, cy).astype(float)
+        denom = loop_morrey_herz(spec, loop_lp_table(spec, counts, params.p), params)
+        if denom == 0.0:
+            notes.append(f"skipped {r}: masked indicator has zero norm")
+            continue
+        num = loop_morrey_herz(spec, loop_oscillation_table(f, r, params.p), params)
+        if num / denom > best:
+            best = num / denom
+    return best, notes
+
+
+def sweep_values(spec, kind, seed):
+    if kind != "overflow":
+        return random_values(spec, kind, seed)
+    # +-1.7e308 cells: f - f_R overflows on rectangles that mix signs
+    rng = np.random.default_rng(seed)
+    return 1.7e308 * rng.choice([-1.0, 0.0, 1.0], size=(spec.n_cells, spec.n_cells))
+
+
+def sweep_family(kind, spec, stride, seed):
+    if kind != "cross":
+        return _bmo_family(kind, spec, stride)
+    # random rectangles, the first on the central cross: its masked indicator is 0
+    rng = np.random.default_rng(seed)
+    n, mid = spec.n_cells, spec.n_cells // 2
+    rects = [GridRectangle(mid - 1, mid + 1, 0, n)]
+    for _ in range(6):
+        x0, x1 = sorted(rng.choice(n + 1, 2, replace=False))
+        y0, y1 = sorted(rng.choice(n + 1, 2, replace=False))
+        rects.append(GridRectangle(int(x0), int(x1), int(y0), int(y1)))
+    return rects
+
+
+SWEEP_LEVELS = {"exact-grid": 3, "dyadic-sides": 5, "dyadic-centered": 6, "cross": 6}
+SWEEP_CASES = st.sampled_from(sorted(SWEEP_LEVELS)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind), random_grid(SWEEP_LEVELS[kind], 2), st.sampled_from([1, 2, 4])
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    SWEEP_CASES,
+    st.sampled_from(["normal", "sparse", "scales", "gaussian", "overflow"]),
+    SEEDS,
+    st.sampled_from([1.5, 2.0, 3.0]),
+    st.sampled_from([1.0, 2.0, math.inf]),
+)
+@example(("cross", make_grid(2, 2), 1), "overflow", 1, 2.0, 2.0)
+def test_oscillation_sweep_bit_identical_to_per_rectangle_loops(case, kind, seed, p, q):
+    family_kind, spec, stride = case
+    f = GridFunction(spec, sweep_values(spec, kind, seed))
+    fam = sweep_family(family_kind, spec, stride, seed)
+    rects = _family_rectangles(spec, fam)
+    params = ExponentParams(0.25, p, q, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = loop_bmo_norm(f, fam)
+        assert bmo_norm(f.with_values(f.values), fam) == plain
+        try:
+            tables = [loop_oscillation_table(f, r, p) for r in rects]
+        except DataError:
+            tables = None
+        if tables is not None:  # every rectangle's table and norm, batched and alone
+            blocks = _oscillation_sweep(f, rects, p, [True] * len(rects))[1]
+            stack = _lp_table(spec, blocks, p)
+            assert all(np.array_equal(a, b) for a, b in zip(stack, tables, strict=True))
+            got = _morrey_herz_from_table(spec, stack, params).tolist()
+            assert got == [loop_morrey_herz(spec, t, params) for t in tables]
+            for r, t in list(zip(rects, tables))[:8]:
+                assert np.array_equal(_window_oscillation_table(f, r, p), t)
+        g = f.with_values(f.values)
+        if math.isinf(q):  # outside pred_ms_herz
+            with pytest.raises(PredicateError):
+                bmo_mk_norm(g, params, fam)
+            return
+        try:
+            want = loop_bmo_mk_norm(f, params, fam)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                bmo_mk_norm(g, params, fam)
+            assert str(got.value) == str(exc)
+            return
+        # bmo_mk_norm, then bmo_norm from the sup it left in the memo
+        assert bmo_mk_norm(g, params, fam) == want
+        assert bmo_norm(g, fam) == plain
 
 
 # -- memoised geometry: each table built once, equal to a fresh build -------------------

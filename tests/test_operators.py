@@ -245,6 +245,19 @@ def test_iterated_1d_kernel_matches_staircase_on_arbitrary_tables(a):
     assert np.array_equal(_maximal_kernel(ITERATED_1D, a), staircase_iterated_1d(a))
 
 
+def test_operator_outputs_are_adopted_frozen_tables():
+    # the kernels' fresh outputs are held without a copy, checked and frozen
+    # like any GridFunction, and share no memory with their inputs
+    g = make_grid(2, 3)
+    f = build_function(g, builtin="noise", seed=2)
+    b = build_function(g, builtin="noise", seed=3)
+    outs = [strong_maximal(f, v) for v in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D)]
+    for out in outs + [cz_apply(f), commutator(b, f)]:
+        assert not out.values.flags.writeable and out.values.flags.c_contiguous
+        assert not np.shares_memory(out.values, f.values)
+        assert not np.shares_memory(out.values, b.values)
+
+
 def test_iterated_1d_memory_is_a_few_slabs():
     # the staircase held (32, N, N) tables: about 132 N**2 doubles at N = 256
     g = make_grid(5, 3)  # N = 256

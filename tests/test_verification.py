@@ -1,4 +1,8 @@
+import json
 import math
+import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +216,21 @@ def test_fefferman_stein_maximises_each_member_once_per_grid(monkeypatch):
     )["max_ratio"]
 
 
+def test_fefferman_stein_streams_its_family():
+    # demo grid and options: holding all 2 * family_count members and their
+    # M f at once, the suite's traced peak was 10.65 MB (the refined run at
+    # N = 256 set it); streaming the members, with one side's three running
+    # sums alive at a time, it reads 5.15 MB
+    check_fefferman_stein(make_grid(2, 2), PR, seed=2027)  # warm the caches
+    tracemalloc.start()
+    try:
+        check_fefferman_stein(G, PR, r_list=(1.5, 2, 3), seed=2027)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.0 * 2**20, peak / 2**20
+
+
 def test_fefferman_stein_disjoint_indicator_family():
     # r-sum of disjointly supported indicators is itself an indicator sum;
     # the vector-valued ratio stays under the default cap
@@ -288,6 +307,95 @@ def test_john_nirenberg_bounded_symbol_trivial_decay():
     )
     assert rep.summary["decay_slope"] is None
     assert any("only 0 nonempty level sets" in n and "trivially" in n for n in rep.notes)
+    assert rep.passed
+
+
+def test_john_nirenberg_fails_cleanly_when_every_symbol_is_dropped(monkeypatch):
+    from mherz import verification
+    from mherz.grid import constant
+    from mherz.verification import TestObject
+
+    g = make_grid(2, 3)
+    flat = [TestObject(f"constant-{c}", lambda spec, c=c: constant(spec, c)) for c in (0.0, 2.0)]
+    monkeypatch.setattr(verification, "_bmo_symbols", lambda base, seed: flat)
+    rep = check_john_nirenberg_bmo(g, PR)
+    assert rep.status == "fail"
+    assert rep.summary["equiv_min_ratio"] is None and rep.summary["equiv_max_ratio"] is None
+    assert rep.refinement is None  # no base statistic to drift from
+    assert any("zero plain oscillation" in n for n in rep.notes)
+    assert not [t for t in rep.trials if t.trial.startswith("equiv:")]
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+    # constant only on the finer grid: the refined statistic is undefined
+    coarse_noise = build_function(g, builtin="noise", seed=1)
+    fine_only = [
+        TestObject(
+            "coarse-noise",
+            lambda spec: coarse_noise if spec == g else constant(spec, 1.0),
+        )
+    ]
+    monkeypatch.setattr(verification, "_bmo_symbols", lambda base, seed: fine_only)
+    rep = check_john_nirenberg_bmo(g, PR)
+    assert rep.status == "fail"
+    assert rep.refinement["refined_equiv_max"] == math.inf
+    assert rep.refinement["drift"] == math.inf
+
+
+def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
+    from mherz import norms, verification
+    from mherz.grid import GridFunction, GridSpec
+    from mherz.verification import _bmo_symbols, _default_bmo_family
+
+    means = Counter()
+    rect_mean = GridFunction.rect_mean
+
+    def counting_mean(self, rect, absolute=False):
+        means[self.spec.n_cells] += 1
+        return rect_mean(self, rect, absolute)
+
+    batched = Counter()
+
+    def counted(name, fn):
+        def wrapper(spec, table, *args):
+            batched[name, table.ndim] += 1
+            return fn(spec, table, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(GridFunction, "rect_mean", counting_mean)
+    for name in ("_lp_table", "_morrey_herz_from_table"):
+        monkeypatch.setattr(norms, name, counted(name, getattr(norms, name)))
+    mk_calls = Counter()
+    bmo_mk_norm = verification.bmo_mk_norm
+
+    def counting_mk(f, *args):
+        mk_calls[f.spec.n_cells] += 1
+        return bmo_mk_norm(f, *args)
+
+    monkeypatch.setattr(verification, "bmo_mk_norm", counting_mk)
+    g = make_grid(2, 3)
+    fine = GridSpec(g.L_max, g.s + 1)
+    check_john_nirenberg_bmo(g, PR)
+    symbols = len(_bmo_symbols(g, 0))
+    rects = {spec.n_cells: len(_default_bmo_family(spec)) for spec in (g, fine)}
+    # one mean per rectangle and symbol; the decay sweep takes the box mean once
+    assert means == {
+        g.n_cells: 1 + symbols * rects[g.n_cells],
+        fine.n_cells: symbols * rects[fine.n_cells],
+    }
+    assert mk_calls == {g.n_cells: symbols, fine.n_cells: symbols}
+    # each bmo_mk_norm call takes the annulus and Morrey-Herz tables once, on its stack
+    assert batched["_lp_table", 3] == batched["_morrey_herz_from_table", 3] == 2 * symbols
+
+
+def test_john_nirenberg_g35_matches_the_benchmark_reference():
+    # the norms-g35 workload's gated suite at its acceptance grid; the
+    # reference file is read, never written
+    ref = Path(__file__).resolve().parents[1] / "bench" / "reference" / "norms-g35.json"
+    want = next(s for s in json.loads(ref.read_text())["summaries"] if "equiv_max_ratio" in s)
+    rep = check_john_nirenberg_bmo(make_grid(3, 5), PR, seed=2024)
+    assert rep.summary == want
+    assert rep.refinement["refined_equiv_max"] == 2.076294505796948
     assert rep.passed
 
 
