@@ -752,10 +752,3 @@ def _dyadic_indicator_tables(spec: GridSpec, ps):
             rect = DyadicRectangle(l1, l2)
             cells = rect.to_cells(spec)
             yield rect, {p: _window_indicator_table(spec, cells, p) for p in set(ps)}
-
-
-def _window_oscillation_table(f: GridFunction, rect: GridRectangle, p: float) -> np.ndarray:
-    """:func:`annulus_lp_table` of ``(f - f_R) chi_R`` masked to the window:
-    the :func:`_oscillation_sweep` of ``rect`` alone (finite ``p``)."""
-    _, blocks = _oscillation_sweep(f, [rect], p, [True])
-    return _lp_table(f.spec, blocks, p)[0]

@@ -8,6 +8,12 @@ the summary statistic when the grid is refined from (L_max, s) to
 (L_max, s+1).  Empirical constants are reported, never compared against
 implicit constants.
 
+One driver, :func:`_suite_driver`, runs every ``check_<suite>``: it binds the
+call with its defaults, admits it (:func:`admit`), runs the suite's body,
+which returns only what it measured, applies the guarded refinement and the
+drift gate against ``THRESHOLDS[suite]``, and builds the report with its
+status and notes.
+
 Conventions shared by all suites:
 
 * operator outputs are window-masked before annulus-decomposed norms are
@@ -23,6 +29,8 @@ Conventions shared by all suites:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -159,56 +167,6 @@ def finest_grid(grid: GridSpec, refine: bool) -> GridSpec:
     if refine and grid.L_max + grid.s < MAX_LEVEL_SUM:
         return GridSpec(grid.L_max, grid.s + 1)
     return grid
-
-
-def _finish(
-    claim: str,
-    grid: GridSpec,
-    params: dict,
-    trials: list[TrialRecord],
-    summary: dict,
-    thresholds: dict,
-    gates: bool,
-    refine: bool = False,
-    stat: str = "",
-    base: float = 0.0,
-    fine: Callable[[GridSpec], float] | None = None,
-    violations: Sequence[str] = (),
-    notes: Sequence[str] = (),
-) -> InequalityReport:
-    """Shared tail of every suite: guarded refinement, drift gate, status.
-
-    With ``refine`` set, ``fine`` recomputes the statistic ``stat`` (base
-    value ``base``) on the grid one level finer, provided that grid passes
-    the size guard; its relative drift must stay within
-    ``thresholds["drift_cap"]`` on top of the suite's own ``gates``.  The
-    refinement run recomputes only ``refined_<stat>``: ``fine`` evaluates
-    what that one statistic reads, not the suite's whole base sweep.  The
-    report keeps a copy of ``thresholds``.  Violated hypotheses make the
-    status "out-of-hypothesis" and lead the notes.
-    """
-    thresholds = dict(thresholds)
-    refinement = None
-    finer = finest_grid(grid, refine)
-    if finer != grid:
-        value = fine(finer)
-        refinement = {
-            f"base_{stat}": base,
-            f"refined_{stat}": value,
-            "drift": _drift(base, value),
-            "refined_grid": _grid_dict(finer),
-        }
-        gates = gates and refinement["drift"] <= thresholds["drift_cap"]
-    return InequalityReport(
-        claim=claim,
-        params={"grid": _grid_dict(grid)} | params,
-        trials=trials,
-        summary=summary,
-        thresholds=thresholds,
-        refinement=refinement,
-        status="out-of-hypothesis" if violations else ("pass" if gates else "fail"),
-        notes=[*violations, *notes],
-    )
 
 
 # -- deterministic test objects -----------------------------------------------
@@ -482,9 +440,85 @@ def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
     return violations
 
 
+# -- the suite driver --------------------------------------------------------------
+
+
+@dataclass
+class _Measured:
+    """What a suite's body measured on its base grid.  ``params`` holds the
+    suite's own report entries; ``fine`` recomputes the gated statistic
+    ``stat`` (base value ``base``) on a finer grid, and None skips the
+    refinement."""
+
+    claim: str
+    params: dict
+    trials: list[TrialRecord]
+    summary: dict
+    gates: bool
+    notes: Sequence[str] = ()
+    stat: str = ""
+    base: float = 0.0
+    fine: Callable[[GridSpec], float] | None = None
+
+
+def _suite_driver(body: Callable[..., _Measured]) -> Callable[..., InequalityReport]:
+    """``check_<suite>`` from its body: admission, refinement, status, report.
+
+    The suite keeps the body's signature and docstring.  The call is bound
+    to it with the defaults filled in, and every argument but ``grid`` and
+    the exponents goes to :func:`admit` as an option before ``body`` runs.
+    With the ``refine`` option set and a ``fine`` measured, the statistic is
+    recomputed on :func:`finest_grid` when the size guard admits it; that
+    run recomputes only ``refined_<stat>``, not the suite's whole base
+    sweep, and its relative drift must stay within
+    ``THRESHOLDS[suite]["drift_cap"]`` on top of the body's ``gates``.  The
+    report keeps a copy of the suite's caps.  Violated hypotheses make the
+    status "out-of-hypothesis" and lead the notes.
+    """
+    suite = body.__name__.removeprefix("check_")
+    signature = inspect.signature(body)
+
+    @functools.wraps(body)
+    def check(*args, **kwargs) -> InequalityReport:
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        options = dict(call.arguments)
+        grid = options.pop("grid")
+        key = "param_sets" if "param_sets" in options else "params"
+        params = options.pop(key)
+        violations = admit(suite, grid, params, options)
+        measured = body(*call.args, **call.kwargs)
+        thresholds = dict(THRESHOLDS[suite])
+        gates, refinement = measured.gates, None
+        finer = finest_grid(grid, options.get("refine", False) and measured.fine is not None)
+        if finer != grid:
+            value = measured.fine(finer)
+            refinement = {
+                f"base_{measured.stat}": measured.base,
+                f"refined_{measured.stat}": value,
+                "drift": _drift(measured.base, value),
+                "refined_grid": _grid_dict(finer),
+            }
+            gates = gates and refinement["drift"] <= thresholds["drift_cap"]
+        exponents = [asdict(p) for p in params] if key == "param_sets" else asdict(params)
+        return InequalityReport(
+            claim=measured.claim,
+            params={"grid": _grid_dict(grid), key: exponents} | measured.params,
+            trials=measured.trials,
+            summary=measured.summary,
+            thresholds=thresholds,
+            refinement=refinement,
+            status="out-of-hypothesis" if violations else ("pass" if gates else "fail"),
+            notes=[*violations, *measured.notes],
+        )
+
+    return check
+
+
 # -- suite: indicator closed forms -----------------------------------------------
 
 
+@_suite_driver
 def check_char_norms(
     grid: GridSpec,
     param_sets: Sequence[ExponentParams],
@@ -495,7 +529,6 @@ def check_char_norms(
     equal 2**(alpha + n/p - lam), and that lam = 0 degenerates to the Herz
     closed form.
     """
-    admit("char_norms", grid, param_sets, {})
     caps = THRESHOLDS["char_norms"]
     trials: list[TrialRecord] = []
     worst = 0.0
@@ -531,25 +564,16 @@ def check_char_norms(
         worst = max(worst, rel)
         trials.append(TrialRecord(f"set{pset_id}:lam0-degenerate", g0, h0, extra={"rel_err": rel}))
 
-    return _finish(
+    return _Measured(
         "char-indicator-closed-form",
-        grid,
-        {"param_sets": [asdict(p) for p in param_sets]},
+        {},
         trials,
         summary={"n_trials": len(trials), "worst_rel_err": worst},
-        thresholds=caps,
         gates=worst <= caps["rel_tol"],
     )
 
 
 # -- suite: duality and norm products ----------------------------------------------
-
-
-def _herz_product(spec: GridSpec, tables: dict, params: ExponentParams) -> float:
-    dual = params.dual()
-    return _herz_from_table(spec, tables[params.p], params) * _herz_from_table(
-        spec, tables[dual.p], dual
-    )
 
 
 def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
@@ -558,13 +582,16 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
     indicator of ``(l1, l2)`` is its own smallest containing dyadic
     rectangle, the host of the block bound."""
     herz_vals, mk_vals, trials = [], [], []
+    dual = params.dual()
     lam_params = _with_positive_lam(params)
     block_params = lam_params.dual()
     require_predicate(block_params, "block")
     ps = [params.p, block_params.p]  # the dual Herz and block exponents coincide
     for rect, tables in _dyadic_indicator_tables(spec, ps):
         area = rect.measure()
-        hprod = _herz_product(spec, tables, params)
+        hprod = _herz_from_table(spec, tables[params.p], params) * _herz_from_table(
+            spec, tables[dual.p], dual
+        )
         herz_vals.append(hprod / area)
         block_upper = min(_block_upper_bounds(spec, tables[block_params.p], rect, block_params))
         mkprod = _morrey_herz_from_table(spec, tables[lam_params.p], lam_params) * block_upper
@@ -578,23 +605,12 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
     return trials, _spread(herz_vals), _spread(mk_vals)
 
 
-def _herz_product_spread(spec: GridSpec, params: ExponentParams) -> float:
-    """The Herz spread of :func:`_norm_product_sweep` alone (what the
-    refinement gates), without the Morrey-Herz and block products."""
-    ps = [params.p, params.dual().p]
-    return _spread(
-        [
-            _herz_product(spec, tables, params) / rect.measure()
-            for rect, tables in _dyadic_indicator_tables(spec, ps)
-        ]
-    )
-
-
 def _spread(values: list[float]) -> float:
     a = np.array(values)
     return float(a.max() / a.min())
 
 
+@_suite_driver
 def check_norm_duality(
     grid: GridSpec,
     params: ExponentParams,
@@ -611,7 +627,6 @@ def check_norm_duality(
     block-upper analogue.  (iii) pairing against unit blocks never exceeds
     the Morrey-Herz norm (constant 1), and the achieved fraction is recorded.
     """
-    admit("norm_duality", grid, params, dict(trials=trials, seed=seed, refine=refine))
     caps = THRESHOLDS["norm_duality"]
     notes: list[str] = []
     all_trials, spread, mk_spread = _norm_product_sweep(grid, params)
@@ -652,10 +667,9 @@ def check_norm_duality(
         )
         notes.append(f"unit-block pairing achieves {sup_fraction:.3f} of the Morrey-Herz norm")
 
-    return _finish(
+    return _Measured(
         "dual-pairing-and-rectangle-norm-products",
-        grid,
-        {"params": asdict(params), "seed": seed},
+        {"seed": seed},
         all_trials,
         summary={
             "herz_product_spread": spread,
@@ -663,15 +677,13 @@ def check_norm_duality(
             "pairing_worst_ratio": pairing_worst,
             "sup_pairing_fraction": sup_fraction,
         },
-        thresholds=caps,
         gates=spread <= caps["spread_cap"]
         and mk_spread <= caps["spread_cap"]
         and pairing_worst <= caps["pairing_cap"] + 1e-10
         and sup_excess <= 1e-10,
-        refine=refine,
         stat="spread",
         base=spread,
-        fine=lambda spec: _herz_product_spread(spec, params),
+        fine=lambda spec: _norm_product_sweep(spec, params)[1],
         notes=notes,
     )
 
@@ -679,6 +691,7 @@ def check_norm_duality(
 # -- suite: maximal operator bounds -----------------------------------------------
 
 
+@_suite_driver
 def check_maximal_bounds(
     grid: GridSpec,
     space: str,
@@ -690,10 +703,6 @@ def check_maximal_bounds(
     allow_out_of_hypothesis: bool = False,
 ) -> InequalityReport:
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
-    violations = admit("maximal_bounds", grid, params, dict(
-        space=space, trials=trials, variant=variant, seed=seed, refine=refine,
-        allow_out_of_hypothesis=allow_out_of_hypothesis,
-    ))
     norm = SPACES[space]
     caps = THRESHOLDS["maximal_bounds"]
     objs = standard_objects(grid, seed, n_random=max(1, trials - 5))
@@ -713,26 +722,23 @@ def check_maximal_bounds(
     base_trials = run(grid)
     summary = _ratio_summary(base_trials)
     const_ratio = next((t.ratio for t in base_trials if t.trial == "constant"), None)
-    return _finish(
+    return _Measured(
         f"maximal-bounded-on-{space}",
-        grid,
-        {"params": asdict(params), "variant": variant, "seed": seed},
+        {"variant": variant, "seed": seed},
         base_trials,
         summary=summary | {"constant_ratio": const_ratio},
-        thresholds=caps,
         gates=summary["max_ratio"] <= caps["ratio_cap"]
         and (const_ratio is None or const_ratio <= caps["constant_cap"]),
-        refine=refine,
         stat="max_ratio",
         base=summary["max_ratio"],
         fine=lambda spec: _ratio_summary(run(spec))["max_ratio"],
-        violations=violations,
     )
 
 
 # -- suite: vector-valued maximal inequality ------------------------------------------
 
 
+@_suite_driver
 def check_fefferman_stein(
     grid: GridSpec,
     params: ExponentParams,
@@ -743,9 +749,6 @@ def check_fefferman_stein(
     refine: bool = True,
 ) -> InequalityReport:
     """Vector-valued maximal inequality: r-sums before vs after the operator."""
-    admit("fefferman_stein", grid, params, dict(
-        r_list=r_list, family_count=family_count, variant=variant, seed=seed, refine=refine,
-    ))
     caps = THRESHOLDS["fefferman_stein"]
     # the size-family_count family is the first half of the doubled one,
     # so each member is maximised once per grid
@@ -796,11 +799,9 @@ def check_fefferman_stein(
         big = next(t.ratio for t in base_trials if t.extra == {"r": r, "size": 2 * family_count})
         size_drift = max(size_drift, _drift(small, big))
 
-    return _finish(
+    return _Measured(
         "vector-valued-maximal",
-        grid,
         {
-            "params": asdict(params),
             "r_list": list(r_list),
             "family_count": family_count,
             "variant": variant,
@@ -808,9 +809,7 @@ def check_fefferman_stein(
         },
         base_trials,
         summary=summary | {"family_size_drift": size_drift},
-        thresholds=caps,
         gates=summary["max_ratio"] <= caps["ratio_cap"] and size_drift <= caps["size_drift_cap"],
-        refine=refine,
         stat="max_ratio",
         base=summary["max_ratio"],
         fine=lambda spec: _ratio_summary(run(spec))["max_ratio"],
@@ -834,6 +833,7 @@ def extrapolation_block_params(params: ExponentParams, p0: float) -> ExponentPar
     )
 
 
+@_suite_driver
 def check_extrapolation(
     grid: GridSpec,
     op: str,
@@ -854,9 +854,6 @@ def check_extrapolation(
     demonstrated, not proved: finitely many weights are sampled and both
     layers must stay under the cap with stable refinement.
     """
-    admit("extrapolation", grid, params, dict(
-        op=op, p0=p0, trials=trials, variant=variant, c=c, K=K, seed=seed, refine=refine,
-    ))
     caps = THRESHOLDS["extrapolation"]
     block = extrapolation_block_params(params, p0)
 
@@ -918,11 +915,9 @@ def check_extrapolation(
     # the unit weight keeps every object of nonzero norm, so the trials hold
     # each object's Morrey-Herz ratio: the refinement needs mk_layer alone
     mk_max = max(t.extra["mk_ratio"] for t in base_trials)
-    return _finish(
+    return _Measured(
         f"extrapolation[{op}]",
-        grid,
         {
-            "params": asdict(params),
             "block_params": asdict(block),
             "p0": p0,
             "c": c_used,
@@ -933,9 +928,7 @@ def check_extrapolation(
         },
         base_trials,
         summary=summary | {"mk_max_ratio": mk_max},
-        thresholds=caps,
         gates=summary["max_ratio"] <= caps["ratio_cap"] and mk_max <= caps["ratio_cap"],
-        refine=refine,
         stat="mk_max_ratio",
         base=mk_max,
         fine=lambda spec: max(ratio for *_, ratio in mk_layer(spec)),
@@ -973,6 +966,7 @@ def _bmo_symbols(base: GridSpec, seed: int) -> list[TestObject]:
     ]
 
 
+@_suite_driver
 def check_john_nirenberg_bmo(
     grid: GridSpec,
     params: ExponentParams,
@@ -990,7 +984,6 @@ def check_john_nirenberg_bmo(
     [1/equiv_cap, equiv_cap] over a six-symbol test set, stably under
     refinement.  The caps are ``THRESHOLDS["john_nirenberg_bmo"]``.
     """
-    admit("john_nirenberg_bmo", grid, params, dict(gammas=gammas, seed=seed, refine=refine))
     caps = THRESHOLDS["john_nirenberg_bmo"]
     b = build_function(grid, builtin="truncated_log")
     if gammas is None:
@@ -1069,11 +1062,9 @@ def check_john_nirenberg_bmo(
         "every symbol has zero plain oscillation on the family, so no equivalence "
         "ratio is defined: the equivalence gate fails and the refinement is skipped"
     ]
-    return _finish(
+    return _Measured(
         "john-nirenberg-and-bmo-equivalence",
-        grid,
         {
-            "params": asdict(params),
             "symbol": "truncated_log",
             "gammas": [float(g) for g in gammas],
             "seed": seed,
@@ -1085,12 +1076,12 @@ def check_john_nirenberg_bmo(
             "equiv_min_ratio": equiv_lo,
             "equiv_max_ratio": equiv_hi,
         },
-        thresholds=caps,
         gates=decay_ok and equiv_ok,
-        refine=refine and bool(ratios),
         stat="equiv_max",
         base=equiv_hi,
-        fine=lambda spec: max((t.ratio for t in equivalence(spec)), default=math.inf),
+        fine=(lambda spec: max((t.ratio for t in equivalence(spec)), default=math.inf))
+        if ratios
+        else None,
         notes=decay_notes + equiv_notes,
     )
 
@@ -1100,6 +1091,7 @@ def check_john_nirenberg_bmo(
 DILATIONS = (1, 2, 4, 8, 16)  # the commutator sweep f_t = f(./t), increasing
 
 
+@_suite_driver
 def check_cz_comm(
     grid: GridSpec,
     params: ExponentParams,
@@ -1116,7 +1108,6 @@ def check_cz_comm(
     declared growth factor: the empirical contrapositive of the necessity
     direction.  The caps are ``THRESHOLDS["cz_comm"]``.
     """
-    admit("cz_comm", grid, params, dict(seed=seed, refine=refine))
     caps = THRESHOLDS["cz_comm"]
     # base object small enough that every dilation stays inside the box
     shift = int(math.log2(DILATIONS[-1]))
@@ -1178,11 +1169,9 @@ def check_cz_comm(
     lo = ratio_of[f"comm:coordinate-x:t={DILATIONS[0]}"]
     hi = ratio_of[f"comm:coordinate-x:t={DILATIONS[-1]}"]
     growth_factor = hi / lo if lo > 0 else math.inf
-    return _finish(
+    return _Measured(
         "singular-integral-and-commutator",
-        grid,
         {
-            "params": asdict(params),
             "kernel": DOUBLE_HILBERT,
             "dilations": list(DILATIONS),
             "seed": seed,
@@ -1193,11 +1182,9 @@ def check_cz_comm(
             "bmo_comm_max_ratio": bmo_max,
             "non_bmo_growth_factor": growth_factor,
         },
-        thresholds=caps,
         gates=tk_max <= caps["tk_ratio_cap"]
         and bmo_max <= caps["comm_ratio_cap"]
         and growth_factor >= caps["growth_min"],
-        refine=refine,
         stat="tk_max_ratio",
         base=tk_max,
         fine=lambda spec: tk_max_of(run(spec, comm=False)),

@@ -42,7 +42,6 @@ from mherz.norms import (
     _morrey_herz_from_table,
     _oscillation_sweep,
     _window_indicator_table,
-    _window_oscillation_table,
     annulus_lp_table,
     block_norm_bracket,
     bmo_mk_norm,
@@ -61,7 +60,6 @@ from mherz import verification
 from mherz.verification import (
     InequalityReport,
     TrialRecord,
-    _herz_product_spread,
     _norm_product_sweep,
 )
 
@@ -538,6 +536,13 @@ def prefix_annulus_lp_table(f, p):
     return out
 
 
+def window_oscillation_table(f, rect, p):
+    """The annulus table of ``(f - f_R) chi_R`` masked to the window: the
+    oscillation sweep of ``rect`` alone (finite ``p``)."""
+    _, blocks = _oscillation_sweep(f, [rect], p, [True])
+    return _lp_table(f.spec, blocks, p)[0]
+
+
 def masked_sum_annulus_lp_table(f, p):
     """Oracle: each entry sums |f|^p (max |f| for p = inf) over the cells
     that the two axis masks of one annulus pick out."""
@@ -605,6 +610,40 @@ def random_values(spec, kind, seed):
 
 VALUE_KINDS = st.sampled_from(["normal", "sparse", "scales", "gaussian"])
 SEEDS = st.integers(0, 10**6)
+
+
+# -- symmetries -----------------------------------------------------------------
+#
+# With n = m and one alpha for both axes, the annuli, the window and the norms
+# are symmetric under both reflections and the transpose, and the norms are
+# positively homogeneous: only the summation order moves, so the values agree
+# to rounding.  rtol 5e-15 is about 10x the largest error measured over every
+# grid with 2 <= L_max + s <= 6 (5.8e-16, for 8 f at p = 1.5).
+
+SYMMETRY_SETS = [
+    ExponentParams(0.25, 2, 2, 0.5),
+    ExponentParams(0.0, 3, 1.5, 0.2),
+    ExponentParams(-0.1, 1.5, 3, 0.3),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_grid(6, 2), SEEDS, st.sampled_from(SYMMETRY_SETS))
+def test_norms_invariant_under_reflections_and_transpose_and_homogeneous(spec, seed, params):
+    f = masked_noise(spec, seed)
+    images = {
+        "x-reflection": f.values[::-1, :],
+        "y-reflection": f.values[:, ::-1],
+        "transpose": f.values.T,
+    }
+    for norm in (herz_norm, morrey_herz_norm):
+        want = norm(f, params)
+        for name, values in images.items():
+            assert norm(GridFunction(spec, values), params) == pytest.approx(
+                want, rel=5e-15, abs=0
+            ), (norm.__name__, name)
+        eight = norm(GridFunction(spec, 8.0 * f.values), params)
+        assert eight == pytest.approx(8.0 * want, rel=5e-15, abs=0), norm.__name__
 
 
 @settings(max_examples=100, deadline=None)
@@ -731,7 +770,7 @@ def test_bmo_mk_norm_matches_mask_oracle(case, kind, seed, p, q):
         chi = restrict_to_window(indicator(spec, r))
         osc = f.with_values(chi.values * (f.values - f.rect_cell_sum(r) / r.cells()))
         np.testing.assert_allclose(
-            _window_oscillation_table(f, r, p),
+            window_oscillation_table(f, r, p),
             masked_sum_annulus_lp_table(osc, p),
             rtol=1e-12,
             atol=0,
@@ -927,7 +966,7 @@ def test_oscillation_sweep_bit_identical_to_per_rectangle_loops(case, kind, seed
             got = _morrey_herz_from_table(spec, stack, params).tolist()
             assert got == [loop_morrey_herz(spec, t, params) for t in tables]
             for r, t in list(zip(rects, tables))[:8]:
-                assert np.array_equal(_window_oscillation_table(f, r, p), t)
+                assert np.array_equal(window_oscillation_table(f, r, p), t)
         g = f.with_values(f.values)
         if math.isinf(q):  # outside pred_ms_herz
             with pytest.raises(PredicateError):
@@ -1023,13 +1062,11 @@ def test_norm_product_sweep_builds_one_table_per_indicator_and_p(monkeypatch):
     # p = 3 makes the dual exponent 1.5: the Herz pair, the Morrey-Herz norm
     # and the block bound read five tables of each indicator, two distinct
     params = ExponentParams(0.25, 3, 2, 0.5)
-    for sweep in (_norm_product_sweep, _herz_product_spread):
-        built.clear()
-        sweep(spec, params)
-        counts = Counter(built)
-        assert set(counts.values()) == {1}
-        assert {p for _, p in counts} == {3.0, 1.5}
-        assert len(counts) == 2 * len(spec.window_range()) ** 2
+    _norm_product_sweep(spec, params)
+    counts = Counter(built)
+    assert set(counts.values()) == {1}
+    assert {p for _, p in counts} == {3.0, 1.5}
+    assert len(counts) == 2 * len(spec.window_range()) ** 2
 
 
 def test_bmo_mk_norm_builds_family_denominators_once(monkeypatch):

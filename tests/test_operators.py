@@ -385,6 +385,22 @@ def test_maximal_sublinear_and_monotone(seed):
         assert (mf >= np.abs(f.values)).all()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(0, 5))
+    .filter(lambda t: 2 <= sum(t) <= 6)
+    .map(lambda t: make_grid(*t)),
+    st.integers(0, 10**6),
+)
+def test_maximal_commutes_with_power_of_two_scaling(spec, seed):
+    # every average and maximum scales exactly by 8: bit-equal outputs
+    f = restrict_to_window(build_function(spec, builtin="noise", seed=seed))
+    for variant in (DYADIC_SIDES, ITERATED_1D):
+        mf = strong_maximal(f, variant).values
+        m8f = strong_maximal(GridFunction(spec, 8.0 * f.values), variant).values
+        assert np.array_equal(m8f, 8.0 * mf), variant
+
+
 def test_variant_sandwich_random_grids():
     g = make_grid(2, 3)
     for seed in range(20):

@@ -2,17 +2,23 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mherz import verification
 from mherz.errors import CostGuardError, PredicateError
-from mherz.grid import build_function, make_grid
+from mherz.grid import MAX_LEVEL_SUM, build_function, make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
+    THRESHOLDS,
     InequalityReport,
     TrialRecord,
+    _Measured,
+    _suite_driver,
+    admit,
     check_char_norms,
     check_cz_comm,
     check_extrapolation,
@@ -417,28 +423,59 @@ def test_reports_reproducible_bit_for_bit():
     assert c.to_dict() != a.to_dict()
 
 
-def test_refinement_skipped_at_size_guard():
-    from mherz.grid import MAX_LEVEL_SUM
-    from mherz.verification import _finish
+def driven(fine):
+    """A suite through the driver whose body measures nothing, named after
+    ``cz_comm`` so that suite's admission and caps (drift cap 0.25) apply."""
 
+    def check_cz_comm(grid, params, seed=0, refine=True):
+        return _Measured("claim", {"seed": seed}, [], {}, True, stat="max_ratio", base=1.0, fine=fine)
+
+    return _suite_driver(check_cz_comm)
+
+
+def test_refinement_skipped_at_size_guard():
     def fine(spec):
         raise AssertionError(f"refined run attempted on {spec}")
 
     top = make_grid(1, MAX_LEVEL_SUM - 1)
-    rep = _finish(
-        "claim", top, {}, [], {}, {"drift_cap": 0.1}, True,
-        refine=True, stat="max_ratio", base=1.0, fine=fine,
-    )
+    rep = driven(fine)(top, PR)
     assert rep.refinement is None
     assert rep.status == "pass"
     below = make_grid(1, 2)
-    rep = _finish(
-        "claim", below, {}, [], {}, {"drift_cap": 0.1}, True,
-        refine=True, stat="max_ratio", base=1.0, fine=lambda spec: 2.0,
-    )
+    rep = driven(lambda spec: 2.0)(below, PR)
     assert list(rep.refinement) == ["base_max_ratio", "refined_max_ratio", "drift", "refined_grid"]
     assert rep.refinement["refined_grid"] == {"L_max": 1, "s": 3, "N": 16}
     assert rep.status == "fail"  # drift 1.0 exceeds the cap
+    assert rep.params == {"grid": {"L_max": 1, "s": 2, "N": 8}, "params": asdict(PR), "seed": 0}
+    assert rep.thresholds == THRESHOLDS["cz_comm"]
+    assert rep.thresholds is not THRESHOLDS["cz_comm"]
+
+
+def test_refinement_skipped_without_a_fine_statistic():
+    rep = driven(None)(make_grid(1, 2), PR, refine=True)
+    assert rep.refinement is None
+    assert rep.status == "pass"
+
+
+def test_positional_call_reports_and_admits_as_the_keyword_call(monkeypatch):
+    seen = []
+
+    def recording(suite, grid, params, options):
+        seen.append((suite, grid, params, options))
+        return admit(suite, grid, params, options)
+
+    monkeypatch.setattr(verification, "admit", recording)
+    g = make_grid(2, 3)
+    positional = check_maximal_bounds(g, "herz", PR, 4)
+    keyword = check_maximal_bounds(grid=g, params=PR, trials=4, space="herz")
+    assert positional.to_dict() == keyword.to_dict()
+    options = [
+        ("space", "herz"), ("trials", 4), ("variant", "dyadic-sides"), ("seed", 0),
+        ("refine", True), ("allow_out_of_hypothesis", False),
+    ]
+    assert [(suite, grid, params, list(o.items())) for suite, grid, params, o in seen] == [
+        ("maximal_bounds", g, PR, options)
+    ] * 2
 
 
 def test_reports_name_variants_and_kernel_by_their_strings():
