@@ -275,12 +275,17 @@ def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
     # scalar powers: numpy's vectorised float64 power can differ from libm's
     # in the last bit, and these tables must match the entrywise evaluation;
     # the closed-form indicator tables that replace masked indicator arrays
-    # go through here with the same integer counts.  A generator, not a
-    # list: a sweep's stack has thousands of entries, and a list of Python
-    # floats would outlive the loop.
+    # go through here with the same integer counts.  Only the nonzero sums
+    # are powered (most of a sweep's stack is empty annuli, and 0.0 ** e is
+    # exactly 0.0 for the finite p that reach here).  A generator, not a
+    # list: a stack has thousands of entries, and a list of Python floats
+    # would outlive the loop.
     e = 1.0 / p
-    roots = np.fromiter((float(s) ** e for s in sums.flat), float, sums.size)
-    return roots.reshape(sums.shape) * (spec.h * spec.h) ** e
+    roots = np.zeros(sums.shape)
+    live = np.flatnonzero(sums)
+    roots.flat[live] = np.fromiter((float(s) ** e for s in sums.flat[live]), float, live.size)
+    roots *= (spec.h * spec.h) ** e
+    return roots
 
 
 def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:

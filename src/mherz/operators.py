@@ -8,11 +8,15 @@ sup of |f|-averages over a rectangle family containing each cell):
   reductions; refused beyond ``EXACT_GATE`` cells a side.
 * ``dyadic-sides``: rectangles with power-of-two side lengths at every
   position, O(N^2 log^2 N) via prefix sums and the doubling recurrence of
-  trailing-window maxima.  Side heights ``wy`` are the outer loop and widths
-  ``wx`` the inner one, so each side pair costs one in-place box-average
-  table and one shifted elementwise max, both on contiguous row blocks of
-  two N x N buffers allocated once per call; exact power-of-two scaling and
-  exact ``max`` keep every bit independent of that loop order.
+  trailing-window maxima.  Side heights ``wy`` are the outer loop; per
+  height, the columns are walked in blocks of ``DYADIC_BLOCK`` that fit in
+  cache, and widths ``wx`` are the inner loop over each block.  The box sum
+  is reassociated into a column difference scaled by ``1/wy``, taken once
+  per height and block, and a row difference of it scaled by ``1/wx``, so
+  each side pair costs one difference, one exact power-of-two scaling and
+  two elementwise maxes.  The averages differ from the four-corner
+  ``_box_sum`` expression by rounding only; exact ``max`` keeps the result
+  independent of the block size and loop order.
   Pointwise it is dominated by exact-grid, and dominates it up to the factor
   4 (any rectangle sits inside a dyadic-sided one of at most 4x the area at
   an admissible anchor).
@@ -57,6 +61,7 @@ from .norms import block_norm_bracket
 
 
 EXACT_GATE = 64  # largest N for the O(N^4) exact-grid sweep
+DYADIC_BLOCK = 128  # columns per block of the dyadic-sides kernel
 
 EXACT_GRID = "exact-grid"
 DYADIC_SIDES = "dyadic-sides"
@@ -129,43 +134,52 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     largest to smallest in Horner order, every side pair then costs one
     shifted ``np.maximum`` and one fold of ``T``.
 
-    ``wy`` is the outer loop and ``wx`` the inner one, so the inner steps
-    shift and fold whole rows: ``R`` (the running max for one ``wy``,
-    anchored at the low y corner) and ``T`` are C-ordered views of two flat
-    N**2 buffers allocated once per call, and ``R[wx:]``, ``R[:-wx]`` and
-    ``T`` are contiguous.  ``R`` ping-pongs between the buffers: the shifted
-    max goes into the other one (an in-place ``R[wx:]`` from the overlapping
-    ``R[:-wx]`` would make numpy copy its input first), and ``T`` is built
-    in the one just retired.  ``T`` is the ``grid._box_sum`` expression
-    ``((hi[wx:] - hi[:-wx]) - lo[wx:]) + lo[:-wx]`` evaluated in place, times
-    the exact power of two ``1 / (wx * wy)``, so every box average has the
-    same bits as ``_box_sum(...) / (wx * wy)``; ``max`` is exact, so the
-    result does not depend on the loop order either.
+    ``wy`` is the outer loop.  The box sum is reassociated: per ``wy`` the
+    column differences ``D = (P[:, wy:] - P[:, :-wy]) * (1 / wy)`` of the
+    prefix table are taken once, and per ``wx`` the averages are ``T =
+    (D[wx:] - D[:-wx]) * (1 / wx)``, both scalings exact powers of two.
+    The ``wx`` shifts never cross columns, so the ``ny = N - wy + 1``
+    columns are walked in blocks of ``DYADIC_BLOCK``: per block, ``D``
+    (``(N+1) x b``), ``R`` (the running max for one ``wy``, anchored at the
+    low y corner) and ``T`` are C-ordered views of three small flat buffers
+    allocated once per call, the whole ``wx`` loop runs on them in cache,
+    and ``R`` is merged into its columns of the output once.  ``R``
+    ping-pongs between two buffers: the shifted max goes into the other one
+    (an in-place ``R[wx:]`` from the overlapping ``R[:-wx]`` would make
+    numpy copy its input first), and ``T`` is built in the one just
+    retired.  Each box average is one fixed float expression of the prefix
+    table and ``max`` is exact, so the result does not depend on the block
+    size or the loop order; it differs from ``_box_sum(...) / (wx * wy)``
+    by rounding only (a few 1e-14 relative on dense tables).
     """
     n = absv.shape[0]
     P = _prefix_table(absv)
     sides = [1 << a for a in reversed(range(n.bit_length()))]
     out = np.full((n, n), -np.inf)
-    r_buf, t_buf = np.empty(n * n), np.empty(n * n)
+    b = min(DYADIC_BLOCK, n)
+    r_buf, t_buf, d_buf = np.empty(n * b), np.empty(n * b), np.empty((n + 1) * b)
     for wy in sides:
         ny = n - wy + 1
         np.maximum(out[:, wy:], out[:, :-wy], out=out[:, wy:])
-        hi, lo = P[:, wy:], P[:, :-wy]
-        R = r_buf[: n * ny].reshape(n, ny)
-        R.fill(-np.inf)
-        for wx in sides:
-            nx = n - wx + 1
-            S = t_buf[: n * ny].reshape(n, ny)
-            np.maximum(R[wx:], R[:-wx], out=S[wx:])
-            S[:wx] = R[:wx]
-            R, r_buf, t_buf = S, t_buf, r_buf
-            T = t_buf[: nx * ny].reshape(nx, ny)
-            np.subtract(hi[wx:], hi[:-wx], out=T)
-            T -= lo[wx:]
-            T += lo[:-wx]
-            T *= 1.0 / (wx * wy)
-            np.maximum(R[:nx], T, out=R[:nx])
-        np.maximum(out[:, :ny], R, out=out[:, :ny])
+        for c0 in range(0, ny, b):
+            c1 = min(c0 + b, ny)
+            k = c1 - c0
+            D = d_buf[: (n + 1) * k].reshape(n + 1, k)
+            np.subtract(P[:, wy + c0 : wy + c1], P[:, c0:c1], out=D)
+            D *= 1.0 / wy
+            R = r_buf[: n * k].reshape(n, k)
+            R.fill(-np.inf)
+            for wx in sides:
+                nx = n - wx + 1
+                S = t_buf[: n * k].reshape(n, k)
+                np.maximum(R[wx:], R[:-wx], out=S[wx:])
+                S[:wx] = R[:wx]
+                R, r_buf, t_buf = S, t_buf, r_buf
+                T = t_buf[: nx * k].reshape(nx, k)
+                np.subtract(D[wx:], D[:-wx], out=T)
+                T *= 1.0 / wx
+                np.maximum(R[:nx], T, out=R[:nx])
+            np.maximum(out[:, c0:c1], R, out=out[:, c0:c1])
     return out
 
 

@@ -68,22 +68,43 @@ def trailing_window_max(a: np.ndarray, w: int, axis: int) -> np.ndarray:
     )
 
 
-def filter_maximal_dyadic(absv):
-    """Oracle for ``_maximal_dyadic``: the direct formulation, with one padded
-    N x N table and two sliding max filters per side pair."""
-    n = absv.shape[0]
-    P = _prefix_table(absv)
+def _filter_maximal(n, averages):
+    """Max over side pairs of the doubly trailing window max of the padded
+    box-average tables ``averages(wx, wy)``, by sliding max filters."""
     sides = [1 << a for a in range(n.bit_length())]
     out = np.full((n, n), -np.inf)
-    for wx in sides:
-        for wy in sides:
-            corners = (np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
-            T = _box_sum(P, *corners) / float(wx * wy)
+    for wy in sides:
+        for wx in sides:
             pad = np.full((n, n), -np.inf)
-            pad[: n - wx + 1, : n - wy + 1] = T
+            pad[: n - wx + 1, : n - wy + 1] = averages(wx, wy)
             cov = trailing_window_max(trailing_window_max(pad, wx, 0), wy, 1)
             np.maximum(out, cov, out=out)
     return out
+
+
+def filter_maximal_dyadic(absv):
+    """Semantic oracle for ``_maximal_dyadic``: the direct formulation, with
+    the four-corner ``_box_sum`` average of every side pair."""
+    P = _prefix_table(absv)
+
+    def averages(wx, wy):
+        corners = (np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
+        return _box_sum(P, *corners) / float(wx * wy)
+
+    return _filter_maximal(absv.shape[0], averages)
+
+
+def reassociated_filter_maximal_dyadic(absv):
+    """Bit-level oracle for ``_maximal_dyadic``: the same filter form, unblocked,
+    with the kernel's reassociated average ``(D[wx:] - D[:-wx]) * (1/wx)`` of
+    the column differences ``D = (P[:, wy:] - P[:, :-wy]) * (1/wy)``."""
+    P = _prefix_table(absv)
+
+    def averages(wx, wy):
+        D = (P[:, wy:] - P[:, :-wy]) * (1.0 / wy)
+        return (D[wx:] - D[:-wx]) * (1.0 / wx)
+
+    return _filter_maximal(absv.shape[0], averages)
 
 
 def staircase_interval_average_profile(v: np.ndarray) -> np.ndarray:
@@ -165,17 +186,41 @@ def _table(kind, n, rng):
     return a
 
 
+# sizes past one column block of the kernel: 129 runs a full block and a
+# one-column one at wy = 1, 200 a full and a ragged one at every side height
+# up to 64, and 256 two full blocks at wy = 1 and a full and a ragged one
+# (ny = 255) at wy = 2
+BLOCK_SIZES = (129, 200, 256)
+
+
 @pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "spike"])
 def test_dyadic_kernel_bit_identical_to_filter_oracle(kind):
     rng = np.random.default_rng(0)
-    for n in range(1, 41):
+    for n in (*range(1, 41), *BLOCK_SIZES):
         a = _table(kind, n, rng)
-        assert np.array_equal(_maximal_dyadic(a), filter_maximal_dyadic(a)), n
+        assert np.array_equal(_maximal_dyadic(a), reassociated_filter_maximal_dyadic(a)), n
 
 
 def test_dyadic_kernel_bit_identical_to_filter_oracle_n256():
     a = np.abs(np.random.default_rng(256).normal(size=(256, 256)))
-    assert np.array_equal(_maximal_dyadic(a), filter_maximal_dyadic(a))
+    assert np.array_equal(_maximal_dyadic(a), reassociated_filter_maximal_dyadic(a))
+
+
+# the reassociated averages differ from the four-corner box sum by rounding:
+# at most 6.3e-15 relative for n <= 40 and 3.1e-14 at n = 256 on these tables
+@pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "spike"])
+def test_dyadic_kernel_close_to_four_corner_oracle(kind):
+    rng = np.random.default_rng(0)
+    for n in range(1, 41):
+        a = _table(kind, n, rng)
+        np.testing.assert_allclose(
+            _maximal_dyadic(a), filter_maximal_dyadic(a), rtol=1e-13, atol=0, err_msg=str(n)
+        )
+
+
+def test_dyadic_kernel_close_to_four_corner_oracle_n256():
+    a = np.abs(np.random.default_rng(256).normal(size=(256, 256)))
+    np.testing.assert_allclose(_maximal_dyadic(a), filter_maximal_dyadic(a), rtol=5e-13, atol=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,7 +230,7 @@ def test_dyadic_kernel_bit_identical_to_filter_oracle_n256():
     )
 )
 def test_dyadic_kernel_matches_oracle_on_arbitrary_tables(a):
-    assert np.array_equal(_maximal_dyadic(a), filter_maximal_dyadic(a))
+    assert np.array_equal(_maximal_dyadic(a), reassociated_filter_maximal_dyadic(a))
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "spike"])
@@ -272,9 +317,9 @@ def test_iterated_1d_memory_is_a_few_slabs():
     assert peak < 16 * n * n * 8, peak / (8 * n * n)
 
 
-def test_dyadic_sides_memory_is_a_few_slabs():
-    # prefix table, output and the two reused row-block buffers: about 6.3 N**2
-    g = make_grid(5, 3)  # N = 256
+def _dyadic_sides_peak_slabs(g):
+    """Traced peak of ``strong_maximal(., dyadic-sides)`` on noise, in N**2
+    doubles."""
     n = g.n_cells
     f = build_function(g, builtin="noise", seed=5)
     tracemalloc.start()
@@ -283,7 +328,19 @@ def test_dyadic_sides_memory_is_a_few_slabs():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 7 * n * n * 8, peak / (8 * n * n)
+    return peak / (8 * n * n)
+
+
+def test_dyadic_sides_memory_is_a_few_slabs():
+    # |f|, prefix table, output and the copy numpy takes for the overlapping
+    # shift of the output, plus three N x 128 column-block buffers: about
+    # 5.8 N**2
+    assert _dyadic_sides_peak_slabs(make_grid(5, 3)) < 6.0  # N = 256
+
+
+def test_dyadic_sides_memory_at_n512():
+    # the column-block buffers shrink relative to N**2: about 4.8 N**2
+    assert _dyadic_sides_peak_slabs(make_grid(6, 3)) < 5.5  # N = 512
 
 
 def test_interval_average_profile_oracle():
@@ -411,6 +468,64 @@ def test_variant_sandwich_random_grids():
         assert (md <= me + 1e-10).all()
         assert (me <= 4.0 * md + 1e-10).all()
         assert (me <= mi + 1e-10).all()
+
+
+# -- symmetries ----------------------------------------------------------------
+#
+# The grid, its window and the dyadic-sides family are invariant under both
+# reflections and the transpose, so the operator commutes with them; only
+# the prefix-sum rounding moves.  rtol 1.5e-11 is about 10x the largest
+# error measured over every grid with 1 <= L_max + s <= 7 (1.5e-12).  These
+# checks use no kernel code: the images are plain array views.
+
+ADMITTED_GRIDS_N128 = (
+    st.tuples(st.integers(1, 7), st.integers(0, 6))
+    .filter(lambda t: sum(t) <= 7)
+    .map(lambda t: make_grid(*t))
+)
+
+
+def masked_noise(spec, seed):
+    return restrict_to_window(build_function(spec, builtin="noise", seed=seed))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ADMITTED_GRIDS_N128, st.integers(0, 10**6))
+def test_dyadic_sides_commutes_with_reflections_and_transpose(spec, seed):
+    f = masked_noise(spec, seed)
+    mf = strong_maximal(f, DYADIC_SIDES).values
+    for name, move in (
+        ("x-reflection", lambda a: a[::-1, :]),
+        ("y-reflection", lambda a: a[:, ::-1]),
+        ("transpose", lambda a: a.T),
+    ):
+        image = strong_maximal(GridFunction(spec, move(f.values)), DYADIC_SIDES).values
+        np.testing.assert_allclose(move(image), mf, rtol=1.5e-11, atol=0, err_msg=name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ADMITTED_GRIDS_N128, st.integers(0, 10**6))
+def test_iterated_1d_transposed_is_the_x_first_composition(spec, seed):
+    # iterated-1d maximises in y, then in x; the two orders differ (by up to
+    # 26 % on noise), so the transpose must give exactly the other order
+    f = masked_noise(spec, seed)
+    a = np.abs(f.values)
+    want = np.maximum(staircase_iterated_1d(a.T).T, a)  # x first, then y
+    got = strong_maximal(GridFunction(spec, f.values.T), ITERATED_1D).values.T
+    assert np.array_equal(got, want)
+    # both orders dominate the dyadic-sides operator, and for N <= EXACT_GATE
+    # the exact-grid one, which dominates dyadic-sides and is within 4x of
+    # it; to rtol 1e-11, about 10x the largest prefix-sum rounding measured
+    # over every grid with 1 <= L_max + s <= 7 (1.0e-12)
+    tol = 1 + 1e-11
+    md = strong_maximal(f, DYADIC_SIDES).values
+    lower = md
+    if spec.n_cells <= EXACT_GATE:
+        me = strong_maximal(f, EXACT_GRID).values
+        assert (md <= me * tol).all() and (me <= 4.0 * md * tol).all()
+        lower = me
+    for order in (strong_maximal(f, ITERATED_1D).values, got):
+        assert (lower <= order * tol).all()
 
 
 def test_exact_grid_cost_gate(monkeypatch):

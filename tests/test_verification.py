@@ -27,6 +27,7 @@ from mherz.verification import (
     check_maximal_bounds,
     check_norm_duality,
     extrapolation_block_params,
+    finest_grid,
     standard_objects,
 )
 from mherz.weights import generate_a1_weight
@@ -79,6 +80,26 @@ def test_norm_duality_passes():
     assert rep.summary["pairing_worst_ratio"] <= 1.0 + 1e-10
     assert 0 < rep.summary["sup_pairing_fraction"] <= 1.0 + 1e-10
     assert rep.refinement["drift"] <= 0.10
+
+
+def test_norm_duality_refines_the_herz_product_spread(monkeypatch):
+    # the Morrey-Herz x block spread equals the Herz one to rounding, so a
+    # refinement that read it instead would leave every report as it is:
+    # perturb it on the refined grid only, where nothing may read it
+    want = check_norm_duality(G, PR, trials=6).to_dict()
+    sweep = verification._norm_product_sweep
+    seen = []
+
+    def perturbed(spec, params):
+        trials, spread, mk_spread = sweep(spec, params)
+        seen.append(spec)
+        return trials, spread, mk_spread if spec == G else 2.0 * mk_spread
+
+    monkeypatch.setattr(verification, "_norm_product_sweep", perturbed)
+    got = check_norm_duality(G, PR, trials=6).to_dict()
+    assert seen == [G, finest_grid(G, True)] and seen[1] != G
+    assert got["refinement"]["refined_spread"] == want["refinement"]["refined_spread"]
+    assert got == want
 
 
 def test_maximal_bounds_constant_fixed_point():
