@@ -914,7 +914,11 @@ def check_extrapolation(
     summary = _ratio_summary(base_trials)
     # the unit weight keeps every object of nonzero norm, so the trials hold
     # each object's Morrey-Herz ratio: the refinement needs mk_layer alone
-    mk_max = max(t.extra["mk_ratio"] for t in base_trials)
+    mk_max = max((t.extra["mk_ratio"] for t in base_trials), default=None)
+    empty_notes = [] if base_trials else [
+        "every trial object has zero Morrey-Herz norm, so no ratio is defined: "
+        "the ratio gate fails and the refinement is skipped"
+    ]
     return _Measured(
         f"extrapolation[{op}]",
         {
@@ -928,13 +932,18 @@ def check_extrapolation(
         },
         base_trials,
         summary=summary | {"mk_max_ratio": mk_max},
-        gates=summary["max_ratio"] <= caps["ratio_cap"] and mk_max <= caps["ratio_cap"],
+        gates=mk_max is not None
+        and summary["max_ratio"] <= caps["ratio_cap"]
+        and mk_max <= caps["ratio_cap"],
         stat="mk_max_ratio",
         base=mk_max,
-        fine=lambda spec: max(ratio for *_, ratio in mk_layer(spec)),
+        fine=(lambda spec: max((ratio for *_, ratio in mk_layer(spec)), default=math.inf))
+        if base_trials
+        else None,
         notes=[
             "hypothesis layer samples finitely many generated weights; "
-            "no exhaustiveness over the unit ball is claimed"
+            "no exhaustiveness over the unit ball is claimed",
+            *empty_notes,
         ],
     )
 
@@ -1157,11 +1166,13 @@ def check_cz_comm(
                 )
         return out
 
-    def tk_max_of(trials: list[TrialRecord]) -> float:
-        return max(t.ratio for t in trials if t.trial.startswith("tk:"))
+    def tk_max_of(trials: list[TrialRecord], default: float | None) -> float | None:
+        return max((t.ratio for t in trials if t.trial.startswith("tk:")), default=default)
 
+    # the comm: trials are kept even at a zero right side (as ratio 0 or
+    # inf), so only the tk: layer can come out empty
     base_trials = run(grid)
-    tk_max = tk_max_of(base_trials)
+    tk_max = tk_max_of(base_trials, None)
     bmo_max = max(
         t.ratio for t in base_trials if t.trial.startswith("comm:") and t.extra["expected"] == "bmo"
     )
@@ -1182,10 +1193,17 @@ def check_cz_comm(
             "bmo_comm_max_ratio": bmo_max,
             "non_bmo_growth_factor": growth_factor,
         },
-        gates=tk_max <= caps["tk_ratio_cap"]
+        gates=tk_max is not None
+        and tk_max <= caps["tk_ratio_cap"]
         and bmo_max <= caps["comm_ratio_cap"]
         and growth_factor >= caps["growth_min"],
         stat="tk_max_ratio",
         base=tk_max,
-        fine=lambda spec: tk_max_of(run(spec, comm=False)),
+        fine=(lambda spec: tk_max_of(run(spec, comm=False), math.inf))
+        if tk_max is not None
+        else None,
+        notes=[] if tk_max is not None else [
+            "every trial object has zero Morrey-Herz norm, so no tk: ratio is defined: "
+            "the operator gate fails and the refinement is skipped"
+        ],
     )

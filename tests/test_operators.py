@@ -31,7 +31,7 @@ from mherz.operators import (
     _axis_weights,
     _maximal_dyadic,
     _maximal_exact,
-    _maximal_kernel,
+    _maximal_iterated,
     as_variant,
     commutator,
     cz_apply,
@@ -189,8 +189,10 @@ def _table(kind, n, rng):
 # sizes past one column block of the kernel: 129 runs a full block and a
 # one-column one at wy = 1, 200 a full and a ragged one at every side height
 # up to 64, and 256 two full blocks at wy = 1 and a full and a ragged one
-# (ny = 255) at wy = 2
-BLOCK_SIZES = (129, 200, 256)
+# (ny = 255) at wy = 2; 300 runs three blocks, the last ragged, and its y
+# shift of the output three chunks, the leftmost ragged (columns 1..43 at
+# wy = 1)
+BLOCK_SIZES = (129, 200, 256, 300)
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "spike"])
@@ -269,7 +271,7 @@ def test_interval_profile_matches_staircase_on_arbitrary_views(a, view):
 
 def test_iterated_1d_kernel_bit_identical_to_staircase_n256():
     a = np.abs(np.random.default_rng(257).normal(size=(256, 256)))
-    assert np.array_equal(_maximal_kernel(ITERATED_1D, a), staircase_iterated_1d(a))
+    assert np.array_equal(_maximal_iterated(a), staircase_iterated_1d(a))
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "spike"])
@@ -287,7 +289,7 @@ def test_exact_kernel_bit_identical_to_staircase_sweep(kind):
     )
 )
 def test_iterated_1d_kernel_matches_staircase_on_arbitrary_tables(a):
-    assert np.array_equal(_maximal_kernel(ITERATED_1D, a), staircase_iterated_1d(a))
+    assert np.array_equal(_maximal_iterated(a), staircase_iterated_1d(a))
 
 
 def test_operator_outputs_are_adopted_frozen_tables():
@@ -332,15 +334,15 @@ def _dyadic_sides_peak_slabs(g):
 
 
 def test_dyadic_sides_memory_is_a_few_slabs():
-    # |f|, prefix table, output and the copy numpy takes for the overlapping
-    # shift of the output, plus three N x 128 column-block buffers: about
-    # 5.8 N**2
-    assert _dyadic_sides_peak_slabs(make_grid(5, 3)) < 6.0  # N = 256
+    # prefix table and output, three N x 128 column-block buffers and
+    # numpy's fixed 128 kB ufunc buffer for strided operands, with no |f|
+    # beside them and no copy of an overlapping view: about 3.8 N**2
+    assert _dyadic_sides_peak_slabs(make_grid(5, 3)) < 4.0  # N = 256
 
 
 def test_dyadic_sides_memory_at_n512():
-    # the column-block buffers shrink relative to N**2: about 4.8 N**2
-    assert _dyadic_sides_peak_slabs(make_grid(6, 3)) < 5.5  # N = 512
+    # the column-block buffers shrink relative to N**2: about 2.8 N**2
+    assert _dyadic_sides_peak_slabs(make_grid(6, 3)) < 3.0  # N = 512
 
 
 def test_interval_average_profile_oracle():
@@ -388,6 +390,18 @@ def test_maximal_of_huge_finite_values():
         m = strong_maximal(mixed, variant).values
         assert np.isfinite(m).all()
         assert (m >= np.abs(mixed.values)).all()
+    # at N = 512 the scaled |f| spans four column blocks of dyadic-sides.
+    # 2**1023 scales to 0.5, whose prefix sums are exact, so its maximal
+    # function is too; 1e308 scales to a mantissa whose prefix sums round,
+    # which leaves its maximal function up to 2.9e-11 relative above it
+    g = make_grid(3, 6)
+    assert (strong_maximal(constant(g, 2.0**1023), DYADIC_SIDES).values == 2.0**1023).all()
+    f = constant(g, 1e308)
+    np.testing.assert_allclose(strong_maximal(f, DYADIC_SIDES).values, 1e308, rtol=3e-10, atol=0)
+    mixed = f.with_values(rng.uniform(-1.0, 1.0, size=(512, 512)) * 1e308)
+    m = strong_maximal(mixed, DYADIC_SIDES).values
+    assert np.isfinite(m).all()
+    assert (m >= np.abs(mixed.values)).all()
 
 
 def test_maximal_1d_slice_interval_average():
