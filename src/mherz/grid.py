@@ -252,9 +252,9 @@ class GridFunction:
 
     ``values[ix, iy]`` is the constant on cell ``(ix, iy)``; axis 0 is x.
     The value table is frozen at construction, so whatever is derived from
-    it is built once, on first use, and kept (see :meth:`memo`): here the
-    prefix-sum tables of ``f`` and ``|f|`` (scaled by a power of two when
-    the cell sums would overflow, see :meth:`rect_mean`).
+    it may be built once, on first use, and kept (see :meth:`memo`).  The
+    prefix-sum table behind rectangle sums and means is not kept: each
+    :meth:`rect_means` call builds its own and drops it.
     """
 
     __slots__ = ("spec", "values", "_cache")
@@ -293,51 +293,50 @@ class GridFunction:
     def memo(self, key, build: Callable[[], object]):
         """``build()`` on the first call with ``key``, the stored result after.
 
-        The one cache of values derived from this function: its prefix
-        tables, and the annulus tables of :mod:`mherz.norms`.  Reuse is safe
-        because ``values`` is frozen; stored arrays are kept read-only.
+        The one cache of values derived from this function: the annulus
+        tables, window check and oscillation sups of :mod:`mherz.norms`.
+        Reuse is safe because ``values`` is frozen; stored arrays are kept
+        read-only.
         """
         cache = object.__getattribute__(self, "_cache")
         if key not in cache:
             cache[key] = build()
         return cache[key]
 
-    # -- prefix tables -----------------------------------------------------
+    # -- rectangle sums ----------------------------------------------------
 
-    def _prefix(self, absolute: bool) -> tuple[np.ndarray, int]:
-        """Prefix table of ``f`` (or ``|f|``) scaled by ``2**-e``, and ``e``.
+    def _scaled_sums(self, rects, absolute: bool) -> tuple[np.ndarray, np.ndarray, int]:
+        """Cell sums of ``f`` (or ``|f|``) over each of ``rects`` scaled by
+        ``2**-e``, the rectangles' cell counts, and ``e``.
 
         ``e`` is :func:`_sum_exponent` of ``max|f|`` over the ``N**2`` cells:
-        0, and the raw table, unless cell sums could overflow.  Computed once
-        per function and cached with the tables.
+        0, and raw sums, unless cell sums could overflow.  The prefix table
+        is built for this call and dropped after it: no N x N table outlives
+        the call.
         """
         vals = self.values
+        e = _sum_exponent(max(float(vals.max()), -float(vals.min())), vals.size)
+        a = np.abs(vals) if absolute else vals
+        P = _prefix_table(np.ldexp(a, -e) if e else a)
+        x0, x1, y0, y1 = np.array([(r.ix0, r.ix1, r.iy0, r.iy1) for r in rects]).T
+        return _box_sum(P, x0, x1, y0, y1), (x1 - x0) * (y1 - y0), e
 
-        def exponent() -> int:
-            return _sum_exponent(max(float(vals.max()), -float(vals.min())), vals.size)
-
-        def table() -> np.ndarray:
-            a = np.abs(vals) if absolute else vals
-            return _read_only(_prefix_table(np.ldexp(a, -e) if e else a))
-
-        e = self.memo("exp", exponent)
-        return self.memo("abs" if absolute else "sum", table), e
-
-    def _rect_scaled_sum(self, rect: GridRectangle, absolute: bool) -> tuple[float, int]:
-        P, e = self._prefix(absolute)
-        return float(_box_sum(P, rect.ix0, rect.ix1, rect.iy0, rect.iy1)), e
+    def rect_means(self, rects, absolute: bool = False) -> np.ndarray:
+        """Mean cell value of f (or |f|) over each rectangle of the sequence
+        ``rects``, all from one prefix table; finite even where a cell sum
+        overflows, since the means are taken on the scaled sums."""
+        totals, cells, e = self._scaled_sums(rects, absolute)
+        means = totals / cells
+        return np.ldexp(means, e) if e else means
 
     def rect_cell_sum(self, rect: GridRectangle, absolute: bool = False) -> float:
         """Raw cell sum of f (or |f|) over ``rect`` (unscaled by h**2)."""
-        total, e = self._rect_scaled_sum(rect, absolute)
-        return float(np.ldexp(total, e)) if e else total
+        totals, _, e = self._scaled_sums([rect], absolute)
+        return float(np.ldexp(totals[0], e))
 
     def rect_mean(self, rect: GridRectangle, absolute: bool = False) -> float:
-        """Mean cell value of f (or |f|) over ``rect``; finite even where the
-        cell sum overflows, since it is taken on the scaled table."""
-        total, e = self._rect_scaled_sum(rect, absolute)
-        mean = total / rect.cells()
-        return float(np.ldexp(mean, e)) if e else mean
+        """:meth:`rect_means` of the one rectangle ``rect``."""
+        return float(self.rect_means([rect], absolute)[0])
 
     # -- convenience -------------------------------------------------------
 
@@ -373,8 +372,10 @@ def integrate_over_rectangle(
 ) -> float:
     """Exact integral of f (or |f|) over a cell-aligned rectangle.
 
-    O(1) after the prefix table is built; the h**2 scaling is a power of two,
-    so no precision is lost relative to summing scaled cells.
+    Builds one prefix table for the call (O(N**2)); for many rectangles of
+    one function, :meth:`GridFunction.rect_means` shares one table.  The
+    h**2 scaling is a power of two, so no precision is lost relative to
+    summing scaled cells.
     """
     rect.check_within(f.spec)
     return f.rect_cell_sum(rect, absolute=absolute) * f.spec.h * f.spec.h
@@ -436,10 +437,12 @@ def from_rule(spec: GridSpec, rule: Callable, clip: float | None = None) -> Grid
     if vals.shape != (spec.n_cells, spec.n_cells):
         vals = np.broadcast_to(vals, (spec.n_cells, spec.n_cells)).copy()
     if clip is not None:
+        # a fresh array, so it is adopted; the rule's own output is copied,
+        # since the caller may still hold it
         vals = np.clip(vals, -clip, clip)
     if not np.isfinite(vals).all():
         raise DataError("rule produced non-finite samples; pass a clip bound")
-    return GridFunction(spec, vals)
+    return GridFunction(spec, vals) if clip is None else GridFunction._adopt(spec, vals)
 
 
 def indicator(spec: GridSpec, rect: GridRectangle | DyadicRectangle) -> GridFunction:

@@ -695,15 +695,19 @@ def _oscillation_sweep(
     every term is, so the full check runs only when the sum is not.
     """
     spec = f.spec
-    # the means first: their prefix table's build is the sweep's peak, and
-    # the stack need not be alive through it
-    means = [f.rect_mean(r) for r in rects]
+    # the means first: their prefix table is dropped before the stack and
+    # the buffer are allocated
+    means = f.rect_means(rects).tolist()
     runs = _segment_starts(spec).size
     blocks = np.zeros((len(rects), runs, runs))
+    # every dev is written into the front of one buffer, C-ordered as a fresh
+    # array of its shape would be, so its sum keeps its bits
+    buf = np.empty(max(r.cells() for r in rects))
     sums = []
     for i, (r, mean) in enumerate(zip(rects, means)):
-        dev = f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - mean
-        np.abs(dev, out=dev)  # in place: one rectangle-sized temporary
+        dev = buf[: r.cells()].reshape(r.ix1 - r.ix0, r.iy1 - r.iy0)
+        np.subtract(f.values[r.ix0 : r.ix1, r.iy0 : r.iy1], mean, out=dev)
+        np.abs(dev, out=dev)
         total = float(dev.sum())
         sums.append(total)
         if rows is None or not rows[i]:

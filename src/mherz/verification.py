@@ -765,9 +765,12 @@ def check_fefferman_stein(
         norms = {}
         k = 0  # not enumerate(): its reused result tuple keeps the last member alive
         for g in members:
+            a = np.abs(g.values)
+            del g  # before the scratch table, and before the next member is built
+            t = np.empty_like(a)
             for r, acc in zip(r_list, sums):
-                acc += np.abs(g.values) ** r
-            del g  # before the next member is built
+                acc += np.power(a, r, out=t)  # the bits of a ** r
+            del a, t
             k += 1
             if k in sizes:
                 for i, (r, acc) in enumerate(zip(r_list, sums)):
@@ -1028,12 +1031,13 @@ def check_john_nirenberg_bmo(
     slope, r2 = None, None
     decay_notes: list[str] = []
     if len(xs) >= 3:
-        A = np.vstack([np.ones(len(xs)), xs]).T
-        coef, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-        fit = A @ coef
-        ss_res = float(((np.array(ys) - fit) ** 2).sum())
-        ss_tot = float(((np.array(ys) - np.mean(ys)) ** 2).sum())
-        slope = float(coef[1])
+        # least squares in closed form on centred data, elementwise only: a
+        # BLAS or LAPACK call would leave its library pages resident
+        x, y = np.array(xs), np.array(ys)
+        xc, yc = x - x.mean(), y - y.mean()
+        slope = float((xc * yc).sum() / (xc * xc).sum())
+        ss_res = float(((yc - slope * xc) ** 2).sum())
+        ss_tot = float((yc**2).sum())
         r2 = 1.0 - (ss_res / ss_tot if ss_tot > 0 else 0.0)
         decay_ok = slope < 0 and r2 >= caps["r2_min"]
     else:
@@ -1055,7 +1059,7 @@ def check_john_nirenberg_bmo(
             # one sweep: bmo_mk_norm leaves the plain oscillation for bmo_norm
             mk, _ = bmo_mk_norm(f, params, fam)
             plain = bmo_norm(f, fam)
-            del f  # free it and its prefix tables before the next symbol is built
+            del f  # free it and its memo before the next symbol is built
             if plain == 0.0:
                 continue
             out.append(TrialRecord(f"equiv:{obj.name}", mk, plain))

@@ -192,6 +192,38 @@ def test_rect_mean_below_overflow_is_the_raw_prefix_table():
                 assert f.rect_mean(r, absolute) == raw / r.cells()
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e308, 1e-300])
+def test_rect_means_match_a_four_corner_oracle_and_keep_no_table(scale):
+    # one prefix table per call, scaled by 2**-e where cell sums would
+    # overflow (scale 1e308), and dropped after it: nothing lands in the memo
+    g = make_grid(2, 2)
+    n = g.n_cells
+    rng = np.random.default_rng(12)
+    vals = rng.uniform(-1.0, 1.0, size=(n, n)) * scale
+    f = GridFunction(g, vals)
+    rects = []
+    for _ in range(40):
+        ix0, iy0 = (int(k) for k in rng.integers(0, n, size=2))
+        ix1, iy1 = int(rng.integers(ix0 + 1, n + 1)), int(rng.integers(iy0 + 1, n + 1))
+        rects.append(GridRectangle(ix0, ix1, iy0, iy1))
+    top = float(np.abs(vals).max())
+    e = int(np.frexp(top)[1]) if np.isinf(top * n * n) else 0
+    assert (e != 0) == (scale == 1e308)
+    for absolute in (False, True):
+        P = _prefix_table(np.ldexp(np.abs(vals) if absolute else vals, -e))
+        sums = [
+            float(P[r.ix1, r.iy1] - P[r.ix0, r.iy1] - P[r.ix1, r.iy0] + P[r.ix0, r.iy0])
+            for r in rects
+        ]
+        means = [float(np.ldexp(t / r.cells(), e)) for t, r in zip(sums, rects)]
+        assert f.rect_means(rects, absolute).tolist() == means
+        assert [f.rect_mean(r, absolute) for r in rects] == means
+        with np.errstate(over="ignore"):  # raw sums of 1e308 values may be inf
+            raw = [float(np.ldexp(t, e)) for t in sums]
+            assert [f.rect_cell_sum(r, absolute) for r in rects] == raw
+    assert object.__getattribute__(f, "_cache") == {}
+
+
 def test_prefix_oracle_200_random_rectangles():
     g = make_grid(2, 3)
     n = g.n_cells

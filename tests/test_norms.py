@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -701,6 +702,27 @@ def test_annulus_table_overflow_is_inf_and_reports_stay_strict(tmp_path):
     doc = json.loads(path.read_text(), parse_constant=reject)["report"]
     assert doc["trials"][0]["lhs"] == "inf"
     assert doc["summary"]["max_ratio"] == "inf"
+
+
+def test_bmo_sweep_holds_the_symbol_and_one_rectangle_buffer():
+    # traced peak of building a symbol and running bmo_mk_norm over the
+    # default family of G35's refinement (N = 512), in N x N doubles: f, then
+    # the per-call prefix table of the means or the one |f - f_R| buffer
+    # beside the block stack.  2.21 measured; a prefix table kept on f and a
+    # fresh |f - f_R| per rectangle measured 3.68
+    from mherz.verification import _default_bmo_family
+
+    spec = make_grid(3, 6)
+    family = _default_bmo_family(spec)
+    tracemalloc.start()
+    try:
+        f = build_function(spec, builtin="truncated_log")
+        bmo_mk_norm(f, PR, family)
+        del f
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * spec.n_cells**2) <= 2.45
 
 
 def test_rect_means_of_huge_finite_values():
