@@ -176,6 +176,15 @@ def _sum_exponent(top: float, count: int) -> int:
     return 0 if math.isfinite(top * count) else int(np.frexp(top)[1])
 
 
+def _scale_back(x, e: int):
+    """``x * 2**e`` for a :func:`_sum_exponent` ``e``.  Where that overflows
+    the result is ``inf``, as documented, and no overflow warning is raised."""
+    if not e:
+        return x
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` with writes turned off: the form of every cached or shared table."""
     a.flags.writeable = False
@@ -327,12 +336,13 @@ class GridFunction:
         overflows, since the means are taken on the scaled sums."""
         totals, cells, e = self._scaled_sums(rects, absolute)
         means = totals / cells
-        return np.ldexp(means, e) if e else means
+        return _scale_back(means, e)
 
     def rect_cell_sum(self, rect: GridRectangle, absolute: bool = False) -> float:
-        """Raw cell sum of f (or |f|) over ``rect`` (unscaled by h**2)."""
+        """Raw cell sum of f (or |f|) over ``rect`` (unscaled by h**2);
+        ``inf`` where the sum overflows."""
         totals, _, e = self._scaled_sums([rect], absolute)
-        return float(np.ldexp(totals[0], e))
+        return float(_scale_back(totals[0], e))
 
     def rect_mean(self, rect: GridRectangle, absolute: bool = False) -> float:
         """:meth:`rect_means` of the one rectangle ``rect``."""
@@ -364,7 +374,7 @@ def dilate(f: GridFunction, t: float) -> GridFunction:
     c = spec.cell_centers() / t
     idx = np.floor((c - spec.x0) / spec.h).astype(int)
     idx = np.clip(idx, 0, spec.n_cells - 1)
-    return f.with_values(f.values[np.ix_(idx, idx)])
+    return GridFunction._adopt(spec, f.values[np.ix_(idx, idx)])
 
 
 def integrate_over_rectangle(
@@ -406,7 +416,7 @@ def annulus_restrict(f: GridFunction, annulus: AnnulusIndex) -> GridFunction:
     """f multiplied by the indicator of a product annulus (exact alignment)."""
     mx = annulus_mask_1d(f.spec, annulus.i)
     my = annulus_mask_1d(f.spec, annulus.j)
-    return f.with_values(np.where(mx[:, None] & my[None, :], f.values, 0.0))
+    return GridFunction._adopt(f.spec, np.where(mx[:, None] & my[None, :], f.values, 0.0))
 
 
 def restrict_to_window(f: GridFunction) -> GridFunction:
@@ -451,7 +461,7 @@ def indicator(spec: GridSpec, rect: GridRectangle | DyadicRectangle) -> GridFunc
     rect.check_within(spec)
     vals = np.zeros((spec.n_cells, spec.n_cells))
     vals[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] = 1.0
-    return GridFunction(spec, vals)
+    return GridFunction._adopt(spec, vals)
 
 
 def _aligned_rect_from_bounds(spec: GridSpec, x0, x1, y0, y1) -> GridRectangle:
@@ -478,7 +488,7 @@ def _builtin_annulus(spec: GridSpec, *, i, j):
 
 
 def constant(spec: GridSpec, value: float) -> GridFunction:
-    return GridFunction(spec, np.full((spec.n_cells, spec.n_cells), float(value)))
+    return GridFunction._adopt(spec, np.full((spec.n_cells, spec.n_cells), float(value)))
 
 
 def _builtin_power(spec: GridSpec, *, a, b):
@@ -514,7 +524,7 @@ def _builtin_step(spec: GridSpec, *, l1=0, l2=0, inside=2.0, outside=1.0):
     rect = DyadicRectangle(int(l1), int(l2)).to_cells(spec)
     vals = np.full((spec.n_cells, spec.n_cells), float(outside))
     vals[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] = float(inside)
-    return GridFunction(spec, vals)
+    return GridFunction._adopt(spec, vals)
 
 
 BUILTINS: dict[str, Callable[..., GridFunction]] = {

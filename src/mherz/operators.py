@@ -248,7 +248,7 @@ def maximal_iterates(
     """[|h|, M|h|, M^2|h|, ..., M^K|h|] as value tables (K+1 entries)."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    cur = h.with_values(np.abs(h.values))
+    cur = GridFunction._adopt(h.spec, np.abs(h.values))
     tables = [cur.values]
     for _ in range(K):
         cur = strong_maximal(cur, variant)
@@ -271,7 +271,7 @@ def rubio_from_iterates(
     acc = iterates[0].copy()
     for k in range(1, K + 1):
         acc += iterates[k] / (2.0 * c) ** k
-    return h.with_values(acc)
+    return GridFunction._adopt(h.spec, acc)
 
 
 def rubio_de_francia(

@@ -147,8 +147,16 @@ def _ratio_summary(trials: Sequence[TrialRecord]) -> dict:
         "n_trials": len(trials),
         "max_ratio": float(max(ratios)),
         "min_ratio": float(min(ratios)),
-        "median_ratio": float(np.median(ratios)),
+        "median_ratio": float(_median(ratios)),
     }
+
+
+def _median(xs: Sequence[float]) -> float:
+    """The middle of the sorted values, or the mean of the middle two: the
+    bits of ``np.median``, which would import ``numpy.ma`` mid-run."""
+    s = sorted(xs)
+    m = len(s) // 2
+    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2
 
 
 def _drift(base: float, refined: float) -> float:
@@ -196,7 +204,7 @@ def _comb(spec: GridSpec) -> GridFunction:
     )
     vals = amps[level[:, None], level[None, :]]
     vals[~inside[:, None] | ~inside[None, :]] = 0.0
-    return GridFunction(spec, vals)
+    return GridFunction._adopt(spec, vals)
 
 
 def _center_level(spec: GridSpec) -> int:
@@ -1014,7 +1022,7 @@ def check_john_nirenberg_bmo(
     for g in gammas:
         level = np.abs(b.values - b_mean) > g
         meas = float(level.sum()) * grid.h * grid.h
-        chi = restrict_to_window(GridFunction(grid, level.astype(float)))
+        chi = restrict_to_window(GridFunction._adopt(grid, level.astype(float)))
         norm = morrey_herz_norm(chi, params)
         trials.append(
             TrialRecord(

@@ -149,7 +149,7 @@ def generate_a1_weight(
 
         upper = block_norm_bracket(h, block_params).upper
         if upper > 0:
-            scaled = h.with_values(h.values / upper)
+            scaled = GridFunction._adopt(h.spec, h.values / upper)
     majorant = rubio_de_francia(scaled, c, K, variant)
     vals = np.maximum(majorant.values, _TINY)
     prov = {
@@ -159,4 +159,4 @@ def generate_a1_weight(
         "variant": variant,
         "h_block_upper": upper,
     }
-    return make_weight(h.with_values(vals), prov)
+    return make_weight(GridFunction._adopt(h.spec, vals), prov)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -643,3 +646,41 @@ def test_demo_config_matches_the_reference_summaries(tmp_path):
     assert len(index) == len(ref["summaries"])
     for entry, want in zip(index, ref["summaries"]):
         assert _summary_close(entry["summary"], want, ref["rtol"], ref["atol"]), entry["suite"]
+
+
+def test_a_run_imports_no_numpy_ma(tmp_path):
+    # np.median imported numpy.ma (three modules) mid-run; _ratio_summary's
+    # median takes the middle of a sorted list instead.  A fresh process, and
+    # only modules new during the run count, so a numpy that loads numpy.ma
+    # on import does not fail this.
+    body = {
+        "grid": {"L_max": 2, "s": 3},
+        "seed": 5,
+        "out_dir": str(tmp_path / "reports"),
+        "format": "json",
+        "suites": [
+            {"name": "maximal_bounds", "params": PR_DICT,
+             "options": {"space": "morrey-herz", "trials": 4}},
+            {"name": "fefferman_stein", "params": PR_DICT},
+            {"name": "extrapolation", "params": {"alpha": 0.2, "p": 4, "q": 4, "lam": 0.2},
+             "options": {"op": "strong-maximal", "p0": 2.0, "K": 3, "trials": 4}},
+        ],
+    }
+    code = """
+import json, sys
+from mherz import cli
+before = set(sys.modules)
+cli.run(sys.argv[1])
+new = set(sys.modules) - before
+print(json.dumps(sorted(m for m in new if m == "numpy.ma" or m.startswith("numpy.ma."))))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(write_config(tmp_path, body))],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+    reports = [json.loads(f.read_text()) for f in sorted((tmp_path / "reports").glob("0*.json"))]
+    assert [r["report"]["summary"]["median_ratio"] > 0 for r in reports] == [True] * 3

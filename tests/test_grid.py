@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -220,8 +222,30 @@ def test_rect_means_match_a_four_corner_oracle_and_keep_no_table(scale):
         assert [f.rect_mean(r, absolute) for r in rects] == means
         with np.errstate(over="ignore"):  # raw sums of 1e308 values may be inf
             raw = [float(np.ldexp(t, e)) for t in sums]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the library's inf comes without one
             assert [f.rect_cell_sum(r, absolute) for r in rects] == raw
     assert object.__getattribute__(f, "_cache") == {}
+
+
+def test_overflowing_rectangle_sums_are_inf_without_a_warning():
+    # a caller running with warnings as errors gets the documented inf, not a
+    # RuntimeWarning from the scale-back of the 2**-e scaled sum
+    g = make_grid(2, 1)  # N = 8: 64 cells of 1e308 sum past the float range
+    n = g.n_cells
+    box = GridRectangle(0, n, 0, n)
+    f = GridFunction(g, np.full((n, n), 1e308))
+    top = GridFunction(g, np.full((n, n), np.finfo(float).max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for absolute in (False, True):
+            assert f.rect_cell_sum(box, absolute) == math.inf
+            assert integrate_over_rectangle(f, box, absolute) == math.inf
+            assert f.rect_means([box, GridRectangle(0, 1, 0, 1)], absolute).tolist() == [1e308] * 2
+            # at the top of the float range the scaled means may round to 1
+            # and their scale-back overflow: no exception either way
+            means = top.rect_means([box, GridRectangle(n - 1, n, n - 1, n)], absolute)
+            assert not np.isnan(means).any()
 
 
 def test_prefix_oracle_200_random_rectangles():
@@ -368,6 +392,13 @@ def test_gridfunction_copies_the_callers_array():
     f = GridFunction(g, vals)
     vals[0, 0] = 5.0  # the caller still owns and may write its array
     assert f.values[0, 0] == 0.0 and vals.flags.writeable
+    # so do with_values and an unclipped rule whose output the caller holds
+    held = np.ones((4, 4))
+    fw = f.with_values(held)
+    fr = build_function(g, rule=lambda x, y: held)
+    held[1, 1] = 7.0
+    assert fw.values[1, 1] == fr.values[1, 1] == 1.0 and held.flags.writeable
+    assert not np.shares_memory(fw.values, held) and not np.shares_memory(fr.values, held)
 
 
 def test_refine_adopts_its_fresh_table():
@@ -385,6 +416,36 @@ def test_refine_adopts_its_fresh_table():
     assert np.array_equal(fine.values, np.kron(f.values, np.ones((2, 2))))
     g = build_function(make_grid(2, 1), builtin="noise", seed=4)
     assert np.array_equal(g.refine(2).values, np.kron(g.values, np.ones((4, 4))))
+
+
+def _refuse_the_copying_constructor(monkeypatch):
+    def refuse(self, spec, values):
+        raise AssertionError("a fresh library table went through GridFunction()")
+
+    monkeypatch.setattr(GridFunction, "__init__", refuse)
+
+
+ADOPTING_BUILDERS = {
+    "refine": lambda f: f.refine(1),
+    "indicator": lambda f: indicator(f.spec, DyadicRectangle(1, 0)),
+    "constant": lambda f: constant(f.spec, 2.5),
+    "annulus_restrict": lambda f: annulus_restrict(f, AnnulusIndex(1, 0)),
+    "step": lambda f: build_function(f.spec, builtin="step", l1=1, l2=0),
+    "dilate": lambda f: dilate(f, 2.0),
+    "restrict_to_window": restrict_to_window,
+    "clipped_rule": lambda f: build_function(f.spec, rule=lambda x, y: x * y, clip=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADOPTING_BUILDERS))
+def test_builders_adopt_their_fresh_tables(name, monkeypatch):
+    # each builder's table is fresh and referenced nowhere else, so it is
+    # held without the public constructor's copy, then checked and frozen
+    f = build_function(make_grid(2, 2), builtin="noise", seed=9)
+    _refuse_the_copying_constructor(monkeypatch)
+    out = ADOPTING_BUILDERS[name](f)
+    assert not out.values.flags.writeable and out.values.flags.c_contiguous
+    assert not np.shares_memory(out.values, f.values)
 
 
 def test_adopted_arrays_are_checked_and_frozen():

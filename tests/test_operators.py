@@ -42,6 +42,8 @@ from mherz.operators import (
     rubio_from_iterates,
     strong_maximal,
 )
+from mherz.verification import _comb, extrapolation_block_params
+from mherz.weights import generate_a1_weight
 
 
 def brute_force_maximal(values):
@@ -292,17 +294,29 @@ def test_iterated_1d_kernel_matches_staircase_on_arbitrary_tables(a):
     assert np.array_equal(_maximal_iterated(a), staircase_iterated_1d(a))
 
 
-def test_operator_outputs_are_adopted_frozen_tables():
+def test_operator_outputs_are_adopted_frozen_tables(monkeypatch):
     # the kernels' fresh outputs are held without a copy, checked and frozen
     # like any GridFunction, and share no memory with their inputs
     g = make_grid(2, 3)
-    f = build_function(g, builtin="noise", seed=2)
+    f = restrict_to_window(build_function(g, builtin="noise", seed=2))
     b = build_function(g, builtin="noise", seed=3)
+
+    def refuse(self, spec, values):
+        raise AssertionError("a fresh library table went through GridFunction()")
+
+    monkeypatch.setattr(GridFunction, "__init__", refuse)
     outs = [strong_maximal(f, v) for v in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D)]
-    for out in outs + [cz_apply(f), commutator(b, f)]:
-        assert not out.values.flags.writeable and out.values.flags.c_contiguous
-        assert not np.shares_memory(out.values, f.values)
-        assert not np.shares_memory(out.values, b.values)
+    iterates = maximal_iterates(f, 2)
+    block = extrapolation_block_params(ExponentParams(0.2, 4, 4, 0.2), 2.0)
+    outs += [cz_apply(f), commutator(b, f), rubio_from_iterates(f, iterates, 2.0, 2)]
+    outs += [generate_a1_weight(f, 2.0, 2, block_params=p).fn for p in (None, block)]
+    outs.append(_comb(g))
+    tables = iterates + [out.values for out in outs]
+    for t in tables:
+        assert not t.flags.writeable and t.flags.c_contiguous
+        assert not np.shares_memory(t, f.values)
+        assert not np.shares_memory(t, b.values)
+    assert not any(np.shares_memory(s, t) for k, s in enumerate(tables) for t in tables[:k])
 
 
 def test_iterated_1d_memory_is_a_few_slabs():

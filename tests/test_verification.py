@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mherz import verification
 from mherz.errors import CostGuardError, PredicateError
@@ -41,6 +43,34 @@ def test_trial_record_ratio():
     assert TrialRecord("t", 2.0, 4.0).ratio == 0.5
     assert TrialRecord("t", 0.0, 0.0).ratio == 0.0
     assert TrialRecord("t", 1.0, 0.0).ratio == math.inf
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(positive_floats, min_size=1, max_size=20).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+    )
+)
+def test_median_has_the_bits_of_np_median(values):
+    # drawn from a small pool, so values repeat; both parities of length occur
+    with np.errstate(over="ignore"):  # two values near the float maximum sum to inf
+        expected = np.float64(np.median(values))
+    got = np.float64(verification._median(values))
+    assert got.view(np.uint64) == expected.view(np.uint64), (got, expected)
+
+
+def test_ratio_summary_keeps_its_four_keys():
+    trials = [TrialRecord(f"t{k}", num, 2.0) for k, num in enumerate((3.0, 1.0, 0.0, 7.0, 5.0))]
+    summary = verification._ratio_summary(trials)
+    assert summary == {"n_trials": 5, "max_ratio": 3.5, "min_ratio": 0.5, "median_ratio": 2.0}
+    assert list(summary) == ["n_trials", "max_ratio", "min_ratio", "median_ratio"]
+    assert verification._ratio_summary(trials[:2] + trials[3:4]) == {
+        "n_trials": 3, "max_ratio": 3.5, "min_ratio": 0.5, "median_ratio": 1.5,
+    }
+    assert list(verification._ratio_summary([])) == list(summary)
 
 
 def test_report_round_trip():
