@@ -10,9 +10,10 @@ implicit constants.
 
 One driver, :func:`_suite_driver`, runs every ``check_<suite>``: it binds the
 call with its defaults, admits it (:func:`admit`), runs the suite's body,
-which returns only what it measured, applies the guarded refinement and the
-drift gate against ``THRESHOLDS[suite]``, and builds the report with its
-status and notes.
+which returns only what it measured and its :class:`Gate` list, applies the
+guarded refinement and appends its drift gate against ``THRESHOLDS[suite]``,
+and builds the report.  A gate whose value is undefined (None or NaN) fails;
+any failing gate makes the status "fail" and is named in the notes.
 
 Conventions shared by all suites:
 
@@ -33,8 +34,9 @@ import functools
 import inspect
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,8 +119,8 @@ class InequalityReport:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for t in d["trials"]:
-            t["ratio"] = TrialRecord(**{k: t[k] for k in ("trial", "lhs", "rhs", "note", "extra")}).ratio
+        for t, trial in zip(d["trials"], self.trials):
+            t["ratio"] = trial.ratio
         return d
 
     @classmethod
@@ -140,14 +142,14 @@ class InequalityReport:
 
 
 def _ratio_summary(trials: Sequence[TrialRecord]) -> dict:
+    """Max, min and median of the finite positive ratios, each None when
+    there is none."""
     ratios = [t.ratio for t in trials if math.isfinite(t.ratio) and t.ratio > 0]
-    if not ratios:
-        return {"n_trials": len(trials), "max_ratio": 0.0, "min_ratio": 0.0, "median_ratio": 0.0}
     return {
         "n_trials": len(trials),
-        "max_ratio": float(max(ratios)),
-        "min_ratio": float(min(ratios)),
-        "median_ratio": float(_median(ratios)),
+        "max_ratio": float(max(ratios)) if ratios else None,
+        "min_ratio": float(min(ratios)) if ratios else None,
+        "median_ratio": float(_median(ratios)) if ratios else None,
     }
 
 
@@ -451,22 +453,38 @@ def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
 # -- the suite driver --------------------------------------------------------------
 
 
+_GATE_OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
+class Gate(NamedTuple):
+    """One gated statistic: ``value op cap`` must hold.  An undefined value,
+    None or NaN, fails."""
+
+    stat: str
+    value: float | None
+    op: str  # "<", "<=" or ">="
+    cap: float
+
+    def holds(self) -> bool:
+        return self.value is not None and _GATE_OPS[self.op](self.value, self.cap)
+
+
 @dataclass
 class _Measured:
     """What a suite's body measured on its base grid.  ``params`` holds the
     suite's own report entries; ``fine`` recomputes the gated statistic
-    ``stat`` (base value ``base``) on a finer grid, and None skips the
-    refinement."""
+    ``stat`` (base value ``base``) on a finer grid, and a None ``base``
+    skips the refinement."""
 
     claim: str
     params: dict
     trials: list[TrialRecord]
     summary: dict
-    gates: bool
+    gates: list[Gate]
     notes: Sequence[str] = ()
     stat: str = ""
-    base: float = 0.0
-    fine: Callable[[GridSpec], float] | None = None
+    base: float | None = None
+    fine: Callable[[GridSpec], float | None] | None = None
 
 
 def _suite_driver(body: Callable[..., _Measured]) -> Callable[..., InequalityReport]:
@@ -475,13 +493,14 @@ def _suite_driver(body: Callable[..., _Measured]) -> Callable[..., InequalityRep
     The suite keeps the body's signature and docstring.  The call is bound
     to it with the defaults filled in, and every argument but ``grid`` and
     the exponents goes to :func:`admit` as an option before ``body`` runs.
-    With the ``refine`` option set and a ``fine`` measured, the statistic is
+    With the ``refine`` option set and a ``base`` measured, the statistic is
     recomputed on :func:`finest_grid` when the size guard admits it; that
     run recomputes only ``refined_<stat>``, not the suite's whole base
-    sweep, and its relative drift must stay within
-    ``THRESHOLDS[suite]["drift_cap"]`` on top of the body's ``gates``.  The
-    report keeps a copy of the suite's caps.  Violated hypotheses make the
-    status "out-of-hypothesis" and lead the notes.
+    sweep, and its relative drift is one more gate, capped by
+    ``THRESHOLDS[suite]["drift_cap"]``.  A failing gate makes the status
+    "fail" and is named in the notes, after the body's own.  The report
+    keeps a copy of the suite's caps.  Violated hypotheses make the status
+    "out-of-hypothesis" and lead the notes.
     """
     suite = body.__name__.removeprefix("check_")
     signature = inspect.signature(body)
@@ -498,16 +517,17 @@ def _suite_driver(body: Callable[..., _Measured]) -> Callable[..., InequalityRep
         measured = body(*call.args, **call.kwargs)
         thresholds = dict(THRESHOLDS[suite])
         gates, refinement = measured.gates, None
-        finer = finest_grid(grid, options.get("refine", False) and measured.fine is not None)
+        finer = finest_grid(grid, options.get("refine", False) and measured.base is not None)
         if finer != grid:
             value = measured.fine(finer)
             refinement = {
                 f"base_{measured.stat}": measured.base,
                 f"refined_{measured.stat}": value,
-                "drift": _drift(measured.base, value),
+                "drift": None if value is None else _drift(measured.base, value),
                 "refined_grid": _grid_dict(finer),
             }
-            gates = gates and refinement["drift"] <= thresholds["drift_cap"]
+            gates.append(Gate("drift", refinement["drift"], "<=", thresholds["drift_cap"]))
+        failing = [f"gate {g.stat} {g.op} {g.cap!r} fails: {g.value!r}" for g in gates if not g.holds()]
         exponents = [asdict(p) for p in params] if key == "param_sets" else asdict(params)
         return InequalityReport(
             claim=measured.claim,
@@ -516,8 +536,8 @@ def _suite_driver(body: Callable[..., _Measured]) -> Callable[..., InequalityRep
             summary=measured.summary,
             thresholds=thresholds,
             refinement=refinement,
-            status="out-of-hypothesis" if violations else ("pass" if gates else "fail"),
-            notes=[*violations, *measured.notes],
+            status="out-of-hypothesis" if violations else ("fail" if failing else "pass"),
+            notes=[*violations, *measured.notes, *failing],
         )
 
     return check
@@ -577,7 +597,7 @@ def check_char_norms(
         {},
         trials,
         summary={"n_trials": len(trials), "worst_rel_err": worst},
-        gates=worst <= caps["rel_tol"],
+        gates=[Gate("worst_rel_err", worst, "<=", caps["rel_tol"])],
     )
 
 
@@ -685,10 +705,12 @@ def check_norm_duality(
             "pairing_worst_ratio": pairing_worst,
             "sup_pairing_fraction": sup_fraction,
         },
-        gates=spread <= caps["spread_cap"]
-        and mk_spread <= caps["spread_cap"]
-        and pairing_worst <= caps["pairing_cap"] + 1e-10
-        and sup_excess <= 1e-10,
+        gates=[
+            Gate("herz_product_spread", spread, "<=", caps["spread_cap"]),
+            Gate("mk_block_product_spread", mk_spread, "<=", caps["spread_cap"]),
+            Gate("pairing_worst_ratio", pairing_worst, "<=", caps["pairing_cap"] + 1e-10),
+            Gate("sup_pairing_excess", sup_excess, "<=", 1e-10),
+        ],
         stat="spread",
         base=spread,
         fine=lambda spec: _norm_product_sweep(spec, params)[1],
@@ -697,6 +719,27 @@ def check_norm_duality(
 
 
 # -- suite: maximal operator bounds -----------------------------------------------
+
+
+def _operator_trials(
+    objs: Sequence[TestObject],
+    spec: GridSpec,
+    apply: Callable[[GridFunction], GridFunction],
+    norm: Callable[[GridFunction, ExponentParams], float],
+    params: ExponentParams,
+    prefix: str = "",
+) -> list[TrialRecord]:
+    """``norm(op f)`` over ``norm(f)`` for each object of nonzero norm on
+    ``spec``, with ``op f = apply(f)`` window-masked; each ``op f`` is
+    dropped before the next object is built."""
+    out = []
+    for obj in objs:
+        f = obj.build(spec)
+        rhs = norm(f, params)
+        if rhs == 0.0:
+            continue
+        out.append(TrialRecord(prefix + obj.name, norm(restrict_to_window(apply(f)), params), rhs))
+    return out
 
 
 @_suite_driver
@@ -716,27 +759,20 @@ def check_maximal_bounds(
     objs = standard_objects(grid, seed, n_random=max(1, trials - 5))
 
     def run(spec: GridSpec):
-        out = []
-        for obj in objs:
-            f = obj.build(spec)
-            rhs = norm(f, params)
-            if rhs == 0.0:
-                continue
-            mf = restrict_to_window(strong_maximal(f, variant))
-            lhs = norm(mf, params)
-            out.append(TrialRecord(obj.name, lhs, rhs))
-        return out
+        return _operator_trials(objs, spec, lambda f: strong_maximal(f, variant), norm, params)
 
     base_trials = run(grid)
     summary = _ratio_summary(base_trials)
     const_ratio = next((t.ratio for t in base_trials if t.trial == "constant"), None)
+    gates = [Gate("max_ratio", summary["max_ratio"], "<=", caps["ratio_cap"])]
+    if const_ratio is not None:  # a constant of zero norm is dropped and leaves nothing to cap
+        gates.append(Gate("constant_ratio", const_ratio, "<=", caps["constant_cap"]))
     return _Measured(
         f"maximal-bounded-on-{space}",
         {"variant": variant, "seed": seed},
         base_trials,
         summary=summary | {"constant_ratio": const_ratio},
-        gates=summary["max_ratio"] <= caps["ratio_cap"]
-        and (const_ratio is None or const_ratio <= caps["constant_cap"]),
+        gates=gates,
         stat="max_ratio",
         base=summary["max_ratio"],
         fine=lambda spec: _ratio_summary(run(spec))["max_ratio"],
@@ -820,7 +856,10 @@ def check_fefferman_stein(
         },
         base_trials,
         summary=summary | {"family_size_drift": size_drift},
-        gates=summary["max_ratio"] <= caps["ratio_cap"] and size_drift <= caps["size_drift_cap"],
+        gates=[
+            Gate("max_ratio", summary["max_ratio"], "<=", caps["ratio_cap"]),
+            Gate("family_size_drift", size_drift, "<=", caps["size_drift_cap"]),
+        ],
         stat="max_ratio",
         base=summary["max_ratio"],
         fine=lambda spec: _ratio_summary(run(spec))["max_ratio"],
@@ -926,10 +965,6 @@ def check_extrapolation(
     # the unit weight keeps every object of nonzero norm, so the trials hold
     # each object's Morrey-Herz ratio: the refinement needs mk_layer alone
     mk_max = max((t.extra["mk_ratio"] for t in base_trials), default=None)
-    empty_notes = [] if base_trials else [
-        "every trial object has zero Morrey-Herz norm, so no ratio is defined: "
-        "the ratio gate fails and the refinement is skipped"
-    ]
     return _Measured(
         f"extrapolation[{op}]",
         {
@@ -943,18 +978,16 @@ def check_extrapolation(
         },
         base_trials,
         summary=summary | {"mk_max_ratio": mk_max},
-        gates=mk_max is not None
-        and summary["max_ratio"] <= caps["ratio_cap"]
-        and mk_max <= caps["ratio_cap"],
+        gates=[
+            Gate("max_ratio", summary["max_ratio"], "<=", caps["ratio_cap"]),
+            Gate("mk_max_ratio", mk_max, "<=", caps["ratio_cap"]),
+        ],
         stat="mk_max_ratio",
         base=mk_max,
-        fine=(lambda spec: max((ratio for *_, ratio in mk_layer(spec)), default=math.inf))
-        if base_trials
-        else None,
+        fine=lambda spec: max((ratio for *_, ratio in mk_layer(spec)), default=math.inf),
         notes=[
             "hypothesis layer samples finitely many generated weights; "
             "no exhaustiveness over the unit ball is claimed",
-            *empty_notes,
         ],
     )
 
@@ -1037,7 +1070,8 @@ def check_john_nirenberg_bmo(
             ys.append(math.log(norm))
 
     slope, r2 = None, None
-    decay_notes: list[str] = []
+    gates: list[Gate] = []
+    notes: list[str] = []
     if len(xs) >= 3:
         # least squares in closed form on centred data, elementwise only: a
         # BLAS or LAPACK call would leave its library pages resident
@@ -1047,12 +1081,11 @@ def check_john_nirenberg_bmo(
         ss_res = float(((yc - slope * xc) ** 2).sum())
         ss_tot = float((yc**2).sum())
         r2 = 1.0 - (ss_res / ss_tot if ss_tot > 0 else 0.0)
-        decay_ok = slope < 0 and r2 >= caps["r2_min"]
+        gates = [Gate("decay_slope", slope, "<", 0.0), Gate("decay_r2", r2, ">=", caps["r2_min"])]
     else:
         # gammas beyond the symbol's oscillation on the box leave the level
         # sets empty; the exponential decay statement then holds trivially
-        decay_ok = True
-        decay_notes.append(
+        notes.append(
             f"only {len(xs)} nonempty level sets on the gamma grid; "
             f"decay holds trivially"
         )
@@ -1078,11 +1111,6 @@ def check_john_nirenberg_bmo(
     ratios = [t.ratio for t in equiv_trials]
     equiv_lo, equiv_hi = (min(ratios), max(ratios)) if ratios else (None, None)
     cap = caps["equiv_cap"]
-    equiv_ok = bool(ratios) and equiv_lo >= 1.0 / cap and equiv_hi <= cap
-    equiv_notes = [] if ratios else [
-        "every symbol has zero plain oscillation on the family, so no equivalence "
-        "ratio is defined: the equivalence gate fails and the refinement is skipped"
-    ]
     return _Measured(
         "john-nirenberg-and-bmo-equivalence",
         {
@@ -1097,13 +1125,14 @@ def check_john_nirenberg_bmo(
             "equiv_min_ratio": equiv_lo,
             "equiv_max_ratio": equiv_hi,
         },
-        gates=decay_ok and equiv_ok,
+        gates=gates + [
+            Gate("equiv_min_ratio", equiv_lo, ">=", 1.0 / cap),
+            Gate("equiv_max_ratio", equiv_hi, "<=", cap),
+        ],
         stat="equiv_max",
         base=equiv_hi,
-        fine=(lambda spec: max((t.ratio for t in equivalence(spec)), default=math.inf))
-        if ratios
-        else None,
-        notes=decay_notes + equiv_notes,
+        fine=lambda spec: max((t.ratio for t in equivalence(spec)), default=math.inf),
+        notes=notes,
     )
 
 
@@ -1144,54 +1173,29 @@ def check_cz_comm(
         ("coordinate-x", lambda spec: build_function(spec, rule=lambda x, y: x + 0.0 * y), "non-bmo"),
     ]
 
-    def run(spec: GridSpec, comm: bool = True):
-        """The trials on ``spec``; ``comm=False`` keeps the gated ``tk:``
-        layer alone, as the refinement needs."""
-        out = []
-        objs = standard_objects(grid, seed, n_random=2)
-        # (i) plain operator layer
-        for obj in objs:
-            f = obj.build(spec)
-            rhs = morrey_herz_norm(f, params)
-            if rhs == 0.0:
-                continue
-            tf = restrict_to_window(cz_apply(f))
-            out.append(TrialRecord(f"tk:{obj.name}", morrey_herz_norm(tf, params), rhs))
-        if not comm:
-            return out
-        # (ii)+(iii) commutator dilation sweep
-        f0 = restrict_to_window(indicator(spec, DyadicRectangle(l0, l0)))
-        for name, build, expected in symbols:
-            bsym = build(spec)
-            for t in DILATIONS:
-                ft = dilate(f0, t) if t > 1 else f0
-                rhs = morrey_herz_norm(ft, params)
-                cm = restrict_to_window(commutator(bsym, ft))
-                lhs = morrey_herz_norm(cm, params)
-                out.append(
-                    TrialRecord(
-                        f"comm:{name}:t={t}",
-                        lhs,
-                        rhs,
-                        extra={"t": t, "expected": expected},
-                    )
-                )
-        return out
+    objs = standard_objects(grid, seed, n_random=2)
 
-    def tk_max_of(trials: list[TrialRecord], default: float | None) -> float | None:
-        return max((t.ratio for t in trials if t.trial.startswith("tk:")), default=default)
+    def tk_trials(spec: GridSpec):
+        """(i) the plain operator layer, the one the refinement recomputes."""
+        return _operator_trials(objs, spec, cz_apply, morrey_herz_norm, params, prefix="tk:")
 
-    # the comm: trials are kept even at a zero right side (as ratio 0 or
-    # inf), so only the tk: layer can come out empty
-    base_trials = run(grid)
-    tk_max = tk_max_of(base_trials, None)
-    bmo_max = max(
-        t.ratio for t in base_trials if t.trial.startswith("comm:") and t.extra["expected"] == "bmo"
-    )
+    base_trials = tk_trials(grid)
+    tk_max = max((t.ratio for t in base_trials), default=None)
+    # (ii)+(iii) commutator dilation sweep, kept even at a zero right side
+    f0 = restrict_to_window(indicator(grid, DyadicRectangle(l0, l0)))
+    for name, build, expected in symbols:
+        bsym = build(grid)
+        for t in DILATIONS:
+            ft = dilate(f0, t) if t > 1 else f0
+            rhs = morrey_herz_norm(ft, params)
+            lhs = morrey_herz_norm(restrict_to_window(commutator(bsym, ft)), params)
+            trial = TrialRecord(f"comm:{name}:t={t}", lhs, rhs, extra={"t": t, "expected": expected})
+            base_trials.append(trial)
+    bmo_max = max(t.ratio for t in base_trials if t.extra.get("expected") == "bmo")
     ratio_of = {t.trial: t.ratio for t in base_trials}
     lo = ratio_of[f"comm:coordinate-x:t={DILATIONS[0]}"]
     hi = ratio_of[f"comm:coordinate-x:t={DILATIONS[-1]}"]
-    growth_factor = hi / lo if lo > 0 else math.inf
+    growth_factor = hi / lo if lo > 0 else (math.inf if hi > 0 else None)
     return _Measured(
         "singular-integral-and-commutator",
         {
@@ -1205,17 +1209,12 @@ def check_cz_comm(
             "bmo_comm_max_ratio": bmo_max,
             "non_bmo_growth_factor": growth_factor,
         },
-        gates=tk_max is not None
-        and tk_max <= caps["tk_ratio_cap"]
-        and bmo_max <= caps["comm_ratio_cap"]
-        and growth_factor >= caps["growth_min"],
+        gates=[
+            Gate("tk_max_ratio", tk_max, "<=", caps["tk_ratio_cap"]),
+            Gate("bmo_comm_max_ratio", bmo_max, "<=", caps["comm_ratio_cap"]),
+            Gate("non_bmo_growth_factor", growth_factor, ">=", caps["growth_min"]),
+        ],
         stat="tk_max_ratio",
         base=tk_max,
-        fine=(lambda spec: tk_max_of(run(spec, comm=False), math.inf))
-        if tk_max is not None
-        else None,
-        notes=[] if tk_max is not None else [
-            "every trial object has zero Morrey-Herz norm, so no tk: ratio is defined: "
-            "the operator gate fails and the refinement is skipped"
-        ],
+        fine=lambda spec: max((t.ratio for t in tk_trials(spec)), default=math.inf),
     )

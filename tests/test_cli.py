@@ -592,6 +592,7 @@ def test_failing_cap_exits_nonzero(tmp_path, monkeypatch):
     assert run(cfg) == 1
     rep = load_report(tmp_path / "reports" / "00_maximal_bounds.json")
     assert rep.thresholds["ratio_cap"] == 1e-9
+    assert rep.notes == [f"gate max_ratio <= 1e-09 fails: {rep.summary['max_ratio']!r}"]
 
 
 def test_list_suites_covers_registry(capsys):

@@ -16,6 +16,7 @@ from mherz.grid import MAX_LEVEL_SUM, build_function, make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
     THRESHOLDS,
+    Gate,
     InequalityReport,
     TrialRecord,
     _Measured,
@@ -71,6 +72,10 @@ def test_ratio_summary_keeps_its_four_keys():
         "n_trials": 3, "max_ratio": 3.5, "min_ratio": 0.5, "median_ratio": 1.5,
     }
     assert list(verification._ratio_summary([])) == list(summary)
+    # no finite positive ratio: the statistics are undefined, not 0
+    assert verification._ratio_summary(trials[2:3]) == {
+        "n_trials": 1, "max_ratio": None, "min_ratio": None, "median_ratio": None,
+    }
 
 
 def test_report_round_trip():
@@ -418,7 +423,10 @@ def test_john_nirenberg_fails_cleanly_when_every_symbol_is_dropped(monkeypatch):
     assert rep.status == "fail"
     assert rep.summary["equiv_min_ratio"] is None and rep.summary["equiv_max_ratio"] is None
     assert rep.refinement is None  # no base statistic to drift from
-    assert any("zero plain oscillation" in n for n in rep.notes)
+    assert rep.notes[-2:] == [
+        "gate equiv_min_ratio >= 0.1 fails: None",
+        "gate equiv_max_ratio <= 10.0 fails: None",
+    ]
     assert not [t for t in rep.trials if t.trial.startswith("equiv:")]
     json.dumps(rep.to_dict(), allow_nan=False)
 
@@ -437,26 +445,34 @@ def test_john_nirenberg_fails_cleanly_when_every_symbol_is_dropped(monkeypatch):
     assert rep.refinement["drift"] == math.inf
 
 
-@pytest.mark.parametrize("suite", ["extrapolation", "cz_comm"])
+@pytest.mark.parametrize("suite", ["maximal_bounds", "extrapolation", "cz_comm"])
 def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, suite):
     from mherz import cli
     from mherz.grid import constant, restrict_to_window
     from mherz.verification import TestObject
 
     def run(g):
+        if suite == "maximal_bounds":
+            return check_maximal_bounds(g, "herz", PR)
         if suite == "cz_comm":
             return check_cz_comm(g, PR)
         return check_extrapolation(g, "strong-maximal", 2.0, PRX, c=1.0)
 
+    # the gated statistic, and its value refined from no trial: the ratio
+    # summary of no trial is undefined, an empty max is taken as inf
+    stat, refined = {
+        "maximal_bounds": ("max_ratio", None),
+        "extrapolation": ("mk_max_ratio", math.inf),
+        "cz_comm": ("tk_max_ratio", math.inf),
+    }[suite]
     g = make_grid(2, 3)
     zero = [TestObject("zero", lambda spec: constant(spec, 0.0))]
     monkeypatch.setattr(verification, "standard_objects", lambda base, seed, n_random=3: zero)
     rep = run(g)
-    stat = "tk_max_ratio" if suite == "cz_comm" else "mk_max_ratio"
     assert rep.status == "fail"
     assert rep.summary[stat] is None
     assert rep.refinement is None  # no base statistic to drift from
-    assert any("zero Morrey-Herz norm" in n for n in rep.notes)
+    assert f"gate {stat} <= 50.0 fails: None" in rep.notes
     path = cli.emit(rep, "json", tmp_path / "report.json")
 
     def refuse(token):
@@ -472,8 +488,9 @@ def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, 
     monkeypatch.setattr(verification, "standard_objects", lambda base, seed, n_random=3: fine_only)
     rep = run(g)
     assert rep.status == "fail"
-    assert rep.refinement[f"refined_{stat}"] == math.inf
-    assert rep.refinement["drift"] == math.inf
+    assert rep.refinement[f"refined_{stat}"] == refined
+    assert rep.refinement["drift"] == refined
+    assert f"gate drift <= {THRESHOLDS[suite]['drift_cap']!r} fails: {refined!r}" in rep.notes
 
 
 def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
@@ -545,6 +562,20 @@ def test_cz_comm_dichotomy():
         assert any(tr.trial == f"comm:coordinate-x:t={t}" for tr in rep.trials)
 
 
+def test_cz_comm_fails_with_the_identity_operator(monkeypatch):
+    # T = identity makes every commutator vanish: the growth factor is 0/0,
+    # undefined, and must not read as an infinite growth
+    from mherz import operators
+
+    monkeypatch.setattr(operators, "cz_apply", lambda f: f)
+    monkeypatch.setattr(verification, "cz_apply", lambda f: f)
+    rep = check_cz_comm(make_grid(3, 3), PR, refine=False)
+    assert rep.summary["non_bmo_growth_factor"] is None
+    assert rep.status == "fail"
+    assert rep.notes == ["gate non_bmo_growth_factor >= 2.0 fails: None"]
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+
 def test_reports_reproducible_bit_for_bit():
     a = check_maximal_bounds(make_grid(2, 3), "herz", PR, trials=4, seed=9, refine=False)
     b = check_maximal_bounds(make_grid(2, 3), "herz", PR, trials=4, seed=9, refine=False)
@@ -553,12 +584,15 @@ def test_reports_reproducible_bit_for_bit():
     assert c.to_dict() != a.to_dict()
 
 
-def driven(fine):
-    """A suite through the driver whose body measures nothing, named after
-    ``cz_comm`` so that suite's admission and caps (drift cap 0.25) apply."""
+def driven(fine, base=1.0, gates=()):
+    """A suite through the driver whose body measures nothing but ``gates``,
+    named after ``cz_comm`` so that suite's admission and caps (drift cap
+    0.25) apply."""
 
     def check_cz_comm(grid, params, seed=0, refine=True):
-        return _Measured("claim", {"seed": seed}, [], {}, True, stat="max_ratio", base=1.0, fine=fine)
+        return _Measured(
+            "claim", {"seed": seed}, [], {}, gates=[*gates], stat="max_ratio", base=base, fine=fine
+        )
 
     return _suite_driver(check_cz_comm)
 
@@ -581,10 +615,48 @@ def test_refinement_skipped_at_size_guard():
     assert rep.thresholds is not THRESHOLDS["cz_comm"]
 
 
-def test_refinement_skipped_without_a_fine_statistic():
-    rep = driven(None)(make_grid(1, 2), PR, refine=True)
+def test_refinement_skipped_without_a_base_statistic():
+    def fine(spec):
+        raise AssertionError(f"refined run attempted on {spec}")
+
+    rep = driven(fine, base=None)(make_grid(1, 2), PR, refine=True)
     assert rep.refinement is None
     assert rep.status == "pass"
+
+
+def test_gate_rule():
+    g = make_grid(1, 2)
+    decided = [
+        (Gate("s", None, "<=", 1.0), False),  # undefined
+        (Gate("s", math.nan, "<=", 1.0), False),
+        (Gate("s", math.nan, ">=", 1.0), False),
+        (Gate("s", 1.0, "<=", 1.0), True),  # equality
+        (Gate("s", 1.0, ">=", 1.0), True),
+        (Gate("s", 1.0, "<", 1.0), False),
+        (Gate("s", 0.5, "<", 1.0), True),
+    ]
+    for gate, holds in decided:
+        rep = driven(None, base=None, gates=[gate])(g, PR)
+        assert rep.status == ("pass" if holds else "fail"), gate
+        assert rep.notes == ([] if holds else [f"gate s {gate.op} 1.0 fails: {gate.value!r}"])
+
+    # the drift gate comes last; failing gates are noted in their order
+    gates = [Gate("a", 3.0, "<", 2.0), Gate("b", 1.0, "<=", 2.0), Gate("c", None, ">=", 0.5)]
+    rep = driven(lambda spec: 2.0, gates=gates)(g, PR)
+    assert rep.status == "fail"
+    assert rep.notes == [
+        "gate a < 2.0 fails: 3.0",
+        "gate c >= 0.5 fails: None",
+        "gate drift <= 0.25 fails: 1.0",
+    ]
+    # an undefined refined statistic leaves the drift undefined
+    rep = driven(lambda spec: None, gates=gates[1:2])(g, PR)
+    assert rep.refinement["drift"] is None
+    assert rep.notes == ["gate drift <= 0.25 fails: None"]
+    # a passing report gains no note
+    rep = driven(lambda spec: 1.25, gates=gates[1:2])(g, PR)
+    assert rep.refinement["drift"] == 0.25
+    assert rep.status == "pass" and rep.notes == []
 
 
 def test_positional_call_reports_and_admits_as_the_keyword_call(monkeypatch):
