@@ -260,13 +260,12 @@ class GridFunction:
     """Piecewise-constant real function on a :class:`GridSpec`.
 
     ``values[ix, iy]`` is the constant on cell ``(ix, iy)``; axis 0 is x.
-    The value table is frozen at construction, so whatever is derived from
-    it may be built once, on first use, and kept (see :meth:`memo`).  The
-    prefix-sum table behind rectangle sums and means is not kept: each
-    :meth:`rect_means` call builds its own and drops it.
+    The value table is frozen at construction, and nothing derived from it
+    is kept: each :meth:`rect_means` call builds its own prefix-sum table
+    and drops it.
     """
 
-    __slots__ = ("spec", "values", "_cache")
+    __slots__ = ("spec", "values")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
         self._hold(spec, np.asarray(values, dtype=float), copy=True)
@@ -294,23 +293,9 @@ class GridFunction:
         arr.flags.writeable = False
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GridFunction is immutable")
-
-    def memo(self, key, build: Callable[[], object]):
-        """``build()`` on the first call with ``key``, the stored result after.
-
-        The one cache of values derived from this function: the annulus
-        tables, window check and oscillation sups of :mod:`mherz.norms`.
-        Reuse is safe because ``values`` is frozen; stored arrays are kept
-        read-only.
-        """
-        cache = object.__getattribute__(self, "_cache")
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
 
     # -- rectangle sums ----------------------------------------------------
 

@@ -19,7 +19,7 @@ Implements, for piecewise-constant functions supported in the annulus window:
   infimum over decompositions is not directly computable,
 * little-bmo style oscillation norms over rectangle families, from one
   pass over each rectangle that serves both the plain and the Morrey-Herz
-  oscillation (:func:`_oscillation_sweep`).
+  oscillation (:func:`_oscillation_sweep`), both returned by :func:`bmo_mk_norm`.
 
 The table helpers (:func:`_annulus_blocks`, :func:`_lp_table`,
 :func:`_morrey_herz_from_table`) take leading batch axes, so a family's
@@ -207,7 +207,7 @@ def pairing_l1(f: GridFunction, g: GridFunction) -> float:
 
 
 def _require_window_support(f: GridFunction) -> None:
-    bad = f.memo("window_support_violations", lambda: _read_only(window_support_violations(f)))
+    bad = window_support_violations(f)
     if len(bad):
         head = ", ".join(f"({i},{j})" for i, j in bad[:4])
         raise SupportWindowError(
@@ -292,22 +292,12 @@ def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
     """W x W table of annulus L^p norms, indexed from the window floor.
 
     Entry ``[ii, jj]`` is the L^p norm of f restricted to the product annulus
-    ``(window_low + ii, window_low + jj)``.  Built once per function and
-    ``float(p)`` (:meth:`GridFunction.memo`) and returned read-only: the
-    norms of one function share it.
-    """
-    return f.memo(("annulus_lp_table", float(p)), lambda: _read_only(_annulus_lp_table(f, p)))
-
-
-def _annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
-    """:func:`annulus_lp_table`, uncached.
-
-    The annulus runs and the central gap tile each axis, so one segmented
-    reduction of ``|f|^p`` per axis (``np.add.reduceat``;
-    ``np.maximum.reduceat`` for ``p = inf``) gives every run-by-run block,
-    and each annulus adds its four blocks.  Sums of nonnegative terms cannot
-    cancel: an annulus without mass is exactly 0, and one whose sum
-    overflows is ``+inf``.
+    ``(window_low + ii, window_low + jj)``.  The annulus runs and the central
+    gap tile each axis, so one segmented reduction of ``|f|^p`` per axis
+    (``np.add.reduceat``; ``np.maximum.reduceat`` for ``p = inf``) gives
+    every run-by-run block, and each annulus adds its four blocks.  Sums of
+    nonnegative terms cannot cancel: an annulus without mass is exactly 0,
+    and one whose sum overflows is ``+inf``.
     """
     a = np.abs(f.values)
     if math.isinf(p):
@@ -317,11 +307,11 @@ def _annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _alpha_weights(spec: GridSpec, alpha: float) -> np.ndarray:
-    """``2**((i + j) alpha)`` over the annulus window; cached and read-only,
+def _level_weights(spec: GridSpec, x: float) -> np.ndarray:
+    """``2**((i + j) x)`` over the annulus window; cached and read-only,
     since every norm call of a sweep asks for the same few exponents."""
     win = np.array(list(spec.window_range()), dtype=float)
-    return _read_only(2.0 ** ((win[:, None] + win[None, :]) * alpha))
+    return _read_only(2.0 ** ((win[:, None] + win[None, :]) * x))
 
 
 # -- Herz and Morrey-Herz ----------------------------------------------------
@@ -335,7 +325,7 @@ def herz_norm(f: GridFunction, params: ExponentParams) -> float:
 
 def _herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams) -> float:
     """The Herz norm from an :func:`annulus_lp_table`."""
-    terms = _alpha_weights(spec, params.alpha) * table
+    terms = _level_weights(spec, params.alpha) * table
     if math.isinf(params.q):
         return float(terms.max(initial=0.0))
     return float((terms**params.q).sum()) ** (1.0 / params.q)
@@ -359,15 +349,13 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
     for a single table).  Every step is entrywise, a cumulative sum along one
     annulus axis or an exact max, so each norm has the bits it has alone.
     """
-    terms = _alpha_weights(spec, params.alpha) * table
-    win = np.array(list(spec.window_range()), dtype=float)
+    terms = _level_weights(spec, params.alpha) * table
     if math.isinf(params.q):
         inner = np.maximum.accumulate(np.maximum.accumulate(terms, axis=-2), axis=-1)
     else:
         csum = (terms**params.q).cumsum(axis=-2).cumsum(axis=-1)
         inner = csum ** (1.0 / params.q)
-    pref = 2.0 ** (-(win[:, None] + win[None, :]) * params.lam)
-    best = (pref * inner).max(axis=(-2, -1), initial=0.0)
+    best = (_level_weights(spec, -params.lam) * inner).max(axis=(-2, -1), initial=0.0)
     return float(best) if best.ndim == 0 else best
 
 
@@ -549,9 +537,7 @@ def _block_upper_bounds(
     an :func:`annulus_lp_table` and the support's host rectangle."""
     herz = _herz_from_table(spec, table, params)
     upper_single = 2.0 ** ((host.l1 + host.l2) * params.lam) * herz
-    win = np.array(list(spec.window_range()), dtype=float)
-    lev = win[:, None] + win[None, :]
-    upper_annuli = float((2.0 ** (lev * (params.lam + params.alpha)) * table).sum())
+    upper_annuli = float((_level_weights(spec, params.lam + params.alpha) * table).sum())
     return upper_single, upper_annuli
 
 
@@ -618,23 +604,23 @@ def _family_rectangles(spec: GridSpec, family) -> list[GridRectangle]:
     return rects
 
 
+def _swept_rectangles(spec: GridSpec, family) -> list[GridRectangle]:
+    """The family's rectangles; the oscillation norms' one cost guard, run
+    before any sweep work, refuses a sweep of more than ``2 * 10**8`` cells."""
+    rects = _family_rectangles(spec, family)
+    total = sum(r.cells() for r in rects)
+    if total > 2 * 10**8:
+        raise CostGuardError(f"oscillation sweep visits {total} cells; use a strided family")
+    return rects
+
+
 def bmo_norm(f: GridFunction, family) -> float:
     """sup over the family of the mean oscillation (1/|R|) int_R |f - f_R|.
 
-    Kept per function and family (:meth:`GridFunction.memo`), where
-    :func:`bmo_mk_norm` also leaves it: the plain oscillation falls out of the
-    Morrey-Herz sweep's pass over each rectangle.
+    :func:`bmo_mk_norm` returns the same value from its own sweep.
     """
-    rects = _family_rectangles(f.spec, family)
-    total_cells = sum(r.cells() for r in rects)
-    if total_cells > 2 * 10**8:
-        raise CostGuardError(
-            f"oscillation sweep visits {total_cells} cells; use a strided family"
-        )
-    return f.memo(
-        ("bmo_norm", tuple(rects)),
-        lambda: _oscillation_sup(rects, _oscillation_sweep(f, rects)[0]),
-    )
+    rects = _swept_rectangles(f.spec, family)
+    return _oscillation_sup(rects, _oscillation_sweep(f, rects)[0])
 
 
 def _oscillation_sup(rects: list[GridRectangle], sums: list[float]) -> float:
@@ -647,25 +633,27 @@ def _oscillation_sup(rects: list[GridRectangle], sums: list[float]) -> float:
     return best
 
 
-def bmo_mk_norm(f: GridFunction, params: ExponentParams, family) -> tuple[float, list[str]]:
+def bmo_mk_norm(
+    f: GridFunction, params: ExponentParams, family
+) -> tuple[float, float, list[str]]:
     """sup over R of ||(f - f_R) chi_R|| / ||chi_R|| in the Morrey-Herz norm.
 
     Both the numerator and the indicator are window-masked before taking the
     norm (the truncation convention).  Rectangles whose masked indicator has
-    zero norm are skipped and reported in the notes.  Returns (value, notes).
+    zero norm are skipped and reported in the notes.  Returns (value, plain,
+    notes), where ``plain`` is :func:`bmo_norm` of ``f`` over the family.
 
     One :func:`_oscillation_sweep` over the family gives every numerator's
     run-block table, and the annulus and Morrey-Herz tables are then taken
     once, on the whole stack.  The sweep's ``|f - f_R|`` sums are the plain
-    oscillations: their sup is left in the memo that :func:`bmo_norm` reads.
+    oscillations, so ``plain`` costs no second sweep.
     """
     require_predicate(params, "char")
     require_predicate(params, "ms_herz")
     spec = f.spec
-    rects = _family_rectangles(spec, family)
+    rects = _swept_rectangles(spec, family)
     denoms = _indicator_denominators(spec, tuple(rects), params)
     sums, blocks = _oscillation_sweep(f, rects, params.p, [d != 0.0 for d in denoms])
-    f.memo(("bmo_norm", tuple(rects)), lambda: _oscillation_sup(rects, sums))
     nums = _morrey_herz_from_table(spec, _lp_table(spec, blocks, params.p), params)
     best = 0.0
     notes: list[str] = []
@@ -675,7 +663,7 @@ def bmo_mk_norm(f: GridFunction, params: ExponentParams, family) -> tuple[float,
             continue
         if num / denom > best:
             best = num / denom
-    return best, notes
+    return best, _oscillation_sup(rects, sums), notes
 
 
 def _oscillation_sweep(

@@ -64,7 +64,6 @@ from .norms import (
     _morrey_herz_from_table,
     block_norm_bracket,
     bmo_mk_norm,
-    bmo_norm,
     char_rect_norm_closed_form,
     conjugate_exponent,
     herz_norm,
@@ -984,7 +983,7 @@ def check_extrapolation(
         ],
         stat="mk_max_ratio",
         base=mk_max,
-        fine=lambda spec: max((ratio for *_, ratio in mk_layer(spec)), default=math.inf),
+        fine=lambda spec: max((ratio for *_, ratio in mk_layer(spec)), default=None),
         notes=[
             "hypothesis layer samples finitely many generated weights; "
             "no exhaustiveness over the unit ball is claimed",
@@ -1097,10 +1096,8 @@ def check_john_nirenberg_bmo(
         out = []
         for obj in symbols:
             f = obj.build(spec)
-            # one sweep: bmo_mk_norm leaves the plain oscillation for bmo_norm
-            mk, _ = bmo_mk_norm(f, params, fam)
-            plain = bmo_norm(f, fam)
-            del f  # free it and its memo before the next symbol is built
+            mk, plain, _ = bmo_mk_norm(f, params, fam)  # one sweep gives both norms
+            del f  # free it before the next symbol is built
             if plain == 0.0:
                 continue
             out.append(TrialRecord(f"equiv:{obj.name}", mk, plain))
@@ -1131,7 +1128,7 @@ def check_john_nirenberg_bmo(
         ],
         stat="equiv_max",
         base=equiv_hi,
-        fine=lambda spec: max((t.ratio for t in equivalence(spec)), default=math.inf),
+        fine=lambda spec: max((t.ratio for t in equivalence(spec)), default=None),
         notes=notes,
     )
 
@@ -1216,5 +1213,5 @@ def check_cz_comm(
         ],
         stat="tk_max_ratio",
         base=tk_max,
-        fine=lambda spec: max((t.ratio for t in tk_trials(spec)), default=math.inf),
+        fine=lambda spec: max((t.ratio for t in tk_trials(spec)), default=None),
     )

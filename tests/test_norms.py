@@ -32,13 +32,12 @@ from mherz.norms import (
     ExponentParams,
     NormBracket,
     RectangleFamily,
-    _alpha_weights,
-    _annulus_lp_table,
     _block_upper_bounds,
     _clip_runs,
     _family_rectangles,
     _herz_from_table,
     _indicator_denominators,
+    _level_weights,
     _lp_table,
     _morrey_herz_from_table,
     _oscillation_sweep,
@@ -475,11 +474,11 @@ def test_bmo_shift_invariance():
 def test_bmo_mk_constant_zero_and_homogeneous():
     fam = RectangleFamily("dyadic-centered")
     c = constant(G35, 4.0)
-    val, _ = bmo_mk_norm(c, PR, fam)
+    val, _, _ = bmo_mk_norm(c, PR, fam)
     assert val == 0.0
     f = build_function(G35, builtin="truncated_log")
-    v1, _ = bmo_mk_norm(f, PR, fam)
-    v2, _ = bmo_mk_norm(f.with_values(2.0 * f.values), PR, fam)
+    v1, _, _ = bmo_mk_norm(f, PR, fam)
+    v2, _, _ = bmo_mk_norm(f.with_values(2.0 * f.values), PR, fam)
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
@@ -490,14 +489,14 @@ def test_bmo_mk_requires_predicates():
 
 
 def test_bmo_norm_cost_guard_precedes_the_shared_sweep():
+    # both oscillation norms refuse the family before any sweep work
     g = make_grid(3, 4)  # N = 128: 12,300 full boxes visit just over 2 * 10**8 cells
     f = build_function(g, builtin="noise", seed=3)
     rects = [GridRectangle(0, 128, 0, 128)] * 12_300
     with pytest.raises(CostGuardError, match="oscillation sweep visits"):
         bmo_norm(f, rects)
-    f.memo(("bmo_norm", tuple(rects)), lambda: 0.0)  # as if bmo_mk_norm had swept it
     with pytest.raises(CostGuardError, match="oscillation sweep visits"):
-        bmo_norm(f, rects)
+        bmo_mk_norm(f, PR, rects)
 
 
 # -- segmented annulus tables against the code they replaced ---------------------------
@@ -734,7 +733,7 @@ def test_rect_means_of_huge_finite_values():
     assert f.rect_mean(box) == 1e308
     assert bmo_norm(f, RectangleFamily("dyadic-centered")) == 0.0
     assert bmo_norm(f, RectangleFamily("exact-grid")) == 0.0
-    value, _ = bmo_mk_norm(f, PR, RectangleFamily("dyadic-centered"))
+    value, _, _ = bmo_mk_norm(f, PR, RectangleFamily("dyadic-centered"))
     assert value == 0.0
     # signed values: the means stay finite and match exactly rounded sums
     vals = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 8)) * 1e308
@@ -779,7 +778,7 @@ def test_bmo_mk_norm_matches_mask_oracle(case, kind, seed, p, q):
     f = GridFunction(spec, random_values(spec, kind, seed))
     params = ExponentParams(0.25, p, q, 0.5)
     fam = _bmo_family(family_kind, spec, stride)
-    got, notes = bmo_mk_norm(f, params, fam)
+    got, _, notes = bmo_mk_norm(f, params, fam)
     want, want_notes = mask_bmo_mk_norm(f, params, fam, masked_sum_annulus_lp_table)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
     # the prefix tables cancel on tiny-mass annuli (4.8e-11 relative seen on
@@ -875,7 +874,7 @@ def loop_lp_table(spec, seg, p):
 
 def loop_morrey_herz(spec, table, params):
     """Oracle: the Morrey-Herz norm of one annulus table."""
-    terms = _alpha_weights(spec, params.alpha) * table
+    terms = _level_weights(spec, params.alpha) * table
     win = np.array(list(spec.window_range()), dtype=float)
     if math.isinf(params.q):
         inner = np.maximum.accumulate(np.maximum.accumulate(terms, axis=0), axis=1)
@@ -1001,27 +1000,23 @@ def test_oscillation_sweep_bit_identical_to_per_rectangle_loops(case, kind, seed
                 bmo_mk_norm(g, params, fam)
             assert str(got.value) == str(exc)
             return
-        # bmo_mk_norm, then bmo_norm from the sup it left in the memo
-        assert bmo_mk_norm(g, params, fam) == want
-        assert bmo_norm(g, fam) == plain
+        # bmo_mk_norm's plain oscillation, from its own sweep, is bmo_norm's to the bit
+        value, mk_plain, notes = bmo_mk_norm(g, params, fam)
+        assert (value, notes) == want
+        assert mk_plain == bmo_norm(g, fam) == plain
 
 
-# -- memoised geometry: each table built once, equal to a fresh build -------------------
+# -- cached geometry and repeated tables: equal to a fresh build --------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_grid(6), VALUE_KINDS, SEEDS, st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
-def test_annulus_table_memo_matches_uncached(spec, kind, seed, p):
+def test_annulus_table_repeats_on_each_call(spec, kind, seed, p):
     f = GridFunction(spec, random_values(spec, kind, seed))
-    got = annulus_lp_table(f, p)
-    assert np.array_equal(got, _annulus_lp_table(f, p))
-    assert not got.flags.writeable
-    assert annulus_lp_table(f, p) is got
-    # keyed by float(p): p = 2 and p = 3 are two entries, 2 and 2.0 one
-    two, three = annulus_lp_table(f, 2), annulus_lp_table(f, 3)
-    assert two is annulus_lp_table(f, 2.0) and two is not three
-    assert np.array_equal(two, _annulus_lp_table(f, 2.0))
-    assert np.array_equal(three, _annulus_lp_table(f, 3.0))
+    assert np.array_equal(annulus_lp_table(f, p), annulus_lp_table(f, p))
+    # an integer p gives the table of float(p)
+    assert np.array_equal(annulus_lp_table(f, 2), annulus_lp_table(f, 2.0))
+    assert np.array_equal(annulus_lp_table(f, 3), annulus_lp_table(f, 3.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1040,11 +1035,11 @@ def test_clip_runs_cache_matches_uncached(spec, data):
 
 @settings(max_examples=60, deadline=None)
 @given(random_grid(8), st.floats(-4.0, 4.0))
-def test_alpha_weights_cache_matches_uncached(spec, alpha):
-    got = _alpha_weights(spec, alpha)
-    assert np.array_equal(got, _alpha_weights.__wrapped__(spec, alpha))
+def test_level_weights_cache_matches_uncached(spec, x):
+    got = _level_weights(spec, x)
+    assert np.array_equal(got, _level_weights.__wrapped__(spec, x))
     assert not got.flags.writeable
-    assert _alpha_weights(spec, alpha) is got
+    assert _level_weights(spec, x) is got
 
 
 @settings(max_examples=60, deadline=None)
@@ -1078,7 +1073,7 @@ def test_norm_product_sweep_builds_one_table_per_indicator_and_p(monkeypatch):
         raise AssertionError("an indicator sweep built an N x N array")
 
     monkeypatch.setattr(norms, "_window_indicator_table", counting)
-    monkeypatch.setattr(norms, "_annulus_lp_table", no_array)
+    monkeypatch.setattr(norms, "annulus_lp_table", no_array)
     monkeypatch.setattr(verification, "indicator", no_array)
     spec = make_grid(2, 3)
     # p = 3 makes the dual exponent 1.5: the Herz pair, the Morrey-Herz norm

@@ -441,8 +441,9 @@ def test_john_nirenberg_fails_cleanly_when_every_symbol_is_dropped(monkeypatch):
     monkeypatch.setattr(verification, "_bmo_symbols", lambda base, seed: fine_only)
     rep = check_john_nirenberg_bmo(g, PR)
     assert rep.status == "fail"
-    assert rep.refinement["refined_equiv_max"] == math.inf
-    assert rep.refinement["drift"] == math.inf
+    assert rep.refinement["refined_equiv_max"] is None
+    assert rep.refinement["drift"] is None
+    assert "gate drift <= 0.2 fails: None" in rep.notes
 
 
 @pytest.mark.parametrize("suite", ["maximal_bounds", "extrapolation", "cz_comm"])
@@ -458,12 +459,11 @@ def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, 
             return check_cz_comm(g, PR)
         return check_extrapolation(g, "strong-maximal", 2.0, PRX, c=1.0)
 
-    # the gated statistic, and its value refined from no trial: the ratio
-    # summary of no trial is undefined, an empty max is taken as inf
-    stat, refined = {
-        "maximal_bounds": ("max_ratio", None),
-        "extrapolation": ("mk_max_ratio", math.inf),
-        "cz_comm": ("tk_max_ratio", math.inf),
+    # the gated statistic; refined from no trial, it is undefined
+    stat = {
+        "maximal_bounds": "max_ratio",
+        "extrapolation": "mk_max_ratio",
+        "cz_comm": "tk_max_ratio",
     }[suite]
     g = make_grid(2, 3)
     zero = [TestObject("zero", lambda spec: constant(spec, 0.0))]
@@ -488,9 +488,9 @@ def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, 
     monkeypatch.setattr(verification, "standard_objects", lambda base, seed, n_random=3: fine_only)
     rep = run(g)
     assert rep.status == "fail"
-    assert rep.refinement[f"refined_{stat}"] == refined
-    assert rep.refinement["drift"] == refined
-    assert f"gate drift <= {THRESHOLDS[suite]['drift_cap']!r} fails: {refined!r}" in rep.notes
+    assert rep.refinement[f"refined_{stat}"] is None
+    assert rep.refinement["drift"] is None
+    assert f"gate drift <= {THRESHOLDS[suite]['drift_cap']!r} fails: None" in rep.notes
 
 
 def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
@@ -518,14 +518,20 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
     monkeypatch.setattr(GridFunction, "rect_means", counting_means)
     for name in ("_lp_table", "_morrey_herz_from_table"):
         monkeypatch.setattr(norms, name, counted(name, getattr(norms, name)))
-    mk_calls = Counter()
-    bmo_mk_norm = verification.bmo_mk_norm
+    mk_calls, plain_calls = Counter(), Counter()
+    bmo_mk_norm, bmo_norm = norms.bmo_mk_norm, norms.bmo_norm
 
     def counting_mk(f, *args):
         mk_calls[f.spec.n_cells] += 1
         return bmo_mk_norm(f, *args)
 
+    def counting_plain(f, family):
+        plain_calls[f.spec.n_cells] += 1
+        return bmo_norm(f, family)
+
     monkeypatch.setattr(verification, "bmo_mk_norm", counting_mk)
+    monkeypatch.setattr(verification, "bmo_norm", counting_plain, raising=False)
+    monkeypatch.setattr(norms, "bmo_norm", counting_plain)
     g = make_grid(2, 3)
     fine = GridSpec(g.L_max, g.s + 1)
     check_john_nirenberg_bmo(g, PR)
@@ -536,7 +542,9 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
         g.n_cells: 1 + symbols * rects[g.n_cells],
         fine.n_cells: symbols * rects[fine.n_cells],
     }
+    # one bmo_mk_norm call per symbol and grid gives both oscillation norms
     assert mk_calls == {g.n_cells: symbols, fine.n_cells: symbols}
+    assert not plain_calls
     # each bmo_mk_norm call takes the annulus and Morrey-Herz tables once, on its stack
     assert batched["_lp_table", 3] == batched["_morrey_herz_from_table", 3] == 2 * symbols
 
