@@ -299,9 +299,10 @@ class GridFunction:
 
     # -- rectangle sums ----------------------------------------------------
 
-    def _scaled_sums(self, rects, absolute: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    def _scaled_sums(self, rects, absolute: bool):
         """Cell sums of ``f`` (or ``|f|``) over each of ``rects`` scaled by
-        ``2**-e``, the rectangles' cell counts, and ``e``.
+        ``2**-e``, the rectangles' cell counts, ``e``, and bounds ``(lo, hi)``
+        on the scaled cell values summed.
 
         ``e`` is :func:`_sum_exponent` of ``max|f|`` over the ``N**2`` cells:
         0, and raw sums, unless cell sums could overflow.  The prefix table
@@ -309,24 +310,30 @@ class GridFunction:
         the call.
         """
         vals = self.values
-        e = _sum_exponent(max(float(vals.max()), -float(vals.min())), vals.size)
+        lo, hi = float(vals.min()), float(vals.max())
+        e = _sum_exponent(max(hi, -lo), vals.size)
+        if absolute:  # |f| of mixed signs is bounded by [0, max|f|]
+            lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0.0, max(hi, -lo))
         a = np.abs(vals) if absolute else vals
         P = _prefix_table(np.ldexp(a, -e) if e else a)
         x0, x1, y0, y1 = np.array([(r.ix0, r.ix1, r.iy0, r.iy1) for r in rects]).T
-        return _box_sum(P, x0, x1, y0, y1), (x1 - x0) * (y1 - y0), e
+        bounds = (math.ldexp(lo, -e), math.ldexp(hi, -e))
+        return _box_sum(P, x0, x1, y0, y1), (x1 - x0) * (y1 - y0), e, bounds
 
     def rect_means(self, rects, absolute: bool = False) -> np.ndarray:
         """Mean cell value of f (or |f|) over each rectangle of the sequence
         ``rects``, all from one prefix table; finite even where a cell sum
         overflows, since the means are taken on the scaled sums."""
-        totals, cells, e = self._scaled_sums(rects, absolute)
+        totals, cells, e, bounds = self._scaled_sums(rects, absolute)
         means = totals / cells
+        if e:  # a rounded mean past the largest value would scale back to inf
+            means = np.clip(means, *bounds)
         return _scale_back(means, e)
 
     def rect_cell_sum(self, rect: GridRectangle, absolute: bool = False) -> float:
         """Raw cell sum of f (or |f|) over ``rect`` (unscaled by h**2);
         ``inf`` where the sum overflows."""
-        totals, _, e = self._scaled_sums([rect], absolute)
+        totals, _, e, _ = self._scaled_sums([rect], absolute)
         return float(_scale_back(totals[0], e))
 
     def rect_mean(self, rect: GridRectangle, absolute: bool = False) -> float:

@@ -8,12 +8,14 @@ the summary statistic when the grid is refined from (L_max, s) to
 (L_max, s+1).  Empirical constants are reported, never compared against
 implicit constants.
 
-One driver, :func:`_suite_driver`, runs every ``check_<suite>``: it binds the
+One driver, :func:`_drive`, runs every ``check_<suite>``: it binds the
 call with its defaults, admits it (:func:`admit`), runs the suite's body,
 which returns only what it measured and its :class:`Gate` list, applies the
 guarded refinement and appends its drift gate against ``THRESHOLDS[suite]``,
 and builds the report.  A gate whose value is undefined (None or NaN) fails;
-any failing gate makes the status "fail" and is named in the notes.
+any failing gate makes the status "fail" and is named in the notes.  The
+decorator :func:`_suite_driver` builds each suite with that driver and
+registers it in ``SUITES``, the one suite registry, which the CLI reads.
 
 Conventions shared by all suites:
 
@@ -486,10 +488,10 @@ class _Measured:
     fine: Callable[[GridSpec], float | None] | None = None
 
 
-def _suite_driver(body: Callable[..., _Measured]) -> Callable[..., InequalityReport]:
+def _drive(body: Callable[..., _Measured], signature: inspect.Signature) -> Callable:
     """``check_<suite>`` from its body: admission, refinement, status, report.
 
-    The suite keeps the body's signature and docstring.  The call is bound
+    The suite keeps the body's ``signature`` and docstring.  The call is bound
     to it with the defaults filled in, and every argument but ``grid`` and
     the exponents goes to :func:`admit` as an option before ``body`` runs.
     With the ``refine`` option set and a ``base`` measured, the statistic is
@@ -502,7 +504,6 @@ def _suite_driver(body: Callable[..., _Measured]) -> Callable[..., InequalityRep
     "out-of-hypothesis" and lead the notes.
     """
     suite = body.__name__.removeprefix("check_")
-    signature = inspect.signature(body)
 
     @functools.wraps(body)
     def check(*args, **kwargs) -> InequalityReport:
@@ -542,10 +543,45 @@ def _suite_driver(body: Callable[..., _Measured]) -> Callable[..., InequalityRep
     return check
 
 
+@dataclass(frozen=True)
+class SuiteDef:
+    """A registered suite ``runner = check_<name>``, whose ``options`` are its
+    arguments after ``grid`` and ``param_sets`` (if ``multi_params``) or ``params``."""
+
+    name: str
+    summary: str
+    runner: Callable[..., InequalityReport]
+    options: tuple[str, ...]
+    defaults: dict  # option -> default; options without one are required
+    multi_params: bool
+
+
+SUITES: dict[str, SuiteDef] = {}  # filled by @_suite_driver, read by the CLI
+
+
+def _suite_driver(summary: str):
+    """Decorator: ``check_<name>`` is its body under :func:`_drive`, and is
+    registered as ``SUITES[name]`` with ``summary`` and the options read off
+    the same signature."""
+
+    def register(body: Callable[..., _Measured]) -> Callable[..., InequalityReport]:
+        signature = inspect.signature(body)
+        check = _drive(body, signature)
+        multi = "param_sets" in signature.parameters
+        exclude = ("grid", "param_sets" if multi else "params")
+        options = {k: p for k, p in signature.parameters.items() if k not in exclude}
+        defaults = {k: p.default for k, p in options.items() if p.default is not p.empty}
+        name = body.__name__.removeprefix("check_")
+        SUITES[name] = SuiteDef(name, summary, check, tuple(options), defaults, multi)
+        return check
+
+    return register
+
+
 # -- suite: indicator closed forms -----------------------------------------------
 
 
-@_suite_driver
+@_suite_driver("indicator Morrey-Herz norms vs exact closed forms")
 def check_char_norms(
     grid: GridSpec,
     param_sets: Sequence[ExponentParams],
@@ -637,7 +673,7 @@ def _spread(values: list[float]) -> float:
     return float(a.max() / a.min())
 
 
-@_suite_driver
+@_suite_driver("pairing bounds and indicator norm products")
 def check_norm_duality(
     grid: GridSpec,
     params: ExponentParams,
@@ -741,7 +777,7 @@ def _operator_trials(
     return out
 
 
-@_suite_driver
+@_suite_driver("maximal operator norm ratios on herz / morrey-herz / block-upper")
 def check_maximal_bounds(
     grid: GridSpec,
     space: str,
@@ -781,7 +817,7 @@ def check_maximal_bounds(
 # -- suite: vector-valued maximal inequality ------------------------------------------
 
 
-@_suite_driver
+@_suite_driver("vector-valued maximal inequality ratios")
 def check_fefferman_stein(
     grid: GridSpec,
     params: ExponentParams,
@@ -882,7 +918,7 @@ def extrapolation_block_params(params: ExponentParams, p0: float) -> ExponentPar
     )
 
 
-@_suite_driver
+@_suite_driver("weighted L^p0 hypothesis layer vs Morrey-Herz conclusion layer")
 def check_extrapolation(
     grid: GridSpec,
     op: str,
@@ -1018,7 +1054,7 @@ def _bmo_symbols(base: GridSpec, seed: int) -> list[TestObject]:
     ]
 
 
-@_suite_driver
+@_suite_driver("level-set decay fit and bmo norm equivalence")
 def check_john_nirenberg_bmo(
     grid: GridSpec,
     params: ExponentParams,
@@ -1138,7 +1174,7 @@ def check_john_nirenberg_bmo(
 DILATIONS = (1, 2, 4, 8, 16)  # the commutator sweep f_t = f(./t), increasing
 
 
-@_suite_driver
+@_suite_driver("singular operator boundedness and commutator dichotomy")
 def check_cz_comm(
     grid: GridSpec,
     params: ExponentParams,

@@ -24,10 +24,9 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True, eq=False)
 class WeightFunction:
-    """Strictly positive grid function with a cached reciprocal table."""
+    """Strictly positive grid function with its provenance."""
 
     fn: GridFunction
-    reciprocal: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -42,9 +41,7 @@ class WeightFunction:
 def make_weight(fn: GridFunction, provenance: dict | None = None) -> WeightFunction:
     if float(fn.values.min()) <= 0.0:
         raise ValueError("weight must be strictly positive on every cell")
-    recip = 1.0 / fn.values
-    recip.flags.writeable = False
-    return WeightFunction(fn, recip, provenance or {})
+    return WeightFunction(fn, provenance or {})
 
 
 def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
@@ -73,22 +70,29 @@ def _forward_window_min(a: np.ndarray, w: int, axis: int) -> np.ndarray:
     return np.moveaxis(np.minimum(a[: len(a) - (w - k)], a[w - k :]), 0, axis)
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a * 2**-k, k)`` with ``k`` putting ``a.max()`` in [0.5, 1); exact
+    for every value that stays in the normal range."""
+    k = int(np.frexp(a.max())[1])
+    return np.ldexp(a, -k), k
+
+
 def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
     """Characteristic of w over a rectangle family (see module docstring).
 
     ``family`` is a :class:`~mherz.norms.RectangleFamily` or an explicit list
     of rectangles.  Stride-1 dyadic-sides and exact-grid families take a
     vectorised all-positions path (prefix sums per size, sliding minima for
-    p = 1); anything else is enumerated.
+    p = 1); anything else is enumerated.  The characteristic does not change
+    when w is scaled, so it is taken of w scaled to a maximum in [0.5, 1);
+    ``u = w**(-1/(p-1))`` of that is scaled as well, and its averages are
+    scaled back before their power.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     n = w.spec.n_cells
-
-    if p == 1.0:
-        u = None
-    else:
-        u = w.reciprocal ** (1.0 / (p - 1.0))
+    wv, _ = _unit_scaled(w.values)
+    u, k = (None, 0) if p == 1.0 else _unit_scaled(wv ** (-1.0 / (p - 1.0)))
 
     all_positions = (
         isinstance(family, RectangleFamily)
@@ -96,7 +100,7 @@ def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
         and family.stride == 1
     )
     if all_positions:
-        Pw = _prefix_table(w.values)
+        Pw = _prefix_table(wv)
         Pu = _prefix_table(u) if u is not None else None
         best = 0.0
         for wx in family._sides(n):
@@ -105,10 +109,10 @@ def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
                 corners = (np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
                 avg_w = _box_sum(Pw, *corners) / cells
                 if p == 1.0:
-                    mins = _forward_window_min(_forward_window_min(w.values, wx, 0), wy, 1)
+                    mins = _forward_window_min(_forward_window_min(wv, wx, 0), wy, 1)
                     table = avg_w / mins
                 else:
-                    avg_u = _box_sum(Pu, *corners) / cells
+                    avg_u = np.ldexp(_box_sum(Pu, *corners) / cells, k)
                     table = avg_w * avg_u ** (p - 1.0)
                 best = max(best, float(table.max()))
         return best
@@ -117,11 +121,11 @@ def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
     for rect in _family_rectangles(w.spec, family):
         cells = rect.cells()
         sl = np.s_[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1]
-        avg_w = float(w.values[sl].sum()) / cells
+        avg_w = float(wv[sl].sum()) / cells
         if p == 1.0:
-            val = avg_w / float(w.values[sl].min())
+            val = avg_w / float(wv[sl].min())
         else:
-            avg_u = float(u[sl].sum()) / cells
+            avg_u = math.ldexp(float(u[sl].sum()) / cells, k)
             val = avg_w * avg_u ** (p - 1.0)
         best = max(best, val)
     return best

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -595,11 +596,39 @@ def test_failing_cap_exits_nonzero(tmp_path, monkeypatch):
     assert rep.notes == [f"gate max_ratio <= 1e-09 fails: {rep.summary['max_ratio']!r}"]
 
 
+LIST_SUITES_OUTPUT = """\
+char_norms           indicator Morrey-Herz norms vs exact closed forms
+cz_comm              singular operator boundedness and commutator dichotomy
+extrapolation        weighted L^p0 hypothesis layer vs Morrey-Herz conclusion layer
+fefferman_stein      vector-valued maximal inequality ratios
+john_nirenberg_bmo   level-set decay fit and bmo norm equivalence
+maximal_bounds       maximal operator norm ratios on herz / morrey-herz / block-upper
+norm_duality         pairing bounds and indicator norm products
+"""
+
+
 def test_list_suites_covers_registry(capsys):
     assert list_suites() == 0
     out = capsys.readouterr().out
     for name in SUITES:
         assert name in out
+    assert main(["list-suites"]) == 0
+    assert capsys.readouterr().out == out == LIST_SUITES_OUTPUT
+
+
+def test_cli_reads_the_one_registry_off_each_signature():
+    assert SUITES is verification.SUITES
+    assert len(SUITES) == 7
+    for name, sdef in SUITES.items():
+        assert sdef.name == name
+        assert sdef.runner is getattr(verification, f"check_{name}")
+        params = list(inspect.signature(sdef.runner).parameters.values())
+        assert params[0].name == "grid"
+        exponents = [p.name for p in params if p.name in ("params", "param_sets")]
+        assert exponents == (["param_sets"] if sdef.multi_params else ["params"])
+        options = [p for p in params[1:] if p.name not in exponents]
+        assert sdef.options == tuple(p.name for p in options)
+        assert sdef.defaults == {p.name: p.default for p in options if p.default is not p.empty}
 
 
 def test_estimate_c(tmp_path, capsys):

@@ -241,10 +241,26 @@ def test_overflowing_rectangle_sums_are_inf_without_a_warning():
             assert f.rect_cell_sum(box, absolute) == math.inf
             assert integrate_over_rectangle(f, box, absolute) == math.inf
             assert f.rect_means([box, GridRectangle(0, 1, 0, 1)], absolute).tolist() == [1e308] * 2
-            # at the top of the float range the scaled means may round to 1
-            # and their scale-back overflow: no exception either way
+            # at the top of the float range: no exception, and no NaN
             means = top.rect_means([box, GridRectangle(n - 1, n, n - 1, n)], absolute)
             assert not np.isnan(means).any()
+
+
+def test_single_cell_means_stay_in_range_at_the_top_of_the_float_range():
+    # the box sum of one cell may round past the cell's value; at the float
+    # maximum the scale-back of such a mean would overflow to inf
+    g = make_grid(2, 1)
+    n = g.n_cells
+    top = np.finfo(float).max
+    ulp = np.spacing(np.nextafter(top, 0.0))
+    near = top - ulp * np.random.default_rng(11).integers(0, 4, size=(n, n))
+    cells = [GridRectangle(i, i + 1, j, j + 1) for i in range(n) for j in range(n)]
+    for values in (np.full((n, n), top), near):
+        f = GridFunction(g, values)
+        for absolute in (False, True):
+            means = f.rect_means(cells, absolute)
+            assert np.isfinite(means).all()
+            assert (means >= values.min()).all() and (means <= values.max()).all()
 
 
 def test_prefix_oracle_200_random_rectangles():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -15,12 +16,13 @@ from mherz.errors import CostGuardError, PredicateError
 from mherz.grid import MAX_LEVEL_SUM, build_function, make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
+    SUITES,
     THRESHOLDS,
     Gate,
     InequalityReport,
     TrialRecord,
     _Measured,
-    _suite_driver,
+    _drive,
     admit,
     check_char_norms,
     check_cz_comm,
@@ -595,14 +597,14 @@ def test_reports_reproducible_bit_for_bit():
 def driven(fine, base=1.0, gates=()):
     """A suite through the driver whose body measures nothing but ``gates``,
     named after ``cz_comm`` so that suite's admission and caps (drift cap
-    0.25) apply."""
+    0.25) apply.  It is driven but not registered."""
 
     def check_cz_comm(grid, params, seed=0, refine=True):
         return _Measured(
             "claim", {"seed": seed}, [], {}, gates=[*gates], stat="max_ratio", base=base, fine=fine
         )
 
-    return _suite_driver(check_cz_comm)
+    return _drive(check_cz_comm, inspect.signature(check_cz_comm))
 
 
 def test_refinement_skipped_at_size_guard():
@@ -665,6 +667,19 @@ def test_gate_rule():
     rep = driven(lambda spec: 1.25, gates=gates[1:2])(g, PR)
     assert rep.refinement["drift"] == 0.25
     assert rep.status == "pass" and rep.notes == []
+
+
+def test_driven_bodies_leave_the_registry_alone():
+    # runs after the three driver tests above, and drives one more body
+    # named check_cz_comm: only the decorator registers
+    driven(lambda spec: 1.0)(make_grid(1, 2), PR)
+    real = [
+        check_char_norms, check_cz_comm, check_extrapolation, check_fefferman_stein,
+        check_john_nirenberg_bmo, check_maximal_bounds, check_norm_duality,
+    ]
+    assert {name: sdef.runner for name, sdef in SUITES.items()} == {
+        check.__name__.removeprefix("check_"): check for check in real
+    }
 
 
 def test_positional_call_reports_and_admits_as_the_keyword_call(monkeypatch):

@@ -39,8 +39,6 @@ FAM = RectangleFamily("dyadic-sides", stride=1)
 def test_make_weight_requires_positivity():
     with pytest.raises(ValueError, match="strictly positive"):
         make_weight(constant(G, 0.0))
-    w = make_weight(constant(G, 2.0))
-    assert np.allclose(w.reciprocal, 0.5)
 
 
 def test_identity_weight_characteristic_one():
@@ -181,6 +179,16 @@ def test_characteristic_monotone_in_p():
     c2 = ap_star_characteristic(w, 2.0, FAM)
     c4 = ap_star_characteristic(w, 4.0, FAM)
     assert c1 + 1e-12 >= c2 >= c4 - 1e-12
+
+
+@pytest.mark.parametrize("c", [2.0**-1000, 1.0, 1e300, 1e307, np.finfo(float).max])
+def test_constant_weight_characteristic_is_one_at_every_scale(c):
+    # stride 1 takes the all-positions path, stride 2 the enumerated one
+    g = make_grid(2, 2)
+    w = make_weight(constant(g, c))
+    for fam in (FAM, RectangleFamily("dyadic-sides", stride=2)):
+        for p in (1.0, 2.0, 3.0):
+            assert ap_star_characteristic(w, p, fam) == pytest.approx(1.0, rel=1e-12), (fam, p)
 
 
 def test_weighted_lp_reduces_to_lp():
