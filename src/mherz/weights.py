@@ -70,13 +70,6 @@ def _forward_window_min(a: np.ndarray, w: int, axis: int) -> np.ndarray:
     return np.moveaxis(np.minimum(a[: len(a) - (w - k)], a[w - k :]), 0, axis)
 
 
-def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(a * 2**-k, k)`` with ``k`` putting ``a.max()`` in [0.5, 1); exact
-    for every value that stays in the normal range."""
-    k = int(np.frexp(a.max())[1])
-    return np.ldexp(a, -k), k
-
-
 def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
     """Characteristic of w over a rectangle family (see module docstring).
 
@@ -84,15 +77,15 @@ def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
     of rectangles.  Stride-1 dyadic-sides and exact-grid families take a
     vectorised all-positions path (prefix sums per size, sliding minima for
     p = 1); anything else is enumerated.  The characteristic does not change
-    when w is scaled, so it is taken of w scaled to a maximum in [0.5, 1);
-    ``u = w**(-1/(p-1))`` of that is scaled as well, and its averages are
-    scaled back before their power.
+    when w is scaled, so it is taken of w times the exact power of two that
+    puts its minimum in [1, 2): then ``u = w**(-1/(p-1))`` is at most 1 and
+    cannot overflow, however close p is to 1.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     n = w.spec.n_cells
-    wv, _ = _unit_scaled(w.values)
-    u, k = (None, 0) if p == 1.0 else _unit_scaled(wv ** (-1.0 / (p - 1.0)))
+    wv = np.ldexp(w.values, 1 - int(np.frexp(w.values.min())[1]))
+    u = None if p == 1.0 else wv ** (-1.0 / (p - 1.0))
 
     all_positions = (
         isinstance(family, RectangleFamily)
@@ -112,7 +105,9 @@ def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
                     mins = _forward_window_min(_forward_window_min(wv, wx, 0), wy, 1)
                     table = avg_w / mins
                 else:
-                    avg_u = np.ldexp(_box_sum(Pu, *corners) / cells, k)
+                    # a box of u far below the rounding of its prefix table
+                    # can sum to just under 0; the power of that is NaN
+                    avg_u = np.maximum(_box_sum(Pu, *corners), 0.0) / cells
                     table = avg_w * avg_u ** (p - 1.0)
                 best = max(best, float(table.max()))
         return best
@@ -125,7 +120,7 @@ def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
         if p == 1.0:
             val = avg_w / float(wv[sl].min())
         else:
-            avg_u = math.ldexp(float(u[sl].sum()) / cells, k)
+            avg_u = float(u[sl].sum()) / cells
             val = avg_w * avg_u ** (p - 1.0)
         best = max(best, val)
     return best

@@ -191,6 +191,31 @@ def test_constant_weight_characteristic_is_one_at_every_scale(c):
             assert ap_star_characteristic(w, p, fam) == pytest.approx(1.0, rel=1e-12), (fam, p)
 
 
+@pytest.mark.parametrize("c", [2.0**-1000, 1.0, 1e300])
+def test_wide_range_weight_characteristic_near_p_one(c):
+    # cells of c and 4096c at p = 1.01: 4096**(1/(p-1)) = 2**1200 is past the
+    # float range, so u = w**(-1/(p-1)) must be built where it is at most 1
+    g = make_grid(2, 2)  # N = 16
+    n = g.n_cells
+    ones = np.random.default_rng(0).random((n, n)) < 0.5
+    w = make_weight(GridFunction(g, np.where(ones, c, 4096.0 * c)))
+    fam = RectangleFamily("dyadic-sides", stride=1)
+    rects = fam.rectangles(g)
+    for p in (1.0, 1.01):
+        # per rectangle with a cells of c and b of 4096c: the 2**-1200 share
+        # the 4096c cells add to avg(u) is below any float rounding of a/(a+b)
+        expected = 1.0
+        for r in rects:
+            sl = np.s_[r.ix0 : r.ix1, r.iy0 : r.iy1]
+            a = int(ones[sl].sum())
+            cells = r.cells()
+            if a:
+                expected = max(expected, (a + 4096 * (cells - a)) / cells * (a / cells) ** (p - 1.0))
+        with np.errstate(over="raise", invalid="raise"):
+            for path in (fam, rects):
+                assert ap_star_characteristic(w, p, path) == pytest.approx(expected, rel=1e-12), p
+
+
 def test_weighted_lp_reduces_to_lp():
     rng = np.random.default_rng(3)
     f = GridFunction(G, rng.normal(size=(32, 32)))
