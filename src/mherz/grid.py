@@ -215,9 +215,6 @@ class GridRectangle:
     def cells(self) -> int:
         return (self.ix1 - self.ix0) * (self.iy1 - self.iy0)
 
-    def measure(self, spec: GridSpec) -> float:
-        return self.cells() * spec.h * spec.h
-
     def check_within(self, spec: GridSpec) -> "GridRectangle":
         n = spec.n_cells
         if self.ix1 > n or self.iy1 > n:
@@ -467,16 +464,10 @@ def _aligned_rect_from_bounds(spec: GridSpec, x0, x1, y0, y1) -> GridRectangle:
     return GridRectangle(idx[0], idx[1], idx[2], idx[3]).check_within(spec)
 
 
-def _builtin_indicator(spec: GridSpec, *, l1=None, l2=None, bounds=None, masked=False):
+def _builtin_indicator(spec: GridSpec, *, l1=None, l2=None, bounds=None):
     if bounds is not None:
-        f = indicator(spec, _aligned_rect_from_bounds(spec, *bounds))
-    else:
-        f = indicator(spec, DyadicRectangle(int(l1), int(l2)))
-    return restrict_to_window(f) if masked else f
-
-
-def _builtin_annulus(spec: GridSpec, *, i, j):
-    return annulus_restrict(constant(spec, 1.0), AnnulusIndex(int(i), int(j)))
+        return indicator(spec, _aligned_rect_from_bounds(spec, *bounds))
+    return indicator(spec, DyadicRectangle(int(l1), int(l2)))
 
 
 def constant(spec: GridSpec, value: float) -> GridFunction:
@@ -497,12 +488,8 @@ def _builtin_truncated_log(spec: GridSpec, *, clip=None):
     )
 
 
-def _builtin_gaussian(spec: GridSpec, *, sigma=1.0, center=(0.0, 0.0)):
-    cx, cy = center
-    return from_rule(
-        spec,
-        lambda x, y: np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * sigma**2)),
-    )
+def _builtin_gaussian(spec: GridSpec, *, sigma=1.0):
+    return from_rule(spec, lambda x, y: np.exp(-(x**2 + y**2) / (2.0 * sigma**2)))
 
 
 def _builtin_noise(spec: GridSpec, *, seed, low=0.0, high=1.0):
@@ -521,7 +508,6 @@ def _builtin_step(spec: GridSpec, *, l1=0, l2=0, inside=2.0, outside=1.0):
 
 BUILTINS: dict[str, Callable[..., GridFunction]] = {
     "indicator": _builtin_indicator,
-    "annulus": _builtin_annulus,
     "constant": lambda spec, *, value=1.0: constant(spec, value),
     "power": _builtin_power,
     "truncated_log": _builtin_truncated_log,

@@ -84,12 +84,14 @@ class ExponentParams:
     m: int = 1
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not (self.p > 0):
             raise ValueError(f"p must be in (0, inf], got {self.p}")
         if not (self.q > 0):
             raise ValueError(f"q must be in (0, inf], got {self.q}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not (0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be in [0, inf), got {self.lam}")
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive integers")
 
@@ -362,6 +364,14 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
 # -- indicator closed forms ----------------------------------------------------
 
 
+def _pow2(x: float) -> float:
+    """``2.0 ** x``, or ``inf`` where that overflows."""
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
+
+
 def _axis_block_factor(
     params: ExponentParams, dim: int, l: int, window_floor: int | None
 ) -> float:
@@ -369,7 +379,8 @@ def _axis_block_factor(
 
     ``window_floor=None`` gives the continuum value (sum over all annuli
     ``i <= l``); an integer floor gives the grid-window truncation
-    (``floor <= i <= l``).  Requires ``alpha + dim/p > 0``.
+    (``floor <= i <= l``).  Requires ``alpha + dim/p > 0``.  A power past
+    the float range is ``inf``.
     """
     invp = 0.0 if math.isinf(params.p) else 1.0 / params.p
     beta = params.alpha + dim * invp
@@ -382,13 +393,13 @@ def _axis_block_factor(
     if window_floor is not None and l < window_floor:
         return 0.0
     if math.isinf(params.q):
-        return pref * 2.0 ** (l * beta)
-    r = 2.0 ** (params.q * beta)
+        return pref * _pow2(l * beta)
+    r = _pow2(params.q * beta)
     if window_floor is None:
-        ssum = 2.0 ** (l * params.q * beta) / (1.0 - 1.0 / r)
+        ssum = _pow2(l * params.q * beta) / (1.0 - 1.0 / r)
     else:
         # finite geometric sum_{i=floor}^{l} r**i
-        ssum = (2.0 ** ((l + 1) * params.q * beta) - 2.0 ** (window_floor * params.q * beta)) / (r - 1.0)
+        ssum = (_pow2((l + 1) * params.q * beta) - _pow2(window_floor * params.q * beta)) / (r - 1.0)
     return pref * ssum ** (1.0 / params.q)
 
 

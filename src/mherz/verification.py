@@ -11,11 +11,13 @@ implicit constants.
 One driver, :func:`_drive`, runs every ``check_<suite>``: it binds the
 call with its defaults, admits it (:func:`admit`), runs the suite's body,
 which returns only what it measured and its :class:`Gate` list, applies the
-guarded refinement and appends its drift gate against ``THRESHOLDS[suite]``,
+guarded refinement and appends its drift gate against the suite's caps,
 and builds the report.  A gate whose value is undefined (None or NaN) fails;
 any failing gate makes the status "fail" and is named in the notes.  The
 decorator :func:`_suite_driver` builds each suite with that driver and
-registers it in ``SUITES``, the one suite registry, which the CLI reads.
+registers it in ``SUITES``, the one suite registry, which the CLI reads: a
+suite's summary, options, caps and hypotheses are all declared where the suite
+is defined, and read from its :class:`SuiteDef`.
 
 Conventions shared by all suites:
 
@@ -64,6 +66,7 @@ from .norms import (
     _dyadic_indicator_tables,
     _herz_from_table,
     _morrey_herz_from_table,
+    _pow2,
     block_norm_bracket,
     bmo_mk_norm,
     char_rect_norm_closed_form,
@@ -341,26 +344,11 @@ OPTION_DOMAINS: dict[str, Callable[[object], None]] = {
 }
 
 
-# -- suite caps --------------------------------------------------------------------
-#
-# Each suite's caps, copied as they stand into every report's ``thresholds``;
-# the suites read their entry when called.
-
-THRESHOLDS: dict[str, dict[str, float]] = {
-    "char_norms": {"rel_tol": 1e-12},
-    "norm_duality": {"spread_cap": 16.0, "pairing_cap": 1.0, "drift_cap": 0.10},
-    "maximal_bounds": {"ratio_cap": 50.0, "constant_cap": 1.5, "drift_cap": 0.20},
-    "fefferman_stein": {"ratio_cap": 50.0, "size_drift_cap": 0.25, "drift_cap": 0.25},
-    "extrapolation": {"ratio_cap": 50.0, "drift_cap": 0.25},
-    "john_nirenberg_bmo": {"r2_min": 0.98, "equiv_cap": 10.0, "drift_cap": 0.20},
-    "cz_comm": {"tk_ratio_cap": 50.0, "comm_ratio_cap": 50.0, "growth_min": 2.0, "drift_cap": 0.25},
-}
-
-
 # -- suite hypotheses ------------------------------------------------------------
 #
 # Each suite's exponent hypotheses, as a function of its params block and
-# options returning the violated inequalities; :func:`admit` raises
+# options returning the violated inequalities.  A suite declares its own with
+# ``@_suite_driver(..., hypotheses=...)``; :func:`admit` raises
 # PredicateError from it.
 
 
@@ -409,23 +397,12 @@ def _extrapolation_hypotheses(params: ExponentParams, options: dict) -> list[str
     return out + _violations(block, "block", "ms_herz")
 
 
-HYPOTHESES: dict[str, Callable[..., list[str]]] = {
-    "char_norms": _char_norms_hypotheses,
-    "norm_duality": _norm_duality_hypotheses,
-    "maximal_bounds": _maximal_bounds_hypotheses,
-    "fefferman_stein": _ms_herz_char_hypotheses,
-    "extrapolation": _extrapolation_hypotheses,
-    "john_nirenberg_bmo": _ms_herz_char_hypotheses,
-    "cz_comm": _ms_herz_char_hypotheses,
-}
-
-
 def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
     """What ``check_<suite>`` accepts, decided once for the suite and the CLI.
 
     ``options`` holds every option of the suite.  Checks the grid's window,
     each option's ``OPTION_DOMAINS`` entry, the exact-grid gate on
-    :func:`finest_grid` and ``HYPOTHESES[suite]``, whose violations are
+    :func:`finest_grid` and ``SUITES[suite].hypotheses``, whose violations are
     returned under ``allow_out_of_hypothesis``.  Every error raised names its
     cause in ``field``: ``"grid"``, ``"options.<key>"`` or ``"params"``.
     """
@@ -442,7 +419,7 @@ def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
         cause = "params"
         if isinstance(params, Sequence) and not params:
             raise ValueError("expected at least one parameter set")
-        violations = HYPOTHESES[suite](params, options)
+        violations = SUITES[suite].hypotheses(params, options)
         if violations and not options.get("allow_out_of_hypothesis", False):
             raise PredicateError(f"{suite}: " + "; ".join(violations))
     except (ValueError, MherzError) as exc:
@@ -498,7 +475,7 @@ def _drive(body: Callable[..., _Measured], signature: inspect.Signature) -> Call
     recomputed on :func:`finest_grid` when the size guard admits it; that
     run recomputes only ``refined_<stat>``, not the suite's whole base
     sweep, and its relative drift is one more gate, capped by
-    ``THRESHOLDS[suite]["drift_cap"]``.  A failing gate makes the status
+    ``SUITES[suite].caps["drift_cap"]``.  A failing gate makes the status
     "fail" and is named in the notes, after the body's own.  The report
     keeps a copy of the suite's caps.  Violated hypotheses make the status
     "out-of-hypothesis" and lead the notes.
@@ -515,7 +492,7 @@ def _drive(body: Callable[..., _Measured], signature: inspect.Signature) -> Call
         params = options.pop(key)
         violations = admit(suite, grid, params, options)
         measured = body(*call.args, **call.kwargs)
-        thresholds = dict(THRESHOLDS[suite])
+        thresholds = dict(SUITES[suite].caps)
         gates, refinement = measured.gates, None
         finer = finest_grid(grid, options.get("refine", False) and measured.base is not None)
         if finer != grid:
@@ -546,7 +523,10 @@ def _drive(body: Callable[..., _Measured], signature: inspect.Signature) -> Call
 @dataclass(frozen=True)
 class SuiteDef:
     """A registered suite ``runner = check_<name>``, whose ``options`` are its
-    arguments after ``grid`` and ``param_sets`` (if ``multi_params``) or ``params``."""
+    arguments after ``grid`` and ``param_sets`` (if ``multi_params``) or
+    ``params``.  ``caps`` are its constants, copied as they stand into every
+    report's ``thresholds``; ``hypotheses(params, options)`` lists the
+    violated exponent hypotheses, for :func:`admit`."""
 
     name: str
     summary: str
@@ -554,15 +534,17 @@ class SuiteDef:
     options: tuple[str, ...]
     defaults: dict  # option -> default; options without one are required
     multi_params: bool
+    caps: dict[str, float]
+    hypotheses: Callable[..., list[str]]
 
 
 SUITES: dict[str, SuiteDef] = {}  # filled by @_suite_driver, read by the CLI
 
 
-def _suite_driver(summary: str):
+def _suite_driver(summary: str, *, caps: dict[str, float], hypotheses: Callable[..., list[str]]):
     """Decorator: ``check_<name>`` is its body under :func:`_drive`, and is
-    registered as ``SUITES[name]`` with ``summary`` and the options read off
-    the same signature."""
+    registered as ``SUITES[name]`` with ``summary``, ``caps``, ``hypotheses``
+    and the options read off the same signature."""
 
     def register(body: Callable[..., _Measured]) -> Callable[..., InequalityReport]:
         signature = inspect.signature(body)
@@ -572,7 +554,9 @@ def _suite_driver(summary: str):
         options = {k: p for k, p in signature.parameters.items() if k not in exclude}
         defaults = {k: p.default for k, p in options.items() if p.default is not p.empty}
         name = body.__name__.removeprefix("check_")
-        SUITES[name] = SuiteDef(name, summary, check, tuple(options), defaults, multi)
+        SUITES[name] = SuiteDef(
+            name, summary, check, tuple(options), defaults, multi, caps, hypotheses
+        )
         return check
 
     return register
@@ -581,7 +565,17 @@ def _suite_driver(summary: str):
 # -- suite: indicator closed forms -----------------------------------------------
 
 
-@_suite_driver("indicator Morrey-Herz norms vs exact closed forms")
+def _rel_err(got: float, want: float) -> float:
+    """``|got - want| / want``; NaN, which fails the gate, where ``want``
+    underflowed to 0 or both sides overflowed to inf."""
+    return abs(got - want) / want if want else math.nan
+
+
+@_suite_driver(
+    "indicator Morrey-Herz norms vs exact closed forms",
+    caps={"rel_tol": 1e-12},
+    hypotheses=_char_norms_hypotheses,
+)
 def check_char_norms(
     grid: GridSpec,
     param_sets: Sequence[ExponentParams],
@@ -592,17 +586,15 @@ def check_char_norms(
     equal 2**(alpha + n/p - lam), and that lam = 0 degenerates to the Herz
     closed form.
     """
-    caps = THRESHOLDS["char_norms"]
+    caps = SUITES["char_norms"].caps
     trials: list[TrialRecord] = []
-    worst = 0.0
     for pset_id, pr in enumerate(param_sets):
         for rect, tables in _dyadic_indicator_tables(grid, [pr.p]):
             got = _morrey_herz_from_table(grid, tables[pr.p], pr)
             want = char_rect_norm_closed_form(
                 pr, rect.l1, rect.l2, "morrey-herz", window_floor=grid.window_low
             )
-            rel = abs(got - want) / want
-            worst = max(worst, rel)
+            rel = _rel_err(got, want)
             trials.append(
                 TrialRecord(
                     f"set{pset_id}:chi({rect.l1},{rect.l2})", got, want,
@@ -610,11 +602,10 @@ def check_char_norms(
                 )
             )
         # continuum diagonal scaling, checked away from float-pow noise
-        target = 2.0 ** (pr.alpha + pr.n / pr.p - pr.lam)
+        target = _pow2(pr.alpha + pr.n / pr.p - pr.lam)
         base_v = char_rect_norm_closed_form(pr, 0, 0, "morrey-herz")
         step_v = char_rect_norm_closed_form(pr, 1, 0, "morrey-herz")
-        rel = abs(step_v / base_v - target) / target
-        worst = max(worst, rel)
+        rel = _rel_err(step_v / base_v, target)
         trials.append(
             TrialRecord(f"set{pset_id}:diagonal-ratio", step_v / base_v, target,
                         extra={"rel_err": rel})
@@ -623,10 +614,11 @@ def check_char_norms(
         pr0, l0 = pr.with_lam(0.0), _center_level(grid)
         g0 = char_rect_norm_closed_form(pr0, l0, l0, "morrey-herz", window_floor=grid.window_low)
         h0 = char_rect_norm_closed_form(pr0, l0, l0, "herz", window_floor=grid.window_low)
-        rel = abs(g0 - h0) / h0
-        worst = max(worst, rel)
+        rel = _rel_err(g0, h0)
         trials.append(TrialRecord(f"set{pset_id}:lam0-degenerate", g0, h0, extra={"rel_err": rel}))
 
+    # np.max, unlike max(), keeps a NaN error (both sides inf), which fails the gate
+    worst = float(np.max([t.extra["rel_err"] for t in trials]))
     return _Measured(
         "char-indicator-closed-form",
         {},
@@ -673,7 +665,11 @@ def _spread(values: list[float]) -> float:
     return float(a.max() / a.min())
 
 
-@_suite_driver("pairing bounds and indicator norm products")
+@_suite_driver(
+    "pairing bounds and indicator norm products",
+    caps={"spread_cap": 16.0, "pairing_cap": 1.0, "drift_cap": 0.10},
+    hypotheses=_norm_duality_hypotheses,
+)
 def check_norm_duality(
     grid: GridSpec,
     params: ExponentParams,
@@ -690,7 +686,7 @@ def check_norm_duality(
     block-upper analogue.  (iii) pairing against unit blocks never exceeds
     the Morrey-Herz norm (constant 1), and the achieved fraction is recorded.
     """
-    caps = THRESHOLDS["norm_duality"]
+    caps = SUITES["norm_duality"].caps
     notes: list[str] = []
     all_trials, spread, mk_spread = _norm_product_sweep(grid, params)
 
@@ -777,7 +773,11 @@ def _operator_trials(
     return out
 
 
-@_suite_driver("maximal operator norm ratios on herz / morrey-herz / block-upper")
+@_suite_driver(
+    "maximal operator norm ratios on herz / morrey-herz / block-upper",
+    caps={"ratio_cap": 50.0, "constant_cap": 1.5, "drift_cap": 0.20},
+    hypotheses=_maximal_bounds_hypotheses,
+)
 def check_maximal_bounds(
     grid: GridSpec,
     space: str,
@@ -790,7 +790,7 @@ def check_maximal_bounds(
 ) -> InequalityReport:
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
     norm = SPACES[space]
-    caps = THRESHOLDS["maximal_bounds"]
+    caps = SUITES["maximal_bounds"].caps
     objs = standard_objects(grid, seed, n_random=max(1, trials - 5))
 
     def run(spec: GridSpec):
@@ -817,7 +817,11 @@ def check_maximal_bounds(
 # -- suite: vector-valued maximal inequality ------------------------------------------
 
 
-@_suite_driver("vector-valued maximal inequality ratios")
+@_suite_driver(
+    "vector-valued maximal inequality ratios",
+    caps={"ratio_cap": 50.0, "size_drift_cap": 0.25, "drift_cap": 0.25},
+    hypotheses=_ms_herz_char_hypotheses,
+)
 def check_fefferman_stein(
     grid: GridSpec,
     params: ExponentParams,
@@ -828,7 +832,7 @@ def check_fefferman_stein(
     refine: bool = True,
 ) -> InequalityReport:
     """Vector-valued maximal inequality: r-sums before vs after the operator."""
-    caps = THRESHOLDS["fefferman_stein"]
+    caps = SUITES["fefferman_stein"].caps
     # the size-family_count family is the first half of the doubled one,
     # so each member is maximised once per grid
     family = [_base_noise(grid, [seed, 101 + k], masked=True) for k in range(2 * family_count)]
@@ -918,7 +922,11 @@ def extrapolation_block_params(params: ExponentParams, p0: float) -> ExponentPar
     )
 
 
-@_suite_driver("weighted L^p0 hypothesis layer vs Morrey-Herz conclusion layer")
+@_suite_driver(
+    "weighted L^p0 hypothesis layer vs Morrey-Herz conclusion layer",
+    caps={"ratio_cap": 50.0, "drift_cap": 0.25},
+    hypotheses=_extrapolation_hypotheses,
+)
 def check_extrapolation(
     grid: GridSpec,
     op: str,
@@ -939,7 +947,7 @@ def check_extrapolation(
     demonstrated, not proved: finitely many weights are sampled and both
     layers must stay under the cap with stable refinement.
     """
-    caps = THRESHOLDS["extrapolation"]
+    caps = SUITES["extrapolation"].caps
     block = extrapolation_block_params(params, p0)
 
     def apply_op(f: GridFunction) -> GridFunction:
@@ -1054,7 +1062,11 @@ def _bmo_symbols(base: GridSpec, seed: int) -> list[TestObject]:
     ]
 
 
-@_suite_driver("level-set decay fit and bmo norm equivalence")
+@_suite_driver(
+    "level-set decay fit and bmo norm equivalence",
+    caps={"r2_min": 0.98, "equiv_cap": 10.0, "drift_cap": 0.20},
+    hypotheses=_ms_herz_char_hypotheses,
+)
 def check_john_nirenberg_bmo(
     grid: GridSpec,
     params: ExponentParams,
@@ -1070,9 +1082,9 @@ def check_john_nirenberg_bmo(
     asserted.  Separately, the ratio of the rectangle-normalised Morrey-Herz
     oscillation norm to the plain oscillation norm must sit in
     [1/equiv_cap, equiv_cap] over a six-symbol test set, stably under
-    refinement.  The caps are ``THRESHOLDS["john_nirenberg_bmo"]``.
+    refinement.  The caps are ``SUITES["john_nirenberg_bmo"].caps``.
     """
-    caps = THRESHOLDS["john_nirenberg_bmo"]
+    caps = SUITES["john_nirenberg_bmo"].caps
     b = build_function(grid, builtin="truncated_log")
     if gammas is None:
         # start above the symbol's bounded lower-tail oscillation (~2 for the
@@ -1174,7 +1186,11 @@ def check_john_nirenberg_bmo(
 DILATIONS = (1, 2, 4, 8, 16)  # the commutator sweep f_t = f(./t), increasing
 
 
-@_suite_driver("singular operator boundedness and commutator dichotomy")
+@_suite_driver(
+    "singular operator boundedness and commutator dichotomy",
+    caps={"tk_ratio_cap": 50.0, "comm_ratio_cap": 50.0, "growth_min": 2.0, "drift_cap": 0.25},
+    hypotheses=_ms_herz_char_hypotheses,
+)
 def check_cz_comm(
     grid: GridSpec,
     params: ExponentParams,
@@ -1189,9 +1205,9 @@ def check_cz_comm(
     ``DILATIONS``.  (iii) For the coordinate symbol b(x, y) = x the ratio at
     the largest dilation must exceed the smallest-dilation ratio by the
     declared growth factor: the empirical contrapositive of the necessity
-    direction.  The caps are ``THRESHOLDS["cz_comm"]``.
+    direction.  The caps are ``SUITES["cz_comm"].caps``.
     """
-    caps = THRESHOLDS["cz_comm"]
+    caps = SUITES["cz_comm"].caps
     # base object small enough that every dilation stays inside the box
     shift = int(math.log2(DILATIONS[-1]))
     l0 = max(grid.window_low, grid.window_high - shift - 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, _box_sum, _prefix_table
-from .norms import RectangleFamily, _family_rectangles
+from .norms import RectangleFamily, _family_rectangles, block_norm_bracket
 from .operators import DYADIC_SIDES, rubio_de_francia
 
 _TINY = np.finfo(float).tiny
@@ -144,8 +144,6 @@ def generate_a1_weight(
     upper = None
     scaled = h
     if block_params is not None:
-        from .norms import block_norm_bracket
-
         upper = block_norm_bracket(h, block_params).upper
         if upper > 0:
             scaled = GridFunction._adopt(h.spec, h.values / upper)

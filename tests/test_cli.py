@@ -24,9 +24,7 @@ from mherz.errors import ConfigError, MherzError, PredicateError
 from mherz.grid import make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
-    HYPOTHESES,
     OPTION_DOMAINS,
-    THRESHOLDS,
     InequalityReport,
     TrialRecord,
     check_char_norms,
@@ -190,6 +188,15 @@ def _cz(params=None, **fields):
         (_cz(options=3), "suites[0].options"),
         (_cz(options=None), "suites[0].options"),
         ({"name": "char_norms", "params": []}, "suites[0].params"),  # was a vacuous pass
+        # non-finite exponents: each was a pass on trials whose ratios were all nan
+        ({"name": "char_norms", "params": [PR_DICT | {"lam": "nan"}]}, "suites[0].params[0]"),
+        ({"name": "char_norms", "params": [PR_DICT | {"alpha": "inf"}]}, "suites[0].params[0]"),
+        (
+            {"name": "maximal_bounds", "params": PR_DICT | {"lam": "nan"},
+             "options": {"space": "herz"}},
+            "suites[0].params",
+        ),
+        ({"name": "norm_duality", "params": PR_DICT | {"lam": "nan"}}, "suites[0].params"),
     ],
 )
 def test_suite_fields_refused_by_name(tmp_path, capsys, entry, field):
@@ -420,7 +427,6 @@ def test_config_rejects_exactly_what_the_suite_refuses(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_reports_write_the_declared_thresholds(name):
-    assert set(THRESHOLDS) == set(HYPOTHESES) == set(SUITES)
     options, block = HYPOTHESIS_CASES[name][0]
     if SUITES[name].multi_params:
         params = {"param_sets": [ExponentParams(**d) for d in block]}
@@ -429,8 +435,8 @@ def test_reports_write_the_declared_thresholds(name):
     if "refine" in SUITES[name].options:
         options = {**options, "refine": False}
     rep = SUITES[name].runner(make_grid(2, 3), **params, **options)
-    assert list(rep.thresholds.items()) == list(THRESHOLDS[name].items())
-    assert rep.thresholds is not THRESHOLDS[name]
+    assert list(rep.thresholds.items()) == list(SUITES[name].caps.items())
+    assert rep.thresholds is not SUITES[name].caps
 
 
 BAD_OPTION_VALUES = [
@@ -489,6 +495,36 @@ def test_bad_option_values_refused_before_the_run(tmp_path, capsys, name, option
         SUITES[name].runner(make_grid(2, 2), params=ExponentParams(**params), **options)
     assert info.value.field == f"options.{key}"
     assert f"suites[1].options.{key}: {info.value}" in err
+
+
+@pytest.mark.parametrize(
+    "s, overflow",
+    [
+        (2, {"q": 1000}),  # the closed form's powers pass the float range
+        (2, {"alpha": 300}),
+        (2, {"alpha": 2000}),  # so does the diagonal ratio's target
+        (5, {"q": 1000}),  # the powers at the window floor underflow to 0
+    ],
+)
+def test_overflowing_closed_form_fails_without_stopping_the_run(tmp_path, s, overflow):
+    # a relative error of inf against inf, or of 0 against 0, is nan, and a
+    # nan fails the gate
+    cfg = minimal_config(
+        tmp_path,
+        grid={"L_max": 3, "s": s},
+        suites=[
+            {"name": "char_norms", "params": [{**PR_DICT, **overflow}]},
+            {"name": "char_norms", "params": [PR_DICT]},
+        ],
+    )
+    assert run(cfg) == 1
+    files = sorted(f.name for f in (tmp_path / "reports").iterdir())
+    assert files == ["00_char_norms.json", "01_char_norms.json", "summary_index.json"]
+    rep = load_report(tmp_path / "reports" / "00_char_norms.json")
+    assert rep.status == "fail"
+    assert math.isnan(rep.summary["worst_rel_err"])
+    assert rep.notes == ["gate worst_rel_err <= 1e-12 fails: nan"]
+    assert load_report(tmp_path / "reports" / "01_char_norms.json").status == "pass"
 
 
 def test_every_option_has_one_domain():
@@ -579,7 +615,7 @@ def test_package_exports_resolve():
 
 def test_failing_cap_exits_nonzero(tmp_path, monkeypatch):
     # an absurd cap forces a fail status and a nonzero exit
-    monkeypatch.setitem(THRESHOLDS["maximal_bounds"], "ratio_cap", 1e-9)
+    monkeypatch.setitem(SUITES["maximal_bounds"].caps, "ratio_cap", 1e-9)
     cfg = minimal_config(
         tmp_path,
         suites=[

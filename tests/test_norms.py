@@ -236,6 +236,18 @@ def test_morrey_closed_form_agreement_full_window():
             assert got == pytest.approx(want, rel=1e-12), (l1, l2)
 
 
+def test_closed_form_below_the_window_is_zero_like_the_masked_grid_indicator():
+    # Q(window_low - 1) lies inside the central cross, which the mask clears
+    below = G35.window_low - 1
+    for pr in (PR, ExponentParams(0.25, 2, math.inf, 0.5)):
+        for l2 in (G35.window_low, G35.window_high):
+            want = char_rect_norm_closed_form(
+                pr, below, l2, "morrey-herz", window_floor=G35.window_low
+            )
+            assert want == 0.0
+            assert morrey_herz_norm(masked_chi(G35, below, l2), pr) == want
+
+
 def test_morrey_monotone_in_absolute_value():
     rng = np.random.default_rng(2)
     f = masked_noise(G35, 10)

@@ -17,7 +17,6 @@ from mherz.grid import MAX_LEVEL_SUM, build_function, make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
     SUITES,
-    THRESHOLDS,
     Gate,
     InequalityReport,
     TrialRecord,
@@ -97,12 +96,25 @@ def test_standard_objects_window_supported_and_refinable():
 
 
 def test_char_norms_passes_and_degenerate_trials_present():
-    rep = check_char_norms(G, [PR, ExponentParams(0.0, 3, 1.5, 0.2)])
+    # the last two sets take the closed form's q = inf branch
+    sets = [
+        PR,
+        ExponentParams(0.0, 3, 1.5, 0.2),
+        ExponentParams(0.25, 2, math.inf, 0.5),
+        ExponentParams(0.3, math.inf, math.inf, 0.2),
+    ]
+    rep = check_char_norms(G, sets)
     assert rep.passed
     assert rep.summary["worst_rel_err"] <= 1e-12
     names = [t.trial for t in rep.trials]
     assert any("diagonal-ratio" in n for n in names)
     assert any("lam0-degenerate" in n for n in names)
+
+
+def test_every_refining_suite_declares_a_drift_cap():
+    # the driver gates a refinement's drift against the suite's drift_cap
+    for sdef in SUITES.values():
+        assert ("refine" in sdef.options) == ("drift_cap" in sdef.caps), sdef.name
 
 
 def test_char_norms_predicate_surfaces():
@@ -492,7 +504,7 @@ def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, 
     assert rep.status == "fail"
     assert rep.refinement[f"refined_{stat}"] is None
     assert rep.refinement["drift"] is None
-    assert f"gate drift <= {THRESHOLDS[suite]['drift_cap']!r} fails: None" in rep.notes
+    assert f"gate drift <= {SUITES[suite].caps['drift_cap']!r} fails: None" in rep.notes
 
 
 def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
@@ -621,8 +633,8 @@ def test_refinement_skipped_at_size_guard():
     assert rep.refinement["refined_grid"] == {"L_max": 1, "s": 3, "N": 16}
     assert rep.status == "fail"  # drift 1.0 exceeds the cap
     assert rep.params == {"grid": {"L_max": 1, "s": 2, "N": 8}, "params": asdict(PR), "seed": 0}
-    assert rep.thresholds == THRESHOLDS["cz_comm"]
-    assert rep.thresholds is not THRESHOLDS["cz_comm"]
+    assert rep.thresholds == SUITES["cz_comm"].caps
+    assert rep.thresholds is not SUITES["cz_comm"].caps
 
 
 def test_refinement_skipped_without_a_base_statistic():
