@@ -617,7 +617,7 @@ def check_char_norms(
         rel = _rel_err(g0, h0)
         trials.append(TrialRecord(f"set{pset_id}:lam0-degenerate", g0, h0, extra={"rel_err": rel}))
 
-    # np.max, unlike max(), keeps a NaN error (both sides inf), which fails the gate
+    # np.max, unlike max(), keeps a NaN error (see _rel_err), which fails the gate
     worst = float(np.max([t.extra["rel_err"] for t in trials]))
     return _Measured(
         "char-indicator-closed-form",
