@@ -38,9 +38,5 @@ class CostGuardError(MherzError):
     """Operation refused because it exceeds its declared cost gate."""
 
 
-class KernelError(MherzError):
-    """Kernel whose antiderivative rule gives non-finite cell weights."""
-
-
 class ConfigError(MherzError):
     """Run configuration is malformed; message carries the field path."""

@@ -281,11 +281,16 @@ def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
     # are powered (most of a sweep's stack is empty annuli, and 0.0 ** e is
     # exactly 0.0 for the finite p that reach here).  A generator, not a
     # list: a stack has thousands of entries, and a list of Python floats
-    # would outlive the loop.
+    # would outlive the loop.  A power past the float range raises, and only
+    # then are the entries taken again, each one inf where it overflows.
     e = 1.0 / p
     roots = np.zeros(sums.shape)
     live = np.flatnonzero(sums)
-    roots.flat[live] = np.fromiter((float(s) ** e for s in sums.flat[live]), float, live.size)
+    try:
+        powered = np.fromiter((float(s) ** e for s in sums.flat[live]), float, live.size)
+    except OverflowError:
+        powered = np.fromiter((_pow(float(s), e) for s in sums.flat[live]), float, live.size)
+    roots.flat[live] = powered
     roots *= (spec.h * spec.h) ** e
     return roots
 
@@ -330,7 +335,7 @@ def _herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams) 
     terms = _level_weights(spec, params.alpha) * table
     if math.isinf(params.q):
         return float(terms.max(initial=0.0))
-    return float((terms**params.q).sum()) ** (1.0 / params.q)
+    return _pow(float((terms**params.q).sum()), 1.0 / params.q)
 
 
 def morrey_herz_norm(f: GridFunction, params: ExponentParams) -> float:
@@ -364,12 +369,17 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
 # -- indicator closed forms ----------------------------------------------------
 
 
-def _pow2(x: float) -> float:
-    """``2.0 ** x``, or ``inf`` where that overflows."""
+def _pow(x: float, e: float) -> float:
+    """``x ** e``, or ``inf`` where that overflows."""
     try:
-        return 2.0 ** x
+        return x**e
     except OverflowError:
         return math.inf
+
+
+def _pow2(x: float) -> float:
+    """``2.0 ** x``, or ``inf`` where that overflows."""
+    return _pow(2.0, x)
 
 
 def _axis_block_factor(
@@ -396,11 +406,14 @@ def _axis_block_factor(
         return pref * _pow2(l * beta)
     r = _pow2(params.q * beta)
     if window_floor is None:
-        ssum = _pow2(l * params.q * beta) / (1.0 - 1.0 / r)
+        # sum_{i<=l} r**i, unbounded where r rounds to 1
+        ssum = _pow2(l * params.q * beta) / (1.0 - 1.0 / r) if r > 1.0 else math.inf
+    elif r == 1.0:
+        ssum = l - window_floor + 1.0  # every term r**i rounds to 1
     else:
         # finite geometric sum_{i=floor}^{l} r**i
         ssum = (_pow2((l + 1) * params.q * beta) - _pow2(window_floor * params.q * beta)) / (r - 1.0)
-    return pref * ssum ** (1.0 / params.q)
+    return pref * _pow(ssum, 1.0 / params.q)
 
 
 def char_rect_norm_closed_form(
@@ -432,7 +445,7 @@ def char_rect_norm_closed_form(
     fy = _axis_block_factor(params, params.m, l2, window_floor)
     value = fx * fy
     if space == "morrey-herz":
-        value *= 2.0 ** (-(l1 + l2) * params.lam)
+        value *= _pow2(-(l1 + l2) * params.lam)
     return value
 
 

@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .errors import CostGuardError, KernelError
+from .errors import CostGuardError
 from .grid import (
     GridFunction,
     GridSpec,
@@ -242,52 +241,33 @@ def strong_maximal(f: GridFunction, variant: str = DYADIC_SIDES) -> GridFunction
 # -- Rubio de Francia iteration --------------------------------------------------
 
 
-def maximal_iterates(
-    h: GridFunction, K: int, variant: str = DYADIC_SIDES
-) -> list[np.ndarray]:
-    """[|h|, M|h|, M^2|h|, ..., M^K|h|] as value tables (K+1 entries)."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    cur = GridFunction._adopt(h.spec, np.abs(h.values))
-    tables = [cur.values]
-    for _ in range(K):
-        cur = strong_maximal(cur, variant)
-        tables.append(cur.values)
-    return tables
-
-
-def rubio_from_iterates(
-    h: GridFunction, iterates: Sequence[np.ndarray], c: float, K: int
-) -> GridFunction:
-    """The truncated majorant ``sum_{k<=K} M^k|h| / (2c)^k`` from
-    :func:`maximal_iterates` of order at least K."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if K < 1 or K + 1 > len(iterates):
-        raise ValueError(f"need iterates up to order K={K}")
-    # accumulate upward from the k=0 term so the pointwise lower bound
-    # |h| <= sum is exact in floating point (adding nonnegative terms
-    # never decreases the running sum)
-    acc = iterates[0].copy()
-    for k in range(1, K + 1):
-        acc += iterates[k] / (2.0 * c) ** k
-    return GridFunction._adopt(h.spec, acc)
-
-
 def rubio_de_francia(
     h: GridFunction,
     c: float,
     K: int,
     variant: str = DYADIC_SIDES,
 ) -> GridFunction:
-    """Apply the truncated majorant construction to |h|.
+    """The truncated majorant ``sum_{k<=K} M^k|h| / (2c)^k``.
 
     The construction is applied to |h| so the k=0 term already dominates the
     input pointwise; c stands in for the operator norm of the maximal
     operator on the block space and may be estimated with
-    :func:`estimate_block_norm_constant`.
+    :func:`estimate_block_norm_constant`.  One loop holds the current
+    iterate and the running sum.
     """
-    return rubio_from_iterates(h, maximal_iterates(h, K, variant), c, K)
+    if c <= 0:
+        raise ValueError(f"c must be positive, got {c}")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    cur = GridFunction._adopt(h.spec, np.abs(h.values))
+    # accumulate upward from the k=0 term so the pointwise lower bound
+    # |h| <= sum is exact in floating point (adding nonnegative terms
+    # never decreases the running sum)
+    acc = cur.values.copy()
+    for k in range(1, K + 1):
+        cur = strong_maximal(cur, variant)
+        acc += cur.values / (2.0 * c) ** k
+    return GridFunction._adopt(h.spec, acc)
 
 
 def estimate_block_norm_constant(
@@ -346,8 +326,6 @@ def _axis_weights(spec: GridSpec) -> np.ndarray:
     centers = spec.cell_centers()
     edges = spec.cell_edges()
     A = np.log(np.abs(centers[:, None] - edges[None, :])) / math.pi
-    if not np.isfinite(A).all():
-        raise KernelError("the Hilbert kernel produced non-finite antiderivative values")
     return _read_only(A[:, :-1] - A[:, 1:])
 
 

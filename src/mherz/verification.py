@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import MherzError, PredicateError, RectangleError
+from .errors import CostGuardError, MherzError, PredicateError, RectangleError
 from .grid import (
     MAX_LEVEL_SUM,
     AnnulusIndex,
@@ -67,6 +67,7 @@ from .norms import (
     _herz_from_table,
     _morrey_herz_from_table,
     _pow2,
+    _swept_rectangles,
     block_norm_bracket,
     bmo_mk_norm,
     char_rect_norm_closed_form,
@@ -274,7 +275,10 @@ SPACES: dict[str, Callable[[GridFunction, ExponentParams], float]] = {
     "block-upper": lambda f, params: block_norm_bracket(f, params).upper,
 }
 
-EXTRAPOLATION_OPS = ("strong-maximal", DOUBLE_HILBERT)
+EXTRAPOLATION_OPS: dict[str, Callable[[GridFunction, str], GridFunction]] = {
+    "strong-maximal": strong_maximal,
+    DOUBLE_HILBERT: lambda f, variant: cz_apply(f),
+}
 
 
 def _space(space) -> None:
@@ -283,7 +287,7 @@ def _space(space) -> None:
 
 
 def _extrapolation_op(op) -> None:
-    if op not in EXTRAPOLATION_OPS:
+    if not (isinstance(op, str) and op in EXTRAPOLATION_OPS):
         raise ValueError(f"unknown operator {op!r}; use {' or '.join(EXTRAPOLATION_OPS)}")
 
 
@@ -401,10 +405,11 @@ def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
     """What ``check_<suite>`` accepts, decided once for the suite and the CLI.
 
     ``options`` holds every option of the suite.  Checks the grid's window,
-    each option's ``OPTION_DOMAINS`` entry, the exact-grid gate on
-    :func:`finest_grid` and ``SUITES[suite].hypotheses``, whose violations are
-    returned under ``allow_out_of_hypothesis``.  Every error raised names its
-    cause in ``field``: ``"grid"``, ``"options.<key>"`` or ``"params"``.
+    each option's ``OPTION_DOMAINS`` entry, the exact-grid gate and
+    ``SUITES[suite].grid_guard`` on :func:`finest_grid`, and
+    ``SUITES[suite].hypotheses``, whose violations are returned under
+    ``allow_out_of_hypothesis``.  Every error raised names its cause in
+    ``field``: ``"grid"``, ``"options.<key>"`` or ``"params"``.
     """
     cause = "grid"
     try:
@@ -413,9 +418,12 @@ def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
         for key, value in options.items():
             cause = f"options.{key}"
             OPTION_DOMAINS[key](value)
+        finest = finest_grid(grid, options.get("refine", False))
         if "variant" in options:
             cause = "options.variant"
-            as_variant(options["variant"], finest_grid(grid, options["refine"]).n_cells)
+            as_variant(options["variant"], finest.n_cells)
+        cause = "grid"
+        SUITES[suite].grid_guard(finest)
         cause = "params"
         if isinstance(params, Sequence) and not params:
             raise ValueError("expected at least one parameter set")
@@ -526,7 +534,9 @@ class SuiteDef:
     arguments after ``grid`` and ``param_sets`` (if ``multi_params``) or
     ``params``.  ``caps`` are its constants, copied as they stand into every
     report's ``thresholds``; ``hypotheses(params, options)`` lists the
-    violated exponent hypotheses, for :func:`admit`."""
+    violated exponent hypotheses, and ``grid_guard(grid)`` raises on a finest
+    grid the suite's cost guards would refuse mid-run, both for
+    :func:`admit`."""
 
     name: str
     summary: str
@@ -536,15 +546,22 @@ class SuiteDef:
     multi_params: bool
     caps: dict[str, float]
     hypotheses: Callable[..., list[str]]
+    grid_guard: Callable[[GridSpec], None]
 
 
 SUITES: dict[str, SuiteDef] = {}  # filled by @_suite_driver, read by the CLI
 
 
-def _suite_driver(summary: str, *, caps: dict[str, float], hypotheses: Callable[..., list[str]]):
+def _suite_driver(
+    summary: str,
+    *,
+    caps: dict[str, float],
+    hypotheses: Callable[..., list[str]],
+    grid_guard: Callable[[GridSpec], None] = lambda grid: None,
+):
     """Decorator: ``check_<name>`` is its body under :func:`_drive`, and is
-    registered as ``SUITES[name]`` with ``summary``, ``caps``, ``hypotheses``
-    and the options read off the same signature."""
+    registered as ``SUITES[name]`` with ``summary``, ``caps``, ``hypotheses``,
+    ``grid_guard`` and the options read off the same signature."""
 
     def register(body: Callable[..., _Measured]) -> Callable[..., InequalityReport]:
         signature = inspect.signature(body)
@@ -555,7 +572,7 @@ def _suite_driver(summary: str, *, caps: dict[str, float], hypotheses: Callable[
         defaults = {k: p.default for k, p in options.items() if p.default is not p.empty}
         name = body.__name__.removeprefix("check_")
         SUITES[name] = SuiteDef(
-            name, summary, check, tuple(options), defaults, multi, caps, hypotheses
+            name, summary, check, tuple(options), defaults, multi, caps, hypotheses, grid_guard
         )
         return check
 
@@ -605,10 +622,10 @@ def check_char_norms(
         target = _pow2(pr.alpha + pr.n / pr.p - pr.lam)
         base_v = char_rect_norm_closed_form(pr, 0, 0, "morrey-herz")
         step_v = char_rect_norm_closed_form(pr, 1, 0, "morrey-herz")
-        rel = _rel_err(step_v / base_v, target)
+        ratio = step_v / base_v if base_v else math.nan  # NaN where base_v underflowed
+        rel = _rel_err(ratio, target)
         trials.append(
-            TrialRecord(f"set{pset_id}:diagonal-ratio", step_v / base_v, target,
-                        extra={"rel_err": rel})
+            TrialRecord(f"set{pset_id}:diagonal-ratio", ratio, target, extra={"rel_err": rel})
         )
         # lam = 0 degenerates to the Herz closed form, checked at a window level
         pr0, l0 = pr.with_lam(0.0), _center_level(grid)
@@ -949,12 +966,6 @@ def check_extrapolation(
     """
     caps = SUITES["extrapolation"].caps
     block = extrapolation_block_params(params, p0)
-
-    def apply_op(f: GridFunction) -> GridFunction:
-        if op == "strong-maximal":
-            return strong_maximal(f, variant)
-        return cz_apply(f)
-
     c_used = c
     if c_used is None:
         c_used = max(1.0, estimate_block_norm_constant(grid, block, variant))
@@ -969,7 +980,7 @@ def check_extrapolation(
             mk_rhs = morrey_herz_norm(f, params)
             if mk_rhs == 0.0:
                 continue
-            opf = apply_op(f)
+            opf = EXTRAPOLATION_OPS[op](f, variant)
             yield obj, f, opf, morrey_herz_norm(restrict_to_window(opf), params) / mk_rhs
 
     def run(spec: GridSpec):
@@ -1047,6 +1058,15 @@ def _default_bmo_family(spec: GridSpec) -> list[GridRectangle]:
     return fam + strided
 
 
+def _bmo_sweep_guard(spec: GridSpec) -> None:
+    """The oscillation sweep's cost guard on the default family of ``spec``,
+    so a grid it refuses is refused before the run, not halfway through."""
+    try:
+        _swept_rectangles(spec, _default_bmo_family(spec))
+    except CostGuardError as exc:
+        raise CostGuardError(f"N={spec.n_cells} is past the bmo sweep's cost guard: {exc}") from None
+
+
 def _bmo_symbols(base: GridSpec, seed: int) -> list[TestObject]:
     l0 = _center_level(base)
     return [
@@ -1066,6 +1086,7 @@ def _bmo_symbols(base: GridSpec, seed: int) -> list[TestObject]:
     "level-set decay fit and bmo norm equivalence",
     caps={"r2_min": 0.98, "equiv_cap": 10.0, "drift_cap": 0.20},
     hypotheses=_ms_herz_char_hypotheses,
+    grid_guard=_bmo_sweep_guard,
 )
 def check_john_nirenberg_bmo(
     grid: GridSpec,

@@ -30,8 +30,7 @@ from mherz.operators import (
     EXACT_GRID,
     ITERATED_1D,
     cz_apply,
-    maximal_iterates,
-    rubio_from_iterates,
+    rubio_de_francia,
     strong_maximal,
 )
 from mherz.verification import (
@@ -155,10 +154,9 @@ def test_criterion_04_rubio_truncation_identities():
     worst_comm = -math.inf  # M(R_K) - 2c R_{K+1}, must be <= 1e-10
     for k in range(50):
         h = build_function(g, builtin="noise", seed=[404, k], low=-1.0, high=1.0)
-        iters = maximal_iterates(h, K + 1, DYADIC_SIDES)
         for c in (0.5, 1.0, 4.0):
-            rk = rubio_from_iterates(h, iters, c, K)
-            rk1 = rubio_from_iterates(h, iters, c, K + 1)
+            rk = rubio_de_francia(h, c, K, DYADIC_SIDES)
+            rk1 = rubio_de_francia(h, c, K + 1, DYADIC_SIDES)
             worst_low = max(worst_low, float((np.abs(h.values) - rk.values).max()))
             m = strong_maximal(rk, DYADIC_SIDES).values
             worst_comm = max(worst_comm, float((m - 2.0 * c * rk1.values).max()))

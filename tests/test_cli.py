@@ -197,6 +197,8 @@ def _cz(params=None, **fields):
             "suites[0].params",
         ),
         ({"name": "norm_duality", "params": PR_DICT | {"lam": "nan"}}, "suites[0].params"),
+        # a single exponent object is read as a list of one
+        ({"name": "char_norms", "params": PR_DICT | {"q": None}}, "suites[0].params[0].q"),
     ],
 )
 def test_suite_fields_refused_by_name(tmp_path, capsys, entry, field):
@@ -504,6 +506,12 @@ def test_bad_option_values_refused_before_the_run(tmp_path, capsys, name, option
         (2, {"alpha": 300}),
         (2, {"alpha": 2000}),  # so does the diagonal ratio's target
         (5, {"q": 1000}),  # the powers at the window floor underflow to 0
+        # each of these stopped the run: an annulus sum ** (1/p) overflowed,
+        (2, {"p": 0.001}),
+        # the geometric ratio 2**(q*beta) rounded to 1 and the sum divided by 0,
+        (2, {"q": 1e-300}),
+        # and the Morrey-Herz prefactor 2**(-(l1+l2)*lam) overflowed
+        (5, {"alpha": 1e300, "lam": 1e299}),
     ],
 )
 def test_overflowing_closed_form_fails_without_stopping_the_run(tmp_path, s, overflow):
@@ -525,6 +533,51 @@ def test_overflowing_closed_form_fails_without_stopping_the_run(tmp_path, s, ove
     assert math.isnan(rep.summary["worst_rel_err"])
     assert rep.notes == ["gate worst_rel_err <= 1e-12 fails: nan"]
     assert load_report(tmp_path / "reports" / "01_char_norms.json").status == "pass"
+
+
+def test_overflowing_annulus_power_writes_the_maximal_report(tmp_path):
+    # at p = 0.001 the annulus sums ** 1000 overflow; the run used to stop
+    # before writing any report
+    cfg = minimal_config(
+        tmp_path,
+        grid={"L_max": 3, "s": 2},
+        suites=[
+            {"name": "maximal_bounds", "params": {**PR_DICT, "p": 0.001},
+             "options": {"space": "herz", "allow_out_of_hypothesis": True}},
+            {"name": "char_norms", "params": [PR_DICT]},
+        ],
+    )
+    assert run(cfg) == 0
+    files = sorted(f.name for f in (tmp_path / "reports").iterdir())
+    assert files == ["00_maximal_bounds.json", "01_char_norms.json", "summary_index.json"]
+    rep = load_report(tmp_path / "reports" / "00_maximal_bounds.json")
+    assert rep.status == "out-of-hypothesis"
+    assert rep.notes[0] == "1 < p < inf fails: p=0.001"
+
+
+@pytest.mark.parametrize(
+    "s, refine, refused",
+    [(9, True, True), (8, True, True), (8, False, False)],
+)
+def test_bmo_sweep_past_its_guard_refused_at_load_time(tmp_path, capsys, s, refine, refused):
+    # the default bmo family sweeps 230,883,344 cells at N=4096, past the
+    # oscillation sweep's guard: the run used to stop there, before any report
+    cfg = minimal_config(
+        tmp_path,
+        grid={"L_max": 3, "s": s},
+        suites=[
+            {"name": "char_norms", "params": [PR_DICT]},
+            {"name": "john_nirenberg_bmo", "params": PR_DICT, "options": {"refine": refine}},
+        ],
+    )
+    if not refused:  # N=2048: the sweep is under the guard
+        assert len(load_config(cfg).jobs) == 2
+        return
+    with pytest.raises(ConfigError, match=r"^grid: N=4096 .*230883344 cells"):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert "config error: grid: N=4096" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_every_option_has_one_domain():

@@ -37,9 +37,7 @@ from mherz.operators import (
     cz_apply,
     estimate_block_norm_constant,
     interval_average_profile,
-    maximal_iterates,
     rubio_de_francia,
-    rubio_from_iterates,
     strong_maximal,
 )
 from mherz.verification import _comb, extrapolation_block_params
@@ -306,12 +304,11 @@ def test_operator_outputs_are_adopted_frozen_tables(monkeypatch):
 
     monkeypatch.setattr(GridFunction, "__init__", refuse)
     outs = [strong_maximal(f, v) for v in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D)]
-    iterates = maximal_iterates(f, 2)
     block = extrapolation_block_params(ExponentParams(0.2, 4, 4, 0.2), 2.0)
-    outs += [cz_apply(f), commutator(b, f), rubio_from_iterates(f, iterates, 2.0, 2)]
+    outs += [cz_apply(f), commutator(b, f), rubio_de_francia(f, 2.0, 2)]
     outs += [generate_a1_weight(f, 2.0, 2, block_params=p).fn for p in (None, block)]
     outs.append(_comb(g))
-    tables = iterates + [out.values for out in outs]
+    tables = [out.values for out in outs]
     for t in tables:
         assert not t.flags.writeable and t.flags.c_contiguous
         assert not np.shares_memory(t, f.values)
@@ -595,10 +592,9 @@ def test_rubio_majorizes_input_exactly():
 def test_rubio_truncated_commutation_bound():
     g = make_grid(2, 3)
     f = build_function(g, builtin="noise", seed=3)
-    iters = maximal_iterates(f, 7, DYADIC_SIDES)
     for c in (0.5, 1.0, 4.0):
-        rk = rubio_from_iterates(f, iters, c, 6)
-        rk1 = rubio_from_iterates(f, iters, c, 7)
+        rk = rubio_de_francia(f, c, 6, DYADIC_SIDES)
+        rk1 = rubio_de_francia(f, c, 7, DYADIC_SIDES)
         m = strong_maximal(rk, DYADIC_SIDES).values
         assert (m <= 2.0 * c * rk1.values + 1e-10).all()
 
@@ -606,10 +602,9 @@ def test_rubio_truncated_commutation_bound():
 def test_rubio_monotone_in_K():
     g = make_grid(2, 2)
     f = build_function(g, builtin="noise", seed=4)
-    iters = maximal_iterates(f, 5, DYADIC_SIDES)
-    prev = rubio_from_iterates(f, iters, 1.0, 1).values
+    prev = rubio_de_francia(f, 1.0, 1, DYADIC_SIDES).values
     for K in range(2, 6):
-        cur = rubio_from_iterates(f, iters, 1.0, K).values
+        cur = rubio_de_francia(f, 1.0, K, DYADIC_SIDES).values
         assert (cur >= prev).all()
         prev = cur
 
@@ -619,8 +614,10 @@ def test_rubio_parameter_errors():
     f = constant(g, 1.0)
     with pytest.raises(ValueError, match="positive"):
         rubio_de_francia(f, 0.0, 3)
-    with pytest.raises(ValueError, match="K"):
-        rubio_from_iterates(f, maximal_iterates(f, 2), 1.0, 5)
+    with pytest.raises(ValueError, match="positive"):
+        rubio_de_francia(f, -1.0, 3)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        rubio_de_francia(f, 1.0, 0)
 
 
 def test_estimate_block_norm_constant():

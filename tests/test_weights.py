@@ -23,7 +23,7 @@ from mherz.grid import (
     restrict_to_window,
 )
 from mherz.norms import ExponentParams, RectangleFamily, lp_norm
-from mherz.operators import DYADIC_SIDES, strong_maximal, maximal_iterates, rubio_from_iterates
+from mherz.operators import DYADIC_SIDES, rubio_de_francia, strong_maximal
 from mherz.weights import (
     _forward_window_min,
     ap_star_characteristic,
@@ -285,9 +285,8 @@ def test_generated_weight_a1_characteristic_bound():
 def test_generated_weight_maximal_truncation_bound():
     h = build_function(G, builtin="noise", seed=72)
     c, K = 1.0, 6
-    iters = maximal_iterates(h, K + 1, DYADIC_SIDES)
-    w = rubio_from_iterates(h, iters, c, K)
-    nxt = rubio_from_iterates(h, iters, c, K + 1)
+    w = rubio_de_francia(h, c, K, DYADIC_SIDES)
+    nxt = rubio_de_francia(h, c, K + 1, DYADIC_SIDES)
     m = strong_maximal(w, DYADIC_SIDES).values
     assert (m <= 2.0 * c * nxt.values + 1e-10).all()
 
