@@ -282,16 +282,21 @@ def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
     # exactly 0.0 for the finite p that reach here).  A generator, not a
     # list: a stack has thousands of entries, and a list of Python floats
     # would outlive the loop.  A power past the float range raises, and only
-    # then are the entries taken again, each one inf where it overflows.
+    # then are the entries taken again, each one inf where it overflows:
+    # then the cell area goes inside the power, since an overflowed sum **
+    # e times an underflowed (h * h) ** e is inf * 0 = nan where the root
+    # (sum * h * h) ** e itself is finite.
     e = 1.0 / p
+    area = spec.h * spec.h
     roots = np.zeros(sums.shape)
     live = np.flatnonzero(sums)
     try:
         powered = np.fromiter((float(s) ** e for s in sums.flat[live]), float, live.size)
     except OverflowError:
-        powered = np.fromiter((_pow(float(s), e) for s in sums.flat[live]), float, live.size)
+        powered = np.fromiter((_pow(float(s) * area, e) for s in sums.flat[live]), float, live.size)
+        area = 1.0
     roots.flat[live] = powered
-    roots *= (spec.h * spec.h) ** e
+    roots *= area**e
     return roots
 
 
@@ -318,7 +323,8 @@ def _level_weights(spec: GridSpec, x: float) -> np.ndarray:
     """``2**((i + j) x)`` over the annulus window; cached and read-only,
     since every norm call of a sweep asks for the same few exponents."""
     win = np.array(list(spec.window_range()), dtype=float)
-    return _read_only(2.0 ** ((win[:, None] + win[None, :]) * x))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range
+        return _read_only(2.0 ** ((win[:, None] + win[None, :]) * x))
 
 
 # -- Herz and Morrey-Herz ----------------------------------------------------
@@ -331,11 +337,14 @@ def herz_norm(f: GridFunction, params: ExponentParams) -> float:
 
 
 def _herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams) -> float:
-    """The Herz norm from an :func:`annulus_lp_table`."""
-    terms = _level_weights(spec, params.alpha) * table
-    if math.isinf(params.q):
-        return float(terms.max(initial=0.0))
-    return _pow(float((terms**params.q).sum()), 1.0 / params.q)
+    """The Herz norm from an :func:`annulus_lp_table`.  Past the float range
+    the terms are inf, or nan where an inf weight meets an empty annulus,
+    without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _level_weights(spec, params.alpha) * table
+        if math.isinf(params.q):
+            return float(terms.max(initial=0.0))
+        return _pow(float((terms**params.q).sum()), 1.0 / params.q)
 
 
 def morrey_herz_norm(f: GridFunction, params: ExponentParams) -> float:
@@ -355,14 +364,16 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
     tables, whose norms come back as an array of the batch's shape (a float
     for a single table).  Every step is entrywise, a cumulative sum along one
     annulus axis or an exact max, so each norm has the bits it has alone.
+    Past the float range the steps give inf or nan without a warning.
     """
-    terms = _level_weights(spec, params.alpha) * table
-    if math.isinf(params.q):
-        inner = np.maximum.accumulate(np.maximum.accumulate(terms, axis=-2), axis=-1)
-    else:
-        csum = (terms**params.q).cumsum(axis=-2).cumsum(axis=-1)
-        inner = csum ** (1.0 / params.q)
-    best = (_level_weights(spec, -params.lam) * inner).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _level_weights(spec, params.alpha) * table
+        if math.isinf(params.q):
+            inner = np.maximum.accumulate(np.maximum.accumulate(terms, axis=-2), axis=-1)
+        else:
+            csum = (terms**params.q).cumsum(axis=-2).cumsum(axis=-1)
+            inner = csum ** (1.0 / params.q)
+        best = (_level_weights(spec, -params.lam) * inner).max(axis=(-2, -1), initial=0.0)
     return float(best) if best.ndim == 0 else best
 
 
@@ -412,7 +423,14 @@ def _axis_block_factor(
         ssum = l - window_floor + 1.0  # every term r**i rounds to 1
     else:
         # finite geometric sum_{i=floor}^{l} r**i
-        ssum = (_pow2((l + 1) * params.q * beta) - _pow2(window_floor * params.q * beta)) / (r - 1.0)
+        top = _pow2((l + 1) * params.q * beta)
+        if math.isinf(top):
+            # inf - inf would be nan: factor out the largest term instead,
+            # r**l * (1 - r**-terms) / (1 - 1/r), inf only where r**l is
+            terms = l - window_floor + 1
+            ssum = _pow2(l * params.q * beta) * (1.0 - _pow2(-terms * params.q * beta)) / (1.0 - 1.0 / r)
+        else:
+            ssum = (top - _pow2(window_floor * params.q * beta)) / (r - 1.0)
     return pref * _pow(ssum, 1.0 / params.q)
 
 

@@ -25,10 +25,12 @@ sup of |f|-averages over a rectangle family containing each cell):
   4 (any rectangle sits inside a dyadic-sided one of at most 4x the area at
   an admissible anchor).
 * ``iterated-1d``: the 1-D maximal operator applied in y then in x; dominates
-  exact-grid pointwise.  O(N^3) time and O(N^2) memory:
-  :func:`interval_average_profile` sweeps the interval lengths from N down to
-  1 over all lines at once, in two alternating N x N slabs.
-  ``exact-grid`` runs the same 1-D sweep on its row-range sums.
+  exact-grid pointwise.  O(N^2) time per distinct line (O(N^3) at most) and
+  O(N^2) memory: :func:`interval_average_profile` sweeps the interval
+  lengths from N down to 1 over all distinct lines at once, in two
+  alternating slabs, and gathers the profiles back to every line.
+  ``exact-grid`` runs the same 1-D sweep on its row-range sums, on every
+  line: its batches are too small for the search for repeats to pay.
 
 The double Hilbert transform, with kernel 1/(pi x) * 1/(pi y), evaluates at
 cell centers with the exact per-cell antiderivative A(u) = log|u| / pi of
@@ -81,26 +83,50 @@ def as_variant(variant: str, n_cells: int = 0) -> str:
     return variant
 
 
-def interval_average_profile(v: np.ndarray) -> np.ndarray:
-    """Per position, the max over subintervals containing it of the mean.
+@functools.lru_cache(maxsize=8)
+def _fingerprint_weights(n: int) -> np.ndarray:
+    """``n`` fixed pseudo-random odd 64-bit multipliers, the first ``n``
+    outputs of splitmix64 in wrapping arithmetic (no ``np.random``
+    generator: the first one costs megabytes of RSS); cached, read-only."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return _read_only((z ^ (z >> 31)) | np.uint64(1))
 
-    Operates on the last axis; leading axes are batch.  One sweep over
-    interval lengths ``L = n, n-1, ..., 1``: ``Q_L[i]``, the largest mean over
-    intervals containing ``[i, i+L-1]``, is the max of that interval's own
-    mean and ``Q_{L+1}[i-1]``, ``Q_{L+1}[i]`` (the two one-longer intervals
-    around it, where they exist), and the profile is ``Q_1``.  O(n^2) work
-    per line, two ``n``-row slabs of ``Q`` per line.  The profiled axis is
-    moved to the front, so every step is elementwise over contiguous batches
-    of lines.  Every mean is the float expression ``(P[j+1] - P[i]) /
-    (j+1-i)`` on the prefix sums ``P``, and ``max`` is exact, so the result
-    does not depend on the sweep order.
+
+def _distinct_lines(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for the rows of a 2-D float table: the rows to
+    sweep, in first-seen order, and for every row the position in ``first``
+    of a row with the same bits.
+
+    Rows are grouped by a 64-bit fingerprint of their bits: each word is
+    folded onto itself (so the exponent bits reach the low half) and the
+    words are summed against odd multipliers in wrapping integer
+    arithmetic, which is exact in any summation order.  A row joins the
+    first row of its fingerprint only if their bits are equal; one that
+    does not is swept on its own.  Bits, not values: ``0.0`` and ``-0.0``
+    stay apart.
     """
-    v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
-    n = v.shape[0]
-    P = np.zeros((n + 1,) + v.shape[1:])
-    np.cumsum(v, axis=0, out=P[1:])
+    bits = lines.view(np.uint64)
+    folded = bits ^ (bits >> 32)
+    keys = np.einsum("ij,j->i", folded, _fingerprint_weights(bits.shape[1])).tolist()
+    del folded
+    seen: dict[int, int] = {}
+    rep = np.array([seen.setdefault(k, i) for i, k in enumerate(keys)], dtype=np.intp)
+    rows = np.flatnonzero(rep != np.arange(rep.size))  # the repeats
+    clash = rows[(bits[rows] != bits[rep[rows]]).any(axis=1)]
+    rep[clash] = clash
+    is_first = rep == np.arange(rep.size)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[rep]
+
+
+def _interval_sweep(P: np.ndarray) -> np.ndarray:
+    """The ``(n, k)`` profile ``Q_1`` of the ``k`` lines whose prefix sums
+    are the columns of the ``(n + 1, k)`` table ``P`` (see
+    :func:`interval_average_profile`)."""
+    n = P.shape[0] - 1
     # two reused slabs: a fresh array per length costs more peak RSS at large n
-    slabs = (np.empty(v.shape), np.empty(v.shape))
+    slabs = (np.empty((n,) + P.shape[1:]), np.empty((n,) + P.shape[1:]))
     q = P[:0]  # Q_{n+1}: no interval is longer than the line
     for L in range(n, 0, -1):
         m = slabs[L % 2][: n - L + 1]
@@ -109,19 +135,57 @@ def interval_average_profile(v: np.ndarray) -> np.ndarray:
         np.maximum(m[1:], q, out=m[1:])
         np.maximum(m[:-1], q, out=m[:-1])
         q = m
-    return np.moveaxis(q, 0, -1)
+    return q
+
+
+def interval_average_profile(v: np.ndarray) -> np.ndarray:
+    """Per position, the max over subintervals containing it of the mean.
+
+    Operates on the last axis; leading axes are batch.  One sweep over
+    interval lengths ``L = n, n-1, ..., 1``: ``Q_L[i]``, the largest mean over
+    intervals containing ``[i, i+L-1]``, is the max of that interval's own
+    mean and ``Q_{L+1}[i-1]``, ``Q_{L+1}[i]`` (the two one-longer intervals
+    around it, where they exist), and the profile is ``Q_1``.  O(n^2) work
+    per distinct line, two ``n``-row slabs of ``Q`` per distinct line.  The
+    profiled axis is moved to the front, so every step is elementwise over
+    contiguous batches of lines.  Every mean is the float expression
+    ``(P[j+1] - P[i]) / (j+1-i)`` on the prefix sums ``P``, and ``max`` is
+    exact, so the result does not depend on the sweep order.
+
+    Nor does a line's profile depend on the other lines of its batch, so
+    lines with equal bits have profiles with equal bits: the sweep runs on
+    the distinct lines only (:func:`_distinct_lines`) and their profiles are
+    gathered back, in the input's shape and in the layout the sweep over
+    all lines would give.  The product-structured test objects (indicators
+    of rectangles, annuli, constants cut to the window) repeat most lines.
+    """
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1]
+    lines = v.reshape(math.prod(v.shape[:-1]), n)
+    first, inverse = _distinct_lines(lines)
+    P = np.zeros((n + 1, first.size))
+    np.cumsum(lines[first].T, axis=0, out=P[1:])
+    q = _interval_sweep(P)
+    del P
+    # np.take, unlike q[:, inverse], returns a C-ordered (n, lines) table
+    return np.moveaxis(np.take(q, inverse, axis=1).reshape((n,) + v.shape[:-1]), 0, -1)
 
 
 def _maximal_exact(absv: np.ndarray) -> np.ndarray:
+    """Per lower y edge ``iy0``, the 1-D sweep along x of the row-range sums
+    to every upper edge.  Every line is swept, repeats included: a batch
+    holds at most ``EXACT_GATE`` lines, and searching them for repeats made
+    this kernel 14-34 % slower on noise at N = 16 to 64."""
     n = absv.shape[0]
     Py = np.zeros((n, n + 1))
     np.cumsum(absv, axis=1, out=Py[:, 1:])
     out = np.zeros((n, n))
     heights = np.arange(1, n + 1, dtype=float)
     for iy0 in range(n):
-        # batch over all upper ends iy1 = iy0+1 .. n
-        S = (Py[:, iy0 + 1 :] - Py[:, iy0 : iy0 + 1]).T  # (n-iy0, n)
-        m = interval_average_profile(S) / heights[: n - iy0, None]
+        # x prefix sums of the sums over rows iy0 .. iy1-1, for iy1 = iy0+1 .. n
+        P = np.zeros((n + 1, n - iy0))
+        np.cumsum(Py[:, iy0 + 1 :] - Py[:, iy0 : iy0 + 1], axis=0, out=P[1:])
+        m = _interval_sweep(P).T / heights[: n - iy0, None]
         # cell (x, y>=iy0) is covered by every range end iy1 > y
         cover = np.flip(np.maximum.accumulate(np.flip(m, 0), 0), 0)
         np.maximum(out[:, iy0:], cover.T, out=out[:, iy0:])

@@ -1050,12 +1050,14 @@ def check_extrapolation(
 
 
 def _default_bmo_family(spec: GridSpec) -> list[GridRectangle]:
+    """The dyadic-centered rectangles, then the strided dyadic-sides ones,
+    each rectangle once: the whole grid is in both."""
     n = spec.n_cells
     fam = RectangleFamily("dyadic-centered").rectangles(spec)
     strided = RectangleFamily(
         "dyadic-sides", stride=max(1, n // 2), min_side=max(1, n // 8)
     ).rectangles(spec)
-    return fam + strided
+    return list(dict.fromkeys(fam + strided))
 
 
 def _bmo_sweep_guard(spec: GridSpec) -> None:

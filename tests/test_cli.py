@@ -560,7 +560,7 @@ def test_overflowing_annulus_power_writes_the_maximal_report(tmp_path):
     [(9, True, True), (8, True, True), (8, False, False)],
 )
 def test_bmo_sweep_past_its_guard_refused_at_load_time(tmp_path, capsys, s, refine, refused):
-    # the default bmo family sweeps 230,883,344 cells at N=4096, past the
+    # the default bmo family sweeps 214,106,128 cells at N=4096, past the
     # oscillation sweep's guard: the run used to stop there, before any report
     cfg = minimal_config(
         tmp_path,
@@ -573,7 +573,7 @@ def test_bmo_sweep_past_its_guard_refused_at_load_time(tmp_path, capsys, s, refi
     if not refused:  # N=2048: the sweep is under the guard
         assert len(load_config(cfg).jobs) == 2
         return
-    with pytest.raises(ConfigError, match=r"^grid: N=4096 .*230883344 cells"):
+    with pytest.raises(ConfigError, match=r"^grid: N=4096 .*214106128 cells"):
         load_config(cfg)
     assert main(["run", str(cfg)]) == 2
     assert "config error: grid: N=4096" in capsys.readouterr().err

@@ -715,6 +715,35 @@ def test_annulus_table_overflow_is_inf_and_reports_stay_strict(tmp_path):
     assert doc["summary"]["max_ratio"] == "inf"
 
 
+def test_annulus_root_past_the_float_range_is_not_nan():
+    # at p = 0.001 an annulus of area A has L^p norm A**1000: inf past
+    # A = 2.03, finite below.  The sums ** 1000 overflow, and the cell-area
+    # factor (h * h) ** 1000 underflows to 0, so their product read nan
+    g = make_grid(3, 2)  # N = 32
+    f = restrict_to_window(constant(g, -1.0))
+    areas = annulus_lp_table(f, 1.0)
+    table = annulus_lp_table(f, 0.001)
+    assert not np.isnan(table).any()
+    assert np.isfinite(table).any() and np.isinf(table).any()
+    e = 1.0 / 0.001
+    assert table.tolist() == [[norms._pow(a, e) for a in row] for row in areas.tolist()]
+
+
+def test_axis_block_factor_past_the_float_range():
+    # the window sum sum_{i=-3}^{l} r**i with r = 2**(q * beta), beta = 0.75;
+    # (r**(l+1) - r**-3) / (r - 1) read inf - inf = nan or inf / inf = nan
+    # once r**(l+1) overflowed, and inf where only r**(l+1) did
+    axis = norms._axis_block_factor
+    pref = 0.5**0.5
+    q1000 = ExponentParams(0.25, 2, 1000, 0.5)  # r = 2**750
+    assert axis(q1000, 1, 1, -3) == pytest.approx(pref * 2**0.75, rel=1e-15)
+    assert axis(q1000, 1, 2, -3) == math.inf  # the sum is 2**1500
+    q2000 = ExponentParams(0.25, 2, 2000, 0.5)  # r = 2**1500 overflows
+    assert axis(q2000, 1, -1, -3) == 0.0  # 2**-1500 underflows
+    assert axis(q2000, 1, 0, -3) == pref
+    assert axis(q2000, 1, 1, -3) == math.inf
+
+
 def test_bmo_sweep_holds_the_symbol_and_one_rectangle_buffer():
     # traced peak of building a symbol and running bmo_mk_norm over the
     # default family of G35's refinement (N = 512), in N x N doubles: f, then

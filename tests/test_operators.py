@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from mherz.operators import (
     rubio_de_francia,
     strong_maximal,
 )
-from mherz.verification import _comb, extrapolation_block_params
+from mherz.verification import _comb, extrapolation_block_params, standard_objects
 from mherz.weights import generate_a1_weight
 
 
@@ -267,6 +268,109 @@ def test_interval_profile_matches_staircase_on_arbitrary_views(a, view):
     got = interval_average_profile(a)
     assert got.shape == a.shape
     assert np.array_equal(got, staircase_interval_average_profile(a))
+
+
+@st.composite
+def _lines_from_a_small_pool(draw):
+    """A 1-, 2- or 3-D table whose lines (along the last axis) are each drawn
+    from a pool of 1-4 lines: a line with a 0.0, its twin with -0.0 there,
+    a one-ulp neighbour of the first, and a free line.  Returned as a plain,
+    transposed-memory or strided view."""
+    n = draw(st.integers(1, 12))
+    base = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1e300)))
+    k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    zero, neg_zero, ulp = base.copy(), base.copy(), base.copy()
+    zero[k] = ulp[k] = 0.0
+    neg_zero[k] = -0.0
+    ulp[j] = np.nextafter(ulp[j], np.inf)
+    free = draw(hnp.arrays(float, n, elements=st.floats(-1e300, 1e300)))
+    pool = np.stack([zero, neg_zero, ulp, free][: draw(st.integers(1, 4))])
+    batch = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=6))
+    pick = draw(hnp.arrays(np.intp, batch, elements=st.integers(0, len(pool) - 1)))
+    a = pool[pick]
+    view = draw(st.sampled_from(["plain", "T", "strided"]))
+    if view == "T":  # the same table, stored with its axes reversed
+        a = np.ascontiguousarray(a.T).T
+    elif view == "strided":  # each line every other double of a wider table
+        wide = np.full(a.shape[:-1] + (2 * n,), np.pi)
+        wide[..., ::2] = a
+        a = wide[..., ::2]
+    return a
+
+
+def _profile_matches_each_line_alone(a):
+    got = interval_average_profile(a)
+    assert got.shape == a.shape
+    assert np.array_equal(got, staircase_interval_average_profile(a))
+    # bit for bit what each line gives alone: -0.0 and 0.0 lines stay apart
+    alone = [interval_average_profile(line) for line in a.reshape(-1, a.shape[-1])]
+    assert got.tobytes() == np.stack(alone).reshape(a.shape).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lines_from_a_small_pool(), st.booleans())
+def test_interval_profile_of_repeated_lines(a, clash):
+    if not clash:
+        _profile_matches_each_line_alone(a)
+        return
+    # zero multipliers give every line one fingerprint, so each line that
+    # differs from the first goes through the bitwise check and its own sweep
+    with mock.patch.object(operators, "_fingerprint_weights", lambda n: np.zeros(n, np.uint64)):
+        _profile_matches_each_line_alone(a)
+
+
+def test_interval_profile_lines_with_one_fingerprint(monkeypatch):
+    monkeypatch.setattr(operators, "_fingerprint_weights", lambda n: np.zeros(n, np.uint64))
+    a, b = np.array([1.0, 2.0]), np.array([1.0, np.nextafter(2.0, 0)])
+    first, inverse = operators._distinct_lines(np.stack([a, b, a, b]))
+    # b clashes with a: it is swept, once per copy
+    assert first.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 0, 2]
+
+
+def test_lines_of_powers_of_two_get_distinct_fingerprints():
+    # such lines differ only in their exponent bits, the top 12 of each
+    # word, which a wrapping sum against odd multipliers alone would keep in
+    # the top 12 bits of the fingerprint: about 32 of these 512 lines would
+    # share one, and each copy of such a line would be swept on its own
+    a = 2.0 ** -np.random.default_rng(8).integers(0, 8, size=(512, 64))
+    assert len({line.tobytes() for line in a}) == 512
+    first, inverse = operators._distinct_lines(np.concatenate([a, a]))
+    assert first.tolist() == list(range(512))
+    assert inverse.tolist() == 2 * list(range(512))
+
+
+def test_iterated_1d_sweeps_each_distinct_line_once(monkeypatch):
+    swept = []
+    distinct = operators._distinct_lines
+
+    def counting(lines):
+        first, inverse = distinct(lines)
+        swept.append((len(lines), first.size, len({line.tobytes() for line in lines})))
+        return first, inverse
+
+    monkeypatch.setattr(operators, "_distinct_lines", counting)
+    # the constant cut to the window has two kinds of line, and so does its
+    # profile: each pass sweeps two lines, not N
+    g = make_grid(2, 4)  # N = 64
+    strong_maximal(restrict_to_window(constant(g, 1.0)), ITERATED_1D)
+    assert swept == [(64, 2, 2), (64, 2, 2)]
+    # on the maximal suite's objects at N = 256 no two distinct lines share
+    # a fingerprint: 2 to 256 lines per pass, each swept once
+    swept.clear()
+    g = make_grid(3, 5)
+    for obj in standard_objects(g, 2024, n_random=1):
+        strong_maximal(obj.build(g), ITERATED_1D)
+    assert all(k == m for _, k, m in swept)
+    assert sorted(k for _, k, _ in swept) == [2, 2, 2, 2, 8, 113, 127, 128, 253, 255, 256, 256]
+
+
+def test_iterated_1d_output_needs_no_copy():
+    # the gathered profiles keep the sweep's layout: the kernel's output is
+    # C-ordered, so GridFunction._adopt holds it as it is
+    a = np.abs(np.random.default_rng(4).normal(size=(16, 16)))
+    a[::3] = 1.0  # repeated lines in both passes
+    assert _maximal_iterated(a).flags.c_contiguous
+    assert interval_average_profile(a).T.flags.c_contiguous
 
 
 def test_iterated_1d_kernel_bit_identical_to_staircase_n256():

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -109,6 +110,27 @@ def test_char_norms_passes_and_degenerate_trials_present():
     names = [t.trial for t in rep.trials]
     assert any("diagonal-ratio" in n for n in names)
     assert any("lam0-degenerate" in n for n in names)
+
+
+@pytest.mark.parametrize(
+    "s, overflow",
+    [
+        (2, {"q": 1000}),
+        (2, {"alpha": 300}),
+        (2, {"p": 0.001}),
+        (2, {"q": 1e-300}),
+        (5, {"alpha": 1e300, "lam": 1e299}),
+    ],
+)
+def test_char_norms_past_the_float_range_warns_nothing(s, overflow):
+    # the overflowing powers and inf * 0 products read inf and nan, and the
+    # gate fails on the nan, without a numpy RuntimeWarning on the way
+    pr = ExponentParams(**{**asdict(PR), **overflow})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_char_norms(make_grid(3, s), [pr])
+    assert rep.status == "fail"
+    assert math.isnan(rep.summary["worst_rel_err"])
 
 
 def test_every_refining_suite_declares_a_drift_cap():
@@ -505,6 +527,17 @@ def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, 
     assert rep.refinement[f"refined_{stat}"] is None
     assert rep.refinement["drift"] is None
     assert f"gate drift <= {SUITES[suite].caps['drift_cap']!r} fails: None" in rep.notes
+
+
+def test_default_bmo_family_has_no_repeated_rectangle():
+    from mherz.grid import GridRectangle
+    from mherz.verification import _default_bmo_family
+
+    for spec in (make_grid(1, 1), make_grid(2, 3), G, make_grid(3, 5), make_grid(3, 6)):
+        family = _default_bmo_family(spec)
+        assert len(set(family)) == len(family), spec.n_cells
+        n = spec.n_cells
+        assert GridRectangle(0, n, 0, n) in family  # in both of its parts
 
 
 def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
