@@ -17,6 +17,13 @@ Geometry conventions, used everywhere downstream:
   fed to annulus-decomposed norms must vanish there (see
   :func:`restrict_to_window`).
 
+The ``noise`` builtin's cell values are
+``numpy.random.default_rng(seed).uniform(low, high, (N, N))`` bit for bit,
+drawn from the in-house PCG64 stream of :mod:`mherz._pcg`, so no run imports
+``numpy.random``.  ``seed`` is a non-negative Python or numpy integer of any
+size, a list, tuple or range of them, nested or not, or None for fresh
+entropy; a seed that numpy refuses raises numpy's exception type.
+
 All functions here are pure; :class:`GridFunction` is immutable after
 construction and safe to share across workers.
 """
@@ -30,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _pcg
 from .errors import (
     AlignmentError,
     DataError,
@@ -494,9 +502,8 @@ def _builtin_gaussian(spec: GridSpec, *, sigma=1.0):
 
 def _builtin_noise(spec: GridSpec, *, seed, low=0.0, high=1.0):
     # seed may be an int or a sequence of ints (derived per-trial seeds)
-    rng = np.random.default_rng(seed)
     n = spec.n_cells
-    return GridFunction._adopt(spec, rng.uniform(low, high, size=(n, n)))
+    return GridFunction._adopt(spec, _pcg.uniform(seed, low, high, n * n).reshape(n, n))
 
 
 def _builtin_step(spec: GridSpec, *, l1=0, l2=0, inside=2.0, outside=1.0):

@@ -344,7 +344,8 @@ def _herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams) 
         terms = _level_weights(spec, params.alpha) * table
         if math.isinf(params.q):
             return float(terms.max(initial=0.0))
-        return _pow(float((terms**params.q).sum()), 1.0 / params.q)
+        total = float((terms**params.q).sum())
+        return _lq_norm(terms, params.q) if math.isinf(total) else _pow(total, 1.0 / params.q)
 
 
 def morrey_herz_norm(f: GridFunction, params: ExponentParams) -> float:
@@ -364,7 +365,9 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
     tables, whose norms come back as an array of the batch's shape (a float
     for a single table).  Every step is entrywise, a cumulative sum along one
     annulus axis or an exact max, so each norm has the bits it has alone.
-    Past the float range the steps give inf or nan without a warning.
+    A level whose l^q sum passes the float range is taken again by
+    :func:`_lq_norm`; past the float range the steps give inf or nan
+    without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _level_weights(spec, params.alpha) * table
@@ -373,8 +376,25 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
         else:
             csum = (terms**params.q).cumsum(axis=-2).cumsum(axis=-1)
             inner = csum ** (1.0 / params.q)
+            # the sums grow along both axes, so one that passed the float
+            # range shows in the last (a scalar test for a single table)
+            last = csum[..., -1, -1]
+            if np.isinf(last).any() if last.ndim else math.isinf(last):
+                for idx in np.argwhere(np.isinf(csum)):
+                    corner = terms[(*idx[:-2], slice(idx[-2] + 1), slice(idx[-1] + 1))]
+                    inner[tuple(idx)] = _lq_norm(corner, params.q)
         best = (_level_weights(spec, -params.lam) * inner).max(axis=(-2, -1), initial=0.0)
     return float(best) if best.ndim == 0 else best
+
+
+def _lq_norm(terms: np.ndarray, q: float) -> float:
+    """``(terms ** q).sum() ** (1 / q)`` with the largest term factored out
+    of the sum, so it is finite wherever that term and the norm are: the
+    form for sums that pass the float range."""
+    top = float(terms.max())
+    if not 0.0 < top < math.inf:  # no mass, or an inf or nan term
+        return top
+    return top * _pow(float(((terms / top) ** q).sum()), 1.0 / q)
 
 
 # -- indicator closed forms ----------------------------------------------------
@@ -416,21 +436,21 @@ def _axis_block_factor(
     if math.isinf(params.q):
         return pref * _pow2(l * beta)
     r = _pow2(params.q * beta)
-    if window_floor is None:
-        # sum_{i<=l} r**i, unbounded where r rounds to 1
-        ssum = _pow2(l * params.q * beta) / (1.0 - 1.0 / r) if r > 1.0 else math.inf
-    elif r == 1.0:
-        ssum = l - window_floor + 1.0  # every term r**i rounds to 1
-    else:
-        # finite geometric sum_{i=floor}^{l} r**i
+    if r == 1.0:  # every term r**i rounds to 1: the sum counts them
+        count = math.inf if window_floor is None else l - window_floor + 1.0
+        return pref * _pow(count, 1.0 / params.q)
+    # the sum is r**l * rest
+    if window_floor is None:  # sum_{i<=l} r**i
+        ssum = _pow2(l * params.q * beta) / (1.0 - 1.0 / r)
+        rest = 1.0 / (1.0 - 1.0 / r)
+    else:  # finite geometric sum_{i=floor}^{l} r**i (inf - inf would be nan)
         top = _pow2((l + 1) * params.q * beta)
-        if math.isinf(top):
-            # inf - inf would be nan: factor out the largest term instead,
-            # r**l * (1 - r**-terms) / (1 - 1/r), inf only where r**l is
-            terms = l - window_floor + 1
-            ssum = _pow2(l * params.q * beta) * (1.0 - _pow2(-terms * params.q * beta)) / (1.0 - 1.0 / r)
-        else:
-            ssum = (top - _pow2(window_floor * params.q * beta)) / (r - 1.0)
+        ssum = math.inf if math.isinf(top) else (top - _pow2(window_floor * params.q * beta)) / (r - 1.0)
+        rest = (1.0 - _pow2(-(l - window_floor + 1) * params.q * beta)) / (1.0 - 1.0 / r)
+    if math.isinf(ssum):
+        # the sum passed the float range, its root need not: factor out r**l,
+        # whose root is 2**(l*beta)
+        return pref * _pow2(l * beta) * _pow(rest, 1.0 / params.q)
     return pref * _pow(ssum, 1.0 / params.q)
 
 

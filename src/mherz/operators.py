@@ -86,7 +86,7 @@ def as_variant(variant: str, n_cells: int = 0) -> str:
 @functools.lru_cache(maxsize=8)
 def _fingerprint_weights(n: int) -> np.ndarray:
     """``n`` fixed pseudo-random odd 64-bit multipliers, the first ``n``
-    outputs of splitmix64 in wrapping arithmetic (no ``np.random``
+    outputs of splitmix64 in wrapping arithmetic (no ``numpy.random``
     generator: the first one costs megabytes of RSS); cached, read-only."""
     z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)

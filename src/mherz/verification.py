@@ -1102,10 +1102,11 @@ def check_john_nirenberg_bmo(
     For the truncated log b, measures the Morrey-Herz norm of the masked
     level-set indicator {|b - b_R| > gamma} inside the box for a gamma grid
     and fits log-norm against gamma: slope < 0 and R^2 >= r2_min are
-    asserted.  Separately, the ratio of the rectangle-normalised Morrey-Herz
-    oscillation norm to the plain oscillation norm must sit in
-    [1/equiv_cap, equiv_cap] over a six-symbol test set, stably under
-    refinement.  The caps are ``SUITES["john_nirenberg_bmo"].caps``.
+    asserted, and fail when fewer than three level sets are nonempty, since
+    then nothing is fitted.  Separately, the ratio of the
+    rectangle-normalised Morrey-Herz oscillation norm to the plain
+    oscillation norm must sit in [1/equiv_cap, equiv_cap] over a six-symbol
+    test set, stably under refinement.  The caps are ``SUITES["john_nirenberg_bmo"].caps``.
     """
     caps = SUITES["john_nirenberg_bmo"].caps
     b = build_function(grid, builtin="truncated_log")
@@ -1140,7 +1141,6 @@ def check_john_nirenberg_bmo(
             ys.append(math.log(norm))
 
     slope, r2 = None, None
-    gates: list[Gate] = []
     notes: list[str] = []
     if len(xs) >= 3:
         # least squares in closed form on centred data, elementwise only: a
@@ -1151,10 +1151,10 @@ def check_john_nirenberg_bmo(
         ss_res = float(((yc - slope * xc) ** 2).sum())
         ss_tot = float((yc**2).sum())
         r2 = 1.0 - (ss_res / ss_tot if ss_tot > 0 else 0.0)
-        gates = [Gate("decay_slope", slope, "<", 0.0), Gate("decay_r2", r2, ">=", caps["r2_min"])]
     else:
         # gammas beyond the symbol's oscillation on the box leave the level
-        # sets empty; the exponential decay statement then holds trivially
+        # sets empty; the decay statement then holds trivially, but nothing
+        # was measured, so both decay gates fail on None
         notes.append(
             f"only {len(xs)} nonempty level sets on the gamma grid; "
             f"decay holds trivially"
@@ -1193,7 +1193,9 @@ def check_john_nirenberg_bmo(
             "equiv_min_ratio": equiv_lo,
             "equiv_max_ratio": equiv_hi,
         },
-        gates=gates + [
+        gates=[
+            Gate("decay_slope", slope, "<", 0.0),
+            Gate("decay_r2", r2, ">=", caps["r2_min"]),
             Gate("equiv_min_ratio", equiv_lo, ">=", 1.0 / cap),
             Gate("equiv_max_ratio", equiv_hi, "<=", cap),
         ],

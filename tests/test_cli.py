@@ -324,8 +324,9 @@ def report_mismatches(got, want, where=""):
 
 def test_demo_reports_at_L2_s3_match_the_recorded_reports(tmp_path):
     # every file `mherz run` writes for configs/demo.json at L_max=2, s=3,
-    # without generated_at; norm_duality and cz_comm fail on that grid, so the
-    # fail path is pinned too.  Regenerate the fixture only for a deliberate
+    # without generated_at; norm_duality, john_nirenberg_bmo (two nonempty
+    # level sets, no decay fit) and cz_comm fail on that grid, so the fail
+    # path is pinned too.  Regenerate the fixture only for a deliberate
     # report change.
     body = json.loads((REPO / "configs" / "demo.json").read_text())
     body["grid"] = {"L_max": 2, "s": 3}
@@ -502,7 +503,7 @@ def test_bad_option_values_refused_before_the_run(tmp_path, capsys, name, option
 @pytest.mark.parametrize(
     "s, overflow",
     [
-        (2, {"q": 1000}),  # the closed form's powers pass the float range
+        (2, {"q": 1000, "alpha": 2000}),  # the norms pass the float range at large q
         (2, {"alpha": 300}),
         (2, {"alpha": 2000}),  # so does the diagonal ratio's target
         (5, {"q": 1000}),  # the powers at the window floor underflow to 0
@@ -533,6 +534,25 @@ def test_overflowing_closed_form_fails_without_stopping_the_run(tmp_path, s, ove
     assert math.isnan(rep.summary["worst_rel_err"])
     assert rep.notes == ["gate worst_rel_err <= 1e-12 fails: nan"]
     assert load_report(tmp_path / "reports" / "01_char_norms.json").status == "pass"
+
+
+def test_john_nirenberg_without_a_decay_fit_fails_the_run(tmp_path):
+    # gammas past the truncated log's oscillation leave every level set
+    # empty: the run used to report pass and exit 0 with no decay measured
+    cfg = minimal_config(
+        tmp_path,
+        grid={"L_max": 3, "s": 3},
+        suites=[{"name": "john_nirenberg_bmo", "params": PR_DICT,
+                 "options": {"gammas": [50, 60, 70], "refine": False}}],
+    )
+    assert run(cfg) == 1
+    rep = load_report(tmp_path / "reports" / "00_john_nirenberg_bmo.json")
+    assert rep.status == "fail"
+    assert rep.notes == [
+        "only 0 nonempty level sets on the gamma grid; decay holds trivially",
+        "gate decay_slope < 0.0 fails: None",
+        "gate decay_r2 >= 0.98 fails: None",
+    ]
 
 
 def test_overflowing_annulus_power_writes_the_maximal_report(tmp_path):
@@ -767,11 +787,29 @@ def test_demo_config_matches_the_reference_summaries(tmp_path):
         assert _summary_close(entry["summary"], want, ref["rtol"], ref["atol"]), entry["suite"]
 
 
+def modules_new_during_run(tmp_path, body):
+    """Modules a fresh process imports during ``cli.run`` of ``body``; those
+    it loads before, such as any that numpy loads on import, do not count."""
+    code = """
+import json, sys
+from mherz import cli
+before = set(sys.modules)
+cli.run(sys.argv[1])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(write_config(tmp_path, body))],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 def test_a_run_imports_no_numpy_ma(tmp_path):
     # np.median imported numpy.ma (three modules) mid-run; _ratio_summary's
-    # median takes the middle of a sorted list instead.  A fresh process, and
-    # only modules new during the run count, so a numpy that loads numpy.ma
-    # on import does not fail this.
+    # median takes the middle of a sorted list instead
     body = {
         "grid": {"L_max": 2, "s": 3},
         "seed": 5,
@@ -785,21 +823,27 @@ def test_a_run_imports_no_numpy_ma(tmp_path):
              "options": {"op": "strong-maximal", "p0": 2.0, "K": 3, "trials": 4}},
         ],
     }
-    code = """
-import json, sys
-from mherz import cli
-before = set(sys.modules)
-cli.run(sys.argv[1])
-new = set(sys.modules) - before
-print(json.dumps(sorted(m for m in new if m == "numpy.ma" or m.startswith("numpy.ma."))))
-"""
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(write_config(tmp_path, body))],
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+    new = modules_new_during_run(tmp_path, body)
+    assert [m for m in new if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
     reports = [json.loads(f.read_text()) for f in sorted((tmp_path / "reports").glob("0*.json"))]
     assert [r["report"]["summary"]["median_ratio"] > 0 for r in reports] == [True] * 3
+
+
+def test_a_run_that_draws_noise_imports_no_numpy_random(tmp_path):
+    # the noise builtin draws from an in-house PCG64 stream: the first use of
+    # numpy.random loads secrets, hashlib and OpenSSL, about 5 MB of RSS
+    body = {
+        "grid": {"L_max": 2, "s": 3},
+        "seed": 5,
+        "out_dir": str(tmp_path / "reports"),
+        "format": "json",
+        "suites": [
+            {"name": "maximal_bounds", "params": PR_DICT,
+             "options": {"space": "morrey-herz", "trials": 4, "refine": False}},
+        ],
+    }
+    new = modules_new_during_run(tmp_path, body)
+    assert [m for m in new if m.split(".")[0] in ("secrets", "hashlib", "_hashlib")
+            or m == "numpy.random" or m.startswith("numpy.random.")] == []
+    rep = load_report(tmp_path / "reports" / "00_maximal_bounds.json")
+    assert any(t.trial.startswith("noise-") for t in rep.trials)

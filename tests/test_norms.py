@@ -732,16 +732,47 @@ def test_annulus_root_past_the_float_range_is_not_nan():
 def test_axis_block_factor_past_the_float_range():
     # the window sum sum_{i=-3}^{l} r**i with r = 2**(q * beta), beta = 0.75;
     # (r**(l+1) - r**-3) / (r - 1) read inf - inf = nan or inf / inf = nan
-    # once r**(l+1) overflowed, and inf where only r**(l+1) did
+    # once r**(l+1) overflowed.  Then the largest term r**l is factored out
+    # of the sum, and its 1/q root 2**(l * beta) taken alone: the factor is
+    # finite wherever 2**(l * beta) is, as (1 + r**-1 + ...)**(1/q) rounds
+    # to 1 here
     axis = norms._axis_block_factor
     pref = 0.5**0.5
     q1000 = ExponentParams(0.25, 2, 1000, 0.5)  # r = 2**750
     assert axis(q1000, 1, 1, -3) == pytest.approx(pref * 2**0.75, rel=1e-15)
-    assert axis(q1000, 1, 2, -3) == math.inf  # the sum is 2**1500
+    assert axis(q1000, 1, 2, -3) == pytest.approx(pref * 2**1.5, rel=1e-15)  # the sum is 2**1500
+    assert axis(q1000, 1, 2, None) == pytest.approx(pref * 2**1.5, rel=1e-15)  # the continuum's too
     q2000 = ExponentParams(0.25, 2, 2000, 0.5)  # r = 2**1500 overflows
     assert axis(q2000, 1, -1, -3) == 0.0  # 2**-1500 underflows
     assert axis(q2000, 1, 0, -3) == pref
-    assert axis(q2000, 1, 1, -3) == math.inf
+    assert axis(q2000, 1, 1, -3) == pytest.approx(pref * 2**0.75, rel=1e-15)
+    alpha2000 = ExponentParams(2000, 2, 2, 0.5)  # 2**(l * beta) itself overflows
+    assert axis(alpha2000, 1, 1, -3) == math.inf
+
+
+def test_herz_norm_at_large_q_factors_the_sum_past_the_float_range():
+    # at q = 1000 the l^q sum of chi(2, 2)'s terms is about 2**2000, its
+    # root 4: the sum is taken again relative to the largest term
+    g = make_grid(3, 2)
+    pr = ExponentParams(0.25, 2, 1000, 0.5)
+    for l in range(4):
+        f = restrict_to_window(indicator(g, DyadicRectangle(l, l)))
+        want = char_rect_norm_closed_form(pr, l, l, "herz", window_floor=g.window_low)
+        assert herz_norm(f, pr) == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(2.0 ** (1.5 * l - 1), rel=1e-12)  # finite
+
+
+def test_morrey_herz_batch_at_large_q_matches_each_table_alone():
+    # only the levels whose sums overflow are taken again, per table
+    g = make_grid(3, 2)
+    pr = ExponentParams(0.25, 2, 1000, 0.5)
+    masks = [restrict_to_window(indicator(g, DyadicRectangle(l, 3 - l))) for l in range(4)]
+    tables = np.stack([annulus_lp_table(f, pr.p) for f in masks])
+    alone = [_morrey_herz_from_table(g, t, pr) for t in tables]
+    assert _morrey_herz_from_table(g, tables, pr).tolist() == alone
+    want = [char_rect_norm_closed_form(pr, l, 3 - l, window_floor=g.window_low) for l in range(4)]
+    assert alone == pytest.approx(want, rel=1e-12)
+    assert all(map(math.isfinite, want))
 
 
 def test_bmo_sweep_holds_the_symbol_and_one_rectangle_buffer():

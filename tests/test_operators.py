@@ -373,6 +373,16 @@ def test_iterated_1d_output_needs_no_copy():
     assert interval_average_profile(a).T.flags.c_contiguous
 
 
+@pytest.mark.parametrize("kernel", [_maximal_exact, _maximal_dyadic])
+def test_kernel_output_needs_no_copy(kernel):
+    # GridFunction._adopt makes any table C-ordered, so a test after it
+    # cannot see a kernel output that it had to copy: check the raw output
+    for n in (8, 16):
+        a = np.abs(np.random.default_rng(n).normal(size=(n, n)))
+        out = kernel(a)
+        assert out.dtype == np.float64 and out.flags.c_contiguous and out.shape == (n, n)
+
+
 def test_iterated_1d_kernel_bit_identical_to_staircase_n256():
     a = np.abs(np.random.default_rng(257).normal(size=(256, 256)))
     assert np.array_equal(_maximal_iterated(a), staircase_iterated_1d(a))

@@ -115,7 +115,7 @@ def test_char_norms_passes_and_degenerate_trials_present():
 @pytest.mark.parametrize(
     "s, overflow",
     [
-        (2, {"q": 1000}),
+        (2, {"q": 1000, "alpha": 2000}),  # sums factored, norms still past the range
         (2, {"alpha": 300}),
         (2, {"p": 0.001}),
         (2, {"q": 1e-300}),
@@ -131,6 +131,23 @@ def test_char_norms_past_the_float_range_warns_nothing(s, overflow):
         rep = check_char_norms(make_grid(3, s), [pr])
     assert rep.status == "fail"
     assert math.isnan(rep.summary["worst_rel_err"])
+
+
+@pytest.mark.parametrize("s", [2, 5])
+def test_char_norms_at_large_q_factor_the_sums_past_the_float_range(s):
+    # at q = 1000 each l^q sum of the norms passes the float range where its
+    # 1/q root does not (the y factor of chi(0, 2) sums to about 2**1500);
+    # both sides factor out the largest term and agree at rounding level
+    pr = ExponentParams(**{**asdict(PR), "q": 1000})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_char_norms(make_grid(3, s), [pr])
+    rel = {t.trial: t.extra["rel_err"] for t in rep.trials}
+    levels = [k for k in rel if k.startswith("set0:chi(") and "-" not in k]  # l >= 0: no underflow
+    assert len(levels) == 16
+    assert all(rel[k] <= 1e-12 for k in levels), rel
+    if s == 2:  # the window floor is 0, so no level underflows
+        assert rep.passed and rep.summary["worst_rel_err"] <= 1e-12
 
 
 def test_every_refining_suite_declares_a_drift_cap():
@@ -435,16 +452,21 @@ def test_john_nirenberg_decay_fit_is_closed_form_and_matches_lstsq(monkeypatch):
 
 def test_john_nirenberg_bounded_symbol_trivial_decay():
     # the truncated log is bounded on the grid: its level sets are empty
-    # for every gamma beyond its oscillation on the box
+    # for every gamma beyond its oscillation on the box.  With no decay fit
+    # the two decay gates fail on None rather than pass vacuously
     rep = check_john_nirenberg_bmo(
         make_grid(2, 3),
         PR,
         gammas=(10.0, 20.0, 30.0, 40.0),
         refine=False,
     )
-    assert rep.summary["decay_slope"] is None
+    assert rep.summary["decay_slope"] is None and rep.summary["decay_r2"] is None
     assert any("only 0 nonempty level sets" in n and "trivially" in n for n in rep.notes)
-    assert rep.passed
+    assert rep.status == "fail"
+    assert rep.notes[-2:] == [
+        "gate decay_slope < 0.0 fails: None",
+        "gate decay_r2 >= 0.98 fails: None",
+    ]
 
 
 def test_john_nirenberg_fails_cleanly_when_every_symbol_is_dropped(monkeypatch):
