@@ -483,8 +483,9 @@ def constant(spec: GridSpec, value: float) -> GridFunction:
 
 
 def _builtin_power(spec: GridSpec, *, a, b):
-    # |x|**a |y|**b at cell centers; centers never hit the axes, so finite.
-    return from_rule(spec, lambda x, y: np.abs(x) ** a * np.abs(y) ** b)
+    # |x|**a |y|**b at cell centers, never on the axes: finite, fresh, adopted
+    c = spec.cell_centers()
+    return GridFunction._adopt(spec, np.abs(c[:, None]) ** a * np.abs(c[None, :]) ** b)
 
 
 def _builtin_truncated_log(spec: GridSpec, *, clip=None):
@@ -497,7 +498,8 @@ def _builtin_truncated_log(spec: GridSpec, *, clip=None):
 
 
 def _builtin_gaussian(spec: GridSpec, *, sigma=1.0):
-    return from_rule(spec, lambda x, y: np.exp(-(x**2 + y**2) / (2.0 * sigma**2)))
+    c2 = spec.cell_centers() ** 2
+    return GridFunction._adopt(spec, np.exp(-(c2[:, None] + c2[None, :]) / (2.0 * sigma**2)))
 
 
 def _builtin_noise(spec: GridSpec, *, seed, low=0.0, high=1.0):
@@ -511,6 +513,36 @@ def _builtin_step(spec: GridSpec, *, l1=0, l2=0, inside=2.0, outside=1.0):
     vals = np.full((spec.n_cells, spec.n_cells), float(outside))
     vals[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] = float(inside)
     return GridFunction._adopt(spec, vals)
+
+
+def annulus_comb(spec: GridSpec) -> GridFunction:
+    """Alternating-sign annulus comb with geometrically decaying amplitudes.
+
+    Annulus ``(i, j)`` carries ``(-1)**(i+j) * 2**(-(i+j)/2)``: the amplitude
+    table over window level pairs, gathered per cell through each axis's
+    window level, and 0 on the central cross that no annulus covers.
+    """
+    levels = spec.window_range()
+    level = np.zeros(spec.n_cells, dtype=int)  # position in ``levels``
+    inside = np.zeros(spec.n_cells, dtype=bool)
+    for k, i in enumerate(levels):
+        for a, b in spec.annulus_runs(i):
+            level[a:b], inside[a:b] = k, True
+    amps = np.array(
+        [[(-1.0) ** (i + j) * 2.0 ** (-0.5 * (i + j)) for j in levels] for i in levels]
+    )
+    vals = amps[level[:, None], level[None, :]]
+    vals[~inside[:, None] | ~inside[None, :]] = 0.0
+    return GridFunction._adopt(spec, vals)
+
+
+def cell_split_noise(spec: GridSpec, base: GridSpec, seed) -> GridFunction:
+    """The ``noise`` builtin drawn on ``base`` at ``seed`` and cell-split
+    onto the finer ``spec``: the same function on both grids."""
+    if spec.s < base.s:
+        raise ValueError("noise drawn on a grid only refines, never coarsens")
+    f = build_function(base, builtin="noise", seed=seed)
+    return f.refine(spec.s - base.s) if spec.s > base.s else f
 
 
 BUILTINS: dict[str, Callable[..., GridFunction]] = {

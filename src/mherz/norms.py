@@ -54,6 +54,8 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     window_support_violations,
 )
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
 # -- exponents ---------------------------------------------------------------
 
 
@@ -345,7 +347,7 @@ def _herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentParams) 
         if math.isinf(params.q):
             return float(terms.max(initial=0.0))
         total = float((terms**params.q).sum())
-        return _lq_norm(terms, params.q) if math.isinf(total) else _pow(total, 1.0 / params.q)
+        return _pow(total, 1 / params.q) if _TINY <= total < math.inf else _lq_norm(terms, params.q)
 
 
 def morrey_herz_norm(f: GridFunction, params: ExponentParams) -> float:
@@ -365,9 +367,9 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
     tables, whose norms come back as an array of the batch's shape (a float
     for a single table).  Every step is entrywise, a cumulative sum along one
     annulus axis or an exact max, so each norm has the bits it has alone.
-    A level whose l^q sum passes the float range is taken again by
-    :func:`_lq_norm`; past the float range the steps give inf or nan
-    without a warning.
+    A level whose l^q sum passes the float range, or falls below the normal
+    range while its terms hold mass, is taken again by :func:`_lq_norm`;
+    past the float range the steps give inf or nan without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _level_weights(spec, params.alpha) * table
@@ -376,11 +378,12 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
         else:
             csum = (terms**params.q).cumsum(axis=-2).cumsum(axis=-1)
             inner = csum ** (1.0 / params.q)
-            # the sums grow along both axes, so one that passed the float
-            # range shows in the last (a scalar test for a single table)
-            last = csum[..., -1, -1]
-            if np.isinf(last).any() if last.ndim else math.isinf(last):
-                for idx in np.argwhere(np.isinf(csum)):
+            # the sums grow along both axes, so one past the float range shows
+            # in the last; one below the normal range counts where it has mass
+            last, under = csum[..., -1, -1], csum < _TINY
+            if (np.isinf(last).any() if last.ndim else math.isinf(last)) or terms.any(where=under):
+                peak = np.maximum.accumulate(np.maximum.accumulate(terms, axis=-2), axis=-1)
+                for idx in np.argwhere(np.isinf(csum) | (under & (peak > 0))):
                     corner = terms[(*idx[:-2], slice(idx[-2] + 1), slice(idx[-1] + 1))]
                     inner[tuple(idx)] = _lq_norm(corner, params.q)
         best = (_level_weights(spec, -params.lam) * inner).max(axis=(-2, -1), initial=0.0)
@@ -389,8 +392,8 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
 
 def _lq_norm(terms: np.ndarray, q: float) -> float:
     """``(terms ** q).sum() ** (1 / q)`` with the largest term factored out
-    of the sum, so it is finite wherever that term and the norm are: the
-    form for sums that pass the float range."""
+    of the sum, so it is finite and nonzero wherever that term and the norm
+    are: the form for sums that pass the float range or underflow."""
     top = float(terms.max())
     if not 0.0 < top < math.inf:  # no mass, or an inf or nan term
         return top
@@ -447,9 +450,9 @@ def _axis_block_factor(
         top = _pow2((l + 1) * params.q * beta)
         ssum = math.inf if math.isinf(top) else (top - _pow2(window_floor * params.q * beta)) / (r - 1.0)
         rest = (1.0 - _pow2(-(l - window_floor + 1) * params.q * beta)) / (1.0 - 1.0 / r)
-    if math.isinf(ssum):
-        # the sum passed the float range, its root need not: factor out r**l,
-        # whose root is 2**(l*beta)
+    if not _TINY <= ssum < math.inf:
+        # the sum passed the float range or fell below the normal range, its
+        # root need not: factor out r**l, whose root is 2**(l*beta)
         return pref * _pow2(l * beta) * _pow(rest, 1.0 / params.q)
     return pref * _pow(ssum, 1.0 / params.q)
 

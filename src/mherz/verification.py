@@ -21,12 +21,13 @@ is defined, and read from its :class:`SuiteDef`.
 
 Conventions shared by all suites:
 
-* operator outputs are window-masked before annulus-decomposed norms are
-  taken (the truncation convention; plain and weighted L^p norms use the
-  unmasked output);
-* random trial objects are generated at the base resolution and refined by
-  exact cell splitting for the refinement run, so both runs measure the same
-  underlying function; rule-defined objects are resampled from their rule;
+* the suites select their objects from one table, ``TRIAL_OBJECTS``, and the
+  operator-ratio trials run in one loop, :func:`_operator_sweep`; operator
+  outputs are window-masked before annulus-decomposed norms (the truncation
+  convention; plain and weighted L^p norms use the unmasked output);
+* random objects are drawn at the base resolution and cell-split for the
+  refinement run, so both runs measure the same function; rule-defined
+  objects are resampled from their rule;
 * a suite whose exponent predicate fails never reports "pass": it either
   raises up front or, where a hypothesis-violated run is informative, reports
   status "out-of-hypothesis" with the data.
@@ -52,8 +53,10 @@ from .grid import (
     GridFunction,
     GridRectangle,
     GridSpec,
+    annulus_comb,
     annulus_restrict,
     build_function,
+    cell_split_noise,
     constant,
     dilate,
     indicator,
@@ -184,83 +187,85 @@ def finest_grid(grid: GridSpec, refine: bool) -> GridSpec:
     return grid
 
 
-# -- deterministic test objects -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TestObject:
-    name: str
-    build: Callable[[GridSpec], GridFunction]
-
-
-def _comb(spec: GridSpec) -> GridFunction:
-    """Alternating-sign annulus comb with geometrically decaying amplitudes.
-
-    Annulus ``(i, j)`` carries ``(-1)**(i+j) * 2**(-(i+j)/2)``: the amplitude
-    table over window level pairs, gathered per cell through each axis's
-    window level, and 0 on the central cross that no annulus covers.
-    """
-    levels = spec.window_range()
-    level = np.zeros(spec.n_cells, dtype=int)  # position in ``levels``
-    inside = np.zeros(spec.n_cells, dtype=bool)
-    for k, i in enumerate(levels):
-        for a, b in spec.annulus_runs(i):
-            level[a:b], inside[a:b] = k, True
-    amps = np.array(
-        [[(-1.0) ** (i + j) * 2.0 ** (-0.5 * (i + j)) for j in levels] for i in levels]
-    )
-    vals = amps[level[:, None], level[None, :]]
-    vals[~inside[:, None] | ~inside[None, :]] = 0.0
-    return GridFunction._adopt(spec, vals)
+# -- trial objects ------------------------------------------------------------------
 
 
 def _center_level(spec: GridSpec) -> int:
     return min(max(0, spec.window_low), spec.window_high)
 
 
-def _base_noise(
-    base: GridSpec, seed: Sequence[int], masked: bool
-) -> Callable[[GridSpec], GridFunction]:
-    """Builder of the noise realised on ``base`` and cell-split on finer grids,
-    so refinement runs see the same function; ``masked`` restricts it to the
-    window."""
-
-    def build(spec: GridSpec) -> GridFunction:
-        if spec.s < base.s:
-            raise ValueError("test objects only refine, never coarsen")
-        f = build_function(base, builtin="noise", seed=seed)
-        if spec.s > base.s:
-            f = f.refine(spec.s - base.s)
-        return restrict_to_window(f) if masked else f
-
-    return build
-
-
-def standard_objects(base: GridSpec, seed: int, n_random: int = 3) -> list[TestObject]:
-    """Window-supported trial functions: fixed adversarial ones plus noise
-    (see :func:`_base_noise`)."""
+def _center_indicator(spec: GridSpec, base: GridSpec) -> GridFunction:
     l0 = _center_level(base)
-    lo, hi = base.window_low, base.window_high
+    return indicator(spec, DyadicRectangle(l0, l0))
 
-    objs = [
-        TestObject("constant", lambda spec: restrict_to_window(constant(spec, 1.0))),
-        TestObject(
-            f"indicator-R({l0},{l0})",
-            lambda spec: restrict_to_window(indicator(spec, DyadicRectangle(l0, l0))),
-        ),
-        TestObject(
-            f"annulus-({hi},{lo})",
-            lambda spec: annulus_restrict(constant(spec, 1.0), AnnulusIndex(hi, lo)),
-        ),
-        TestObject("annulus-comb", _comb),
-        TestObject(
-            "truncated-log",
-            lambda spec: restrict_to_window(build_function(spec, builtin="truncated_log")),
-        ),
-    ]
-    for k in range(n_random):
-        objs.append(TestObject(f"noise-{k}", _base_noise(base, [seed, k], masked=True)))
-    return objs
+
+def _outer_annulus(spec: GridSpec, base: GridSpec) -> GridFunction:
+    return annulus_restrict(constant(spec, 1.0), AnnulusIndex(base.window_high, base.window_low))
+
+
+def _coordinate_x(spec: GridSpec, base: GridSpec) -> GridFunction:
+    return GridFunction._adopt(spec, np.repeat(spec.cell_centers()[:, None], spec.n_cells, axis=1))
+
+
+def _builtin(name: str, **params) -> Callable[[GridSpec, GridSpec], GridFunction]:
+    return lambda spec, base: build_function(spec, builtin=name, **params)
+
+
+class TrialObject(NamedTuple):
+    """``build(spec, base)`` samples the object on ``spec`` for a suite on the
+    base grid ``base``; a seeded one's also takes ``seed(suite seed, k)``, the
+    noise seed of draw ``k``.  ``masked`` cuts it to the window.  ``label``
+    names it in reports, with ``{k}`` and the base grid's ``{l0}``, ``{lo}``,
+    ``{hi}`` filled in."""
+
+    label: str
+    build: Callable[..., GridFunction]
+    masked: bool
+    seed: Callable[[int, int], list[int]] | None = None
+
+    def realise(self, base: GridSpec, noise_seed, spec: GridSpec) -> GridFunction:
+        f = self.build(spec, base, noise_seed) if self.seed else self.build(spec, base)
+        return restrict_to_window(f) if self.masked else f
+
+
+TRIAL_OBJECTS: dict[str, TrialObject] = {
+    # the operator suites' objects, all window-supported: the annuli as built
+    "constant": TrialObject("constant", lambda spec, base: constant(spec, 1.0), True),
+    "indicator-R": TrialObject("indicator-R({l0},{l0})", _center_indicator, True),
+    "annulus": TrialObject("annulus-({hi},{lo})", _outer_annulus, False),
+    "annulus-comb": TrialObject("annulus-comb", lambda spec, base: annulus_comb(spec), False),
+    "truncated-log": TrialObject("truncated-log", _builtin("truncated_log"), True),
+    "noise": TrialObject("noise-{k}", cell_split_noise, True, lambda seed, k: [seed, k]),
+    "member": TrialObject("member-{k}", cell_split_noise, True, lambda seed, k: [seed, 101 + k]),
+    # symbols, on the whole box
+    "log-symbol": TrialObject("truncated-log", _builtin("truncated_log"), False),
+    "indicator-symbol": TrialObject("indicator-R({l0},{l0})", _center_indicator, False),
+    "square-symbol": TrialObject("indicator-square", _center_indicator, False),
+    "gaussian": TrialObject("gaussian", _builtin("gaussian", sigma=0.7), False),
+    "power-0.3": TrialObject("power-0.3", _builtin("power", a=0.3, b=0.3), False),
+    "noise-symbol": TrialObject("noise", cell_split_noise, False, lambda seed, k: [seed, 907]),
+    "coordinate-x": TrialObject("coordinate-x", _coordinate_x, False),
+}
+# what the suites select, in trial order; fefferman_stein draws "member"s
+OPERATOR_OBJECTS = ("constant", "indicator-R", "annulus", "annulus-comb", "truncated-log", "noise")
+BMO_SYMBOLS = (
+    "log-symbol", "indicator-symbol", "annulus-comb", "gaussian", "power-0.3", "noise-symbol"
+)
+COMMUTATOR_SYMBOLS = {"log-symbol": "bmo", "square-symbol": "bmo", "coordinate-x": "non-bmo"}
+
+
+def trial_objects(names: Sequence[str], base: GridSpec, seed: int, draws: int = 1) -> list:
+    """The ``TRIAL_OBJECTS`` entries ``names`` for a suite on the base grid
+    ``base`` with seed ``seed``, in order, as ``(label, build)`` pairs, where
+    ``build(spec)`` samples it on ``spec``; a seeded entry gives ``draws``."""
+    levels = {"l0": _center_level(base), "lo": base.window_low, "hi": base.window_high}
+    out = []
+    for entry in (TRIAL_OBJECTS[name] for name in names):
+        for k in range(draws if entry.seed else 1):
+            noise_seed = entry.seed(seed, k) if entry.seed else None
+            build = functools.partial(entry.realise, base, noise_seed)
+            out.append((entry.label.format(k=k, **levels), build))
+    return out
 
 
 # -- option domains --------------------------------------------------------------
@@ -582,10 +587,12 @@ def _suite_driver(
 # -- suite: indicator closed forms -----------------------------------------------
 
 
-def _rel_err(got: float, want: float) -> float:
-    """``|got - want| / want``; NaN, which fails the gate, where ``want``
+def _closed_form_trial(name: str, got: float, want: float) -> TrialRecord:
+    """``got`` against the closed form ``want``, with the relative error
+    ``|got - want| / want``: NaN, which fails the gate, where ``want``
     underflowed to 0 or both sides overflowed to inf."""
-    return abs(got - want) / want if want else math.nan
+    rel = abs(got - want) / want if want else math.nan
+    return TrialRecord(name, got, want, extra={"rel_err": rel})
 
 
 @_suite_driver(
@@ -611,30 +618,20 @@ def check_char_norms(
             want = char_rect_norm_closed_form(
                 pr, rect.l1, rect.l2, "morrey-herz", window_floor=grid.window_low
             )
-            rel = _rel_err(got, want)
-            trials.append(
-                TrialRecord(
-                    f"set{pset_id}:chi({rect.l1},{rect.l2})", got, want,
-                    extra={"rel_err": rel},
-                )
-            )
+            trials.append(_closed_form_trial(f"set{pset_id}:chi({rect.l1},{rect.l2})", got, want))
         # continuum diagonal scaling, checked away from float-pow noise
         target = _pow2(pr.alpha + pr.n / pr.p - pr.lam)
         base_v = char_rect_norm_closed_form(pr, 0, 0, "morrey-herz")
         step_v = char_rect_norm_closed_form(pr, 1, 0, "morrey-herz")
         ratio = step_v / base_v if base_v else math.nan  # NaN where base_v underflowed
-        rel = _rel_err(ratio, target)
-        trials.append(
-            TrialRecord(f"set{pset_id}:diagonal-ratio", ratio, target, extra={"rel_err": rel})
-        )
+        trials.append(_closed_form_trial(f"set{pset_id}:diagonal-ratio", ratio, target))
         # lam = 0 degenerates to the Herz closed form, checked at a window level
         pr0, l0 = pr.with_lam(0.0), _center_level(grid)
         g0 = char_rect_norm_closed_form(pr0, l0, l0, "morrey-herz", window_floor=grid.window_low)
         h0 = char_rect_norm_closed_form(pr0, l0, l0, "herz", window_floor=grid.window_low)
-        rel = _rel_err(g0, h0)
-        trials.append(TrialRecord(f"set{pset_id}:lam0-degenerate", g0, h0, extra={"rel_err": rel}))
+        trials.append(_closed_form_trial(f"set{pset_id}:lam0-degenerate", g0, h0))
 
-    # np.max, unlike max(), keeps a NaN error (see _rel_err), which fails the gate
+    # np.max, unlike max(), keeps a NaN error, which fails the gate
     worst = float(np.max([t.extra["rel_err"] for t in trials]))
     return _Measured(
         "char-indicator-closed-form",
@@ -709,10 +706,10 @@ def check_norm_duality(
 
     dual = params.dual()
     pairing_worst = 0.0
-    objs = standard_objects(grid, seed, n_random=max(2, trials - 3))
+    builds = [build for _, build in trial_objects(OPERATOR_OBJECTS, grid, seed, max(2, trials - 3))]
     for k in range(trials):
-        a = objs[k % len(objs)].build(grid)
-        b = objs[(k * 7 + 3) % len(objs)].build(grid)
+        a = builds[k % len(builds)](grid)
+        b = builds[(k * 7 + 3) % len(builds)](grid)
         lhs = pairing_l1(a, b)
         rhs = herz_norm(a, dual) * herz_norm(b, params)
         if rhs == 0.0:
@@ -723,7 +720,7 @@ def check_norm_duality(
     lam_params = _with_positive_lam(params)
     sup_fraction = 0.0
     sup_excess = 0.0
-    f_probe = objs[-1].build(grid)
+    f_probe = builds[-1](grid)
     mk = morrey_herz_norm(f_probe, lam_params)
     if mk > 0:
         best = 0.0
@@ -769,25 +766,30 @@ def check_norm_duality(
 # -- suite: maximal operator bounds -----------------------------------------------
 
 
-def _operator_trials(
-    objs: Sequence[TestObject],
+def _operator_sweep(
+    objs: Sequence[tuple[str, Callable[[GridSpec], GridFunction]]],
     spec: GridSpec,
-    apply: Callable[[GridFunction], GridFunction],
+    op: Callable[[GridFunction], GridFunction],
     norm: Callable[[GridFunction, ExponentParams], float],
     params: ExponentParams,
-    prefix: str = "",
-) -> list[TrialRecord]:
-    """``norm(op f)`` over ``norm(f)`` for each object of nonzero norm on
-    ``spec``, with ``op f = apply(f)`` window-masked; each ``op f`` is
-    dropped before the next object is built."""
-    out = []
-    for obj in objs:
-        f = obj.build(spec)
+    also: Callable[[GridFunction, GridFunction], dict] | None = None,
+):
+    """The operator-ratio trials of the suites: for each object ``f`` of nonzero
+    ``norm`` on ``spec``, the record of ``norm(op f)`` (``op f`` cut to the
+    window) over ``norm(f)``, whose ``extra`` is what ``also(f, op f)``
+    measured.  A measured object's tables are dropped before the next build."""
+    for name, build in objs:
+        f = build(spec)
         rhs = norm(f, params)
         if rhs == 0.0:
             continue
-        out.append(TrialRecord(prefix + obj.name, norm(restrict_to_window(apply(f)), params), rhs))
-    return out
+        opf = op(f)
+        extra = also(f, opf) if also else {}
+        masked = restrict_to_window(opf)
+        del f, opf  # before the norm, which takes tables of its own
+        lhs = norm(masked, params)
+        del masked
+        yield TrialRecord(name, lhs, rhs, extra=extra)
 
 
 @_suite_driver(
@@ -808,10 +810,10 @@ def check_maximal_bounds(
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
     norm = SPACES[space]
     caps = SUITES["maximal_bounds"].caps
-    objs = standard_objects(grid, seed, n_random=max(1, trials - 5))
+    objs = trial_objects(OPERATOR_OBJECTS, grid, seed, draws=max(1, trials - 5))
 
     def run(spec: GridSpec):
-        return _operator_trials(objs, spec, lambda f: strong_maximal(f, variant), norm, params)
+        return list(_operator_sweep(objs, spec, lambda f: strong_maximal(f, variant), norm, params))
 
     base_trials = run(grid)
     summary = _ratio_summary(base_trials)
@@ -852,7 +854,7 @@ def check_fefferman_stein(
     caps = SUITES["fefferman_stein"].caps
     # the size-family_count family is the first half of the doubled one,
     # so each member is maximised once per grid
-    family = [_base_noise(grid, [seed, 101 + k], masked=True) for k in range(2 * family_count)]
+    family = [build for _, build in trial_objects(("member",), grid, seed, 2 * family_count)]
 
     sizes = (family_count, 2 * family_count)
 
@@ -970,54 +972,43 @@ def check_extrapolation(
     if c_used is None:
         c_used = max(1.0, estimate_block_norm_constant(grid, block, variant))
 
-    objs = standard_objects(grid, seed, n_random=max(1, trials - 3))
+    objs = trial_objects(OPERATOR_OBJECTS, grid, seed, draws=max(1, trials - 3))
 
-    def mk_layer(spec: GridSpec):
-        """Each object of nonzero Morrey-Herz norm, with ``op f`` and the
-        Morrey-Herz ratio (the conclusion layer, which reads no weight)."""
-        for obj in objs:
-            f = obj.build(spec)
-            mk_rhs = morrey_herz_norm(f, params)
-            if mk_rhs == 0.0:
-                continue
-            opf = EXTRAPOLATION_OPS[op](f, variant)
-            yield obj, f, opf, morrey_herz_norm(restrict_to_window(opf), params) / mk_rhs
+    def sweep(spec: GridSpec, also=None):
+        return _operator_sweep(
+            objs, spec, lambda f: EXTRAPOLATION_OPS[op](f, variant), morrey_herz_norm, params, also
+        )
 
     def run(spec: GridSpec):
-        out = []
-        probes = standard_objects(grid, seed + 1, n_random=1)
-        weights = [("unit", make_weight(constant(spec, 1.0)))]
-        for probe in probes[1 : 1 + max(1, trials // 2)]:
-            h = probe.build(spec)
-            weights.append(
-                (
-                    f"generated[{probe.name}]",
-                    generate_a1_weight(h, c_used, K, variant, block_params=block),
-                )
-            )
-        for obj, f, opf, mk_ratio in mk_layer(spec):
+        probes = trial_objects(OPERATOR_OBJECTS, grid, seed + 1)[1 : 1 + max(1, trials // 2)]
+        weights = [("unit", make_weight(constant(spec, 1.0)))] + [
+            (f"generated[{name}]", generate_a1_weight(h(spec), c_used, K, variant, block))
+            for name, h in probes
+        ]
+
+        def weighted(f: GridFunction, opf: GridFunction) -> dict:
+            """The hypothesis layer: ``op f`` and ``f`` in L^p0 of each weight
+            under which ``f`` is nonzero."""
+            out = {}
             for wname, w in weights:
                 rhs = weighted_lp_norm(f, w, p0)
-                if rhs == 0.0:
-                    continue
-                lhs = weighted_lp_norm(opf, w, p0)
-                out.append(
-                    TrialRecord(
-                        f"{obj.name}|{wname}",
-                        lhs,
-                        rhs,
-                        extra={
-                            "mk_ratio": mk_ratio,
-                            "weighted_ratio": lhs / rhs,
-                        },
-                    )
-                )
+                if rhs != 0.0:
+                    out[wname] = weighted_lp_norm(opf, w, p0), rhs
+            return out
+
+        # each weight's pair beside the object's Morrey-Herz ratio, the
+        # conclusion layer, which reads no weight
+        out = []
+        for t in sweep(spec, weighted):
+            for wname, (lhs, rhs) in t.extra.items():
+                extra = {"mk_ratio": t.ratio, "weighted_ratio": lhs / rhs}
+                out.append(TrialRecord(f"{t.trial}|{wname}", lhs, rhs, extra=extra))
         return out
 
     base_trials = run(grid)
     summary = _ratio_summary(base_trials)
     # the unit weight keeps every object of nonzero norm, so the trials hold
-    # each object's Morrey-Herz ratio: the refinement needs mk_layer alone
+    # each object's Morrey-Herz ratio: the refinement needs no weight
     mk_max = max((t.extra["mk_ratio"] for t in base_trials), default=None)
     return _Measured(
         f"extrapolation[{op}]",
@@ -1038,7 +1029,7 @@ def check_extrapolation(
         ],
         stat="mk_max_ratio",
         base=mk_max,
-        fine=lambda spec: max((ratio for *_, ratio in mk_layer(spec)), default=None),
+        fine=lambda spec: max((t.ratio for t in sweep(spec)), default=None),
         notes=[
             "hypothesis layer samples finitely many generated weights; "
             "no exhaustiveness over the unit ball is claimed",
@@ -1067,21 +1058,6 @@ def _bmo_sweep_guard(spec: GridSpec) -> None:
         _swept_rectangles(spec, _default_bmo_family(spec))
     except CostGuardError as exc:
         raise CostGuardError(f"N={spec.n_cells} is past the bmo sweep's cost guard: {exc}") from None
-
-
-def _bmo_symbols(base: GridSpec, seed: int) -> list[TestObject]:
-    l0 = _center_level(base)
-    return [
-        TestObject("truncated-log", lambda spec: build_function(spec, builtin="truncated_log")),
-        TestObject(
-            f"indicator-R({l0},{l0})",
-            lambda spec: indicator(spec, DyadicRectangle(l0, l0)),
-        ),
-        TestObject("annulus-comb", _comb),
-        TestObject("gaussian", lambda spec: build_function(spec, builtin="gaussian", sigma=0.7)),
-        TestObject("power-0.3", lambda spec: build_function(spec, builtin="power", a=0.3, b=0.3)),
-        TestObject("noise", _base_noise(base, [seed, 907], masked=False)),
-    ]
 
 
 @_suite_driver(
@@ -1160,18 +1136,18 @@ def check_john_nirenberg_bmo(
             f"decay holds trivially"
         )
 
-    symbols = _bmo_symbols(grid, seed)
+    symbols = trial_objects(BMO_SYMBOLS, grid, seed)
 
     def equivalence(spec: GridSpec):
         fam = _default_bmo_family(spec)
         out = []
-        for obj in symbols:
-            f = obj.build(spec)
+        for name, build in symbols:
+            f = build(spec)
             mk, plain, _ = bmo_mk_norm(f, params, fam)  # one sweep gives both norms
             del f  # free it before the next symbol is built
             if plain == 0.0:
                 continue
-            out.append(TrialRecord(f"equiv:{obj.name}", mk, plain))
+            out.append(TrialRecord(f"equiv:{name}", mk, plain))
         return out
 
     equiv_trials = equivalence(grid)
@@ -1237,34 +1213,22 @@ def check_cz_comm(
     shift = int(math.log2(DILATIONS[-1]))
     l0 = max(grid.window_low, grid.window_high - shift - 1)
 
-    symbols = [
-        ("truncated-log", lambda spec: build_function(spec, builtin="truncated_log"), "bmo"),
-        (
-            "indicator-square",
-            lambda spec: indicator(spec, DyadicRectangle(_center_level(spec), _center_level(spec))),
-            "bmo",
-        ),
-        ("coordinate-x", lambda spec: build_function(spec, rule=lambda x, y: x + 0.0 * y), "non-bmo"),
-    ]
-
-    objs = standard_objects(grid, seed, n_random=2)
-
-    def tk_trials(spec: GridSpec):
-        """(i) the plain operator layer, the one the refinement recomputes."""
-        return _operator_trials(objs, spec, cz_apply, morrey_herz_norm, params, prefix="tk:")
-
-    base_trials = tk_trials(grid)
+    # (i) the plain operator layer, the one the refinement recomputes
+    objs = [(f"tk:{name}", build) for name, build in trial_objects(OPERATOR_OBJECTS, grid, seed, 2)]
+    tk = functools.partial(_operator_sweep, objs, op=cz_apply, norm=morrey_herz_norm, params=params)
+    base_trials = list(tk(grid))
     tk_max = max((t.ratio for t in base_trials), default=None)
     # (ii)+(iii) commutator dilation sweep, kept even at a zero right side
     f0 = restrict_to_window(indicator(grid, DyadicRectangle(l0, l0)))
-    for name, build, expected in symbols:
+    symbols = trial_objects(COMMUTATOR_SYMBOLS, grid, seed)
+    for (label, build), expected in zip(symbols, COMMUTATOR_SYMBOLS.values()):
         bsym = build(grid)
         for t in DILATIONS:
             ft = dilate(f0, t) if t > 1 else f0
             rhs = morrey_herz_norm(ft, params)
             lhs = morrey_herz_norm(restrict_to_window(commutator(bsym, ft)), params)
-            trial = TrialRecord(f"comm:{name}:t={t}", lhs, rhs, extra={"t": t, "expected": expected})
-            base_trials.append(trial)
+            extra = {"t": t, "expected": expected}
+            base_trials.append(TrialRecord(f"comm:{label}:t={t}", lhs, rhs, extra=extra))
     bmo_max = max(t.ratio for t in base_trials if t.extra.get("expected") == "bmo")
     ratio_of = {t.trial: t.ratio for t in base_trials}
     lo = ratio_of[f"comm:coordinate-x:t={DILATIONS[0]}"]
@@ -1290,5 +1254,5 @@ def check_cz_comm(
         ],
         stat="tk_max_ratio",
         base=tk_max,
-        fine=lambda spec: max((t.ratio for t in tk_trials(spec)), default=None),
+        fine=lambda spec: max((t.ratio for t in tk(spec)), default=None),
     )

@@ -506,7 +506,7 @@ def test_bad_option_values_refused_before_the_run(tmp_path, capsys, name, option
         (2, {"q": 1000, "alpha": 2000}),  # the norms pass the float range at large q
         (2, {"alpha": 300}),
         (2, {"alpha": 2000}),  # so does the diagonal ratio's target
-        (5, {"q": 1000}),  # the powers at the window floor underflow to 0
+        (5, {"q": 1000, "alpha": 2000}),  # the norms at the window floor underflow to 0
         # each of these stopped the run: an annulus sum ** (1/p) overflowed,
         (2, {"p": 0.001}),
         # the geometric ratio 2**(q*beta) rounded to 1 and the sum divided by 0,

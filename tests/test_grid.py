@@ -449,6 +449,8 @@ ADOPTING_BUILDERS = {
     "dilate": lambda f: dilate(f, 2.0),
     "restrict_to_window": restrict_to_window,
     "clipped_rule": lambda f: build_function(f.spec, rule=lambda x, y: x * y, clip=1.0),
+    "gaussian": lambda f: build_function(f.spec, builtin="gaussian", sigma=0.7),
+    "power": lambda f: build_function(f.spec, builtin="power", a=0.3, b=0.3),
 }
 
 

@@ -743,7 +743,8 @@ def test_axis_block_factor_past_the_float_range():
     assert axis(q1000, 1, 2, -3) == pytest.approx(pref * 2**1.5, rel=1e-15)  # the sum is 2**1500
     assert axis(q1000, 1, 2, None) == pytest.approx(pref * 2**1.5, rel=1e-15)  # the continuum's too
     q2000 = ExponentParams(0.25, 2, 2000, 0.5)  # r = 2**1500 overflows
-    assert axis(q2000, 1, -1, -3) == 0.0  # 2**-1500 underflows
+    # the sum r**-1 + r**-2 + r**-3 underflows to 0: factored the same way
+    assert axis(q2000, 1, -1, -3) == pytest.approx(pref * 2**-0.75, rel=1e-15)
     assert axis(q2000, 1, 0, -3) == pref
     assert axis(q2000, 1, 1, -3) == pytest.approx(pref * 2**0.75, rel=1e-15)
     alpha2000 = ExponentParams(2000, 2, 2, 0.5)  # 2**(l * beta) itself overflows

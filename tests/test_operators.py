@@ -17,6 +17,7 @@ from mherz.grid import (
     GridRectangle,
     _box_sum,
     _prefix_table,
+    annulus_comb,
     build_function,
     constant,
     indicator,
@@ -41,7 +42,7 @@ from mherz.operators import (
     rubio_de_francia,
     strong_maximal,
 )
-from mherz.verification import _comb, extrapolation_block_params, standard_objects
+from mherz.verification import OPERATOR_OBJECTS, extrapolation_block_params, trial_objects
 from mherz.weights import generate_a1_weight
 
 
@@ -358,8 +359,8 @@ def test_iterated_1d_sweeps_each_distinct_line_once(monkeypatch):
     # a fingerprint: 2 to 256 lines per pass, each swept once
     swept.clear()
     g = make_grid(3, 5)
-    for obj in standard_objects(g, 2024, n_random=1):
-        strong_maximal(obj.build(g), ITERATED_1D)
+    for _, build in trial_objects(OPERATOR_OBJECTS, g, 2024):
+        strong_maximal(build(g), ITERATED_1D)
     assert all(k == m for _, k, m in swept)
     assert sorted(k for _, k, _ in swept) == [2, 2, 2, 2, 8, 113, 127, 128, 253, 255, 256, 256]
 
@@ -421,7 +422,7 @@ def test_operator_outputs_are_adopted_frozen_tables(monkeypatch):
     block = extrapolation_block_params(ExponentParams(0.2, 4, 4, 0.2), 2.0)
     outs += [cz_apply(f), commutator(b, f), rubio_de_francia(f, 2.0, 2)]
     outs += [generate_a1_weight(f, 2.0, 2, block_params=p).fn for p in (None, block)]
-    outs.append(_comb(g))
+    outs.append(annulus_comb(g))
     tables = [out.values for out in outs]
     for t in tables:
         assert not t.flags.writeable and t.flags.c_contiguous

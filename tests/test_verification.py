@@ -17,9 +17,12 @@ from mherz.errors import CostGuardError, PredicateError
 from mherz.grid import MAX_LEVEL_SUM, build_function, make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
+    OPERATOR_OBJECTS,
     SUITES,
+    TRIAL_OBJECTS,
     Gate,
     InequalityReport,
+    TrialObject,
     TrialRecord,
     _Measured,
     _drive,
@@ -33,13 +36,22 @@ from mherz.verification import (
     check_norm_duality,
     extrapolation_block_params,
     finest_grid,
-    standard_objects,
+    trial_objects,
 )
 from mherz.weights import generate_a1_weight
 
 G = make_grid(3, 4)  # N = 128: big enough to be meaningful, fast enough for CI
 PR = ExponentParams(0.25, 2, 2, 0.5)
 PRX = ExponentParams(0.2, 4, 4, 0.2)
+
+
+def select_objects(monkeypatch, selection, builders):
+    """Make the suites select ``builders`` (label -> builder of ``spec``) as
+    their ``selection`` of trial objects, unmasked."""
+    for label, build in builders.items():
+        entry = TrialObject(label, lambda spec, base, build=build: build(spec), False)
+        monkeypatch.setitem(TRIAL_OBJECTS, label, entry)
+    monkeypatch.setattr(verification, selection, tuple(builders))
 
 
 def test_trial_record_ratio():
@@ -86,14 +98,33 @@ def test_report_round_trip():
     assert back.to_dict() == rep.to_dict()
 
 
-def test_standard_objects_window_supported_and_refinable():
-    from mherz.grid import window_support_violations
+def test_trial_objects_window_supported_and_refinable():
+    from mherz.grid import restrict_to_window, window_support_violations
 
-    for obj in standard_objects(G, seed=0):
-        f = obj.build(G)
-        assert len(window_support_violations(f)) == 0
-        fine = obj.build(make_grid(3, 5))
-        assert fine.spec.s == 5
+    # a suite keys its trials by label, so no two objects it selects share
+    # one; the symbols are drawn once
+    selections = {
+        OPERATOR_OBJECTS: 3,
+        verification.BMO_SYMBOLS: 1,
+        tuple(verification.COMMUTATOR_SYMBOLS): 1,
+        ("member",): 8,
+    }
+    for names, draws in selections.items():
+        labels = [label for label, _ in trial_objects(names, G, seed=0, draws=draws)]
+        assert len(set(labels)) == len(labels), labels
+    assert {name for names in selections for name in names} == set(TRIAL_OBJECTS)
+    fine = make_grid(3, 5)
+    for name, entry in TRIAL_OBJECTS.items():
+        for k, (_, build) in enumerate(trial_objects([name], G, seed=0, draws=2)):
+            f, f_fine = build(G), build(fine)
+            assert f_fine.spec == fine
+            # the operator suites take annulus norms, which need window support
+            if entry.masked or name in OPERATOR_OBJECTS:
+                assert len(window_support_violations(f)) == 0, name
+            if entry.seed:  # noise is drawn once, on the base grid, and cell-split
+                split = entry.build(G, G, entry.seed(0, k)).refine(1)
+                want = restrict_to_window(split) if entry.masked else split
+                assert np.array_equal(f_fine.values, want.values), name
 
 
 def test_char_norms_passes_and_degenerate_trials_present():
@@ -148,6 +179,20 @@ def test_char_norms_at_large_q_factor_the_sums_past_the_float_range(s):
     assert all(rel[k] <= 1e-12 for k in levels), rel
     if s == 2:  # the window floor is 0, so no level underflows
         assert rep.passed and rep.summary["worst_rel_err"] <= 1e-12
+
+
+@pytest.mark.parametrize("s, q", [(3, 500), (5, 1000)])
+def test_char_norms_at_large_q_factor_the_sums_below_the_normal_range(s, q):
+    # below the unit cube the l^q sums underflow: at (3, 3), q = 500, the
+    # grid norm of chi(-1, -1) read 0.0 against 0.354 in closed form; at
+    # (3, 5), q = 1000, the closed form's window sum of chi(-3, 3) read 0.
+    # Both sides factor out the largest term and agree at rounding level
+    pr = ExponentParams(**{**asdict(PR), "q": q})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_char_norms(make_grid(3, s), [pr])
+    assert rep.passed and rep.summary["worst_rel_err"] <= 1e-12
+    assert all(0 < t.lhs < math.inf for t in rep.trials if t.trial.startswith("set0:chi("))
 
 
 def test_every_refining_suite_declares_a_drift_cap():
@@ -349,6 +394,30 @@ def test_fefferman_stein_streams_its_family():
     assert peak < 8.6 * 8 * n * n, peak / (8 * n * n)
 
 
+@pytest.mark.parametrize(
+    "suite, cap",
+    [("maximal_bounds", 5.3), ("extrapolation", 5.3), ("cz_comm", 3.6)],
+)
+def test_operator_sweep_drops_each_object_before_the_next(suite, cap):
+    # traced peak of a demo run, in N**2 doubles of the refinement's grid
+    # (N = 256): 4.8, 4.8 and 3.2.  extrapolation kept the last object and
+    # its M f alive while the next was built and maximised, and read 6.8
+    run = {
+        "maximal_bounds": lambda: check_maximal_bounds(G, "morrey-herz", PR, seed=2026),
+        "extrapolation": lambda: check_extrapolation(G, "strong-maximal", 2.0, PRX, seed=2028),
+        "cz_comm": lambda: check_cz_comm(G, PR, seed=2030),
+    }[suite]
+    run()  # warm the caches
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = finest_grid(G, True).n_cells
+    assert peak < cap * 8 * n * n, peak / (8 * n * n)
+
+
 def test_fefferman_stein_disjoint_indicator_family():
     # r-sum of disjointly supported indicators is itself an indicator sum;
     # the vector-valued ratio stays under the default cap
@@ -398,10 +467,10 @@ def test_extrapolation_unit_weight_layer():
     from mherz.grid import restrict_to_window
     from mherz.operators import DYADIC_SIDES, strong_maximal
 
-    obj = standard_objects(G, rep.params["seed"], n_random=1)[0]
-    f = obj.build(G)
+    label, build = trial_objects(OPERATOR_OBJECTS, G, rep.params["seed"])[0]
+    f = build(G)
     want = lp_norm(strong_maximal(f, DYADIC_SIDES), 2.0) / lp_norm(f, 2.0)
-    t = next(t for t in rep.trials if t.trial == f"{obj.name}|unit")
+    t = next(t for t in rep.trials if t.trial == f"{label}|unit")
     assert t.ratio == pytest.approx(want, rel=1e-12)
 
 
@@ -472,11 +541,10 @@ def test_john_nirenberg_bounded_symbol_trivial_decay():
 def test_john_nirenberg_fails_cleanly_when_every_symbol_is_dropped(monkeypatch):
     from mherz import verification
     from mherz.grid import constant
-    from mherz.verification import TestObject
 
     g = make_grid(2, 3)
-    flat = [TestObject(f"constant-{c}", lambda spec, c=c: constant(spec, c)) for c in (0.0, 2.0)]
-    monkeypatch.setattr(verification, "_bmo_symbols", lambda base, seed: flat)
+    flat = {f"constant-{c}": lambda spec, c=c: constant(spec, c) for c in (0.0, 2.0)}
+    select_objects(monkeypatch, "BMO_SYMBOLS", flat)
     rep = check_john_nirenberg_bmo(g, PR)
     assert rep.status == "fail"
     assert rep.summary["equiv_min_ratio"] is None and rep.summary["equiv_max_ratio"] is None
@@ -490,13 +558,8 @@ def test_john_nirenberg_fails_cleanly_when_every_symbol_is_dropped(monkeypatch):
 
     # constant only on the finer grid: the refined statistic is undefined
     coarse_noise = build_function(g, builtin="noise", seed=1)
-    fine_only = [
-        TestObject(
-            "coarse-noise",
-            lambda spec: coarse_noise if spec == g else constant(spec, 1.0),
-        )
-    ]
-    monkeypatch.setattr(verification, "_bmo_symbols", lambda base, seed: fine_only)
+    fine_only = {"coarse-noise": lambda spec: coarse_noise if spec == g else constant(spec, 1.0)}
+    select_objects(monkeypatch, "BMO_SYMBOLS", fine_only)
     rep = check_john_nirenberg_bmo(g, PR)
     assert rep.status == "fail"
     assert rep.refinement["refined_equiv_max"] is None
@@ -508,7 +571,6 @@ def test_john_nirenberg_fails_cleanly_when_every_symbol_is_dropped(monkeypatch):
 def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, suite):
     from mherz import cli
     from mherz.grid import constant, restrict_to_window
-    from mherz.verification import TestObject
 
     def run(g):
         if suite == "maximal_bounds":
@@ -524,8 +586,7 @@ def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, 
         "cz_comm": "tk_max_ratio",
     }[suite]
     g = make_grid(2, 3)
-    zero = [TestObject("zero", lambda spec: constant(spec, 0.0))]
-    monkeypatch.setattr(verification, "standard_objects", lambda base, seed, n_random=3: zero)
+    select_objects(monkeypatch, "OPERATOR_OBJECTS", {"zero": lambda spec: constant(spec, 0.0)})
     rep = run(g)
     assert rep.status == "fail"
     assert rep.summary[stat] is None
@@ -540,10 +601,8 @@ def test_suite_fails_cleanly_when_every_trial_is_dropped(monkeypatch, tmp_path, 
 
     # zero only on the finer grid: the refined statistic is undefined
     coarse_noise = restrict_to_window(build_function(g, builtin="noise", seed=1))
-    fine_only = [
-        TestObject("coarse-noise", lambda spec: coarse_noise if spec == g else constant(spec, 0.0))
-    ]
-    monkeypatch.setattr(verification, "standard_objects", lambda base, seed, n_random=3: fine_only)
+    fine_only = {"coarse-noise": lambda spec: coarse_noise if spec == g else constant(spec, 0.0)}
+    select_objects(monkeypatch, "OPERATOR_OBJECTS", fine_only)
     rep = run(g)
     assert rep.status == "fail"
     assert rep.refinement[f"refined_{stat}"] is None
@@ -565,7 +624,7 @@ def test_default_bmo_family_has_no_repeated_rectangle():
 def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
     from mherz import norms, verification
     from mherz.grid import GridFunction, GridSpec
-    from mherz.verification import _bmo_symbols, _default_bmo_family
+    from mherz.verification import BMO_SYMBOLS, _default_bmo_family
 
     # rectangles whose mean is taken; rect_mean goes through rect_means too
     means = Counter()
@@ -604,7 +663,7 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
     g = make_grid(2, 3)
     fine = GridSpec(g.L_max, g.s + 1)
     check_john_nirenberg_bmo(g, PR)
-    symbols = len(_bmo_symbols(g, 0))
+    symbols = len(BMO_SYMBOLS)
     rects = {spec.n_cells: len(_default_bmo_family(spec)) for spec in (g, fine)}
     # one mean per rectangle and symbol; the decay sweep takes the box mean once
     assert means == {
@@ -828,8 +887,8 @@ def test_trimmed_refinement_matches_full_run_on_finer_grid(monkeypatch, suite):
     calls.clear()
     monkeypatch.setattr(
         verification,
-        "standard_objects",
-        lambda base, seed, n_random=3: standard_objects(grid, seed, n_random),
+        "trial_objects",
+        lambda names, base, seed, draws=1: trial_objects(names, grid, seed, draws),
     )
     # cz_comm places its commutator bump by the grid it is called on, which
     # moves the comm: trials but not the gated tk: ones
@@ -840,7 +899,7 @@ def test_trimmed_refinement_matches_full_run_on_finer_grid(monkeypatch, suite):
 
 
 def _comb_loop(spec):
-    # the former annulus-by-annulus sum, kept as the oracle of _comb
+    # the former annulus-by-annulus sum, kept as the oracle of annulus_comb
     from mherz.grid import AnnulusIndex, annulus_restrict, constant
 
     vals = np.zeros((spec.n_cells, spec.n_cells))
@@ -853,10 +912,10 @@ def _comb_loop(spec):
 
 
 def test_comb_matches_annulus_loop_bit_for_bit():
-    from mherz.verification import _comb
+    from mherz.grid import annulus_comb
 
     for spec in [make_grid(L, s) for L in range(1, 6) for s in range(7) if L + s <= 8]:
         if spec.window_low > spec.window_high:
             continue  # no annulus: the suites refuse the grid
         want = _comb_loop(spec).tobytes()
-        assert _comb(spec).values.tobytes() == want, spec
+        assert annulus_comb(spec).values.tobytes() == want, spec
