@@ -7,20 +7,22 @@ sup of |f|-averages over a rectangle family containing each cell):
 * ``exact-grid``: every grid-aligned rectangle.  O(N^4) via per-row-range 1-D
   reductions; refused beyond ``EXACT_GATE`` cells a side.
 * ``dyadic-sides``: rectangles with power-of-two side lengths at every
-  position, O(N^2 log^2 N) via prefix sums and the doubling recurrence of
-  trailing-window maxima.  Side heights ``wy`` are the outer loop; per
-  height, the columns are walked in blocks of ``DYADIC_BLOCK`` that fit in
-  cache, and widths ``wx`` are the inner loop over each block.  The box sum
-  is reassociated into a column difference scaled by ``1/wy``, taken once
-  per height and block, and a row difference of it scaled by ``1/wx``, so
-  each side pair costs one difference, one exact power-of-two scaling and
-  two elementwise maxes.  The averages differ from the four-corner
-  ``_box_sum`` expression by rounding only; exact ``max`` keeps the result
-  independent of the block size and loop order.  Its memory is the prefix
-  table, the output and three N x ``DYADIC_BLOCK`` block buffers:
-  :func:`strong_maximal` hands it the only reference to ``|f|``, which it
-  frees once the prefix table is built, and the y shift of the output is
-  staged through a block buffer, so no N x N temporary sits beside them.
+  position, O(N^2 log^2 N) via prefix sums and, in each direction, the fold
+  of :func:`_interval_sweep` on dyadic sides: the maxima for side ``w`` take
+  the max with those for side ``2w`` at both ends.  Side heights ``wy`` are
+  the outer loop; per height, the columns are walked in blocks of
+  ``DYADIC_BLOCK`` that fit in cache, and widths ``wx`` are the inner loop
+  over each block.  The box sum is reassociated into a column difference
+  scaled by ``1/wy``, taken once per height and block, and a row difference
+  of it scaled by ``1/wx``, so each side pair costs one difference, one
+  exact power-of-two scaling and two elementwise maxes.  The averages
+  differ from the four-corner ``_box_sum`` expression by rounding only;
+  exact ``max`` keeps the result independent of the block size and loop
+  order.  Its memory is the prefix table, the output and three N x
+  ``DYADIC_BLOCK`` block buffers: :func:`strong_maximal` hands it the only
+  reference to ``|f|``, which it frees once the prefix table is built, and
+  each block folds the previous height into itself before it overwrites
+  its columns, so no N x N temporary sits beside them.
   Pointwise it is dominated by exact-grid, and dominates it up to the factor
   4 (any rectangle sits inside a dyadic-sided one of at most 4x the area at
   an admissible anchor).
@@ -193,75 +195,75 @@ def _maximal_exact(absv: np.ndarray) -> np.ndarray:
 
 
 def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
-    """Max over sides ``(wx, wy)`` of the trailing ``wx x wy`` window max of
-    the box-average table ``T_{wx,wy}`` (indexed by low corner).
+    """Per cell, the max of the box averages over every rectangle with
+    power-of-two sides that contains it.
 
-    Windows are powers of two, so the trailing max of width ``2w`` is the
-    width-``w`` one of ``max(X, X shifted by w)``.  Walking the sides from
-    largest to smallest in Horner order, every side pair then costs one
-    shifted ``np.maximum`` and one fold of ``T``.
+    This is :func:`_interval_sweep`'s fold on dyadic sides, in each
+    direction.  Let ``R_w[i]`` be the largest average over the windows of
+    side at least ``w`` that contain ``[i, i + w)`` at an offset that is a
+    multiple of ``w``.  Such a window is that window itself, or it contains,
+    at an offset that is a multiple of ``2w``, one of the two twice-as-long
+    windows ``[i, i + 2w)`` and ``[i - w, i + w)``.  So ``R_w`` is the max
+    of the side-``w`` averages (``N - w + 1`` rows, indexed by low corner)
+    with ``R_{2w}`` (``N - 2w + 1`` rows) at rows ``[: N - 2w + 1]`` and at
+    rows ``[w:]``.  The sides run from the widest down; at ``w = 1`` every
+    offset is a multiple, so ``R_1`` is the answer.
 
     ``wy`` is the outer loop.  The box sum is reassociated: per ``wy`` the
     column differences ``D = (P[:, wy:] - P[:, :-wy]) * (1 / wy)`` of the
     prefix table are taken once, and per ``wx`` the averages are ``T =
     (D[wx:] - D[:-wx]) * (1 / wx)``, both scalings exact powers of two.
-    The ``wx`` shifts never cross columns, so the ``ny = N - wy + 1``
-    columns are walked in blocks of ``DYADIC_BLOCK``: per block, ``D``
-    (``(N+1) x b``), ``R`` (the running max for one ``wy``, anchored at the
-    low y corner) and ``T`` are C-ordered views of three small flat buffers
-    allocated once per call, the whole ``wx`` loop runs on them in cache,
-    and ``R`` is merged into its columns of the output once.  ``R``
-    ping-pongs between two buffers: the shifted max goes into the other one
-    (an in-place ``R[wx:]`` from the overlapping ``R[:-wx]`` would make
-    numpy copy its input first), and ``T`` is built in the one just
-    retired.  Each box average is one fixed float expression of the prefix
-    table and ``max`` is exact, so the result does not depend on the block
-    size or the loop order; it differs from ``_box_sum(...) / (wx * wy)``
-    by rounding only (a few 1e-14 relative on dense tables).
+    The x fold never crosses columns, so the ``ny = N - wy + 1`` columns are
+    walked in blocks of ``DYADIC_BLOCK``: per block, ``D`` (``(N+1) x b``)
+    and the x fold's two tables, which swap roles per ``wx``, are C-ordered
+    views of three small flat buffers allocated once per call, and the whole
+    ``wx`` loop runs on them in cache.
 
-    Per height, ``out`` first takes its shifted max in y, ``out[:, j] =
-    max(out[:, j], out[:, j - wy])``, right to left in chunks of at most
-    ``b`` columns: each chunk's source columns still hold their old values,
-    and are staged in the idle ``R`` buffer, since a max from a view that
-    overlaps its output makes numpy copy the view first.  ``absv`` is
-    dropped once the prefix table is built, so a caller that keeps no
-    reference to it frees it: the kernel then holds the prefix table, the
-    output and the three block buffers, about ``2 N^2 + 3 N b`` doubles
-    (2.8 N^2 at N=512, 3.8 N^2 at N=256).
+    The y fold runs per block too.  A block's ``R_1`` takes the max with the
+    previous height's output at its own columns ``c`` and at ``c - wy``,
+    then overwrites its columns of ``out``.  The blocks of each height run
+    right to left, so every column a block reads still holds the previous
+    height's value; ``out`` needs no initial value and no staged copy.
+    Each box average is one fixed float expression of the prefix table and
+    ``max`` is exact, so the result does not depend on the block size or
+    the loop order; it differs from ``_box_sum(...) / (wx * wy)`` by
+    rounding only (a few 1e-14 relative on dense tables).
+
+    ``absv`` is dropped once the prefix table is built, so a caller that
+    keeps no reference to it frees it: the kernel then holds the prefix
+    table, the output and the three block buffers, about ``2 N^2 + 3 N b``
+    doubles (2.8 N^2 at N=512, 3.8 N^2 at N=256).
     """
     n = absv.shape[0]
     P = _prefix_table(absv)
     del absv
     sides = [1 << a for a in reversed(range(n.bit_length()))]
-    out = np.full((n, n), -np.inf)
+    out = np.empty((n, n))
     b = min(DYADIC_BLOCK, n)
     r_buf, t_buf, d_buf = np.empty(n * b), np.empty(n * b), np.empty((n + 1) * b)
+    prev = out[:, :0]  # no height is taller than the grid
     for wy in sides:
         ny = n - wy + 1
-        for c1 in range(n, wy, -b):
-            c0 = max(c1 - b, wy)
-            src = r_buf[: n * (c1 - c0)].reshape(n, c1 - c0)
-            np.copyto(src, out[:, c0 - wy : c1 - wy])
-            np.maximum(out[:, c0:c1], src, out=out[:, c0:c1])
-        for c0 in range(0, ny, b):
+        for c0 in reversed(range(0, ny, b)):
             c1 = min(c0 + b, ny)
             k = c1 - c0
             D = d_buf[: (n + 1) * k].reshape(n + 1, k)
             np.subtract(P[:, wy + c0 : wy + c1], P[:, c0:c1], out=D)
             D *= 1.0 / wy
-            R = r_buf[: n * k].reshape(n, k)
-            R.fill(-np.inf)
+            R = D[:0]  # no side is wider than the grid
             for wx in sides:
                 nx = n - wx + 1
-                S = t_buf[: n * k].reshape(n, k)
-                np.maximum(R[wx:], R[:-wx], out=S[wx:])
-                S[:wx] = R[:wx]
-                R, r_buf, t_buf = S, t_buf, r_buf
                 T = t_buf[: nx * k].reshape(nx, k)
                 np.subtract(D[wx:], D[:-wx], out=T)
                 T *= 1.0 / wx
-                np.maximum(R[:nx], T, out=R[:nx])
-            np.maximum(out[:, c0:c1], R, out=out[:, c0:c1])
+                np.maximum(T[: len(R)], R, out=T[: len(R)])
+                np.maximum(T[wx:], R, out=T[wx:])
+                R, r_buf, t_buf = T, t_buf, r_buf
+            at, below = prev[:, c0:c1], prev[:, max(c0 - wy, 0) : max(c1 - wy, 0)]
+            np.maximum(R[:, : at.shape[1]], at, out=R[:, : at.shape[1]])
+            np.maximum(R[:, k - below.shape[1] :], below, out=R[:, k - below.shape[1] :])
+            out[:, c0:c1] = R
+        prev = out[:, :ny]
     return out
 
 
@@ -290,8 +292,9 @@ def strong_maximal(f: GridFunction, variant: str = DYADIC_SIDES) -> GridFunction
     kernel = _MAXIMAL_KERNELS[as_variant(variant, n)]
     v = f.values
     # the kernels' prefix sums would overflow (and inf - inf is NaN) unless
-    # |f| is scaled by the exact power of two 2**-e
-    e = _sum_exponent(float(np.abs(v).max()), n * n)
+    # |f| is scaled by the exact power of two 2**-e; max |f| is read from
+    # the extremes, without an N x N |f| temporary
+    e = _sum_exponent(max(float(v.max()), -float(v.min())), n * n)
     # |f| is passed without a name here, so the dyadic kernel can free it
     out = kernel(_scaled_abs(v, e))
     if e:

@@ -257,11 +257,12 @@ COMMUTATOR_SYMBOLS = {"log-symbol": "bmo", "square-symbol": "bmo", "coordinate-x
 def trial_objects(names: Sequence[str], base: GridSpec, seed: int, draws: int = 1) -> list:
     """The ``TRIAL_OBJECTS`` entries ``names`` for a suite on the base grid
     ``base`` with seed ``seed``, in order, as ``(label, build)`` pairs, where
-    ``build(spec)`` samples it on ``spec``; a seeded entry gives ``draws``."""
+    ``build(spec)`` samples it on ``spec``; a seeded entry whose label takes
+    ``{k}`` gives ``draws``, and one whose label does not gives one."""
     levels = {"l0": _center_level(base), "lo": base.window_low, "hi": base.window_high}
     out = []
     for entry in (TRIAL_OBJECTS[name] for name in names):
-        for k in range(draws if entry.seed else 1):
+        for k in range(draws if entry.seed and "{k}" in entry.label else 1):
             noise_seed = entry.seed(seed, k) if entry.seed else None
             build = functools.partial(entry.realise, base, noise_seed)
             out.append((entry.label.format(k=k, **levels), build))

@@ -191,9 +191,9 @@ def _table(kind, n, rng):
 # sizes past one column block of the kernel: 129 runs a full block and a
 # one-column one at wy = 1, 200 a full and a ragged one at every side height
 # up to 64, and 256 two full blocks at wy = 1 and a full and a ragged one
-# (ny = 255) at wy = 2; 300 runs three blocks, the last ragged, and its y
-# shift of the output three chunks, the leftmost ragged (columns 1..43 at
-# wy = 1)
+# (ny = 255) at wy = 2; 300 runs three blocks, the last ragged.  At every
+# height with more than one block, each block's y fold reads columns of the
+# block to its left, which the right-to-left walk has not yet overwritten
 BLOCK_SIZES = (129, 200, 256, 300)
 
 
@@ -234,6 +234,19 @@ def test_dyadic_kernel_close_to_four_corner_oracle_n256():
     )
 )
 def test_dyadic_kernel_matches_oracle_on_arbitrary_tables(a):
+    assert np.array_equal(_maximal_dyadic(a), reassociated_filter_maximal_dyadic(a))
+
+
+# every size here spans two or three column blocks at wy = 1, where the y
+# fold reads across blocks
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(129, 260),
+    st.sampled_from(["dense", "sparse", "zero", "spike"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dyadic_kernel_matches_oracle_across_column_blocks(n, kind, seed):
+    a = _table(kind, n, np.random.default_rng(seed))
     assert np.array_equal(_maximal_dyadic(a), reassociated_filter_maximal_dyadic(a))
 
 

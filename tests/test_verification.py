@@ -102,7 +102,8 @@ def test_trial_objects_window_supported_and_refinable():
     from mherz.grid import restrict_to_window, window_support_violations
 
     # a suite keys its trials by label, so no two objects it selects share
-    # one; the symbols are drawn once
+    # one, at the draw count it uses or at any other: a seeded entry whose
+    # label has no {k} is drawn once
     selections = {
         OPERATOR_OBJECTS: 3,
         verification.BMO_SYMBOLS: 1,
@@ -110,8 +111,9 @@ def test_trial_objects_window_supported_and_refinable():
         ("member",): 8,
     }
     for names, draws in selections.items():
-        labels = [label for label, _ in trial_objects(names, G, seed=0, draws=draws)]
-        assert len(set(labels)) == len(labels), labels
+        for d in (draws, 3):
+            labels = [label for label, _ in trial_objects(names, G, seed=0, draws=d)]
+            assert len(set(labels)) == len(labels), (d, labels)
     assert {name for names in selections for name in names} == set(TRIAL_OBJECTS)
     fine = make_grid(3, 5)
     for name, entry in TRIAL_OBJECTS.items():
