@@ -15,8 +15,8 @@ Implements, for piecewise-constant functions supported in the annulus window:
 * exact closed forms for norms of centered dyadic-rectangle indicators,
   both for the continuum definition (sums over all annuli) and for the
   window-truncated grid norm (finite geometric sums),
-* a certified two-sided bracket for the block-space norm, whose defining
-  infimum over decompositions is not directly computable,
+* a certified upper bound for the block-space norm, an infimum over
+  decompositions, and a lower bound only from a given test family,
 * little-bmo style oscillation norms over rectangle families, from one
   pass over each rectangle that serves both the plain and the Morrey-Herz
   oscillation (:func:`_oscillation_sweep`), both returned by :func:`bmo_mk_norm`.

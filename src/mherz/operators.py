@@ -7,30 +7,19 @@ sup of |f|-averages over a rectangle family containing each cell):
 * ``exact-grid``: every grid-aligned rectangle.  O(N^4) via per-row-range 1-D
   reductions; refused beyond ``EXACT_GATE`` cells a side.
 * ``dyadic-sides``: rectangles with power-of-two side lengths at every
-  position, O(N^2 log^2 N) via prefix sums and, in each direction, the fold
-  of :func:`_interval_sweep` on dyadic sides: the maxima for side ``w`` take
-  the max with those for side ``2w`` at both ends.  Side heights ``wy`` are
-  the outer loop; per height, the columns are walked in blocks of
-  ``DYADIC_BLOCK`` that fit in cache, and widths ``wx`` are the inner loop
-  over each block.  The box sum is reassociated into a column difference
-  scaled by ``1/wy``, taken once per height and block, and a row difference
-  of it scaled by ``1/wx``, so each side pair costs one difference, one
-  exact power-of-two scaling and two elementwise maxes.  The averages
-  differ from the four-corner ``_box_sum`` expression by rounding only;
-  exact ``max`` keeps the result independent of the block size and loop
-  order.  Its memory is the prefix table, the output and three N x
-  ``DYADIC_BLOCK`` block buffers: :func:`strong_maximal` hands it the only
-  reference to ``|f|``, which it frees once the prefix table is built, and
-  each block folds the previous height into itself before it overwrites
-  its columns, so no N x N temporary sits beside them.
+  position, O(N^2 log^2 N): prefix sums, then in each direction the fold of
+  :func:`_interval_sweep` on dyadic sides, over column blocks of
+  ``DYADIC_BLOCK`` that fit in cache, in the memory of the prefix table,
+  the output and three block buffers (see :func:`_maximal_dyadic`).
   Pointwise it is dominated by exact-grid, and dominates it up to the factor
   4 (any rectangle sits inside a dyadic-sided one of at most 4x the area at
   an admissible anchor).
 * ``iterated-1d``: the 1-D maximal operator applied in y then in x; dominates
   exact-grid pointwise.  O(N^2) time per distinct line (O(N^3) at most) and
   O(N^2) memory: :func:`interval_average_profile` sweeps the interval
-  lengths from N down to 1 over all distinct lines at once, in two
-  alternating slabs, and gathers the profiles back to every line.
+  lengths from N down to 1 over all distinct lines at once (grouped by
+  ``np.unique`` on their bytes), in two alternating slabs, and gathers the
+  profiles back to every line.
   ``exact-grid`` runs the same 1-D sweep on its row-range sums, on every
   line: its batches are too small for the search for repeats to pay.
 
@@ -85,58 +74,49 @@ def as_variant(variant: str, n_cells: int = 0) -> str:
     return variant
 
 
-@functools.lru_cache(maxsize=8)
-def _fingerprint_weights(n: int) -> np.ndarray:
-    """``n`` fixed pseudo-random odd 64-bit multipliers, the first ``n``
-    outputs of splitmix64 in wrapping arithmetic (no ``numpy.random``
-    generator: the first one costs megabytes of RSS); cached, read-only."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-    return _read_only((z ^ (z >> 31)) | np.uint64(1))
-
-
 def _distinct_lines(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` for the rows of a 2-D float table: the rows to
-    sweep, in first-seen order, and for every row the position in ``first``
-    of a row with the same bits.
+    """``(first, inverse)`` for the rows of a 2-D float table: one row of
+    each group of rows with the same bits, in byte order, and for every row
+    the position in ``first`` of its group.
 
-    Rows are grouped by a 64-bit fingerprint of their bits: each word is
-    folded onto itself (so the exponent bits reach the low half) and the
-    words are summed against odd multipliers in wrapping integer
-    arithmetic, which is exact in any summation order.  A row joins the
-    first row of its fingerprint only if their bits are equal; one that
-    does not is swept on its own.  Bits, not values: ``0.0`` and ``-0.0``
-    stay apart.
+    ``np.unique`` groups the rows as raw bytes, so ``0.0`` and ``-0.0``
+    stay apart.  Each row's profile depends on its own bits alone, so the
+    order of ``first`` does not matter.
     """
-    bits = lines.view(np.uint64)
-    folded = bits ^ (bits >> 32)
-    keys = np.einsum("ij,j->i", folded, _fingerprint_weights(bits.shape[1])).tolist()
-    del folded
-    seen: dict[int, int] = {}
-    rep = np.array([seen.setdefault(k, i) for i, k in enumerate(keys)], dtype=np.intp)
-    rows = np.flatnonzero(rep != np.arange(rep.size))  # the repeats
-    clash = rows[(bits[rows] != bits[rep[rows]]).any(axis=1)]
-    rep[clash] = clash
-    is_first = rep == np.arange(rep.size)
-    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[rep]
+    rows = np.ascontiguousarray(lines)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
-def _interval_sweep(P: np.ndarray) -> np.ndarray:
-    """The ``(n, k)`` profile ``Q_1`` of the ``k`` lines whose prefix sums
-    are the columns of the ``(n + 1, k)`` table ``P`` (see
-    :func:`interval_average_profile`)."""
-    n = P.shape[0] - 1
-    # two reused slabs: a fresh array per length costs more peak RSS at large n
-    slabs = (np.empty((n,) + P.shape[1:]), np.empty((n,) + P.shape[1:]))
-    q = P[:0]  # Q_{n+1}: no interval is longer than the line
-    for L in range(n, 0, -1):
-        m = slabs[L % 2][: n - L + 1]
+def _interval_sweep(P: np.ndarray, lengths=None, slabs=None) -> np.ndarray:
+    """The fold of :func:`interval_average_profile` on the ``k`` lines whose
+    prefix sums are the columns of the ``(n + 1, k)`` table ``P``, over the
+    descending interval ``lengths`` (default ``n, n-1, ..., 1``).
+
+    The means of length ``L`` (``n - L + 1`` rows) take the max with the
+    previous length's result ``q`` at rows ``[: len(q)]`` and ``[prev - L :]``;
+    the result for the last length is returned, a view of one of ``slabs``,
+    two flat buffers of at least ``n * k`` doubles that the lengths use in
+    turn (allocated here if not given).  A power-of-two ``L`` scales by the
+    exact ``1 / L``, which rounds as the division does but costs less.
+    """
+    n, k = P.shape[0] - 1, P.shape[1]
+    if slabs is None:
+        # two reused slabs: a fresh array per length costs more peak RSS at large n
+        slabs = (np.empty(n * k), np.empty(n * k))
+    this, other = slabs
+    q, prev = P[:0], n + 1  # Q_{n+1}: no interval is longer than the line
+    for L in range(n, 0, -1) if lengths is None else lengths:
+        m = this[: (n - L + 1) * k].reshape(n - L + 1, k)
         np.subtract(P[L:], P[:-L], out=m)  # [i] = P[i+L] - P[i]
-        m /= float(L)
-        np.maximum(m[1:], q, out=m[1:])
-        np.maximum(m[:-1], q, out=m[:-1])
-        q = m
+        if L & (L - 1):
+            m /= float(L)
+        else:
+            m *= 1.0 / L
+        np.maximum(m[: len(q)], q, out=m[: len(q)])
+        np.maximum(m[prev - L :], q, out=m[prev - L :])
+        q, prev, this, other = m, L, other, this
     return q
 
 
@@ -211,13 +191,13 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
 
     ``wy`` is the outer loop.  The box sum is reassociated: per ``wy`` the
     column differences ``D = (P[:, wy:] - P[:, :-wy]) * (1 / wy)`` of the
-    prefix table are taken once, and per ``wx`` the averages are ``T =
-    (D[wx:] - D[:-wx]) * (1 / wx)``, both scalings exact powers of two.
-    The x fold never crosses columns, so the ``ny = N - wy + 1`` columns are
-    walked in blocks of ``DYADIC_BLOCK``: per block, ``D`` (``(N+1) x b``)
-    and the x fold's two tables, which swap roles per ``wx``, are C-ordered
-    views of three small flat buffers allocated once per call, and the whole
-    ``wx`` loop runs on them in cache.
+    prefix table are taken once, and the x fold is ``_interval_sweep(D,
+    sides, slabs)``, whose averages are ``(D[wx:] - D[:-wx]) * (1 / wx)``,
+    both scalings exact powers of two.  The x fold never crosses columns, so
+    the ``ny = N - wy + 1`` columns are walked in blocks of
+    ``DYADIC_BLOCK``: ``D`` (``(N+1) x b``) and the sweep's two ``slabs`` are
+    C-ordered views of three small flat buffers allocated once per call, so
+    the whole ``wx`` loop runs on them in cache.
 
     The y fold runs per block too.  A block's ``R_1`` takes the max with the
     previous height's output at its own columns ``c`` and at ``c - wy``,
@@ -240,7 +220,7 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     sides = [1 << a for a in reversed(range(n.bit_length()))]
     out = np.empty((n, n))
     b = min(DYADIC_BLOCK, n)
-    r_buf, t_buf, d_buf = np.empty(n * b), np.empty(n * b), np.empty((n + 1) * b)
+    slabs, d_buf = (np.empty(n * b), np.empty(n * b)), np.empty((n + 1) * b)
     prev = out[:, :0]  # no height is taller than the grid
     for wy in sides:
         ny = n - wy + 1
@@ -250,15 +230,7 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
             D = d_buf[: (n + 1) * k].reshape(n + 1, k)
             np.subtract(P[:, wy + c0 : wy + c1], P[:, c0:c1], out=D)
             D *= 1.0 / wy
-            R = D[:0]  # no side is wider than the grid
-            for wx in sides:
-                nx = n - wx + 1
-                T = t_buf[: nx * k].reshape(nx, k)
-                np.subtract(D[wx:], D[:-wx], out=T)
-                T *= 1.0 / wx
-                np.maximum(T[: len(R)], R, out=T[: len(R)])
-                np.maximum(T[wx:], R, out=T[wx:])
-                R, r_buf, t_buf = T, t_buf, r_buf
+            R = _interval_sweep(D, sides, slabs)
             at, below = prev[:, c0:c1], prev[:, max(c0 - wy, 0) : max(c1 - wy, 0)]
             np.maximum(R[:, : at.shape[1]], at, out=R[:, : at.shape[1]])
             np.maximum(R[:, k - below.shape[1] :], below, out=R[:, k - below.shape[1] :])

@@ -980,33 +980,29 @@ def check_extrapolation(
             objs, spec, lambda f: EXTRAPOLATION_OPS[op](f, variant), morrey_herz_norm, params, also
         )
 
-    def run(spec: GridSpec):
-        probes = trial_objects(OPERATOR_OBJECTS, grid, seed + 1)[1 : 1 + max(1, trials // 2)]
-        weights = [("unit", make_weight(constant(spec, 1.0)))] + [
-            (f"generated[{name}]", generate_a1_weight(h(spec), c_used, K, variant, block))
-            for name, h in probes
-        ]
+    probes = trial_objects(OPERATOR_OBJECTS, grid, seed + 1)[1 : 1 + max(1, trials // 2)]
+    weights = [("unit", make_weight(constant(grid, 1.0)))] + [
+        (f"generated[{name}]", generate_a1_weight(h(grid), c_used, K, variant, block))
+        for name, h in probes
+    ]
 
-        def weighted(f: GridFunction, opf: GridFunction) -> dict:
-            """The hypothesis layer: ``op f`` and ``f`` in L^p0 of each weight
-            under which ``f`` is nonzero."""
-            out = {}
-            for wname, w in weights:
-                rhs = weighted_lp_norm(f, w, p0)
-                if rhs != 0.0:
-                    out[wname] = weighted_lp_norm(opf, w, p0), rhs
-            return out
-
-        # each weight's pair beside the object's Morrey-Herz ratio, the
-        # conclusion layer, which reads no weight
-        out = []
-        for t in sweep(spec, weighted):
-            for wname, (lhs, rhs) in t.extra.items():
-                extra = {"mk_ratio": t.ratio, "weighted_ratio": lhs / rhs}
-                out.append(TrialRecord(f"{t.trial}|{wname}", lhs, rhs, extra=extra))
+    def weighted(f: GridFunction, opf: GridFunction) -> dict:
+        """The hypothesis layer: ``op f`` and ``f`` in L^p0 of each weight
+        under which ``f`` is nonzero."""
+        out = {}
+        for wname, w in weights:
+            rhs = weighted_lp_norm(f, w, p0)
+            if rhs != 0.0:
+                out[wname] = weighted_lp_norm(opf, w, p0), rhs
         return out
 
-    base_trials = run(grid)
+    # each weight's pair beside the object's Morrey-Herz ratio, the
+    # conclusion layer, which reads no weight
+    base_trials = []
+    for t in sweep(grid, weighted):
+        for wname, (lhs, rhs) in t.extra.items():
+            extra = {"mk_ratio": t.ratio, "weighted_ratio": lhs / rhs}
+            base_trials.append(TrialRecord(f"{t.trial}|{wname}", lhs, rhs, extra=extra))
     summary = _ratio_summary(base_trials)
     # the unit weight keeps every object of nonzero norm, so the trials hold
     # each object's Morrey-Herz ratio: the refinement needs no weight
@@ -1020,7 +1016,7 @@ def check_extrapolation(
             "K": K,
             "variant": variant,
             "seed": seed,
-            "n_weights_sampled": 1 + max(1, trials // 2),
+            "n_weights_sampled": len(weights),
         },
         base_trials,
         summary=summary | {"mk_max_ratio": mk_max},
@@ -1219,22 +1215,31 @@ def check_cz_comm(
     tk = functools.partial(_operator_sweep, objs, op=cz_apply, norm=morrey_herz_norm, params=params)
     base_trials = list(tk(grid))
     tk_max = max((t.ratio for t in base_trials), default=None)
-    # (ii)+(iii) commutator dilation sweep, kept even at a zero right side
+    # (ii)+(iii) commutator dilation sweep, kept at a zero right side unless
+    # the left side is zero too: a 0/0 trial (on coarse grids the widest
+    # dilations leave the box) has no ratio and is named in the notes
     f0 = restrict_to_window(indicator(grid, DyadicRectangle(l0, l0)))
     symbols = trial_objects(COMMUTATOR_SYMBOLS, grid, seed)
+    skipped = []
     for (label, build), expected in zip(symbols, COMMUTATOR_SYMBOLS.values()):
         bsym = build(grid)
         for t in DILATIONS:
             ft = dilate(f0, t) if t > 1 else f0
             rhs = morrey_herz_norm(ft, params)
             lhs = morrey_herz_norm(restrict_to_window(commutator(bsym, ft)), params)
-            extra = {"t": t, "expected": expected}
-            base_trials.append(TrialRecord(f"comm:{label}:t={t}", lhs, rhs, extra=extra))
-    bmo_max = max(t.ratio for t in base_trials if t.extra.get("expected") == "bmo")
+            name = f"comm:{label}:t={t}"
+            if lhs == rhs == 0.0:
+                skipped.append(f"skipped {name}: both sides are 0")
+                continue
+            base_trials.append(TrialRecord(name, lhs, rhs, extra={"t": t, "expected": expected}))
+    bmo_max = max((t.ratio for t in base_trials if t.extra.get("expected") == "bmo"), default=None)
     ratio_of = {t.trial: t.ratio for t in base_trials}
-    lo = ratio_of[f"comm:coordinate-x:t={DILATIONS[0]}"]
-    hi = ratio_of[f"comm:coordinate-x:t={DILATIONS[-1]}"]
-    growth_factor = hi / lo if lo > 0 else (math.inf if hi > 0 else None)
+    lo = ratio_of.get(f"comm:coordinate-x:t={DILATIONS[0]}")
+    hi = ratio_of.get(f"comm:coordinate-x:t={DILATIONS[-1]}")
+    if lo is None or hi is None:  # an end dilation was skipped
+        growth_factor = None
+    else:
+        growth_factor = hi / lo if lo > 0 else (math.inf if hi > 0 else None)
     return _Measured(
         "singular-integral-and-commutator",
         {
@@ -1255,5 +1260,6 @@ def check_cz_comm(
         ],
         stat="tk_max_ratio",
         base=tk_max,
+        notes=skipped,
         fine=lambda spec: max((t.ratio for t in tk(spec)), default=None),
     )

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,7 +311,9 @@ def _lines_from_a_small_pool(draw):
     return a
 
 
-def _profile_matches_each_line_alone(a):
+@settings(max_examples=150, deadline=None)
+@given(_lines_from_a_small_pool())
+def test_interval_profile_of_repeated_lines(a):
     got = interval_average_profile(a)
     assert got.shape == a.shape
     assert np.array_equal(got, staircase_interval_average_profile(a))
@@ -321,36 +322,49 @@ def _profile_matches_each_line_alone(a):
     assert got.tobytes() == np.stack(alone).reshape(a.shape).tobytes()
 
 
-@settings(max_examples=150, deadline=None)
-@given(_lines_from_a_small_pool(), st.booleans())
-def test_interval_profile_of_repeated_lines(a, clash):
-    if not clash:
-        _profile_matches_each_line_alone(a)
-        return
-    # zero multipliers give every line one fingerprint, so each line that
-    # differs from the first goes through the bitwise check and its own sweep
-    with mock.patch.object(operators, "_fingerprint_weights", lambda n: np.zeros(n, np.uint64)):
-        _profile_matches_each_line_alone(a)
-
-
-def test_interval_profile_lines_with_one_fingerprint(monkeypatch):
-    monkeypatch.setattr(operators, "_fingerprint_weights", lambda n: np.zeros(n, np.uint64))
-    a, b = np.array([1.0, 2.0]), np.array([1.0, np.nextafter(2.0, 0)])
-    first, inverse = operators._distinct_lines(np.stack([a, b, a, b]))
-    # b clashes with a: it is swept, once per copy
-    assert first.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 0, 2]
-
-
-def test_lines_of_powers_of_two_get_distinct_fingerprints():
-    # such lines differ only in their exponent bits, the top 12 of each
-    # word, which a wrapping sum against odd multipliers alone would keep in
-    # the top 12 bits of the fingerprint: about 32 of these 512 lines would
-    # share one, and each copy of such a line would be swept on its own
+def test_lines_of_powers_of_two_are_grouped_by_their_bits():
+    # such lines differ only in their exponent bits, the top 12 of each word
     a = 2.0 ** -np.random.default_rng(8).integers(0, 8, size=(512, 64))
     assert len({line.tobytes() for line in a}) == 512
-    first, inverse = operators._distinct_lines(np.concatenate([a, a]))
-    assert first.tolist() == list(range(512))
-    assert inverse.tolist() == 2 * list(range(512))
+    both = np.concatenate([a, a])
+    first, inverse = operators._distinct_lines(both)
+    assert first.size == 512 and sorted(first % 512) == list(range(512))
+    assert np.array_equal(inverse[:512], inverse[512:])
+    assert both[first[inverse]].tobytes() == both.tobytes()
+
+
+def _fold_by_division(P, lengths):
+    """The interval fold as a plain loop over rows: each mean divided by its
+    length, each row the max with its two parents of the previous length."""
+    n = P.shape[0] - 1
+    q, prev = [], n + 1
+    for L in lengths:
+        m = [(P[i + L] - P[i]) / L for i in range(n - L + 1)]
+        for i in range(n - L + 1):
+            for j in (i, i - (prev - L)):
+                if 0 <= j < len(q):
+                    m[i] = np.maximum(m[i], q[j])
+        q, prev = m, L
+    return np.array(q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: hnp.arrays(
+            float,
+            (n + 1, 3),
+            elements=st.floats(-1e300, 1e300) | st.floats(-2.3e-308, 2.3e-308),
+        )
+    )
+)
+def test_interval_sweep_on_dyadic_lengths_divides_bit_for_bit(P):
+    # a power-of-two length scales by 1 / L instead of dividing by L: the
+    # same bits, subnormal and huge means included
+    n = P.shape[0] - 1
+    sides = [1 << a for a in reversed(range(n.bit_length()))]
+    got = operators._interval_sweep(P, sides)
+    assert got.tobytes() == _fold_by_division(P, sides).tobytes()
 
 
 def test_iterated_1d_sweeps_each_distinct_line_once(monkeypatch):
@@ -368,8 +382,8 @@ def test_iterated_1d_sweeps_each_distinct_line_once(monkeypatch):
     g = make_grid(2, 4)  # N = 64
     strong_maximal(restrict_to_window(constant(g, 1.0)), ITERATED_1D)
     assert swept == [(64, 2, 2), (64, 2, 2)]
-    # on the maximal suite's objects at N = 256 no two distinct lines share
-    # a fingerprint: 2 to 256 lines per pass, each swept once
+    # on the maximal suite's objects at N = 256: 2 to 256 distinct lines
+    # per pass, each swept once
     swept.clear()
     g = make_grid(3, 5)
     for _, build in trial_objects(OPERATOR_OBJECTS, g, 2024):

@@ -476,6 +476,14 @@ def test_extrapolation_unit_weight_layer():
     assert t.ratio == pytest.approx(want, rel=1e-12)
 
 
+def test_extrapolation_reports_the_weights_it_sampled():
+    # the probes are a slice of the six operator objects: twelve trials ask
+    # for seven weights, but only the unit weight and five generated ones exist
+    rep = check_extrapolation(make_grid(2, 2), "strong-maximal", 2.0, PRX, trials=12, refine=False)
+    sampled = {t.trial.split("|")[1] for t in rep.trials}
+    assert rep.params["n_weights_sampled"] == len(sampled) == 6
+
+
 def test_john_nirenberg_log_symbol_passes():
     rep = check_john_nirenberg_bmo(G, PR, refine=False)
     assert rep.passed
@@ -711,6 +719,21 @@ def test_cz_comm_fails_with_the_identity_operator(monkeypatch):
     assert rep.summary["non_bmo_growth_factor"] is None
     assert rep.status == "fail"
     assert rep.notes == ["gate non_bmo_growth_factor >= 2.0 fails: None"]
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+
+def test_cz_comm_skips_zero_over_zero_trials():
+    # at N = 32 the widest dilation leaves the box: both sides of every
+    # symbol's t = 16 trial are 0, which has no ratio.  The growth factor
+    # then lacks an end and fails on None, not on a ratio read as 0.0
+    rep = check_cz_comm(make_grid(2, 3), PR, refine=False)
+    assert not [t for t in rep.trials if t.lhs == t.rhs == 0.0]
+    assert rep.summary["non_bmo_growth_factor"] is None
+    assert rep.summary["bmo_comm_max_ratio"] is not None
+    labels = [label for label, _ in trial_objects(verification.COMMUTATOR_SYMBOLS, make_grid(2, 3), 0)]
+    assert rep.notes == [f"skipped comm:{label}:t=16: both sides are 0" for label in labels] + [
+        "gate non_bmo_growth_factor >= 2.0 fails: None"
+    ]
     json.dumps(rep.to_dict(), allow_nan=False)
 
 
