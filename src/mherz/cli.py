@@ -292,7 +292,7 @@ def emit(report: InequalityReport, fmt: str, path: str | Path) -> Path:
                         t.trial,
                         repr(t.lhs),
                         repr(t.rhs),
-                        "inf" if math.isinf(ratio) else repr(ratio),
+                        "" if ratio is None else "inf" if math.isinf(ratio) else repr(ratio),
                         t.note,
                         *[cell(t.extra.get(k, "")) for k in extra_keys],
                     ]

@@ -40,8 +40,8 @@ import inspect
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from .norms import (
     _morrey_herz_from_table,
     _pow2,
     _swept_rectangles,
+    _window_indicator_table,
     block_norm_bracket,
     bmo_mk_norm,
     char_rect_norm_closed_form,
@@ -104,9 +105,10 @@ class TrialRecord:
     extra: dict = field(default_factory=dict)
 
     @property
-    def ratio(self) -> float:
+    def ratio(self) -> float | None:
+        """``lhs / rhs``: inf over a zero ``rhs``, and None, no ratio, for 0/0."""
         if self.rhs == 0.0:
-            return 0.0 if self.lhs == 0.0 else math.inf
+            return None if self.lhs == 0.0 else math.inf
         return self.lhs / self.rhs
 
 
@@ -133,26 +135,29 @@ class InequalityReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InequalityReport":
-        trials = [
-            TrialRecord(t["trial"], t["lhs"], t["rhs"], t.get("note", ""), t.get("extra", {}))
-            for t in d["trials"]
-        ]
-        return cls(
-            claim=d["claim"],
-            params=d["params"],
-            trials=trials,
-            summary=d["summary"],
-            thresholds=d["thresholds"],
-            refinement=d.get("refinement"),
-            status=d["status"],
-            notes=list(d.get("notes", [])),
-        )
+        report = _from_fields(cls, d)
+        report.trials = [_from_fields(TrialRecord, t) for t in d["trials"]]
+        return report
+
+
+def _from_fields(cls, d: dict):
+    """The dataclass ``cls`` from the entries of ``d`` named by its fields;
+    the rest, such as a trial's derived ``ratio``, are dropped."""
+    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+
+
+def _max_ratio(trials: Iterable[TrialRecord]) -> float | None:
+    """The largest ratio of ``trials``; None when there is none, or when a
+    trial has no ratio (0/0), so its gate fails."""
+    ratios = [t.ratio for t in trials]
+    return None if None in ratios else max(ratios, default=None)
 
 
 def _ratio_summary(trials: Sequence[TrialRecord]) -> dict:
     """Max, min and median of the finite positive ratios, each None when
-    there is none."""
-    ratios = [t.ratio for t in trials if math.isfinite(t.ratio) and t.ratio > 0]
+    there is none or when a trial has no ratio (0/0)."""
+    ratios = [t.ratio for t in trials]
+    ratios = [] if None in ratios else [r for r in ratios if math.isfinite(r) and r > 0]
     return {
         "n_trials": len(trials),
         "max_ratio": float(max(ratios)) if ratios else None,
@@ -169,7 +174,9 @@ def _median(xs: Sequence[float]) -> float:
     return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2
 
 
-def _drift(base: float, refined: float) -> float:
+def _drift(base: float | None, refined: float | None) -> float | None:
+    if base is None or refined is None:
+        return None
     if base == 0.0:
         return 0.0 if refined == 0.0 else math.inf
     return abs(refined - base) / abs(base)
@@ -287,14 +294,9 @@ EXTRAPOLATION_OPS: dict[str, Callable[[GridFunction, str], GridFunction]] = {
 }
 
 
-def _space(space) -> None:
-    if not (isinstance(space, str) and space in SPACES):
-        raise ValueError(f"unknown space {space!r}")
-
-
-def _extrapolation_op(op) -> None:
-    if not (isinstance(op, str) and op in EXTRAPOLATION_OPS):
-        raise ValueError(f"unknown operator {op!r}; use {' or '.join(EXTRAPOLATION_OPS)}")
+def _choice(what: str, value, choices: dict) -> None:
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"unknown {what} {value!r}; use {' or '.join(choices)}")
 
 
 def _r_list(r_list) -> None:
@@ -338,9 +340,9 @@ def _gammas(gammas) -> None:
 
 
 OPTION_DOMAINS: dict[str, Callable[[object], None]] = {
-    "space": _space,
+    "space": lambda space: _choice("space", space, SPACES),
     "variant": as_variant,
-    "op": _extrapolation_op,
+    "op": lambda op: _choice("operator", op, EXTRAPOLATION_OPS),
     "p0": lambda p0: _positive("p0", p0),
     "r_list": _r_list,
     "trials": lambda trials: _integer("trials", trials, 1),
@@ -514,7 +516,7 @@ def _drive(body: Callable[..., _Measured], signature: inspect.Signature) -> Call
             refinement = {
                 f"base_{measured.stat}": measured.base,
                 f"refined_{measured.stat}": value,
-                "drift": None if value is None else _drift(measured.base, value),
+                "drift": _drift(measured.base, value),
                 "refined_grid": _grid_dict(finer),
             }
             gates.append(Gate("drift", refinement["drift"], "<=", thresholds["drift_cap"]))
@@ -650,8 +652,10 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
     """Herz and Morrey-Herz-times-block-upper products of every centered
     dyadic indicator, from its closed-form annulus tables: the masked
     indicator of ``(l1, l2)`` is its own smallest containing dyadic
-    rectangle, the host of the block bound."""
-    herz_vals, mk_vals, trials = [], [], []
+    rectangle, the host of the block bound.  Also returns each indicator's
+    single-block bound ``2**((l1+l2)*lam) * herz`` in the dual exponents,
+    as ``(rectangle, bound)`` pairs."""
+    herz_vals, mk_vals, trials, singles = [], [], [], []
     dual = params.dual()
     lam_params = _with_positive_lam(params)
     block_params = lam_params.dual()
@@ -663,8 +667,9 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
             spec, tables[dual.p], dual
         )
         herz_vals.append(hprod / area)
-        block_upper = min(_block_upper_bounds(spec, tables[block_params.p], rect, block_params))
-        mkprod = _morrey_herz_from_table(spec, tables[lam_params.p], lam_params) * block_upper
+        bounds = _block_upper_bounds(spec, tables[block_params.p], rect, block_params)
+        singles.append((rect, bounds[0]))
+        mkprod = _morrey_herz_from_table(spec, tables[lam_params.p], lam_params) * min(bounds)
         mk_vals.append(mkprod / area)
         trials.append(
             TrialRecord(
@@ -672,7 +677,7 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
                 extra={"mk_block_product_over_area": mkprod / area},
             )
         )
-    return trials, _spread(herz_vals), _spread(mk_vals)
+    return trials, _spread(herz_vals), _spread(mk_vals), singles
 
 
 def _spread(values: list[float]) -> float:
@@ -703,7 +708,7 @@ def check_norm_duality(
     """
     caps = SUITES["norm_duality"].caps
     notes: list[str] = []
-    all_trials, spread, mk_spread = _norm_product_sweep(grid, params)
+    all_trials, spread, mk_spread, singles = _norm_product_sweep(grid, params)
 
     dual = params.dual()
     pairing_worst = 0.0
@@ -725,11 +730,7 @@ def check_norm_duality(
     mk = morrey_herz_norm(f_probe, lam_params)
     if mk > 0:
         best = 0.0
-        lam_dual = lam_params.dual()
-        for rect, tables in _dyadic_indicator_tables(grid, [lam_dual.p]):
-            level = rect.l1 + rect.l2
-            herz = _herz_from_table(grid, tables[lam_dual.p], lam_dual)
-            denom = 2.0 ** (level * lam_params.lam) * herz
+        for rect, denom in singles:  # each unit block's single-block bound
             if denom == 0.0:
                 continue
             chi = restrict_to_window(indicator(grid, rect))  # the pairing reads its values
@@ -899,11 +900,9 @@ def check_fefferman_stein(
     base_trials = run(grid)
     summary = _ratio_summary(base_trials)
 
-    size_drift = 0.0
-    for r in r_list:
-        small = next(t.ratio for t in base_trials if t.extra == {"r": r, "size": family_count})
-        big = next(t.ratio for t in base_trials if t.extra == {"r": r, "size": 2 * family_count})
-        size_drift = max(size_drift, _drift(small, big))
+    ratio_of = {(t.extra["r"], t.extra["size"]): t.ratio for t in base_trials}
+    drifts = [_drift(ratio_of[r, family_count], ratio_of[r, 2 * family_count]) for r in r_list]
+    size_drift = None if None in drifts else max(0.0, *drifts)
 
     return _Measured(
         "vector-valued-maximal",
@@ -996,17 +995,15 @@ def check_extrapolation(
                 out[wname] = weighted_lp_norm(opf, w, p0), rhs
         return out
 
-    # each weight's pair beside the object's Morrey-Herz ratio, the
-    # conclusion layer, which reads no weight
-    base_trials = []
-    for t in sweep(grid, weighted):
+    # the conclusion layer's records, one per object, read no weight; the
+    # trials give each weight's pair beside the object's Morrey-Herz ratio
+    records, base_trials = list(sweep(grid, weighted)), []
+    for t in records:
         for wname, (lhs, rhs) in t.extra.items():
             extra = {"mk_ratio": t.ratio, "weighted_ratio": lhs / rhs}
             base_trials.append(TrialRecord(f"{t.trial}|{wname}", lhs, rhs, extra=extra))
     summary = _ratio_summary(base_trials)
-    # the unit weight keeps every object of nonzero norm, so the trials hold
-    # each object's Morrey-Herz ratio: the refinement needs no weight
-    mk_max = max((t.extra["mk_ratio"] for t in base_trials), default=None)
+    mk_max = _max_ratio(records)
     return _Measured(
         f"extrapolation[{op}]",
         {
@@ -1026,7 +1023,7 @@ def check_extrapolation(
         ],
         stat="mk_max_ratio",
         base=mk_max,
-        fine=lambda spec: max((t.ratio for t in sweep(spec)), default=None),
+        fine=lambda spec: _max_ratio(sweep(spec)),
         notes=[
             "hypothesis layer samples finitely many generated weights; "
             "no exhaustiveness over the unit ball is claimed",
@@ -1082,7 +1079,6 @@ def check_john_nirenberg_bmo(
     test set, stably under refinement.  The caps are ``SUITES["john_nirenberg_bmo"].caps``.
     """
     caps = SUITES["john_nirenberg_bmo"].caps
-    b = build_function(grid, builtin="truncated_log")
     if gammas is None:
         # start above the symbol's bounded lower-tail oscillation (~2 for the
         # truncated log on this box) so the fit sees the singular-tail decay
@@ -1090,14 +1086,14 @@ def check_john_nirenberg_bmo(
 
     n = grid.n_cells
     box = GridRectangle(0, n, 0, n)
-    b_mean = b.rect_mean(box)
-    chi_box = restrict_to_window(constant(grid, 1.0))
-    box_norm = morrey_herz_norm(chi_box, params)
+    b = build_function(grid, builtin="truncated_log")
+    dev = np.abs(b.values - b.rect_mean(box))  # |b - b_R|, once for every gamma
+    box_norm = _morrey_herz_from_table(grid, _window_indicator_table(grid, box, params.p), params)
 
     trials: list[TrialRecord] = []
     xs, ys = [], []
     for g in gammas:
-        level = np.abs(b.values - b_mean) > g
+        level = dev > g
         meas = float(level.sum()) * grid.h * grid.h
         chi = restrict_to_window(GridFunction._adopt(grid, level.astype(float)))
         norm = morrey_herz_norm(chi, params)
@@ -1174,7 +1170,7 @@ def check_john_nirenberg_bmo(
         ],
         stat="equiv_max",
         base=equiv_hi,
-        fine=lambda spec: max((t.ratio for t in equivalence(spec)), default=None),
+        fine=lambda spec: _max_ratio(equivalence(spec)),
         notes=notes,
     )
 
@@ -1214,25 +1210,25 @@ def check_cz_comm(
     objs = [(f"tk:{name}", build) for name, build in trial_objects(OPERATOR_OBJECTS, grid, seed, 2)]
     tk = functools.partial(_operator_sweep, objs, op=cz_apply, norm=morrey_herz_norm, params=params)
     base_trials = list(tk(grid))
-    tk_max = max((t.ratio for t in base_trials), default=None)
+    tk_max = _max_ratio(base_trials)
     # (ii)+(iii) commutator dilation sweep, kept at a zero right side unless
     # the left side is zero too: a 0/0 trial (on coarse grids the widest
     # dilations leave the box) has no ratio and is named in the notes
     f0 = restrict_to_window(indicator(grid, DyadicRectangle(l0, l0)))
+    dilated = [dilate(f0, t) if t > 1 else f0 for t in DILATIONS]  # shared by the symbols
+    rhs_of = [morrey_herz_norm(ft, params) for ft in dilated]
     symbols = trial_objects(COMMUTATOR_SYMBOLS, grid, seed)
     skipped = []
     for (label, build), expected in zip(symbols, COMMUTATOR_SYMBOLS.values()):
         bsym = build(grid)
-        for t in DILATIONS:
-            ft = dilate(f0, t) if t > 1 else f0
-            rhs = morrey_herz_norm(ft, params)
+        for t, ft, rhs in zip(DILATIONS, dilated, rhs_of):
             lhs = morrey_herz_norm(restrict_to_window(commutator(bsym, ft)), params)
             name = f"comm:{label}:t={t}"
             if lhs == rhs == 0.0:
                 skipped.append(f"skipped {name}: both sides are 0")
                 continue
             base_trials.append(TrialRecord(name, lhs, rhs, extra={"t": t, "expected": expected}))
-    bmo_max = max((t.ratio for t in base_trials if t.extra.get("expected") == "bmo"), default=None)
+    bmo_max = _max_ratio(t for t in base_trials if t.extra.get("expected") == "bmo")
     ratio_of = {t.trial: t.ratio for t in base_trials}
     lo = ratio_of.get(f"comm:coordinate-x:t={DILATIONS[0]}")
     hi = ratio_of.get(f"comm:coordinate-x:t={DILATIONS[-1]}")
@@ -1261,5 +1257,5 @@ def check_cz_comm(
         stat="tk_max_ratio",
         base=tk_max,
         notes=skipped,
-        fine=lambda spec: max((t.ratio for t in tk(spec)), default=None),
+        fine=lambda spec: _max_ratio(tk(spec)),
     )

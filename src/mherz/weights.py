@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, _box_sum, _prefix_table
-from .norms import RectangleFamily, _family_rectangles, block_norm_bracket
+from .norms import _TINY, RectangleFamily, _family_rectangles, block_norm_bracket
 from .operators import DYADIC_SIDES, rubio_de_francia
-
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)

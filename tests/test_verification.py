@@ -56,7 +56,7 @@ def select_objects(monkeypatch, selection, builders):
 
 def test_trial_record_ratio():
     assert TrialRecord("t", 2.0, 4.0).ratio == 0.5
-    assert TrialRecord("t", 0.0, 0.0).ratio == 0.0
+    assert TrialRecord("t", 0.0, 0.0).ratio is None  # 0/0 has no ratio
     assert TrialRecord("t", 1.0, 0.0).ratio == math.inf
 
 
@@ -90,6 +90,43 @@ def test_ratio_summary_keeps_its_four_keys():
     assert verification._ratio_summary(trials[2:3]) == {
         "n_trials": 1, "max_ratio": None, "min_ratio": None, "median_ratio": None,
     }
+
+
+def test_zero_over_zero_trial_has_no_ratio_and_fails_its_gate(monkeypatch, tmp_path):
+    from mherz.cli import emit
+
+    trials = [TrialRecord("empty", 0.0, 0.0), TrialRecord("half", 1.0, 2.0)]
+    assert trials[0].ratio is None and trials[1].ratio == 0.5
+    assert verification._max_ratio(trials) is None
+    assert verification._ratio_summary(trials) == {
+        "n_trials": 2, "max_ratio": None, "min_ratio": None, "median_ratio": None,
+    }
+    # driven: a sweep that yields the two trials fails the max_ratio gate
+    monkeypatch.setattr(verification, "_operator_sweep", lambda *args, **kwargs: iter(trials))
+    rep = check_maximal_bounds(make_grid(2, 2), "herz", PR, trials=1, refine=False)
+    assert rep.summary["max_ratio"] is None
+    assert rep.status == "fail" and rep.notes == ["gate max_ratio <= 50.0 fails: None"]
+    doc = json.loads(emit(rep, "json", tmp_path / "rep.json").read_text())
+    assert [t["ratio"] for t in doc["report"]["trials"]] == [None, 0.5]
+    rows = emit(rep, "csv", tmp_path / "rep.csv").read_text().splitlines()
+    ratio = rows[4].split(",").index("ratio")
+    assert [row.split(",")[ratio] for row in rows[5:]] == ["", "0.5"]
+
+
+def test_fefferman_stein_fails_a_zero_family_without_raising(monkeypatch):
+    # a family of zeros gives r-sums of norm 0 on both sides: no trial has a
+    # ratio, so the ratio and family-size gates fail on None
+    from mherz.grid import constant
+
+    member = TrialObject(
+        "member-{k}", lambda spec, base, seed: constant(spec, 0.0), False, lambda seed, k: [seed, k]
+    )
+    monkeypatch.setitem(TRIAL_OBJECTS, "member", member)
+    rep = check_fefferman_stein(make_grid(2, 3), PR, refine=False)
+    assert rep.summary["max_ratio"] is None and rep.summary["family_size_drift"] is None
+    assert rep.notes == [
+        "gate max_ratio <= 50.0 fails: None", "gate family_size_drift <= 0.25 fails: None"
+    ]
 
 
 def test_report_round_trip():
@@ -226,9 +263,9 @@ def test_norm_duality_refines_the_herz_product_spread(monkeypatch):
     seen = []
 
     def perturbed(spec, params):
-        trials, spread, mk_spread = sweep(spec, params)
+        trials, spread, mk_spread, singles = sweep(spec, params)
         seen.append(spec)
-        return trials, spread, mk_spread if spec == G else 2.0 * mk_spread
+        return trials, spread, mk_spread if spec == G else 2.0 * mk_spread, singles
 
     monkeypatch.setattr(verification, "_norm_product_sweep", perturbed)
     got = check_norm_duality(G, PR, trials=6).to_dict()
@@ -737,6 +774,37 @@ def test_cz_comm_skips_zero_over_zero_trials():
     json.dumps(rep.to_dict(), allow_nan=False)
 
 
+def test_cz_comm_and_bmo_take_each_shared_norm_once(monkeypatch):
+    # cz_comm builds each dilation f_t and its norm once for all three
+    # symbols; john_nirenberg_bmo takes the box norm from the closed-form
+    # indicator table, so it takes one Morrey-Herz norm per gamma
+    dilate, morrey_herz_norm = verification.dilate, verification.morrey_herz_norm
+    dilated, normed = [], []
+
+    def counted_dilate(f, t):
+        out = dilate(f, t)
+        dilated.append((f.spec, t, f, out))
+        return out
+
+    def counted_norm(f, params):
+        normed.append(f)
+        return morrey_herz_norm(f, params)
+
+    monkeypatch.setattr(verification, "dilate", counted_dilate)
+    monkeypatch.setattr(verification, "morrey_herz_norm", counted_norm)
+    check_cz_comm(make_grid(2, 3), PR)  # the refinement runs no dilation
+    assert sorted(Counter((spec, t) for spec, t, _, _ in dilated).values()) == [1] * (
+        len(verification.DILATIONS) - 1
+    )
+    shared = {id(g) for _, _, f, out in dilated for g in (f, out)}  # f_1 = f0 and each f_t
+    assert len(shared) == len(verification.DILATIONS)
+    assert Counter(id(f) for f in normed if id(f) in shared) == Counter(shared)
+
+    normed.clear()
+    rep = check_john_nirenberg_bmo(make_grid(2, 3), PR)
+    assert len(normed) == len(rep.params["gammas"]) == 8
+
+
 def test_reports_reproducible_bit_for_bit():
     a = check_maximal_bounds(make_grid(2, 3), "herz", PR, trials=4, seed=9, refine=False)
     b = check_maximal_bounds(make_grid(2, 3), "herz", PR, trials=4, seed=9, refine=False)
@@ -869,26 +937,44 @@ def test_reports_name_variants_and_kernel_by_their_strings():
     assert check_cz_comm(g, PR, refine=False).params["kernel"] == "double-hilbert"
 
 
-@pytest.mark.parametrize("suite", ["strong-maximal", "double-hilbert", "cz_comm"])
+# suite -> (refined statistic, its summary key, the layers only the base
+# run takes, the suite's run on a grid)
+TRIMMED_REFINEMENTS = {
+    "strong-maximal": (
+        "mk_max_ratio", "mk_max_ratio", ("generate_a1_weight", "weighted_lp_norm"),
+        lambda g, **kw: check_extrapolation(g, "strong-maximal", 2.0, PRX, trials=4, seed=3, **kw),
+    ),
+    "double-hilbert": (
+        "mk_max_ratio", "mk_max_ratio", ("generate_a1_weight", "weighted_lp_norm"),
+        lambda g, **kw: check_extrapolation(g, "double-hilbert", 2.0, PRX, trials=4, seed=3, **kw),
+    ),
+    "cz_comm": (
+        "tk_max_ratio", "tk_max_ratio", ("commutator",),
+        lambda g, **kw: check_cz_comm(g, PR, seed=3, **kw),
+    ),
+    "norm_duality": (
+        "spread", "herz_product_spread", ("pairing_l1", "herz_norm", "morrey_herz_norm"),
+        lambda g, **kw: check_norm_duality(g, PR, trials=6, seed=3, **kw),
+    ),
+    "john_nirenberg_bmo": (
+        "equiv_max", "equiv_max_ratio", ("morrey_herz_norm", "restrict_to_window"),
+        lambda g, **kw: check_john_nirenberg_bmo(g, PR, seed=3, **kw),
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", list(TRIMMED_REFINEMENTS))
 def test_trimmed_refinement_matches_full_run_on_finer_grid(monkeypatch, suite):
     # the refinement computes only its gated statistic; the oracle is the
-    # untrimmed suite run on the finer grid, weights and commutator sweep
-    # included, with its objects realised on the base grid as the refinement's are
+    # untrimmed suite run on the finer grid, weights, commutator sweep,
+    # pairings and level sets included, with its objects realised on the
+    # base grid as the refinement's are
     from collections import Counter
 
     from mherz import verification
 
     grid, finer = make_grid(2, 2), make_grid(2, 3)
-    if suite == "cz_comm":
-        stat, untrimmed = "tk_max_ratio", ("commutator",)
-
-        def check(g, **kw):
-            return check_cz_comm(g, PR, seed=3, **kw)
-    else:
-        stat, untrimmed = "mk_max_ratio", ("generate_a1_weight", "weighted_lp_norm")
-
-        def check(g, **kw):
-            return check_extrapolation(g, suite, 2.0, PRX, trials=4, seed=3, **kw)
+    stat, key, untrimmed, check = TRIMMED_REFINEMENTS[suite]
 
     calls = Counter()
 
@@ -917,10 +1003,10 @@ def test_trimmed_refinement_matches_full_run_on_finer_grid(monkeypatch, suite):
     )
     # cz_comm places its commutator bump by the grid it is called on, which
     # moves the comm: trials but not the gated tk: ones
-    extra = {} if suite == "cz_comm" else {"c": rep.params["c"]}
+    extra = {"c": rep.params["c"]} if "c" in rep.params else {}
     full = check(finer, refine=False, **extra)
     assert set(calls) == set(untrimmed)  # the oracle ran the untrimmed layers
-    assert rep.refinement[f"refined_{stat}"] == full.summary[stat]
+    assert rep.refinement[f"refined_{stat}"] == full.summary[key]
 
 
 def _comb_loop(spec):
