@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,6 +58,11 @@ class GridSpec:
     s: int
 
     def __post_init__(self) -> None:
+        for name in ("L_max", "s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise GridSizeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))  # a numpy integer as an int
         if self.L_max < 1:
             raise GridSizeError(f"L_max must be >= 1, got {self.L_max}")
         if self.s < 0:
@@ -149,7 +156,7 @@ def _segment_starts(spec: GridSpec) -> np.ndarray:
 
 def make_grid(L_max: int, s: int) -> GridSpec:
     """Build a :class:`GridSpec`, enforcing the size guard."""
-    return GridSpec(int(L_max), int(s))
+    return GridSpec(L_max, s)
 
 
 # The one 2-D prefix-sum primitive.  Private: these are steps inside the
@@ -541,6 +548,10 @@ def cell_split_noise(spec: GridSpec, base: GridSpec, seed) -> GridFunction:
     onto the finer ``spec``: the same function on both grids."""
     if spec.s < base.s:
         raise ValueError("noise drawn on a grid only refines, never coarsens")
+    if spec.L_max != base.L_max:
+        raise ValueError(
+            f"noise drawn on L_max={base.L_max} refines onto the same box, not L_max={spec.L_max}"
+        )
     f = build_function(base, builtin="noise", seed=seed)
     return f.refine(spec.s - base.s) if spec.s > base.s else f
 

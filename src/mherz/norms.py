@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -506,7 +507,8 @@ class RectangleFamily:
         annulus window.
 
     ``min_side``/``max_side`` bound side lengths in cells; ``max_members``
-    guards enumeration cost.
+    guards enumeration cost.  Each is an integer >= 1; ``stride`` and
+    ``max_side`` may be None.
     """
 
     kind: str
@@ -518,20 +520,27 @@ class RectangleFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("exact-grid", "dyadic-sides", "dyadic-centered"):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        for name in ("stride", "min_side", "max_side", "max_members"):
+            value, nullable = getattr(self, name), name in ("stride", "max_side")
+            if nullable and value is None:
+                continue
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+                null = "None or " if nullable else ""
+                raise ValueError(f"{name} must be {null}an integer >= 1, got {value!r}")
 
     def _anchors(self, n: int, side: int) -> range:
         if self.stride is None:
             step = side if self.kind == "dyadic-sides" else 1
         else:
-            step = max(1, self.stride)
+            step = self.stride
         return range(0, n - side + 1, step)
 
     def _sides(self, n: int) -> list[int]:
-        hi = min(self.max_side or n, n)
+        hi = n if self.max_side is None else min(self.max_side, n)
         if self.kind == "dyadic-sides":
             out = [1 << a for a in range(n.bit_length()) if self.min_side <= (1 << a) <= hi]
         else:
-            out = list(range(max(1, self.min_side), hi + 1))
+            out = list(range(self.min_side, hi + 1))
         return out
 
     def rectangles(self, spec: GridSpec) -> list[GridRectangle]:

@@ -106,10 +106,7 @@ class TrialRecord:
 
     @property
     def ratio(self) -> float | None:
-        """``lhs / rhs``: inf over a zero ``rhs``, and None, no ratio, for 0/0."""
-        if self.rhs == 0.0:
-            return None if self.lhs == 0.0 else math.inf
-        return self.lhs / self.rhs
+        return _ratio(self.lhs, self.rhs)
 
 
 @dataclass
@@ -146,24 +143,31 @@ def _from_fields(cls, d: dict):
     return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
-def _max_ratio(trials: Iterable[TrialRecord]) -> float | None:
-    """The largest ratio of ``trials``; None when there is none, or when a
-    trial has no ratio (0/0), so its gate fails."""
-    ratios = [t.ratio for t in trials]
-    return None if None in ratios else max(ratios, default=None)
+def _ratio(lhs: float, rhs: float) -> float | None:
+    """``lhs / rhs``: inf over a zero ``rhs``, and None, no ratio, for 0/0."""
+    if rhs == 0.0:
+        return None if lhs == 0.0 else math.inf
+    return lhs / rhs
 
 
-def _ratio_summary(trials: Sequence[TrialRecord]) -> dict:
-    """Max, min and median of the finite positive ratios, each None when
-    there is none or when a trial has no ratio (0/0)."""
-    ratios = [t.ratio for t in trials]
-    ratios = [] if None in ratios else [r for r in ratios if math.isfinite(r) and r > 0]
+def _ratio_stats(trials: Iterable[TrialRecord], of=lambda t: t.ratio) -> dict:
+    """``n_trials`` and the max, min and median of the ratios ``of(trial)``,
+    inf and 0 included.  Each statistic is None, so its gate fails, when a
+    trial has no ratio (0/0) or a NaN one, and when no ratio is nonzero,
+    which takes in no trials at all: then nothing was measured."""
+    ratios = [of(t) for t in trials]
+    undefined = any(r is None or math.isnan(r) for r in ratios) or not any(ratios)
     return {
-        "n_trials": len(trials),
-        "max_ratio": float(max(ratios)) if ratios else None,
-        "min_ratio": float(min(ratios)) if ratios else None,
-        "median_ratio": float(_median(ratios)) if ratios else None,
+        "n_trials": len(ratios),
+        "max_ratio": None if undefined else float(max(ratios)),
+        "min_ratio": None if undefined else float(min(ratios)),
+        "median_ratio": None if undefined else float(_median(ratios)),
     }
+
+
+def _spread(stats: dict) -> float | None:
+    """Max over min of ``_ratio_stats``' statistics: inf when the min is 0."""
+    return None if stats["max_ratio"] is None else _ratio(stats["max_ratio"], stats["min_ratio"])
 
 
 def _median(xs: Sequence[float]) -> float:
@@ -655,7 +659,7 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
     rectangle, the host of the block bound.  Also returns each indicator's
     single-block bound ``2**((l1+l2)*lam) * herz`` in the dual exponents,
     as ``(rectangle, bound)`` pairs."""
-    herz_vals, mk_vals, trials, singles = [], [], [], []
+    trials, singles = [], []
     dual = params.dual()
     lam_params = _with_positive_lam(params)
     block_params = lam_params.dual()
@@ -666,23 +670,17 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
         hprod = _herz_from_table(spec, tables[params.p], params) * _herz_from_table(
             spec, tables[dual.p], dual
         )
-        herz_vals.append(hprod / area)
         bounds = _block_upper_bounds(spec, tables[block_params.p], rect, block_params)
         singles.append((rect, bounds[0]))
         mkprod = _morrey_herz_from_table(spec, tables[lam_params.p], lam_params) * min(bounds)
-        mk_vals.append(mkprod / area)
         trials.append(
             TrialRecord(
                 f"chi({rect.l1},{rect.l2})", hprod, area,
                 extra={"mk_block_product_over_area": mkprod / area},
             )
         )
-    return trials, _spread(herz_vals), _spread(mk_vals), singles
-
-
-def _spread(values: list[float]) -> float:
-    a = np.array(values)
-    return float(a.max() / a.min())
+    mk = _ratio_stats(trials, lambda t: t.extra["mk_block_product_over_area"])
+    return trials, _spread(_ratio_stats(trials)), _spread(mk), singles
 
 
 @_suite_driver(
@@ -711,7 +709,7 @@ def check_norm_duality(
     all_trials, spread, mk_spread, singles = _norm_product_sweep(grid, params)
 
     dual = params.dual()
-    pairing_worst = 0.0
+    pairings = []
     builds = [build for _, build in trial_objects(OPERATOR_OBJECTS, grid, seed, max(2, trials - 3))]
     for k in range(trials):
         a = builds[k % len(builds)](grid)
@@ -720,8 +718,9 @@ def check_norm_duality(
         rhs = herz_norm(a, dual) * herz_norm(b, params)
         if rhs == 0.0:
             continue
-        pairing_worst = max(pairing_worst, lhs / rhs)
-        all_trials.append(TrialRecord(f"pairing-{k}", lhs, rhs))
+        pairings.append(TrialRecord(f"pairing-{k}", lhs, rhs))
+    all_trials += pairings
+    pairing_worst = _ratio_stats(pairings)["max_ratio"]
 
     lam_params = _with_positive_lam(params)
     sup_fraction = 0.0
@@ -818,7 +817,7 @@ def check_maximal_bounds(
         return list(_operator_sweep(objs, spec, lambda f: strong_maximal(f, variant), norm, params))
 
     base_trials = run(grid)
-    summary = _ratio_summary(base_trials)
+    summary = _ratio_stats(base_trials)
     const_ratio = next((t.ratio for t in base_trials if t.trial == "constant"), None)
     gates = [Gate("max_ratio", summary["max_ratio"], "<=", caps["ratio_cap"])]
     if const_ratio is not None:  # a constant of zero norm is dropped and leaves nothing to cap
@@ -831,7 +830,7 @@ def check_maximal_bounds(
         gates=gates,
         stat="max_ratio",
         base=summary["max_ratio"],
-        fine=lambda spec: _ratio_summary(run(spec))["max_ratio"],
+        fine=lambda spec: _ratio_stats(run(spec))["max_ratio"],
     )
 
 
@@ -898,7 +897,7 @@ def check_fefferman_stein(
         ]
 
     base_trials = run(grid)
-    summary = _ratio_summary(base_trials)
+    summary = _ratio_stats(base_trials)
 
     ratio_of = {(t.extra["r"], t.extra["size"]): t.ratio for t in base_trials}
     drifts = [_drift(ratio_of[r, family_count], ratio_of[r, 2 * family_count]) for r in r_list]
@@ -920,7 +919,7 @@ def check_fefferman_stein(
         ],
         stat="max_ratio",
         base=summary["max_ratio"],
-        fine=lambda spec: _ratio_summary(run(spec))["max_ratio"],
+        fine=lambda spec: _ratio_stats(run(spec))["max_ratio"],
     )
 
 
@@ -1000,10 +999,10 @@ def check_extrapolation(
     records, base_trials = list(sweep(grid, weighted)), []
     for t in records:
         for wname, (lhs, rhs) in t.extra.items():
-            extra = {"mk_ratio": t.ratio, "weighted_ratio": lhs / rhs}
+            extra = {"mk_ratio": t.ratio, "weighted_ratio": _ratio(lhs, rhs)}
             base_trials.append(TrialRecord(f"{t.trial}|{wname}", lhs, rhs, extra=extra))
-    summary = _ratio_summary(base_trials)
-    mk_max = _max_ratio(records)
+    summary = _ratio_stats(base_trials)
+    mk_max = _ratio_stats(records)["max_ratio"]
     return _Measured(
         f"extrapolation[{op}]",
         {
@@ -1023,7 +1022,7 @@ def check_extrapolation(
         ],
         stat="mk_max_ratio",
         base=mk_max,
-        fine=lambda spec: _max_ratio(sweep(spec)),
+        fine=lambda spec: _ratio_stats(sweep(spec))["max_ratio"],
         notes=[
             "hypothesis layer samples finitely many generated weights; "
             "no exhaustiveness over the unit ball is claimed",
@@ -1091,7 +1090,6 @@ def check_john_nirenberg_bmo(
     box_norm = _morrey_herz_from_table(grid, _window_indicator_table(grid, box, params.p), params)
 
     trials: list[TrialRecord] = []
-    xs, ys = [], []
     for g in gammas:
         level = dev > g
         meas = float(level.sum()) * grid.h * grid.h
@@ -1105,16 +1103,14 @@ def check_john_nirenberg_bmo(
                 extra={"gamma": float(g), "level_set_measure": meas},
             )
         )
-        if norm > 0:
-            xs.append(float(g))
-            ys.append(math.log(norm))
+    fit = [(t.extra["gamma"], math.log(t.lhs)) for t in trials if t.lhs > 0]
 
     slope, r2 = None, None
     notes: list[str] = []
-    if len(xs) >= 3:
+    if len(fit) >= 3:
         # least squares in closed form on centred data, elementwise only: a
         # BLAS or LAPACK call would leave its library pages resident
-        x, y = np.array(xs), np.array(ys)
+        x, y = (np.array(v) for v in zip(*fit))
         xc, yc = x - x.mean(), y - y.mean()
         slope = float((xc * yc).sum() / (xc * xc).sum())
         ss_res = float(((yc - slope * xc) ** 2).sum())
@@ -1125,7 +1121,7 @@ def check_john_nirenberg_bmo(
         # sets empty; the decay statement then holds trivially, but nothing
         # was measured, so both decay gates fail on None
         notes.append(
-            f"only {len(xs)} nonempty level sets on the gamma grid; "
+            f"only {len(fit)} nonempty level sets on the gamma grid; "
             f"decay holds trivially"
         )
 
@@ -1145,8 +1141,8 @@ def check_john_nirenberg_bmo(
 
     equiv_trials = equivalence(grid)
     trials += equiv_trials
-    ratios = [t.ratio for t in equiv_trials]
-    equiv_lo, equiv_hi = (min(ratios), max(ratios)) if ratios else (None, None)
+    equiv = _ratio_stats(equiv_trials)
+    equiv_lo, equiv_hi = equiv["min_ratio"], equiv["max_ratio"]
     cap = caps["equiv_cap"]
     return _Measured(
         "john-nirenberg-and-bmo-equivalence",
@@ -1170,7 +1166,7 @@ def check_john_nirenberg_bmo(
         ],
         stat="equiv_max",
         base=equiv_hi,
-        fine=lambda spec: _max_ratio(equivalence(spec)),
+        fine=lambda spec: _ratio_stats(equivalence(spec))["max_ratio"],
         notes=notes,
     )
 
@@ -1210,7 +1206,7 @@ def check_cz_comm(
     objs = [(f"tk:{name}", build) for name, build in trial_objects(OPERATOR_OBJECTS, grid, seed, 2)]
     tk = functools.partial(_operator_sweep, objs, op=cz_apply, norm=morrey_herz_norm, params=params)
     base_trials = list(tk(grid))
-    tk_max = _max_ratio(base_trials)
+    tk_max = _ratio_stats(base_trials)["max_ratio"]
     # (ii)+(iii) commutator dilation sweep, kept at a zero right side unless
     # the left side is zero too: a 0/0 trial (on coarse grids the widest
     # dilations leave the box) has no ratio and is named in the notes
@@ -1228,14 +1224,12 @@ def check_cz_comm(
                 skipped.append(f"skipped {name}: both sides are 0")
                 continue
             base_trials.append(TrialRecord(name, lhs, rhs, extra={"t": t, "expected": expected}))
-    bmo_max = _max_ratio(t for t in base_trials if t.extra.get("expected") == "bmo")
+    bmo_max = _ratio_stats(t for t in base_trials if t.extra.get("expected") == "bmo")["max_ratio"]
     ratio_of = {t.trial: t.ratio for t in base_trials}
     lo = ratio_of.get(f"comm:coordinate-x:t={DILATIONS[0]}")
     hi = ratio_of.get(f"comm:coordinate-x:t={DILATIONS[-1]}")
-    if lo is None or hi is None:  # an end dilation was skipped
-        growth_factor = None
-    else:
-        growth_factor = hi / lo if lo > 0 else (math.inf if hi > 0 else None)
+    # None where an end dilation was skipped
+    growth_factor = None if lo is None or hi is None else _ratio(hi, lo)
     return _Measured(
         "singular-integral-and-commutator",
         {
@@ -1257,5 +1251,5 @@ def check_cz_comm(
         stat="tk_max_ratio",
         base=tk_max,
         notes=skipped,
-        fine=lambda spec: _max_ratio(tk(spec)),
+        fine=lambda spec: _ratio_stats(tk(spec))["max_ratio"],
     )

@@ -808,7 +808,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 
 def test_a_run_imports_no_numpy_ma(tmp_path):
-    # np.median imported numpy.ma (three modules) mid-run; _ratio_summary's
+    # np.median imported numpy.ma (three modules) mid-run; _ratio_stats'
     # median takes the middle of a sorted list instead
     body = {
         "grid": {"L_max": 2, "s": 3},

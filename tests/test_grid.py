@@ -18,9 +18,11 @@ from mherz.grid import (
     DyadicRectangle,
     GridFunction,
     GridRectangle,
+    GridSpec,
     annulus_restrict,
     _box_sum,
     build_function,
+    cell_split_noise,
     constant,
     dilate,
     indicator,
@@ -55,6 +57,27 @@ def test_make_grid_size_guard():
         make_grid(13, 0)
     with pytest.raises(GridSizeError):
         make_grid(0, 3)
+
+
+@pytest.mark.parametrize("sizes, field", [((2.5, 3), "L_max"), ((2, 3.9), "s"), ((True, 3), "L_max")])
+def test_grid_sizes_must_be_integers(sizes, field):
+    # GridSpec(2.5, 3) built with n_cells 45.25, make_grid truncated 3.9 to 3,
+    # and a bool read as 1
+    for build in (GridSpec, make_grid):
+        with pytest.raises(GridSizeError, match=f"^{field} must be an integer"):
+            build(*sizes)
+
+
+def test_make_grid_takes_numpy_integers_as_ints():
+    g = make_grid(np.int64(2), np.int32(3))
+    assert g == make_grid(2, 3)
+    assert type(g.L_max) is int and type(g.s) is int and type(g.n_cells) is int
+
+
+def test_cell_split_noise_refuses_another_box():
+    with pytest.raises(ValueError, match="L_max"):
+        cell_split_noise(make_grid(3, 2), make_grid(2, 1), 0)
+    assert cell_split_noise(make_grid(2, 2), make_grid(2, 1), 0).spec == make_grid(2, 2)
 
 
 def test_cell_alignment_includes_zero():

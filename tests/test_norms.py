@@ -445,6 +445,27 @@ def test_family_kinds_and_bounds():
         RectangleFamily("bogus")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_side", 0), ("stride", 0), ("stride", -3), ("min_side", -5), ("min_side", 0),
+        ("max_members", 0), ("stride", True), ("min_side", None), ("max_side", 2.0),
+    ],
+)
+def test_family_refuses_knobs_it_would_misread(field, value):
+    # max_side=0 enumerated the unbounded family, stride <= 0 acted as 1 and
+    # min_side < 1 as 1: each is refused by name instead
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        RectangleFamily("dyadic-sides", **{field: value})
+
+
+def test_family_knobs_at_their_least_values():
+    g = make_grid(2, 1)
+    assert len(RectangleFamily("dyadic-sides", max_side=1).rectangles(g)) == 64
+    assert len(RectangleFamily("dyadic-sides", stride=1).rectangles(g)) == 441
+    assert len(RectangleFamily("dyadic-sides").rectangles(g)) == 225
+
+
 def test_family_member_cap():
     g = make_grid(3, 3)
     with pytest.raises(CostGuardError, match="max_members"):

@@ -79,15 +79,16 @@ def test_median_has_the_bits_of_np_median(values):
 
 def test_ratio_summary_keeps_its_four_keys():
     trials = [TrialRecord(f"t{k}", num, 2.0) for k, num in enumerate((3.0, 1.0, 0.0, 7.0, 5.0))]
-    summary = verification._ratio_summary(trials)
-    assert summary == {"n_trials": 5, "max_ratio": 3.5, "min_ratio": 0.5, "median_ratio": 2.0}
+    summary = verification._ratio_stats(trials)
+    # the 0 ratio counts: it is the min and moves the median
+    assert summary == {"n_trials": 5, "max_ratio": 3.5, "min_ratio": 0.0, "median_ratio": 1.5}
     assert list(summary) == ["n_trials", "max_ratio", "min_ratio", "median_ratio"]
-    assert verification._ratio_summary(trials[:2] + trials[3:4]) == {
+    assert verification._ratio_stats(trials[:2] + trials[3:4]) == {
         "n_trials": 3, "max_ratio": 3.5, "min_ratio": 0.5, "median_ratio": 1.5,
     }
-    assert list(verification._ratio_summary([])) == list(summary)
-    # no finite positive ratio: the statistics are undefined, not 0
-    assert verification._ratio_summary(trials[2:3]) == {
+    assert list(verification._ratio_stats([])) == list(summary)
+    # no nonzero ratio: nothing was measured, so the statistics are undefined, not 0
+    assert verification._ratio_stats(trials[2:3]) == {
         "n_trials": 1, "max_ratio": None, "min_ratio": None, "median_ratio": None,
     }
 
@@ -97,8 +98,7 @@ def test_zero_over_zero_trial_has_no_ratio_and_fails_its_gate(monkeypatch, tmp_p
 
     trials = [TrialRecord("empty", 0.0, 0.0), TrialRecord("half", 1.0, 2.0)]
     assert trials[0].ratio is None and trials[1].ratio == 0.5
-    assert verification._max_ratio(trials) is None
-    assert verification._ratio_summary(trials) == {
+    assert verification._ratio_stats(trials) == {
         "n_trials": 2, "max_ratio": None, "min_ratio": None, "median_ratio": None,
     }
     # driven: a sweep that yields the two trials fails the max_ratio gate
@@ -111,6 +111,31 @@ def test_zero_over_zero_trial_has_no_ratio_and_fails_its_gate(monkeypatch, tmp_p
     rows = emit(rep, "csv", tmp_path / "rep.csv").read_text().splitlines()
     ratio = rows[4].split(",").index("ratio")
     assert [row.split(",")[ratio] for row in rows[5:]] == ["", "0.5"]
+
+
+def test_an_infinite_ratio_is_the_max_and_fails_its_gate(monkeypatch):
+    # a left side that overflowed is not dropped from the statistics
+    trials = [TrialRecord("overflow", math.inf, 1.0), TrialRecord("one", 1.0, 1.0)]
+    monkeypatch.setattr(verification, "_operator_sweep", lambda *args, **kwargs: iter(trials))
+    rep = check_maximal_bounds(make_grid(2, 2), "herz", PR, trials=1, refine=False)
+    assert rep.summary["max_ratio"] == math.inf
+    assert rep.status == "fail" and rep.notes == ["gate max_ratio <= 50.0 fails: inf"]
+
+
+def test_a_zero_ratio_is_the_min():
+    stats = verification._ratio_stats([TrialRecord("zero", 0.0, 2.0), TrialRecord("half", 1.0, 2.0)])
+    assert stats["min_ratio"] == 0.0 and stats["max_ratio"] == 0.5
+    # a spread over a 0 min is inf, with no division warning
+    assert verification._spread(stats) == math.inf
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_nan_ratio_leaves_every_statistic_undefined_in_either_order(order):
+    trials = [TrialRecord("one", 1.0, 1.0), TrialRecord("nan", math.inf, math.inf)][::order]
+    assert math.isnan(next(t.ratio for t in trials if t.trial == "nan"))
+    assert verification._ratio_stats(trials) == {
+        "n_trials": 2, "max_ratio": None, "min_ratio": None, "median_ratio": None,
+    }
 
 
 def test_fefferman_stein_fails_a_zero_family_without_raising(monkeypatch):
@@ -410,7 +435,7 @@ def test_fefferman_stein_maximises_each_member_once_per_grid(monkeypatch):
 
     assert calls == {grid.n_cells: 2 * fc, fine.n_cells: 2 * fc}
     assert rep.trials == duplicate_call_trials(grid)
-    assert rep.refinement["refined_max_ratio"] == verification._ratio_summary(
+    assert rep.refinement["refined_max_ratio"] == verification._ratio_stats(
         duplicate_call_trials(fine)
     )["max_ratio"]
 
@@ -754,8 +779,13 @@ def test_cz_comm_fails_with_the_identity_operator(monkeypatch):
     monkeypatch.setattr(verification, "cz_apply", lambda f: f)
     rep = check_cz_comm(make_grid(3, 3), PR, refine=False)
     assert rep.summary["non_bmo_growth_factor"] is None
+    # every bmo commutator ratio is 0 too: nothing was measured, so no max
+    assert rep.summary["bmo_comm_max_ratio"] is None
     assert rep.status == "fail"
-    assert rep.notes == ["gate non_bmo_growth_factor >= 2.0 fails: None"]
+    assert rep.notes == [
+        "gate bmo_comm_max_ratio <= 50.0 fails: None",
+        "gate non_bmo_growth_factor >= 2.0 fails: None",
+    ]
     json.dumps(rep.to_dict(), allow_nan=False)
 
 
