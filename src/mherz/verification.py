@@ -144,9 +144,10 @@ def _from_fields(cls, d: dict):
 
 
 def _ratio(lhs: float, rhs: float) -> float | None:
-    """``lhs / rhs``: inf over a zero ``rhs``, and None, no ratio, for 0/0."""
+    """``lhs / rhs``: inf for a positive ``lhs`` over a zero ``rhs``, and
+    None, no ratio, for 0/0 and NaN/0."""
     if rhs == 0.0:
-        return None if lhs == 0.0 else math.inf
+        return math.inf if lhs > 0.0 else None
     return lhs / rhs
 
 

@@ -789,6 +789,44 @@ def test_cz_comm_fails_with_the_identity_operator(monkeypatch):
     json.dumps(rep.to_dict(), allow_nan=False)
 
 
+@pytest.mark.parametrize("t1, t16", [(0.0, math.nan), (math.nan, None)])
+def test_cz_comm_growth_over_a_nan_end_ratio_fails(monkeypatch, t1, t16):
+    # coordinate-x's commutator norm fixed at t = 1 and t = 16 (None: left as
+    # measured).  A NaN end ratio gives an undefined growth factor that fails,
+    # not inf growth that passes growth_min
+    commutator, restrict, norm = (
+        verification.commutator, verification.restrict_to_window, verification.morrey_herz_norm
+    )
+    dilations = verification.DILATIONS
+    x = list(verification.COMMUTATOR_SYMBOLS).index("coordinate-x")
+    fixed_at = {(x, 0): t1, (x, len(dilations) - 1): t16}  # (symbol, dilation) -> norm
+    calls = []
+
+    class Fixed(float):
+        """A commutator whose Morrey-Herz norm is fixed to its value."""
+
+    def fixed_commutator(b, f):
+        at = divmod(len(calls), len(dilations))  # the symbols run in order, each over every t
+        calls.append(at)
+        return commutator(b, f) if fixed_at.get(at) is None else Fixed(fixed_at[at])
+
+    monkeypatch.setattr(
+        verification, "restrict_to_window", lambda f: f if isinstance(f, Fixed) else restrict(f)
+    )
+    monkeypatch.setattr(
+        verification, "morrey_herz_norm", lambda f, p: float(f) if isinstance(f, Fixed) else norm(f, p)
+    )
+    monkeypatch.setattr(verification, "commutator", fixed_commutator)
+    rep = check_cz_comm(make_grid(3, 3), PR, refine=False)
+    lo, hi = (next(t.ratio for t in rep.trials if t.trial == f"comm:coordinate-x:t={d}")
+              for d in (dilations[0], dilations[-1]))
+    assert (lo == 0.0 and math.isnan(hi)) if t1 == 0.0 else (math.isnan(lo) and hi > 0.0)
+    growth = rep.summary["non_bmo_growth_factor"]
+    assert growth is None or math.isnan(growth)
+    assert rep.status == "fail"
+    assert rep.notes == [f"gate non_bmo_growth_factor >= 2.0 fails: {growth}"]
+
+
 def test_cz_comm_skips_zero_over_zero_trials():
     # at N = 32 the widest dilation leaves the box: both sides of every
     # symbol's t = 16 trial are 0, which has no ratio.  The growth factor
