@@ -23,9 +23,10 @@ Implements, for piecewise-constant functions supported in the annulus window:
 
 The table helpers (:func:`_annulus_blocks`, :func:`_lp_table`,
 :func:`_morrey_herz_from_table`) take leading batch axes, so a family's
-oscillation tables are combined as one stack; a single table is a batch of
-one.  Scalar powers that must match libm entry by entry are taken from a
-generator, never from a list of every entry.
+oscillation tables, or the count tables of many indicators, are combined as
+one stack; a single table is a batch of one.  Scalar powers that must match
+libm entry by entry are taken from a generator, never from a list of every
+entry.
 
 All annulus-decomposed norms require the input to vanish off the annulus
 window and raise :class:`~mherz.errors.SupportWindowError` otherwise; use
@@ -48,6 +49,7 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     GridFunction,
     GridRectangle,
     GridSpec,
+    _central_gap,
     _read_only,
     _require_finite,
     _segment_starts,
@@ -208,6 +210,31 @@ def pairing_l1(f: GridFunction, g: GridFunction) -> float:
     return float(np.abs(f.values * g.values).sum() * f.spec.h * f.spec.h)
 
 
+def _window_indicator_pairings(f: GridFunction, rects) -> list[float]:
+    """``pairing_l1(f, restrict_to_window(indicator(f.spec, r)))`` for each
+    rectangle ``r`` of ``rects`` (grid or dyadic), bit for bit, with no N x N
+    array per rectangle.
+
+    ``|f|`` is taken once; each rectangle's window-cut 0/1 mask is written
+    into one reused N x N buffer and ``|f| * mask`` into another, so the sum
+    runs over an N x N array of the same terms as ``|f * chi|``, in the same
+    order, and has its bits.
+    """
+    spec = f.spec
+    gap = _central_gap(spec)
+    absf = np.abs(f.values)
+    mask, prod = np.empty_like(absf), np.empty_like(absf)
+    out = []
+    for rect in rects:
+        r = rect.to_cells(spec) if isinstance(rect, DyadicRectangle) else rect.check_within(spec)
+        mask.fill(0.0)
+        mask[r.ix0 : r.ix1, r.iy0 : r.iy1] = 1.0
+        mask[gap] = mask[:, gap] = 0.0
+        np.multiply(absf, mask, out=prod)
+        out.append(float(prod.sum() * spec.h * spec.h))
+    return out
+
+
 # -- annulus tables ----------------------------------------------------------
 
 
@@ -275,8 +302,12 @@ def _annulus_blocks(seg: np.ndarray, op) -> np.ndarray:
 
 def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
     """Annulus L^p norms from the run-block sums of ``|f|^p`` (batched like
-    :func:`_annulus_blocks`)."""
-    sums = _annulus_blocks(seg, np.add)
+    :func:`_annulus_blocks`; each table has the bits it has alone)."""
+    return _lp_roots(spec, _annulus_blocks(seg, np.add), p)
+
+
+def _lp_roots(spec: GridSpec, sums: np.ndarray, p: float) -> np.ndarray:
+    """``(sums * h * h) ** (1 / p)`` entrywise, for :func:`_lp_table`."""
     # scalar powers: numpy's vectorised float64 power can differ from libm's
     # in the last bit, and these tables must match the entrywise evaluation;
     # the closed-form indicator tables that replace masked indicator arrays
@@ -288,7 +319,8 @@ def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
     # then are the entries taken again, each one inf where it overflows:
     # then the cell area goes inside the power, since an overflowed sum **
     # e times an underflowed (h * h) ** e is inf * 0 = nan where the root
-    # (sum * h * h) ** e itself is finite.
+    # (sum * h * h) ** e itself is finite.  In a batch, only the tables
+    # that overflow are taken again, so each keeps the bits it has alone.
     e = 1.0 / p
     area = spec.h * spec.h
     roots = np.zeros(sums.shape)
@@ -296,6 +328,8 @@ def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
     try:
         powered = np.fromiter((float(s) ** e for s in sums.flat[live]), float, live.size)
     except OverflowError:
+        if sums.ndim > 2:
+            return np.stack([_lp_roots(spec, table, p) for table in sums])
         powered = np.fromiter((_pow(float(s) * area, e) for s in sums.flat[live]), float, live.size)
         area = 1.0
     roots.flat[live] = powered
@@ -788,38 +822,56 @@ def _indicator_denominators(
     """Morrey-Herz norms of the window-masked indicators of ``rects``.
 
     These are the denominators of :func:`bmo_mk_norm`; they do not depend on
-    ``f``, so a family swept over several symbols computes them once.
+    ``f``, so a family swept over several symbols computes them once, from
+    one stack of count tables.
     """
-    return tuple(
-        _morrey_herz_from_table(spec, _window_indicator_table(spec, r, params.p), params)
-        for r in rects
-    )
+    return tuple(_indicator_norms(spec, _rect_counts(spec, rects), params))
 
 
-def _window_indicator_table(spec: GridSpec, rect: GridRectangle, p: float) -> np.ndarray:
-    """:func:`annulus_lp_table` of the window-masked indicator of ``rect``.
+# -- indicator tables ------------------------------------------------------------
+#
+# The annulus tables of 0/1 functions come from their run-block cell counts,
+# never from an N x N array of 0.0 and 1.0.  The block sums of 1.0 cells are
+# exact integer counts, so a table has the same bits as the indicator's own
+# :func:`annulus_lp_table`; for ``p = inf`` a block's max is 1.0 where its
+# count is positive.  The central gap run is dropped by :func:`_annulus_blocks`,
+# so the window mask needs no array either.
 
-    Each run block holds the product of the per-axis overlap counts in unit
-    cells, so the table is closed-form geometry, O(W**2) with no N x N
-    array.  The block sums of 1.0 cells are these exact integer counts, so
-    the table has the same bits as the masked indicator's; for ``p = inf`` a
-    block's max is 1.0 where its count is positive.
-    """
-    cx, _ = _clip_runs(spec, rect.ix0, rect.ix1)
-    cy, _ = _clip_runs(spec, rect.iy0, rect.iy1)
-    counts = np.multiply.outer(cx, cy).astype(float)
+
+def _rect_counts(spec: GridSpec, rects) -> np.ndarray:
+    """Run-block cell counts of the indicators of the grid rectangles
+    ``rects``, stacked: each block is the product of the per-axis overlap
+    counts, closed-form geometry, O(W**2) per rectangle."""
+    cx = np.array([_clip_runs(spec, r.ix0, r.ix1)[0] for r in rects])
+    cy = np.array([_clip_runs(spec, r.iy0, r.iy1)[0] for r in rects])
+    return (cx[:, :, None] * cy[:, None, :]).astype(float)
+
+
+def _cell_counts(spec: GridSpec, cells: np.ndarray) -> np.ndarray:
+    """Run-block counts of the cells where the boolean N x N table ``cells``
+    is true; they cover every cell, so they sum to its count."""
+    starts = _segment_starts(spec)
+    return np.add.reduceat(np.add.reduceat(cells, starts, axis=1, dtype=float), starts, axis=0)
+
+
+def _count_table(spec: GridSpec, counts: np.ndarray, p: float) -> np.ndarray:
+    """:func:`annulus_lp_table` of the window-masked 0/1 functions whose
+    run-block counts are ``counts`` (batched like :func:`_annulus_blocks`)."""
     if math.isinf(p):
         return _annulus_blocks(np.minimum(counts, 1.0), np.maximum)
     return _lp_table(spec, counts, p)
 
 
-def _dyadic_indicator_tables(spec: GridSpec, ps):
-    """Each centered dyadic rectangle with its window-masked indicator's
-    :func:`_window_indicator_table` at each exponent of ``ps``, keyed by
-    exponent: the indicator sweeps take their norms from these, so no
-    N x N indicator is built."""
-    for l1 in spec.window_range():
-        for l2 in spec.window_range():
-            rect = DyadicRectangle(l1, l2)
-            cells = rect.to_cells(spec)
-            yield rect, {p: _window_indicator_table(spec, cells, p) for p in set(ps)}
+def _indicator_norms(spec: GridSpec, counts: np.ndarray, params: ExponentParams) -> list[float]:
+    """Morrey-Herz norms of the window-masked 0/1 functions of a stack of
+    run-block counts, in one batched call; each has the bits of
+    :func:`morrey_herz_norm` of the masked function."""
+    return _morrey_herz_from_table(spec, _count_table(spec, counts, params.p), params).tolist()
+
+
+def _dyadic_counts(spec: GridSpec) -> tuple[list[DyadicRectangle], np.ndarray]:
+    """The centered dyadic rectangles and the stack of their
+    :func:`_rect_counts`: the indicator sweeps take their norms from these,
+    so no N x N indicator is built."""
+    rects = [DyadicRectangle(l1, l2) for l1 in spec.window_range() for l2 in spec.window_range()]
+    return rects, _rect_counts(spec, [r.to_cells(spec) for r in rects])

@@ -66,12 +66,16 @@ from .norms import (
     ExponentParams,
     RectangleFamily,
     _block_upper_bounds,
-    _dyadic_indicator_tables,
+    _cell_counts,
+    _count_table,
+    _dyadic_counts,
     _herz_from_table,
+    _indicator_norms,
     _morrey_herz_from_table,
     _pow2,
+    _rect_counts,
     _swept_rectangles,
-    _window_indicator_table,
+    _window_indicator_pairings,
     block_norm_bracket,
     bmo_mk_norm,
     char_rect_norm_closed_form,
@@ -620,9 +624,9 @@ def check_char_norms(
     """
     caps = SUITES["char_norms"].caps
     trials: list[TrialRecord] = []
+    rects, counts = _dyadic_counts(grid)
     for pset_id, pr in enumerate(param_sets):
-        for rect, tables in _dyadic_indicator_tables(grid, [pr.p]):
-            got = _morrey_herz_from_table(grid, tables[pr.p], pr)
+        for rect, got in zip(rects, _indicator_norms(grid, counts, pr)):
             want = char_rect_norm_closed_form(
                 pr, rect.l1, rect.l2, "morrey-herz", window_floor=grid.window_low
             )
@@ -659,21 +663,23 @@ def _norm_product_sweep(spec: GridSpec, params: ExponentParams):
     indicator of ``(l1, l2)`` is its own smallest containing dyadic
     rectangle, the host of the block bound.  Also returns each indicator's
     single-block bound ``2**((l1+l2)*lam) * herz`` in the dual exponents,
-    as ``(rectangle, bound)`` pairs."""
+    as ``(rectangle, bound)`` pairs, where that bound is nonzero."""
     trials, singles = [], []
     dual = params.dual()
     lam_params = _with_positive_lam(params)
     block_params = lam_params.dual()
     require_predicate(block_params, "block")
-    ps = [params.p, block_params.p]  # the dual Herz and block exponents coincide
-    for rect, tables in _dyadic_indicator_tables(spec, ps):
+    rects, counts = _dyadic_counts(spec)
+    # one table stack per exponent; the dual Herz and block exponents coincide
+    tables = {p: _count_table(spec, counts, p) for p in {params.p, dual.p}}
+    mks = _morrey_herz_from_table(spec, tables[params.p], lam_params).tolist()
+    for rect, mk, table, dual_table in zip(rects, mks, tables[params.p], tables[dual.p]):
         area = rect.measure()
-        hprod = _herz_from_table(spec, tables[params.p], params) * _herz_from_table(
-            spec, tables[dual.p], dual
-        )
-        bounds = _block_upper_bounds(spec, tables[block_params.p], rect, block_params)
-        singles.append((rect, bounds[0]))
-        mkprod = _morrey_herz_from_table(spec, tables[lam_params.p], lam_params) * min(bounds)
+        hprod = _herz_from_table(spec, table, params) * _herz_from_table(spec, dual_table, dual)
+        bounds = _block_upper_bounds(spec, dual_table, rect, block_params)
+        if bounds[0] != 0.0:
+            singles.append((rect, bounds[0]))
+        mkprod = mk * min(bounds)
         trials.append(
             TrialRecord(
                 f"chi({rect.l1},{rect.l2})", hprod, area,
@@ -703,7 +709,8 @@ def check_norm_duality(
     the Herz norms of an indicator and its dual norm, normalised by |R|, has
     bounded spread over the dyadic sweep, as does the Morrey-Herz times
     block-upper analogue.  (iii) pairing against unit blocks never exceeds
-    the Morrey-Herz norm (constant 1), and the achieved fraction is recorded.
+    the Morrey-Herz norm (constant 1), and the achieved fraction is recorded;
+    a probe of zero norm measures nothing, so that gate fails on None.
     """
     caps = SUITES["norm_duality"].caps
     notes: list[str] = []
@@ -723,18 +730,15 @@ def check_norm_duality(
     all_trials += pairings
     pairing_worst = _ratio_stats(pairings)["max_ratio"]
 
-    lam_params = _with_positive_lam(params)
-    sup_fraction = 0.0
-    sup_excess = 0.0
+    sup_fraction = sup_excess = None
     f_probe = builds[-1](grid)
-    mk = morrey_herz_norm(f_probe, lam_params)
-    if mk > 0:
-        best = 0.0
-        for rect, denom in singles:  # each unit block's single-block bound
-            if denom == 0.0:
-                continue
-            chi = restrict_to_window(indicator(grid, rect))  # the pairing reads its values
-            best = max(best, pairing_l1(f_probe, chi) / denom)
+    mk = morrey_herz_norm(f_probe, _with_positive_lam(params))
+    if not mk > 0:
+        notes.append(f"the probe's Morrey-Herz norm is {mk!r}: no unit-block pairing measured")
+    else:
+        # each unit block's pairing over its single-block bound
+        pairs = _window_indicator_pairings(f_probe, [rect for rect, _ in singles])
+        best = max([0.0] + [a / d for a, (_, d) in zip(pairs, singles)])
         sup_fraction = best / mk
         sup_excess = max(0.0, sup_fraction - 1.0)
         all_trials.append(
@@ -1088,22 +1092,18 @@ def check_john_nirenberg_bmo(
     box = GridRectangle(0, n, 0, n)
     b = build_function(grid, builtin="truncated_log")
     dev = np.abs(b.values - b.rect_mean(box))  # |b - b_R|, once for every gamma
-    box_norm = _morrey_herz_from_table(grid, _window_indicator_table(grid, box, params.p), params)
-
-    trials: list[TrialRecord] = []
-    for g in gammas:
-        level = dev > g
-        meas = float(level.sum()) * grid.h * grid.h
-        chi = restrict_to_window(GridFunction._adopt(grid, level.astype(float)))
-        norm = morrey_herz_norm(chi, params)
-        trials.append(
-            TrialRecord(
-                f"gamma={g:.4g}",
-                norm,
-                box_norm,
-                extra={"gamma": float(g), "level_set_measure": meas},
-            )
+    (box_norm,) = _indicator_norms(grid, _rect_counts(grid, [box]), params)
+    # each level set's masked indicator, from its counts, which sum to its cells
+    counts = np.stack([_cell_counts(grid, dev > g) for g in gammas])
+    trials = [
+        TrialRecord(
+            f"gamma={g:.4g}",
+            norm,
+            box_norm,
+            extra={"gamma": float(g), "level_set_measure": float(c.sum()) * grid.h * grid.h},
         )
+        for g, c, norm in zip(gammas, counts, _indicator_norms(grid, counts, params))
+    ]
     fit = [(t.extra["gamma"], math.log(t.lhs)) for t in trials if t.lhs > 0]
 
     slope, r2 = None, None

@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,15 +32,19 @@ from mherz.norms import (
     NormBracket,
     RectangleFamily,
     _block_upper_bounds,
+    _cell_counts,
     _clip_runs,
+    _count_table,
     _family_rectangles,
     _herz_from_table,
     _indicator_denominators,
+    _indicator_norms,
     _level_weights,
     _lp_table,
     _morrey_herz_from_table,
     _oscillation_sweep,
-    _window_indicator_table,
+    _rect_counts,
+    _window_indicator_pairings,
     annulus_lp_table,
     block_norm_bracket,
     bmo_mk_norm,
@@ -73,6 +76,11 @@ def masked_chi(spec, l1, l2):
 
 def masked_noise(spec, seed):
     return restrict_to_window(build_function(spec, builtin="noise", seed=seed))
+
+
+def window_indicator_table(spec, rect, p):
+    """The annulus table of the window-masked indicator of ``rect``, from its counts."""
+    return _count_table(spec, _rect_counts(spec, [rect])[0], p)
 
 
 # -- exponents ----------------------------------------------------------------
@@ -904,7 +912,7 @@ def test_bmo_denominators_bit_identical_to_masked_indicator_tables(p):
             r = GridRectangle(int(x0), int(x1), int(y0), int(y1))
             chi = restrict_to_window(indicator(spec, r))
             want = prefix_annulus_lp_table(chi, p)
-            assert np.array_equal(_window_indicator_table(spec, r, p), want)
+            assert np.array_equal(window_indicator_table(spec, r, p), want)
 
 
 # the demo's two char_norms sets, norm_duality's dual and block exponents
@@ -931,7 +939,7 @@ def test_indicator_norms_from_closed_form_tables_equal_masked_arrays():
                 host = smallest_containing_dyadic(chi)
                 assert (host.l1, host.l2) == (l1, l2)
                 for pr in INDICATOR_ORACLE_SETS:
-                    table = _window_indicator_table(spec, rect.to_cells(spec), pr.p)
+                    table = window_indicator_table(spec, rect.to_cells(spec), pr.p)
                     assert np.array_equal(table, annulus_lp_table(chi, pr.p))
                     assert _herz_from_table(spec, table, pr) == herz_norm(chi, pr)
                     assert _morrey_herz_from_table(spec, table, pr) == morrey_herz_norm(chi, pr)
@@ -941,6 +949,75 @@ def test_indicator_norms_from_closed_form_tables_equal_masked_arrays():
                     assert upper == block_norm_bracket(chi, pr).upper
                     blocks += 1
     assert blocks > 0
+
+
+# -- indicator quantities from count tables against the arrays they replace ----------
+#
+# On admitted grids (L_max + s >= 2, a nonempty window) with N <= 128.
+
+
+def random_rectangles(spec, rng, k):
+    out = []
+    for _ in range(k):
+        x0, x1 = sorted(rng.choice(spec.n_cells + 1, 2, replace=False))
+        y0, y1 = sorted(rng.choice(spec.n_cells + 1, 2, replace=False))
+        out.append(GridRectangle(int(x0), int(x1), int(y0), int(y1)))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_grid(7, 2), SEEDS)
+def test_window_indicator_pairings_equal_pairings_with_masked_indicators(spec, seed):
+    # a signed function with mass on the central cross, paired with every
+    # centered dyadic rectangle (as given and in cells) and random rectangles
+    f = build_function(spec, builtin="noise", seed=seed, low=-1.0, high=1.0)
+    dyadic = [DyadicRectangle(l1, l2) for l1 in spec.window_range() for l2 in spec.window_range()]
+    rects = dyadic + [r.to_cells(spec) for r in dyadic]
+    rects += random_rectangles(spec, np.random.default_rng(seed), 4)
+    want = [pairing_l1(f, restrict_to_window(indicator(spec, r))) for r in rects]
+    assert _window_indicator_pairings(f, rects) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_grid(7, 2), SEEDS, st.sampled_from(INDICATOR_ORACLE_SETS))
+def test_level_set_norms_from_counts_equal_masked_arrays(spec, seed, pr):
+    # level sets of noise, from nearly the whole grid to empty, in one batch
+    f = build_function(spec, builtin="noise", seed=seed)
+    cells = [f.values > g for g in (0.0, 0.3, 0.7, 0.95, 1.0)]
+    counts = np.stack([_cell_counts(spec, c) for c in cells])
+    want = [
+        morrey_herz_norm(restrict_to_window(GridFunction(spec, c.astype(float))), pr)
+        for c in cells
+    ]
+    assert _indicator_norms(spec, counts, pr) == want
+    assert [float(k.sum()) for k in counts] == [float(c.sum()) for c in cells]
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_grid(7, 2), SEEDS, st.sampled_from([1.5, 2.0, 3.0, math.inf]))
+def test_stacked_denominators_equal_per_rectangle_norms(spec, seed, p):
+    params = ExponentParams(0.25, p, 2, 0.5)
+    rects = tuple(random_rectangles(spec, np.random.default_rng(seed), 12))
+    got = _indicator_denominators(spec, rects, params)
+    tables = [window_indicator_table(spec, r, p) for r in rects]
+    assert got == tuple(_morrey_herz_from_table(spec, t, params) for t in tables)
+    masked = [restrict_to_window(indicator(spec, r)) for r in rects]
+    assert got == tuple(morrey_herz_norm(chi, params) for chi in masked)
+
+
+def test_lp_table_batch_keeps_each_tables_bits_past_the_float_range():
+    # at p = 0.01 a sum of 2**20 cells overflows its 100th power, so that
+    # table is taken again with the cell area 2**-12 inside the power.  The
+    # table beside it keeps its own form, where (2**-12) ** 100 underflows:
+    # its root is 0, not the 2**-200 of (2**10 * 2**-12) ** 100
+    spec = make_grid(1, 6)
+    runs = 2 * len(spec.window_range()) + 1
+    seg = np.zeros((2, runs, runs))
+    seg[0, 0, 0], seg[1, 0, 0] = 2.0**20, 2.0**10
+    alone = [_lp_table(spec, s, 0.01) for s in seg]
+    assert alone[0].max() == 2.0**800 and alone[1].max() == 0.0
+    batch = _lp_table(spec, seg, 0.01)
+    assert all(np.array_equal(b, a) for b, a in zip(batch, alone))
 
 
 def test_bmo_mk_norm_non_finite_oscillation_raises():
@@ -1156,44 +1233,51 @@ def test_smallest_containing_dyadic_matches_nonzero_bounds(spec, seed, density):
     assert (host.l1, host.l2) == tuple(want)
 
 
-def test_norm_product_sweep_builds_one_table_per_indicator_and_p(monkeypatch):
-    built = []
+def counting_rect_counts(monkeypatch):
+    """Record the rectangles of every :func:`norms._rect_counts` stack."""
+    stacks = []
 
-    def counting(spec, rect, p):
-        built.append((rect, float(p)))
-        return _window_indicator_table(spec, rect, p)
+    def counting(spec, rects):
+        stacks.append(list(rects))
+        return _rect_counts(spec, rects)
+
+    monkeypatch.setattr(norms, "_rect_counts", counting)
+    return stacks
+
+
+def test_norm_product_sweep_builds_one_table_stack_per_p(monkeypatch):
+    tables = []
+
+    def counting(spec, counts, p):
+        tables.append((len(counts), float(p)))
+        return _count_table(spec, counts, p)
 
     def no_array(*args, **kwargs):
         raise AssertionError("an indicator sweep built an N x N array")
 
-    monkeypatch.setattr(norms, "_window_indicator_table", counting)
+    stacks = counting_rect_counts(monkeypatch)
+    monkeypatch.setattr(verification, "_count_table", counting)
     monkeypatch.setattr(norms, "annulus_lp_table", no_array)
     monkeypatch.setattr(verification, "indicator", no_array)
     spec = make_grid(2, 3)
     # p = 3 makes the dual exponent 1.5: the Herz pair, the Morrey-Herz norm
-    # and the block bound read five tables of each indicator, two distinct
+    # and the block bound read five tables of each indicator, two distinct,
+    # all from one count stack of the grid's centered dyadic rectangles
     params = ExponentParams(0.25, 3, 2, 0.5)
     _norm_product_sweep(spec, params)
-    counts = Counter(built)
-    assert set(counts.values()) == {1}
-    assert {p for _, p in counts} == {3.0, 1.5}
-    assert len(counts) == 2 * len(spec.window_range()) ** 2
+    k = len(spec.window_range()) ** 2
+    assert [len(s) for s in stacks] == [k]
+    assert sorted(tables) == [(k, 1.5), (k, 3.0)]
 
 
 def test_bmo_mk_norm_builds_family_denominators_once(monkeypatch):
-    built = []
-
-    def counting(spec, rect, p):
-        built.append(rect)
-        return _window_indicator_table(spec, rect, p)
-
-    monkeypatch.setattr(norms, "_window_indicator_table", counting)
+    stacks = counting_rect_counts(monkeypatch)
     _indicator_denominators.cache_clear()
     spec = make_grid(2, 3)
     rects = _family_rectangles(spec, RectangleFamily("dyadic-sides", min_side=4))
     symbols = [masked_noise(spec, k) for k in range(3)]
     values = [bmo_mk_norm(f, PR, rects) for f in symbols]
-    assert built == rects
+    assert stacks == [rects]  # one stack for the family, however many symbols
     _indicator_denominators.cache_clear()
     assert [bmo_mk_norm(f, PR, rects) for f in symbols] == values
-    assert built == rects + rects
+    assert stacks == [rects, rects]

@@ -639,11 +639,16 @@ def test_variant_sandwich_random_grids():
 
 # -- symmetries ----------------------------------------------------------------
 #
-# The grid, its window and the dyadic-sides family are invariant under both
-# reflections and the transpose, so the operator commutes with them; only
-# the prefix-sum rounding moves.  rtol 1.5e-11 is about 10x the largest
-# error measured over every grid with 1 <= L_max + s <= 7 (1.5e-12).  These
-# checks use no kernel code: the images are plain array views.
+# The grid, its window and the exact-grid and dyadic-sides families are
+# invariant under both reflections and the transpose, so those operators
+# commute with them; iterated-1d maximises in y, then in x, so it commutes
+# with the reflections only.  Only the prefix-sum rounding moves.  Each
+# tolerance is about 10x the largest error measured over every grid with
+# 1 <= L_max + s <= 7 (N <= EXACT_GATE for exact-grid), 12 noise functions
+# each: 1.5e-12 for dyadic-sides, 1.1e-14 for exact-grid and 2.5e-14 for
+# iterated-1d.  These checks use no kernel code: the images are plain array
+# views.  An operator that maximises along one axis only fails the
+# transpose; one whose averages read one cell off fails a reflection.
 
 ADMITTED_GRIDS_N128 = (
     st.tuples(st.integers(1, 7), st.integers(0, 6))
@@ -651,23 +656,59 @@ ADMITTED_GRIDS_N128 = (
     .map(lambda t: make_grid(*t))
 )
 
+MOVES = {
+    "x-reflection": lambda a: a[::-1, :],
+    "y-reflection": lambda a: a[:, ::-1],
+    "transpose": lambda a: a.T,
+}
+
 
 def masked_noise(spec, seed):
     return restrict_to_window(build_function(spec, builtin="noise", seed=seed))
 
 
+def assert_maximal_commutes(f, variant, moves, rtol):
+    mf = strong_maximal(f, variant).values
+    for name in moves:
+        move = MOVES[name]
+        image = strong_maximal(GridFunction(f.spec, move(f.values)), variant).values
+        np.testing.assert_allclose(move(image), mf, rtol=rtol, atol=0, err_msg=name)
+
+
 @settings(max_examples=25, deadline=None)
 @given(ADMITTED_GRIDS_N128, st.integers(0, 10**6))
 def test_dyadic_sides_commutes_with_reflections_and_transpose(spec, seed):
-    f = masked_noise(spec, seed)
-    mf = strong_maximal(f, DYADIC_SIDES).values
-    for name, move in (
-        ("x-reflection", lambda a: a[::-1, :]),
-        ("y-reflection", lambda a: a[:, ::-1]),
-        ("transpose", lambda a: a.T),
-    ):
-        image = strong_maximal(GridFunction(spec, move(f.values)), DYADIC_SIDES).values
-        np.testing.assert_allclose(move(image), mf, rtol=1.5e-11, atol=0, err_msg=name)
+    assert_maximal_commutes(masked_noise(spec, seed), DYADIC_SIDES, MOVES, 1.5e-11)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ADMITTED_GRIDS_N128.filter(lambda spec: spec.n_cells <= EXACT_GATE), st.integers(0, 10**6))
+def test_exact_grid_commutes_with_reflections_and_transpose(spec, seed):
+    assert_maximal_commutes(masked_noise(spec, seed), EXACT_GRID, MOVES, 1.1e-13)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ADMITTED_GRIDS_N128, st.integers(0, 10**6))
+def test_iterated_1d_commutes_with_reflections(spec, seed):
+    reflections = ("x-reflection", "y-reflection")
+    assert_maximal_commutes(masked_noise(spec, seed), ITERATED_1D, reflections, 2.5e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ADMITTED_GRIDS_N128, st.integers(0, 10**6))
+def test_cz_apply_odd_under_reflections_and_commutes_with_transpose(spec, seed):
+    # T f = W f W^T with W[i, j] == -W[n-1-i, n-1-j] exactly, so T is odd
+    # under each reflection and commutes with the transpose; only the
+    # products' summation order moves.  The tolerance, relative to max |T f|,
+    # is about 10x the largest error measured as above (2.4e-15).  The
+    # identity and a one-axis W f are not odd in both axes
+    f = build_function(spec, builtin="noise", seed=seed, low=-1.0, high=1.0)
+    tf = cz_apply(f).values
+    atol = 2.5e-14 * np.abs(tf).max()
+    for name, sign in (("x-reflection", -1.0), ("y-reflection", -1.0), ("transpose", 1.0)):
+        move = MOVES[name]
+        image = cz_apply(GridFunction(spec, move(f.values))).values
+        np.testing.assert_allclose(move(image), sign * tf, rtol=0, atol=atol, err_msg=name)
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mherz import verification
 from mherz.errors import CostGuardError, PredicateError
-from mherz.grid import MAX_LEVEL_SUM, build_function, make_grid
+from mherz.grid import MAX_LEVEL_SUM, build_function, make_grid, restrict_to_window
 from mherz.norms import ExponentParams
 from mherz.verification import (
     OPERATOR_OBJECTS,
@@ -297,6 +297,39 @@ def test_norm_duality_refines_the_herz_product_spread(monkeypatch):
     assert seen == [G, finest_grid(G, True)] and seen[1] != G
     assert got["refinement"]["refined_spread"] == want["refinement"]["refined_spread"]
     assert got == want
+
+
+def test_norm_duality_sup_pairing_gate_fails_on_a_zero_probe_norm(monkeypatch):
+    # a probe of zero Morrey-Herz norm measures no unit-block pairing: the
+    # fraction and its excess are None, so the gate fails instead of passing
+    # on a default 0.0
+    monkeypatch.setattr(verification, "morrey_herz_norm", lambda f, params: 0.0)
+    rep = check_norm_duality(make_grid(2, 3), PR, refine=False)
+    assert rep.status == "fail"
+    assert rep.summary["sup_pairing_fraction"] is None
+    assert "sup-pairing-vs-mk" not in [t.trial for t in rep.trials]
+    assert any("no unit-block pairing measured" in n for n in rep.notes)
+    assert "gate sup_pairing_excess <= 1e-10 fails: None" in rep.notes
+
+
+def test_indicator_suites_cut_only_their_trial_objects_to_the_window(monkeypatch):
+    # the unit blocks and the level sets are read from tables: only the
+    # masked trial objects are cut to the window, never an indicator
+    cut = []
+
+    def counting(f):
+        cut.append(f)
+        return restrict_to_window(f)
+
+    monkeypatch.setattr(verification, "restrict_to_window", counting)
+    spec = make_grid(2, 3)
+    # one pairing trial: the constant (masked) against the annulus comb
+    # (built on the window), and the probe, the last noise draw (masked)
+    check_norm_duality(spec, PR, trials=1, refine=False)
+    assert len(cut) == 2
+    cut.clear()
+    check_john_nirenberg_bmo(spec, PR, refine=False)  # its symbols are on the whole box
+    assert cut == []
 
 
 def test_maximal_bounds_constant_fixed_point():
@@ -732,6 +765,7 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
     monkeypatch.setattr(verification, "bmo_mk_norm", counting_mk)
     monkeypatch.setattr(verification, "bmo_norm", counting_plain, raising=False)
     monkeypatch.setattr(norms, "bmo_norm", counting_plain)
+    norms._indicator_denominators.cache_clear()
     g = make_grid(2, 3)
     fine = GridSpec(g.L_max, g.s + 1)
     check_john_nirenberg_bmo(g, PR)
@@ -745,8 +779,10 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
     # one bmo_mk_norm call per symbol and grid gives both oscillation norms
     assert mk_calls == {g.n_cells: symbols, fine.n_cells: symbols}
     assert not plain_calls
-    # each bmo_mk_norm call takes the annulus and Morrey-Herz tables once, on its stack
-    assert batched["_lp_table", 3] == batched["_morrey_herz_from_table", 3] == 2 * symbols
+    # each bmo_mk_norm call takes the annulus and Morrey-Herz tables once, on
+    # its stack; so do the family's denominators once per grid, and the decay
+    # sweep's box and level sets, each from one count stack
+    assert batched["_lp_table", 3] == batched["_morrey_herz_from_table", 3] == 2 * symbols + 4
 
 
 def test_john_nirenberg_g35_matches_the_benchmark_reference():
@@ -844,8 +880,8 @@ def test_cz_comm_skips_zero_over_zero_trials():
 
 def test_cz_comm_and_bmo_take_each_shared_norm_once(monkeypatch):
     # cz_comm builds each dilation f_t and its norm once for all three
-    # symbols; john_nirenberg_bmo takes the box norm from the closed-form
-    # indicator table, so it takes one Morrey-Herz norm per gamma
+    # symbols; john_nirenberg_bmo takes the box norm and every level-set
+    # norm from count tables, so it takes no Morrey-Herz norm of an array
     dilate, morrey_herz_norm = verification.dilate, verification.morrey_herz_norm
     dilated, normed = [], []
 
@@ -869,8 +905,8 @@ def test_cz_comm_and_bmo_take_each_shared_norm_once(monkeypatch):
     assert Counter(id(f) for f in normed if id(f) in shared) == Counter(shared)
 
     normed.clear()
-    rep = check_john_nirenberg_bmo(make_grid(2, 3), PR)
-    assert len(normed) == len(rep.params["gammas"]) == 8
+    check_john_nirenberg_bmo(make_grid(2, 3), PR)
+    assert normed == []
 
 
 def test_reports_reproducible_bit_for_bit():
@@ -1021,11 +1057,12 @@ TRIMMED_REFINEMENTS = {
         lambda g, **kw: check_cz_comm(g, PR, seed=3, **kw),
     ),
     "norm_duality": (
-        "spread", "herz_product_spread", ("pairing_l1", "herz_norm", "morrey_herz_norm"),
+        "spread", "herz_product_spread",
+        ("pairing_l1", "herz_norm", "morrey_herz_norm", "_window_indicator_pairings"),
         lambda g, **kw: check_norm_duality(g, PR, trials=6, seed=3, **kw),
     ),
     "john_nirenberg_bmo": (
-        "equiv_max", "equiv_max_ratio", ("morrey_herz_norm", "restrict_to_window"),
+        "equiv_max", "equiv_max_ratio", ("_cell_counts", "_rect_counts"),
         lambda g, **kw: check_john_nirenberg_bmo(g, PR, seed=3, **kw),
     ),
 }
