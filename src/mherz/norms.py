@@ -49,7 +49,6 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     GridFunction,
     GridRectangle,
     GridSpec,
-    _central_gap,
     _read_only,
     _require_finite,
     _segment_starts,
@@ -97,8 +96,9 @@ class ExponentParams:
             raise ValueError(f"q must be in (0, inf], got {self.q}")
         if not (0 <= self.lam < math.inf):
             raise ValueError(f"lam must be in [0, inf), got {self.lam}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be positive integers")
+        for d in (self.n, self.m):
+            if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+                raise ValueError("n and m must be positive integers")
 
     @property
     def p_conj(self) -> float:
@@ -208,31 +208,6 @@ def pairing_l1(f: GridFunction, g: GridFunction) -> float:
     if f.spec != g.spec:
         raise ValueError("pairing requires functions on the same grid")
     return float(np.abs(f.values * g.values).sum() * f.spec.h * f.spec.h)
-
-
-def _window_indicator_pairings(f: GridFunction, rects) -> list[float]:
-    """``pairing_l1(f, restrict_to_window(indicator(f.spec, r)))`` for each
-    rectangle ``r`` of ``rects`` (grid or dyadic), bit for bit, with no N x N
-    array per rectangle.
-
-    ``|f|`` is taken once; each rectangle's window-cut 0/1 mask is written
-    into one reused N x N buffer and ``|f| * mask`` into another, so the sum
-    runs over an N x N array of the same terms as ``|f * chi|``, in the same
-    order, and has its bits.
-    """
-    spec = f.spec
-    gap = _central_gap(spec)
-    absf = np.abs(f.values)
-    mask, prod = np.empty_like(absf), np.empty_like(absf)
-    out = []
-    for rect in rects:
-        r = rect.to_cells(spec) if isinstance(rect, DyadicRectangle) else rect.check_within(spec)
-        mask.fill(0.0)
-        mask[r.ix0 : r.ix1, r.iy0 : r.iy1] = 1.0
-        mask[gap] = mask[:, gap] = 0.0
-        np.multiply(absf, mask, out=prod)
-        out.append(float(prod.sum() * spec.h * spec.h))
-    return out
 
 
 # -- annulus tables ----------------------------------------------------------
@@ -415,8 +390,8 @@ def _morrey_herz_from_table(spec: GridSpec, table: np.ndarray, params: ExponentP
             inner = csum ** (1.0 / params.q)
             # the sums grow along both axes, so one past the float range shows
             # in the last; one below the normal range counts where it has mass
-            last, under = csum[..., -1, -1], csum < _TINY
-            if (np.isinf(last).any() if last.ndim else math.isinf(last)) or terms.any(where=under):
+            under = csum < _TINY
+            if np.isinf(csum[..., -1:, -1:]).any() or terms.any(where=under):
                 peak = np.maximum.accumulate(np.maximum.accumulate(terms, axis=-2), axis=-1)
                 for idx in np.argwhere(np.isinf(csum) | (under & (peak > 0))):
                     corner = terms[(*idx[:-2], slice(idx[-2] + 1), slice(idx[-1] + 1))]
@@ -429,7 +404,7 @@ def _lq_norm(terms: np.ndarray, q: float) -> float:
     """``(terms ** q).sum() ** (1 / q)`` with the largest term factored out
     of the sum, so it is finite and nonzero wherever that term and the norm
     are: the form for sums that pass the float range or underflow."""
-    top = float(terms.max())
+    top = float(terms.max(initial=0.0))
     if not 0.0 < top < math.inf:  # no mass, or an inf or nan term
         return top
     return top * _pow(float(((terms / top) ** q).sum()), 1.0 / q)

@@ -75,7 +75,7 @@ from .norms import (
     _pow2,
     _rect_counts,
     _swept_rectangles,
-    _window_indicator_pairings,
+    annulus_lp_table,
     block_norm_bracket,
     bmo_mk_norm,
     char_rect_norm_closed_form,
@@ -736,9 +736,10 @@ def check_norm_duality(
     if not mk > 0:
         notes.append(f"the probe's Morrey-Herz norm is {mk!r}: no unit-block pairing measured")
     else:
-        # each unit block's pairing over its single-block bound
-        pairs = _window_indicator_pairings(f_probe, [rect for rect, _ in singles])
-        best = max([0.0] + [a / d for a, (_, d) in zip(pairs, singles)])
+        # Q(l) cut to the window is the annuli window_low..l on each axis, so the
+        # L^1 table's prefix sums are the pairings; float(), as the CSV writes repr(lhs)
+        mass, lo = annulus_lp_table(f_probe, 1.0).cumsum(0).cumsum(1), grid.window_low
+        best = max([0.0] + [float(mass[r.l1 - lo, r.l2 - lo]) / d for r, d in singles])
         sup_fraction = best / mk
         sup_excess = max(0.0, sup_fraction - 1.0)
         all_trials.append(

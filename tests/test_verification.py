@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from mherz import verification
 from mherz.errors import CostGuardError, PredicateError
-from mherz.grid import MAX_LEVEL_SUM, build_function, make_grid, restrict_to_window
-from mherz.norms import ExponentParams
+from mherz.grid import MAX_LEVEL_SUM, build_function, indicator, make_grid, restrict_to_window
+from mherz.norms import ExponentParams, pairing_l1
 from mherz.verification import (
     OPERATOR_OBJECTS,
     SUITES,
@@ -310,6 +310,21 @@ def test_norm_duality_sup_pairing_gate_fails_on_a_zero_probe_norm(monkeypatch):
     assert "sup-pairing-vs-mk" not in [t.trial for t in rep.trials]
     assert any("no unit-block pairing measured" in n for n in rep.notes)
     assert "gate sup_pairing_excess <= 1e-10 fails: None" in rep.notes
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 2), make_grid(2, 3), make_grid(3, 2)])
+def test_norm_duality_unit_block_pairings_equal_masked_indicator_pairings(monkeypatch, grid):
+    # the sup-pairing lhs, read off the probe's L^1 prefix sums, against
+    # pairing_l1 with each window-cut indicator over its single-block bound
+    probes, mk = [], verification.morrey_herz_norm
+    monkeypatch.setattr(
+        verification, "morrey_herz_norm", lambda f, params: probes.append(f) or mk(f, params)
+    )
+    rep = check_norm_duality(grid, PR, seed=5, refine=False)
+    (got,) = [t.lhs for t in rep.trials if t.trial == "sup-pairing-vs-mk"]
+    singles = verification._norm_product_sweep(grid, PR)[3]
+    want = max(pairing_l1(probes[-1], restrict_to_window(indicator(grid, r))) / d for r, d in singles)
+    assert type(got) is float and got == pytest.approx(want, rel=5e-15, abs=0)
 
 
 def test_indicator_suites_cut_only_their_trial_objects_to_the_window(monkeypatch):
@@ -1058,7 +1073,7 @@ TRIMMED_REFINEMENTS = {
     ),
     "norm_duality": (
         "spread", "herz_product_spread",
-        ("pairing_l1", "herz_norm", "morrey_herz_norm", "_window_indicator_pairings"),
+        ("pairing_l1", "herz_norm", "morrey_herz_norm", "annulus_lp_table"),
         lambda g, **kw: check_norm_duality(g, PR, trials=6, seed=3, **kw),
     ),
     "john_nirenberg_bmo": (

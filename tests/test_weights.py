@@ -191,6 +191,31 @@ def test_constant_weight_characteristic_is_one_at_every_scale(c):
             assert ap_star_characteristic(w, p, fam) == pytest.approx(1.0, rel=1e-12), (fam, p)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(0, 5)).filter(lambda t: sum(t) <= 6),
+    st.integers(0, 10**6),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+)
+def test_characteristic_invariant_under_reflections_and_transpose(levels, seed, p):
+    # the stride-1 dyadic-sides family is closed under both reflections and
+    # the transpose; only the prefix-sum rounding moves.  rtol is about 10x
+    # the largest error measured over every grid with 1 <= L_max + s <= 6,
+    # 12 weights each at these p (4.2e-13).  A u box read one cell off the
+    # w box fails a reflection
+    g = make_grid(*levels)
+    noise = build_function(g, builtin="noise", seed=seed, low=-3.0, high=3.0)
+    w = make_weight(GridFunction(g, np.exp(noise.values)))
+    want = ap_star_characteristic(w, p, FAM)
+    for name, move in (
+        ("x-reflection", lambda a: a[::-1, :]),
+        ("y-reflection", lambda a: a[:, ::-1]),
+        ("transpose", lambda a: a.T),
+    ):
+        got = ap_star_characteristic(make_weight(GridFunction(g, move(w.values))), p, FAM)
+        assert got == pytest.approx(want, rel=4.3e-12, abs=0), name
+
+
 @pytest.mark.parametrize("c", [2.0**-1000, 1.0, 1e300])
 def test_wide_range_weight_characteristic_near_p_one(c):
     # cells of c and 4096c at p = 1.01: 4096**(1/(p-1)) = 2**1200 is past the
