@@ -125,13 +125,6 @@ class GridSpec:
         inner = self.half_width_cells(i - 1)
         return (mid - outer, mid - inner), (mid + inner, mid + outer)
 
-    def point_to_cell(self, x: float) -> int:
-        """Index of the half-open cell containing coordinate x."""
-        idx = int(np.floor((x - self.x0) / self.h))
-        if not (0 <= idx < self.n_cells):
-            raise RectangleError(f"coordinate {x} outside the truncation box")
-        return idx
-
 
 def _central_gap(spec: GridSpec) -> slice:
     """The two central cells of an axis, which no window annulus covers."""
@@ -191,15 +184,6 @@ def _sum_exponent(top: float, count: int) -> int:
     return 0 if math.isfinite(top * count) else int(np.frexp(top)[1])
 
 
-def _scale_back(x, e: int):
-    """``x * 2**e`` for a :func:`_sum_exponent` ``e``.  Where that overflows
-    the result is ``inf``, as documented, and no overflow warning is raised."""
-    if not e:
-        return x
-    with np.errstate(over="ignore"):
-        return np.ldexp(x, e)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` with writes turned off: the form of every cached or shared table."""
     a.flags.writeable = False
@@ -222,6 +206,11 @@ class GridRectangle:
     iy1: int
 
     def __post_init__(self) -> None:
+        for name in ("ix0", "ix1", "iy0", "iy1"):  # a numpy integer as an int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise RectangleError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not (self.ix0 < self.ix1 and self.iy0 < self.iy1):
             raise RectangleError(f"empty rectangle {self!r}")
         if self.ix0 < 0 or self.iy0 < 0:
@@ -243,6 +232,13 @@ class DyadicRectangle:
 
     l1: int
     l2: int
+
+    def __post_init__(self) -> None:
+        for name in ("l1", "l2"):  # a numpy integer as an int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise RectangleError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
 
     def to_cells(self, spec: GridSpec) -> GridRectangle:
         hw1 = spec.half_width_cells(self.l1)
@@ -309,53 +305,29 @@ class GridFunction:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GridFunction is immutable")
 
-    # -- rectangle sums ----------------------------------------------------
+    def rect_means(self, rects, absolute: bool = False) -> np.ndarray:
+        """Mean cell value of f (or |f|) over each rectangle of the sequence
+        ``rects``: the one rectangle reduction.
 
-    def _scaled_sums(self, rects, absolute: bool):
-        """Cell sums of ``f`` (or ``|f|``) over each of ``rects`` scaled by
-        ``2**-e``, the rectangles' cell counts, ``e``, and bounds ``(lo, hi)``
-        on the scaled cell values summed.
-
-        ``e`` is :func:`_sum_exponent` of ``max|f|`` over the ``N**2`` cells:
-        0, and raw sums, unless cell sums could overflow.  The prefix table
-        is built for this call and dropped after it: no N x N table outlives
-        the call.
+        All boxes come from one prefix table, built for this call and dropped
+        after it.  Unless cell sums could overflow, the table holds the raw
+        values; otherwise it holds them scaled by ``2**-e``, with ``e`` the
+        :func:`_sum_exponent` of ``max|f|`` over the ``N**2`` cells, and the
+        means, taken on the scaled sums and scaled back, stay finite.
         """
         vals = self.values
         lo, hi = float(vals.min()), float(vals.max())
         e = _sum_exponent(max(hi, -lo), vals.size)
-        if absolute:  # |f| of mixed signs is bounded by [0, max|f|]
-            lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0.0, max(hi, -lo))
         a = np.abs(vals) if absolute else vals
         P = _prefix_table(np.ldexp(a, -e) if e else a)
         x0, x1, y0, y1 = np.array([(r.ix0, r.ix1, r.iy0, r.iy1) for r in rects]).T
-        bounds = (math.ldexp(lo, -e), math.ldexp(hi, -e))
-        return _box_sum(P, x0, x1, y0, y1), (x1 - x0) * (y1 - y0), e, bounds
-
-    def rect_means(self, rects, absolute: bool = False) -> np.ndarray:
-        """Mean cell value of f (or |f|) over each rectangle of the sequence
-        ``rects``, all from one prefix table; finite even where a cell sum
-        overflows, since the means are taken on the scaled sums."""
-        totals, cells, e, bounds = self._scaled_sums(rects, absolute)
-        means = totals / cells
-        if e:  # a rounded mean past the largest value would scale back to inf
-            means = np.clip(means, *bounds)
-        return _scale_back(means, e)
-
-    def rect_cell_sum(self, rect: GridRectangle, absolute: bool = False) -> float:
-        """Raw cell sum of f (or |f|) over ``rect`` (unscaled by h**2);
-        ``inf`` where the sum overflows."""
-        totals, _, e, _ = self._scaled_sums([rect], absolute)
-        return float(_scale_back(totals[0], e))
-
-    def rect_mean(self, rect: GridRectangle, absolute: bool = False) -> float:
-        """:meth:`rect_means` of the one rectangle ``rect``."""
-        return float(self.rect_means([rect], absolute)[0])
-
-    # -- convenience -------------------------------------------------------
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.spec, values)
+        means = _box_sum(P, x0, x1, y0, y1) / ((x1 - x0) * (y1 - y0))
+        if not e:
+            return means
+        if absolute:  # |f| of mixed signs is bounded by [0, max|f|]
+            lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0.0, max(hi, -lo))
+        # a rounded mean past the largest value would scale back to inf
+        return np.ldexp(np.clip(means, math.ldexp(lo, -e), math.ldexp(hi, -e)), e)
 
     def refine(self, extra_levels: int = 1) -> "GridFunction":
         """Same function represented at resolution s + extra_levels (exact)."""
@@ -379,20 +351,6 @@ def dilate(f: GridFunction, t: float) -> GridFunction:
     idx = np.floor((c - spec.x0) / spec.h).astype(int)
     idx = np.clip(idx, 0, spec.n_cells - 1)
     return GridFunction._adopt(spec, f.values[np.ix_(idx, idx)])
-
-
-def integrate_over_rectangle(
-    f: GridFunction, rect: GridRectangle, absolute: bool = False
-) -> float:
-    """Exact integral of f (or |f|) over a cell-aligned rectangle.
-
-    Builds one prefix table for the call (O(N**2)); for many rectangles of
-    one function, :meth:`GridFunction.rect_means` shares one table.  The
-    h**2 scaling is a power of two, so no precision is lost relative to
-    summing scaled cells.
-    """
-    rect.check_within(f.spec)
-    return f.rect_cell_sum(rect, absolute=absolute) * f.spec.h * f.spec.h
 
 
 # -- annulus machinery -----------------------------------------------------
@@ -468,23 +426,6 @@ def indicator(spec: GridSpec, rect: GridRectangle | DyadicRectangle) -> GridFunc
     return GridFunction._adopt(spec, vals)
 
 
-def _aligned_rect_from_bounds(spec: GridSpec, x0, x1, y0, y1) -> GridRectangle:
-    idx = []
-    for v in (x0, x1, y0, y1):
-        t = (v - spec.x0) / spec.h
-        k = round(t)
-        if abs(t - k) > 1e-9:
-            raise AlignmentError(f"coordinate {v} is not a cell boundary (h={spec.h})")
-        idx.append(int(k))
-    return GridRectangle(idx[0], idx[1], idx[2], idx[3]).check_within(spec)
-
-
-def _builtin_indicator(spec: GridSpec, *, l1=None, l2=None, bounds=None):
-    if bounds is not None:
-        return indicator(spec, _aligned_rect_from_bounds(spec, *bounds))
-    return indicator(spec, DyadicRectangle(int(l1), int(l2)))
-
-
 def constant(spec: GridSpec, value: float) -> GridFunction:
     return GridFunction._adopt(spec, np.full((spec.n_cells, spec.n_cells), float(value)))
 
@@ -513,13 +454,6 @@ def _builtin_noise(spec: GridSpec, *, seed, low=0.0, high=1.0):
     # seed may be an int or a sequence of ints (derived per-trial seeds)
     n = spec.n_cells
     return GridFunction._adopt(spec, _pcg.uniform(seed, low, high, n * n).reshape(n, n))
-
-
-def _builtin_step(spec: GridSpec, *, l1=0, l2=0, inside=2.0, outside=1.0):
-    rect = DyadicRectangle(int(l1), int(l2)).to_cells(spec)
-    vals = np.full((spec.n_cells, spec.n_cells), float(outside))
-    vals[rect.ix0 : rect.ix1, rect.iy0 : rect.iy1] = float(inside)
-    return GridFunction._adopt(spec, vals)
 
 
 def annulus_comb(spec: GridSpec) -> GridFunction:
@@ -557,41 +491,21 @@ def cell_split_noise(spec: GridSpec, base: GridSpec, seed) -> GridFunction:
 
 
 BUILTINS: dict[str, Callable[..., GridFunction]] = {
-    "indicator": _builtin_indicator,
+    "indicator": lambda spec, *, l1, l2: indicator(spec, DyadicRectangle(l1, l2)),
     "constant": lambda spec, *, value=1.0: constant(spec, value),
     "power": _builtin_power,
     "truncated_log": _builtin_truncated_log,
     "gaussian": _builtin_gaussian,
     "noise": _builtin_noise,
-    "step": _builtin_step,
 }
 
 
-def build_function(
-    spec: GridSpec,
-    builtin: str | None = None,
-    rule: Callable | None = None,
-    values: np.ndarray | None = None,
-    clip: float | None = None,
-    **params,
-) -> GridFunction:
-    """Single entry point for the three construction routes.
-
-    Exactly one of ``builtin`` (name + keyword params), ``rule`` (pointwise,
-    sampled at cell centers), or ``values`` (explicit cell table) must be
-    given.
-    """
-    given = sum(x is not None for x in (builtin, rule, values))
-    if given != 1:
-        raise ValueError("pass exactly one of builtin=, rule=, values=")
-    if builtin is not None:
-        try:
-            factory = BUILTINS[builtin]
-        except KeyError:
-            raise ValueError(
-                f"unknown builtin {builtin!r}; known: {sorted(BUILTINS)}"
-            ) from None
-        return factory(spec, **params)
-    if rule is not None:
-        return from_rule(spec, rule, clip=clip)
-    return GridFunction(spec, values)
+def build_function(spec: GridSpec, builtin: str, **params) -> GridFunction:
+    """The builtin function named ``builtin``, built on ``spec`` from its
+    keyword ``params``.  A pointwise rule goes through :func:`from_rule`, an
+    explicit cell table through ``GridFunction(spec, values)``."""
+    try:
+        factory = BUILTINS[builtin]
+    except KeyError:
+        raise ValueError(f"unknown builtin {builtin!r}; known: {sorted(BUILTINS)}") from None
+    return factory(spec, **params)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,10 @@ class ExponentParams:
     m: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "p", "q", "lam"):  # a numpy scalar as the Python number
+            value = getattr(self, name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not (self.p > 0):
@@ -96,9 +101,11 @@ class ExponentParams:
             raise ValueError(f"q must be in (0, inf], got {self.q}")
         if not (0 <= self.lam < math.inf):
             raise ValueError(f"lam must be in [0, inf), got {self.lam}")
-        for d in (self.n, self.m):
+        for name in ("n", "m"):
+            d = getattr(self, name)
             if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
                 raise ValueError("n and m must be positive integers")
+            object.__setattr__(self, name, operator.index(d))  # a numpy integer as an int
 
     @property
     def p_conj(self) -> float:

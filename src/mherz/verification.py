@@ -1092,7 +1092,7 @@ def check_john_nirenberg_bmo(
     n = grid.n_cells
     box = GridRectangle(0, n, 0, n)
     b = build_function(grid, builtin="truncated_log")
-    dev = np.abs(b.values - b.rect_mean(box))  # |b - b_R|, once for every gamma
+    dev = np.abs(b.values - b.rect_means([box])[0])  # |b - b_R|, once for every gamma
     (box_norm,) = _indicator_norms(grid, _rect_counts(grid, [box]), params)
     # each level set's masked indicator, from its counts, which sum to its cells
     counts = np.stack([_cell_counts(grid, dev > g) for g in gammas])

@@ -194,7 +194,7 @@ def test_criterion_05_generated_weight_quality():
 
 
 def test_criterion_06_cz_exactness_and_speed():
-    chi = build_function(G35, builtin="indicator", bounds=(-1, 1, -1, 1))
+    chi = build_function(G35, builtin="indicator", l1=1, l2=1)  # [-1,1] x [-1,1]
     t0 = time.perf_counter()
     t = cz_apply(chi)
     elapsed = time.perf_counter() - t0

@@ -684,6 +684,46 @@ def test_package_exports_resolve():
 
     missing = [name for name in mherz.__all__ if not hasattr(mherz, name)]
     assert missing == []
+    # the public surface, spelled out: adding or removing a name is a
+    # deliberate change to this list
+    assert sorted(mherz.__all__) == [
+        "AnnulusIndex",
+        "DOUBLE_HILBERT",
+        "DYADIC_SIDES",
+        "DyadicRectangle",
+        "EXACT_GRID",
+        "ExponentParams",
+        "GridFunction",
+        "GridRectangle",
+        "GridSpec",
+        "ITERATED_1D",
+        "NormBracket",
+        "RectangleFamily",
+        "WeightFunction",
+        "annulus_restrict",
+        "ap_star_characteristic",
+        "block_norm_bracket",
+        "bmo_mk_norm",
+        "bmo_norm",
+        "build_function",
+        "char_rect_norm_closed_form",
+        "commutator",
+        "conjugate_exponent",
+        "cz_apply",
+        "dilate",
+        "generate_a1_weight",
+        "herz_norm",
+        "lp_norm",
+        "make_grid",
+        "make_weight",
+        "morrey_herz_norm",
+        "pairing_l1",
+        "restrict_to_window",
+        "rubio_de_francia",
+        "strong_maximal",
+        "weighted_lp_norm",
+        "window_mask",
+    ]
 
 
 def test_failing_cap_exits_nonzero(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import warnings
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mherz.errors import (
-    AlignmentError,
     DataError,
     GridSizeError,
     RectangleError,
@@ -25,8 +23,8 @@ from mherz.grid import (
     cell_split_noise,
     constant,
     dilate,
+    from_rule,
     indicator,
-    integrate_over_rectangle,
     make_grid,
     _prefix_table,
     _segment_starts,
@@ -102,12 +100,13 @@ def test_build_function_routes():
     g = make_grid(2, 2)
     c = build_function(g, builtin="constant", value=1.0)
     assert (c.values == 1.0).all()
-    r = build_function(g, rule=lambda x, y: x + y)
+    r = from_rule(g, lambda x, y: x + y)
     mid = g.n_cells // 2
     assert r.values[mid, mid] == pytest.approx(2 * (g.h / 2))
-    v = build_function(g, values=np.ones((16, 16)))
+    v = GridFunction(g, np.ones((16, 16)))
     assert (v.values == 1.0).all()
-    with pytest.raises(ValueError, match="exactly one"):
+    # a builtin takes its own keyword parameters only: a rule is no route of it
+    with pytest.raises(TypeError, match="rule"):
         build_function(g, builtin="constant", rule=lambda x, y: x)
     with pytest.raises(ValueError, match="unknown builtin"):
         build_function(g, builtin="nope")
@@ -124,32 +123,58 @@ def test_truncated_log_finite_and_symmetric():
 def test_non_finite_rule_rejected():
     g = make_grid(1, 1)
     with np.errstate(divide="ignore"), pytest.raises(DataError, match="non-finite"):
-        build_function(g, rule=lambda x, y: 1.0 / (x - x))
-
-
-def test_misaligned_indicator_rejected():
-    g = make_grid(2, 2)  # h = 1/4
-    with pytest.raises(AlignmentError):
-        build_function(g, builtin="indicator", bounds=(-0.3, 0.3, -0.25, 0.25))
+        from_rule(g, lambda x, y: 1.0 / (x - x))
 
 
 def test_integrate_indicator_whole_box():
     g = make_grid(2, 3)
     f = indicator(g, DyadicRectangle(0, 0))
     box = GridRectangle(0, g.n_cells, 0, g.n_cells)
-    assert integrate_over_rectangle(f, box) == pytest.approx(1.0, abs=1e-15)
+    # the box has area 16 and Q(0) x Q(0) area 1
+    assert f.rect_means([box])[0] * 16.0 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_integrate_constant_cells():
     g = make_grid(2, 2)  # h = 1/4
     f = constant(g, 1.0)
     r = GridRectangle(0, 3, 0, 5)
-    assert integrate_over_rectangle(f, r) == pytest.approx(15.0 / 16.0, abs=1e-15)
+    assert f.rect_means([r])[0] * r.cells() * g.h**2 == pytest.approx(15.0 / 16.0, abs=1e-15)
 
 
 def test_integrate_empty_rectangle_rejected():
     with pytest.raises(RectangleError, match="empty"):
         GridRectangle(3, 3, 0, 5)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        # a bool is no cell index, though cells() would read it as 1
+        pytest.param(lambda: GridRectangle(True, 2, 0, 2), "ix0", id="bool-cell"),
+        pytest.param(lambda: GridRectangle(0, 2, 0, 2.5), "iy1", id="fraction-cell"),
+        # a float bound would reach numpy's slicing as a bare IndexError
+        pytest.param(lambda: GridRectangle(0, 2.0, 0, 2), "ix1", id="float-cell"),
+        pytest.param(lambda: DyadicRectangle(np.int64(0), 1.5), "l2", id="fraction-level"),
+        pytest.param(lambda: DyadicRectangle(False, 1), "l1", id="bool-level"),
+        # the builtin passes its levels on as given, never truncated to Q(0) x Q(1)
+        pytest.param(
+            lambda: build_function(make_grid(2, 2), builtin="indicator", l1=0.7, l2=1.9),
+            "l1",
+            id="indicator-builtin",
+        ),
+    ],
+)
+def test_rectangles_refuse_bools_and_fractions(build, field):
+    with pytest.raises(RectangleError, match=f"^{field} must be an integer"):
+        build()
+
+
+def test_rectangles_take_numpy_integers_as_ints():
+    r = GridRectangle(np.int64(1), np.int32(3), np.uint8(0), np.int64(2))
+    assert r == GridRectangle(1, 3, 0, 2) and r.cells() == 4
+    d = DyadicRectangle(np.int64(0), np.int16(-1))
+    assert d == DyadicRectangle(0, -1)
+    assert all(type(v) is int for v in (r.ix0, r.ix1, r.iy0, r.iy1, d.l1, d.l2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,7 +190,8 @@ def test_prefix_sum_matches_direct_summation(seed, data):
     iy1 = data.draw(st.integers(iy0 + 1, n))
     r = GridRectangle(ix0, ix1, iy0, iy1)
     direct = f.values[ix0:ix1, iy0:iy1].sum() * g.h**2
-    assert integrate_over_rectangle(f, r) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+    area = r.cells() * g.h**2
+    assert f.rect_means([r])[0] * area == pytest.approx(direct, rel=1e-12, abs=1e-14)
     # the raw-array helpers: one box, and the same box in the all-positions table
     P = _prefix_table(f.values)
     wx, wy = ix1 - ix0, iy1 - iy0
@@ -173,7 +199,7 @@ def test_prefix_sum_matches_direct_summation(seed, data):
     for raw in (_box_sum(P, ix0, ix1, iy0, iy1), boxes[ix0, iy0]):
         assert raw * g.h**2 == pytest.approx(direct, rel=1e-12, abs=1e-14)
     direct_abs = np.abs(f.values[ix0:ix1, iy0:iy1]).sum() * g.h**2
-    assert integrate_over_rectangle(f, r, absolute=True) == pytest.approx(
+    assert f.rect_means([r], absolute=True)[0] * area == pytest.approx(
         direct_abs, rel=1e-12, abs=1e-14
     )
 
@@ -213,8 +239,7 @@ def test_rect_mean_below_overflow_is_the_raw_prefix_table():
             r = GridRectangle(ix0, ix1, iy0, iy1)
             for absolute, table in ((False, vals), (True, np.abs(vals))):
                 raw = float(_box_sum(_prefix_table(table), ix0, ix1, iy0, iy1))
-                assert f.rect_cell_sum(r, absolute) == raw
-                assert f.rect_mean(r, absolute) == raw / r.cells()
+                assert f.rect_means([r], absolute)[0] == raw / r.cells()
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e308, 1e-300])
@@ -242,17 +267,12 @@ def test_rect_means_match_a_four_corner_oracle_and_keep_no_table(scale):
         ]
         means = [float(np.ldexp(t / r.cells(), e)) for t, r in zip(sums, rects)]
         assert f.rect_means(rects, absolute).tolist() == means
-        assert [f.rect_mean(r, absolute) for r in rects] == means
-        with np.errstate(over="ignore"):  # raw sums of 1e308 values may be inf
-            raw = [float(np.ldexp(t, e)) for t in sums]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the library's inf comes without one
-            assert [f.rect_cell_sum(r, absolute) for r in rects] == raw
+        assert [f.rect_means([r], absolute)[0] for r in rects] == means
 
 
-def test_overflowing_rectangle_sums_are_inf_without_a_warning():
-    # a caller running with warnings as errors gets the documented inf, not a
-    # RuntimeWarning from the scale-back of the 2**-e scaled sum
+def test_overflowing_rectangle_sums_give_finite_means_without_a_warning():
+    # a caller running with warnings as errors gets finite means, not a
+    # RuntimeWarning from the scale-back of the 2**-e scaled sums
     g = make_grid(2, 1)  # N = 8: 64 cells of 1e308 sum past the float range
     n = g.n_cells
     box = GridRectangle(0, n, 0, n)
@@ -261,8 +281,6 @@ def test_overflowing_rectangle_sums_are_inf_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for absolute in (False, True):
-            assert f.rect_cell_sum(box, absolute) == math.inf
-            assert integrate_over_rectangle(f, box, absolute) == math.inf
             assert f.rect_means([box, GridRectangle(0, 1, 0, 1)], absolute).tolist() == [1e308] * 2
             # at the top of the float range: no exception, and no NaN
             means = top.rect_means([box, GridRectangle(n - 1, n, n - 1, n)], absolute)
@@ -297,7 +315,8 @@ def test_prefix_oracle_200_random_rectangles():
         iy1 = rng.integers(iy0 + 1, n + 1)
         r = GridRectangle(int(ix0), int(ix1), int(iy0), int(iy1))
         direct = f.values[ix0:ix1, iy0:iy1].sum() * g.h**2
-        assert integrate_over_rectangle(f, r) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+        area = r.cells() * g.h**2
+        assert f.rect_means([r])[0] * area == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
 
 def test_integration_linearity_and_monotonicity():
@@ -307,19 +326,24 @@ def test_integration_linearity_and_monotonicity():
     f = GridFunction(g, rng.normal(size=(n, n)))
     gfn = GridFunction(g, rng.normal(size=(n, n)))
     r = GridRectangle(2, 13, 5, 11)
-    lhs = integrate_over_rectangle(GridFunction(g, 2.0 * f.values + 3.0 * gfn.values), r)
-    rhs = 2.0 * integrate_over_rectangle(f, r) + 3.0 * integrate_over_rectangle(gfn, r)
+    area = r.cells() * g.h**2
+
+    def integral(f):
+        return f.rect_means([r])[0] * area
+
+    lhs = integral(GridFunction(g, 2.0 * f.values + 3.0 * gfn.values))
+    rhs = 2.0 * integral(f) + 3.0 * integral(gfn)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
     bigger = GridFunction(g, f.values + np.abs(gfn.values))
-    assert integrate_over_rectangle(bigger, r) >= integrate_over_rectangle(f, r) - 1e-14
+    assert integral(bigger) >= integral(f) - 1e-14
 
 
 def test_annulus_restrict_measure():
     g = make_grid(2, 3)
     f = annulus_restrict(constant(g, 1.0), AnnulusIndex(0, 0))
     box = GridRectangle(0, g.n_cells, 0, g.n_cells)
-    # |I_0| = 1 - 1/2 = 1/2 per axis
-    assert integrate_over_rectangle(f, box) == pytest.approx(0.25, abs=1e-15)
+    # |I_0| = 1 - 1/2 = 1/2 per axis, in a box of area 16
+    assert f.rect_means([box])[0] * 16.0 == pytest.approx(0.25, abs=1e-15)
 
 
 def test_annulus_disjointness():
@@ -367,7 +391,7 @@ def test_window_support_violations_match_full_scan(L_max, s, seed, cross_cells):
     for _ in range(cross_cells):  # put mass on the central cross
         k, along = rng.integers(n // 2 - 1, n // 2 + 1), rng.integers(n)
         vals[(k, along) if rng.random() < 0.5 else (along, k)] = rng.normal()
-    f = f.with_values(vals)
+    f = GridFunction(g, vals)
     want = np.argwhere(~window_mask(g) & (f.values != 0.0))
     got = window_support_violations(f)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -419,9 +443,8 @@ def test_refine_preserves_function():
     assert f2.spec.s == g.s + 1
     box = GridRectangle(0, g.n_cells, 0, g.n_cells)
     box2 = GridRectangle(0, f2.spec.n_cells, 0, f2.spec.n_cells)
-    assert integrate_over_rectangle(f2, box2) == pytest.approx(
-        integrate_over_rectangle(f, box), rel=1e-12
-    )
+    # the same box, so the same mean
+    assert f2.rect_means([box2])[0] == pytest.approx(f.rect_means([box])[0], rel=1e-12)
 
 
 def test_gridfunction_copies_the_callers_array():
@@ -430,10 +453,10 @@ def test_gridfunction_copies_the_callers_array():
     f = GridFunction(g, vals)
     vals[0, 0] = 5.0  # the caller still owns and may write its array
     assert f.values[0, 0] == 0.0 and vals.flags.writeable
-    # so do with_values and an unclipped rule whose output the caller holds
+    # so does an unclipped rule whose output the caller holds
     held = np.ones((4, 4))
-    fw = f.with_values(held)
-    fr = build_function(g, rule=lambda x, y: held)
+    fw = GridFunction(g, held)
+    fr = from_rule(g, lambda x, y: held)
     held[1, 1] = 7.0
     assert fw.values[1, 1] == fr.values[1, 1] == 1.0 and held.flags.writeable
     assert not np.shares_memory(fw.values, held) and not np.shares_memory(fr.values, held)
@@ -468,10 +491,9 @@ ADOPTING_BUILDERS = {
     "indicator": lambda f: indicator(f.spec, DyadicRectangle(1, 0)),
     "constant": lambda f: constant(f.spec, 2.5),
     "annulus_restrict": lambda f: annulus_restrict(f, AnnulusIndex(1, 0)),
-    "step": lambda f: build_function(f.spec, builtin="step", l1=1, l2=0),
     "dilate": lambda f: dilate(f, 2.0),
     "restrict_to_window": restrict_to_window,
-    "clipped_rule": lambda f: build_function(f.spec, rule=lambda x, y: x * y, clip=1.0),
+    "clipped_rule": lambda f: from_rule(f.spec, lambda x, y: x * y, clip=1.0),
     "gaussian": lambda f: build_function(f.spec, builtin="gaussian", sigma=0.7),
     "power": lambda f: build_function(f.spec, builtin="power", a=0.3, b=0.3),
 }

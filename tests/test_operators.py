@@ -537,7 +537,7 @@ def test_maximal_of_huge_finite_values():
     g = make_grid(2, 1)  # N = 8
     f = constant(g, 1e308)
     rng = np.random.default_rng(3)
-    mixed = f.with_values(rng.uniform(-1.0, 1.0, size=(8, 8)) * 1e308)
+    mixed = GridFunction(f.spec, rng.uniform(-1.0, 1.0, size=(8, 8)) * 1e308)
     for variant in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D):
         assert (strong_maximal(f, variant).values == 1e308).all()
         m = strong_maximal(mixed, variant).values
@@ -551,7 +551,7 @@ def test_maximal_of_huge_finite_values():
     assert (strong_maximal(constant(g, 2.0**1023), DYADIC_SIDES).values == 2.0**1023).all()
     f = constant(g, 1e308)
     np.testing.assert_allclose(strong_maximal(f, DYADIC_SIDES).values, 1e308, rtol=3e-10, atol=0)
-    mixed = f.with_values(rng.uniform(-1.0, 1.0, size=(512, 512)) * 1e308)
+    mixed = GridFunction(f.spec, rng.uniform(-1.0, 1.0, size=(512, 512)) * 1e308)
     m = strong_maximal(mixed, DYADIC_SIDES).values
     assert np.isfinite(m).all()
     assert (m >= np.abs(mixed.values)).all()
@@ -562,11 +562,9 @@ def test_maximal_1d_slice_interval_average():
     g = make_grid(3, 4)  # box [-4,4], h = 1/16
     n = g.n_cells
     v = np.zeros(n)
-    a = g.point_to_cell(0.0)
-    b = g.point_to_cell(1.0)
+    a, b, x2 = (n // 2 + 16 * x for x in (0, 1, 2))  # the cells starting at x = 0, 1 and 2
     v[a:b] = 1.0
     prof = interval_average_profile(v)
-    x2 = g.point_to_cell(2.0)
     # brute-force oracle over intervals
     want = max(
         v[i0:i1].mean() for i0 in range(x2 + 1) for i1 in range(x2 + 1, n + 1)
@@ -577,11 +575,12 @@ def test_maximal_1d_slice_interval_average():
 
 def test_maximal_2d_unit_square_at_2_half():
     g = make_grid(2, 4)  # box [-2,2], h = 1/16, N = 64
-    chi = build_function(g, builtin="indicator", bounds=(0, 1, 0, 1))
+    mid = g.n_cells // 2  # the cell starting at 0
+    chi = indicator(g, GridRectangle(mid, mid + 16, mid, mid + 16))  # [0,1] x [0,1]
     m = strong_maximal(chi, EXACT_GRID)
     # best rectangle containing (2-, 1/2) is [0,2] x [0,1]: average 1/2
     ix = g.n_cells - 1  # cell touching x = 2
-    iy = g.point_to_cell(0.5)
+    iy = mid + 8  # the cell starting at y = 1/2
     assert m.values[ix, iy] == pytest.approx(0.5, abs=2 * g.h)
 
 
@@ -604,7 +603,7 @@ def test_maximal_sublinear_and_monotone(seed):
     for variant in (EXACT_GRID, DYADIC_SIDES, ITERATED_1D):
         mf = strong_maximal(f, variant).values
         mh = strong_maximal(h, variant).values
-        msum = strong_maximal(f.with_values(f.values + h.values), variant).values
+        msum = strong_maximal(GridFunction(f.spec, f.values + h.values), variant).values
         assert (msum <= mf + mh + 1e-12).all()
         assert (mf >= np.abs(f.values)).all()
 
@@ -856,7 +855,7 @@ def test_estimate_block_norm_constant_skips_the_repeated_probe(monkeypatch):
 
 def test_cz_closed_form_on_square():
     g = make_grid(3, 5)
-    chi = build_function(g, builtin="indicator", bounds=(-1, 1, -1, 1))
+    chi = build_function(g, builtin="indicator", l1=1, l2=1)  # [-1,1] x [-1,1]
     t = cz_apply(chi)
     centers = g.cell_centers()
     for ix in (8, 100, 170, 200, 251):
@@ -884,7 +883,7 @@ def test_cz_linearity():
     rng = np.random.default_rng(9)
     f = GridFunction(g, rng.normal(size=(16, 16)))
     h = GridFunction(g, rng.normal(size=(16, 16)))
-    lhs = cz_apply(f.with_values(2.0 * f.values - 3.0 * h.values)).values
+    lhs = cz_apply(GridFunction(f.spec, 2.0 * f.values - 3.0 * h.values)).values
     rhs = 2.0 * cz_apply(f).values - 3.0 * cz_apply(h).values
     assert np.allclose(lhs, rhs, atol=1e-10)
 
@@ -910,7 +909,7 @@ def test_commutator_shift_invariance_in_symbol():
     b = GridFunction(g, rng.normal(size=(16, 16)))
     f = GridFunction(g, rng.normal(size=(16, 16)))
     c1 = commutator(b, f).values
-    c2 = commutator(b.with_values(b.values + 11.0), f).values
+    c2 = commutator(GridFunction(b.spec, b.values + 11.0), f).values
     assert np.allclose(c1, c2, atol=1e-10)
 
 

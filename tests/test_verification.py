@@ -746,7 +746,7 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
     from mherz.grid import GridFunction, GridSpec
     from mherz.verification import BMO_SYMBOLS, _default_bmo_family
 
-    # rectangles whose mean is taken; rect_mean goes through rect_means too
+    # rectangles whose mean is taken, the bmo suite's box among them
     means = Counter()
     rect_means = GridFunction.rect_means
 

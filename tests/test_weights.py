@@ -51,7 +51,8 @@ def test_characteristic_at_least_one_and_constant_iff_one():
     rng = np.random.default_rng(0)
     w = make_weight(GridFunction(G, rng.uniform(0.5, 2.0, size=(32, 32))))
     assert ap_star_characteristic(w, 2.0, FAM) >= 1.0
-    step = make_weight(build_function(G, builtin="step", l1=0, l2=0, inside=4.0, outside=1.0))
+    # 4 on Q(0) x Q(0), 1 elsewhere
+    step = make_weight(GridFunction(G, 1.0 + 3.0 * indicator(G, DyadicRectangle(0, 0)).values))
     assert ap_star_characteristic(step, 2.0, FAM) > 1.0
     assert ap_star_characteristic(make_weight(constant(G, 7.0)), 2.0, FAM) == pytest.approx(1.0)
 
