@@ -31,6 +31,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import numbers
 import operator
@@ -188,6 +189,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` with writes turned off: the form of every cached or shared table."""
     a.flags.writeable = False
     return a
+
+
+def _python_number(name: str, value):
+    """A numpy number or bool as the Python int or float of its value, which a
+    json report can hold, and a list, tuple or array as the list of its entries
+    so converted; one with no such value (a longdouble) raises."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_python_number(f"{name} entry", v) for v in value]
+    if not isinstance(value, (np.number, np.bool_)):
+        return value
+    item = value.item()
+    if not isinstance(item, (int, float)):
+        raise ValueError(f"{name} must be an int or a float, got {value!r}")
+    return item
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -503,9 +518,20 @@ BUILTINS: dict[str, Callable[..., GridFunction]] = {
 def build_function(spec: GridSpec, builtin: str, **params) -> GridFunction:
     """The builtin function named ``builtin``, built on ``spec`` from its
     keyword ``params``.  A pointwise rule goes through :func:`from_rule`, an
-    explicit cell table through ``GridFunction(spec, values)``."""
+    explicit cell table through ``GridFunction(spec, values)``.  ``params``
+    that do not bind to the builtin raise ValueError naming its keys."""
     try:
         factory = BUILTINS[builtin]
     except KeyError:
         raise ValueError(f"unknown builtin {builtin!r}; known: {sorted(BUILTINS)}") from None
+    signature = inspect.signature(factory)
+    try:
+        signature.bind(spec, **params)
+    except TypeError:
+        takes = dict(list(signature.parameters.items())[1:])
+        missing = [k for k, v in takes.items() if v.default is v.empty and k not in params]
+        raise ValueError(
+            f"builtin {builtin!r}: unknown keys {sorted(params.keys() - takes)}, "
+            f"missing keys {missing}; it takes {list(takes)}"
+        ) from None
     return factory(spec, **params)

@@ -16,7 +16,7 @@ Implements, for piecewise-constant functions supported in the annulus window:
   both for the continuum definition (sums over all annuli) and for the
   window-truncated grid norm (finite geometric sums),
 * a certified upper bound for the block-space norm, an infimum over
-  decompositions, and a lower bound only from a given test family,
+  decompositions,
 * little-bmo style oscillation norms over rectangle families, from one
   pass over each rectangle that serves both the plain and the Morrey-Herz
   oscillation (:func:`_oscillation_sweep`), both returned by :func:`bmo_mk_norm`.
@@ -40,7 +40,7 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     GridFunction,
     GridRectangle,
     GridSpec,
+    _python_number,
     _read_only,
     _require_finite,
     _segment_starts,
@@ -89,10 +90,8 @@ class ExponentParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "p", "q", "lam"):  # a numpy scalar as the Python number
-            value = getattr(self, name)
-            if isinstance(value, np.generic):
-                object.__setattr__(self, name, value.item())
+        for name in ("alpha", "p", "q", "lam"):
+            object.__setattr__(self, name, _python_number(name, getattr(self, name)))
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not (self.p > 0):
@@ -586,22 +585,7 @@ class RectangleFamily:
         return out
 
 
-# -- block norm bracket --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormBracket:
-    """Certified lower/upper bounds for an infimum-defined norm."""
-
-    lower: float
-    upper: float
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if self.lower < 0 or self.upper < 0:
-            raise ValueError(f"bracket bounds must be nonnegative: {self}")
-        if self.lower > self.upper * (1.0 + 1e-9) + 1e-300:
-            raise ValueError(f"bracket inverted: lower={self.lower} > upper={self.upper}")
+# -- block norm upper bound -----------------------------------------------------
 
 
 def smallest_containing_dyadic(f: GridFunction) -> DyadicRectangle | None:
@@ -623,7 +607,7 @@ def smallest_containing_dyadic(f: GridFunction) -> DyadicRectangle | None:
 def _block_upper_bounds(
     spec: GridSpec, table: np.ndarray, host: DyadicRectangle, params: ExponentParams
 ) -> tuple[float, float]:
-    """The two upper bounds of :func:`block_norm_bracket`, (a) and (b), from
+    """The two upper bounds of :func:`block_norm_upper`, (a) and (b), from
     an :func:`annulus_lp_table` and the support's host rectangle."""
     herz = _herz_from_table(spec, table, params)
     upper_single = 2.0 ** ((host.l1 + host.l2) * params.lam) * herz
@@ -631,54 +615,18 @@ def _block_upper_bounds(
     return upper_single, upper_annuli
 
 
-def block_norm_bracket(
-    g: GridFunction,
-    params: ExponentParams,
-    test_family: list[GridFunction] | None = None,
-) -> NormBracket:
-    """Two-sided bracket for the block-space norm of g.
-
-    Upper bound: the better of (a) the single-block bound
-    ``2**((l1+l2)*lam) * herz(g)`` with ``(l1, l2)`` the smallest centered
-    dyadic rectangle containing the support, and (b) the annulus-wise l^1
-    decomposition, each annulus piece treated as its own block.
-
-    Lower bound: the pairing ``int |f g| / ||f||_{MK(dual)}`` maximised over
-    the test family.  Both Hölder steps in the pairing estimate carry
-    constant exactly 1 on the grid, so the bound is certified, not heuristic.
-    """
+def block_norm_upper(g: GridFunction, params: ExponentParams) -> float:
+    """Certified upper bound for the block-space norm of g: the better of (a)
+    the single block ``2**((l1+l2)*lam) * herz(g)``, ``(l1, l2)`` the smallest
+    centered dyadic rectangle containing the support, and (b) the annulus-wise
+    l^1 decomposition.  Both Hölder steps of the pairing carry constant exactly
+    1 on the grid, so ``int |f g| <= ||f||_{MK(dual)} * block_norm_upper(g)``."""
     require_predicate(params, "block")
     _require_window_support(g)
-    notes: list[str] = []
-
     host = smallest_containing_dyadic(g)
     if host is None:
-        return NormBracket(0.0, 0.0, ("zero function",))
-
-    upper_single, upper_annuli = _block_upper_bounds(
-        g.spec, annulus_lp_table(g, params.p), host, params
-    )
-    notes.append(
-        f"upper (a): single block in rectangle ({host.l1},{host.l2}) = {upper_single:.6g}"
-    )
-    notes.append(f"upper (b): annulus-wise l^1 decomposition = {upper_annuli:.6g}")
-    upper = min(upper_single, upper_annuli)
-
-    lower = 0.0
-    if not test_family:
-        notes.append("warning: empty test family, lower bound is trivial 0")
-    else:
-        dual = params.dual()
-        for k, fdual in enumerate(test_family):
-            denom = morrey_herz_norm(fdual, dual)
-            if denom == 0.0:
-                continue
-            cand = pairing_l1(fdual, g) / denom
-            if cand > lower:
-                lower = cand
-                notes.append(f"lower: test function #{k} gives {cand:.6g}")
-    lower = min(lower, upper)  # guard rounding at the certified-equality edge
-    return NormBracket(lower, upper, tuple(notes))
+        return 0.0
+    return min(_block_upper_bounds(g.spec, annulus_lp_table(g, params.p), host, params))
 
 
 # -- oscillation norms ---------------------------------------------------------

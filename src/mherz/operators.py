@@ -51,7 +51,7 @@ from .grid import (
     build_function,
     restrict_to_window,
 )
-from .norms import block_norm_bracket
+from .norms import block_norm_upper
 
 # -- maximal variants ----------------------------------------------------------
 
@@ -316,12 +316,12 @@ def estimate_block_norm_constant(
 ) -> float:
     """Power-iteration style estimate of the maximal operator's block norm.
 
-    Ratio of certified block upper brackets before/after two applications of
+    Ratio of certified block upper bounds before/after two applications of
     the maximal operator on two or three probes: the indicators of Q(l) x
     Q(l) with l = max(0, 1 - s), the first level from 0 up whose cube is
     cell-aligned, and of the mid-window square (one probe when the two
     levels coincide: ``best`` is a max, so a repeat cannot change it), and
-    seeded noise (outputs are window-masked before the bracket, matching the
+    seeded noise (outputs are window-masked before the bound, matching the
     truncation convention).  This is an estimate for choosing c, not a
     certified operator norm.
     """
@@ -334,12 +334,12 @@ def estimate_block_norm_constant(
     best = 0.0
     for g in probes:
         cur = restrict_to_window(g)
-        prev = block_norm_bracket(cur, block_params).upper
+        prev = block_norm_upper(cur, block_params)
         if prev == 0.0:
             continue
         for _ in range(2):
             cur = restrict_to_window(strong_maximal(cur, variant))
-            now = block_norm_bracket(cur, block_params).upper
+            now = block_norm_upper(cur, block_params)
             best = max(best, now / prev)
             prev = now
             if prev == 0.0:

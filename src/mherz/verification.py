@@ -53,6 +53,7 @@ from .grid import (
     GridFunction,
     GridRectangle,
     GridSpec,
+    _python_number,
     annulus_comb,
     annulus_restrict,
     build_function,
@@ -76,7 +77,7 @@ from .norms import (
     _rect_counts,
     _swept_rectangles,
     annulus_lp_table,
-    block_norm_bracket,
+    block_norm_upper,
     bmo_mk_norm,
     char_rect_norm_closed_form,
     conjugate_exponent,
@@ -294,7 +295,7 @@ def trial_objects(names: Sequence[str], base: GridSpec, seed: int, draws: int = 
 SPACES: dict[str, Callable[[GridFunction, ExponentParams], float]] = {
     "herz": herz_norm,
     "morrey-herz": morrey_herz_norm,
-    "block-upper": lambda f, params: block_norm_bracket(f, params).upper,
+    "block-upper": block_norm_upper,
 }
 
 EXTRAPOLATION_OPS: dict[str, Callable[[GridFunction, str], GridFunction]] = {
@@ -421,7 +422,8 @@ def _extrapolation_hypotheses(params: ExponentParams, options: dict) -> list[str
 def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
     """What ``check_<suite>`` accepts, decided once for the suite and the CLI.
 
-    ``options`` holds every option of the suite.  Checks the grid's window,
+    ``options`` holds every option of the suite, and keeps each as
+    :func:`grid._python_number` gives it.  Checks the grid's window,
     each option's ``OPTION_DOMAINS`` entry, the exact-grid gate and
     ``SUITES[suite].grid_guard`` on :func:`finest_grid`, and
     ``SUITES[suite].hypotheses``, whose violations are returned under
@@ -434,6 +436,7 @@ def admit(suite: str, grid: GridSpec, params, options: dict) -> list[str]:
             raise RectangleError(f"annulus window [{grid.window_low}, {grid.window_high}] is empty")
         for key, value in options.items():
             cause = f"options.{key}"
+            options[key] = value = _python_number(key, value)
             OPTION_DOMAINS[key](value)
         finest = finest_grid(grid, options.get("refine", False))
         if "variant" in options:
@@ -516,6 +519,7 @@ def _drive(body: Callable[..., _Measured], signature: inspect.Signature) -> Call
         key = "param_sets" if "param_sets" in options else "params"
         params = options.pop(key)
         violations = admit(suite, grid, params, options)
+        call.arguments.update(options)  # the Python values admit stored
         measured = body(*call.args, **call.kwargs)
         thresholds = dict(SUITES[suite].caps)
         gates, refinement = measured.gates, None

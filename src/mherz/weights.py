@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, _box_sum, _prefix_table
-from .norms import _TINY, RectangleFamily, _family_rectangles, block_norm_bracket
+from .norms import _TINY, RectangleFamily, _family_rectangles, block_norm_upper
 from .operators import DYADIC_SIDES, rubio_de_francia
 
 
@@ -134,15 +134,15 @@ def generate_a1_weight(
     """Weight from the truncated majorant series of |h|, floored at tiny.
 
     When ``block_params`` is given, h is first scaled by its certified block
-    upper bracket so the generated weight corresponds to a unit-block-norm
-    input; the bracket value is recorded in the provenance either way.
+    upper bound so the generated weight corresponds to a unit-block-norm
+    input; the upper bound is recorded in the provenance either way.
     """
     if not np.any(h.values):
         raise ValueError("degenerate weight: input function is identically zero")
     upper = None
     scaled = h
     if block_params is not None:
-        upper = block_norm_bracket(h, block_params).upper
+        upper = block_norm_upper(h, block_params)
         if upper > 0:
             scaled = GridFunction._adopt(h.spec, h.values / upper)
     majorant = rubio_de_francia(scaled, c, K, variant)

@@ -697,12 +697,11 @@ def test_package_exports_resolve():
         "GridRectangle",
         "GridSpec",
         "ITERATED_1D",
-        "NormBracket",
         "RectangleFamily",
         "WeightFunction",
         "annulus_restrict",
         "ap_star_characteristic",
-        "block_norm_bracket",
+        "block_norm_upper",
         "bmo_mk_norm",
         "bmo_norm",
         "build_function",

@@ -106,10 +106,24 @@ def test_build_function_routes():
     v = GridFunction(g, np.ones((16, 16)))
     assert (v.values == 1.0).all()
     # a builtin takes its own keyword parameters only: a rule is no route of it
-    with pytest.raises(TypeError, match="rule"):
+    with pytest.raises(ValueError, match="'rule'"):
         build_function(g, builtin="constant", rule=lambda x, y: x)
     with pytest.raises(ValueError, match="unknown builtin"):
         build_function(g, builtin="nope")
+
+
+def test_build_function_names_the_builtin_and_its_keys_on_a_bad_keyword():
+    g = make_grid(2, 2)
+    misspelt = r"'constant'.*unknown keys \['valu'\].*takes \['value'\]"
+    with pytest.raises(ValueError, match=misspelt):
+        build_function(g, builtin="constant", valu=2)
+    missing = r"'indicator'.*missing keys \['l2'\].*takes \['l1', 'l2'\]"
+    with pytest.raises(ValueError, match=missing):
+        build_function(g, builtin="indicator", l1=0)
+    # a TypeError raised inside a builder is no binding error: it surfaces as raised
+    with pytest.raises(TypeError) as info:
+        build_function(g, builtin="power", a="x", b=0.0)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_truncated_log_finite_and_symmetric():

@@ -23,7 +23,7 @@ from mherz.grid import (
     make_grid,
     restrict_to_window,
 )
-from mherz.norms import ExponentParams, block_norm_bracket
+from mherz.norms import ExponentParams, block_norm_upper
 from mherz.operators import (
     DYADIC_SIDES,
     EXACT_GRID,
@@ -821,12 +821,12 @@ def three_probe_block_norm_constant(spec, block_params):
     best = 0.0
     for g in probes:
         cur = restrict_to_window(g)
-        prev = block_norm_bracket(cur, block_params).upper
+        prev = block_norm_upper(cur, block_params)
         if prev == 0.0:
             continue
         for _ in range(2):
             cur = restrict_to_window(strong_maximal(cur))
-            now = block_norm_bracket(cur, block_params).upper
+            now = block_norm_upper(cur, block_params)
             best = max(best, now / prev)
             prev = now
             if prev == 0.0:

@@ -1041,6 +1041,51 @@ def test_positional_call_reports_and_admits_as_the_keyword_call(monkeypatch):
     ] * 2
 
 
+def python_value(value):
+    if isinstance(value, list):
+        return [python_value(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+@pytest.mark.parametrize(
+    "check, args, option, value",
+    [
+        (check_maximal_bounds, ("herz", PR), "seed", np.int64(1)),
+        (check_fefferman_stein, (PR,), "family_count", np.int64(1)),
+        (check_fefferman_stein, (PR,), "r_list", [np.int64(2), 3.0]),
+        (check_extrapolation, ("strong-maximal", 2.0, PRX), "K", np.int64(2)),
+        (check_extrapolation, ("strong-maximal", 2.0, PRX), "c", np.float32(0.5)),
+        (check_john_nirenberg_bmo, (PR,), "seed", np.int64(3)),
+        (check_norm_duality, (PR,), "seed", np.int64(3)),
+        (check_cz_comm, (PR,), "seed", np.int64(3)),
+    ],
+    ids=[
+        "maximal_bounds-seed", "fefferman_stein-family_count", "fefferman_stein-r_list",
+        "extrapolation-K", "extrapolation-c", "john_nirenberg_bmo-seed", "norm_duality-seed",
+        "cz_comm-seed",
+    ],
+)
+def test_numpy_options_are_stored_as_python_numbers(check, args, option, value):
+    # json.dumps refuses an np.int64 or np.float32 in a report; a Python value
+    # is kept as given, so the report has the bytes of the Python-valued call
+    g = make_grid(2, 2)
+    report = check(g, *args, refine=False, **{option: value}).to_dict()
+    plain = check(g, *args, refine=False, **{option: python_value(value)}).to_dict()
+    assert json.dumps(report) == json.dumps(plain)
+
+
+def test_numpy_options_without_a_python_number_are_refused():
+    g = make_grid(2, 2)
+    with pytest.raises(ValueError, match="p0 must be an int or a float") as info:
+        check_extrapolation(g, "strong-maximal", np.longdouble(2.0), PRX, refine=False)
+    assert info.value.field == "options.p0"
+    with pytest.raises(ValueError, match="r_list entry must be an int or a float") as info:
+        check_fefferman_stein(g, PR, r_list=[2.0, np.longdouble(3.0)], refine=False)
+    assert info.value.field == "options.r_list"
+    with pytest.raises(ValueError, match="gammas entry must be an int or a float"):
+        check_john_nirenberg_bmo(g, PR, gammas=np.linspace(2.0, 5.5, 8, dtype=np.longdouble))
+
+
 def test_reports_name_variants_and_kernel_by_their_strings():
     g = make_grid(2, 2)
     h = build_function(g, builtin="noise", seed=5)
