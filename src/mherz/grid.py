@@ -59,15 +59,8 @@ class GridSpec:
     s: int
 
     def __post_init__(self) -> None:
-        for name in ("L_max", "s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise GridSizeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))  # a numpy integer as an int
-        if self.L_max < 1:
-            raise GridSizeError(f"L_max must be >= 1, got {self.L_max}")
-        if self.s < 0:
-            raise GridSizeError(f"s must be >= 0, got {self.s}")
+        for name, least in (("L_max", 1), ("s", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least, GridSizeError))
         if self.L_max + self.s > MAX_LEVEL_SUM:
             raise GridSizeError(
                 f"size guard exceeded: L_max + s = {self.L_max + self.s} "
@@ -205,6 +198,26 @@ def _python_number(name: str, value):
     return item
 
 
+def _integer(name: str, value, least: int | None = None, error=ValueError) -> int:
+    """``value`` as an int: a bool, a non-integral number, or one below
+    ``least`` raises ``error`` naming ``name``; a numpy integer is accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+        least is not None and value < least
+    ):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return operator.index(value)
+
+
+def _real(name: str, value, ok: Callable[[float], bool], what: str) -> float | int:
+    """``value`` as a Python number (:func:`_python_number`); a bool, a non-real
+    value, or one where ``ok`` is false raises ``name must be what``."""
+    value = _python_number(name, value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _require_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         bad = int(np.count_nonzero(~np.isfinite(values)))
@@ -221,11 +234,8 @@ class GridRectangle:
     iy1: int
 
     def __post_init__(self) -> None:
-        for name in ("ix0", "ix1", "iy0", "iy1"):  # a numpy integer as an int
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise RectangleError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+        for name in ("ix0", "ix1", "iy0", "iy1"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), error=RectangleError))
         if not (self.ix0 < self.ix1 and self.iy0 < self.iy1):
             raise RectangleError(f"empty rectangle {self!r}")
         if self.ix0 < 0 or self.iy0 < 0:
@@ -249,11 +259,8 @@ class DyadicRectangle:
     l2: int
 
     def __post_init__(self) -> None:
-        for name in ("l1", "l2"):  # a numpy integer as an int
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise RectangleError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+        for name in ("l1", "l2"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), error=RectangleError))
 
     def to_cells(self, spec: GridSpec) -> GridRectangle:
         hw1 = spec.half_width_cells(self.l1)
@@ -346,6 +353,7 @@ class GridFunction:
 
     def refine(self, extra_levels: int = 1) -> "GridFunction":
         """Same function represented at resolution s + extra_levels (exact)."""
+        extra_levels = _integer("extra_levels", extra_levels, least=0)
         fine = GridSpec(self.spec.L_max, self.spec.s + extra_levels)
         n, k = self.spec.n_cells, 2**extra_levels
         # each cell as a k x k block: one copy out of a broadcast view

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +48,9 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     GridFunction,
     GridRectangle,
     GridSpec,
-    _python_number,
+    _integer,
     _read_only,
+    _real,
     _require_finite,
     _segment_starts,
     window_mask,
@@ -90,21 +89,15 @@ class ExponentParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "p", "q", "lam"):
-            object.__setattr__(self, name, _python_number(name, getattr(self, name)))
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if not (self.p > 0):
-            raise ValueError(f"p must be in (0, inf], got {self.p}")
-        if not (self.q > 0):
-            raise ValueError(f"q must be in (0, inf], got {self.q}")
-        if not (0 <= self.lam < math.inf):
-            raise ValueError(f"lam must be in [0, inf), got {self.lam}")
+        for name, ok, what in (
+            ("alpha", math.isfinite, "finite"),
+            ("p", lambda v: v > 0, "in (0, inf]"),
+            ("q", lambda v: v > 0, "in (0, inf]"),
+            ("lam", lambda v: 0 <= v < math.inf, "in [0, inf)"),
+        ):
+            object.__setattr__(self, name, _real(name, getattr(self, name), ok, what))
         for name in ("n", "m"):
-            d = getattr(self, name)
-            if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
-                raise ValueError("n and m must be positive integers")
-            object.__setattr__(self, name, operator.index(d))  # a numpy integer as an int
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least=1))
 
     @property
     def p_conj(self) -> float:
@@ -281,41 +274,48 @@ def _annulus_blocks(seg: np.ndarray, op) -> np.ndarray:
     return out
 
 
-def _lp_table(spec: GridSpec, seg: np.ndarray, p: float) -> np.ndarray:
-    """Annulus L^p norms from the run-block sums of ``|f|^p`` (batched like
-    :func:`_annulus_blocks`; each table has the bits it has alone)."""
-    return _lp_roots(spec, _annulus_blocks(seg, np.add), p)
+def _power_exponent(top: float, p: float, count: float) -> int:
+    """The exponent ``e`` for ``count`` p-th powers of values up to ``top``:
+    0 where their sum is finite and the largest power normal, or where no
+    power of two keeps it so (p past about 1022); else the one that puts
+    ``top * 2**-e`` in [0.5, 1), which does.  Scaling by it is exact."""
+    power, e = _pow(top, p), math.frexp(top)[1]
+    unscaled = top == 0.0 or (_TINY <= power and power * count < math.inf)
+    return 0 if unscaled or math.ldexp(top, -e) ** p < _TINY else e
 
 
-def _lp_roots(spec: GridSpec, sums: np.ndarray, p: float) -> np.ndarray:
-    """``(sums * h * h) ** (1 / p)`` entrywise, for :func:`_lp_table`."""
+def _lp_table(spec: GridSpec, seg: np.ndarray, p: float, e: int = 0) -> np.ndarray:
+    """Annulus L^p norms of ``|f|`` from the run-block sums of ``(|f| * 2**-e)^p``
+    (batched like :func:`_annulus_blocks`; each table has the bits it has alone)."""
     # scalar powers: numpy's vectorised float64 power can differ from libm's
     # in the last bit, and these tables must match the entrywise evaluation;
     # the closed-form indicator tables that replace masked indicator arrays
     # go through here with the same integer counts.  Only the nonzero sums
-    # are powered (most of a sweep's stack is empty annuli, and 0.0 ** e is
+    # are powered (most of a sweep's stack is empty annuli, and 0.0 ** r is
     # exactly 0.0 for the finite p that reach here).  A generator, not a
     # list: a stack has thousands of entries, and a list of Python floats
     # would outlive the loop.  A power past the float range raises, and only
     # then are the entries taken again, each one inf where it overflows:
     # then the cell area goes inside the power, since an overflowed sum **
-    # e times an underflowed (h * h) ** e is inf * 0 = nan where the root
-    # (sum * h * h) ** e itself is finite.  In a batch, only the tables
+    # r times an underflowed (h * h) ** r is inf * 0 = nan where the root
+    # (sum * h * h) ** r itself is finite.  In a batch, only the tables
     # that overflow are taken again, so each keeps the bits it has alone.
-    e = 1.0 / p
+    sums = _annulus_blocks(seg, np.add)
+    r = 1.0 / p
     area = spec.h * spec.h
     roots = np.zeros(sums.shape)
     live = np.flatnonzero(sums)
     try:
-        powered = np.fromiter((float(s) ** e for s in sums.flat[live]), float, live.size)
+        powered = np.fromiter((float(s) ** r for s in sums.flat[live]), float, live.size)
     except OverflowError:
         if sums.ndim > 2:
-            return np.stack([_lp_roots(spec, table, p) for table in sums])
-        powered = np.fromiter((_pow(float(s) * area, e) for s in sums.flat[live]), float, live.size)
+            return np.stack([_lp_table(spec, table, p, e) for table in seg])
+        powered = np.fromiter((_pow(float(s) * area, r) for s in sums.flat[live]), float, live.size)
         area = 1.0
     roots.flat[live] = powered
-    roots *= area**e
-    return roots
+    roots *= area**r
+    with np.errstate(over="ignore"):  # scaled back by 2**e: inf past the float range
+        return np.ldexp(roots, e, out=roots)
 
 
 def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
@@ -326,14 +326,18 @@ def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
     gap tile each axis, so one segmented reduction of ``|f|^p`` per axis
     (``np.add.reduceat``; ``np.maximum.reduceat`` for ``p = inf``) gives
     every run-by-run block, and each annulus adds its four blocks.  Sums of
-    nonnegative terms cannot cancel: an annulus without mass is exactly 0,
-    and one whose sum overflows is ``+inf``.
+    nonnegative terms cannot cancel: an annulus without mass is exactly 0.
+    The powers are taken on ``|f| * 2**-e``, ``e`` the :func:`_power_exponent`
+    of ``max|f|``: up to p of about 1022, ``+inf`` only past the float range.
     """
     a = np.abs(f.values)
     if math.isinf(p):
         return _annulus_blocks(_segment_table(f.spec, a, np.maximum), np.maximum)
+    e = _power_exponent(float(a.max()), p, a.size)
+    if e:
+        np.ldexp(a, -e, out=a)
     a **= p  # in place: one N x N buffer per call
-    return _lp_table(f.spec, _segment_table(f.spec, a, np.add), p)
+    return _lp_table(f.spec, _segment_table(f.spec, a, np.add), p, e)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -536,12 +540,9 @@ class RectangleFamily:
         if self.kind not in ("exact-grid", "dyadic-sides", "dyadic-centered"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         for name in ("stride", "min_side", "max_side", "max_members"):
-            value, nullable = getattr(self, name), name in ("stride", "max_side")
-            if nullable and value is None:
-                continue
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-                null = "None or " if nullable else ""
-                raise ValueError(f"{name} must be {null}an integer >= 1, got {value!r}")
+            value = getattr(self, name)
+            if value is not None or name not in ("stride", "max_side"):
+                object.__setattr__(self, name, _integer(name, value, least=1))
 
     def _anchors(self, n: int, side: int) -> range:
         if self.stride is None:
@@ -688,11 +689,13 @@ def bmo_mk_norm(
     """
     require_predicate(params, "char")
     require_predicate(params, "ms_herz")
-    spec = f.spec
+    spec, p = f.spec, params.p
     rects = _swept_rectangles(spec, family)
     denoms = _indicator_denominators(spec, tuple(rects), params)
-    sums, blocks = _oscillation_sweep(f, rects, params.p, [d != 0.0 for d in denoms])
-    nums = _morrey_herz_from_table(spec, _lp_table(spec, blocks, params.p), params)
+    # |f - f_R| is at most 2 max|f|: its powers at most 2**p times those of max|f|
+    e = _power_exponent(float(max(f.values.max(), -f.values.min())), p, f.values.size * _pow2(p))
+    sums, blocks = _oscillation_sweep(f, rects, p, [d != 0.0 for d in denoms], e)
+    nums = _morrey_herz_from_table(spec, _lp_table(spec, blocks, p, e), params)
     best = 0.0
     notes: list[str] = []
     for r, num, denom in zip(rects, nums.tolist(), denoms):
@@ -705,16 +708,16 @@ def bmo_mk_norm(
 
 
 def _oscillation_sweep(
-    f: GridFunction, rects: list[GridRectangle], p: float | None = None, rows=None
+    f: GridFunction, rects: list[GridRectangle], p: float | None = None, rows=None, e: int = 0
 ) -> tuple[list[float], np.ndarray]:
     """One pass over each rectangle ``R`` of ``rects``: ``dev = |f - f_R|`` on R.
 
     Returns the sums of ``dev``, one per rectangle, and a stack of shape
     ``(len(rects), 2W+1, 2W+1)`` whose row ``i`` holds the run-block sums
-    (:func:`_segment_table`) of ``dev**p`` where ``rows[i]`` is true, and 0
-    elsewhere (``rows=None``: the sums only).  Finite ``p`` only.  The window mask
-    needs no array: the runs are clipped to R and the central gap is dropped
-    by :func:`_annulus_blocks`.
+    (:func:`_segment_table`) of ``(dev * 2**-e)**p``, finite ``p``, where
+    ``rows[i]`` is true, and 0 elsewhere (``rows=None``: the sums only).  The
+    window mask needs no array: the runs are clipped to R and the central gap
+    is dropped by :func:`_annulus_blocks`.
 
     A rectangle with a row raises :class:`~mherz.errors.DataError` if ``dev``
     has a non-finite entry.  Its sum of non-negative terms is finite only if
@@ -740,6 +743,8 @@ def _oscillation_sweep(
             continue
         if not math.isfinite(total):
             _require_finite(dev)
+        if e:
+            np.ldexp(dev, -e, out=dev)
         dev **= p
         _segment_table(spec, dev, np.add, r.ix0, r.iy0, out=blocks[i])
     return sums, blocks

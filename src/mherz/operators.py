@@ -45,8 +45,10 @@ from .errors import CostGuardError
 from .grid import (
     GridFunction,
     GridSpec,
+    _integer,
     _prefix_table,
     _read_only,
+    _real,
     _sum_exponent,
     build_function,
     restrict_to_window,
@@ -294,10 +296,7 @@ def rubio_de_francia(
     :func:`estimate_block_norm_constant`.  One loop holds the current
     iterate and the running sum.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    c, K = _real("c", c, lambda v: v > 0, "positive"), _integer("K", K, least=1)
     cur = GridFunction._adopt(h.spec, np.abs(h.values))
     # accumulate upward from the k=0 term so the pointwise lower bound
     # |h| <= sum is exact in floating point (adding nonnegative terms

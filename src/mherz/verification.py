@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import numbers
 import operator
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -53,7 +52,9 @@ from .grid import (
     GridFunction,
     GridRectangle,
     GridSpec,
+    _integer,
     _python_number,
+    _real,
     annulus_comb,
     annulus_restrict,
     build_function,
@@ -309,57 +310,42 @@ def _choice(what: str, value, choices: dict) -> None:
         raise ValueError(f"unknown {what} {value!r}; use {' or '.join(choices)}")
 
 
-def _r_list(r_list) -> None:
-    listlike = isinstance(r_list, (Sequence, np.ndarray)) and not isinstance(r_list, str)
-    if not listlike or len(r_list) == 0:
-        raise ValueError(f"r_list must be a non-empty list of exponents, got {r_list!r}")
-    for r in r_list:
-        if not (isinstance(r, numbers.Real) and 1.0 < r < math.inf):
-            raise ValueError(f"r must be in (1, inf), got {r}")
-
-
-def _integer(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _positive(name: str, value, nullable: bool = False) -> None:
-    if nullable and value is None:
-        return
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-        null = "null or " if nullable else ""
-        raise ValueError(f"{name} must be {null}a finite number > 0, got {value!r}")
-
-
 def _flag(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
-def _gammas(gammas) -> None:
-    if gammas is None:
+def _real_list(name: str, values, entry: str, ok, what: str, null: bool = False) -> None:
+    """The rule of the list options: ``values`` is a non-empty list, tuple or
+    array whose entries :func:`grid._real` admits as ``entry`` ``what`` (or,
+    with ``null``, None).  A refusal names the list, and its bad entry."""
+    if null and values is None:
         return
-    listlike = isinstance(gammas, (Sequence, np.ndarray)) and not isinstance(gammas, str)
-    if not listlike or len(gammas) == 0 or not all(
-        isinstance(g, numbers.Real) and not isinstance(g, bool) and math.isfinite(g)
-        for g in gammas
-    ):
-        raise ValueError(
-            f"gammas must be null or a non-empty list of finite numbers, got {gammas!r}"
-        )
+    bad = ""
+    if isinstance(values, (Sequence, np.ndarray)) and not isinstance(values, str) and len(values):
+        try:
+            for v in values:
+                _real(entry, v, ok, what)
+            return
+        except ValueError as exc:
+            bad = f": {exc}"
+    null_or = "null or " if null else ""
+    raise ValueError(f"{name} must be {null_or}a non-empty list, got {values!r}{bad}")
 
 
 OPTION_DOMAINS: dict[str, Callable[[object], None]] = {
     "space": lambda space: _choice("space", space, SPACES),
     "variant": as_variant,
     "op": lambda op: _choice("operator", op, EXTRAPOLATION_OPS),
-    "p0": lambda p0: _positive("p0", p0),
-    "r_list": _r_list,
+    "p0": lambda p0: _real("p0", p0, lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "r_list": lambda rs: _real_list("r_list", rs, "r", lambda r: 1 < r < math.inf, "in (1, inf)"),
     "trials": lambda trials: _integer("trials", trials, 1),
     "K": lambda K: _integer("K", K, 1),
     "family_count": lambda count: _integer("family_count", count, 1),
-    "c": lambda c: _positive("c", c, nullable=True),
-    "gammas": _gammas,
+    "c": lambda c: (
+        c is None or _real("c", c, lambda v: 0 < v < math.inf, "null or a finite number > 0")
+    ),
+    "gammas": lambda gs: _real_list("gammas", gs, "gamma", math.isfinite, "finite", null=True),
     "seed": lambda seed: _integer("seed", seed, 0),
     "refine": lambda refine: _flag("refine", refine),
     "allow_out_of_hypothesis": lambda allow: _flag("allow_out_of_hypothesis", allow),

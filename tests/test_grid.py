@@ -33,6 +33,9 @@ from mherz.grid import (
     window_mask,
     window_support_violations,
 )
+from mherz.norms import ExponentParams, RectangleFamily
+from mherz.operators import rubio_de_francia
+from mherz.verification import check_extrapolation, check_norm_duality
 
 
 def test_make_grid_small():
@@ -552,3 +555,104 @@ def test_noise_builtin_seeded():
     a = build_function(g, builtin="noise", seed=42)
     b = build_function(g, builtin="noise", seed=42)
     assert np.array_equal(a.values, b.values)
+
+
+# -- one rule for numeric arguments ----------------------------------------------
+#
+# Every integer and real argument goes through grid._integer or grid._real: a
+# bool, a float where an integer is due, a str, None where it is not taken,
+# or a value outside the domain is refused by name, and a numpy scalar is
+# stored as the Python number of its value.  Each site is (build from the
+# value, error, field, integral, a numpy value, a value outside the domain,
+# whether None is taken, how to read the stored value or None for a site
+# that stores nothing).
+
+_NOISE = build_function(make_grid(1, 1), builtin="noise", seed=1)
+_G22 = make_grid(2, 2)
+_PR = ExponentParams(0.25, 2, 2, 0.5)
+_PRX = ExponentParams(0.2, 4, 4, 0.2)
+
+ONE_RULE_SITES = {
+    "GridSpec": (
+        lambda v: GridSpec(v, 1), GridSizeError, "L_max", True, np.int64(2), 0, False,
+        lambda spec: spec.L_max,
+    ),
+    "GridRectangle": (
+        lambda v: GridRectangle(0, v, 0, 2), RectangleError, "ix1", True, np.int32(2), None,
+        False, lambda rect: rect.ix1,
+    ),
+    "DyadicRectangle": (
+        lambda v: DyadicRectangle(0, v), RectangleError, "l2", True, np.int16(-1), None,
+        False, lambda rect: rect.l2,
+    ),
+    "ExponentParams.n": (
+        lambda v: ExponentParams(0.25, 2, 2, 0.5, n=v), ValueError, "n", True, np.int64(2), 0,
+        False, lambda pr: pr.n,
+    ),
+    "ExponentParams.alpha": (
+        lambda v: ExponentParams(v, 2, 2, 0.5), ValueError, "alpha", False, np.float32(0.25),
+        np.inf, False, lambda pr: pr.alpha,
+    ),
+    "ExponentParams.lam": (
+        lambda v: ExponentParams(0.25, 2, 2, v), ValueError, "lam", False, np.float64(0.5),
+        -0.1, False, lambda pr: pr.lam,
+    ),
+    "RectangleFamily.stride": (
+        lambda v: RectangleFamily("dyadic-sides", stride=v), ValueError, "stride", True,
+        np.int64(2), 0, True, lambda family: family.stride,
+    ),
+    "RectangleFamily.min_side": (
+        lambda v: RectangleFamily("dyadic-sides", min_side=v), ValueError, "min_side", True,
+        np.uint8(2), 0, False, lambda family: family.min_side,
+    ),
+    "GridFunction.refine": (
+        lambda v: _NOISE.refine(v), ValueError, "extra_levels", True, np.int64(1), -1, False,
+        None,
+    ),
+    "rubio_de_francia.K": (
+        lambda v: rubio_de_francia(_NOISE, 1.0, v), ValueError, "K", True, np.int64(2), 0,
+        False, None,
+    ),
+    "rubio_de_francia.c": (
+        lambda v: rubio_de_francia(_NOISE, v, 2), ValueError, "c", False, np.float32(0.5), 0.0,
+        False, None,
+    ),
+    "options.seed": (
+        lambda v: check_norm_duality(_G22, _PR, seed=v, trials=2, refine=False), ValueError,
+        "seed", True, np.int64(3), -1, False, lambda rep: rep.params["seed"],
+    ),
+    "options.p0": (
+        lambda v: check_extrapolation(_G22, "strong-maximal", v, _PRX, trials=1, refine=False),
+        ValueError, "p0", False, np.float32(2.0), 0.0, False, lambda rep: rep.params["p0"],
+    ),
+    "options.c": (
+        lambda v: check_extrapolation(_G22, "strong-maximal", 2.0, _PRX, c=v, trials=1, refine=False),
+        ValueError, "c", False, np.float64(0.5), -1.0, True, lambda rep: rep.params["c"],
+    ),
+}
+
+ONE_RULE_CASES = [
+    pytest.param(site, kind, id=f"{site}-{kind}")
+    for site, (*_, integral, _np, outside, _none, _read) in ONE_RULE_SITES.items()
+    for kind in ("bool", "float", "str", "None", "numpy", "outside")
+    if (kind != "float" or integral) and (kind != "outside" or outside is not None)
+]
+
+
+@pytest.mark.parametrize("site, kind", ONE_RULE_CASES)
+def test_numeric_arguments_follow_one_rule(site, kind):
+    build, error, field, integral, numpy_value, outside, nullable, read = ONE_RULE_SITES[site]
+    if kind == "None" and nullable:
+        build(None)
+        return
+    if kind == "numpy":
+        want = numpy_value.item()
+        got, plain = build(numpy_value), build(want)
+        if read is None:  # nothing stored: the output of the Python value
+            assert got.values.tobytes() == plain.values.tobytes()
+        else:
+            assert type(read(got)) is type(want) and read(got) == want
+        return
+    value = {"bool": True, "float": 2.5, "str": "2", "None": None, "outside": outside}[kind]
+    with pytest.raises(error, match=f"^{field} must be"):
+        build(value)

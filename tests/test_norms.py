@@ -42,6 +42,7 @@ from mherz.norms import (
     _lp_table,
     _morrey_herz_from_table,
     _oscillation_sweep,
+    _power_exponent,
     _rect_counts,
     annulus_lp_table,
     block_norm_upper,
@@ -121,7 +122,8 @@ def test_exponent_validation():
         ExponentParams(0, 2, 2, -0.1)
     # a bool or a float would pass n >= 1 and reach a report as true or 1.5
     for dims in ({"n": 1.5}, {"n": True}, {"m": 2.0}, {"m": False}, {"n": 0}, {"m": np.int64(-1)}):
-        with pytest.raises(ValueError, match="n and m must be positive integers"):
+        (field,) = dims
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
             ExponentParams(0.25, 2, 2, 0.5, **dims)
     pr = ExponentParams(0.25, 2, 2, 0.5, n=np.int64(2), m=np.int32(3))
     assert (pr.n, pr.m) == (2, 3)
@@ -808,14 +810,61 @@ def test_annulus_table_empty_window():
             assert morrey_herz_norm(g, pr) == 0.0, q
 
 
+def test_block_pairing_at_a_dual_exponent_of_17():
+    # the property's falsifying example: the dual p is 17 and max|f| 7.8e20,
+    # so |f|**17 overflowed and the dual norm read inf (a warning under -W error)
+    spec, params = make_grid(1, 1), ExponentParams(-1.9411764705882353, 1.0625, 1.0, 1.0)
+    f = restrict_to_window(GridFunction(spec, random_values(spec, "scales", 0)))
+    g = restrict_to_window(GridFunction(spec, random_values(spec, "normal", 1)))
+    dual = morrey_herz_norm(f, params.dual())
+    small = morrey_herz_norm(GridFunction(spec, f.values * 2.0**-70), params.dual())
+    assert dual == pytest.approx(2.0**70 * small, rel=1e-13, abs=0) and math.isfinite(dual)
+    assert pairing_l1(f, g) <= dual * block_norm_upper(g, params) * (1 + 1e-10)
+
+
+def test_power_exponent_scales_only_where_a_power_of_two_helps():
+    assert _power_exponent(3.0, 17, 256) == 0 and _power_exponent(0.0, 17, 256) == 0
+    # 7.8e20**17 overflows and 1e-30**17 underflows: both are put in [0.5, 1)
+    for top in (7.8e20, 1e-30):
+        e = _power_exponent(top, 17, 256)
+        assert 0.5 <= math.ldexp(top, -e) < 1
+    # at a dual p of 4.5e15 every power below 1 underflows, scaled or not
+    assert _power_exponent(3.0, 4503599627370497.0, 4) == 0
+
+
+HOMOGENEOUS_NORMS = {
+    "herz_norm": herz_norm,
+    "morrey_herz_norm": morrey_herz_norm,
+    "bmo_mk_norm": lambda h, params: bmo_mk_norm(h, params, RectangleFamily("dyadic-sides"))[0],
+}
+
+
+@pytest.mark.parametrize("name", HOMOGENEOUS_NORMS)
+def test_norms_homogeneous_past_the_normal_range_of_the_powers(name):
+    # N(2**k f) = 2**k N(f) where the p-th powers of 2**k f leave the normal
+    # range: at p = 17 they overflowed for k = 100 and all underflowed to 0
+    # for k = -100.  bmo_mk_norm needs 1 < p, so it skips p = 1
+    norm, spec = HOMOGENEOUS_NORMS[name], make_grid(2, 2)
+    f = restrict_to_window(GridFunction(spec, np.random.default_rng(1).normal(size=(16, 16))))
+    for p in (1, 1.5, 2, 17) if name != "bmo_mk_norm" else (1.5, 2, 17):
+        params = ExponentParams(0.0, p, 2, 0.05)
+        want = norm(f, params)
+        for k in (-600, -100, 100, 600):
+            got = norm(GridFunction(spec, f.values * 2.0**k), params)
+            assert got == pytest.approx(2.0**k * want, rel=1e-13, abs=0), (p, k)
+
+
 def test_annulus_table_overflow_is_inf_and_reports_stay_strict(tmp_path):
-    f = restrict_to_window(constant(make_grid(2, 1), 1e308))  # N = 8
-    with np.errstate(over="ignore"):
-        for p in (1.0, 1.5, 2.0, 3.0):
-            table = annulus_lp_table(f, p)
-            assert (table == math.inf).all(), p
-        assert (annulus_lp_table(f, math.inf) == 1e308).all()
-        value = morrey_herz_norm(f, PR)
+    g = make_grid(2, 1)  # N = 8: annuli of area 1, 2 and 4
+    f = restrict_to_window(constant(g, 1e308))
+    areas = annulus_lp_table(restrict_to_window(constant(g, 1.0)), 1.0).tolist()
+    for p in (1.0, 1.5, 2.0, 3.0):
+        # 1e308 * area**(1/p), inf only past the float range: the area-1
+        # annulus is finite at every p, and at p = 1 every other one is inf
+        want = [[1e308 * a ** (1 / p) for a in row] for row in areas]
+        np.testing.assert_allclose(annulus_lp_table(f, p), want, rtol=1e-15, atol=0)
+    assert (annulus_lp_table(f, math.inf) == 1e308).all()
+    value = morrey_herz_norm(f, PR)
     assert value == math.inf
     rep = InequalityReport(
         claim="overflow",
@@ -1167,11 +1216,13 @@ def loop_run_blocks(spec, a, r):
     return seg
 
 
-def loop_oscillation_table(f, r, p):
-    """Oracle: the annulus table of ``(f - f_R) chi_R`` masked to the window."""
+def loop_oscillation_table(f, r, p, e=0):
+    """Oracle: the annulus table of ``(f - f_R) chi_R`` masked to the window,
+    its powers taken on ``|f - f_R| * 2**-e`` and its roots scaled back."""
     osc = f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - f.rect_means([r])[0]
     _require_finite(osc)
-    return loop_lp_table(f.spec, loop_run_blocks(f.spec, np.abs(osc) ** p, r), p)
+    seg = loop_run_blocks(f.spec, np.ldexp(np.abs(osc), -e) ** p, r)
+    return np.ldexp(loop_lp_table(f.spec, seg, p), e)
 
 
 def loop_bmo_norm(f, family):
@@ -1189,6 +1240,9 @@ def loop_bmo_mk_norm(f, params, family):
     """Oracle: bmo_mk_norm with one table and one Morrey-Herz norm per rectangle."""
     spec = f.spec
     best, notes = 0.0, []
+    # |f - f_R| <= 2 max|f|: scaled where the powers of 2 max|f| leave the normal range
+    top = float(np.abs(f.values).max())
+    e = _power_exponent(top, params.p, f.values.size * 2.0**params.p)
     for r in _family_rectangles(spec, family):
         cx, cy = _clip_runs(spec, r.ix0, r.ix1)[0], _clip_runs(spec, r.iy0, r.iy1)[0]
         counts = np.multiply.outer(cx, cy).astype(float)
@@ -1196,7 +1250,7 @@ def loop_bmo_mk_norm(f, params, family):
         if denom == 0.0:
             notes.append(f"skipped {r}: masked indicator has zero norm")
             continue
-        num = loop_morrey_herz(spec, loop_oscillation_table(f, r, params.p), params)
+        num = loop_morrey_herz(spec, loop_oscillation_table(f, r, params.p, e), params)
         if num / denom > best:
             best = num / denom
     return best, notes
@@ -1241,6 +1295,7 @@ SWEEP_CASES = st.sampled_from(sorted(SWEEP_LEVELS)).flatmap(
     st.sampled_from([1.0, 2.0, math.inf]),
 )
 @example(("cross", make_grid(2, 2), 1), "overflow", 1, 2.0, 2.0)
+@example(("cross", make_grid(1, 1), 1), "overflow", 1, 1.5, 1.0)  # |f - f_R|**p past the float range
 @example(("cross", make_grid(5, 0), 1), "gaussian", 0, 1.5, 2.0)  # l^q sums below the normal range
 def test_oscillation_sweep_bit_identical_to_per_rectangle_loops(case, kind, seed, p, q):
     family_kind, spec, stride = case

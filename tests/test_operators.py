@@ -798,7 +798,7 @@ def test_rubio_parameter_errors():
         rubio_de_francia(f, 0.0, 3)
     with pytest.raises(ValueError, match="positive"):
         rubio_de_francia(f, -1.0, 3)
-    with pytest.raises(ValueError, match="K must be >= 1"):
+    with pytest.raises(ValueError, match="K must be an integer >= 1"):
         rubio_de_francia(f, 1.0, 0)
 
 
