@@ -49,6 +49,7 @@ from .errors import (
 )
 
 MAX_LEVEL_SUM = 12  # memory guard: N = 2**(L_max+s) <= 4096 cells per axis
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -172,10 +173,22 @@ def _box_sum(P: np.ndarray, x0, x1, y0, y1):
     return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
 
 
-def _sum_exponent(top: float, count: int) -> int:
-    """0 if sums of ``count`` values of size at most ``top`` stay finite, else
-    the power of two that puts ``top`` in [0.5, 1); scaling by it is exact."""
-    return 0 if math.isfinite(top * count) else int(np.frexp(top)[1])
+def _pow(x: float, e: float) -> float:
+    """``x ** e``, or ``inf`` where that overflows."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
+def _power_exponent(top: float, p: float, count: float) -> int:
+    """The exponent ``e`` for ``count`` p-th powers of values up to ``top``:
+    0 where their sum is finite and the largest power normal, or where no
+    power of two keeps it so (p past about 1022); else the one that puts
+    ``top * 2**-e`` in [0.5, 1), which does.  Scaling by it is exact."""
+    power, e = _pow(top, p), math.frexp(top)[1]
+    unscaled = top == 0.0 or (_TINY <= power and power * count < math.inf)
+    return 0 if unscaled or math.ldexp(top, -e) ** p < _TINY else e
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -185,12 +198,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _python_number(name: str, value):
-    """A numpy number or bool as the Python int or float of its value, which a
-    json report can hold, and a list, tuple or array as the list of its entries
-    so converted; one with no such value (a longdouble) raises."""
-    if isinstance(value, (list, tuple, np.ndarray)):
+    """A numpy number, bool or 0-d array as the Python int or float of its
+    value, which a json report can hold, and a list, tuple or array of rank
+    >= 1 as the list of its entries so converted; one with no such value (a
+    longdouble) raises."""
+    if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim):
         return [_python_number(f"{name} entry", v) for v in value]
-    if not isinstance(value, (np.number, np.bool_)):
+    if not isinstance(value, (np.number, np.bool_, np.ndarray)):
         return value
     item = value.item()
     if not isinstance(item, (int, float)):
@@ -332,14 +346,15 @@ class GridFunction:
         ``rects``: the one rectangle reduction.
 
         All boxes come from one prefix table, built for this call and dropped
-        after it.  Unless cell sums could overflow, the table holds the raw
-        values; otherwise it holds them scaled by ``2**-e``, with ``e`` the
-        :func:`_sum_exponent` of ``max|f|`` over the ``N**2`` cells, and the
-        means, taken on the scaled sums and scaled back, stay finite.
+        after it.  Where cell sums could overflow, or ``max|f|`` is below
+        the normal range, the table holds the values scaled by ``2**-e``,
+        with ``e`` the :func:`_power_exponent` of ``max|f|`` (``p = 1``) over
+        the ``N**2`` cells, and the means, taken on the scaled sums and
+        scaled back, stay finite; elsewhere it holds the raw values.
         """
         vals = self.values
         lo, hi = float(vals.min()), float(vals.max())
-        e = _sum_exponent(max(hi, -lo), vals.size)
+        e = _power_exponent(max(hi, -lo), 1.0, vals.size)
         a = np.abs(vals) if absolute else vals
         P = _prefix_table(np.ldexp(a, -e) if e else a)
         x0, x1, y0, y1 = np.array([(r.ix0, r.ix1, r.iy0, r.iy1) for r in rects]).T

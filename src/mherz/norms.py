@@ -2,7 +2,6 @@
 
 Implements, for piecewise-constant functions supported in the annulus window:
 
-* plain and weighted-region L^p norms (exact quadrature),
 * the product Herz norm: weighted l^q sum over product annuli of annulus
   L^p norms, with weight ``2**((i+j)*q*alpha)``,
 * the product Morrey-Herz norm: supremum over truncation levels ``(L1, L2)``
@@ -44,11 +43,14 @@ import numpy as np
 
 from .errors import CostGuardError, PredicateError, SupportWindowError
 from .grid import (  # noqa: F401  (window_mask is re-exported)
+    _TINY,
     DyadicRectangle,
     GridFunction,
     GridRectangle,
     GridSpec,
     _integer,
+    _pow,
+    _power_exponent,
     _read_only,
     _real,
     _require_finite,
@@ -56,8 +58,6 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     window_mask,
     window_support_violations,
 )
-
-_TINY = np.finfo(float).tiny  # the smallest normal double
 
 # -- exponents ---------------------------------------------------------------
 
@@ -185,21 +185,7 @@ def require_predicate(params: ExponentParams, name: str) -> None:
         raise PredicateError(f"pred_{name}: " + "; ".join(bad) + f" (params={params})")
 
 
-# -- L^p ---------------------------------------------------------------------
-
-
-def lp_norm(f: GridFunction, p: float, region: GridRectangle | None = None) -> float:
-    """(sum |f|^p h^2)^(1/p) over the grid or a rectangle; ess-sup for p=inf."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    vals = f.values
-    if region is not None:
-        region.check_within(f.spec)
-        vals = vals[region.ix0 : region.ix1, region.iy0 : region.iy1]
-    if math.isinf(p):
-        return float(np.abs(vals).max(initial=0.0))
-    h2 = f.spec.h * f.spec.h
-    return float((np.abs(vals) ** p).sum() * h2) ** (1.0 / p)
+# -- pairing -------------------------------------------------------------------
 
 
 def pairing_l1(f: GridFunction, g: GridFunction) -> float:
@@ -272,16 +258,6 @@ def _annulus_blocks(seg: np.ndarray, op) -> np.ndarray:
     for block in (left[..., w + 1 :], right[..., :w][..., ::-1], right[..., w + 1 :]):
         out = op(out, block)
     return out
-
-
-def _power_exponent(top: float, p: float, count: float) -> int:
-    """The exponent ``e`` for ``count`` p-th powers of values up to ``top``:
-    0 where their sum is finite and the largest power normal, or where no
-    power of two keeps it so (p past about 1022); else the one that puts
-    ``top * 2**-e`` in [0.5, 1), which does.  Scaling by it is exact."""
-    power, e = _pow(top, p), math.frexp(top)[1]
-    unscaled = top == 0.0 or (_TINY <= power and power * count < math.inf)
-    return 0 if unscaled or math.ldexp(top, -e) ** p < _TINY else e
 
 
 def _lp_table(spec: GridSpec, seg: np.ndarray, p: float, e: int = 0) -> np.ndarray:
@@ -423,14 +399,6 @@ def _lq_norm(terms: np.ndarray, q: float) -> float:
 # -- indicator closed forms ----------------------------------------------------
 
 
-def _pow(x: float, e: float) -> float:
-    """``x ** e``, or ``inf`` where that overflows."""
-    try:
-        return x**e
-    except OverflowError:
-        return math.inf
-
-
 def _pow2(x: float) -> float:
     """``2.0 ** x``, or ``inf`` where that overflows."""
     return _pow(2.0, x)
@@ -512,6 +480,8 @@ def char_rect_norm_closed_form(
 
 # -- rectangle families --------------------------------------------------------
 
+MAX_MEMBERS = 200_000  # the enumeration cost guard of RectangleFamily.rectangles
+
 
 @dataclass(frozen=True)
 class RectangleFamily:
@@ -525,24 +495,21 @@ class RectangleFamily:
       * ``dyadic-centered``: the centered rectangles Q(l1) x Q(l2) over the
         annulus window.
 
-    ``min_side``/``max_side`` bound side lengths in cells; ``max_members``
-    guards enumeration cost.  Each is an integer >= 1; ``stride`` and
-    ``max_side`` may be None.
+    ``min_side`` bounds side lengths in cells from below.  Each is an
+    integer >= 1; ``stride`` may be None.  An enumeration of more than
+    :data:`MAX_MEMBERS` rectangles is refused.
     """
 
     kind: str
     stride: int | None = None
     min_side: int = 1
-    max_side: int | None = None
-    max_members: int = 200_000
 
     def __post_init__(self) -> None:
         if self.kind not in ("exact-grid", "dyadic-sides", "dyadic-centered"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        for name in ("stride", "min_side", "max_side", "max_members"):
-            value = getattr(self, name)
-            if value is not None or name not in ("stride", "max_side"):
-                object.__setattr__(self, name, _integer(name, value, least=1))
+        if self.stride is not None:
+            object.__setattr__(self, "stride", _integer("stride", self.stride, least=1))
+        object.__setattr__(self, "min_side", _integer("min_side", self.min_side, least=1))
 
     def _anchors(self, n: int, side: int) -> range:
         if self.stride is None:
@@ -552,12 +519,9 @@ class RectangleFamily:
         return range(0, n - side + 1, step)
 
     def _sides(self, n: int) -> list[int]:
-        hi = n if self.max_side is None else min(self.max_side, n)
         if self.kind == "dyadic-sides":
-            out = [1 << a for a in range(n.bit_length()) if self.min_side <= (1 << a) <= hi]
-        else:
-            out = list(range(self.min_side, hi + 1))
-        return out
+            return [1 << a for a in range(n.bit_length()) if self.min_side <= (1 << a) <= n]
+        return list(range(self.min_side, n + 1))
 
     def rectangles(self, spec: GridSpec) -> list[GridRectangle]:
         n = spec.n_cells
@@ -575,9 +539,9 @@ class RectangleFamily:
                     xs.append(n - wx)
                 if ys and ys[-1] != n - wy:
                     ys.append(n - wy)
-                if len(out) + len(xs) * len(ys) > self.max_members:
+                if len(out) + len(xs) * len(ys) > MAX_MEMBERS:
                     raise CostGuardError(
-                        f"family enumeration exceeds max_members={self.max_members}; "
+                        f"family enumeration exceeds max_members={MAX_MEMBERS}; "
                         f"increase stride or min_side"
                     )
                 for x0 in xs:
@@ -644,22 +608,13 @@ def _family_rectangles(spec: GridSpec, family) -> list[GridRectangle]:
 
 
 def _swept_rectangles(spec: GridSpec, family) -> list[GridRectangle]:
-    """The family's rectangles; the oscillation norms' one cost guard, run
+    """The family's rectangles; the oscillation sweep's one cost guard, run
     before any sweep work, refuses a sweep of more than ``2 * 10**8`` cells."""
     rects = _family_rectangles(spec, family)
     total = sum(r.cells() for r in rects)
     if total > 2 * 10**8:
         raise CostGuardError(f"oscillation sweep visits {total} cells; use a strided family")
     return rects
-
-
-def bmo_norm(f: GridFunction, family) -> float:
-    """sup over the family of the mean oscillation (1/|R|) int_R |f - f_R|.
-
-    :func:`bmo_mk_norm` returns the same value from its own sweep.
-    """
-    rects = _swept_rectangles(f.spec, family)
-    return _oscillation_sup(rects, _oscillation_sweep(f, rects)[0])
 
 
 def _oscillation_sup(rects: list[GridRectangle], sums: list[float]) -> float:
@@ -680,7 +635,8 @@ def bmo_mk_norm(
     Both the numerator and the indicator are window-masked before taking the
     norm (the truncation convention).  Rectangles whose masked indicator has
     zero norm are skipped and reported in the notes.  Returns (value, plain,
-    notes), where ``plain`` is :func:`bmo_norm` of ``f`` over the family.
+    notes), where ``plain`` is the sup over the family of the mean
+    oscillation ``(1/|R|) int_R |f - f_R|``.
 
     One :func:`_oscillation_sweep` over the family gives every numerator's
     run-block table, and the annulus and Morrey-Herz tables are then taken
@@ -708,16 +664,16 @@ def bmo_mk_norm(
 
 
 def _oscillation_sweep(
-    f: GridFunction, rects: list[GridRectangle], p: float | None = None, rows=None, e: int = 0
+    f: GridFunction, rects: list[GridRectangle], p: float, rows, e: int = 0
 ) -> tuple[list[float], np.ndarray]:
     """One pass over each rectangle ``R`` of ``rects``: ``dev = |f - f_R|`` on R.
 
     Returns the sums of ``dev``, one per rectangle, and a stack of shape
     ``(len(rects), 2W+1, 2W+1)`` whose row ``i`` holds the run-block sums
     (:func:`_segment_table`) of ``(dev * 2**-e)**p``, finite ``p``, where
-    ``rows[i]`` is true, and 0 elsewhere (``rows=None``: the sums only).  The
-    window mask needs no array: the runs are clipped to R and the central gap
-    is dropped by :func:`_annulus_blocks`.
+    ``rows[i]`` is true, and 0 elsewhere.  The window mask needs no array: the
+    runs are clipped to R and the central gap is dropped by
+    :func:`_annulus_blocks`.
 
     A rectangle with a row raises :class:`~mherz.errors.DataError` if ``dev``
     has a non-finite entry.  Its sum of non-negative terms is finite only if
@@ -739,7 +695,7 @@ def _oscillation_sweep(
         np.abs(dev, out=dev)
         total = float(dev.sum())
         sums.append(total)
-        if rows is None or not rows[i]:
+        if not rows[i]:
             continue
         if not math.isfinite(total):
             _require_finite(dev)

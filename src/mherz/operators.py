@@ -46,10 +46,10 @@ from .grid import (
     GridFunction,
     GridSpec,
     _integer,
+    _power_exponent,
     _prefix_table,
     _read_only,
     _real,
-    _sum_exponent,
     build_function,
     restrict_to_window,
 )
@@ -268,7 +268,7 @@ def strong_maximal(f: GridFunction, variant: str = DYADIC_SIDES) -> GridFunction
     # the kernels' prefix sums would overflow (and inf - inf is NaN) unless
     # |f| is scaled by the exact power of two 2**-e; max |f| is read from
     # the extremes, without an N x N |f| temporary
-    e = _sum_exponent(max(float(v.max()), -float(v.min())), n * n)
+    e = _power_exponent(max(float(v.max()), -float(v.min())), 1.0, n * n)
     # |f| is passed without a name here, so the dyadic kernel can free it
     out = kernel(_scaled_abs(v, e))
     if e:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, _box_sum, _prefix_table
-from .norms import _TINY, RectangleFamily, _family_rectangles, block_norm_upper
+from .grid import _TINY, GridFunction, _box_sum, _pow, _power_exponent, _prefix_table
+from .norms import RectangleFamily, _family_rectangles, block_norm_upper
 from .operators import DYADIC_SIDES, rubio_de_francia
 
 
@@ -43,13 +43,21 @@ def make_weight(fn: GridFunction, provenance: dict | None = None) -> WeightFunct
 
 
 def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
-    """(int |f|^p w)^(1/p); exact for piecewise-constant f and w."""
+    """(int |f|^p w)^(1/p); exact for piecewise-constant f and w.  The powers
+    are taken on ``|f| * 2**-e``, ``e`` the :func:`grid._power_exponent` of
+    ``max|f|``, and the root is scaled back by ``2**e``."""
     if not (0 < p < math.inf):
         raise ValueError(f"p must be in (0, inf), got {p}")
     if f.spec != w.spec:
         raise ValueError("function and weight live on different grids")
     h2 = f.spec.h * f.spec.h
-    return float((np.abs(f.values) ** p * w.values).sum() * h2) ** (1.0 / p)
+    a = np.abs(f.values)
+    e = _power_exponent(float(a.max()), p, a.size)
+    if e:
+        np.ldexp(a, -e, out=a)
+    root = _pow(float((a**p * w.values).sum() * h2), 1.0 / p)
+    with np.errstate(over="ignore"):  # inf past the float range
+        return float(np.ldexp(root, e))
 
 
 def _forward_window_min(a: np.ndarray, w: int, axis: int) -> np.ndarray:

@@ -703,7 +703,6 @@ def test_package_exports_resolve():
         "ap_star_characteristic",
         "block_norm_upper",
         "bmo_mk_norm",
-        "bmo_norm",
         "build_function",
         "char_rect_norm_closed_form",
         "commutator",
@@ -712,7 +711,6 @@ def test_package_exports_resolve():
         "dilate",
         "generate_a1_weight",
         "herz_norm",
-        "lp_norm",
         "make_grid",
         "make_weight",
         "morrey_herz_norm",

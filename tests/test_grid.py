@@ -35,7 +35,7 @@ from mherz.grid import (
 )
 from mherz.norms import ExponentParams, RectangleFamily
 from mherz.operators import rubio_de_francia
-from mherz.verification import check_extrapolation, check_norm_duality
+from mherz.verification import check_extrapolation, check_fefferman_stein, check_norm_duality
 
 
 def test_make_grid_small():
@@ -562,10 +562,13 @@ def test_noise_builtin_seeded():
 # Every integer and real argument goes through grid._integer or grid._real: a
 # bool, a float where an integer is due, a str, None where it is not taken,
 # or a value outside the domain is refused by name, and a numpy scalar is
-# stored as the Python number of its value.  Each site is (build from the
-# value, error, field, integral, a numpy value, a value outside the domain,
-# whether None is taken, how to read the stored value or None for a site
-# that stores nothing).
+# stored as the Python number of its value.  A 0-d array is the numpy scalar
+# of its value wherever grid._python_number reads it first (the reals and
+# the suite options); grid._integer takes no array, so the integer
+# arguments of the constructors refuse it by name.  Each site is (build from
+# the value, error, field, integral, a numpy value, a value outside the
+# domain, whether None is taken, how to read the stored value or None for a
+# site that stores nothing).
 
 _NOISE = build_function(make_grid(1, 1), builtin="noise", seed=1)
 _G22 = make_grid(2, 2)
@@ -629,22 +632,33 @@ ONE_RULE_SITES = {
         lambda v: check_extrapolation(_G22, "strong-maximal", 2.0, _PRX, c=v, trials=1, refine=False),
         ValueError, "c", False, np.float64(0.5), -1.0, True, lambda rep: rep.params["c"],
     ),
+    "options.family_count": (
+        lambda v: check_fefferman_stein(_G22, _PR, family_count=v, refine=False), ValueError,
+        "family_count", True, np.int64(2), 0, False, lambda rep: rep.params["family_count"],
+    ),
 }
 
 ONE_RULE_CASES = [
     pytest.param(site, kind, id=f"{site}-{kind}")
     for site, (*_, integral, _np, outside, _none, _read) in ONE_RULE_SITES.items()
-    for kind in ("bool", "float", "str", "None", "numpy", "outside")
+    for kind in ("bool", "float", "str", "None", "numpy", "0-d", "outside")
     if (kind != "float" or integral) and (kind != "outside" or outside is not None)
-]
+] + [pytest.param("options.r_list", "0-d", id="options.r_list-0-d")]
 
 
 @pytest.mark.parametrize("site, kind", ONE_RULE_CASES)
 def test_numeric_arguments_follow_one_rule(site, kind):
+    if site == "options.r_list":  # a 0-d array is a number, not the list this option takes
+        with pytest.raises(ValueError, match="^r_list must be a non-empty list") as info:
+            check_fefferman_stein(_G22, _PR, r_list=np.array(2.0), refine=False)
+        assert info.value.field == site
+        return
     build, error, field, integral, numpy_value, outside, nullable, read = ONE_RULE_SITES[site]
     if kind == "None" and nullable:
         build(None)
         return
+    if kind == "0-d" and (not integral or site.startswith("options.")):
+        kind, numpy_value = "numpy", np.asarray(numpy_value)
     if kind == "numpy":
         want = numpy_value.item()
         got, plain = build(numpy_value), build(want)
@@ -653,6 +667,11 @@ def test_numeric_arguments_follow_one_rule(site, kind):
         else:
             assert type(read(got)) is type(want) and read(got) == want
         return
-    value = {"bool": True, "float": 2.5, "str": "2", "None": None, "outside": outside}[kind]
-    with pytest.raises(error, match=f"^{field} must be"):
+    value = {
+        "bool": True, "float": 2.5, "str": "2", "None": None, "outside": outside,
+        "0-d": np.asarray(numpy_value),
+    }[kind]
+    with pytest.raises(error, match=f"^{field} must be") as info:
         build(value)
+    if site.startswith("options."):
+        assert info.value.field == site

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from mherz.cli import emit
 from mherz.errors import CostGuardError, DataError, PredicateError, SupportWindowError
 from mherz.grid import (
+    _TINY,
     AnnulusIndex,
     DyadicRectangle,
     GridFunction,
     GridRectangle,
     _box_sum,
+    _power_exponent,
     _prefix_table,
     _require_finite,
     annulus_mask_1d,
@@ -41,17 +43,15 @@ from mherz.norms import (
     _level_weights,
     _lp_table,
     _morrey_herz_from_table,
+    _oscillation_sup,
     _oscillation_sweep,
-    _power_exponent,
     _rect_counts,
     annulus_lp_table,
     block_norm_upper,
     bmo_mk_norm,
-    bmo_norm,
     char_rect_norm_closed_form,
     conjugate_exponent,
     herz_norm,
-    lp_norm,
     morrey_herz_norm,
     pairing_l1,
     predicate_violations,
@@ -75,6 +75,12 @@ def masked_chi(spec, l1, l2):
 
 def masked_noise(spec, seed):
     return restrict_to_window(build_function(spec, builtin="noise", seed=seed))
+
+
+def lp_norm(f, p):
+    """Oracle: ``(sum |f|**p h**2)**(1/p)``, and ``max|f|`` for ``p = inf``."""
+    v = np.abs(f.values)
+    return float(v.max()) if math.isinf(p) else float((v**p).sum() * f.spec.h**2) ** (1 / p)
 
 
 def window_indicator_table(spec, rect, p):
@@ -187,15 +193,6 @@ def test_lp_matches_direct_summation():
     f = GridFunction(g, rng.normal(size=(16, 16)))
     direct = (np.abs(f.values) ** 3).sum() * g.h**2
     assert lp_norm(f, 3) == pytest.approx(direct ** (1 / 3), rel=1e-12)
-
-
-def test_lp_region_and_errors():
-    g = make_grid(2, 2)
-    f = constant(g, 1.0)
-    r = GridRectangle(0, 4, 0, 4)
-    assert lp_norm(f, 1, region=r) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="positive"):
-        lp_norm(f, 0.0)
 
 
 # -- Herz -------------------------------------------------------------------------
@@ -481,28 +478,27 @@ def test_family_kinds_and_bounds():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("max_side", 0), ("stride", 0), ("stride", -3), ("min_side", -5), ("min_side", 0),
-        ("max_members", 0), ("stride", True), ("min_side", None), ("max_side", 2.0),
+        ("stride", 0), ("stride", -3), ("min_side", -5), ("min_side", 0),
+        ("stride", True), ("min_side", None),
     ],
 )
 def test_family_refuses_knobs_it_would_misread(field, value):
-    # max_side=0 enumerated the unbounded family, stride <= 0 acted as 1 and
-    # min_side < 1 as 1: each is refused by name instead
+    # stride <= 0 acted as 1 and min_side < 1 as 1: each is refused by name instead
     with pytest.raises(ValueError, match=f"^{field} must be"):
         RectangleFamily("dyadic-sides", **{field: value})
 
 
 def test_family_knobs_at_their_least_values():
     g = make_grid(2, 1)
-    assert len(RectangleFamily("dyadic-sides", max_side=1).rectangles(g)) == 64
     assert len(RectangleFamily("dyadic-sides", stride=1).rectangles(g)) == 441
     assert len(RectangleFamily("dyadic-sides").rectangles(g)) == 225
 
 
-def test_family_member_cap():
+def test_family_member_cap(monkeypatch):
     g = make_grid(3, 3)
-    with pytest.raises(CostGuardError, match="max_members"):
-        RectangleFamily("exact-grid", max_members=100).rectangles(g)
+    monkeypatch.setattr(norms, "MAX_MEMBERS", 100)
+    with pytest.raises(CostGuardError, match="max_members=100"):
+        RectangleFamily("exact-grid").rectangles(g)
 
 
 # -- oscillation norms -----------------------------------------------------------------------
@@ -510,13 +506,13 @@ def test_family_member_cap():
 
 def test_bmo_constant_is_zero():
     g = make_grid(2, 2)
-    assert bmo_norm(constant(g, 3.0), RectangleFamily("exact-grid")) == 0.0
+    assert bmo_mk_norm(constant(g, 3.0), PR, RectangleFamily("exact-grid"))[1] == 0.0
 
 
 def test_bmo_square_indicator_half():
     g = make_grid(2, 2)
     chi = indicator(g, GridRectangle(6, 10, 6, 10))
-    val = bmo_norm(chi, RectangleFamily("exact-grid"))
+    val = bmo_mk_norm(chi, PR, RectangleFamily("exact-grid"))[1]
     # oscillation 2t(1-t) at overlap fraction t maximised at t = 1/2
     assert val == pytest.approx(0.5, abs=1e-12)
     # brute-force oracle over the same family
@@ -532,8 +528,8 @@ def test_bmo_shift_invariance():
     rng = np.random.default_rng(6)
     f = GridFunction(g, rng.normal(size=(16, 16)))
     fam = RectangleFamily("dyadic-sides", stride=1)
-    a = bmo_norm(f, fam)
-    b = bmo_norm(GridFunction(f.spec, f.values + 17.0), fam)
+    a = bmo_mk_norm(f, PR, fam)[1]
+    b = bmo_mk_norm(GridFunction(f.spec, f.values + 17.0), PR, fam)[1]
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -555,12 +551,10 @@ def test_bmo_mk_requires_predicates():
 
 
 def test_bmo_norm_cost_guard_precedes_the_shared_sweep():
-    # both oscillation norms refuse the family before any sweep work
+    # bmo_mk_norm refuses the family before any sweep work
     g = make_grid(3, 4)  # N = 128: 12,300 full boxes visit just over 2 * 10**8 cells
     f = build_function(g, builtin="noise", seed=3)
     rects = [GridRectangle(0, 128, 0, 128)] * 12_300
-    with pytest.raises(CostGuardError, match="oscillation sweep visits"):
-        bmo_norm(f, rects)
     with pytest.raises(CostGuardError, match="oscillation sweep visits"):
         bmo_mk_norm(f, PR, rects)
 
@@ -830,6 +824,13 @@ def test_power_exponent_scales_only_where_a_power_of_two_helps():
         assert 0.5 <= math.ldexp(top, -e) < 1
     # at a dual p of 4.5e15 every power below 1 underflows, scaled or not
     assert _power_exponent(3.0, 4503599627370497.0, 4) == 0
+    # p = 1 is the rule of the prefix sums: on normal values it scales only
+    # where top * count overflows, and it puts a subnormal top in [0.5, 1)
+    for top, count in ((3.0, 4096**2), (1e306, 64), (1e307, 256), (1.7e308, 1), (_TINY, 4)):
+        old = 0 if math.isfinite(top * count) else math.frexp(top)[1]
+        assert _power_exponent(top, 1.0, count) == old
+    e = _power_exponent(5e-324, 1.0, 4)
+    assert e < 0 and 0.5 <= math.ldexp(5e-324, -e) < 1
 
 
 HOMOGENEOUS_NORMS = {
@@ -974,10 +975,9 @@ def test_rect_means_of_huge_finite_values():
     box = GridRectangle(0, 8, 0, 8)
     assert f.rect_means([box], absolute=True)[0] == 1e308
     assert f.rect_means([box])[0] == 1e308
-    assert bmo_norm(f, RectangleFamily("dyadic-centered")) == 0.0
-    assert bmo_norm(f, RectangleFamily("exact-grid")) == 0.0
-    value, _, _ = bmo_mk_norm(f, PR, RectangleFamily("dyadic-centered"))
-    assert value == 0.0
+    assert bmo_mk_norm(f, PR, RectangleFamily("exact-grid"))[1] == 0.0
+    value, plain, _ = bmo_mk_norm(f, PR, RectangleFamily("dyadic-centered"))
+    assert value == plain == 0.0
     # signed values: the means stay finite and match exactly rounded sums
     vals = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 8)) * 1e308
     f = GridFunction(g, vals)
@@ -995,7 +995,19 @@ def _bmo_family(kind, spec, stride):
         return RectangleFamily("dyadic-centered")
     if kind == "dyadic-sides":
         return RectangleFamily("dyadic-sides", stride=max(1, n // stride), min_side=max(1, n // 16))
-    return RectangleFamily("exact-grid", stride=stride, max_side=8)
+    # the exact-grid members with sides up to 8 cells, in the family's order
+
+    def anchors(side):  # the stride multiples and the flush-right anchor
+        return sorted({*range(0, n - side + 1, stride), n - side})
+
+    sides = range(1, min(8, n) + 1)
+    return [
+        GridRectangle(x0, x0 + wx, y0, y0 + wy)
+        for wx in sides
+        for wy in sides
+        for x0 in anchors(wx)
+        for y0 in anchors(wy)
+    ]
 
 
 BMO_CASES = st.sampled_from(["dyadic-centered", "dyadic-sides", "exact-grid"]).flatmap(
@@ -1305,7 +1317,8 @@ def test_oscillation_sweep_bit_identical_to_per_rectangle_loops(case, kind, seed
     params = ExponentParams(0.25, p, q, 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         plain = loop_bmo_norm(f, fam)
-        assert bmo_norm(GridFunction(f.spec, f.values), fam) == plain
+        sums = _oscillation_sweep(GridFunction(f.spec, f.values), rects, p, [False] * len(rects))[0]
+        assert _oscillation_sup(rects, sums) == plain
         try:
             tables = [loop_oscillation_table(f, r, p) for r in rects]
         except DataError:
@@ -1330,10 +1343,10 @@ def test_oscillation_sweep_bit_identical_to_per_rectangle_loops(case, kind, seed
                 bmo_mk_norm(g, params, fam)
             assert str(got.value) == str(exc)
             return
-        # bmo_mk_norm's plain oscillation, from its own sweep, is bmo_norm's to the bit
+        # bmo_mk_norm's plain oscillation, from its own sweep, is the oracle's to the bit
         value, mk_plain, notes = bmo_mk_norm(g, params, fam)
         assert (value, notes) == want
-        assert mk_plain == bmo_norm(g, fam) == plain
+        assert mk_plain == plain
 
 
 # -- cached geometry and repeated tables: equal to a fresh build --------------------------

@@ -575,13 +575,14 @@ def test_extrapolation_unit_weight_layer():
     unit_trials = [t for t in rep.trials if t.trial.endswith("|unit")]
     assert unit_trials
     # unit weight reduces the hypothesis layer to the unweighted L^p0 ratio
-    from mherz.norms import lp_norm
-    from mherz.grid import restrict_to_window
     from mherz.operators import DYADIC_SIDES, strong_maximal
+
+    def l2_norm(h):  # the cell area cancels in the ratio
+        return float((h.values**2).sum()) ** 0.5
 
     label, build = trial_objects(OPERATOR_OBJECTS, G, rep.params["seed"])[0]
     f = build(G)
-    want = lp_norm(strong_maximal(f, DYADIC_SIDES), 2.0) / lp_norm(f, 2.0)
+    want = l2_norm(strong_maximal(f, DYADIC_SIDES)) / l2_norm(f)
     t = next(t for t in rep.trials if t.trial == f"{label}|unit")
     assert t.ratio == pytest.approx(want, rel=1e-12)
 
@@ -766,20 +767,19 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
     monkeypatch.setattr(GridFunction, "rect_means", counting_means)
     for name in ("_lp_table", "_morrey_herz_from_table"):
         monkeypatch.setattr(norms, name, counted(name, getattr(norms, name)))
-    mk_calls, plain_calls = Counter(), Counter()
-    bmo_mk_norm, bmo_norm = norms.bmo_mk_norm, norms.bmo_norm
+    mk_calls, sweeps = Counter(), Counter()
+    bmo_mk_norm, oscillation_sweep = norms.bmo_mk_norm, norms._oscillation_sweep
 
     def counting_mk(f, *args):
         mk_calls[f.spec.n_cells] += 1
         return bmo_mk_norm(f, *args)
 
-    def counting_plain(f, family):
-        plain_calls[f.spec.n_cells] += 1
-        return bmo_norm(f, family)
+    def counting_sweep(f, *args):
+        sweeps[f.spec.n_cells] += 1
+        return oscillation_sweep(f, *args)
 
     monkeypatch.setattr(verification, "bmo_mk_norm", counting_mk)
-    monkeypatch.setattr(verification, "bmo_norm", counting_plain, raising=False)
-    monkeypatch.setattr(norms, "bmo_norm", counting_plain)
+    monkeypatch.setattr(norms, "_oscillation_sweep", counting_sweep)
     norms._indicator_denominators.cache_clear()
     g = make_grid(2, 3)
     fine = GridSpec(g.L_max, g.s + 1)
@@ -791,9 +791,9 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
         g.n_cells: 1 + symbols * rects[g.n_cells],
         fine.n_cells: symbols * rects[fine.n_cells],
     }
-    # one bmo_mk_norm call per symbol and grid gives both oscillation norms
-    assert mk_calls == {g.n_cells: symbols, fine.n_cells: symbols}
-    assert not plain_calls
+    # one bmo_mk_norm call per symbol and grid gives both oscillation norms,
+    # from one sweep
+    assert mk_calls == sweeps == {g.n_cells: symbols, fine.n_cells: symbols}
     # each bmo_mk_norm call takes the annulus and Morrey-Herz tables once, on
     # its stack; so do the family's denominators once per grid, and the decay
     # sweep's box and level sets, each from one count stack

@@ -22,7 +22,7 @@ from mherz.grid import (
     make_grid,
     restrict_to_window,
 )
-from mherz.norms import ExponentParams, RectangleFamily, lp_norm
+from mherz.norms import ExponentParams, RectangleFamily
 from mherz.operators import DYADIC_SIDES, rubio_de_francia, strong_maximal
 from mherz.weights import (
     _forward_window_min,
@@ -247,7 +247,19 @@ def test_weighted_lp_reduces_to_lp():
     f = GridFunction(G, rng.normal(size=(32, 32)))
     w = make_weight(constant(G, 1.0))
     for p in (1.0, 2.0, 3.0):
-        assert weighted_lp_norm(f, w, p) == pytest.approx(lp_norm(f, p), rel=1e-12)
+        want = ((np.abs(f.values) ** p).sum() * G.h**2) ** (1 / p)
+        assert weighted_lp_norm(f, w, p) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-200])
+def test_weighted_lp_past_the_normal_range_of_the_powers(value):
+    # |f|**p of 1e200 overflowed (inf, a warning under -W error), and of
+    # 1e-200 fell to 0.0: the norm of a constant c over area 4 is c * 4**(1/p)
+    g = make_grid(1, 1)
+    w = make_weight(constant(g, 1.0))
+    for p in (1.5, 2.0, 3.0):
+        want = value * 4.0 ** (1 / p)
+        assert weighted_lp_norm(constant(g, value), w, p) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_weighted_lp_indicator():
