@@ -191,6 +191,19 @@ def _power_exponent(top: float, p: float, count: float) -> int:
     return 0 if unscaled or math.ldexp(top, -e) ** p < _TINY else e
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialised flat float64 array of ``size`` entries whose data
+    starts on a 64-byte line: eight doubles more are allocated and the slice
+    that starts on a line is returned.  A large numpy array starts 16 bytes
+    past one (the allocator's header), and an out-of-place subtraction into
+    such an array ran at half the speed of one into an aligned array
+    (numpy 2.4, AVX-512, 65,536 doubles)."""
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // buf.itemsize
+    # cut the start first: numpy gives an empty slice its base's start
+    return buf[start:][:size]
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` with writes turned off: the form of every cached or shared table."""
     a.flags.writeable = False

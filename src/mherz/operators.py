@@ -45,6 +45,7 @@ from .errors import CostGuardError
 from .grid import (
     GridFunction,
     GridSpec,
+    _aligned_empty,
     _integer,
     _power_exponent,
     _prefix_table,
@@ -100,13 +101,16 @@ def _interval_sweep(P: np.ndarray, lengths=None, slabs=None) -> np.ndarray:
     previous length's result ``q`` at rows ``[: len(q)]`` and ``[prev - L :]``;
     the result for the last length is returned, a view of one of ``slabs``,
     two flat buffers of at least ``n * k`` doubles that the lengths use in
-    turn (allocated here if not given).  A power-of-two ``L`` scales by the
-    exact ``1 / L``, which rounds as the division does but costs less.
+    turn (allocated here if not given, each starting on a 64-byte line by
+    :func:`grid._aligned_empty`: the means are written out of place into the
+    slab, and that write ran at half speed into a buffer 16 bytes past a
+    line).  A power-of-two ``L`` scales by the exact ``1 / L``, which rounds
+    as the division does but costs less.
     """
     n, k = P.shape[0] - 1, P.shape[1]
     if slabs is None:
         # two reused slabs: a fresh array per length costs more peak RSS at large n
-        slabs = (np.empty(n * k), np.empty(n * k))
+        slabs = (_aligned_empty(n * k), _aligned_empty(n * k))
     this, other = slabs
     q, prev = P[:0], n + 1  # Q_{n+1}: no interval is longer than the line
     for L in range(n, 0, -1) if lengths is None else lengths:
@@ -199,7 +203,10 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     the ``ny = N - wy + 1`` columns are walked in blocks of
     ``DYADIC_BLOCK``: ``D`` (``(N+1) x b``) and the sweep's two ``slabs`` are
     C-ordered views of three small flat buffers allocated once per call, so
-    the whole ``wx`` loop runs on them in cache.
+    the whole ``wx`` loop runs on them in cache.  Each buffer starts on a
+    64-byte line (:func:`grid._aligned_empty`), since ``D`` and the means
+    are written out of place, and that write ran at half speed into a
+    buffer 16 bytes past a line, where a large numpy array starts.
 
     The y fold runs per block too.  A block's ``R_1`` takes the max with the
     previous height's output at its own columns ``c`` and at ``c - wy``,
@@ -222,7 +229,7 @@ def _maximal_dyadic(absv: np.ndarray) -> np.ndarray:
     sides = [1 << a for a in reversed(range(n.bit_length()))]
     out = np.empty((n, n))
     b = min(DYADIC_BLOCK, n)
-    slabs, d_buf = (np.empty(n * b), np.empty(n * b)), np.empty((n + 1) * b)
+    slabs, d_buf = (_aligned_empty(n * b), _aligned_empty(n * b)), _aligned_empty((n + 1) * b)
     prev = out[:, :0]  # no height is taller than the grid
     for wy in sides:
         ny = n - wy + 1

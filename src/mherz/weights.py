@@ -45,7 +45,9 @@ def make_weight(fn: GridFunction, provenance: dict | None = None) -> WeightFunct
 def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
     """(int |f|^p w)^(1/p); exact for piecewise-constant f and w.  The powers
     are taken on ``|f| * 2**-e``, ``e`` the :func:`grid._power_exponent` of
-    ``max|f|``, and the root is scaled back by ``2**e``."""
+    ``max|f|``, and the root is scaled back by ``2**e``.  A sum that the
+    weight carries past the float range, or below its normal range, is taken
+    again with its largest term factored out, as :func:`norms._lq_norm` does."""
     if not (0 < p < math.inf):
         raise ValueError(f"p must be in (0, inf), got {p}")
     if f.spec != w.spec:
@@ -55,7 +57,15 @@ def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
     e = _power_exponent(float(a.max()), p, a.size)
     if e:
         np.ldexp(a, -e, out=a)
-    root = _pow(float((a**p * w.values).sum() * h2), 1.0 / p)
+    with np.errstate(over="ignore"):
+        terms = a**p * w.values
+        total = float(terms.sum() * h2)
+    if _TINY <= total < math.inf:
+        root = _pow(total, 1.0 / p)
+    else:
+        top = float(terms.max())
+        share = float((terms / top).sum() * h2) if 0.0 < top < math.inf else 1.0
+        root = _pow(top, 1.0 / p) * _pow(share, 1.0 / p)
     with np.errstate(over="ignore"):  # inf past the float range
         return float(np.ldexp(root, e))
 

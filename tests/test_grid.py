@@ -18,6 +18,7 @@ from mherz.grid import (
     GridRectangle,
     GridSpec,
     annulus_restrict,
+    _aligned_empty,
     _box_sum,
     build_function,
     cell_split_noise,
@@ -238,6 +239,16 @@ def test_prefix_table_in_place_matches_chained_cumsums():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * P.nbytes, peak / P.nbytes
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 65_537])
+def test_aligned_empty_starts_on_a_line(size):
+    a = _aligned_empty(size)
+    assert a.dtype == np.float64 and a.shape == (size,)
+    assert a.flags.writeable and a.flags.c_contiguous
+    assert a.ctypes.data % 64 == 0
+    a[:] = 1.0  # every entry is in the buffer
+    assert a.sum() == size
 
 
 def test_rect_mean_below_overflow_is_the_raw_prefix_table():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import maximum_filter1d
 
-from mherz import operators
+from mherz import grid, operators
 from mherz.errors import CostGuardError
 from mherz.grid import (
     DyadicRectangle,
@@ -25,6 +25,7 @@ from mherz.grid import (
 )
 from mherz.norms import ExponentParams, block_norm_upper
 from mherz.operators import (
+    DYADIC_BLOCK,
     DYADIC_SIDES,
     EXACT_GRID,
     EXACT_GATE,
@@ -733,6 +734,90 @@ def test_iterated_1d_transposed_is_the_x_first_composition(spec, seed):
         lower = me
     for order in (strong_maximal(f, ITERATED_1D).values, got):
         assert (lower <= order * tol).all()
+
+
+# -- scratch alignment ----------------------------------------------------------
+#
+# The kernels' scratch starts on a 64-byte line (grid._aligned_empty), which
+# speeds their out-of-place writes and must move no bit: no result may depend
+# on where the scratch starts or on what it held.  The offset scratch below
+# starts 8, 16 or 48 bytes past a line and is filled with a value that a read
+# of an entry the kernel did not write would carry into the result.
+
+SCRATCH_FILL = {8: np.nan, 16: np.inf, 48: 1e300}  # offset in bytes: fill
+
+
+def offset_empty(offset):
+    """A stand-in for ``grid._aligned_empty`` whose arrays start ``offset``
+    bytes past a 64-byte line, filled with ``SCRATCH_FILL[offset]``."""
+
+    def empty(size):
+        a = grid._aligned_empty(size + 8)[offset // 8 :][:size]
+        a.fill(SCRATCH_FILL[offset])
+        return a
+
+    return empty
+
+
+@st.composite
+def _scaled_tables(draw):
+    """An admitted grid and a table on it: signed noise, sparse noise (many
+    zero lines) or rows drawn from a pool of three, scaled by 2**0 or 2**+-600."""
+    spec = draw(ADMITTED_GRIDS_N128)
+    n = spec.n_cells
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (n, n))
+    kind = draw(st.sampled_from(["noise", "sparse", "pooled"]))
+    if kind == "sparse":
+        values *= rng.random((n, n)) < 0.05
+    elif kind == "pooled":
+        values = values[rng.integers(0, min(3, n), n)]
+    return spec, np.ldexp(values, draw(st.sampled_from([0, 600, -600])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_tables(), st.booleans())
+def test_interval_sweep_bits_do_not_depend_on_its_slabs(table, dyadic):
+    _, a = table
+    n = a.shape[0]
+    P = np.zeros((n + 1, n))
+    np.cumsum(a, axis=0, out=P[1:])
+    lengths = [1 << e for e in reversed(range(n.bit_length()))] if dyadic else None
+    want = operators._interval_sweep(P, lengths).view(np.int64)  # aligned slabs
+    for offset in SCRATCH_FILL:
+        empty = offset_empty(offset)
+        got = operators._interval_sweep(P, lengths, (empty(n * n), empty(n * n)))
+        assert np.array_equal(got.view(np.int64), want), offset
+
+
+@settings(max_examples=25, deadline=None)
+@given(_scaled_tables(), st.sampled_from([DYADIC_SIDES, ITERATED_1D]))
+def test_maximal_bits_do_not_depend_on_its_scratch(table, variant):
+    f = GridFunction(*table)
+    want = strong_maximal(f, variant).values.view(np.int64)
+    # np.empty is the scratch the kernels took before alignment
+    for empty in (np.empty, *map(offset_empty, SCRATCH_FILL)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_aligned_empty", empty)
+            got = strong_maximal(f, variant).values
+        assert np.array_equal(got.view(np.int64), want), empty
+
+
+def test_kernels_take_their_scratch_from_the_aligned_helper(monkeypatch):
+    sizes = []
+
+    def counting(size):
+        sizes.append(size)
+        return grid._aligned_empty(size)
+
+    monkeypatch.setattr(operators, "_aligned_empty", counting)
+    f = build_function(make_grid(3, 5), builtin="noise", seed=5)  # N = 256
+    strong_maximal(f, DYADIC_SIDES)
+    # two slabs and the column differences, once per call
+    assert sizes == [256 * DYADIC_BLOCK, 256 * DYADIC_BLOCK, 257 * DYADIC_BLOCK]
+    sizes.clear()
+    strong_maximal(f, ITERATED_1D)
+    assert sizes == [256 * 256] * 4  # two slabs per pass, on 256 distinct lines
 
 
 def test_exact_grid_cost_gate(monkeypatch):

@@ -262,6 +262,17 @@ def test_weighted_lp_past_the_normal_range_of_the_powers(value):
         assert weighted_lp_norm(constant(g, value), w, p) == pytest.approx(want, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_weighted_lp_of_a_weight_whose_sum_passes_the_float_range(p):
+    # max|f| = 1 needs no scaling, but the sum of 1e308 over 16 cells
+    # overflowed (inf, a warning under -W error): it is taken again with its
+    # largest term factored out.  The norm of 1 over area 4 is (4 * 1e308)**(1/p)
+    g = make_grid(1, 1)
+    w = make_weight(constant(g, 1e308))
+    want = 4.0 ** (1 / p) * 1e308 ** (1 / p)  # 2e154 at p = 2
+    assert weighted_lp_norm(constant(g, 1.0), w, p) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_weighted_lp_indicator():
     rng = np.random.default_rng(4)
     w = make_weight(GridFunction(G, rng.uniform(0.5, 2.0, size=(32, 32))))
