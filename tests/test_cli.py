@@ -150,6 +150,7 @@ def test_grid_guard_is_config_error(tmp_path):
         ({"strict": "no"}, "strict"),
         ({"out_dir": 5}, "out_dir"),
         ({"grid": {"L_max": 2, "s": 2, "S": 5}}, "grid"),  # was run at s=2
+        ({"grid": {"L_max": 2}}, "grid"),
     ],
 )
 def test_top_level_fields_refused_by_name(tmp_path, capsys, overrides, field):
@@ -162,6 +163,22 @@ def test_top_level_fields_refused_by_name(tmp_path, capsys, overrides, field):
         load_config(cfg)
     assert main(["run", str(cfg)]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [([{"name": "char_norms", "params": [PR_DICT]}], "object"), ({"bogus": 1}, "bogus")],
+)
+def test_config_root_refused(tmp_path, capsys, monkeypatch, body, named):
+    monkeypatch.chdir(tmp_path)  # where a root without out_dir would write
+    if isinstance(body, dict):
+        body = json.loads(minimal_config(tmp_path).read_text()) | body
+    cfg = write_config(tmp_path, body)
+    with pytest.raises(ConfigError, match=named):
+        load_config(cfg)
+    assert main(["run", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
 
 
@@ -187,6 +204,7 @@ def _cz(params=None, **fields):
         (_cz(options=[]), "suites[0].options"),  # was read as no options
         (_cz(options=3), "suites[0].options"),
         (_cz(options=None), "suites[0].options"),
+        ({"name": "maximal_bounds", "params": PR_DICT, "options": {"bogus": 1}}, "suites[0].options"),
         ({"name": "char_norms", "params": []}, "suites[0].params"),  # was a vacuous pass
         # non-finite exponents: each was a pass on trials whose ratios were all nan
         ({"name": "char_norms", "params": [PR_DICT | {"lam": "nan"}]}, "suites[0].params[0]"),
