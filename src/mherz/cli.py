@@ -16,9 +16,12 @@ A run config is a JSON file:
       ]
     }
 
-The whole config is validated (suite names, option keys and values, exponent
-predicates) before any computation starts, each job by the suite's own
-:func:`mherz.verification.admit`, so long sweeps cannot die late on a typo.
+The whole config is validated before any computation starts, so long sweeps
+cannot die late on a typo.  :func:`_object` refuses every object-shaped field
+that is not an object, holds an unknown key or lacks a required one; every
+value goes to the library's own check (``GridSpec``, ``ExponentParams``, each
+job's :func:`mherz.verification.admit`), whose refusal names its field, and
+the error reads ``<config path>.<field>: ...``.
 Every suite writes one report file plus a summary index; exit code 0 means
 every executed suite passed (suites that ran with violated hypotheses report
 "out-of-hypothesis" and only fail the run under --strict).
@@ -31,7 +34,6 @@ import csv
 import datetime
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +48,8 @@ from .verification import (
     SUITES,
     InequalityReport,
     SuiteDef,
+    _choice,
+    _flag,
     admit,
     extrapolation_block_params,
 )
@@ -58,34 +62,38 @@ from .verification import check_fefferman_stein  # noqa: F401
 # -- config parsing -----------------------------------------------------------
 
 
-def _params_from_dict(d: dict, path: str) -> ExponentParams:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object with alpha/p/q fields")
-    known = {"alpha", "p", "q", "lam", "n", "m"}
-    unknown = set(d) - known
+def _object(path: str, value, known, required=()) -> dict:
+    """``value``, refused at ``path`` unless it is an object whose keys are
+    among ``known`` and include every ``required`` one."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    unknown = sorted(set(value) - set(known))
     if unknown:
-        raise ConfigError(f"{path}: unknown exponent fields {sorted(unknown)}")
-    for key, value in d.items():
-        # an exponent may be a string: strict JSON has no infinity, so it is "inf"
-        integral = key in ("n", "m")
-        if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if integral else (numbers.Real, str)
-        ):
-            kind = "an integer" if integral else "a number"
-            raise ConfigError(f"{path}.{key}: expected {kind}, got {value!r}")
+        raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(known)}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ConfigError(f"{path}: missing required keys {missing}")
+    return value
+
+
+def _refused(path: str, exc: Exception) -> ConfigError:
+    """A library refusal as a ConfigError at ``path``, followed by the field
+    the refusal names, if any (an empty ``path`` is the config root)."""
+    where = ".".join(filter(None, (path, getattr(exc, "field", None))))
+    return ConfigError(f"{where}: {exc}")
+
+
+def _params_from_dict(d, path: str) -> ExponentParams:
+    _object(path, d, ("alpha", "p", "q", "lam", "n", "m"), required=("alpha", "p", "q"))
+    # strict JSON has no infinity, so a real exponent may be the string "inf";
+    # an int one is read as a float, as reports have always written it
+    real = ("alpha", "p", "q", "lam")
     try:
         return ExponentParams(
-            alpha=float(d["alpha"]),
-            p=float(d["p"]),
-            q=float(d["q"]),
-            lam=float(d.get("lam", 0.0)),
-            n=d.get("n", 1),
-            m=d.get("m", 1),
+            **{k: float(v) if k in real and type(v) in (int, str) else v for k, v in d.items()}
         )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except (ValueError, OverflowError) as exc:
+        raise _refused(path, exc) from None
 
 
 @dataclass
@@ -111,37 +119,21 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or text that is not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-
-    known_top = {"grid", "seed", "out_dir", "format", "strict", "suites"}
-    unknown = set(raw) - known_top
-    if unknown:
-        raise ConfigError(f"unknown top-level fields {sorted(unknown)}")
-
-    gdict = raw.get("grid")
-    if not isinstance(gdict, dict) or not {"L_max", "s"} <= set(gdict):
-        raise ConfigError("grid: expected an object with integer L_max and s")
-    unknown = set(gdict) - {"L_max", "s"}
-    if unknown:
-        raise ConfigError(f"grid: unknown fields {sorted(unknown)}")
-    for key in ("L_max", "s"):
-        if isinstance(gdict[key], bool) or not isinstance(gdict[key], int):
-            raise ConfigError(f"grid.{key}: expected an integer, got {gdict[key]!r}")
+    known = ("grid", "seed", "out_dir", "format", "strict", "suites")
+    _object("config", raw, known, required=("grid", "suites"))
     try:
-        grid = make_grid(gdict["L_max"], gdict["s"])
+        grid = make_grid(**_object("grid", raw["grid"], ("L_max", "s"), ("L_max", "s")))
     except GridSizeError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+        raise _refused("grid", exc) from None
 
     seed, strict = raw.get("seed", 0), raw.get("strict", False)
     try:
         OPTION_DOMAINS["seed"](seed)  # the suites' default seeds are seed + index
+        _flag("strict", strict)
     except ValueError as exc:
-        raise ConfigError(f"seed: {exc}") from None
-    if not isinstance(strict, bool):
-        raise ConfigError(f"strict: expected true or false, got {strict!r}")
+        raise _refused("", exc) from None
 
     out_dir = raw.get("out_dir", "reports")
     if not isinstance(out_dir, str):
@@ -158,42 +150,20 @@ def load_config(path: str | Path) -> RunConfig:
     jobs: list[SuiteJob] = []
     for idx, entry in enumerate(suites):
         path_i = f"suites[{idx}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError(f"{path_i}: expected an object with a 'name'")
-        name = entry["name"]
-        if name not in SUITES:
-            raise ConfigError(
-                f"{path_i}.name: unknown suite {name!r}; known: {sorted(SUITES)}"
-            )
-        sdef = SUITES[name]
-        unknown = set(entry) - {"name", "params", "options"}
-        if unknown:
-            raise ConfigError(f"{path_i}: unknown fields {sorted(unknown)}")
-
-        pblock = entry.get("params")
-        if pblock is None:
-            raise ConfigError(f"{path_i}.params: required")
+        name = _object(path_i, entry, ("name", "params", "options"), ("name", "params"))["name"]
+        try:
+            _choice("suite", name, SUITES)
+        except ValueError as exc:
+            raise _refused(f"{path_i}.name", exc) from None
+        sdef, pblock = SUITES[name], entry["params"]
         if sdef.multi_params:
-            if not isinstance(pblock, list):
-                pblock = [pblock]
-            params = [
-                _params_from_dict(p, f"{path_i}.params[{k}]") for k, p in enumerate(pblock)
-            ]
+            pblock = pblock if isinstance(pblock, list) else [pblock]
+            params = [_params_from_dict(p, f"{path_i}.params[{k}]") for k, p in enumerate(pblock)]
         else:
             params = _params_from_dict(pblock, f"{path_i}.params")
 
-        options = entry.get("options", {})
-        if not isinstance(options, dict):
-            raise ConfigError(f"{path_i}.options: expected an object, got {options!r}")
-        bad_opts = set(options) - set(sdef.options)
-        if bad_opts:
-            raise ConfigError(
-                f"{path_i}.options: unknown keys {sorted(bad_opts)}; "
-                f"allowed: {sorted(sdef.options)}"
-            )
-        missing = [k for k in sdef.options if k not in sdef.defaults and k not in options]
-        if missing:
-            raise ConfigError(f"{path_i}.options: missing required keys {missing}")
+        required = [k for k in sdef.options if k not in sdef.defaults]
+        options = _object(f"{path_i}.options", entry.get("options", {}), sdef.options, required)
         defaults = sdef.defaults | ({"seed": seed + idx} if "seed" in sdef.options else {})
         options = {k: options[k] if k in options else defaults[k] for k in sdef.options}
         try:
@@ -203,8 +173,7 @@ def load_config(path: str | Path) -> RunConfig:
             hint = " (set options.allow_out_of_hypothesis to run anyway)" if allow else ""
             raise ConfigError(f"{path_i}.params: exponent predicate violated: {exc}{hint}") from None
         except (ValueError, MherzError) as exc:
-            where = "grid" if exc.field == "grid" else f"{path_i}.{exc.field}"
-            raise ConfigError(f"{where}: {exc}") from None
+            raise _refused("" if exc.field == "grid" else path_i, exc) from None
         jobs.append(SuiteJob(idx, sdef, params, options))
 
     return RunConfig(

@@ -227,21 +227,25 @@ def _python_number(name: str, value):
 
 def _integer(name: str, value, least: int | None = None, error=ValueError) -> int:
     """``value`` as an int: a bool, a non-integral number, or one below
-    ``least`` raises ``error`` naming ``name``; a numpy integer is accepted."""
+    ``least`` raises ``error`` whose ``field`` is ``name``; a numpy integer is accepted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
         least is not None and value < least
     ):
         bound = "" if least is None else f" >= {least}"
-        raise error(f"{name} must be an integer{bound}, got {value!r}")
+        exc = error(f"{name} must be an integer{bound}, got {value!r}")
+        exc.field = name
+        raise exc
     return operator.index(value)
 
 
 def _real(name: str, value, ok: Callable[[float], bool], what: str) -> float | int:
     """``value`` as a Python number (:func:`_python_number`); a bool, a non-real
-    value, or one where ``ok`` is false raises ``name must be what``."""
+    value, or one where ``ok`` is false raises ``name must be what`` (``field`` ``name``)."""
     value = _python_number(name, value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        exc = ValueError(f"{name} must be {what}, got {value!r}")
+        exc.field = name
+        raise exc
     return value
 
 

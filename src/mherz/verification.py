@@ -312,7 +312,9 @@ def _choice(what: str, value, choices: dict) -> None:
 
 def _flag(name: str, value) -> None:
     if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
+        exc = ValueError(f"{name} must be true or false, got {value!r}")
+        exc.field = name
+        raise exc
 
 
 def _real_list(name: str, values, entry: str, ok, what: str, null: bool = False) -> None:

@@ -182,6 +182,15 @@ def test_config_root_refused(tmp_path, capsys, monkeypatch, body, named):
     assert not (tmp_path / "reports").exists()
 
 
+def test_unreadable_config_is_a_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # text that is not UTF-8, and an int past Python's digit limit: each was a raw ValueError
+    for text in (b"\xff", b'{"seed": ' + b"9" * 5000 + b"}"):
+        cfg.write_bytes(text)
+        with pytest.raises(ConfigError, match="^config is not valid JSON: "):
+            load_config(cfg)
+
+
 def _cz(params=None, **fields):
     return {"name": "cz_comm", "params": PR_DICT | (params or {}), **fields}
 
@@ -205,16 +214,22 @@ def _cz(params=None, **fields):
         (_cz(options=3), "suites[0].options"),
         (_cz(options=None), "suites[0].options"),
         ({"name": "maximal_bounds", "params": PR_DICT, "options": {"bogus": 1}}, "suites[0].options"),
+        ({"name": "cz_comm"}, "suites[0]"),
+        ({"name": ["cz_comm"], "params": PR_DICT}, "suites[0].name"),  # was a raw TypeError
+        (_cz({"p": 10**400}), "suites[0].params"),  # was a raw OverflowError
         ({"name": "char_norms", "params": []}, "suites[0].params"),  # was a vacuous pass
         # non-finite exponents: each was a pass on trials whose ratios were all nan
-        ({"name": "char_norms", "params": [PR_DICT | {"lam": "nan"}]}, "suites[0].params[0]"),
-        ({"name": "char_norms", "params": [PR_DICT | {"alpha": "inf"}]}, "suites[0].params[0]"),
+        ({"name": "char_norms", "params": [PR_DICT | {"lam": "nan"}]}, "suites[0].params[0].lam"),
+        (
+            {"name": "char_norms", "params": [PR_DICT | {"alpha": "inf"}]},
+            "suites[0].params[0].alpha",
+        ),
         (
             {"name": "maximal_bounds", "params": PR_DICT | {"lam": "nan"},
              "options": {"space": "herz"}},
-            "suites[0].params",
+            "suites[0].params.lam",
         ),
-        ({"name": "norm_duality", "params": PR_DICT | {"lam": "nan"}}, "suites[0].params"),
+        ({"name": "norm_duality", "params": PR_DICT | {"lam": "nan"}}, "suites[0].params.lam"),
         # a single exponent object is read as a list of one
         ({"name": "char_norms", "params": PR_DICT | {"q": None}}, "suites[0].params[0].q"),
     ],
