@@ -305,15 +305,28 @@ def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
     nonnegative terms cannot cancel: an annulus without mass is exactly 0.
     The powers are taken on ``|f| * 2**-e``, ``e`` the :func:`_power_exponent`
     of ``max|f|``: up to p of about 1022, ``+inf`` only past the float range.
+    Past that p no power of two keeps ``max|f|**p`` normal, and each annulus
+    takes its powers on its cells divided by its own peak, which sum to
+    between 1 and its cell count: its norm is ``peak * (sum * h**2)**(1/p)``.
     """
-    a = np.abs(f.values)
+    a, spec = np.abs(f.values), f.spec
     if math.isinf(p):
-        return _annulus_blocks(_segment_table(f.spec, a, np.maximum), np.maximum)
-    e = _power_exponent(float(a.max()), p, a.size)
+        return _annulus_blocks(_segment_table(spec, a, np.maximum), np.maximum)
+    top = float(a.max())
+    e = _power_exponent(top, p, a.size)
+    if top and not e and not _TINY <= _pow(top, p) < math.inf:
+        peak = _annulus_blocks(_segment_table(spec, a, np.maximum), np.maximum)
+        div = np.pad(peak, (0, 1))  # the gap (at -1) and empty annuli divide by inf
+        div[div == 0] = np.inf
+        w = peak.shape[0]  # each cell's annulus per axis, gathered through the axis runs
+        pos = np.repeat(np.abs(np.arange(-w, w + 1)) - 1, _clip_runs(spec, 0, spec.n_cells)[0])
+        a /= div[pos[:, None], pos[None, :]]
+        with np.errstate(over="ignore"):  # inf past the float range
+            return peak * _lp_table(spec, _segment_table(spec, a**p, np.add), p)
     if e:
         np.ldexp(a, -e, out=a)
     a **= p  # in place: one N x N buffer per call
-    return _lp_table(f.spec, _segment_table(f.spec, a, np.add), p, e)
+    return _lp_table(spec, _segment_table(spec, a, np.add), p, e)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -47,7 +47,9 @@ def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
     are taken on ``|f| * 2**-e``, ``e`` the :func:`grid._power_exponent` of
     ``max|f|``, and the root is scaled back by ``2**e``.  A sum that the
     weight carries past the float range, or below its normal range, is taken
-    again with its largest term factored out, as :func:`norms._lq_norm` does."""
+    again on ``w`` scaled by an exact power of two into [0.5, 1), which keeps
+    every term finite, and with its largest term factored out, as
+    :func:`norms._lq_norm` does; the root undoes the weight's scale."""
     if not (0 < p < math.inf):
         raise ValueError(f"p must be in (0, inf), got {p}")
     if f.spec != w.spec:
@@ -63,9 +65,15 @@ def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
     if _TINY <= total < math.inf:
         root = _pow(total, 1.0 / p)
     else:
+        ew = math.frexp(float(w.values.max()))[1]
+        terms = a**p * np.ldexp(w.values, -ew)
         top = float(terms.max())
-        share = float((terms / top).sum() * h2) if 0.0 < top < math.inf else 1.0
-        root = _pow(top, 1.0 / p) * _pow(share, 1.0 / p)
+        share = float((terms / top).sum() * h2) if top else 1.0
+        total = top * share  # finite; below the normal range, its two roots keep the bits
+        root = _pow(total, 1 / p) if total >= _TINY else _pow(top, 1 / p) * _pow(share, 1 / p)
+        k = math.floor(ew / p)  # 2**(ew / p) is 2**k, folded into e, times 2**(ew / p - k)
+        root *= 2.0 ** (ew / p - k)
+        e += k
     with np.errstate(over="ignore"):  # inf past the float range
         return float(np.ldexp(root, e))
 

@@ -758,8 +758,16 @@ def block_exponents(draw):
     return ExponentParams(alpha, p, q, lam)
 
 
+# p = 1 + 2**-52: the dual p is 4.5e15, where no one power of two keeps
+# max|f|**p normal, and the dual norm read 0 for a nonzero f
+_P_NEAR_1 = (-1.9999999999999998, 1.0000000000000002)
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_grid(7, 2), block_exponents(), VALUE_KINDS, VALUE_KINDS, SEEDS)
+@example(make_grid(1, 1), ExponentParams(*_P_NEAR_1, math.inf, 1.0), "normal", "normal", 97)
+@example(make_grid(1, 1), ExponentParams(*_P_NEAR_1, 1.0, 1.0), "normal", "normal", 128)
+@example(make_grid(1, 1), ExponentParams(*_P_NEAR_1, math.inf, 1.0), "normal", "normal", 0)
 def test_block_norm_upper_bounds_every_pairing_on_random_grids(spec, params, kind_f, kind_g, seed):
     # int |fg| <= ||f||_MK(dual) * ||g||_block <= ||f||_MK(dual) * upper(g)
     f = restrict_to_window(GridFunction(spec, random_values(spec, kind_f, seed)))
@@ -789,6 +797,17 @@ def test_annulus_table_matches_oracles(spec, kind, seed, p, masked):
         # not against the prefix oracle: it cancels on tiny-mass annuli (the
         # outer annuli of a narrow Gaussian come out orders of magnitude off)
         np.testing.assert_allclose(got, masked_sum_annulus_lp_table(f, p), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["normal", "sparse", "scales", "gaussian"])
+def test_annulus_table_past_p_1022_keeps_every_annulus(kind):
+    # at p = 2**52 no one power of two keeps max|f|**p normal, and every
+    # annulus read 0 or overflowed; each now takes its powers over its own
+    # peak, and its norm is that peak times area**(1/p) = 1 + O(1e-14)
+    for spec in (make_grid(1, 1), make_grid(2, 2), make_grid(3, 2)):
+        f = GridFunction(spec, random_values(spec, kind, 0))
+        want = annulus_lp_table(f, math.inf)
+        np.testing.assert_allclose(annulus_lp_table(f, 2.0**52), want, rtol=1e-13, atol=0)
 
 
 def test_annulus_table_empty_window():

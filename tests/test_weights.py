@@ -273,6 +273,17 @@ def test_weighted_lp_of_a_weight_whose_sum_passes_the_float_range(p):
     assert weighted_lp_norm(constant(g, 1.0), w, p) == pytest.approx(want, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_weighted_lp_of_terms_past_the_float_range(p):
+    # max|f| = 2 needs no scaling, but each term 2**p * 1e308 overflowed (inf,
+    # a warning under -W error), on every cell: the weight is scaled by an
+    # exact power of two too.  The norm of 2 over area 4 is 2 * (4 * 1e308)**(1/p)
+    g = make_grid(1, 3)
+    w = make_weight(constant(g, 1e308))
+    want = 2.0 * 4.0 ** (1 / p) * 1e308 ** (1 / p)  # 4e154 at p = 2
+    assert weighted_lp_norm(constant(g, 2.0), w, p) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_weighted_lp_indicator():
     rng = np.random.default_rng(4)
     w = make_weight(GridFunction(G, rng.uniform(0.5, 2.0, size=(32, 32))))
