@@ -316,9 +316,11 @@ def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
     e = _power_exponent(top, p, a.size)
     if top and not e and not _TINY <= _pow(top, p) < math.inf:
         peak = _annulus_blocks(_segment_table(spec, a, np.maximum), np.maximum)
-        div = np.pad(peak, (0, 1))  # the gap (at -1) and empty annuli divide by inf
+        # each cell over its annulus's peak, gathered per axis through the
+        # runs; the gap (position -1) and the empty annuli divide by inf
+        div = np.pad(peak, (0, 1))
         div[div == 0] = np.inf
-        w = peak.shape[0]  # each cell's annulus per axis, gathered through the axis runs
+        w = peak.shape[0]
         pos = np.repeat(np.abs(np.arange(-w, w + 1)) - 1, _clip_runs(spec, 0, spec.n_cells)[0])
         a /= div[pos[:, None], pos[None, :]]
         with np.errstate(over="ignore"):  # inf past the float range

@@ -69,7 +69,7 @@ def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
         terms = a**p * np.ldexp(w.values, -ew)
         top = float(terms.max())
         share = float((terms / top).sum() * h2) if top else 1.0
-        total = top * share  # finite; below the normal range, its two roots keep the bits
+        total = top * share  # finite; below the normal range, two roots keep its bits
         root = _pow(total, 1 / p) if total >= _TINY else _pow(top, 1 / p) * _pow(share, 1 / p)
         k = math.floor(ew / p)  # 2**(ew / p) is 2**k, folded into e, times 2**(ew / p - k)
         root *= 2.0 ** (ew / p - k)

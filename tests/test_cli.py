@@ -213,10 +213,6 @@ def _cz(params=None, **fields):
         (_cz(options=[]), "suites[0].options"),  # was read as no options
         (_cz(options=3), "suites[0].options"),
         (_cz(options=None), "suites[0].options"),
-        ({"name": "maximal_bounds", "params": PR_DICT, "options": {"bogus": 1}}, "suites[0].options"),
-        ({"name": "cz_comm"}, "suites[0]"),
-        ({"name": ["cz_comm"], "params": PR_DICT}, "suites[0].name"),  # was a raw TypeError
-        (_cz({"p": 10**400}), "suites[0].params"),  # was a raw OverflowError
         ({"name": "char_norms", "params": []}, "suites[0].params"),  # was a vacuous pass
         # non-finite exponents: each was a pass on trials whose ratios were all nan
         ({"name": "char_norms", "params": [PR_DICT | {"lam": "nan"}]}, "suites[0].params[0].lam"),
@@ -232,6 +228,10 @@ def _cz(params=None, **fields):
         ({"name": "norm_duality", "params": PR_DICT | {"lam": "nan"}}, "suites[0].params.lam"),
         # a single exponent object is read as a list of one
         ({"name": "char_norms", "params": PR_DICT | {"q": None}}, "suites[0].params[0].q"),
+        ({"name": "maximal_bounds", "params": PR_DICT, "options": {"bogus": 1}}, "suites[0].options"),
+        ({"name": "cz_comm"}, "suites[0]"),
+        ({"name": ["cz_comm"], "params": PR_DICT}, "suites[0].name"),  # was a raw TypeError
+        (_cz({"p": 10**400}), "suites[0].params"),  # was a raw OverflowError
     ],
 )
 def test_suite_fields_refused_by_name(tmp_path, capsys, entry, field):
