@@ -387,10 +387,16 @@ class GridFunction:
         """Same function represented at resolution s + extra_levels (exact)."""
         extra_levels = _integer("extra_levels", extra_levels, least=0)
         fine = GridSpec(self.spec.L_max, self.spec.s + extra_levels)
-        n, k = self.spec.n_cells, 2**extra_levels
-        # each cell as a k x k block: one copy out of a broadcast view
-        cells = np.broadcast_to(self.values[:, None, :, None], (n, k, n, k))
-        return GridFunction._adopt(fine, cells.reshape(n * k, n * k))
+        return GridFunction._adopt(fine, _cell_split(self.values, 2**extra_levels))
+
+
+def _cell_split(values: np.ndarray, k: int) -> np.ndarray:
+    """The square table ``values`` with each cell as a ``k x k`` block: one
+    copy out of a broadcast view, or ``values`` itself for ``k = 1``."""
+    if k == 1:
+        return values
+    n = values.shape[0]
+    return np.broadcast_to(values[:, None, :, None], (n, k, n, k)).reshape(n * k, n * k)
 
 
 def dilate(f: GridFunction, t: float) -> GridFunction:

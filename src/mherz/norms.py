@@ -48,6 +48,7 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     GridFunction,
     GridRectangle,
     GridSpec,
+    _central_gap,
     _integer,
     _pow,
     _power_exponent,
@@ -308,27 +309,57 @@ def annulus_lp_table(f: GridFunction, p: float) -> np.ndarray:
     Past that p no power of two keeps ``max|f|**p`` normal, and each annulus
     takes its powers on its cells divided by its own peak, which sum to
     between 1 and its cell count: its norm is ``peak * (sum * h**2)**(1/p)``.
+    Below that p, so does each annulus with mass whose scaled powers sum to
+    less than the normal range (cells far below ``max|f|``, at a large p).
     """
-    a, spec = np.abs(f.values), f.spec
+    a = np.abs(f.values)
+    return _abs_lp_table(f.spec, a, p, lambda: np.abs(f.values, out=a))
+
+
+def _abs_lp_table(spec: GridSpec, a: np.ndarray, p: float, again) -> np.ndarray:
+    """:func:`annulus_lp_table` of the function whose ``|f|`` is ``a``, a
+    fresh table it overwrites.  ``again()`` gives ``|f|`` once more; it is
+    called only where an annulus's scaled powers sum to less than the normal
+    range, and may write into ``a``, which is spent by then."""
     if math.isinf(p):
-        return _annulus_blocks(_segment_table(spec, a, np.maximum), np.maximum)
+        return _peak_table(spec, a)
     top = float(a.max())
     e = _power_exponent(top, p, a.size)
     if top and not e and not _TINY <= _pow(top, p) < math.inf:
-        peak = _annulus_blocks(_segment_table(spec, a, np.maximum), np.maximum)
-        # each cell over its annulus's peak, gathered per axis through the
-        # runs; the gap (position -1) and the empty annuli divide by inf
-        div = np.pad(peak, (0, 1))
-        div[div == 0] = np.inf
-        w = peak.shape[0]
-        pos = np.repeat(np.abs(np.arange(-w, w + 1)) - 1, _clip_runs(spec, 0, spec.n_cells)[0])
-        a /= div[pos[:, None], pos[None, :]]
-        with np.errstate(over="ignore"):  # inf past the float range
-            return peak * _lp_table(spec, _segment_table(spec, a**p, np.add), p)
+        return _over_peaks(spec, a, p, _peak_table(spec, a))
     if e:
         np.ldexp(a, -e, out=a)
     a **= p  # in place: one N x N buffer per call
-    return _lp_table(spec, _segment_table(spec, a, np.add), p, e)
+    seg = _segment_table(spec, a, np.add)
+    table = _lp_table(spec, seg, p, e)
+    low = _annulus_blocks(seg, np.add) < _TINY  # empty, or its powers underflowed
+    if top and low.any():
+        a = again()
+        peak = _peak_table(spec, a)
+        low &= peak > 0
+        if low.any():
+            table[low] = _over_peaks(spec, a, p, peak)[low]
+    return table
+
+
+def _peak_table(spec: GridSpec, a: np.ndarray) -> np.ndarray:
+    """The largest entry of ``a`` on each annulus: its ``p = inf`` table."""
+    return _annulus_blocks(_segment_table(spec, a, np.maximum), np.maximum)
+
+
+def _over_peaks(spec: GridSpec, a: np.ndarray, p: float, peak: np.ndarray) -> np.ndarray:
+    """The annulus L^p norms from ``a = |f|`` (overwritten) and its
+    :func:`_peak_table`, each taken on its cells over its own peak."""
+    # each cell over its annulus's peak, gathered per axis through the
+    # runs; the gap (position -1) and the empty annuli divide by inf
+    div = np.pad(peak, (0, 1))
+    div[div == 0] = np.inf
+    w = peak.shape[0]
+    pos = np.repeat(np.abs(np.arange(-w, w + 1)) - 1, _clip_runs(spec, 0, spec.n_cells)[0])
+    a /= div[pos[:, None], pos[None, :]]
+    a **= p
+    with np.errstate(over="ignore"):  # inf past the float range
+        return peak * _lp_table(spec, _segment_table(spec, a, np.add), p)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -570,14 +601,18 @@ class RectangleFamily:
 
 def smallest_containing_dyadic(f: GridFunction) -> DyadicRectangle | None:
     """Smallest centered dyadic rectangle containing the support of f."""
-    spec = f.spec
-    rows = f.values.any(axis=1)
+    return _support_host(f.spec, f.values)
+
+
+def _support_host(spec: GridSpec, values: np.ndarray) -> DyadicRectangle | None:
+    """:func:`smallest_containing_dyadic` of the cell table ``values``."""
+    rows = values.any(axis=1)
     if not rows.any():
         return None
     n = spec.n_cells
     mid = n // 2
     ls = []
-    for occupied in (rows, f.values.any(axis=0)):  # the support's projections
+    for occupied in (rows, values.any(axis=0)):  # the support's projections
         lo, hi = int(occupied.argmax()), n - 1 - int(occupied[::-1].argmax())
         radius_cells = max(mid - lo, hi + 1 - mid)
         ls.append((radius_cells - 1).bit_length() + 1 - spec.s)
@@ -607,6 +642,31 @@ def block_norm_upper(g: GridFunction, params: ExponentParams) -> float:
     if host is None:
         return 0.0
     return min(_block_upper_bounds(g.spec, annulus_lp_table(g, params.p), host, params))
+
+
+def _window_cut_norm(space: str, spec: GridSpec, source, params: ExponentParams) -> float:
+    """The norm ``space`` ("herz", "morrey-herz" or "block-upper") of
+    ``restrict_to_window(f)``, bit for bit, where ``source()`` gives a fresh
+    ``|f|`` table on ``spec`` (called again only where an annulus's powers
+    underflow, see :func:`_abs_lp_table`).
+
+    The cut changes only the central cross, so it is made by zeroing the
+    cross in the one ``|f|`` table the norm takes anyway, before ``max|f|``,
+    its power-of-two scale and block-upper's host are read from it: no cut
+    copy, and no ``|f|`` copy of one."""
+    a = source()
+    gap = _central_gap(spec)
+    a[gap] = 0.0
+    a[:, gap] = 0.0
+    if space == "block-upper":
+        require_predicate(params, "block")
+        host = _support_host(spec, a)
+        if host is None:
+            return 0.0
+        table = _abs_lp_table(spec, a, params.p, source)
+        return min(_block_upper_bounds(spec, table, host, params))
+    of_table = _herz_from_table if space == "herz" else _morrey_herz_from_table
+    return of_table(spec, _abs_lp_table(spec, a, params.p, source), params)
 
 
 # -- oscillation norms ---------------------------------------------------------

@@ -52,9 +52,11 @@ from .grid import (
     GridFunction,
     GridRectangle,
     GridSpec,
+    _cell_split,
     _integer,
     _python_number,
     _real,
+    _require_finite,
     annulus_comb,
     annulus_restrict,
     build_function,
@@ -77,6 +79,7 @@ from .norms import (
     _pow2,
     _rect_counts,
     _swept_rectangles,
+    _window_cut_norm,
     annulus_lp_table,
     block_norm_upper,
     bmo_mk_norm,
@@ -769,25 +772,24 @@ def _operator_sweep(
     objs: Sequence[tuple[str, Callable[[GridSpec], GridFunction]]],
     spec: GridSpec,
     op: Callable[[GridFunction], GridFunction],
-    norm: Callable[[GridFunction, ExponentParams], float],
+    space: str,
     params: ExponentParams,
     also: Callable[[GridFunction, GridFunction], dict] | None = None,
 ):
     """The operator-ratio trials of the suites: for each object ``f`` of nonzero
-    ``norm`` on ``spec``, the record of ``norm(op f)`` (``op f`` cut to the
-    window) over ``norm(f)``, whose ``extra`` is what ``also(f, op f)``
+    norm ``SPACES[space]`` on ``spec``, the record of the norm of ``op f`` cut
+    to the window over that of ``f``, whose ``extra`` is what ``also(f, op f)``
     measured.  A measured object's tables are dropped before the next build."""
     for name, build in objs:
         f = build(spec)
-        rhs = norm(f, params)
+        rhs = SPACES[space](f, params)
         if rhs == 0.0:
             continue
         opf = op(f)
         extra = also(f, opf) if also else {}
-        masked = restrict_to_window(opf)
-        del f, opf  # before the norm, which takes tables of its own
-        lhs = norm(masked, params)
-        del masked
+        del f  # before the norm, which takes a table of its own
+        lhs = _window_cut_norm(space, spec, lambda: np.abs(opf.values), params)
+        del opf
         yield TrialRecord(name, lhs, rhs, extra=extra)
 
 
@@ -807,12 +809,13 @@ def check_maximal_bounds(
     allow_out_of_hypothesis: bool = False,
 ) -> InequalityReport:
     """Ratio sweep norm(M f) / norm(f) over adversarial and random objects."""
-    norm = SPACES[space]
     caps = SUITES["maximal_bounds"].caps
     objs = trial_objects(OPERATOR_OBJECTS, grid, seed, draws=max(1, trials - 5))
 
     def run(spec: GridSpec):
-        return list(_operator_sweep(objs, spec, lambda f: strong_maximal(f, variant), norm, params))
+        return list(
+            _operator_sweep(objs, spec, lambda f: strong_maximal(f, variant), space, params)
+        )
 
     base_trials = run(grid)
     summary = _ratio_stats(base_trials)
@@ -853,39 +856,42 @@ def check_fefferman_stein(
     caps = SUITES["fefferman_stein"].caps
     # the size-family_count family is the first half of the doubled one,
     # so each member is maximised once per grid
-    family = [build for _, build in trial_objects(("member",), grid, seed, 2 * family_count)]
-
+    member = TRIAL_OBJECTS["member"]
+    seeds = [member.seed(seed, k) for k in range(2 * family_count)]
     sizes = (family_count, 2 * family_count)
 
-    def r_sum_norms(spec: GridSpec, members) -> dict:
-        # norms of (sum_{k<size} |g_k|**r)**(1/r), keyed (r index, size): one
-        # running sum per r takes the streamed members in order, so each sum
-        # has the bits of a sum over a list of them
-        n = spec.n_cells
+    def r_sum_norms(spec: GridSpec, tables, fine: GridSpec) -> dict:
+        # norms on ``fine`` of (sum_{k<size} a_k**r)**(1/r) cut to the window,
+        # keyed (r index, size), from the streamed tables a_k = |g_k| on
+        # ``spec``: one running sum per r takes them in order, so each sum has
+        # the bits of a sum over a list of them.  The sums and roots are
+        # cellwise, so each root is cell-split onto ``fine``, inside the norm
+        n, split = spec.n_cells, fine.n_cells // spec.n_cells
         sums = [np.zeros((n, n)) for _ in r_list]
         norms = {}
-        k = 0  # not enumerate(): its reused result tuple keeps the last member alive
-        for g in members:
-            a = np.abs(g.values)
-            del g  # before the scratch table, and before the next member is built
+        k = 0  # not enumerate(): its reused result tuple keeps the last table alive
+        for a in tables:
             t = np.empty_like(a)
             for r, acc in zip(r_list, sums):
                 acc += np.power(a, r, out=t)  # the bits of a ** r
-            del a, t
+            del a, t  # before the next member is built
             k += 1
             if k in sizes:
                 for i, (r, acc) in enumerate(zip(r_list, sums)):
-                    total = restrict_to_window(GridFunction._adopt(spec, acc ** (1.0 / r)))
-                    norms[i, k] = morrey_herz_norm(total, params)
-                del total
+                    _require_finite(acc)  # the DataError of a non-finite root
+                    norms[i, k] = _window_cut_norm(
+                        "morrey-herz", fine, lambda: _cell_split(acc ** (1.0 / r), split), params
+                    )
         return norms
 
     def run(spec: GridSpec):
-        # one member and its M f at a time; the f side rebuilds the members
-        # (cheap next to M f) once the M f side is done, so only one side's
-        # running sums are alive during the maximal-operator calls
-        lhs = r_sum_norms(spec, (strong_maximal(build(spec), variant) for build in family))
-        rhs = r_sum_norms(spec, (build(spec) for build in family))
+        # one member and its M f at a time, and M f >= 0 is its own |M f|.
+        # The f side runs once the M f side is done, so only one side's
+        # running sums are alive during the maximal-operator calls; it sums
+        # the members as drawn on the base grid, uncut: the cut drops the cross
+        maximal = (strong_maximal(member.realise(grid, s, spec), variant).values for s in seeds)
+        lhs = r_sum_norms(spec, maximal, spec)
+        rhs = r_sum_norms(grid, (np.abs(member.build(grid, grid, s).values) for s in seeds), spec)
         return [
             TrialRecord(
                 f"r={r},size={size}", lhs[i, size], rhs[i, size], extra={"r": r, "size": size}
@@ -973,7 +979,7 @@ def check_extrapolation(
 
     def sweep(spec: GridSpec, also=None):
         return _operator_sweep(
-            objs, spec, lambda f: EXTRAPOLATION_OPS[op](f, variant), morrey_herz_norm, params, also
+            objs, spec, lambda f: EXTRAPOLATION_OPS[op](f, variant), "morrey-herz", params, also
         )
 
     probes = trial_objects(OPERATOR_OBJECTS, grid, seed + 1)[1 : 1 + max(1, trials // 2)]
@@ -1198,7 +1204,7 @@ def check_cz_comm(
 
     # (i) the plain operator layer, the one the refinement recomputes
     objs = [(f"tk:{name}", build) for name, build in trial_objects(OPERATOR_OBJECTS, grid, seed, 2)]
-    tk = functools.partial(_operator_sweep, objs, op=cz_apply, norm=morrey_herz_norm, params=params)
+    tk = functools.partial(_operator_sweep, objs, op=cz_apply, space="morrey-herz", params=params)
     base_trials = list(tk(grid))
     tk_max = _ratio_stats(base_trials)["max_ratio"]
     # (ii)+(iii) commutator dilation sweep, kept at a zero right side unless
@@ -1212,7 +1218,9 @@ def check_cz_comm(
     for (label, build), expected in zip(symbols, COMMUTATOR_SYMBOLS.values()):
         bsym = build(grid)
         for t, ft, rhs in zip(DILATIONS, dilated, rhs_of):
-            lhs = morrey_herz_norm(restrict_to_window(commutator(bsym, ft)), params)
+            c = commutator(bsym, ft)
+            lhs = _window_cut_norm("morrey-herz", grid, lambda: np.abs(c.values), params)
+            del c
             name = f"comm:{label}:t={t}"
             if lhs == rhs == 0.0:
                 skipped.append(f"skipped {name}: both sides are 0")

@@ -603,17 +603,24 @@ def window_oscillation_table(f, rect, p):
     return _lp_table(f.spec, blocks, p)[0]
 
 
-def masked_sum_annulus_lp_table(f, p):
+def masked_sum_annulus_lp_table(f, p, over_peaks=False):
     """Oracle: each entry sums |f|^p (max |f| for p = inf) over the cells
-    that the two axis masks of one annulus pick out."""
+    that the two axis masks of one annulus pick out.  With ``over_peaks``
+    each annulus's own peak is factored out, so none with mass underflows
+    to 0, as in annulus_lp_table; the bmo sweep still flushes such an
+    annulus, and is compared without it."""
     spec = f.spec
-    a = np.abs(f.values) if math.isinf(p) else np.abs(f.values) ** p
+    a = np.abs(f.values)
     masks = [annulus_mask_1d(spec, i) for i in spec.window_range()]
     w = len(masks)
-    if math.isinf(p):
-        return np.array([[a[mx][:, my].max() for my in masks] for mx in masks]).reshape(w, w)
-    sums = np.array([[a[mx][:, my].sum() for my in masks] for mx in masks]).reshape(w, w)
-    return (sums * spec.h * spec.h) ** (1.0 / p)
+
+    def norm(block):
+        peak = block.max() if over_peaks else 1.0
+        if math.isinf(p) or peak == 0.0:
+            return block.max()
+        return peak * (((block / peak) ** p).sum() * spec.h * spec.h) ** (1.0 / p)
+
+    return np.array([[norm(a[mx][:, my]) for my in masks] for mx in masks]).reshape(w, w)
 
 
 def mask_bmo_mk_norm(f, params, family, table=prefix_annulus_lp_table):
@@ -796,7 +803,8 @@ def test_annulus_table_matches_oracles(spec, kind, seed, p, masked):
     else:
         # not against the prefix oracle: it cancels on tiny-mass annuli (the
         # outer annuli of a narrow Gaussian come out orders of magnitude off)
-        np.testing.assert_allclose(got, masked_sum_annulus_lp_table(f, p), rtol=1e-12, atol=0)
+        want = masked_sum_annulus_lp_table(f, p, over_peaks=True)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["normal", "sparse", "scales", "gaussian"])
@@ -808,6 +816,66 @@ def test_annulus_table_past_p_1022_keeps_every_annulus(kind):
         f = GridFunction(spec, random_values(spec, kind, 0))
         want = annulus_lp_table(f, math.inf)
         np.testing.assert_allclose(annulus_lp_table(f, 2.0**52), want, rtol=1e-13, atol=0)
+
+
+def _one_peak_cell(spec, k=0):
+    """|f| = 2**k on one window cell and 2**k * 1e-3 on the others."""
+    values = restrict_to_window(constant(spec, 1e-3)).values.copy()
+    values[1, 1] = 1.0
+    return GridFunction(spec, values * 2.0**k)
+
+
+@pytest.mark.parametrize("p", [200.0, 2.0**52])
+def test_annulus_table_keeps_annuli_far_below_the_peak(p):
+    # max|f| = 1 has a normal p-th power, so no scale is taken, while the
+    # powers of 1e-3 underflow: 8 of the 9 annuli read 0.0.  Each such
+    # annulus now takes its powers over its own peak
+    spec = make_grid(2, 2)
+    f = _one_peak_cell(spec)
+    cells = annulus_lp_table(restrict_to_window(constant(spec, 1.0)), 1.0) / spec.h**2
+    want = 1e-3 * (cells * spec.h**2) ** (1.0 / p)
+    peak = annulus_lp_table(f, math.inf) == 1.0  # the annulus of the peak cell
+    want[peak] = (spec.h**2) ** (1.0 / p)  # the other cells add 1e-600 and less
+    np.testing.assert_allclose(annulus_lp_table(f, p), want, rtol=1e-13, atol=0)
+    pr = ExponentParams(0.0, p, 2.0, 0.05)
+    for k in (-600, 600):  # N(2**k f) = 2**k N(f) past the normal range
+        g = _one_peak_cell(spec, k)
+        for norm in (herz_norm, morrey_herz_norm):
+            assert norm(g, pr) == pytest.approx(2.0**k * norm(f, pr), rel=1e-13, abs=0), k
+
+
+@st.composite
+def cut_cases(draw):
+    """A space of ``SPACES``, exponents its norm takes (block-upper's admit
+    the block predicate) with ``p`` up to inf and past about 1022, and a
+    function on a random grid, scaled by ``2**k``, whose peak may sit on
+    the central cross."""
+    space = draw(st.sampled_from(sorted(verification.SPACES)))
+    p = draw(st.floats(1.0, 6.0) | st.sampled_from([math.inf, 2000.0, 2.0**52]))
+    q = draw(st.floats(0.5, 6.0) | st.just(math.inf))
+    lam = draw(st.floats(0.05, 1.0))
+    if space == "block-upper":
+        alpha = 1.0 / conjugate_exponent(p) - lam - draw(st.floats(0.01, 1.5))
+    else:
+        alpha = draw(st.floats(-1.0, 1.0))
+    spec = draw(random_grid(7, 2))
+    values = random_values(spec, draw(VALUE_KINDS), draw(SEEDS)) * 2.0 ** draw(
+        st.sampled_from([-600, 0, 600])
+    )
+    if draw(st.booleans()):  # max|g| on the central cross, which the cut drops
+        values[spec.n_cells // 2] = 4.0 * np.abs(values).max()
+    return space, ExponentParams(alpha, p, q, lam), GridFunction(spec, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_cases())
+def test_window_cut_norm_equals_the_norm_of_the_cut_function(case):
+    # the cut zeroes only the central cross, in the one |g| table the norm
+    # takes: every bit as the norm of restrict_to_window(g)
+    space, params, g = case
+    want = verification.SPACES[space](restrict_to_window(g), params)
+    got = norms._window_cut_norm(space, g.spec, lambda: np.abs(g.values), params)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
 
 
 def test_annulus_table_empty_window():
