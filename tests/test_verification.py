@@ -494,9 +494,10 @@ def test_fefferman_stein_streams_its_family():
     # members and their M f at once, the suite read 21 N**2.  Streaming the
     # members, one side's three running sums and one member are alive while
     # the maximal operator runs: 9.8 N**2 with |f| and an overlap copy beside
-    # the kernel's tables, 7.93 N**2 without them.  The cap sits at that
-    # peak, so no table of a norm, not even a base-grid one (0.25 N**2),
-    # may outlive it across a maximal call
+    # the kernel's tables, 7.93 N**2 without them.  The cap sits just above
+    # that peak (Python objects differ a little between versions), so no
+    # table of a norm, not even a base-grid one (0.25 N**2), may outlive its
+    # norm across a maximal call
     check_fefferman_stein(make_grid(2, 2), PR, seed=2027)  # warm the caches
     tracemalloc.start()
     try:
@@ -505,7 +506,7 @@ def test_fefferman_stein_streams_its_family():
     finally:
         tracemalloc.stop()
     n = finest_grid(G, True).n_cells
-    assert peak < 7.96 * 8 * n * n, peak / (8 * n * n)
+    assert peak < 7.98 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_fefferman_stein_refuses_an_r_sum_past_the_float_range(monkeypatch):
