@@ -399,6 +399,27 @@ def _cell_split(values: np.ndarray, k: int) -> np.ndarray:
     return np.broadcast_to(values[:, None, :, None], (n, k, n, k)).reshape(n * k, n * k)
 
 
+def _cut_cross(spec: GridSpec, a: np.ndarray) -> np.ndarray:
+    """``a``, a table of ``|f|`` on ``spec``, with its central cross zeroed in
+    place: the ``|f|`` of :func:`restrict_to_window`'s cut, since the cross
+    is the only part of the grid the cut changes."""
+    gap = _central_gap(spec)
+    a[gap] = 0.0
+    a[:, gap] = 0.0
+    return a
+
+
+def _window_abs(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """A fresh ``|f|`` table on ``spec``, cut to the window, of the function
+    whose cell table on a grid of the same box, as fine or coarser, is
+    ``values``: the bits of ``np.abs(restrict_to_window(f.refine(j)).values)``
+    without the refined or the cut copy, since ``|.|`` is taken in place in
+    the cell-split copy."""
+    k = spec.n_cells // values.shape[0]
+    a = _cell_split(values, k)
+    return _cut_cross(spec, np.abs(a, out=a) if k > 1 else np.abs(a))
+
+
 def dilate(f: GridFunction, t: float) -> GridFunction:
     """The dilation z -> f(z/t), sampled at cell centers (t >= 1).
 

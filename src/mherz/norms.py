@@ -48,7 +48,7 @@ from .grid import (  # noqa: F401  (window_mask is re-exported)
     GridFunction,
     GridRectangle,
     GridSpec,
-    _central_gap,
+    _cut_cross,
     _integer,
     _pow,
     _power_exponent,
@@ -342,24 +342,28 @@ def _abs_lp_table(spec: GridSpec, a: np.ndarray, p: float, again) -> np.ndarray:
     return table
 
 
-def _peak_table(spec: GridSpec, a: np.ndarray) -> np.ndarray:
-    """The largest entry of ``a`` on each annulus: its ``p = inf`` table."""
-    return _annulus_blocks(_segment_table(spec, a, np.maximum), np.maximum)
+def _peak_table(spec: GridSpec, a: np.ndarray, x0: int = 0, y0: int = 0) -> np.ndarray:
+    """The largest entry of ``a``, the cells of the rectangle with low corner
+    ``(x0, y0)``, on each annulus: its ``p = inf`` table."""
+    return _annulus_blocks(_segment_table(spec, a, np.maximum, x0, y0), np.maximum)
 
 
-def _over_peaks(spec: GridSpec, a: np.ndarray, p: float, peak: np.ndarray) -> np.ndarray:
-    """The annulus L^p norms from ``a = |f|`` (overwritten) and its
-    :func:`_peak_table`, each taken on its cells over its own peak."""
+def _over_peaks(
+    spec: GridSpec, a: np.ndarray, p: float, peak: np.ndarray, x0: int = 0, y0: int = 0
+) -> np.ndarray:
+    """The annulus L^p norms from ``a = |f|`` (overwritten) on the cells of
+    the rectangle with low corner ``(x0, y0)`` and its :func:`_peak_table`,
+    each taken on its cells over its own peak."""
     # each cell over its annulus's peak, gathered per axis through the
     # runs; the gap (position -1) and the empty annuli divide by inf
     div = np.pad(peak, (0, 1))
     div[div == 0] = np.inf
     w = peak.shape[0]
     pos = np.repeat(np.abs(np.arange(-w, w + 1)) - 1, _clip_runs(spec, 0, spec.n_cells)[0])
-    a /= div[pos[:, None], pos[None, :]]
+    a /= div[pos[x0 : x0 + a.shape[0], None], pos[None, y0 : y0 + a.shape[1]]]
     a **= p
     with np.errstate(over="ignore"):  # inf past the float range
-        return peak * _lp_table(spec, _segment_table(spec, a, np.add), p)
+        return peak * _lp_table(spec, _segment_table(spec, a, np.add, x0, y0), p)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -654,10 +658,7 @@ def _window_cut_norm(space: str, spec: GridSpec, source, params: ExponentParams)
     cross in the one ``|f|`` table the norm takes anyway, before ``max|f|``,
     its power-of-two scale and block-upper's host are read from it: no cut
     copy, and no ``|f|`` copy of one."""
-    a = source()
-    gap = _central_gap(spec)
-    a[gap] = 0.0
-    a[:, gap] = 0.0
+    a = _cut_cross(spec, source())
     if space == "block-upper":
         require_predicate(params, "block")
         host = _support_host(spec, a)
@@ -725,8 +726,8 @@ def bmo_mk_norm(
     denoms = _indicator_denominators(spec, tuple(rects), params)
     # |f - f_R| is at most 2 max|f|: its powers at most 2**p times those of max|f|
     e = _power_exponent(float(max(f.values.max(), -f.values.min())), p, f.values.size * _pow2(p))
-    sums, blocks = _oscillation_sweep(f, rects, p, [d != 0.0 for d in denoms], e)
-    nums = _morrey_herz_from_table(spec, _lp_table(spec, blocks, p, e), params)
+    sums, tables = _oscillation_tables(f, rects, p, [d != 0.0 for d in denoms], e)
+    nums = _morrey_herz_from_table(spec, tables, params)
     best = 0.0
     notes: list[str] = []
     for r, num, denom in zip(rects, nums.tolist(), denoms):
@@ -779,6 +780,43 @@ def _oscillation_sweep(
         dev **= p
         _segment_table(spec, dev, np.add, r.ix0, r.iy0, out=blocks[i])
     return sums, blocks
+
+
+def _oscillation_tables(
+    f: GridFunction, rects: list[GridRectangle], p: float, rows, e: int = 0
+) -> tuple[list[float], np.ndarray]:
+    """The ``|f - f_R|`` sums of :func:`_oscillation_sweep` and the stack of
+    annulus tables (:func:`_lp_table`) of its rows, the numerators
+    ``(f - f_R) chi_R`` cut to the window.
+
+    An annulus that meets ``R`` but whose scaled powers sum below the normal
+    range (its cells far below ``max|f|``) takes the per-peak form of
+    :func:`annulus_lp_table` instead, and only that annulus, so every other
+    entry keeps its bits.  Such rows are found at once for the whole stack,
+    from its sums and the rectangles' corners; each is mended from
+    ``|f - f_R|`` on ``R`` taken again.  A row with no oscillation (``f``
+    constant on ``R``) has nothing to mend.
+    """
+    spec = f.spec
+    sums, blocks = _oscillation_sweep(f, rects, p, rows, e)
+    tables = _lp_table(spec, blocks, p, e)
+    low = _annulus_blocks(blocks, np.add) < _TINY
+    del blocks
+    starts = _segment_starts(spec)
+    ends = np.append(starts[1:], spec.n_cells)
+    x0, x1, y0, y1 = np.array([(r.ix0, r.ix1, r.iy0, r.iy1) for r in rects]).T
+    # the axis runs each rectangle meets, and from them the annuli
+    mx = np.minimum(x1[:, None], ends) > np.maximum(x0[:, None], starts)
+    my = np.minimum(y1[:, None], ends) > np.maximum(y0[:, None], starts)
+    low &= _annulus_blocks(mx[:, :, None] & my[:, None, :], np.logical_or)
+    live = np.asarray(rows, dtype=bool) & (np.array(sums) > 0.0)
+    for i in np.flatnonzero(live & low.any(axis=(1, 2))):
+        r = rects[i]
+        dev = np.abs(f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - f.rect_means([r])[0])
+        peak = _peak_table(spec, dev, r.ix0, r.iy0)
+        low[i] &= peak > 0
+        tables[i][low[i]] = _over_peaks(spec, dev, p, peak, r.ix0, r.iy0)[low[i]]
+    return sums, tables
 
 
 @functools.lru_cache(maxsize=32)

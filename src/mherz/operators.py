@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -259,31 +260,32 @@ _MAXIMAL_KERNELS = {
 }
 
 
-def _scaled_abs(values: np.ndarray, e: int) -> np.ndarray:
-    """A fresh ``|values| * 2**-e`` (exact: a power of two)."""
-    absv = np.abs(values)
-    if e:
-        np.ldexp(absv, -e, out=absv)
-    return absv
-
-
-def strong_maximal(f: GridFunction, variant: str = DYADIC_SIDES) -> GridFunction:
-    """Discrete strong maximal function of f for the chosen rectangle family."""
-    n = f.spec.n_cells
+def _maximal_table(spec: GridSpec, source: Callable[[], np.ndarray], variant: str) -> np.ndarray:
+    """The values of the strong maximal function, for the chosen rectangle
+    family, of the function on ``spec`` whose ``|f|`` table ``source()``
+    gives fresh at each of its two calls: the kernel's input, then the
+    single-cell rectangle."""
+    n = spec.n_cells
     kernel = _MAXIMAL_KERNELS[as_variant(variant, n)]
-    v = f.values
     # the kernels' prefix sums would overflow (and inf - inf is NaN) unless
-    # |f| is scaled by the exact power of two 2**-e; max |f| is read from
-    # the extremes, without an N x N |f| temporary
-    e = _power_exponent(max(float(v.max()), -float(v.min())), 1.0, n * n)
-    # |f| is passed without a name here, so the dyadic kernel can free it
-    out = kernel(_scaled_abs(v, e))
+    # |f| is scaled, in place, by the exact power of two 2**-e.  The table
+    # leaves the list unnamed, so the dyadic kernel can free it
+    fresh = [source()]
+    e = _power_exponent(float(fresh[0].max()), 1.0, n * n)
+    if e:
+        np.ldexp(fresh[0], -e, out=fresh[0])
+    out = kernel(fresh.pop())
     if e:
         np.ldexp(out, e, out=out)
     # the single-cell rectangle is in every family; evaluating it directly
     # makes M f >= |f| exact instead of up to prefix-sum cancellation noise
-    np.maximum(out, np.abs(v), out=out)
-    return GridFunction._adopt(f.spec, out)
+    np.maximum(out, source(), out=out)
+    return out
+
+
+def strong_maximal(f: GridFunction, variant: str = DYADIC_SIDES) -> GridFunction:
+    """Discrete strong maximal function of f for the chosen rectangle family."""
+    return GridFunction._adopt(f.spec, _maximal_table(f.spec, lambda: np.abs(f.values), variant))
 
 
 # -- Rubio de Francia iteration --------------------------------------------------

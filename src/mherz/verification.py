@@ -57,6 +57,7 @@ from .grid import (
     _python_number,
     _real,
     _require_finite,
+    _window_abs,
     annulus_comb,
     annulus_restrict,
     build_function,
@@ -94,6 +95,7 @@ from .norms import (
 from .operators import (
     DOUBLE_HILBERT,
     DYADIC_SIDES,
+    _maximal_table,
     as_variant,
     commutator,
     cz_apply,
@@ -855,46 +857,62 @@ def check_fefferman_stein(
     """Vector-valued maximal inequality: r-sums before vs after the operator."""
     caps = SUITES["fefferman_stein"].caps
     # the size-family_count family is the first half of the doubled one,
-    # so each member is maximised once per grid
+    # so each member is drawn and maximised once per grid
     member = TRIAL_OBJECTS["member"]
     seeds = [member.seed(seed, k) for k in range(2 * family_count)]
     sizes = (family_count, 2 * family_count)
 
-    def r_sum_norms(spec: GridSpec, tables, fine: GridSpec) -> dict:
-        # norms on ``fine`` of (sum_{k<size} a_k**r)**(1/r) cut to the window,
-        # keyed (r index, size), from the streamed tables a_k = |g_k| on
-        # ``spec``: one running sum per r takes them in order, so each sum has
-        # the bits of a sum over a list of them.  The sums and roots are
-        # cellwise, so each root is cell-split onto ``fine``, inside the norm
-        n, split = spec.n_cells, fine.n_cells // spec.n_cells
+    def r_sums(n: int, grids, norms: dict) -> Callable[[np.ndarray], None]:
+        # add(a) takes the next member's table a = |g_k| on an n x n grid
+        # into one running sum per r, in order, so each sum has the bits of a
+        # sum over a list of them.  At each family size, each sum's root goes
+        # into norms[spec, r index, size], its norm on each grid ``spec`` of
+        # ``grids`` cut to the window: the sums and roots are cellwise, so
+        # the root is cell-split onto ``spec`` inside the norm
         sums = [np.zeros((n, n)) for _ in r_list]
-        norms = {}
-        k = 0  # not enumerate(): its reused result tuple keeps the last table alive
-        for a in tables:
+        k = 0
+
+        def add(a: np.ndarray) -> None:
+            nonlocal k
             t = np.empty_like(a)
             for r, acc in zip(r_list, sums):
                 acc += np.power(a, r, out=t)  # the bits of a ** r
-            del a, t  # before the next member is built
+            del a, t  # before the next member is drawn
             k += 1
-            if k in sizes:
-                for i, (r, acc) in enumerate(zip(r_list, sums)):
-                    _require_finite(acc)  # the DataError of a non-finite root
-                    norms[i, k] = _window_cut_norm(
-                        "morrey-herz", fine, lambda: _cell_split(acc ** (1.0 / r), split), params
+            if k not in sizes:
+                return
+            for i, (r, acc) in enumerate(zip(r_list, sums)):
+                _require_finite(acc)  # the DataError of a non-finite root
+                for spec in grids:
+                    split = spec.n_cells // n
+                    norms[spec, i, k] = _window_cut_norm(
+                        "morrey-herz", spec, lambda: _cell_split(acc ** (1.0 / r), split), params
                     )
-        return norms
+
+        return add
+
+    rhs: dict = {}  # the f side, summed in the base run for both grids
 
     def run(spec: GridSpec):
-        # one member and its M f at a time, and M f >= 0 is its own |M f|.
-        # The f side runs once the M f side is done, so only one side's
-        # running sums are alive during the maximal-operator calls; it sums
-        # the members as drawn on the base grid, uncut: the cut drops the cross
-        maximal = (strong_maximal(member.realise(grid, s, spec), variant).values for s in seeds)
-        lhs = r_sum_norms(spec, maximal, spec)
-        rhs = r_sum_norms(grid, (np.abs(member.build(grid, grid, s).values) for s in seeds), spec)
+        # one member at a time, drawn on the base grid: its M f on ``spec``
+        # from fresh cut |g| tables, and M f >= 0 is its own |M f|.  In the
+        # base run |g| of the same uncut draw goes into the f side, whose
+        # roots the cut norm cuts on either grid; so the refinement run,
+        # which sets the peak, holds only its M f side's running sums
+        lhs: dict = {}
+        add_mf = r_sums(spec.n_cells, [spec], lhs)
+        add_f = spec == grid and r_sums(grid.n_cells, {grid, finest_grid(grid, refine)}, rhs)
+        for s in seeds:
+            g = member.build(grid, grid, s).values
+            add_mf(_maximal_table(spec, lambda: _window_abs(spec, g), variant))
+            if add_f:
+                add_f(np.abs(g))
         return [
             TrialRecord(
-                f"r={r},size={size}", lhs[i, size], rhs[i, size], extra={"r": r, "size": size}
+                f"r={r},size={size}",
+                lhs[spec, i, size],
+                rhs[spec, i, size],
+                extra={"r": r, "size": size},
             )
             for i, r in enumerate(r_list)
             for size in sizes

@@ -32,6 +32,7 @@ from mherz import norms
 from mherz.norms import (
     ExponentParams,
     RectangleFamily,
+    _annulus_blocks,
     _block_upper_bounds,
     _cell_counts,
     _clip_runs,
@@ -45,6 +46,7 @@ from mherz.norms import (
     _morrey_herz_from_table,
     _oscillation_sup,
     _oscillation_sweep,
+    _oscillation_tables,
     _rect_counts,
     annulus_lp_table,
     block_norm_upper,
@@ -544,6 +546,30 @@ def test_bmo_mk_constant_zero_and_homogeneous():
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
+def test_bmo_tables_keep_annuli_far_below_the_peak():
+    # max|f| = 1 at cell (0, 0) leaves the sweep's powers unscaled.  On
+    # R = [2, 16)^2, which misses that cell, f_R reads 0 (the 1.0 cancels in
+    # the prefix sums) and |f - f_R| is 1e-250 on every cell of R but
+    # 3e-250 at (3, 5), so every square underflows and each annulus of R
+    # read 0.0.  Its norm is h * 1e-250 * sqrt(count + 8 [(3, 5) in it])
+    spec = make_grid(2, 2)
+    values = np.full((16, 16), 1e-250)
+    values[0, 0], values[3, 5] = 1.0, 3e-250
+    f = GridFunction(spec, values)
+    rect = GridRectangle(2, 16, 2, 16)
+    assert f.rect_means([rect])[0] == 0.0
+    counts = _rect_counts(spec, [rect])
+    masks = [annulus_mask_1d(spec, i) for i in spec.window_range()]
+    peak_in = np.outer([m[3] for m in masks], [m[5] for m in masks])
+    want = spec.h * 1e-250 * np.sqrt(_annulus_blocks(counts, np.add)[0] + 8.0 * peak_in)
+    assert want.min() > 0.0
+    np.testing.assert_allclose(window_oscillation_table(f, rect, 2.0), want, rtol=1e-14, atol=0)
+    value, plain, _ = bmo_mk_norm(f, PR, [rect])
+    assert plain == pytest.approx(1.98e-248 / 196, rel=1e-14)
+    (denom,) = _indicator_norms(spec, counts, PR)
+    assert value == pytest.approx(_morrey_herz_from_table(spec, want, PR) / denom, rel=1e-13)
+
+
 def test_bmo_mk_requires_predicates():
     fam = RectangleFamily("dyadic-centered")
     with pytest.raises(PredicateError):
@@ -598,26 +624,25 @@ def prefix_annulus_lp_table(f, p):
 
 def window_oscillation_table(f, rect, p):
     """The annulus table of ``(f - f_R) chi_R`` masked to the window: the
-    oscillation sweep of ``rect`` alone (finite ``p``)."""
-    _, blocks = _oscillation_sweep(f, [rect], p, [True])
-    return _lp_table(f.spec, blocks, p)[0]
+    oscillation tables of ``rect`` alone (finite ``p``)."""
+    _, tables = _oscillation_tables(f, [rect], p, [True])
+    return tables[0]
 
 
-def masked_sum_annulus_lp_table(f, p, over_peaks=False):
+def masked_sum_annulus_lp_table(f, p):
     """Oracle: each entry sums |f|^p (max |f| for p = inf) over the cells
-    that the two axis masks of one annulus pick out.  With ``over_peaks``
-    each annulus's own peak is factored out, so none with mass underflows
-    to 0, as in annulus_lp_table; the bmo sweep still flushes such an
-    annulus, and is compared without it."""
+    that the two axis masks of one annulus pick out, with the annulus's own
+    peak factored out, so none with mass underflows to 0, as in
+    annulus_lp_table and the bmo oscillation tables."""
     spec = f.spec
     a = np.abs(f.values)
     masks = [annulus_mask_1d(spec, i) for i in spec.window_range()]
     w = len(masks)
 
     def norm(block):
-        peak = block.max() if over_peaks else 1.0
+        peak = block.max()
         if math.isinf(p) or peak == 0.0:
-            return block.max()
+            return peak
         return peak * (((block / peak) ** p).sum() * spec.h * spec.h) ** (1.0 / p)
 
     return np.array([[norm(a[mx][:, my]) for my in masks] for mx in masks]).reshape(w, w)
@@ -803,7 +828,7 @@ def test_annulus_table_matches_oracles(spec, kind, seed, p, masked):
     else:
         # not against the prefix oracle: it cancels on tiny-mass annuli (the
         # outer annuli of a narrow Gaussian come out orders of magnitude off)
-        want = masked_sum_annulus_lp_table(f, p, over_peaks=True)
+        want = masked_sum_annulus_lp_table(f, p)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -1115,6 +1140,8 @@ BMO_CASES = st.sampled_from(["dyadic-centered", "dyadic-sides", "exact-grid"]).f
     st.sampled_from([1.0, 2.0]),
 )
 @example(("dyadic-centered", make_grid(1, 6), 1), "sparse", 0, 3.0, 1.0)
+# the Gaussian's outer powers fall below the normal range
+@example(("dyadic-sides", make_grid(5, 0), 1), "gaussian", 0, 1.5, 1.0)
 def test_bmo_mk_norm_matches_mask_oracle(case, kind, seed, p, q):
     family_kind, spec, stride = case
     f = GridFunction(spec, random_values(spec, kind, seed))
@@ -1277,11 +1304,16 @@ def test_bmo_mk_norm_non_finite_oscillation_raises():
 # -- the one-pass oscillation sweep against the per-rectangle loops it replaced ----------
 
 
-def loop_lp_table(spec, seg, p):
-    """Oracle: one run-block table to annulus L^p norms, per entry in libm."""
+def loop_annulus_sums(seg):
+    """Oracle: each annulus's sum of its four run blocks of ``seg``."""
     w = seg.shape[0] // 2
     left, right = seg[:w][::-1], seg[w + 1 :]
-    sums = left[:, :w][:, ::-1] + left[:, w + 1 :] + right[:, :w][:, ::-1] + right[:, w + 1 :]
+    return left[:, :w][:, ::-1] + left[:, w + 1 :] + right[:, :w][:, ::-1] + right[:, w + 1 :]
+
+
+def loop_lp_table(spec, seg, p):
+    """Oracle: one run-block table to annulus L^p norms, per entry in libm."""
+    sums = loop_annulus_sums(seg)
     roots = np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
     return roots * (spec.h * spec.h) ** (1.0 / p)
 
@@ -1317,11 +1349,22 @@ def loop_run_blocks(spec, a, r):
 
 def loop_oscillation_table(f, r, p, e=0):
     """Oracle: the annulus table of ``(f - f_R) chi_R`` masked to the window,
-    its powers taken on ``|f - f_R| * 2**-e`` and its roots scaled back."""
+    its powers taken on ``|f - f_R| * 2**-e`` and its roots scaled back; an
+    annulus with mass whose scaled powers sum below the normal range is
+    taken alone, on its cells over its own peak."""
+    spec = f.spec
     osc = f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - f.rect_means([r])[0]
     _require_finite(osc)
-    seg = loop_run_blocks(f.spec, np.ldexp(np.abs(osc), -e) ** p, r)
-    return np.ldexp(loop_lp_table(f.spec, seg, p), e)
+    seg = loop_run_blocks(spec, np.ldexp(np.abs(osc), -e) ** p, r)
+    table = np.ldexp(loop_lp_table(spec, seg, p), e)
+    masks = [annulus_mask_1d(spec, i) for i in spec.window_range()]
+    for ii, jj in zip(*np.nonzero(loop_annulus_sums(seg) < np.finfo(float).tiny)):
+        mx, my = masks[ii][r.ix0 : r.ix1], masks[jj][r.iy0 : r.iy1]
+        peak = float(np.abs(osc)[mx][:, my].max(initial=0.0))
+        if peak > 0.0:
+            over = loop_run_blocks(spec, (np.abs(osc) / peak) ** p, r)
+            table[ii, jj] = peak * loop_lp_table(spec, over, p)[ii, jj]
+    return table
 
 
 def loop_bmo_norm(f, family):
@@ -1411,8 +1454,7 @@ def test_oscillation_sweep_bit_identical_to_per_rectangle_loops(case, kind, seed
         except DataError:
             tables = None
         if tables is not None:  # every rectangle's table and norm, batched and alone
-            blocks = _oscillation_sweep(f, rects, p, [True] * len(rects))[1]
-            stack = _lp_table(spec, blocks, p)
+            stack = _oscillation_tables(f, rects, p, [True] * len(rects))[1]
             assert all(np.array_equal(a, b) for a, b in zip(stack, tables, strict=True))
             got = _morrey_herz_from_table(spec, stack, params).tolist()
             assert got == [loop_morrey_herz(spec, t, params) for t in tables]

@@ -803,6 +803,53 @@ def test_maximal_bits_do_not_depend_on_its_scratch(table, variant):
         assert np.array_equal(got.view(np.int64), want), empty
 
 
+@st.composite
+def cut_members(draw):
+    """A variant, a base grid, a grid on the same box up to two levels finer
+    (64 cells a side at most for exact-grid), and a table on the base grid:
+    signed normals, sparse or over 60 decades, scaled by ``2**k``, or cells
+    near the float range or below the normal range, where the maximal
+    operator scales ``|f|``.  Half the tables have ``4 max|f|`` on the base
+    row that the fine grid's central cross splits from."""
+    variant = draw(st.sampled_from([EXACT_GRID, DYADIC_SIDES, ITERATED_1D]))
+    level = draw(st.integers(1, 6 if variant == EXACT_GRID else 8))
+    L_max = draw(st.integers(1, level))
+    extra = draw(st.integers(0, min(2, level - L_max)))
+    base = make_grid(L_max, level - L_max - extra)
+    n = base.n_cells
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["normal", "sparse", "decades", "huge", "subnormal"]))
+    values = {
+        "normal": lambda: rng.normal(size=(n, n)),
+        "sparse": lambda: rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.1),
+        "decades": lambda: rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-30, 30, (n, n)),
+        "huge": lambda: rng.uniform(-1.0, 1.0, (n, n)) * 1.7e308,
+        "subnormal": lambda: rng.normal(size=(n, n)) * 2.0**-1060,
+    }[kind]()
+    if kind in ("normal", "sparse", "decades"):
+        values *= 2.0 ** draw(st.sampled_from([-600, 0, 600]))
+    if draw(st.booleans()) and kind != "huge":  # the peak on the cross, which the cut drops
+        values[n // 2] = 4.0 * np.abs(values).max()
+    return variant, GridFunction(base, values), make_grid(L_max, level - L_max)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cut_members())
+def test_maximal_table_of_a_cut_split_draw_is_the_maximal_of_the_cut_refined_function(case):
+    # the Fefferman-Stein members reach the maximal operator as fresh |g|
+    # tables: the base draw cell-split onto the run's grid, |.| in place,
+    # the central cross zeroed.  That is the maximal function of the refined
+    # member cut to the window, every bit of it
+    variant, g, spec = case
+    refined = g.refine(spec.s - g.spec.s)
+    want = strong_maximal(restrict_to_window(refined), variant).values
+    assert np.array_equal(
+        grid._window_abs(spec, g.values), np.abs(restrict_to_window(refined).values)
+    )
+    got = operators._maximal_table(spec, lambda: grid._window_abs(spec, g.values), variant)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_kernels_take_their_scratch_from_the_aligned_helper(monkeypatch):
     sizes = []
 
