@@ -358,9 +358,9 @@ class GridFunction:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GridFunction is immutable")
 
-    def rect_means(self, rects, absolute: bool = False) -> np.ndarray:
-        """Mean cell value of f (or |f|) over each rectangle of the sequence
-        ``rects``: the one rectangle reduction.
+    def rect_means(self, rects) -> np.ndarray:
+        """Mean cell value of f over each rectangle of the sequence ``rects``:
+        the one rectangle reduction.
 
         All boxes come from one prefix table, built for this call and dropped
         after it.  Where cell sums could overflow, or ``max|f|`` is below
@@ -372,14 +372,11 @@ class GridFunction:
         vals = self.values
         lo, hi = float(vals.min()), float(vals.max())
         e = _power_exponent(max(hi, -lo), 1.0, vals.size)
-        a = np.abs(vals) if absolute else vals
-        P = _prefix_table(np.ldexp(a, -e) if e else a)
+        P = _prefix_table(np.ldexp(vals, -e) if e else vals)
         x0, x1, y0, y1 = np.array([(r.ix0, r.ix1, r.iy0, r.iy1) for r in rects]).T
         means = _box_sum(P, x0, x1, y0, y1) / ((x1 - x0) * (y1 - y0))
         if not e:
             return means
-        if absolute:  # |f| of mixed signs is bounded by [0, max|f|]
-            lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0.0, max(hi, -lo))
         # a rounded mean past the largest value would scale back to inf
         return np.ldexp(np.clip(means, math.ldexp(lo, -e), math.ldexp(hi, -e)), e)
 
@@ -426,8 +423,7 @@ def dilate(f: GridFunction, t: float) -> GridFunction:
     For power-of-two t and cell-aligned f this is exact: scaled centers never
     land on cell boundaries.
     """
-    if t < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {t}")
+    t = _real("t", t, lambda v: v >= 1, ">= 1")
     spec = f.spec
     c = spec.cell_centers() / t
     idx = np.floor((c - spec.x0) / spec.h).astype(int)

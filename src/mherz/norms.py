@@ -326,7 +326,8 @@ def _abs_lp_table(spec: GridSpec, a: np.ndarray, p: float, again) -> np.ndarray:
     top = float(a.max())
     e = _power_exponent(top, p, a.size)
     if top and not e and not _TINY <= _pow(top, p) < math.inf:
-        return _over_peaks(spec, a, p, _peak_table(spec, a))
+        w = len(spec.window_range())  # every annulus with mass, per peak
+        return _over_peaks(spec, a, p, np.zeros((w, w)), np.full((w, w), True))
     if e:
         np.ldexp(a, -e, out=a)
     a **= p  # in place: one N x N buffer per call
@@ -334,11 +335,7 @@ def _abs_lp_table(spec: GridSpec, a: np.ndarray, p: float, again) -> np.ndarray:
     table = _lp_table(spec, seg, p, e)
     low = _annulus_blocks(seg, np.add) < _TINY  # empty, or its powers underflowed
     if top and low.any():
-        a = again()
-        peak = _peak_table(spec, a)
-        low &= peak > 0
-        if low.any():
-            table[low] = _over_peaks(spec, a, p, peak)[low]
+        _over_peaks(spec, again(), p, table, low)
     return table
 
 
@@ -349,11 +346,17 @@ def _peak_table(spec: GridSpec, a: np.ndarray, x0: int = 0, y0: int = 0) -> np.n
 
 
 def _over_peaks(
-    spec: GridSpec, a: np.ndarray, p: float, peak: np.ndarray, x0: int = 0, y0: int = 0
+    spec: GridSpec, a: np.ndarray, p: float, table: np.ndarray, low: np.ndarray,
+    x0: int = 0, y0: int = 0,
 ) -> np.ndarray:
-    """The annulus L^p norms from ``a = |f|`` (overwritten) on the cells of
-    the rectangle with low corner ``(x0, y0)`` and its :func:`_peak_table`,
-    each taken on its cells over its own peak."""
+    """``table`` with each annulus where ``low`` is true and that has mass
+    taken again on its cells over its own peak (:func:`_peak_table`), from
+    ``a = |f|`` (overwritten) on the cells of the rectangle with low corner
+    ``(x0, y0)``; every other entry keeps its bits."""
+    peak = _peak_table(spec, a, x0, y0)
+    low = low & (peak > 0)
+    if not low.any():
+        return table
     # each cell over its annulus's peak, gathered per axis through the
     # runs; the gap (position -1) and the empty annuli divide by inf
     div = np.pad(peak, (0, 1))
@@ -363,7 +366,8 @@ def _over_peaks(
     a /= div[pos[x0 : x0 + a.shape[0], None], pos[None, y0 : y0 + a.shape[1]]]
     a **= p
     with np.errstate(over="ignore"):  # inf past the float range
-        return peak * _lp_table(spec, _segment_table(spec, a, np.add, x0, y0), p)
+        table[low] = (peak * _lp_table(spec, _segment_table(spec, a, np.add, x0, y0), p))[low]
+    return table
 
 
 @functools.lru_cache(maxsize=1024)
@@ -603,13 +607,9 @@ class RectangleFamily:
 # -- block norm upper bound -----------------------------------------------------
 
 
-def smallest_containing_dyadic(f: GridFunction) -> DyadicRectangle | None:
-    """Smallest centered dyadic rectangle containing the support of f."""
-    return _support_host(f.spec, f.values)
-
-
 def _support_host(spec: GridSpec, values: np.ndarray) -> DyadicRectangle | None:
-    """:func:`smallest_containing_dyadic` of the cell table ``values``."""
+    """Smallest centered dyadic rectangle containing the support of the cell
+    table ``values``, or None where it has none."""
     rows = values.any(axis=1)
     if not rows.any():
         return None
@@ -642,10 +642,7 @@ def block_norm_upper(g: GridFunction, params: ExponentParams) -> float:
     1 on the grid, so ``int |f g| <= ||f||_{MK(dual)} * block_norm_upper(g)``."""
     require_predicate(params, "block")
     _require_window_support(g)
-    host = smallest_containing_dyadic(g)
-    if host is None:
-        return 0.0
-    return min(_block_upper_bounds(g.spec, annulus_lp_table(g, params.p), host, params))
+    return _window_cut_norm("block-upper", g.spec, lambda: np.abs(g.values), params)
 
 
 def _window_cut_norm(space: str, spec: GridSpec, source, params: ExponentParams) -> float:
@@ -813,9 +810,7 @@ def _oscillation_tables(
     for i in np.flatnonzero(live & low.any(axis=(1, 2))):
         r = rects[i]
         dev = np.abs(f.values[r.ix0 : r.ix1, r.iy0 : r.iy1] - f.rect_means([r])[0])
-        peak = _peak_table(spec, dev, r.ix0, r.iy0)
-        low[i] &= peak > 0
-        tables[i][low[i]] = _over_peaks(spec, dev, p, peak, r.ix0, r.iy0)[low[i]]
+        _over_peaks(spec, dev, p, tables[i], low[i], r.ix0, r.iy0)
     return sums, tables
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _TINY, GridFunction, _box_sum, _pow, _power_exponent, _prefix_table
+from .grid import _TINY, GridFunction, _box_sum, _pow, _power_exponent, _prefix_table, _real
 from .norms import RectangleFamily, _family_rectangles, block_norm_upper
 from .operators import DYADIC_SIDES, rubio_de_francia
 
@@ -50,8 +50,7 @@ def weighted_lp_norm(f: GridFunction, w: WeightFunction, p: float) -> float:
     again on ``w`` scaled by an exact power of two into [0.5, 1), which keeps
     every term finite, and with its largest term factored out, as
     :func:`norms._lq_norm` does; the root undoes the weight's scale."""
-    if not (0 < p < math.inf):
-        raise ValueError(f"p must be in (0, inf), got {p}")
+    p = _real("p", p, lambda v: 0 < v < math.inf, "in (0, inf)")
     if f.spec != w.spec:
         raise ValueError("function and weight live on different grids")
     h2 = f.spec.h * f.spec.h
@@ -105,8 +104,7 @@ def ap_star_characteristic(w: WeightFunction, p: float, family) -> float:
     puts its minimum in [1, 2): then ``u = w**(-1/(p-1))`` is at most 1 and
     cannot overflow, however close p is to 1.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = _real("p", p, lambda v: v >= 1, ">= 1")
     n = w.spec.n_cells
     wv = np.ldexp(w.values, 1 - int(np.frexp(w.values.min())[1]))
     u = None if p == 1.0 else wv ** (-1.0 / (p - 1.0))

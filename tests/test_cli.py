@@ -857,6 +857,24 @@ def test_demo_config_matches_the_reference_summaries(tmp_path):
         assert _summary_close(entry["summary"], want, ref["rtol"], ref["atol"]), entry["suite"]
 
 
+def test_maximal_g35_config_matches_the_reference_summaries(tmp_path, monkeypatch):
+    # the maximal-g35 workload at the benchmark's seed: fefferman_stein at
+    # N=256/512 and the iterated-1d maximal, which the demo config never runs
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import workloads
+
+    config = tmp_path / "maximal-g35.json"
+    workloads.write_config("maximal-g35", workloads.DEFAULT_SEED, config)
+    assert run(config, out_dir=tmp_path / "reports") == 0
+    index = json.loads((tmp_path / "reports" / "summary_index.json").read_text())["suites"]
+    assert [s["status"] for s in index] == ["pass"] * 2
+    ref = json.loads(workloads.reference_path("maximal-g35").read_text())
+    assert ref["seed"] == workloads.DEFAULT_SEED
+    assert len(index) == len(ref["summaries"])
+    for entry, want in zip(index, ref["summaries"]):
+        assert _summary_close(entry["summary"], want, ref["rtol"], ref["atol"]), entry["suite"]
+
+
 def modules_new_during_run(tmp_path, body):
     """Modules a fresh process imports during ``cli.run`` of ``body``; those
     it loads before, such as any that numpy loads on import, do not count."""

@@ -37,6 +37,7 @@ from mherz.grid import (
 from mherz.norms import ExponentParams, RectangleFamily
 from mherz.operators import rubio_de_francia
 from mherz.verification import check_extrapolation, check_fefferman_stein, check_norm_duality
+from mherz.weights import ap_star_characteristic, make_weight, weighted_lp_norm
 
 
 def test_make_grid_small():
@@ -216,10 +217,6 @@ def test_prefix_sum_matches_direct_summation(seed, data):
     boxes = _box_sum(P, np.s_[:-wx], np.s_[wx:], np.s_[:-wy], np.s_[wy:])
     for raw in (_box_sum(P, ix0, ix1, iy0, iy1), boxes[ix0, iy0]):
         assert raw * g.h**2 == pytest.approx(direct, rel=1e-12, abs=1e-14)
-    direct_abs = np.abs(f.values[ix0:ix1, iy0:iy1]).sum() * g.h**2
-    assert f.rect_means([r], absolute=True)[0] * area == pytest.approx(
-        direct_abs, rel=1e-12, abs=1e-14
-    )
 
 
 def test_prefix_table_in_place_matches_chained_cumsums():
@@ -265,9 +262,8 @@ def test_rect_mean_below_overflow_is_the_raw_prefix_table():
             ix0, iy0 = (int(k) for k in rng.integers(0, n, size=2))
             ix1, iy1 = int(rng.integers(ix0 + 1, n + 1)), int(rng.integers(iy0 + 1, n + 1))
             r = GridRectangle(ix0, ix1, iy0, iy1)
-            for absolute, table in ((False, vals), (True, np.abs(vals))):
-                raw = float(_box_sum(_prefix_table(table), ix0, ix1, iy0, iy1))
-                assert f.rect_means([r], absolute)[0] == raw / r.cells()
+            raw = float(_box_sum(_prefix_table(vals), ix0, ix1, iy0, iy1))
+            assert f.rect_means([r])[0] == raw / r.cells()
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e308, 1e-300])
@@ -287,15 +283,14 @@ def test_rect_means_match_a_four_corner_oracle_and_keep_no_table(scale):
     top = float(np.abs(vals).max())
     e = int(np.frexp(top)[1]) if np.isinf(top * n * n) else 0
     assert (e != 0) == (scale == 1e308)
-    for absolute in (False, True):
-        P = _prefix_table(np.ldexp(np.abs(vals) if absolute else vals, -e))
-        sums = [
-            float(P[r.ix1, r.iy1] - P[r.ix0, r.iy1] - P[r.ix1, r.iy0] + P[r.ix0, r.iy0])
-            for r in rects
-        ]
-        means = [float(np.ldexp(t / r.cells(), e)) for t, r in zip(sums, rects)]
-        assert f.rect_means(rects, absolute).tolist() == means
-        assert [f.rect_means([r], absolute)[0] for r in rects] == means
+    P = _prefix_table(np.ldexp(vals, -e))
+    sums = [
+        float(P[r.ix1, r.iy1] - P[r.ix0, r.iy1] - P[r.ix1, r.iy0] + P[r.ix0, r.iy0])
+        for r in rects
+    ]
+    means = [float(np.ldexp(t / r.cells(), e)) for t, r in zip(sums, rects)]
+    assert f.rect_means(rects).tolist() == means
+    assert [f.rect_means([r])[0] for r in rects] == means
 
 
 def test_overflowing_rectangle_sums_give_finite_means_without_a_warning():
@@ -308,11 +303,10 @@ def test_overflowing_rectangle_sums_give_finite_means_without_a_warning():
     top = GridFunction(g, np.full((n, n), np.finfo(float).max))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for absolute in (False, True):
-            assert f.rect_means([box, GridRectangle(0, 1, 0, 1)], absolute).tolist() == [1e308] * 2
-            # at the top of the float range: no exception, and no NaN
-            means = top.rect_means([box, GridRectangle(n - 1, n, n - 1, n)], absolute)
-            assert not np.isnan(means).any()
+        assert f.rect_means([box, GridRectangle(0, 1, 0, 1)]).tolist() == [1e308] * 2
+        # at the top of the float range: no exception, and no NaN
+        means = top.rect_means([box, GridRectangle(n - 1, n, n - 1, n)])
+        assert not np.isnan(means).any()
 
 
 def test_single_cell_means_stay_in_range_at_the_top_of_the_float_range():
@@ -326,10 +320,9 @@ def test_single_cell_means_stay_in_range_at_the_top_of_the_float_range():
     cells = [GridRectangle(i, i + 1, j, j + 1) for i in range(n) for j in range(n)]
     for values in (np.full((n, n), top), near):
         f = GridFunction(g, values)
-        for absolute in (False, True):
-            means = f.rect_means(cells, absolute)
-            assert np.isfinite(means).all()
-            assert (means >= values.min()).all() and (means <= values.max()).all()
+        means = f.rect_means(cells)
+        assert np.isfinite(means).all()
+        assert (means >= values.min()).all() and (means <= values.max()).all()
 
 
 def test_prefix_oracle_200_random_rectangles():
@@ -585,6 +578,7 @@ _NOISE = build_function(make_grid(1, 1), builtin="noise", seed=1)
 _G22 = make_grid(2, 2)
 _PR = ExponentParams(0.25, 2, 2, 0.5)
 _PRX = ExponentParams(0.2, 4, 4, 0.2)
+_W = make_weight(build_function(make_grid(1, 1), builtin="noise", seed=2, low=1.0, high=2.0))
 
 ONE_RULE_SITES = {
     "GridSpec": (
@@ -631,6 +625,17 @@ ONE_RULE_SITES = {
         lambda v: rubio_de_francia(_NOISE, v, 2), ValueError, "c", False, np.float32(0.5), 0.0,
         False, None,
     ),
+    "dilate.t": (
+        lambda v: dilate(_NOISE, v), ValueError, "t", False, np.float32(2.0), np.nan, False, None,
+    ),
+    "weighted_lp_norm.p": (
+        lambda v: weighted_lp_norm(_NOISE, _W, v), ValueError, "p", False, np.float32(1.5),
+        np.inf, False, None,
+    ),
+    "ap_star_characteristic.p": (
+        lambda v: ap_star_characteristic(_W, v, RectangleFamily("exact-grid")), ValueError, "p",
+        False, np.float64(2.0), np.nan, False, None,
+    ),
     "options.seed": (
         lambda v: check_norm_duality(_G22, _PR, seed=v, trials=2, refine=False), ValueError,
         "seed", True, np.int64(3), -1, False, lambda rep: rep.params["seed"],
@@ -673,8 +678,9 @@ def test_numeric_arguments_follow_one_rule(site, kind):
     if kind == "numpy":
         want = numpy_value.item()
         got, plain = build(numpy_value), build(want)
-        if read is None:  # nothing stored: the output of the Python value
-            assert got.values.tobytes() == plain.values.tobytes()
+        if read is None:  # nothing stored: the output of the Python value, a function or a float
+            bits = lambda out: np.asarray(getattr(out, "values", out)).tobytes()
+            assert bits(got) == bits(plain)
         else:
             assert type(read(got)) is type(want) and read(got) == want
         return

@@ -27,6 +27,7 @@ from mherz.grid import (
     make_grid,
     restrict_to_window,
     window_mask,
+    window_support_violations,
 )
 from mherz import norms
 from mherz.norms import (
@@ -48,6 +49,7 @@ from mherz.norms import (
     _oscillation_sweep,
     _oscillation_tables,
     _rect_counts,
+    _support_host,
     annulus_lp_table,
     block_norm_upper,
     bmo_mk_norm,
@@ -58,7 +60,6 @@ from mherz.norms import (
     pairing_l1,
     predicate_violations,
     require_predicate,
-    smallest_containing_dyadic,
 )
 from mherz import verification
 from mherz.verification import (
@@ -415,6 +416,17 @@ PRB = ExponentParams(-0.25, 2, 2, 0.5)
 def test_block_bracket_requires_block_predicate():
     with pytest.raises(PredicateError):
         block_norm_upper(masked_chi(G35, 0, 0), PR)
+
+
+def test_block_norm_upper_checks_the_predicate_before_the_support():
+    # mass on the central cross, and exponents that fail the block predicate:
+    # the predicate is named, and the support is never read
+    chi = indicator(G35, DyadicRectangle(0, 0))
+    assert window_support_violations(chi).size
+    with pytest.raises(PredicateError, match="pred_block"):
+        block_norm_upper(chi, PR)
+    with pytest.raises(SupportWindowError):
+        block_norm_upper(chi, PRB)
 
 
 def test_block_bracket_zero_function():
@@ -898,7 +910,13 @@ def test_window_cut_norm_equals_the_norm_of_the_cut_function(case):
     # the cut zeroes only the central cross, in the one |g| table the norm
     # takes: every bit as the norm of restrict_to_window(g)
     space, params, g = case
-    want = verification.SPACES[space](restrict_to_window(g), params)
+    cut = restrict_to_window(g)
+    if space == "block-upper":  # block_norm_upper runs the cut path itself: the bounds of the cut
+        host = _support_host(g.spec, cut.values)
+        table = annulus_lp_table(cut, params.p)
+        want = 0.0 if host is None else min(_block_upper_bounds(g.spec, table, host, params))
+    else:
+        want = verification.SPACES[space](cut, params)
     got = norms._window_cut_norm(space, g.spec, lambda: np.abs(g.values), params)
     assert np.array_equal(got, want, equal_nan=True), (got, want)
 
@@ -1085,7 +1103,6 @@ def test_rect_means_of_huge_finite_values():
     g = make_grid(2, 1)  # N = 8
     f = constant(g, 1e308)
     box = GridRectangle(0, 8, 0, 8)
-    assert f.rect_means([box], absolute=True)[0] == 1e308
     assert f.rect_means([box])[0] == 1e308
     assert bmo_mk_norm(f, PR, RectangleFamily("exact-grid"))[1] == 0.0
     value, plain, _ = bmo_mk_norm(f, PR, RectangleFamily("dyadic-centered"))
@@ -1097,8 +1114,6 @@ def test_rect_means_of_huge_finite_values():
         block = vals[r.ix0 : r.ix1, r.iy0 : r.iy1]
         want = math.fsum((block / 64.0).ravel()) / r.cells() * 64.0
         assert f.rect_means([r])[0] == pytest.approx(want, rel=1e-12)
-        want_abs = math.fsum((np.abs(block) / 64.0).ravel()) / r.cells() * 64.0
-        assert f.rect_means([r], absolute=True)[0] == pytest.approx(want_abs, rel=1e-12)
 
 
 def _bmo_family(kind, spec, stride):
@@ -1203,7 +1218,7 @@ def test_indicator_norms_from_closed_form_tables_equal_masked_arrays():
             for l2 in spec.window_range():
                 rect = DyadicRectangle(l1, l2)
                 chi = masked_chi(spec, l1, l2)
-                host = smallest_containing_dyadic(chi)
+                host = _support_host(spec, chi.values)
                 assert (host.l1, host.l2) == (l1, l2)
                 for pr in INDICATOR_ORACLE_SETS:
                     table = window_indicator_table(spec, rect.to_cells(spec), pr.p)
@@ -1522,7 +1537,7 @@ def test_smallest_containing_dyadic_matches_nonzero_bounds(spec, seed, density):
     sparse = rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
     f = restrict_to_window(GridFunction(spec, sparse))
     nz = np.nonzero(f.values)
-    host = smallest_containing_dyadic(f)
+    host = _support_host(spec, f.values)
     if nz[0].size == 0:
         assert host is None
         return

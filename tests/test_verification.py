@@ -811,9 +811,9 @@ def test_john_nirenberg_sweeps_each_rectangle_once_per_symbol(monkeypatch):
     means = Counter()
     rect_means = GridFunction.rect_means
 
-    def counting_means(self, rects, absolute=False):
+    def counting_means(self, rects):
         means[self.spec.n_cells] += len(rects)
-        return rect_means(self, rects, absolute)
+        return rect_means(self, rects)
 
     batched = Counter()
 
