@@ -34,6 +34,8 @@ import csv
 import datetime
 import json
 import math
+import os
+import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +44,6 @@ from . import __version__
 from .errors import ConfigError, GridSizeError, MherzError, PredicateError
 from .grid import GridSpec, make_grid
 from .norms import ExponentParams
-from .operators import estimate_block_norm_constant
 from .verification import (
     OPTION_DOMAINS,
     SUITES,
@@ -51,7 +52,6 @@ from .verification import (
     _choice,
     _flag,
     admit,
-    extrapolation_block_params,
 )
 
 # Not used here.  The benchmark's tracer (bench/tracer.py) rebinds a suite
@@ -284,6 +284,63 @@ def _execute_job(cfg: RunConfig, job: SuiteJob) -> InequalityReport:
     return job.sdef.runner(cfg.grid, **params, **job.options)
 
 
+def _run_share(cfg: RunConfig, share: list[SuiteJob]):
+    """The reports of ``share`` in order, up to its first failing job, and
+    that job's index and exception (or None)."""
+    reports = []
+    for job in share:
+        try:
+            reports.append(_execute_job(cfg, job))
+        except Exception as exc:
+            return reports, (job.index, exc)
+    return reports, None
+
+
+def _run_jobs(cfg: RunConfig) -> list[InequalityReport]:
+    """Every job's report, in config order, from ``k`` processes: one per CPU
+    the process may use, at most one per job.  Job ``i`` runs in process
+    ``i % k``; process 0 is the caller, the others are forked workers that
+    send back one pickle through a pipe.  A failure raises what a serial run
+    raises: the exception of the lowest failing job index."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    k = min(len(os.sched_getaffinity(0)), len(cfg.jobs)) if forks else 1
+    shares = [cfg.jobs[w::k] for w in range(k)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers = []  # (share, pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns to the caller's stack
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fh:
+                        fh.write(pickle.dumps(_run_share(cfg, share)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            workers.append((share, pid, r))
+        outcomes = [_run_share(cfg, shares[0])]
+    finally:  # a payload may exceed the pipe's buffer: read it before waiting
+        sent = []
+        for share, pid, r in workers:
+            with open(r, "rb") as fh:
+                sent.append((share, fh.read(), os.waitpid(pid, 0)[1]))
+    for share, payload, status in sent:
+        if not payload:
+            names = ", ".join(f"suites[{job.index}] {job.sdef.name}" for job in share)
+            code = os.waitstatus_to_exitcode(status)
+            raise MherzError(f"the worker running {names} exited with status {code}, no reports")
+        outcomes.append(pickle.loads(payload))
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [outcomes[i % k][0][i // k] for i in range(len(cfg.jobs))]
+
+
 def run(
     config_path: str | Path,
     strict: bool | None = None,
@@ -301,7 +358,7 @@ def run(
             raise ConfigError(f"format: expected 'json' or 'csv', got {fmt!r}")
         cfg.format = fmt
 
-    reports = [_execute_job(cfg, job) for job in cfg.jobs]
+    reports = _run_jobs(cfg)
 
     index = []
     ok = True
@@ -336,23 +393,6 @@ def run(
     return 0 if ok else 1
 
 
-def estimate_c(config_path: str | Path) -> int:
-    """Print the estimated maximal-operator block norm for extrapolation jobs."""
-    cfg = load_config(config_path)
-    jobs = [job for job in cfg.jobs if job.sdef.name == "extrapolation"]
-    if not jobs:
-        print("no extrapolation suites in config; nothing to estimate", file=sys.stderr)
-        return 2
-    for job in jobs:
-        block = extrapolation_block_params(job.params, job.options["p0"])
-        est = estimate_block_norm_constant(cfg.grid, block, job.options["variant"])
-        print(
-            f"suites[{job.index}] extrapolation(op={job.options['op']}): "
-            f"estimated block norm c ~= {est:.6g} (use c >= max(1, this))"
-        )
-    return 0
-
-
 def list_suites() -> int:
     for name in sorted(SUITES):
         print(f"{name:20s} {SUITES[name].summary}")
@@ -373,9 +413,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("list-suites", help="list available suites")
 
-    p_est = sub.add_parser("estimate-c", help="estimate the iteration constant")
-    p_est.add_argument("config")
-
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
@@ -387,8 +424,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.command == "list-suites":
             return list_suites()
-        if args.command == "estimate-c":
-            return estimate_c(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,24 +3,24 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mherz import verification
+from mherz import cli, verification
 from mherz.cli import (
     SUITES,
     emit,
-    estimate_c,
     list_suites,
     load_config,
     load_report,
     main,
     run,
 )
-from mherz.errors import ConfigError, MherzError, PredicateError
+from mherz.errors import ConfigError, DataError, MherzError, PredicateError
 from mherz.grid import make_grid
 from mherz.norms import ExponentParams
 from mherz.verification import (
@@ -325,13 +325,16 @@ def test_non_finite_values_written_as_strict_json(tmp_path, monkeypatch):
     assert summary["max_ratio"] == "inf"
 
 
+def without_timestamp(text):
+    return re.sub(r"\"?generated_at\"?[=:][^,\n]*", "", text)
+
+
 def test_outputs_byte_stable_modulo_timestamp(tmp_path):
     cfg = minimal_config(tmp_path)
     run(cfg, out_dir=tmp_path / "a")
     run(cfg, out_dir=tmp_path / "b")
-    strip = lambda text: re.sub(r"\"?generated_at\"?[=:][^,\n]*", "", text)
-    a = strip((tmp_path / "a" / "00_char_norms.json").read_text())
-    b = strip((tmp_path / "b" / "00_char_norms.json").read_text())
+    a = without_timestamp((tmp_path / "a" / "00_char_norms.json").read_text())
+    b = without_timestamp((tmp_path / "b" / "00_char_norms.json").read_text())
     assert a == b
 
 
@@ -810,24 +813,6 @@ def test_cli_reads_the_one_registry_off_each_signature():
         assert sdef.defaults == {p.name: p.default for p in options if p.default is not p.empty}
 
 
-def test_estimate_c(tmp_path, capsys):
-    cfg = minimal_config(
-        tmp_path,
-        grid={"L_max": 2, "s": 3},
-        suites=[
-            {
-                "name": "extrapolation",
-                "params": {"alpha": 0.2, "p": 4, "q": 4, "lam": 0.2},
-                "options": {"op": "strong-maximal", "p0": 2.0},
-            }
-        ],
-    )
-    assert estimate_c(cfg) == 0
-    out = capsys.readouterr().out
-    assert "estimated block norm" in out
-    assert main(["estimate-c", str(minimal_config(tmp_path))]) == 2
-
-
 def test_main_run_smoke(tmp_path):
     cfg = minimal_config(tmp_path)
     assert main(["run", str(cfg), "--out", str(tmp_path / "m"), "--format", "csv"]) == 0
@@ -875,12 +860,18 @@ def test_maximal_g35_config_matches_the_reference_summaries(tmp_path, monkeypatc
         assert _summary_close(entry["summary"], want, ref["rtol"], ref["atol"]), entry["suite"]
 
 
-def modules_new_during_run(tmp_path, body):
+def modules_new_during_run(tmp_path, body, forked=False):
     """Modules a fresh process imports during ``cli.run`` of ``body``; those
-    it loads before, such as any that numpy loads on import, do not count."""
-    code = """
-import json, sys
+    it loads before, such as any that numpy loads on import, do not count.
+    The process is pinned to one CPU, so every suite runs in it, unless
+    ``forked``: then it sees two CPUs, and its workers' imports do not count."""
+    cpus = "os.sched_getaffinity = lambda pid: {0, 1}" if forked else (
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+    )
+    code = f"""
+import json, os, sys
 from mherz import cli
+{cpus}
 before = set(sys.modules)
 cli.run(sys.argv[1])
 print(json.dumps(sorted(set(sys.modules) - before)))
@@ -935,3 +926,148 @@ def test_a_run_that_draws_noise_imports_no_numpy_random(tmp_path):
             or m == "numpy.random" or m.startswith("numpy.random.")] == []
     rep = load_report(tmp_path / "reports" / "00_maximal_bounds.json")
     assert any(t.trial.startswith("noise-") for t in rep.trials)
+
+
+def test_the_forked_path_imports_no_process_pool(tmp_path):
+    # a fork-context ProcessPoolExecutor loads logging, socket and subprocess
+    # and cost 46 ms per run; the runner forks and pickles with os and pickle,
+    # which numpy has loaded already
+    body = {
+        "grid": {"L_max": 2, "s": 3},
+        "out_dir": str(tmp_path / "reports"),
+        "suites": [{"name": "char_norms", "params": [PR_DICT]},
+                   {"name": "cz_comm", "params": PR_DICT, "options": {"refine": False}}],
+    }
+    new = modules_new_during_run(tmp_path, body, forked=True)
+    assert [m for m in new if m.split(".")[0] in ("multiprocessing", "concurrent", "hashlib",
+                                                  "_hashlib", "secrets", "pickle", "_pickle")] == []
+    assert len(list((tmp_path / "reports").glob("0*.json"))) == 2
+
+
+# -- the runner's processes -----------------------------------------------------
+
+# four suites, so that at three processes the caller runs two jobs, 0 and 3
+RUNNER_SUITES = [
+    {"name": "char_norms", "params": [PR_DICT]},
+    {"name": "maximal_bounds", "params": PR_DICT, "options": {"space": "herz", "trials": 3}},
+    {"name": "cz_comm", "params": PR_DICT},
+    {"name": "norm_duality", "params": PR_DICT, "options": {"trials": 4}},
+]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs ``cli.run`` sees, whatever the host has; after the
+    test no child process is left."""
+    yield lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    assert_no_child_left()
+
+
+def _forbidden_fork():
+    raise AssertionError("a one-process run forked")
+
+
+def test_reports_do_not_depend_on_the_process_count(tmp_path, capsys, monkeypatch, cpus):
+    cfg = minimal_config(tmp_path, grid={"L_max": 2, "s": 3}, suites=RUNNER_SUITES)
+    runs = []
+    for k in (1, 2, 3):
+        cpus(k)
+        out_dir = tmp_path / f"k{k}"
+        with monkeypatch.context() as m:
+            if k == 1:
+                m.setattr(os, "fork", _forbidden_fork)
+            codes = [run(cfg, out_dir=out_dir, fmt=fmt) for fmt in ("json", "csv")]
+        assert_no_child_left()
+        printed = capsys.readouterr().out.replace(str(out_dir), "OUT")
+        files = {p.name: without_timestamp(p.read_text()) for p in sorted(out_dir.iterdir())}
+        runs.append((codes, printed, files))
+    assert runs[0] == runs[1] == runs[2]
+    codes, _, files = runs[0]
+    assert codes == [1, 1]  # cz_comm fails on this grid
+    assert len(files) == 2 * len(RUNNER_SUITES) + 1  # json and csv reports, one index
+
+
+def _failing_at(indices):
+    """``cli._execute_job``, but job ``i`` in ``indices`` raises, odd ones a
+    PredicateError and even ones a DataError, each with a ``field``."""
+    execute = cli._execute_job
+
+    def failing(cfg, job):
+        if job.index not in indices:
+            return execute(cfg, job)
+        exc = (PredicateError if job.index % 2 else DataError)(f"job {job.index} refused")
+        exc.field = f"options.job{job.index}"
+        raise exc
+
+    return failing
+
+
+@pytest.mark.parametrize("indices", [{0}, {1}, {2}, {3}, {1, 2}, {2, 3}, {0, 1, 2, 3}])
+def test_the_lowest_failing_job_raises_as_in_a_serial_run(
+    tmp_path, capsys, monkeypatch, cpus, indices
+):
+    # at k = 2 the caller runs jobs 0 and 2 and one worker 1 and 3; at k = 3
+    # the caller runs 0 and 3 and each worker one job: every set raises in
+    # the caller, in a worker, or in both at once somewhere
+    cfg = minimal_config(tmp_path, grid={"L_max": 2, "s": 2}, suites=RUNNER_SUITES)
+    monkeypatch.setattr(cli, "_execute_job", _failing_at(indices))
+    first = min(indices)
+    for k in (1, 2, 3):
+        cpus(k)
+        with pytest.raises(MherzError) as info:
+            run(cfg)
+        assert_no_child_left()
+        assert type(info.value) is (PredicateError if first % 2 else DataError)
+        assert str(info.value) == f"job {first} refused"
+        assert info.value.field == f"options.job{first}"
+        assert main(["run", str(cfg)]) == 2
+        assert_no_child_left()
+        assert capsys.readouterr().err == f"error: job {first} refused\n"
+    assert not (tmp_path / "reports").exists()
+
+
+def test_an_interrupted_caller_leaves_no_worker(tmp_path, monkeypatch, cpus):
+    class Interrupt(BaseException):
+        pass
+
+    caller, execute = os.getpid(), cli._execute_job
+
+    def interrupted(cfg, job):
+        if os.getpid() == caller:
+            raise Interrupt
+        return execute(cfg, job)
+
+    monkeypatch.setattr(cli, "_execute_job", interrupted)
+    cpus(3)
+    with pytest.raises(Interrupt):
+        run(minimal_config(tmp_path, grid={"L_max": 2, "s": 2}, suites=RUNNER_SUITES))
+
+
+@pytest.mark.parametrize("how, status", [("kill", -signal.SIGKILL), ("exit", 3)])
+def test_a_worker_that_dies_raises_an_error_naming_its_suites(
+    tmp_path, capsys, monkeypatch, cpus, how, status
+):
+    caller, execute = os.getpid(), cli._execute_job
+
+    def dying(cfg, job):
+        if os.getpid() != caller and job.index == 1:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3)
+        return execute(cfg, job)
+
+    monkeypatch.setattr(cli, "_execute_job", dying)
+    cfg = minimal_config(tmp_path, grid={"L_max": 2, "s": 2}, suites=RUNNER_SUITES)
+    cpus(2)
+    message = (f"the worker running suites[1] maximal_bounds, suites[3] norm_duality "
+               f"exited with status {status}, no reports")
+    with pytest.raises(MherzError, match=f"^{re.escape(message)}$"):
+        run(cfg)
+    assert_no_child_left()
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
